@@ -48,7 +48,9 @@ type (
 	PrefetcherConfig = core.Config
 	// Prefetcher is the per-process AMPoM engine.
 	Prefetcher = core.Prefetcher
-	// Analysis is one per-fault AMPoM decision.
+	// Analysis is one per-fault AMPoM decision. Its Pivots and Zone stay
+	// valid only until the next Analyze on the same Prefetcher; copy them
+	// to keep them longer.
 	Analysis = core.Analysis
 	// Estimates carries the monitoring daemon's measurements into Eq. 3.
 	Estimates = core.Estimates

@@ -248,8 +248,13 @@ func TestQuotaAdmission(t *testing.T) {
 			t.Fatalf("%s: %+v, %v", name, st, err)
 		}
 	}
-	if _, err := c.Submit(ctx, smallSpec(t, "qd"), 0); err != nil {
+	d, err := c.Submit(ctx, smallSpec(t, "qd"), 0)
+	if err != nil {
 		t.Fatalf("quota not released after drain: %v", err)
+	}
+	// Let the job finish before the store's temporary directory is removed.
+	if _, err := c.Wait(ctx, d.Key); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,13 +10,15 @@
 // zone N = (c'/c)·S·r·(2t0 + td + 1/r) (Eq. 3), and identifies the zone's
 // pages from the prefetch pivots of outstanding strided streams (§3.4).
 //
-// The implementation is allocation-light: the window is a small ring and the
-// stride search runs in O(l²) over at most l = 20 entries, mirroring the
+// The implementation is allocation-free once warmed up: the window is a small
+// ring, every working list is a reused buffer, and the stride search runs in
+// O(l·dmax) — the WindowLen·DMax probes CostModel charges — mirroring the
 // cheap in-kernel analysis the paper reports (<0.6 % of runtime, Fig. 11).
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ampom/internal/memory"
 	"ampom/internal/simtime"
@@ -140,11 +142,16 @@ type Analysis struct {
 	// Streams is m, the number of outstanding strided streams found.
 	Streams int
 	// Pivots are the prefetch pivots of the outstanding streams, in window
-	// order.
+	// order; nil when there are none.
 	Pivots []memory.PageNum
 	// Zone is the dependent zone: up to N distinct candidate pages, in
-	// prefetch priority order. The caller filters out pages already local
-	// or in flight before issuing the remote paging request.
+	// prefetch priority order; nil when N is 0. The caller filters out
+	// pages already local or in flight before issuing the remote paging
+	// request.
+	//
+	// Pivots and Zone live in buffers the Prefetcher reuses: they stay
+	// valid only until the next Analyze on the same Prefetcher. A caller
+	// that keeps either past that point must copy it.
 	Zone []memory.PageNum
 }
 
@@ -166,8 +173,19 @@ type Prefetcher struct {
 
 	maxPage memory.PageNum // one past the last valid page
 
-	// scratch buffer reused across analyses to avoid per-fault allocation.
-	scratchPages []memory.PageNum
+	// Per-analysis scratch, reused so that Analyze allocates nothing once
+	// the zone buffer has grown to the largest zone: the window pages, each
+	// slot's stride, the score's link/member lists and per-stride counts,
+	// the zone's stream runs, and the buffers behind Analysis.Pivots and
+	// Analysis.Zone.
+	pages    []memory.PageNum
+	strides  []int
+	links    []pageStride
+	members  []pageStride
+	counts   []int64
+	runs     []pageRun
+	pivotBuf []memory.PageNum
+	zoneBuf  []memory.PageNum
 
 	// cumulative statistics for the evaluation figures.
 	faults     int64
@@ -183,11 +201,19 @@ func New(cfg Config, totalPages int64) (*Prefetcher, error) {
 	if totalPages <= 0 {
 		return nil, fmt.Errorf("core: non-positive address space size %d", totalPages)
 	}
+	l := cfg.WindowLen
 	return &Prefetcher{
-		cfg:          cfg,
-		win:          make([]entry, cfg.WindowLen),
-		maxPage:      memory.PageNum(totalPages),
-		scratchPages: make([]memory.PageNum, 0, cfg.WindowLen),
+		cfg:      cfg,
+		win:      make([]entry, l),
+		maxPage:  memory.PageNum(totalPages),
+		pages:    make([]memory.PageNum, 0, l),
+		strides:  make([]int, l),
+		links:    make([]pageStride, 0, l),
+		members:  make([]pageStride, 0, 2*l),
+		counts:   make([]int64, cfg.DMax+1),
+		runs:     make([]pageRun, 0, l),
+		pivotBuf: make([]memory.PageNum, 0, l),
+		zoneBuf:  make([]memory.PageNum, 0, min(cfg.MaxPrefetch, DefaultMaxPrefetch)),
 	}, nil
 }
 
@@ -275,15 +301,20 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 		return a
 	}
 
-	// Gather the window pages into scratch (oldest first).
-	w := p.scratchPages[:0]
+	// Gather the window pages (oldest first) and their strides, shared by
+	// the score and the pivot search.
+	w := p.pages[:0]
 	for i := 0; i < p.count; i++ {
 		w = append(w, p.at(i).page)
 	}
-	p.scratchPages = w
+	p.pages = w
+	strides := p.strides[:len(w)]
+	for i := range w {
+		strides[i] = p.strideOf(w, i)
+	}
 
 	// --- Spatial locality score S (Eq. 1) ---------------------------------
-	a.Score = p.score(w)
+	a.Score = p.score(w, strides)
 
 	// --- Paging rate r and CPU terms (Eq. 2) ------------------------------
 	first, last := p.at(0), p.at(p.count-1)
@@ -334,28 +365,34 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 	}
 
 	// --- Which pages: prefetch pivots of outstanding streams (§3.4) -------
-	a.Pivots = p.pivots(w)
+	a.Pivots = p.pivots(w, strides)
 	a.Streams = len(a.Pivots)
 	if a.N > 0 {
-		a.Zone = p.zone(w, a.Pivots, a.N)
+		a.Zone = p.zone(w[len(w)-1], a.Pivots, a.N)
 	}
 	return a
 }
 
 // strideOf returns the stride of the page at window position i: the minimum
 // forward distance d (1 ≤ d ≤ DMax) to a later reference to page w[i]+1, or
-// 0 when none exists within DMax.
+// 0 when none exists within DMax. Only the next DMax slots are scanned: a
+// first reference to w[i]+1 beyond them is no stride at all.
 func (p *Prefetcher) strideOf(w []memory.PageNum, i int) int {
 	want := w[i] + 1
-	for j := i + 1; j < len(w); j++ {
+	end := min(i+p.cfg.DMax, len(w)-1)
+	for j := i + 1; j <= end; j++ {
 		if w[j] == want {
-			if d := j - i; d <= p.cfg.DMax {
-				return d
-			}
-			return 0
+			return j - i
 		}
 	}
 	return 0
+}
+
+// pageStride is one (page, stride) pair of the score's link and member
+// lists. With at most l = 20 entries a flat list beats a map.
+type pageStride struct {
+	page memory.PageNum
+	d    int
 }
 
 // score computes the spatial locality score S of Eq. 1:
@@ -365,56 +402,42 @@ func (p *Prefetcher) strideOf(w []memory.PageNum, i int) int {
 // stride_d counts distinct pages participating in stride-d patterns — both
 // the page whose minimum forward distance to its successor page is d and
 // that successor page itself, matching the paper's worked examples (e.g.
-// {1,99,2,45,3,78,4} ⇒ stride_2 = 4 for pages {1,2,3,4}).
-func (p *Prefetcher) score(w []memory.PageNum) float64 {
-	// Minimum forward distance per page *value*. With at most l = 20
-	// entries a flat pair list beats a map.
-	type pd struct {
-		page memory.PageNum
-		d    int
-	}
-	links := make([]pd, 0, len(w))
-	for i := range w {
-		d := p.strideOf(w, i)
+// {1,99,2,45,3,78,4} ⇒ stride_2 = 4 for pages {1,2,3,4}). strides[i] is
+// strideOf(w, i).
+func (p *Prefetcher) score(w []memory.PageNum, strides []int) float64 {
+	// Minimum forward distance per page *value*, across duplicate positions.
+	links := p.links[:0]
+	for i, d := range strides {
 		if d == 0 {
 			continue
 		}
-		// Keep the minimum d per page value across duplicate positions.
 		found := false
 		for k := range links {
 			if links[k].page == w[i] {
 				found = true
-				if d < links[k].d {
-					links[k].d = d
-				}
+				links[k].d = min(links[k].d, d)
 				break
 			}
 		}
 		if !found {
-			links = append(links, pd{w[i], d})
+			links = append(links, pageStride{w[i], d})
 		}
 	}
+	p.links = links
 
 	// Count distinct (page, d) participations: both endpoints of each link.
-	var members []pd
-	addMember := func(page memory.PageNum, d int) bool {
-		for _, m := range members {
-			if m.page == page && m.d == d {
-				return false
+	members := p.members[:0]
+	counts := p.counts
+	clear(counts)
+	for _, lk := range links {
+		for _, m := range [2]pageStride{lk, {lk.page + 1, lk.d}} {
+			if !slices.Contains(members, m) {
+				members = append(members, m)
+				counts[m.d]++
 			}
 		}
-		members = append(members, pd{page, d})
-		return true
 	}
-	counts := make([]int64, p.cfg.DMax+1)
-	for _, lk := range links {
-		if addMember(lk.page, lk.d) {
-			counts[lk.d]++
-		}
-		if addMember(lk.page+1, lk.d) {
-			counts[lk.d]++
-		}
-	}
+	p.members = members
 
 	l := p.cfg.WindowLen
 	s := 0.0
@@ -430,65 +453,54 @@ func (p *Prefetcher) score(w []memory.PageNum) float64 {
 // pivots finds the outstanding strided streams and their prefetch pivots
 // (§3.4). A stride-d link w[q] = w[p]+1 (d = q−p ≤ DMax) is outstanding
 // when its completing reference sits in the last d window slots — in the
-// paper's 1-based indexing (p+d) > l−d, i.e. q ≥ len(w)−d here. The pivot
-// is the page after the stream's last page, w[q]+1. Pivots are
-// deduplicated and clamped to the address space.
-func (p *Prefetcher) pivots(w []memory.PageNum) []memory.PageNum {
-	var out []memory.PageNum
+// paper's 1-based indexing (p+d) > l−d, i.e. q ≥ len(w)−d here, so only
+// the last 2·DMax slots can start one. The pivot is the page after the
+// stream's last page, w[q]+1. Pivots are deduplicated and clamped to the
+// address space. The result is nil when there are no streams.
+func (p *Prefetcher) pivots(w []memory.PageNum, strides []int) []memory.PageNum {
+	out := p.pivotBuf[:0]
 	n := len(w)
-	seen := func(piv memory.PageNum) bool {
-		for _, o := range out {
-			if o == piv {
-				return true
-			}
+	for i := max(0, n-2*p.cfg.DMax); i < n; i++ {
+		d := strides[i]
+		if d == 0 || i+d < n-d {
+			continue // no stride, or stream no longer outstanding
 		}
-		return false
-	}
-	for i := range w {
-		d := p.strideOf(w, i)
-		if d == 0 {
-			continue
-		}
-		q := i + d
-		if q < n-d {
-			continue // stream no longer outstanding
-		}
-		piv := w[q] + 1
-		if piv >= 0 && piv < p.maxPage && !seen(piv) {
+		piv := w[i+d] + 1
+		if piv >= 0 && piv < p.maxPage && !slices.Contains(out, piv) {
 			out = append(out, piv)
 		}
 	}
+	p.pivotBuf = out
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
+
+// pageRun is the half-open page interval [lo, hi) one stream scanned while
+// taking its zone quota.
+type pageRun struct{ lo, hi memory.PageNum }
 
 // zone materialises the dependent zone: n pages distributed over the pivots
 // (n/m pages following each pivot, duplicates rolling their quota forward to
 // further pages — §3.4), or, with no outstanding streams, the n pages
 // following the last faulted page, imitating Linux read-ahead.
-func (p *Prefetcher) zone(w []memory.PageNum, pivots []memory.PageNum, n int) []memory.PageNum {
-	out := make([]memory.PageNum, 0, n)
-	chosen := make(map[memory.PageNum]bool, n)
-	add := func(page memory.PageNum) bool {
-		if page < 0 || page >= p.maxPage || chosen[page] {
-			return false
-		}
-		chosen[page] = true
-		out = append(out, page)
-		return true
-	}
-
+func (p *Prefetcher) zone(last memory.PageNum, pivots []memory.PageNum, n int) []memory.PageNum {
+	out := p.zoneBuf[:0]
 	if len(pivots) == 0 {
-		last := w[len(w)-1]
-		for i := 1; len(out) < n; i++ {
-			page := last + memory.PageNum(i)
-			if page >= p.maxPage {
-				break
-			}
-			add(page)
+		// Consecutive pages: distinct by construction.
+		page := max(last+1, 0)
+		for end := min(page+memory.PageNum(n), p.maxPage); page < end; page++ {
+			out = append(out, page)
 		}
+		p.zoneBuf = out
 		return out
 	}
 
+	// Each stream scans one contiguous run [pivot, end) in which every page
+	// is either taken or was taken by an earlier stream, so the pages chosen
+	// so far are exactly the union of the earlier runs.
+	runs := p.runs[:0]
 	m := len(pivots)
 	quota := n / m
 	extra := n % m
@@ -499,11 +511,22 @@ func (p *Prefetcher) zone(w []memory.PageNum, pivots []memory.PageNum, n int) []
 		}
 		// Take q *fresh* pages starting at the pivot; pages already chosen
 		// by an earlier stream do not consume quota ("saved quota").
-		for page := piv; q > 0 && page < p.maxPage; page++ {
-			if add(page) {
-				q--
+		page := piv
+	scan:
+		for q > 0 && page < p.maxPage {
+			for _, r := range runs {
+				if r.lo <= page && page < r.hi {
+					page = r.hi
+					continue scan
+				}
 			}
+			out = append(out, page)
+			q--
+			page++
 		}
+		runs = append(runs, pageRun{piv, page})
 	}
+	p.runs = runs
+	p.zoneBuf = out
 	return out
 }

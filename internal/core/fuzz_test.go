@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ampom/internal/memory"
@@ -12,8 +13,10 @@ import (
 // page sequence — and checks the per-fault analysis invariants the
 // migration executor relies on: the score stays in [0, 1], the dependent
 // zone respects the cap and the address-space bounds, and the zone never
-// contains duplicates. Run with `go test -fuzz FuzzPrefetcherFault`; `make
-// ci` gives it a 10 s smoke.
+// contains duplicates. On every fault it also checks the allocation-free
+// analysis against refAnalyze, the frozen original: Score, NReal, N,
+// Streams, Pivots and Zone must be identical. Run with `go test -fuzz
+// FuzzPrefetcherFault`; `make ci` gives it a 10 s smoke.
 func FuzzPrefetcherFault(f *testing.F) {
 	// Seed corpus: a sequential sweep, a strided reader, random-ish noise,
 	// a constant page, and descending addresses, over assorted configs.
@@ -22,11 +25,29 @@ func FuzzPrefetcherFault(f *testing.F) {
 	f.Add(uint8(5), uint8(1), uint16(8), false, []byte{200, 17, 93, 4, 150, 62, 255, 0, 31})
 	f.Add(uint8(2), uint8(1), uint16(1), true, []byte{7, 7, 7, 7, 7, 7})
 	f.Add(uint8(40), uint8(8), uint16(512), false, []byte{250, 240, 230, 220, 210, 200})
+	// A long window with eight interleaved sequential streams three pages
+	// apart, so many pivots' runs overlap and roll quota forward, with the
+	// stride exactly DMax; then, against the end of the address space, the
+	// same pattern, a sequential sweep and stride-free jumps, so pivot runs
+	// and read-ahead clamp at totalPages.
+	f.Add(uint8(48), uint8(8), uint16(400), false, interleaved(0x10, 0x00, 8, 3, 6))
+	f.Add(uint8(40), uint8(9), uint16(300), true, interleaved(0xff, 0xe8, 8, 3, 5))
+	f.Add(uint8(36), uint8(4), uint16(200), false, []byte{
+		0xff, 0xf0, 0xff, 0xf1, 0xff, 0xf2, 0xff, 0xf3, 0xff, 0xf4, 0xff, 0xf5,
+		0xff, 0xf6, 0xff, 0xf7, 0xff, 0xf8, 0xff, 0xf9, 0xff, 0xfa, 0xff, 0xfb,
+	})
+	f.Add(uint8(33), uint8(2), uint16(64), false, []byte{
+		0xff, 0xf0, 0xff, 0xe0, 0xff, 0xfa, 0xff, 0xd0, 0xff, 0xfc,
+		0xff, 0xc0, 0xff, 0xfe, 0xff, 0xb0, 0xff, 0xf8,
+	})
+	// Two links completing on the same page (10→11 at strides 3 and 1)
+	// yield one pivot, not two.
+	f.Add(uint8(8), uint8(4), uint16(16), false, []byte{0, 10, 0, 50, 0, 10, 0, 11})
 
 	f.Fuzz(func(t *testing.T, windowLen, dmax uint8, cap16 uint16, disableBaseline bool, stream []byte) {
 		if len(stream) > 512 {
-			// The per-fault analysis is O(l²); long streams add time, not
-			// coverage.
+			// Each fault runs both the analysis and its reference; long
+			// streams add time, not coverage.
 			stream = stream[:512]
 		}
 		cfg := Config{
@@ -55,6 +76,17 @@ func FuzzPrefetcherFault(f *testing.F) {
 			p.RecordFault(page, now, cpu)
 
 			a := p.Analyze(est)
+			ref := refAnalyze(p, est)
+			if a.Score != ref.Score || a.NReal != ref.NReal || a.N != ref.N || a.Streams != ref.Streams {
+				t.Fatalf("analysis S=%v NReal=%v N=%d m=%d, reference S=%v NReal=%v N=%d m=%d",
+					a.Score, a.NReal, a.N, a.Streams, ref.Score, ref.NReal, ref.N, ref.Streams)
+			}
+			if !samePages(a.Pivots, ref.Pivots) {
+				t.Fatalf("pivots %v, reference %v", a.Pivots, ref.Pivots)
+			}
+			if !samePages(a.Zone, ref.Zone) {
+				t.Fatalf("zone %v, reference %v", a.Zone, ref.Zone)
+			}
 			if a.Score < 0 || a.Score > 1 {
 				t.Fatalf("score %v out of [0,1]", a.Score)
 			}
@@ -88,4 +120,25 @@ func FuzzPrefetcherFault(f *testing.F) {
 			t.Fatalf("fault census %d, want %d", got, want)
 		}
 	})
+}
+
+// interleaved encodes rounds of k sequential streams whose base pages start
+// at hi<<8|lo and sit gap pages apart, two bytes per fault as the fuzz
+// target decodes them: round r touches base+r, base+gap+r, ….
+func interleaved(hi, lo byte, k, gap, rounds int) []byte {
+	base := int(hi)<<8 | int(lo)
+	var out []byte
+	for r := 0; r < rounds; r++ {
+		for s := 0; s < k; s++ {
+			pg := min(base+s*gap+r, 0xffff)
+			out = append(out, byte(pg>>8), byte(pg))
+		}
+	}
+	return out
+}
+
+// samePages reports whether a and b hold the same pages in the same order
+// and are both nil or both non-nil.
+func samePages(a, b []memory.PageNum) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }

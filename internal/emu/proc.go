@@ -307,7 +307,7 @@ func (p *Proc) fault(page int) error {
 			RTT:          simtime.FromStd(p.rtt),
 			PageTransfer: simtime.FromStd(p.rtt / 4),
 		})
-		for _, z := range a.Zone {
+		for _, z := range a.Zone { // copied out before the next Analyze reuses it
 			if !p.hasPage(int(z)) && int(z) != page {
 				req = append(req, int(z))
 			}

@@ -171,6 +171,9 @@ func (e *executor) fault(page memory.PageNum) {
 		e.scoreSum += a.Score
 		e.nSum += float64(a.N)
 		cost += ac
+		// a.Zone is the Prefetcher's reused buffer. faultSend consumes it
+		// before the next Analyze: the process cannot fault again until
+		// faultSend resumes it.
 		zone = a.Zone
 	}
 

@@ -110,7 +110,8 @@ func (p *Pager) InstallArrived() simtime.Duration {
 // dependent-zone candidates. Pages that are not remote any more are
 // filtered out here — "if j is not stored locally, record j in the remote
 // paging request" (Algorithm 1). It returns how many prefetch pages were
-// actually requested.
+// actually requested. The wanted pages are copied into the request, so
+// prefetch may be a buffer the caller reuses, such as core.Analysis.Zone.
 func (p *Pager) Request(demand memory.PageNum, prefetch []memory.PageNum) int {
 	var wanted []memory.PageNum
 	for _, page := range prefetch {

@@ -230,6 +230,12 @@ type clusterSim struct {
 	// live-view-vs-rebuild property test and the retention tests use.
 	checkView func(base sched.View)
 
+	// censusSeen and censusArrived are the prefetch census's per-page
+	// flags, grown to the largest working set and cleared per migration.
+	// One pair suffices: restore, the census's only caller, runs on the
+	// global engine.
+	censusSeen, censusArrived []bool
+
 	st SchemeStats
 }
 
@@ -988,8 +994,13 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 	}
 	pre := core.MustNew(core.DefaultConfig(), wsPages)
 	src := p.t.mix.Trace(wsPages, p.t.traceSeed)()
-	seen := make([]bool, wsPages)
-	arrived := make([]bool, wsPages)
+	if int64(len(c.censusSeen)) < wsPages {
+		c.censusSeen = make([]bool, wsPages)
+		c.censusArrived = make([]bool, wsPages)
+	}
+	seen, arrived := c.censusSeen[:wsPages], c.censusArrived[:wsPages]
+	clear(seen)
+	clear(arrived)
 	var sampled, sampleHard int64
 	var t simtime.Time
 	for sampled < dryRunCap {
@@ -1009,7 +1020,7 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 		sampleHard++
 		t = t.Add(est.RTT)
 		pre.RecordFault(ref.Page, t, 1)
-		a := pre.Analyze(est)
+		a := pre.Analyze(est) // a.Zone is reused by the next Analyze: consume it now
 		n := 0
 		for _, pg := range a.Zone {
 			if pg >= 0 && int64(pg) < wsPages && !arrived[pg] {
