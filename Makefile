@@ -1,7 +1,8 @@
 # Developer/CI entry points. `make ci` is the gate: formatting, vet, build,
 # the full test suite, the race detector over the concurrent campaign
 # engine, the binary smoke tests, the campaign-service smoke (HTTP
-# submit, dedup and store-hit paths), a short fuzz pass over the AMPoM
+# submit, dedup and store-hit paths), a vet and test pass over the
+# perfbench benchmark module, a short fuzz pass over the AMPoM
 # prefetcher, the trace combinators and the scenario spec codec, one
 # bench-balance iteration so policy-dispatch overhead is tracked, and one
 # bench-fabric iteration asserting the 512-, 4096- and 16384-node
@@ -9,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-fabric bench-json profile
+.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-fabric bench-json profile
 
-ci: fmt-check vet build test race examples-smoke clusterd-smoke fuzz-smoke bench-balance bench-fabric
+ci: fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench-balance bench-fabric
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -41,6 +42,13 @@ examples-smoke:
 # restart.
 clusterd-smoke:
 	$(GO) test -count=1 -run '^TestClusterdSmoke$$' ./internal/clusterd
+
+# perfbench/ is a separate module (replace ampom => ../) that imports the
+# internal packages, so the root build and test never compile it: vet and
+# test it here, so a change to an exported symbol it uses fails CI rather
+# than the benchmark.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Short fuzz passes over the AMPoM per-fault analysis, the trace
 # combinator algebra, the scenario spec JSON codec and the event queue's

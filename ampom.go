@@ -241,9 +241,10 @@ func NewCampaign(cfg CampaignConfig) *Campaign { return harness.NewMatrix(cfg) }
 // (the Figure 4 axes).
 func Locality(w *Workload) (spatial, temporal float64) { return hpcc.Locality(w) }
 
-// Load-balancing aliases (the paper's §7 outlook): the v2 surface is the
-// open BalancerPolicy interface plus a sorted, deterministic registry, so
-// new cost models plug in beside the built-in five.
+// Load-balancing aliases (the paper's §7 outlook): the open BalancerPolicy
+// interface plus a sorted, deterministic registry, so new cost models plug
+// in beside the built-in six. Policies run inside cluster scenarios: name
+// them in a ScenarioSpec's Policies and call RunScenario.
 type (
 	// BalancerPolicy decides when and where the load balancer migrates.
 	// Implement it (Name, MigrationCost, ShouldMigrate) and register with
@@ -255,10 +256,6 @@ type (
 	BalancerNodeView = sched.NodeView
 	// BalancerProcView is the migration candidate a policy is asked about.
 	BalancerProcView = sched.ProcView
-	// BalanceConfig describes a load-balancing study.
-	BalanceConfig = sched.Config
-	// BalanceStats summarises a study.
-	BalanceStats = sched.Stats
 )
 
 // The built-in balancer policy names — the registry keys reports are keyed
@@ -284,52 +281,6 @@ func LookupBalancerPolicy(name string) (BalancerPolicy, bool) { return sched.Loo
 
 // BalancerPolicies resolves registry names to policies, preserving order.
 func BalancerPolicies(names ...string) ([]BalancerPolicy, error) { return sched.ByNames(names) }
-
-// SimulateBalancer runs the §7 load-balancing study under one policy.
-func SimulateBalancer(cfg BalanceConfig, pol BalancerPolicy) BalanceStats {
-	return sched.Simulate(cfg, pol)
-}
-
-// CompareBalancers runs each policy on the same workload — every
-// registered policy, in registry-sorted order, when none are given.
-func CompareBalancers(cfg BalanceConfig, pols ...BalancerPolicy) []BalanceStats {
-	return sched.Compare(cfg, pols...)
-}
-
-// BalancePolicy is the closed v1 policy enum.
-//
-// Deprecated: use BalancerPolicy and the registry; convert with Balancer().
-type BalancePolicy = sched.Policy
-
-// The v1 balancing policies.
-//
-// Deprecated: use the registry names (PolicyNoMigration, PolicyOpenMosix,
-// PolicyAMPoM) or sched's policy instances.
-const (
-	BalanceNone      = sched.NoMigration
-	BalanceOpenMosix = sched.OpenMosixCost
-	BalanceAMPoM     = sched.AMPoMCost
-)
-
-// SimulateBalancing runs the §7 study under one v1 policy.
-//
-// Deprecated: use SimulateBalancer with a BalancerPolicy.
-func SimulateBalancing(cfg BalanceConfig, p BalancePolicy) BalanceStats {
-	return sched.Simulate(cfg, p.Balancer())
-}
-
-// CompareBalancing runs the three v1 policies on the same workload, in the
-// v1 order (no-migration, openMosix, AMPoM).
-//
-// Deprecated: use CompareBalancers, which is variable-width and covers the
-// whole registry.
-func CompareBalancing(cfg BalanceConfig) [3]BalanceStats {
-	return [3]BalanceStats{
-		sched.Simulate(cfg, sched.NoMigrationPolicy),
-		sched.Simulate(cfg, sched.OpenMosixPolicy),
-		sched.Simulate(cfg, sched.AMPoMPolicy),
-	}
-}
 
 // Cluster-scenario aliases: declarative multi-node runs composing the event
 // engine, cluster nodes, infod dissemination, the load balancer and the

@@ -141,9 +141,9 @@ func TestFacadeCampaignEngine(t *testing.T) {
 	}
 }
 
-// TestFacadePolicyRegistry drives the v2 balancer surface: the registry
-// lists all five built-ins in sorted order, lookups and sweeps work, and
-// the deprecated v1 shims still answer.
+// TestFacadePolicyRegistry drives the balancer surface: the registry lists
+// the built-ins in sorted order, lookups resolve, and a resolved policy set
+// runs through RunScenario with its rows in canonical order.
 func TestFacadePolicyRegistry(t *testing.T) {
 	names := BalancerPolicyNames()
 	if len(names) < 5 {
@@ -158,22 +158,19 @@ func TestFacadePolicyRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := BalanceConfig{Jobs: 16, Nodes: 4}
-	res := CompareBalancers(cfg, pols...)
-	if len(res) != 2 || res[0].Policy != PolicyAMPoM {
-		t.Fatalf("CompareBalancers rows wrong: %+v", res)
+	spec := ScenarioSpec{Name: "facade-star", Nodes: 4, Procs: 16}
+	for _, p := range pols {
+		spec.Policies = append(spec.Policies, p.Name())
 	}
-	am := SimulateBalancer(cfg, pols[0])
-	if am.Policy != PolicyAMPoM || am.Makespan <= 0 {
-		t.Fatalf("SimulateBalancer degenerate: %+v", am)
+	rep, err := RunScenario(spec, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The deprecated v1 shims keep answering in the v1 order.
-	old := CompareBalancing(cfg)
-	if old[0].Policy != PolicyNoMigration || old[2].Policy != PolicyAMPoM {
-		t.Fatalf("v1 CompareBalancing order broken: %+v", old)
+	if len(rep.Schemes) != 2 || rep.Schemes[0].Policy != PolicyAMPoM || rep.Schemes[1].Policy != PolicyNoMigration {
+		t.Fatalf("RunScenario rows wrong: %+v", rep.Schemes)
 	}
-	if SimulateBalancing(cfg, BalanceAMPoM).Policy != PolicyAMPoM {
-		t.Fatal("v1 SimulateBalancing shim broken")
+	if rep.Schemes[0].Makespan <= 0 {
+		t.Fatalf("AMPoM row degenerate: %+v", rep.Schemes[0])
 	}
 }
 

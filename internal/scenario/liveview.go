@@ -60,8 +60,9 @@ type liveView struct {
 	liveOn [][]*proc
 
 	// rows are the derived NodeView rows; order is the node index sequence
-	// sorted by descending Load, ascending index on ties (the NodesByLoad
-	// order). Both are repaired lazily from the dirty set.
+	// sorted by descending Load, ascending index on ties — the order the
+	// balancer offers source nodes in. Both are repaired lazily from the
+	// dirty set.
 	rows  []sched.NodeView
 	order []int
 

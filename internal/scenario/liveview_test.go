@@ -40,7 +40,8 @@ func rebuildAggregates(c *clusterSim) (live, runnable []int, mem []int64, lists,
 }
 
 // rebuildRows recomputes the NodeView rows and the descending-load source
-// order exactly as the pre-incremental view() + NodesByLoad() pair did.
+// order (ascending index on ties) from scratch, walking every process — the
+// reference the incremental live view must match.
 func rebuildRows(c *clusterSim) ([]sched.NodeView, []int) {
 	n := c.spec.Nodes
 	rows := make([]sched.NodeView, n)

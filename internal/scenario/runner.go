@@ -683,9 +683,9 @@ func (c *clusterSim) tickEpilogue(at simtime.Time) {
 }
 
 // view assembles the ground-truth picture of the cluster: per-node
-// resident counts (frozen migrants count towards their destination, as in
-// the sched study), CPU-scaled loads, resident memory, and the monitoring
-// plane's conservative bandwidth estimate. The rows come from the live
+// resident counts (frozen migrants count towards their destination),
+// CPU-scaled loads, resident memory, and the monitoring plane's
+// conservative bandwidth estimate. The rows come from the live
 // view — only nodes dirtied since the last round are re-derived — and are
 // copied into the hand-off scratch, so the canonical rows stay private and
 // a policy that wrongly retains or mutates a handed view cannot corrupt

@@ -1,10 +1,20 @@
-// Balancer policies as an open extension point. The paper's §7 outlook
-// frames load balancing as a *family* of cost models riding on the
-// migration substrate; this file turns the closed three-policy enum into a
-// BalancerPolicy interface plus a registry, so new policies (the openMosix
-// probabilistic load vectors and memory-pressure ushering of the related
-// HPC-farm literature, queue-length gossip, user-defined models) plug in
-// without touching the simulators that drive them.
+// Package sched owns the load balancer's decision surface for the paper's
+// §7 outlook: "new scheduling policies can make use of AMPoM on openMosix to
+// perform more aggressive migrations since the performance penalty of
+// suboptimal decisions has been dramatically decreased."
+//
+// It holds the open BalancerPolicy interface, the sorted registry of
+// policies, and the migration cost models (FullCopyCost for openMosix's
+// copy-everything freeze, LightweightCost for AMPoM). The classic
+// cost-benefit policies migrate a process only when its expected remaining
+// work justifies the cost (the conservatism of Harchol-Balter & Downey, the
+// paper's [10]); AMPoM's far cheaper cost model makes the same rule fire
+// more often. The probabilistic load-vector, memory-ushering and
+// queue-gossip policies model the dissemination and memory-pressure
+// behaviours openMosix farms tuned in practice.
+//
+// The package simulates nothing: the cluster simulation that drives these
+// policies lives in internal/scenario.
 //
 // A policy is a stateless, immutable value: every input it decides on
 // arrives through the View, including the PRNG stream probabilistic
@@ -37,7 +47,7 @@ type NodeView struct {
 	CapacityMB int64
 	// QueueLen is the node's runnable-queue length as disseminated to the
 	// deciding node: gossip-aged on switched fabrics, exact (equal to
-	// Procs) on the legacy star and in the §7 study.
+	// Procs) on the legacy star.
 	QueueLen int
 	// InfoAge is how stale this row's dissemination entry is. Zero means
 	// ground truth (or a fresh gossip entry).
@@ -198,17 +208,11 @@ func LightweightCost(footprintMB int64, wsFrac, bandwidthBps float64) (freeze, e
 // offers the policy each balancing round, longest remaining demand first.
 const MaxCandidates = 4
 
-// TopCandidates selects up to MaxCandidates eligible items with the
-// largest remaining demand, earliest-input-first on ties — the shared
-// candidate-selection rule of the sched study and the scenario engine
-// (callers iterate their processes in ascending id order).
-func TopCandidates[T any](items []T, eligible func(T) bool, remaining func(T) simtime.Duration) []T {
-	return TopCandidatesInto(nil, items, eligible, remaining)
-}
-
-// TopCandidatesInto is TopCandidates appending into buf[:0], so hot-path
-// callers (one selection per node per balance round) can reuse one scratch
-// slice instead of allocating per call.
+// TopCandidatesInto selects up to MaxCandidates eligible items with the
+// largest remaining demand, earliest-input-first on ties (callers iterate
+// their processes in ascending id order). It appends into buf[:0], so
+// hot-path callers (one selection per node per balance round) can reuse
+// one scratch slice instead of allocating per call.
 func TopCandidatesInto[T any](buf []T, items []T, eligible func(T) bool, remaining func(T) simtime.Duration) []T {
 	top := buf[:0]
 	for _, it := range items {
@@ -249,19 +253,6 @@ func (v View) LeastLoaded() int {
 		*v.least = best
 	}
 	return best
-}
-
-// NodesByLoad returns the node indices sorted by descending load (lowest
-// index first on ties) — the order the drivers offer source nodes in.
-func (v View) NodesByLoad() []int {
-	order := make([]int, len(v.Nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return v.Nodes[order[a]].Load > v.Nodes[order[b]].Load
-	})
-	return order
 }
 
 // Clears applies the cost-benefit rule of Harchol-Balter & Downey (the
@@ -310,7 +301,7 @@ func (p openMosix) ShouldMigrate(v View, proc ProcView) (int, bool) {
 	return classicTarget(v, proc, freeze, extra)
 }
 
-// ampom is the §7 study's headline policy: the lightweight freeze makes far
+// ampom is the §7 outlook's headline policy: the lightweight freeze makes far
 // more candidate moves clear the same rule — the paper's "more aggressive
 // migrations".
 type ampom struct{}
@@ -566,16 +557,6 @@ func Names() []string {
 	}
 	regMu.RUnlock()
 	sort.Strings(out)
-	return out
-}
-
-// All returns every registered policy in sorted-name order.
-func All() []BalancerPolicy {
-	names := Names()
-	out := make([]BalancerPolicy, len(names))
-	for i, n := range names {
-		out[i], _ = Lookup(n)
-	}
 	return out
 }
 

@@ -23,15 +23,6 @@ func TestRegistrySortedAndComplete(t *testing.T) {
 			t.Fatalf("policy registered under %q names itself %q", want, p.Name())
 		}
 	}
-	all := All()
-	if len(all) != len(names) {
-		t.Fatalf("All returned %d policies for %d names", len(all), len(names))
-	}
-	for i, p := range all {
-		if p.Name() != names[i] {
-			t.Fatalf("All()[%d] = %q, want %q", i, p.Name(), names[i])
-		}
-	}
 }
 
 func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
@@ -293,12 +284,5 @@ func TestViewHelpersDeterministic(t *testing.T) {
 	v := view([]int{3, 5, 5, 1, 1})
 	if v.LeastLoaded() != 3 {
 		t.Fatalf("least loaded = %d, want 3 (lowest index on ties)", v.LeastLoaded())
-	}
-	order := v.NodesByLoad()
-	want := []int{1, 2, 0, 3, 4}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("NodesByLoad = %v, want %v", order, want)
-		}
 	}
 }
