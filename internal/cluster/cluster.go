@@ -119,6 +119,3 @@ const RegisterBytes = 2048
 func NewPCB(pid int, name string, home *Node) *PCB {
 	return &PCB{PID: pid, Name: name, State: ProcRunning, Home: home, Current: home}
 }
-
-// Migrated reports whether the process runs away from home.
-func (p *PCB) Migrated() bool { return p.Current != p.Home }

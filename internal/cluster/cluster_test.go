@@ -67,19 +67,13 @@ func TestScale(t *testing.T) {
 }
 
 func TestPCB(t *testing.T) {
-	eng := sim.New()
-	home := NewNode(eng, "home", 1)
-	away := NewNode(eng, "away", 1)
+	home := NewNode(sim.New(), "home", 1)
 	p := NewPCB(42, "job", home)
-	if p.Migrated() {
-		t.Fatal("fresh PCB claims migrated")
-	}
 	if p.State != ProcRunning {
 		t.Fatalf("state = %v", p.State)
 	}
-	p.Current = away
-	if !p.Migrated() {
-		t.Fatal("migrated PCB claims home")
+	if p.Current != home || p.Home != home {
+		t.Fatalf("fresh PCB placed at %v, home %v; want both %v", p.Current, p.Home, home)
 	}
 }
 

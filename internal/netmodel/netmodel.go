@@ -168,9 +168,6 @@ func NewLink(eng *sim.Engine, profile Profile, a, b *NIC) *Link {
 // Profile returns the link's current characteristics.
 func (l *Link) Profile() Profile { return l.profile }
 
-// SetProfile re-shapes the link (e.g. mid-run bandwidth change).
-func (l *Link) SetProfile(p Profile) { l.profile = p }
-
 // SetBackgroundLoad sets the fraction of bandwidth consumed by competing
 // traffic, in [0, 0.95].
 func (l *Link) SetBackgroundLoad(f float64) {

@@ -27,8 +27,6 @@
 //     its migration arrives stale and lands dead.
 package scenario
 
-import "ampom/internal/cluster"
-
 // crash takes node v down. Its runnable residents either evacuate
 // (spec.Evacuate: real migrations shipped as the dying node's last gasp,
 // while its edge link is still up) or lose their progress and park
@@ -53,7 +51,7 @@ func (c *clusterSim) crash(v int) {
 	// Migrants caught between payload delivery and unfreeze on v: their
 	// restore dies with the node, so they revert to their sources.
 	for _, p := range snapshotProcs(c.lv.liveOn[v]) {
-		if p.frozen && p.restoring {
+		if p.state == procRestoring {
 			c.failBack(p)
 		}
 	}
@@ -70,13 +68,9 @@ func (c *clusterSim) recover(v int) {
 	c.crashed[v] = false
 	c.ic.SetLinkState(v, true)
 	for _, p := range snapshotProcs(c.lv.liveOn[v]) {
-		if !p.suspended {
-			continue
+		if p.state == procSuspended {
+			c.transition(p, procRunning, v)
 		}
-		p.suspended = false
-		p.frozen = false
-		p.pcb.State = cluster.ProcRunning
-		c.lv.unfreeze(p)
 	}
 }
 
@@ -128,24 +122,21 @@ func (c *clusterSim) evacTarget(v int) int {
 // The process itself is never lost — crashes cost work, not workload.
 func (c *clusterSim) kill(p *proc) {
 	p.remaining = p.t.demand
-	p.suspended = true
-	p.pcb.State = cluster.ProcFrozen
-	c.lv.suspend(p)
+	c.transition(p, procSuspended, p.node)
 }
 
 // bounceSweep fails back every in-flight migrant stranded by a topology
-// down-transition: frozen, payload not yet delivered, and either its
-// destination crashed or the remainder of its path — past the source edge,
-// which an evacuation payload legitimately leaves through just before it
-// drops — can no longer deliver. Any such payload the fabric later drops
-// (or, rarely, still delivers over a path that healed around the check)
-// was bounced here first and arrives sequence-stale. A suspended frozen
-// migrant has already failed back and parked on its crashed source — it
-// is no longer in flight, so later down-transitions must not bounce it
-// again (a migrant restores or fails back exactly once).
+// down-transition: its destination crashed or the remainder of its path —
+// past the source edge, which an evacuation payload legitimately leaves
+// through just before it drops — can no longer deliver. Any such payload
+// the fabric later drops (or, rarely, still delivers over a path that
+// healed around the check) was bounced here first and arrives
+// sequence-stale. A migrant that already failed back is running or
+// suspended, no longer in flight, so later down-transitions cannot bounce
+// it again (a migrant restores or fails back exactly once).
 func (c *clusterSim) bounceSweep() {
 	for _, p := range c.procs {
-		if p.frozen && !p.restoring && !p.suspended && (c.crashed[p.node] || !c.ic.DestReachable(p.from, p.node)) {
+		if p.state == procInFlight && (c.crashed[p.node] || !c.ic.DestReachable(p.from, p.node)) {
 			c.failBack(p)
 		}
 	}
@@ -158,26 +149,18 @@ func (c *clusterSim) bounceSweep() {
 // once; if the source itself crashed it parks suspended, frozen image
 // preserved, until recovery.
 func (c *clusterSim) failBack(p *proc) {
-	src := p.from
 	p.seq++
-	p.restoring = false
-	c.lv.failBack(p, p.node, src)
-	p.node = src
-	p.pcb.Current = c.nodes[src]
+	to := procRunning
+	if c.crashed[p.from] {
+		to = procSuspended
+	}
+	c.transition(p, to, p.from)
 	c.st.FrozenTotal += c.eng.Now().Sub(p.freezeStart)
 	c.st.FailBacks++
-	if c.crashed[src] {
-		p.suspended = true
-		return
-	}
-	p.frozen = false
-	p.pcb.State = cluster.ProcRunning
-	c.lv.unfreeze(p)
 }
 
 // snapshotProcs copies a live-view resident list before iterating with
-// mutating transitions (suspend, migrate, fail-back all edit the lists in
-// place).
+// transitions, which edit the lists in place.
 func snapshotProcs(list []*proc) []*proc {
 	return append([]*proc(nil), list...)
 }

@@ -109,8 +109,8 @@ func TestEvacuationPreservesProgress(t *testing.T) {
 // TestCrashMidRestoreFailsBack locks the fail-back protocol end to end:
 // node 0 crashes and evacuates, and 30 ms later — inside the evacuees'
 // 65 ms restore window — their destinations start crashing too, so some
-// evacuee demonstrably fails back to its (dead) source, parks frozen, and
-// still completes after recovery. No process is ever lost.
+// evacuee demonstrably fails back to its (dead) source, parks suspended,
+// and still completes after recovery. No process is ever lost.
 func TestCrashMidRestoreFailsBack(t *testing.T) {
 	rep := MustRun(failureTestSpec([]ChurnEvent{
 		{At: 10 * simtime.Second, Kind: ChurnNodeCrash, Node: 0},

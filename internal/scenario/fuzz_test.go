@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"ampom/internal/fabric"
+	"ampom/internal/sched"
+	"ampom/internal/simtime"
 )
 
 // FuzzSpecRoundTrip locks the codec's two contracts: malformed input never
@@ -61,4 +65,77 @@ func FuzzSpecRoundTrip(f *testing.F) {
 			t.Fatalf("encoding unstable:\n%s\n---\n%s", enc1, enc2)
 		}
 	})
+}
+
+// FuzzFailureScript drives whole failure scenarios decoded from the fuzz
+// input (failureScript). Under AMPoM and the no-migration baseline every
+// lifecycle transition must be legal (an illegal one panics), the live
+// view must equal the rebuild at every quantum, and Unfinished must count
+// exactly the processes that never completed.
+func FuzzFailureScript(f *testing.F) {
+	// Evacuating crash of node 1 with a recovery; a kill-in-place crash
+	// plus a rack-uplink flap; a crash of a migration destination while
+	// its source is down.
+	f.Add([]byte{0, 1, 0, 1, 8, 1, 1, 24})
+	f.Add([]byte{4, 6, 0, 0, 4, 2, 0x80, 6, 3, 0x80, 10, 1, 0, 20})
+	f.Add([]byte{2, 3, 0, 0, 8, 0, 1, 9, 0, 2, 10, 1, 0, 16, 1, 1, 18, 1, 2, 20})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, seed := failureScript(data)
+		if spec.Validate() != nil {
+			return
+		}
+		scales, tmpl := buildWorkload(spec, seed)
+		for _, pol := range []sched.BalancerPolicy{sched.AMPoMPolicy, sched.NoMigrationPolicy} {
+			c := newClusterSim(spec, scales, tmpl, pol, seed)
+			stepVerifying(t, c, pol.Name())
+			st := c.run()
+			verifyAggregates(t, c, pol.Name()+" end")
+			left := 0
+			for _, p := range c.procs {
+				if p.state != procDone {
+					left++
+				}
+			}
+			if st.Unfinished != left {
+				t.Fatalf("%s: Unfinished = %d, but %d processes never completed", pol.Name(), st.Unfinished, left)
+			}
+		}
+	})
+}
+
+// failureScript decodes a fuzz input into a small two-tier failure spec and
+// a workload seed. Byte 0 sizes the cluster (4–8 nodes in racks of two),
+// byte 1 picks the crash response (bit 0) and the seed, and each following
+// byte triple is one churn event: the kind (crash, recover, link down,
+// link up), the node — with the high bit set, a link event targets a rack
+// uplink instead — and the instant in quarter seconds. At most six events
+// are read.
+func failureScript(data []byte) (Spec, uint64) {
+	var head [2]byte
+	copy(head[:], data)
+	nodes := 4 + int(head[0])%5
+	spec := Spec{
+		Name:            "fuzz-failures",
+		Nodes:           nodes,
+		Procs:           3 * nodes,
+		Skew:            0.6,
+		MeanCompute:     2 * simtime.Second,
+		MeanFootprintMB: 32,
+		MaxSimTime:      30 * simtime.Second,
+		Evacuate:        head[1]&1 == 1,
+		Fabric:          FabricSpec{Topology: fabric.KindTwoTier, RackSize: 2},
+	}
+	kinds := [...]ChurnKind{ChurnNodeCrash, ChurnNodeRecover, ChurnLinkDown, ChurnLinkUp}
+	for i := 2; i+2 < len(data) && len(spec.Churn) < 6; i += 3 {
+		ev := ChurnEvent{
+			At:   simtime.Duration(data[i+2]%40) * 250 * simtime.Millisecond,
+			Kind: kinds[data[i]%4],
+			Node: int(data[i+1]&0x7f) % nodes,
+		}
+		if (ev.Kind == ChurnLinkDown || ev.Kind == ChurnLinkUp) && data[i+1]&0x80 != 0 {
+			ev.Node = -1 - ev.Node%((nodes+1)/2)
+		}
+		spec.Churn = append(spec.Churn, ev)
+	}
+	return spec.Canonical(), uint64(head[1] >> 1)
 }

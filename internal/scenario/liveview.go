@@ -4,8 +4,9 @@
 // order, and an O(procs) filter per source node — which made view
 // bookkeeping, not events, the budget of the large fabric presets. The
 // liveView replaces those scans with aggregates maintained O(1) at each
-// state transition (arrival, completion, freeze, unfreeze, migration,
-// balloon, CPU churn):
+// event: move applies every lifecycle transition (arrival, completion,
+// freeze, restore, kill, fail-back, recovery), memDelta balloon churn and
+// touch CPU churn:
 //
 //   - per-node resident counts, runnable counts and resident memory, the
 //     exact sums the full rebuild produced (integer arithmetic, so the
@@ -39,10 +40,10 @@ type liveView struct {
 	nodes []*cluster.Node // CPUScale is read live at row refresh
 	capMB int64
 
-	// Aggregates, maintained O(1) per event. live counts the arrived,
-	// unfinished processes resident on a node (frozen migrants belong to
-	// their destination, as in the full rebuild); runnable excludes frozen
-	// processes; mem sums resident footprints.
+	// Aggregates, maintained O(1) per event. live counts the processes
+	// resident on a node (frozen migrants belong to their destination, as
+	// in the full rebuild); runnable counts only the running ones; mem sums
+	// resident footprints.
 	live     []int
 	runnable []int
 	mem      []int64
@@ -51,12 +52,12 @@ type liveView struct {
 	// order — the iteration order candidatesOn's global filter preserved.
 	runnableOn [][]*proc
 
-	// liveOn holds each node's arrived, unfinished residents in ascending
-	// id order — runnableOn plus the frozen in-migrants, which live on
-	// their destination like the live/mem aggregates. The quantum ticks
-	// iterate runnableOn; liveOn serves the per-node scans that must see
-	// frozen residents too (balloon churn), so neither ever walks the
-	// global process slice.
+	// liveOn holds each node's residents in ascending id order —
+	// runnableOn plus the suspended processes and the frozen in-migrants,
+	// which live on their destination like the live/mem aggregates. The
+	// quantum ticks iterate runnableOn; liveOn serves the per-node scans
+	// that must see the other residents too (balloon churn, crash,
+	// recovery), so neither ever walks the global process slice.
 	liveOn [][]*proc
 
 	// rows are the derived NodeView rows; order is the node index sequence
@@ -111,7 +112,7 @@ func newLiveView(nodes []*cluster.Node, capMB int64, shardOf []int, shards int) 
 
 // touch marks node i's row (and its position in the load order) stale.
 // CPU-scale churn calls it directly; every other event reaches it through
-// the transition hooks below.
+// move or memDelta.
 func (lv *liveView) touch(i int) {
 	if !lv.dirty[i] {
 		lv.dirty[i] = true
@@ -132,83 +133,36 @@ func (lv *liveView) dirtyCount() int {
 	return n
 }
 
-// arrive admits p to its node: resident, runnable, memory and the
-// candidate list.
-func (lv *liveView) arrive(p *proc) {
-	i := p.node
-	lv.live[i]++
-	lv.runnable[i]++
-	lv.mem[i] += p.footprintMB
-	lv.runnableOn[i] = insertByID(lv.runnableOn[i], p)
-	lv.liveOn[i] = insertByID(lv.liveOn[i], p)
-	lv.touch(i)
-}
-
-// depart retires a completing process. Completion only happens to runnable
-// processes (the quantum loop skips frozen ones), so the candidate list
-// always holds p.
-func (lv *liveView) depart(p *proc) {
-	i := p.node
-	lv.live[i]--
-	lv.runnable[i]--
-	lv.mem[i] -= p.footprintMB
-	lv.runnableOn[i] = removeByID(lv.runnableOn[i], p)
-	lv.liveOn[i] = removeByID(lv.liveOn[i], p)
-	lv.touch(i)
-}
-
-// freeze moves a migrating process from src to dst at freeze time: the
-// resident aggregates transfer immediately (a frozen migrant counts
-// towards its destination, as the balancer view always had it), while
-// runnability — and candidacy — lapse until unfreeze.
-func (lv *liveView) freeze(p *proc, src, dst int) {
-	lv.live[src]--
-	lv.runnable[src]--
-	lv.mem[src] -= p.footprintMB
-	lv.runnableOn[src] = removeByID(lv.runnableOn[src], p)
-	lv.liveOn[src] = removeByID(lv.liveOn[src], p)
-	lv.live[dst]++
-	lv.mem[dst] += p.footprintMB
-	lv.liveOn[dst] = insertByID(lv.liveOn[dst], p)
-	lv.touch(src)
-	lv.touch(dst)
-}
-
-// unfreeze restores a migrant's runnability on its destination. The
-// visible row is untouched — resident count, load and memory already moved
-// at freeze time — so no dirtying is needed; only the quantum shares and
-// the candidate list change.
-func (lv *liveView) unfreeze(p *proc) {
-	i := p.node
-	lv.runnable[i]++
-	lv.runnableOn[i] = insertByID(lv.runnableOn[i], p)
-}
-
-// suspend parks a runnable resident off the tick and candidate lists
-// without departing it: its node crashed (killing the process's progress)
-// or it arrived on a crashed node, and it idles, still resident, until the
-// node recovers. The visible row is untouched — load tracks the resident
-// count, and a suspended process still occupies its node's memory and
-// queue slot, exactly what a recovering balancer should see.
-func (lv *liveView) suspend(p *proc) {
-	i := p.node
-	lv.runnable[i]--
-	lv.runnableOn[i] = removeByID(lv.runnableOn[i], p)
-}
-
-// failBack reverses an interrupted migration's freeze-time transfer: the
-// resident aggregates move from the dead destination back to the source.
-// Runnability is the caller's decision — the migrant resumes at once on a
-// live source but stays suspended (still frozen) on a crashed one.
-func (lv *liveView) failBack(p *proc, dst, src int) {
-	lv.live[dst]--
-	lv.mem[dst] -= p.footprintMB
-	lv.liveOn[dst] = removeByID(lv.liveOn[dst], p)
-	lv.live[src]++
-	lv.mem[src] += p.footprintMB
-	lv.liveOn[src] = insertByID(lv.liveOn[src], p)
-	lv.touch(dst)
-	lv.touch(src)
+// move applies p's transition out of state from on node was to its current
+// state and node. Every delta follows from the two state predicates:
+// resident states count in live/mem/liveOn, running ones in
+// runnable/runnableOn. Transitions never loop, so running is always left
+// or entered; a process that stays resident on the same node (unfreeze,
+// kill, recovery) keeps its row clean, since load tracks the resident
+// count alone.
+func (lv *liveView) move(p *proc, from procState, was int) {
+	to, node := p.state, p.node
+	stay := node == was && from.resident() && to.resident()
+	if from.running() {
+		lv.runnable[was]--
+		lv.runnableOn[was] = removeByID(lv.runnableOn[was], p)
+	}
+	if from.resident() && !stay {
+		lv.live[was]--
+		lv.mem[was] -= p.footprintMB
+		lv.liveOn[was] = removeByID(lv.liveOn[was], p)
+		lv.touch(was)
+	}
+	if to.resident() && !stay {
+		lv.live[node]++
+		lv.mem[node] += p.footprintMB
+		lv.liveOn[node] = insertByID(lv.liveOn[node], p)
+		lv.touch(node)
+	}
+	if to.running() {
+		lv.runnable[node]++
+		lv.runnableOn[node] = insertByID(lv.runnableOn[node], p)
+	}
 }
 
 // memDelta applies a resident-footprint change (balloon churn) to p's

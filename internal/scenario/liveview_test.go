@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -15,8 +16,10 @@ import (
 // rebuildAggregates recomputes the live view's aggregates the way the
 // pre-incremental runner did: one full scan of every process. lists are
 // the runnable candidate ids per node; residents additionally carry the
-// frozen in-migrants — the resident population the per-node tick and
-// balloon scans iterate.
+// suspended processes and the frozen in-migrants — the resident
+// population the balloon scans iterate. The state lists are spelled out
+// here rather than read from procState's predicates, so the reference
+// stays independent of the code it checks.
 func rebuildAggregates(c *clusterSim) (live, runnable []int, mem []int64, lists, residents [][]int) {
 	n := c.spec.Nodes
 	live = make([]int, n)
@@ -25,13 +28,15 @@ func rebuildAggregates(c *clusterSim) (live, runnable []int, mem []int64, lists,
 	lists = make([][]int, n)
 	residents = make([][]int, n)
 	for _, p := range c.procs {
-		if !p.arrived || p.done {
+		switch p.state {
+		case procRunning, procSuspended, procInFlight, procRestoring:
+		default:
 			continue
 		}
 		live[p.node]++
 		mem[p.node] += p.footprintMB
 		residents[p.node] = append(residents[p.node], p.t.id)
-		if !p.frozen {
+		if p.state == procRunning {
 			runnable[p.node]++
 			lists[p.node] = append(lists[p.node], p.t.id)
 		}
@@ -50,7 +55,8 @@ func rebuildRows(c *clusterSim) ([]sched.NodeView, []int) {
 		rows[i].CapacityMB = c.spec.NodeMemMB
 	}
 	for _, p := range c.procs {
-		if p.arrived && !p.done {
+		switch p.state {
+		case procRunning, procSuspended, procInFlight, procRestoring:
 			rows[p.node].Procs++
 			rows[p.node].UsedMemMB += p.footprintMB
 		}
@@ -183,26 +189,49 @@ func TestLiveViewMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestLiveViewMatchesRebuildBetweenEvents steps one scenario through
-// virtual time in quantum-sized slices and re-verifies the aggregates
-// after every slice — catching any transition (arrival, completion,
-// freeze, unfreeze, balloon) that left the counters stale between balance
-// rounds, which the round-grained property test could miss.
+// TestLiveViewMatchesRebuildBetweenEvents steps scenarios through virtual
+// time in quantum-sized slices and re-verifies the aggregates after every
+// slice — catching any transition (arrival, completion, freeze, unfreeze,
+// balloon, kill, fail-back, recovery) that left the counters stale between
+// balance rounds, which the round-grained property test could miss. The
+// inputs are a churn scenario and the shrunk rack-farm-failures preset,
+// both with its evacuating crashes and with kill-in-place.
 func TestLiveViewMatchesRebuildBetweenEvents(t *testing.T) {
-	spec := churnSpec(3)
-	scales, tmpl := buildWorkload(spec, 3)
-	pol, _ := sched.Lookup(sched.NameAMPoM)
-	c := newClusterSim(spec, scales, tmpl, pol, 3)
-	step := spec.Quantum
-	for at := simtime.Time(0); at < simtime.Time(spec.MaxSimTime); at = at.Add(step) {
-		c.eng.Run(at)
-		verifyAggregates(t, c, at.String())
-		verifyDerived(t, c, at.String())
-		if c.doneN == len(c.procs) {
-			return
+	evac := failureGoldenSpec(t)
+	kill := evac
+	kill.Evacuate = false
+	for _, in := range []struct {
+		name string
+		spec Spec
+		seed uint64
+	}{
+		{"churn", churnSpec(3), 3},
+		{"failures-evacuate", evac, 7},
+		{"failures-kill", kill, 7},
+	} {
+		scales, tmpl := buildWorkload(in.spec, in.seed)
+		pol, _ := sched.Lookup(sched.NameAMPoM)
+		c := newClusterSim(in.spec, scales, tmpl, pol, in.seed)
+		if !stepVerifying(t, c, in.name) {
+			t.Fatalf("%s: scenario never completed inside the horizon", in.name)
 		}
 	}
-	t.Fatal("scenario never completed inside the horizon")
+}
+
+// stepVerifying runs c to its horizon one quantum at a time, checking the
+// live view against the rebuild after every slice, and reports whether
+// every process completed.
+func stepVerifying(t *testing.T, c *clusterSim, name string) bool {
+	t.Helper()
+	for at := simtime.Time(0); at < c.horizon; at = at.Add(c.spec.Quantum) {
+		c.eng.Run(at)
+		verifyAggregates(t, c, name+" "+at.String())
+		verifyDerived(t, c, name+" "+at.String())
+		if c.doneN == len(c.procs) {
+			return true
+		}
+	}
+	return false
 }
 
 // retainingPolicy wilfully breaks the sched.BalancerPolicy view contract:
@@ -347,12 +376,88 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 	sample := c.probeFor(src)()
 	wantQ, wantMem := 0, int64(0)
 	for _, p := range c.procs {
-		if p.arrived && !p.done && p.node == src {
-			wantQ++
-			wantMem += p.footprintMB
+		switch p.state {
+		case procRunning, procSuspended, procInFlight, procRestoring:
+			if p.node == src {
+				wantQ++
+				wantMem += p.footprintMB
+			}
 		}
 	}
 	if sample.Queue != wantQ || sample.UsedMemMB != wantMem {
 		t.Fatalf("probe %+v, rebuild queue %d mem %d", sample, wantQ, wantMem)
+	}
+}
+
+// TestTransitionRejectsIllegalEdges walks all 36 (from, to) pairs of the
+// process lifecycle, with the target on the process's own node and on the
+// other one. Each of the eleven legal edges must leave the live view equal
+// to the rebuild; every other pair must panic with the process and the view
+// untouched.
+func TestTransitionRejectsIllegalEdges(t *testing.T) {
+	legal := map[[2]procState]bool{
+		{procPending, procRunning}:     true,
+		{procPending, procSuspended}:   true,
+		{procRunning, procSuspended}:   true,
+		{procRunning, procInFlight}:    true,
+		{procRunning, procDone}:        true,
+		{procSuspended, procRunning}:   true,
+		{procInFlight, procRestoring}:  true,
+		{procInFlight, procRunning}:    true,
+		{procInFlight, procSuspended}:  true,
+		{procRestoring, procRunning}:   true,
+		{procRestoring, procSuspended}: true,
+	}
+	spec := Spec{Name: "edges", Nodes: 2, Procs: 1, MeanCompute: simtime.Second, MeanFootprintMB: 16}.Canonical()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	scales, tmpl := buildWorkload(spec, 1)
+	// reach[s] drives a fresh process from pending to s along legal edges;
+	// the frozen states sit on the other node, as a migrant would.
+	reach := [...][]procState{
+		procPending:   nil,
+		procRunning:   {procRunning},
+		procSuspended: {procSuspended},
+		procInFlight:  {procRunning, procInFlight},
+		procRestoring: {procRunning, procInFlight, procRestoring},
+		procDone:      {procRunning, procDone},
+	}
+	for from := procPending; from <= procDone; from++ {
+		for to := procPending; to <= procDone; to++ {
+			for flip := 0; flip < 2; flip++ {
+				c := newClusterSim(spec, scales, tmpl, sched.AMPoMPolicy, 1)
+				p := c.procs[0]
+				home := p.node
+				for _, s := range reach[from] {
+					node := home
+					if s == procInFlight || s == procRestoring {
+						node = 1 - home
+					}
+					c.transition(p, s, node)
+				}
+				was := p.node
+				node := was ^ flip // stay, or cross to the other node
+				name := fmt.Sprintf("%v->%v on node %d", from, to, node)
+				panicked := func() (panicked bool) {
+					defer func() { panicked = recover() != nil }()
+					c.transition(p, to, node)
+					return false
+				}()
+				ok := legal[[2]procState{from, to}]
+				switch {
+				case ok && panicked:
+					t.Fatalf("%s: legal edge panicked", name)
+				case ok && (p.state != to || p.node != node):
+					t.Fatalf("%s: process left at %v on node %d", name, p.state, p.node)
+				case !ok && !panicked:
+					t.Fatalf("%s: illegal edge accepted", name)
+				case !ok && (p.state != from || p.node != was):
+					t.Fatalf("%s: rejected edge moved the process to %v on node %d", name, p.state, p.node)
+				}
+				verifyAggregates(t, c, name)
+				verifyDerived(t, c, name)
+			}
+		}
 	}
 }

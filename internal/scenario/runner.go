@@ -110,32 +110,72 @@ func buildWorkload(spec Spec, seed uint64) (scales []float64, procs []procTempla
 	return scales, procs
 }
 
-// proc is one process's live state during a policy run.
+// proc is one process's live state during a policy run. state and node
+// are written only by clusterSim.transition once the process is built.
 type proc struct {
 	t           procTemplate
-	pcb         *cluster.PCB
 	remaining   simtime.Duration
 	footprintMB int64 // live footprint: balloon churn grows it mid-run
+	state       procState
 	node        int
-	arrived     bool
-	frozen      bool
-	done        bool
 
 	// Failure-plane state. from is the source node of the migration in
 	// progress (the fail-back target while frozen); seq is bumped at every
 	// migrate and fail-back, so a payload delivery or scheduled unfreeze
-	// carrying a stale seq is a no-op; suspended parks the process off the
-	// tick lists while its node is crashed; restoring marks the window
-	// between payload delivery and unfreeze, when the migrant is already at
-	// its destination and only a crash of that destination can bounce it.
-	from      int
-	seq       uint64
-	suspended bool
-	restoring bool
+	// carrying a stale seq is a no-op.
+	from int
+	seq  uint64
 
 	freezeStart simtime.Time
 	finishAt    simtime.Time
 	migrations  int
+}
+
+// procState is a process's place in its lifecycle. A migration ends in
+// exactly one of two ways — restored at the destination or failed back to
+// its source — so the states and legalEdges below are the whole protocol
+// (docs/failures.md draws the diagram).
+type procState uint8
+
+const (
+	procPending   procState = iota // not yet arrived
+	procRunning                    // runnable on its node
+	procSuspended                  // resident on a crashed node until recovery
+	procInFlight                   // frozen, payload on the wire to its node
+	procRestoring                  // frozen, payload delivered, unfreeze scheduled
+	procDone                       // completed
+)
+
+var procStateNames = [...]string{"pending", "running", "suspended", "in-flight", "restoring", "done"}
+
+func (s procState) String() string { return procStateNames[s] }
+
+// resident states occupy their node: they count in the live view's
+// live/mem/liveOn (a frozen migrant belongs to its destination). Only
+// running ones are runnable.
+func (s procState) resident() bool { return s != procPending && s != procDone }
+func (s procState) running() bool  { return s == procRunning }
+
+// legalEdges[from] is the set of states from may move to, as a bit mask.
+var legalEdges = [...]uint8{
+	procPending:   1<<procRunning | 1<<procSuspended,
+	procRunning:   1<<procSuspended | 1<<procInFlight | 1<<procDone,
+	procSuspended: 1 << procRunning,
+	procInFlight:  1<<procRestoring | 1<<procRunning | 1<<procSuspended,
+	procRestoring: 1<<procRunning | 1<<procSuspended,
+	procDone:      0,
+}
+
+// transition moves p to state to on node and applies the move to the live
+// view. After construction it is the only writer of p.state and p.node;
+// an edge outside legalEdges is a runner bug and panics.
+func (c *clusterSim) transition(p *proc, to procState, node int) {
+	from, was := p.state, p.node
+	if legalEdges[from]&(1<<to) == 0 {
+		panic(fmt.Sprintf("scenario: process %d: illegal transition %v -> %v", p.t.id, from, to))
+	}
+	p.state, p.node = to, node
+	c.lv.move(p, from, was)
 }
 
 // migMsg is the freeze-time payload of one migration in flight across the
@@ -377,7 +417,6 @@ func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol s
 	for i, t := range tmpl {
 		p := &proc{
 			t:           t,
-			pcb:         cluster.NewPCB(t.id, fmt.Sprintf("p%03d", t.id), c.nodes[t.node]),
 			remaining:   t.demand,
 			footprintMB: t.footprintMB,
 			node:        t.node,
@@ -387,16 +426,15 @@ func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol s
 		// slice of the live view (a process cannot have migrated before it
 		// arrived).
 		engOf(t.node).At(t.arriveAt, func() {
-			p.arrived = true
-			c.lv.arrive(p)
 			// An arrival on a crashed node parks until recovery — the node
 			// admits the process (it is resident) but cannot run it. The
-			// flags are written only by barrier-separated global events.
+			// crash flags are written only by barrier-separated global
+			// events.
+			to := procRunning
 			if c.crashed[p.node] {
-				p.suspended = true
-				p.pcb.State = cluster.ProcFrozen
-				c.lv.suspend(p)
+				to = procSuspended
 			}
+			c.transition(p, to, p.node)
 		})
 	}
 
@@ -534,13 +572,13 @@ func (c *clusterSim) run() SchemeStats {
 	collect := c.spec.HasFailures()
 	var slow float64
 	for _, p := range c.procs {
-		switch {
-		case p.done:
+		switch p.state {
+		case procDone:
 			slow += float64(p.finishAt.Sub(p.t.arriveAt)) / float64(p.t.demand)
 			if collect {
 				sojourns = append(sojourns, p.finishAt.Sub(p.t.arriveAt))
 			}
-		case !p.arrived:
+		case procPending:
 			c.st.Unfinished++
 			slow += 1
 		default:
@@ -617,11 +655,9 @@ func (c *clusterSim) tickNode(i int, now simtime.Time) (done int) {
 		p := c.lv.runnableOn[i][k]
 		p.remaining -= share
 		if p.remaining <= 0 {
-			p.done = true
-			p.pcb.State = cluster.ProcDone
 			p.finishAt = now.Add(c.spec.Quantum)
 			done++
-			c.lv.depart(p)
+			c.transition(p, procDone, i)
 			continue
 		}
 		k++
@@ -867,13 +903,9 @@ func (c *clusterSim) candidatesOn(node int) []*proc {
 func (c *clusterSim) migrate(p *proc, src, dst int) {
 	p.seq++
 	p.from = src
-	p.frozen = true
 	p.freezeStart = c.eng.Now()
-	p.node = dst
 	p.migrations++
-	p.pcb.State = cluster.ProcFrozen
-	p.pcb.Current = c.nodes[dst]
-	c.lv.freeze(p, src, dst)
+	c.transition(p, procInFlight, dst)
 	c.st.Migrations++
 
 	bytes := c.freezeBytes(p)
@@ -910,7 +942,7 @@ func (c *clusterSim) deliver(node int, m migMsg) {
 		panic(fmt.Sprintf("scenario: migration payload for node %d delivered to node %d", m.dest, node))
 	}
 	p := c.procs[m.pid]
-	if m.seq != p.seq || !p.frozen || p.node != m.dest {
+	if m.seq != p.seq || p.state != procInFlight {
 		// The migration this payload belonged to was failed back while the
 		// bytes were in flight (destination crash or path failure); the
 		// process already resumed at its source.
@@ -923,11 +955,12 @@ func (c *clusterSim) deliver(node int, m migMsg) {
 // costs, the AMPoM working-set stream (charged as continued unavailability
 // at the daemons' estimated bandwidth), and the prefetch census.
 func (c *clusterSim) restore(p *proc, dst int) {
-	p.restoring = true
+	c.transition(p, procRestoring, dst)
 	cal := 65 * simtime.Millisecond // openMosix protocol base cost
 	pages := footprintPages(p.footprintMB)
-	// The PCB's home node is the template's origin by construction and is
-	// never reassigned, so the index is known without scanning the cluster.
+	// The process's home node is the template's origin by construction and
+	// is never reassigned, so the index is known without scanning the
+	// cluster.
 	src := p.t.node
 	bw := c.ic.PathBandwidth(src, dst)
 	var extra simtime.Duration
@@ -952,7 +985,7 @@ func (c *clusterSim) restore(p *proc, dst int) {
 	// sequence) and this event must land dead.
 	seq := p.seq
 	c.eng.Schedule(cal+extra, func() {
-		if p.seq != seq || !p.frozen {
+		if p.seq != seq || p.state != procRestoring {
 			return
 		}
 		c.unfreeze(p)
@@ -973,10 +1006,7 @@ func (c *clusterSim) remotePages(p *proc, bw float64) bool {
 
 // unfreeze resumes a restored migrant.
 func (c *clusterSim) unfreeze(p *proc) {
-	p.frozen = false
-	p.restoring = false
-	p.pcb.State = cluster.ProcRunning
-	c.lv.unfreeze(p)
+	c.transition(p, procRunning, p.node)
 	c.st.FrozenTotal += c.eng.Now().Sub(p.freezeStart)
 }
 

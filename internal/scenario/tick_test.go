@@ -30,7 +30,7 @@ func monolithicSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched.B
 // TestBandTickMatchesMonolithic is the decomposition's central property:
 // under random churn/balloon/migration sequences and every registered
 // policy, the per-band tick sub-events leave every process with exactly
-// the state — remaining demand, completion instant, done/frozen flags,
+// the state — remaining demand, completion instant, lifecycle state,
 // residence — a monolithic whole-cluster tick produces, at every quantum.
 // Both sims are driven in lockstep through virtual time, pausing just past
 // each quantum's epilogue instant so the decomposed run's completion
@@ -75,12 +75,11 @@ func TestBandTickMatchesMonolithic(t *testing.T) {
 				for i := range dec.procs {
 					d, m := dec.procs[i], mono.procs[i]
 					if d.remaining != m.remaining || d.finishAt != m.finishAt ||
-						d.done != m.done || d.frozen != m.frozen ||
-						d.node != m.node || d.arrived != m.arrived {
-						t.Fatalf("seed %d/%s quantum %d: proc %d diverged:\ndecomposed rem=%v finish=%v done=%v frozen=%v node=%d arrived=%v\nmonolithic rem=%v finish=%v done=%v frozen=%v node=%d arrived=%v",
+						d.state != m.state || d.node != m.node {
+						t.Fatalf("seed %d/%s quantum %d: proc %d diverged:\ndecomposed rem=%v finish=%v state=%v node=%d\nmonolithic rem=%v finish=%v state=%v node=%d",
 							seed, name, q, d.t.id,
-							d.remaining, d.finishAt, d.done, d.frozen, d.node, d.arrived,
-							m.remaining, m.finishAt, m.done, m.frozen, m.node, m.arrived)
+							d.remaining, d.finishAt, d.state, d.node,
+							m.remaining, m.finishAt, m.state, m.node)
 					}
 				}
 				if dec.doneN == len(dec.procs) {
