@@ -406,11 +406,13 @@ func LoadScenarioReports(path string) ([]*ScenarioReport, error) { return scenar
 // DiffScenarioReports compares two report artefacts and returns one line
 // per divergence; empty means the recorded runs are identical. Saved
 // artefacts thereby become regression gates (ampom-cluster -diff).
-func DiffScenarioReports(a, b []byte) ([]string, error) { return scenario.DiffReportsData(a, b) }
+func DiffScenarioReports(a, b []byte) ([]string, error) {
+	return scenario.DiffReportsData(a, b, scenario.DiffOptions{})
+}
 
 // DiffScenarioReportFiles compares two saved report artefacts by path.
 func DiffScenarioReportFiles(pathA, pathB string) ([]string, error) {
-	return scenario.DiffReportFiles(pathA, pathB)
+	return scenario.DiffReportFiles(pathA, pathB, scenario.DiffOptions{})
 }
 
 // ScenarioDiffOptions tunes report comparison: per-column relative
@@ -421,13 +423,13 @@ type ScenarioDiffOptions = scenario.DiffOptions
 // DiffScenarioReportsOpts compares two report artefacts under explicit
 // comparison options.
 func DiffScenarioReportsOpts(a, b []byte, opts ScenarioDiffOptions) ([]string, error) {
-	return scenario.DiffReportsDataOpts(a, b, opts)
+	return scenario.DiffReportsData(a, b, opts)
 }
 
 // DiffScenarioReportFilesOpts compares two saved report artefacts by path
 // under explicit comparison options.
 func DiffScenarioReportFilesOpts(pathA, pathB string, opts ScenarioDiffOptions) ([]string, error) {
-	return scenario.DiffReportFilesOpts(pathA, pathB, opts)
+	return scenario.DiffReportFiles(pathA, pathB, opts)
 }
 
 // LiveProgramFor drains the scenario mix's page-reference trace into a live

@@ -36,7 +36,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -72,10 +71,11 @@ func main() {
 	flag.Parse()
 
 	if *diffMode {
-		diffReports(flag.Args(), ampom.ScenarioDiffOptions{
-			RelEps:  parseDiffEps(*diffEps),
-			Summary: *diffSummary,
-		})
+		opts := ampom.ScenarioDiffOptions{RelEps: parseDiffEps(*diffEps), Summary: *diffSummary}
+		if err := opts.Validate(); err != nil {
+			cli.Usage("-diff-eps %s: %v", *diffEps, err)
+		}
+		diffReports(flag.Args(), opts)
 		return
 	}
 	if *diffEps != "" || *diffSummary {
@@ -333,7 +333,7 @@ func parseDiffEps(s string) map[string]float64 {
 			col, val = part[:i], part[i+1:]
 		}
 		eps, err := strconv.ParseFloat(val, 64)
-		if err != nil || eps < 0 || math.IsNaN(eps) {
+		if err != nil {
 			cli.Usage("-diff-eps %s: %q is not a non-negative epsilon", s, val)
 		}
 		out[col] = eps

@@ -349,6 +349,13 @@ func TestDiffTolerance(t *testing.T) {
 	if _, stderr := clitest.RunExpect(t, cli.CodeUsage, "-diff", "-diff-eps", "bogus", a, b); !strings.Contains(stderr, "not a non-negative epsilon") {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
+	// Epsilons the gate cannot honour — negative, infinite, or naming no
+	// float column — are usage errors too, never a silently exact gate.
+	for _, bad := range []string{"-0.02", "mean_slowdown=-1", "+Inf", "mean_slowdwon=0.02", "migrations=0.5"} {
+		if _, stderr := clitest.RunExpect(t, cli.CodeUsage, "-diff", "-diff-eps", bad, a, b); !strings.Contains(stderr, "diff epsilon") {
+			t.Fatalf("-diff-eps %s: unexpected stderr:\n%s", bad, stderr)
+		}
+	}
 }
 
 // TestDiffToleranceSojournColumns locks -diff-eps over the failure plane's

@@ -1,8 +1,8 @@
-// Package cluster models openMosix cluster nodes and process control
-// blocks: each node owns a CPU (expressed as a speed scale relative to the
-// paper's 2 GHz Pentium 4), a NIC, and a payload dispatcher that routes
-// arriving messages to the protocol handlers registered on the node
-// (remote paging, monitoring daemon, migration control).
+// Package cluster models openMosix cluster nodes: each node owns a CPU
+// (expressed as a speed scale relative to the paper's 2 GHz Pentium 4), a
+// NIC, and a payload dispatcher that routes arriving messages to the
+// protocol handlers registered on the node (remote paging, monitoring
+// daemon, migration control).
 package cluster
 
 import (
@@ -66,56 +66,6 @@ func (n *Node) Scale(d simtime.Duration) simtime.Duration {
 	return simtime.Duration(float64(d) / n.CPUScale)
 }
 
-// ProcState is a process's lifecycle state.
-type ProcState uint8
-
-// Process lifecycle states.
-const (
-	ProcRunning ProcState = iota
-	ProcFrozen            // suspended for migration
-	ProcDeputy            // origin-side stub serving remote paging / syscalls
-	ProcDone
-)
-
-// String names the state.
-func (s ProcState) String() string {
-	switch s {
-	case ProcRunning:
-		return "running"
-	case ProcFrozen:
-		return "frozen"
-	case ProcDeputy:
-		return "deputy"
-	case ProcDone:
-		return "done"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
-}
-
-// PCB is a minimal process control block: identity, placement and the
-// registers/metadata openMosix captures and restores around migration. The
-// simulator does not execute real instructions, but carrying the PCB keeps
-// migration bookkeeping (and its costs) faithful.
-type PCB struct {
-	PID   int
-	Name  string
-	State ProcState
-
-	// Home is the unique home node (openMosix's UHN); Current is where the
-	// process executes now.
-	Home, Current *Node
-
-	// Registers stands in for the architectural state captured at freeze
-	// time; its size contributes to the migration payload.
-	Registers [64]uint64
-}
-
 // RegisterBytes is the wire size of the captured architectural state plus
 // openMosix process metadata.
 const RegisterBytes = 2048
-
-// NewPCB returns a running PCB homed at node home.
-func NewPCB(pid int, name string, home *Node) *PCB {
-	return &PCB{PID: pid, Name: name, State: ProcRunning, Home: home, Current: home}
-}

@@ -65,26 +65,3 @@ func TestScale(t *testing.T) {
 		t.Fatalf("zero-scale node scaled 1s to %v", got)
 	}
 }
-
-func TestPCB(t *testing.T) {
-	home := NewNode(sim.New(), "home", 1)
-	p := NewPCB(42, "job", home)
-	if p.State != ProcRunning {
-		t.Fatalf("state = %v", p.State)
-	}
-	if p.Current != home || p.Home != home {
-		t.Fatalf("fresh PCB placed at %v, home %v; want both %v", p.Current, p.Home, home)
-	}
-}
-
-func TestProcStateString(t *testing.T) {
-	want := map[ProcState]string{
-		ProcRunning: "running", ProcFrozen: "frozen",
-		ProcDeputy: "deputy", ProcDone: "done",
-	}
-	for s, name := range want {
-		if s.String() != name {
-			t.Fatalf("%d.String() = %q", s, s.String())
-		}
-	}
-}

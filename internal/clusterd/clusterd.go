@@ -450,6 +450,11 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding diff request: %v", err)
 		return
 	}
+	opts := scenario.DiffOptions{RelEps: req.Eps, Summary: req.Summary}
+	if err := opts.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	load := func(key string) ([]byte, bool) {
 		if !resultstore.ValidKey(key) {
 			httpError(w, http.StatusBadRequest, "malformed job key %q", key)
@@ -479,10 +484,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	diffs, err := scenario.DiffReportsDataOpts(a, b, scenario.DiffOptions{
-		RelEps:  req.Eps,
-		Summary: req.Summary,
-	})
+	diffs, err := scenario.DiffReportsData(a, b, opts)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

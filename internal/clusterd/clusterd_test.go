@@ -371,6 +371,14 @@ func TestDiffEndpoint(t *testing.T) {
 		t.Fatalf("summary mode did not collapse the output: %d vs %d lines",
 			len(summary.Divergences), len(diff.Divergences))
 	}
+	// Epsilons the gate cannot honour are the caller's mistake: 400, never
+	// a silently exact gate.
+	for _, eps := range []map[string]float64{{"": -0.02}, {"mean_slowdwon": 0.02}} {
+		_, err := c.Diff(ctx, DiffRequest{A: a.Key, B: b.Key, Eps: eps})
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("diff with eps %v: %v, want 400", eps, err)
+		}
+	}
 }
 
 // TestDrain locks graceful shutdown: draining rejects new submissions

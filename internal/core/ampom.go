@@ -232,15 +232,6 @@ func (p *Prefetcher) Config() Config { return p.cfg }
 // WindowLen returns the number of entries currently in the window.
 func (p *Prefetcher) WindowLen() int { return p.count }
 
-// Window returns a copy of the current window contents, oldest first.
-func (p *Prefetcher) Window() []memory.PageNum {
-	out := make([]memory.PageNum, 0, p.count)
-	for i := 0; i < p.count; i++ {
-		out = append(out, p.at(i).page)
-	}
-	return out
-}
-
 // at returns the i-th window entry, 0 = oldest.
 func (p *Prefetcher) at(i int) *entry {
 	return &p.win[(p.head+i)%len(p.win)]
@@ -284,14 +275,6 @@ func (p *Prefetcher) NotePrefetched(n int) { p.prefetched += int64(n) }
 
 // Prefetched returns the cumulative number of prefetched pages.
 func (p *Prefetcher) Prefetched() int64 { return p.prefetched }
-
-// PrefetchedPerFault returns the Figure 8 statistic.
-func (p *Prefetcher) PrefetchedPerFault() float64 {
-	if p.faults == 0 {
-		return 0
-	}
-	return float64(p.prefetched) / float64(p.faults)
-}
 
 // Analyze runs the AMPoM analysis for the current window state and returns
 // the dependent zone. It is called at every page fault, after RecordFault.

@@ -57,7 +57,7 @@ func TestConfigValidation(t *testing.T) {
 func TestWindowSlide(t *testing.T) {
 	p := MustNew(Config{WindowLen: 4, DMax: 2}, 1000)
 	record(p, []int64{1, 2, 3, 4, 5, 6})
-	w := p.Window()
+	w := window(p)
 	want := []memory.PageNum{3, 4, 5, 6}
 	if len(w) != 4 {
 		t.Fatalf("window = %v", w)
@@ -72,7 +72,7 @@ func TestWindowSlide(t *testing.T) {
 func TestConsecutiveRepeatsCollapse(t *testing.T) {
 	p := MustNew(paperCfg(), 1000)
 	record(p, []int64{7, 7, 7, 8})
-	w := p.Window()
+	w := window(p)
 	if len(w) != 2 || w[0] != 7 || w[1] != 8 {
 		t.Fatalf("window = %v, want [7 8] (§3.1: consecutive repeats collapse)", w)
 	}
@@ -324,12 +324,8 @@ func TestPrefetchedAccounting(t *testing.T) {
 	if p.Prefetched() != 15 {
 		t.Fatalf("prefetched = %d", p.Prefetched())
 	}
-	if got := p.PrefetchedPerFault(); got != 7.5 {
-		t.Fatalf("per fault = %v", got)
-	}
-	empty := MustNew(paperCfg(), 1000)
-	if empty.PrefetchedPerFault() != 0 {
-		t.Fatal("zero-fault ratio should be 0")
+	if p.Faults() != 2 {
+		t.Fatalf("faults = %d", p.Faults())
 	}
 }
 

@@ -5,6 +5,15 @@ import (
 	"ampom/internal/simtime"
 )
 
+// window returns a copy of p's window contents, oldest first.
+func window(p *Prefetcher) []memory.PageNum {
+	out := make([]memory.PageNum, 0, p.count)
+	for i := 0; i < p.count; i++ {
+		out = append(out, p.at(i).page)
+	}
+	return out
+}
+
 // refAnalyze is a frozen copy of the original, straightforward AMPoM
 // analysis: an unbounded stride scan run once by the score and again by the
 // pivot search, per-call slices, and a map deduplicating the dependent zone.
@@ -16,7 +25,7 @@ func refAnalyze(p *Prefetcher, est Estimates) Analysis {
 	if p.count < 2 {
 		return a
 	}
-	w := p.Window()
+	w := window(p)
 	a.Score = refScore(p.cfg, w)
 
 	first, last := p.at(0), p.at(p.count-1)

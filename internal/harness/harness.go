@@ -34,9 +34,6 @@ type Config struct {
 	Progress func(campaign.Progress)
 }
 
-// DefaultConfig runs at paper scale.
-func DefaultConfig() Config { return Config{Scale: 1, Seed: 42} }
-
 func (c Config) normalised() Config {
 	if c.Scale < 1 {
 		c.Scale = 1

@@ -37,15 +37,6 @@ func (m *Matrix) ScenarioTable(spec scenario.Spec) (*Table, error) {
 	return scenarioTable(rep), nil
 }
 
-// PresetScenarioTable renders a named preset scenario.
-func (m *Matrix) PresetScenarioTable(name string) (*Table, error) {
-	spec, err := scenario.Preset(name)
-	if err != nil {
-		return nil, err
-	}
-	return m.ScenarioTable(spec)
-}
-
 // scenarioTable converts a report into the harness table shape.
 func scenarioTable(r *scenario.Report) *Table {
 	t := &Table{

@@ -6,6 +6,7 @@ import (
 
 	"ampom/internal/fabric"
 	"ampom/internal/scenario"
+	"ampom/internal/sched"
 )
 
 // These tests extend the campaign determinism guarantee to cluster
@@ -142,7 +143,7 @@ func TestFabricGoldenAcrossWorkers(t *testing.T) {
 			MeanFootprintMB: 32,
 			Fabric:          scenario.FabricSpec{Topology: kind, RackSize: 4},
 		}.Canonical()
-		if len(spec.Policies) != len(scenario.DefaultPolicies()) {
+		if len(spec.Policies) != len(sched.Names()) {
 			t.Fatalf("%s: spec runs %d policies, want the whole registry", topo, len(spec.Policies))
 		}
 		a, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
@@ -238,7 +239,7 @@ func TestScenarioMemoisedInMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	executed := m.Engine().Executed()
-	tab, err := m.PresetScenarioTable("mpi-ranks")
+	tab, err := m.ScenarioTable(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestRefCountsMatchAnalytic(t *testing.T) {
 	for _, k := range Kernels() {
 		e := Scaled(CatalogueFor(k)[0], 16) // ~7 MB
 		w := MustBuild(e, 3)
-		if got := trace.Count(w.Source); got != w.Refs {
+		if got := int64(len(trace.Collect(w.Source(), 0))); got != w.Refs {
 			t.Fatalf("%v: drained %d refs, advertised %d", k, got, w.Refs)
 		}
 	}

@@ -494,16 +494,6 @@ func (g *Gossip) Entry(origin int) GossipEntry {
 	return c.entry
 }
 
-// EntryAge returns how stale the origin's entry is right now (and whether
-// a live one exists at all — expired entries report absent).
-func (g *Gossip) EntryAge(origin int) (simtime.Duration, bool) {
-	e := g.Entry(origin)
-	if !e.Known {
-		return 0, false
-	}
-	return g.eng.Now().Sub(e.Stamp), true
-}
-
 // Fresh calls f for every live (non-expired) entry this daemon currently
 // holds, own entry excluded. Callback order is map order — unspecified —
 // so callers must apply f per origin without cross-origin dependence (the

@@ -52,8 +52,8 @@ func TestGossipMergesNewestWins(t *testing.T) {
 			if e.Sample.Queue != 2*o || e.Sample.UsedMemMB != int64(o) {
 				t.Fatalf("daemon %d origin %d carries sample %+v", i, o, e.Sample)
 			}
-			if age, ok := g.EntryAge(o); !ok || age < 0 {
-				t.Fatalf("daemon %d origin %d age %v, %v", i, o, age, ok)
+			if age := eng.Now().Sub(e.Stamp); age < 0 {
+				t.Fatalf("daemon %d origin %d age %v", i, o, age)
 			}
 		}
 	}
@@ -287,9 +287,6 @@ func TestGossipLocalReadsExpire(t *testing.T) {
 			}
 			if g.Entry(o).Known {
 				t.Fatalf("daemon %d still serves origin %d %v past MaxAge", i, o, 28*simtime.Second)
-			}
-			if _, ok := g.EntryAge(o); ok {
-				t.Fatalf("daemon %d reports an age for expired origin %d", i, o)
 			}
 		}
 		if g.KnownCount() != 0 {

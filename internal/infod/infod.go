@@ -102,9 +102,8 @@ type Daemon struct {
 	peer   *Daemon // set by Pair; nil daemons answer any peer
 
 	// RTT estimate state.
-	rttEst   simtime.Duration
-	haveRTT  bool
-	rttCount int64
+	rttEst  simtime.Duration
+	haveRTT bool
 
 	// Bandwidth estimate state: last counter snapshot.
 	lastBytes   int64
@@ -217,7 +216,6 @@ func (d *Daemon) handle(payload any) bool {
 }
 
 func (d *Daemon) recordRTT(sample simtime.Duration) {
-	d.rttCount++
 	if !d.haveRTT {
 		d.rttEst = sample
 		d.haveRTT = true
@@ -229,9 +227,6 @@ func (d *Daemon) recordRTT(sample simtime.Duration) {
 
 // RTT returns the daemon's current round-trip estimate (2t0 of Eq. 3).
 func (d *Daemon) RTT() simtime.Duration { return d.rttEst }
-
-// RTTSamples returns how many ack samples have been folded in.
-func (d *Daemon) RTTSamples() int64 { return d.rttCount }
 
 // refreshBandwidth re-derives the bandwidth estimate from NIC counter
 // deltas if enough time passed since the previous sample (the paper

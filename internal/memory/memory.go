@@ -1,9 +1,9 @@
 // Package memory models a migrating process's address space at page
-// granularity: code/heap/stack regions, dirty-page tracking, the residency
-// state machine used by the remote-paging machinery, and the two page tables
-// of the paper's design — the master page table (MPT) carried by the migrant
-// and the home page table (HPT) kept by the deputy at the origin node
-// (paper §2.2).
+// granularity: code/heap/stack regions, the dirty-page count a full-copy
+// migration ships, the residency state machine used by the remote-paging
+// machinery, and the two page tables of the paper's design — the master
+// page table (MPT) carried by the migrant and the home page table (HPT)
+// kept by the deputy at the origin node (paper §2.2).
 package memory
 
 import "fmt"
@@ -55,9 +55,6 @@ func (r Region) Contains(p PageNum) bool {
 	return p >= r.Start && p < r.Start+PageNum(r.Count)
 }
 
-// End returns one past the last page of the region.
-func (r Region) End() PageNum { return r.Start + PageNum(r.Count) }
-
 // Layout is an ordered, non-overlapping set of regions starting at page 0.
 type Layout struct {
 	regions []Region
@@ -100,19 +97,6 @@ func (l Layout) Pages() int64 { return l.total }
 
 // Bytes returns the layout size in bytes.
 func (l Layout) Bytes() int64 { return l.total * PageSize }
-
-// Regions returns the layout's regions in address order.
-func (l Layout) Regions() []Region { return l.regions }
-
-// RegionOf returns the region containing page p.
-func (l Layout) RegionOf(p PageNum) (Region, bool) {
-	for _, r := range l.regions {
-		if r.Contains(p) {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
 
 // Region returns the (single) region of the given kind.
 func (l Layout) Region(kind RegionKind) Region {
@@ -165,11 +149,11 @@ func (s PageState) String() string {
 	}
 }
 
-// AddressSpace tracks per-page residency and dirty bits for one process.
+// AddressSpace tracks per-page residency and the dirty-page count for one
+// process.
 type AddressSpace struct {
 	layout Layout
 	state  []PageState
-	dirty  []bool
 
 	counts [4]int64 // population per state
 	nDirty int64
@@ -182,7 +166,6 @@ func NewAddressSpace(layout Layout) *AddressSpace {
 	as := &AddressSpace{
 		layout: layout,
 		state:  make([]PageState, n),
-		dirty:  make([]bool, n),
 	}
 	for i := range as.state {
 		as.state[i] = StateResident
@@ -218,38 +201,13 @@ func (as *AddressSpace) SetState(p PageNum, s PageState) {
 // CountInState returns how many pages are in state s.
 func (as *AddressSpace) CountInState(s PageState) int64 { return as.counts[s] }
 
-// MarkDirty sets the dirty bit of page p (a write touched it).
-func (as *AddressSpace) MarkDirty(p PageNum) {
-	as.check(p)
-	if !as.dirty[p] {
-		as.dirty[p] = true
-		as.nDirty++
-	}
-}
-
 // MarkAllDirty dirties the whole address space — the paper migrates kernels
 // right after they finished initialising their memory, at which point
 // essentially every page is dirty.
-func (as *AddressSpace) MarkAllDirty() {
-	for i := range as.dirty {
-		if !as.dirty[i] {
-			as.dirty[i] = true
-			as.nDirty++
-		}
-	}
-}
-
-// Dirty reports the dirty bit of page p.
-func (as *AddressSpace) Dirty(p PageNum) bool {
-	as.check(p)
-	return as.dirty[p]
-}
+func (as *AddressSpace) MarkAllDirty() { as.nDirty = as.Pages() }
 
 // DirtyPages returns the number of dirty pages.
 func (as *AddressSpace) DirtyPages() int64 { return as.nDirty }
-
-// DirtyBytes returns the dirty footprint in bytes.
-func (as *AddressSpace) DirtyBytes() int64 { return as.nDirty * PageSize }
 
 // EvictAllToRemote flips every page to StateRemote, modelling the state of
 // the migrant right after a lightweight migration (only explicitly

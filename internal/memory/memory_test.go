@@ -16,18 +16,14 @@ func TestNewLayout(t *testing.T) {
 	if l.Bytes() != 1048*PageSize {
 		t.Fatalf("bytes = %d", l.Bytes())
 	}
-	regions := l.Regions()
-	if len(regions) != 3 {
-		t.Fatalf("regions = %d", len(regions))
+	if r := l.Region(RegionCode); r.Kind != RegionCode || r.Start != 0 || r.Count != 32 {
+		t.Fatalf("code region = %+v", r)
 	}
-	if regions[0].Kind != RegionCode || regions[0].Start != 0 || regions[0].Count != 32 {
-		t.Fatalf("code region = %+v", regions[0])
+	if r := l.Region(RegionHeap); r.Kind != RegionHeap || r.Start != 32 || r.Count != 1000 {
+		t.Fatalf("heap region = %+v", r)
 	}
-	if regions[1].Kind != RegionHeap || regions[1].Start != 32 || regions[1].Count != 1000 {
-		t.Fatalf("heap region = %+v", regions[1])
-	}
-	if regions[2].Kind != RegionStack || regions[2].Start != 1032 || regions[2].Count != 16 {
-		t.Fatalf("stack region = %+v", regions[2])
+	if r := l.Region(RegionStack); r.Kind != RegionStack || r.Start != 1032 || r.Count != 16 {
+		t.Fatalf("stack region = %+v", r)
 	}
 }
 
@@ -39,28 +35,32 @@ func TestNewLayoutRejectsNonPositive(t *testing.T) {
 	}
 }
 
+// TestRegionOf: every page of the layout lies in exactly the region of its
+// kind, and pages past the end lie in none.
 func TestRegionOf(t *testing.T) {
 	l := MustLayout(10, 100, 5)
 	cases := []struct {
 		p    PageNum
 		kind RegionKind
-		ok   bool
 	}{
-		{0, RegionCode, true},
-		{9, RegionCode, true},
-		{10, RegionHeap, true},
-		{109, RegionHeap, true},
-		{110, RegionStack, true},
-		{114, RegionStack, true},
-		{115, 0, false},
+		{0, RegionCode},
+		{9, RegionCode},
+		{10, RegionHeap},
+		{109, RegionHeap},
+		{110, RegionStack},
+		{114, RegionStack},
 	}
+	kinds := []RegionKind{RegionCode, RegionHeap, RegionStack}
 	for _, c := range cases {
-		r, ok := l.RegionOf(c.p)
-		if ok != c.ok {
-			t.Fatalf("RegionOf(%d) ok = %v", c.p, ok)
+		for _, k := range kinds {
+			if got := l.Region(k).Contains(c.p); got != (k == c.kind) {
+				t.Fatalf("%v region contains page %d = %v, want page in %v", k, c.p, got, c.kind)
+			}
 		}
-		if ok && r.Kind != c.kind {
-			t.Fatalf("RegionOf(%d) = %v, want %v", c.p, r.Kind, c.kind)
+	}
+	for _, k := range kinds {
+		if l.Region(k).Contains(115) {
+			t.Fatalf("%v region contains page 115 past the layout", k)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestRegionOf(t *testing.T) {
 func TestRegionAccessors(t *testing.T) {
 	l := MustLayout(10, 100, 5)
 	h := l.Region(RegionHeap)
-	if h.Start != 10 || h.Count != 100 || h.End() != 110 {
+	if h.Start != 10 || h.Count != 100 {
 		t.Fatalf("heap = %+v", h)
 	}
 	if !h.Contains(50) || h.Contains(5) || h.Contains(110) {
@@ -123,16 +123,8 @@ func TestDirtyTracking(t *testing.T) {
 	if as.DirtyPages() != 0 {
 		t.Fatal("fresh space dirty")
 	}
-	as.MarkDirty(3)
-	as.MarkDirty(3) // idempotent
-	as.MarkDirty(7)
-	if as.DirtyPages() != 2 || !as.Dirty(3) || !as.Dirty(7) || as.Dirty(4) {
-		t.Fatalf("dirty = %d", as.DirtyPages())
-	}
-	if as.DirtyBytes() != 2*PageSize {
-		t.Fatalf("dirty bytes = %d", as.DirtyBytes())
-	}
 	as.MarkAllDirty()
+	as.MarkAllDirty() // idempotent
 	if as.DirtyPages() != 14 {
 		t.Fatalf("all dirty = %d", as.DirtyPages())
 	}

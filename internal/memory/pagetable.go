@@ -85,14 +85,6 @@ func (t *Table) Set(p PageNum, l Loc) {
 	t.entries[p] = l
 }
 
-// Clone deep-copies the table under a new name; migration clones the
-// origin's table to create the migrant's MPT.
-func (t *Table) Clone(name string) *Table {
-	c := &Table{name: name, entries: make([]Loc, len(t.entries)), mapped: t.mapped}
-	copy(c.entries, t.entries)
-	return c
-}
-
 func (t *Table) check(p PageNum) {
 	if p < 0 || int64(p) >= int64(len(t.entries)) {
 		panic(fmt.Sprintf("memory: page %d outside table %q of %d entries", p, t.name, len(t.entries)))
@@ -100,13 +92,10 @@ func (t *Table) check(p PageNum) {
 }
 
 // TablePair binds a migrant's MPT to the origin's HPT and implements the
-// update protocol of paper §2.2:
-//
-//   - page transferred to the migrant → delete the origin copy, update HPT
-//     (and the MPT entry flips to "migrant");
-//   - page created by the migrant → only the MPT is updated;
-//   - page unmapped → both tables update if the data was at the origin,
-//     otherwise only the MPT.
+// transfer rule of the paper's §2.2 update protocol: a page transferred to
+// the migrant deletes the origin copy and updates the HPT, and its MPT
+// entry flips to "migrant". The modelled kernels neither create nor unmap
+// pages after migration, so the protocol's other two rules are not needed.
 type TablePair struct {
 	MPT *Table // at the migrant: where each page's data is
 	HPT *Table // at the origin: which pages the origin still stores
@@ -131,32 +120,6 @@ func (tp *TablePair) TransferToMigrant(p PageNum) error {
 	}
 	tp.MPT.Set(p, LocMigrant)
 	tp.HPT.Set(p, LocUnmapped)
-	return nil
-}
-
-// CreateAtMigrant records a page newly created by the migrant (e.g. heap
-// growth after migration): "when a page is created by a migrant, only the
-// MPT needs to be updated".
-func (tp *TablePair) CreateAtMigrant(p PageNum) error {
-	if tp.MPT.Loc(p) != LocUnmapped {
-		return fmt.Errorf("memory: create of already-mapped page %d (mpt=%v)", p, tp.MPT.Loc(p))
-	}
-	tp.MPT.Set(p, LocMigrant)
-	return nil
-}
-
-// Unmap removes page p from the address space, updating the HPT only when
-// the origin stored the data.
-func (tp *TablePair) Unmap(p PageNum) error {
-	switch tp.MPT.Loc(p) {
-	case LocUnmapped:
-		return fmt.Errorf("memory: unmap of unmapped page %d", p)
-	case LocOrigin:
-		tp.HPT.Set(p, LocUnmapped)
-		tp.MPT.Set(p, LocUnmapped)
-	case LocMigrant:
-		tp.MPT.Set(p, LocUnmapped)
-	}
 	return nil
 }
 

@@ -34,19 +34,6 @@ func TestTableUnmappedInitial(t *testing.T) {
 	}
 }
 
-func TestTableClone(t *testing.T) {
-	tb := NewTable("orig", 10, LocOrigin)
-	tb.Set(3, LocMigrant)
-	c := tb.Clone("copy")
-	if c.Name() != "copy" || c.Loc(3) != LocMigrant || c.Mapped() != tb.Mapped() {
-		t.Fatal("clone mismatch")
-	}
-	c.Set(4, LocUnmapped)
-	if tb.Loc(4) != LocOrigin {
-		t.Fatal("clone shares storage with original")
-	}
-}
-
 func TestTableBoundsPanic(t *testing.T) {
 	tb := NewTable("t", 10, LocOrigin)
 	defer func() {
@@ -90,88 +77,18 @@ func TestTransferToMigrant(t *testing.T) {
 	}
 }
 
-func TestCreateAtMigrant(t *testing.T) {
-	tp := NewTablePair(50)
-	tp.MPT.Set(9, LocUnmapped)
-	tp.HPT.Set(9, LocUnmapped)
-	if err := tp.CreateAtMigrant(9); err != nil {
-		t.Fatal(err)
-	}
-	if tp.MPT.Loc(9) != LocMigrant {
-		t.Fatal("MPT not updated on create")
-	}
-	// "only the MPT needs to be updated" — HPT untouched.
-	if tp.HPT.Loc(9) != LocUnmapped {
-		t.Fatal("HPT touched on create")
-	}
-	if err := tp.CreateAtMigrant(9); err == nil {
-		t.Fatal("create over mapped page accepted")
-	}
-	if err := tp.CheckConsistent(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnmapAtOrigin(t *testing.T) {
-	tp := NewTablePair(50)
-	if err := tp.Unmap(3); err != nil {
-		t.Fatal(err)
-	}
-	// Page stored at origin: both tables update.
-	if tp.MPT.Loc(3) != LocUnmapped || tp.HPT.Loc(3) != LocUnmapped {
-		t.Fatal("unmap of origin-stored page must update both tables")
-	}
-	if err := tp.CheckConsistent(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnmapAtMigrant(t *testing.T) {
-	tp := NewTablePair(50)
-	if err := tp.TransferToMigrant(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.Unmap(4); err != nil {
-		t.Fatal(err)
-	}
-	if tp.MPT.Loc(4) != LocUnmapped {
-		t.Fatal("MPT not unmapped")
-	}
-	if err := tp.CheckConsistent(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.Unmap(4); err == nil {
-		t.Fatal("double unmap accepted")
-	}
-}
-
-// TestTablePairProtocolProperty: any legal sequence of transfer / create /
-// unmap operations preserves the MPT/HPT consistency invariant.
+// TestTablePairProtocolProperty: any sequence of transfers preserves the
+// MPT/HPT consistency invariant, and only pages still at the origin
+// transfer.
 func TestTablePairProtocolProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const pages = 32
 		tp := NewTablePair(pages)
 		for _, op := range ops {
 			p := PageNum(op % pages)
-			switch (op / pages) % 3 {
-			case 0:
-				if tp.MPT.Loc(p) == LocOrigin {
-					if tp.TransferToMigrant(p) != nil {
-						return false
-					}
-				}
-			case 1:
-				if tp.MPT.Loc(p) == LocUnmapped {
-					if tp.CreateAtMigrant(p) != nil {
-						return false
-					}
-				}
-			case 2:
-				if tp.MPT.Loc(p) != LocUnmapped {
-					if tp.Unmap(p) != nil {
-						return false
-					}
-				}
+			atOrigin := tp.MPT.Loc(p) == LocOrigin
+			if err := tp.TransferToMigrant(p); (err == nil) != atOrigin {
+				return false
 			}
 			if tp.CheckConsistent() != nil {
 				return false

@@ -234,7 +234,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	origin.Handle(ctl)
 	dest.Handle(ctl)
 
-	pcb := cluster.NewPCB(1, w.Name, origin)
 	as := memory.NewAddressSpace(w.Layout)
 
 	res := &Result{
@@ -264,11 +263,12 @@ func Run(cfg RunConfig) (*Result, error) {
 		deputy     *paging.Deputy
 		resumeAt   simtime.Time
 		execEndAt  simtime.Time
+		finished   bool
 	)
 
 	finish := func(end simtime.Time) {
 		execEndAt = end
-		pcb.State = cluster.ProcDone
+		finished = true
 		if destDaemon != nil {
 			destDaemon.Stop()
 		}
@@ -281,8 +281,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	resume := func() {
 		resumeAt = eng.Now()
 		res.Freeze = resumeAt.Sub(simtime.Time(initTime + res.Precopy))
-		pcb.State = cluster.ProcRunning
-		pcb.Current = dest
 		exec.start(finish)
 	}
 
@@ -324,7 +322,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	migrationStart := simtime.Time(initTime + res.Precopy)
 	var fsFlushDone func(simtime.Time) // set by the FFA wiring below
 	eng.At(migrationStart, func() {
-		pcb.State = cluster.ProcFrozen
 		switch cfg.Scheme {
 		case OpenMosix:
 			// Ship every dirty page in one bulk stream; no deputy needed
@@ -429,8 +426,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		}
 		deputy = paging.NewDeputy(cal.Deputy, origin, link, tables)
 		pager = paging.NewPager(cal.Pager, dest, link, as)
-		pcbDeputy := cluster.NewPCB(1, w.Name+"-deputy", origin)
-		pcbDeputy.State = cluster.ProcDeputy
 
 		ec := execConfig{node: dest, src: w.Source(), as: as, cal: cal, pager: pager}
 		if cfg.Scheme == AMPoM {
@@ -454,7 +449,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	// --- Run to completion --------------------------------------------------
 	eng.MaxEvents = 500_000_000
 	eng.RunAll()
-	if pcb.State != cluster.ProcDone {
+	if !finished {
 		return nil, fmt.Errorf("migrate: %s/%s did not finish (t=%v, pending=%d)",
 			w.Name, cfg.Scheme, eng.Now(), eng.Pending())
 	}
@@ -499,15 +494,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	res.Events = eng.Processed
 	return res, nil
-}
-
-// MustRun is Run panicking on error, for examples and benchmarks.
-func MustRun(cfg RunConfig) *Result {
-	r, err := Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // windowedStream executes a reference stream in wall-clock windows (the

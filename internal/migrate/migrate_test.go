@@ -8,6 +8,15 @@ import (
 	"ampom/internal/simtime"
 )
 
+// MustRun is Run panicking on error.
+func MustRun(cfg RunConfig) *Result {
+	r, err := Run(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // smallWorkload builds a fast, reduced-scale kernel run.
 func smallWorkload(t *testing.T, k hpcc.Kernel, div int64) *hpcc.Workload {
 	t.Helper()

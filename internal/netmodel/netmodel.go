@@ -230,24 +230,6 @@ func (l *Link) Send(from *NIC, m Message) simtime.Time {
 // engine, which is the sequential behaviour.
 func (l *Link) SetDeliveryRouter(r DeliveryRouter) { l.router = r }
 
-// QueueDelay returns how long a message handed to the link right now would
-// wait before starting serialisation in the from→peer direction.
-func (l *Link) QueueDelay(from *NIC) simtime.Duration {
-	var busy simtime.Time
-	switch from {
-	case l.a:
-		busy = l.busyUntilAB
-	case l.b:
-		busy = l.busyUntilBA
-	default:
-		panic("netmodel: NIC not attached to link")
-	}
-	if d := busy.Sub(l.eng.Now()); d > 0 {
-		return d
-	}
-	return 0
-}
-
 // RTT returns the wire round-trip time for a minimal message pair under the
 // current profile (twice the propagation latency; serialisation of tiny
 // messages is negligible and excluded).

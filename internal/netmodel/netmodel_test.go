@@ -127,18 +127,21 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// TestQueueDelay: with no wire latency, an empty probe message arrives
+// when its direction's queue drains — at once on an idle link, after the
+// 2 s message it queues behind, and at once in the idle reverse direction.
 func TestQueueDelay(t *testing.T) {
 	p := Profile{BandwidthBps: 1e6, LatencyOneWay: 0}
 	eng, l, a, b, _ := testLink(p)
-	if d := l.QueueDelay(a); d != 0 {
-		t.Fatalf("idle queue delay = %v", d)
+	if at := l.Send(a, Message{}); at != 0 {
+		t.Fatalf("idle link delivers a probe at %v", at)
 	}
 	l.Send(a, Message{Size: 2e6}) // 2 s
-	if d := l.QueueDelay(a); d != 2*simtime.Second {
-		t.Fatalf("queue delay = %v, want 2s", d)
+	if at := l.Send(a, Message{}); at != simtime.Time(2*simtime.Second) {
+		t.Fatalf("probe queued behind 2 s arrives at %v, want 2s", at)
 	}
-	if d := l.QueueDelay(b); d != 0 {
-		t.Fatalf("reverse queue delay = %v, want 0", d)
+	if at := l.Send(b, Message{}); at != 0 {
+		t.Fatalf("reverse probe arrives at %v, want 0", at)
 	}
 	eng.RunAll()
 }

@@ -187,6 +187,3 @@ func (p *Pager) handle(payload any) bool {
 	}
 	return true
 }
-
-// Outstanding returns the number of in-flight pages.
-func (p *Pager) Outstanding() int64 { return p.as.CountInState(memory.StateInFlight) }

@@ -261,12 +261,13 @@ func TestBulkTransferConservation(t *testing.T) {
 func TestOutstanding(t *testing.T) {
 	r := newRig(t, 64)
 	r.pager.Request(NoDemand, []memory.PageNum{1, 2, 3})
-	if r.pager.Outstanding() != 3 {
-		t.Fatalf("outstanding = %d", r.pager.Outstanding())
+	inFlight := func() int64 { return r.pager.AddressSpace().CountInState(memory.StateInFlight) }
+	if inFlight() != 3 {
+		t.Fatalf("outstanding = %d", inFlight())
 	}
 	r.eng.RunAll()
-	if r.pager.Outstanding() != 0 {
-		t.Fatalf("outstanding after drain = %d", r.pager.Outstanding())
+	if inFlight() != 0 {
+		t.Fatalf("outstanding after drain = %d", inFlight())
 	}
 }
 

@@ -79,9 +79,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniformly distributed non-negative int64.
-func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
-
 // Uint64n returns a uniformly distributed uint64 in [0, n) using Lemire's
 // multiply-shift rejection method. It panics if n == 0.
 func (s *Source) Uint64n(n uint64) uint64 {
@@ -116,28 +113,6 @@ func (s *Source) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomises the order of n elements using the provided swap
-// function, via the Fisher-Yates algorithm.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the polar Box-Muller transform.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1

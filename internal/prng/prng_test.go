@@ -144,42 +144,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(23)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element multiset: sum %d != %d", got, sum)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(29)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ≈0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance = %v, want ≈1", variance)
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	s := New(31)
 	const n = 200000
@@ -193,14 +157,5 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-1) > 0.02 {
 		t.Fatalf("exponential mean = %v, want ≈1", mean)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	s := New(37)
-	for i := 0; i < 10000; i++ {
-		if v := s.Int63(); v < 0 {
-			t.Fatalf("Int63 = %d < 0", v)
-		}
 	}
 }

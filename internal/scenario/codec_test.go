@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -177,7 +178,7 @@ func TestReportDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs, err := DiffReportsData(js, js2)
+	diffs, err := DiffReportsData(js, js2, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestReportDecodeAcceptsUnregisteredPolicies(t *testing.T) {
 		t.Fatal("spec with an unregistered policy accepted")
 	}
 	// And diffing artefacts with custom policies works too.
-	if diffs, err := DiffReportsData([]byte(doc), []byte(doc)); err != nil || len(diffs) != 0 {
+	if diffs, err := DiffReportsData([]byte(doc), []byte(doc), DiffOptions{}); err != nil || len(diffs) != 0 {
 		t.Fatalf("self-diff of a custom-policy artefact failed: %v %v", diffs, err)
 	}
 }
@@ -259,14 +260,14 @@ func TestDiffReportsFindsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := DiffReportsData(aj, aj)
+	same, err := DiffReportsData(aj, aj, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(same) != 0 {
 		t.Fatalf("identical artefacts diverged:\n%s", strings.Join(same, "\n"))
 	}
-	diffs, err := DiffReportsData(aj, bj)
+	diffs, err := DiffReportsData(aj, bj, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +282,44 @@ func TestDiffReportsFindsDivergence(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("seed divergence not reported:\n%s", strings.Join(diffs, "\n"))
+	}
+}
+
+// TestDiffOptionsValidate: epsilons must be finite and non-negative, and
+// RelEps may name only "" or a float column of the policy rows — a
+// misspelt, count or string column is rejected rather than left exact.
+func TestDiffOptionsValidate(t *testing.T) {
+	for _, eps := range []map[string]float64{
+		nil,
+		{"": 0},
+		{"": 0.01, "mean_slowdown": 0.02, "frozen_s": 1e9},
+		{"sojourn_p95_s": 0.01, "final_rtt_ms": 0},
+	} {
+		if err := (DiffOptions{RelEps: eps}).Validate(); err != nil {
+			t.Errorf("RelEps %v rejected: %v", eps, err)
+		}
+	}
+	for _, c := range []struct {
+		eps  map[string]float64
+		want string
+	}{
+		{map[string]float64{"": -0.01}, "non-negative"},
+		{map[string]float64{"frozen_s": math.NaN()}, "non-negative"},
+		{map[string]float64{"": math.Inf(1)}, "non-negative"},
+		{map[string]float64{"mean_slowdwon": 0.02}, `"mean_slowdwon"`},
+		{map[string]float64{"migrations": 0.5}, `"migrations"`},
+		{map[string]float64{"policy": 0.5}, `"policy"`},
+	} {
+		err := (DiffOptions{RelEps: c.eps}).Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RelEps %v: error %v, want one naming %s", c.eps, err, c.want)
+		}
+	}
+	// The comparison itself refuses options it cannot honour, before it
+	// looks at the artefacts.
+	_, err := DiffReportsData(nil, nil, DiffOptions{RelEps: map[string]float64{"": -1}})
+	if err == nil || !strings.Contains(err.Error(), "non-negative") {
+		t.Fatalf("DiffReportsData with a negative epsilon: %v", err)
 	}
 }
 

@@ -86,7 +86,7 @@ func FuzzFailureScript(f *testing.F) {
 		}
 		scales, tmpl := buildWorkload(spec, seed)
 		for _, pol := range []sched.BalancerPolicy{sched.AMPoMPolicy, sched.NoMigrationPolicy} {
-			c := newClusterSim(spec, scales, tmpl, pol, seed)
+			c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
 			stepVerifying(t, c, pol.Name())
 			st := c.run()
 			verifyAggregates(t, c, pol.Name()+" end")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ampom/internal/fabric"
+	"ampom/internal/sched"
 	"ampom/internal/simtime"
 )
 
@@ -113,8 +114,8 @@ func fabricTestSpec(k fabric.Kind) Spec {
 func TestFabricRunsDeterministic(t *testing.T) {
 	for _, k := range fabric.Kinds() {
 		spec := fabricTestSpec(k)
-		if got := len(spec.Policies); got != len(DefaultPolicies()) {
-			t.Fatalf("%v: canonical policy set has %d entries, want the whole registry (%d)", k, got, len(DefaultPolicies()))
+		if got := len(spec.Policies); got != len(sched.Names()) {
+			t.Fatalf("%v: canonical policy set has %d entries, want the whole registry (%d)", k, got, len(sched.Names()))
 		}
 		a := MustRun(spec, 7)
 		b := MustRun(spec, 7)

@@ -47,7 +47,7 @@ func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 	}
 	const seed = 5
 	scales, tmpl := buildWorkload(spec, seed)
-	c := newClusterSim(spec, scales, tmpl, pol, seed)
+	c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
 	rounds := 0
 	sawKnown, sawUnknownWithCap := false, false
 	c.checkView = func(base sched.View) {

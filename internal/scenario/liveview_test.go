@@ -167,7 +167,7 @@ func TestLiveViewMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range pols {
-			c := newClusterSim(spec, scales, tmpl, pol, seed)
+			c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
 			rounds := 0
 			c.checkView = func(base sched.View) {
 				rounds++
@@ -211,7 +211,7 @@ func TestLiveViewMatchesRebuildBetweenEvents(t *testing.T) {
 	} {
 		scales, tmpl := buildWorkload(in.spec, in.seed)
 		pol, _ := sched.Lookup(sched.NameAMPoM)
-		c := newClusterSim(in.spec, scales, tmpl, pol, in.seed)
+		c := newClusterSimShards(in.spec, scales, tmpl, pol, in.seed, 1)
 		if !stepVerifying(t, c, in.name) {
 			t.Fatalf("%s: scenario never completed inside the horizon", in.name)
 		}
@@ -280,7 +280,7 @@ func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 		}.Canonical()
 		scales, tmpl := buildWorkload(spec, 7)
 		evil := &retainingPolicy{inner: sched.AMPoMPolicy}
-		c := newClusterSim(spec, scales, tmpl, evil, 7)
+		c := newClusterSimShards(spec, scales, tmpl, evil, 7, 1)
 		rounds := 0
 		c.checkView = func(base sched.View) {
 			rounds++
@@ -318,7 +318,7 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 	}.Canonical()
 	scales, tmpl := buildWorkload(spec, 11)
 	pol, _ := sched.Lookup(sched.NameQueueGossip)
-	c := newClusterSim(spec, scales, tmpl, pol, 11)
+	c := newClusterSimShards(spec, scales, tmpl, pol, 11, 1)
 
 	// Before any gossip lands every non-source row is Unknown.
 	c.eng.Run(simtime.Time(10 * simtime.Millisecond))
@@ -426,7 +426,7 @@ func TestTransitionRejectsIllegalEdges(t *testing.T) {
 	for from := procPending; from <= procDone; from++ {
 		for to := procPending; to <= procDone; to++ {
 			for flip := 0; flip < 2; flip++ {
-				c := newClusterSim(spec, scales, tmpl, sched.AMPoMPolicy, 1)
+				c := newClusterSimShards(spec, scales, tmpl, sched.AMPoMPolicy, 1, 1)
 				p := c.procs[0]
 				home := p.node
 				for _, s := range reach[from] {

@@ -18,9 +18,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 
 	"ampom/internal/fabric"
@@ -166,6 +168,36 @@ type DiffOptions struct {
 	Summary bool
 }
 
+// diffFloatColumns is the set of policy-row columns RelEps may name: the
+// wire names of schemeJSON's float64 fields.
+var diffFloatColumns = func() map[string]bool {
+	cols := map[string]bool{}
+	t := reflect.TypeOf(schemeJSON{})
+	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Type.Kind() == reflect.Float64 {
+			cols[jsonFieldName(t.Field(i))] = true
+		}
+	}
+	return cols
+}()
+
+// Validate rejects options that cannot gate as written: an epsilon that is
+// negative, NaN or infinite, or a RelEps key that is neither "" nor a
+// float column of the policy rows (a misspelt column would otherwise
+// leave its column silently exact).
+func (o DiffOptions) Validate() error {
+	for _, col := range slices.Sorted(maps.Keys(o.RelEps)) {
+		if col != "" && !diffFloatColumns[col] {
+			return fmt.Errorf("scenario: diff epsilon names %q, not a float column (want one of %s)",
+				col, strings.Join(slices.Sorted(maps.Keys(diffFloatColumns)), ", "))
+		}
+		if eps := o.RelEps[col]; eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+			return fmt.Errorf("scenario: diff epsilon %v for column %q is not a finite non-negative value", eps, col)
+		}
+	}
+	return nil
+}
+
 // epsFor resolves the relative epsilon of one float column.
 func (o DiffOptions) epsFor(column string) float64 {
 	if e, ok := o.RelEps[column]; ok {
@@ -305,17 +337,13 @@ func diffDocs(idx int, a, b reportJSON, c *diffCollector) {
 }
 
 // DiffReportsData compares two report artefacts (each a JSON object or
-// array) exactly and returns one human-readable line per divergence —
-// empty means the recorded runs are identical.
-func DiffReportsData(a, b []byte) ([]string, error) {
-	return DiffReportsDataOpts(a, b, DiffOptions{})
-}
-
-// DiffReportsDataOpts is DiffReportsData under explicit comparison
-// options: per-column relative epsilons for the float columns and the
-// per-column summary mode. An empty result means the artefacts gate as
-// equal under the options.
-func DiffReportsDataOpts(a, b []byte, opts DiffOptions) ([]string, error) {
+// array) under opts and returns one human-readable line per divergence.
+// An empty result means the artefacts gate as equal; under the zero
+// options that means the recorded runs are identical.
+func DiffReportsData(a, b []byte, opts DiffOptions) ([]string, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	da, err := decodeReportDocs(a)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: first report: %w", err)
@@ -338,14 +366,8 @@ func DiffReportsDataOpts(a, b []byte, opts DiffOptions) ([]string, error) {
 	return c.output(), nil
 }
 
-// DiffReportFiles compares two saved report artefacts by path, exactly.
-func DiffReportFiles(pathA, pathB string) ([]string, error) {
-	return DiffReportFilesOpts(pathA, pathB, DiffOptions{})
-}
-
-// DiffReportFilesOpts compares two saved report artefacts by path under
-// explicit comparison options.
-func DiffReportFilesOpts(pathA, pathB string, opts DiffOptions) ([]string, error) {
+// DiffReportFiles compares two saved report artefacts by path under opts.
+func DiffReportFiles(pathA, pathB string, opts DiffOptions) ([]string, error) {
 	a, err := os.ReadFile(pathA)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -354,5 +376,5 @@ func DiffReportFilesOpts(pathA, pathB string, opts DiffOptions) ([]string, error
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	return DiffReportsDataOpts(a, b, opts)
+	return DiffReportsData(a, b, opts)
 }

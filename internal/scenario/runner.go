@@ -18,11 +18,6 @@ import (
 	"ampom/internal/simtime"
 )
 
-// DefaultPolicies lists every registered balancing policy in registry
-// order — the set a canonical Spec with no explicit Policies runs under.
-// The no-migration baseline is the row slowdown ratios divide by.
-func DefaultPolicies() []string { return sched.Names() }
-
 // procTemplate is one pre-drawn process. Templates are drawn once per
 // (Spec, seed) and replayed identically under every policy, so cross-policy
 // comparisons hold the workload fixed — the same discipline the campaign
@@ -279,12 +274,6 @@ type clusterSim struct {
 	st SchemeStats
 }
 
-// newClusterSim wires the cluster for a sequential run. See
-// newClusterSimShards.
-func newClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64) *clusterSim {
-	return newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
-}
-
 // shardPlan resolves the effective shard count and the node → shard map
 // for a spec. Sharding requires the two-tier fabric — shards own whole
 // racks and exchange only through the core, the hop whose latency is the
@@ -310,15 +299,10 @@ func shardPlan(spec Spec, shards int) (int, []int) {
 	return shards, shardOf
 }
 
-// forceShardWorkers makes sharded runs use the goroutine-per-shard window
-// pool even on a single-CPU host; the shard golden tests set it so the
-// race detector exercises the real cross-goroutine handoff.
-var forceShardWorkers = false
-
 // shardWorkers reports whether sharded windows should run on goroutines.
 // Both modes execute the identical schedule; inline execution just skips
 // the goroutine overhead where no parallel hardware would repay it.
-func shardWorkers() bool { return forceShardWorkers || runtime.GOMAXPROCS(0) > 1 }
+func shardWorkers() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // newClusterSimShards wires the cluster: nodes, the interconnect fabric
 // with its monitoring plane, the migration payload handlers, arrivals,
@@ -1136,13 +1120,4 @@ func RunShardsHook(spec Spec, seed uint64, shards int, hook func(PolicyProgress)
 		}
 	}
 	return rep, nil
-}
-
-// MustRun is Run for callers with no failure path (benchmarks, examples).
-func MustRun(spec Spec, seed uint64) *Report {
-	r, err := Run(spec, seed)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

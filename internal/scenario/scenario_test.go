@@ -10,6 +10,15 @@ import (
 	"ampom/internal/simtime"
 )
 
+// MustRun is Run panicking on error.
+func MustRun(spec Spec, seed uint64) *Report {
+	r, err := Run(spec, seed)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // small returns a quick scenario for tests that only need the machinery,
 // not the scale.
 func small() Spec {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 
 	"ampom/internal/fabric"
@@ -12,14 +13,15 @@ import (
 // rendered, JSON and CSV reports must match the sequential run byte for
 // byte — the same golden discipline the fabric refactor was held to.
 
-// withShardWorkers forces the goroutine-per-shard window pool for the
-// duration of fn, so `go test -race` exercises the real cross-goroutine
-// handoff even on a single-CPU host.
+// withShardWorkers raises GOMAXPROCS to 2 for the duration of fn, so
+// shardWorkers picks the goroutine-per-shard window pool and `go test
+// -race` exercises the real cross-goroutine handoff even on a single-CPU
+// host. No test in the package runs in parallel, so the process-wide
+// setting cannot leak into another test.
 func withShardWorkers(t *testing.T, fn func()) {
 	t.Helper()
-	was := forceShardWorkers
-	forceShardWorkers = true
-	defer func() { forceShardWorkers = was }()
+	was := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(was)
 	fn()
 }
 

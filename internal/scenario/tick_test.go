@@ -24,7 +24,7 @@ func tickSpec(seed uint64) Spec {
 func monolithicSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64) *clusterSim {
 	forceMonolithicTick = true
 	defer func() { forceMonolithicTick = false }()
-	return newClusterSim(spec, scales, tmpl, pol, seed)
+	return newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
 }
 
 // TestBandTickMatchesMonolithic is the decomposition's central property:
@@ -47,7 +47,7 @@ func TestBandTickMatchesMonolithic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range pols {
-			dec := newClusterSim(spec, scales, tmpl, pol, seed)
+			dec := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
 			mono := monolithicSim(spec, scales, tmpl, pol, seed)
 			name := pol.Name()
 			if dec.bands == 0 || dec.bandEng == nil {
@@ -107,7 +107,7 @@ func TestBandTickMatchesMonolithicStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range pols {
-		dec := newClusterSim(spec, scales, tmpl, pol, 2).run()
+		dec := newClusterSimShards(spec, scales, tmpl, pol, 2, 1).run()
 		mono := monolithicSim(spec, scales, tmpl, pol, 2).run()
 		if dec.Events <= mono.Events {
 			t.Fatalf("%s: decomposed run processed %d events, monolithic %d — decomposition should add per-band sub-events",

@@ -11,6 +11,15 @@ import (
 	"ampom/internal/simtime"
 )
 
+// mustRun is scenario.Run panicking on error.
+func mustRun(spec scenario.Spec, seed uint64) *scenario.Report {
+	rep, err := scenario.Run(spec, seed)
+	if err != nil {
+		panic(err)
+	}
+	return rep
+}
+
 // section7 is the §7 study's shape on the default star fabric: a skewed
 // batch burst, the case the cost-benefit rule exists for.
 func section7() scenario.Spec {
@@ -55,7 +64,7 @@ func rows(t *testing.T, rep *scenario.Report) (none, om, am scenario.SchemeStats
 }
 
 func TestSimulationCompletes(t *testing.T) {
-	rep := scenario.MustRun(quick(), 42)
+	rep := mustRun(quick(), 42)
 	if len(rep.Schemes) != len(sched.Names()) {
 		t.Fatalf("%d rows for %d registered policies", len(rep.Schemes), len(sched.Names()))
 	}
@@ -80,7 +89,7 @@ func TestSimulationCompletes(t *testing.T) {
 // and the cluster balances better.
 func TestAMPoMEnablesAggressiveMigration(t *testing.T) {
 	for _, seed := range section7Seeds {
-		none, om, am := rows(t, scenario.MustRun(section7(), seed))
+		none, om, am := rows(t, mustRun(section7(), seed))
 		if am.Migrations <= om.Migrations {
 			t.Errorf("seed %d: AMPoM migrations %d not above openMosix's %d (aggressiveness lost)",
 				seed, am.Migrations, om.Migrations)
@@ -102,7 +111,7 @@ func TestFreezeTimeCharged(t *testing.T) {
 		return float64(st.FrozenTotal-st.ExtraWork) / float64(st.Migrations) / float64(simtime.Second)
 	}
 	for _, seed := range section7Seeds {
-		_, om, am := rows(t, scenario.MustRun(section7(), seed))
+		_, om, am := rows(t, mustRun(section7(), seed))
 		if om.Migrations == 0 || om.FrozenTotal <= 0 {
 			t.Errorf("seed %d: openMosix charged %v freeze for %d migrations", seed, om.FrozenTotal, om.Migrations)
 			continue
@@ -118,7 +127,7 @@ func TestFreezeTimeCharged(t *testing.T) {
 }
 
 func TestNoMigrationPolicyIsInert(t *testing.T) {
-	none := scenario.MustRun(section7(), 42).Baseline()
+	none := mustRun(section7(), 42).Baseline()
 	if none.Policy != sched.BaselineName {
 		t.Fatalf("baseline row is %q", none.Policy)
 	}
@@ -128,11 +137,11 @@ func TestNoMigrationPolicyIsInert(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := scenario.MustRun(quick(), 5).Render()
-	if b := scenario.MustRun(quick(), 5).Render(); a != b {
+	a := mustRun(quick(), 5).Render()
+	if b := mustRun(quick(), 5).Render(); a != b {
 		t.Fatalf("same seed diverged:\n%s\n---\n%s", a, b)
 	}
-	if c := scenario.MustRun(quick(), 6).Render(); a == c {
+	if c := mustRun(quick(), 6).Render(); a == c {
 		t.Fatal("different seeds produced identical reports")
 	}
 }
@@ -142,8 +151,8 @@ func TestBalancedClusterMigratesLittle(t *testing.T) {
 	uniform := section7()
 	uniform.Skew = -1
 	for _, seed := range section7Seeds {
-		_, _, skewed := rows(t, scenario.MustRun(section7(), seed))
-		_, _, flat := rows(t, scenario.MustRun(uniform, seed))
+		_, _, skewed := rows(t, mustRun(section7(), seed))
+		_, _, flat := rows(t, mustRun(uniform, seed))
 		if flat.Migrations >= skewed.Migrations {
 			t.Errorf("seed %d: uniform start migrated %d, skewed %d", seed, flat.Migrations, skewed.Migrations)
 		}
@@ -151,7 +160,7 @@ func TestBalancedClusterMigratesLittle(t *testing.T) {
 }
 
 func TestCompareDefaultsToRegistry(t *testing.T) {
-	rep := scenario.MustRun(quick(), 42)
+	rep := mustRun(quick(), 42)
 	names := sched.Names()
 	if len(rep.Schemes) != len(names) {
 		t.Fatalf("report has %d rows for %d registered policies", len(rep.Schemes), len(names))

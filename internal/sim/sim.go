@@ -176,39 +176,6 @@ func (e *Engine) step() {
 // virtual time.
 func (e *Engine) RunAll() simtime.Time { return e.Run(simtime.Never) }
 
-// Timer is a cancellable, re-armable one-shot timer bound to an engine.
-// The zero value is unusable; create with NewTimer.
-type Timer struct {
-	eng *Engine
-	ev  *eventq.Event
-	fn  func()
-}
-
-// NewTimer returns a timer that runs fn when it expires.
-func NewTimer(eng *Engine, fn func()) *Timer {
-	return &Timer{eng: eng, fn: fn}
-}
-
-// Arm (re)schedules the timer d from now, cancelling any earlier schedule.
-func (t *Timer) Arm(d simtime.Duration) {
-	t.Disarm()
-	t.ev = t.eng.Schedule(d, func() {
-		t.ev = nil
-		t.fn()
-	})
-}
-
-// Disarm cancels the pending expiry, if any.
-func (t *Timer) Disarm() {
-	if t.ev != nil {
-		t.eng.Cancel(t.ev)
-		t.ev = nil
-	}
-}
-
-// Armed reports whether the timer has a pending expiry.
-func (t *Timer) Armed() bool { return t.ev != nil }
-
 // Ticker repeatedly invokes a callback at a fixed virtual period until
 // stopped.
 type Ticker struct {

@@ -195,50 +195,6 @@ func TestRunHorizonAdvancesClockWithoutEvents(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	e := New()
-	fires := 0
-	tm := NewTimer(e, func() { fires++ })
-	tm.Arm(simtime.Second)
-	if !tm.Armed() {
-		t.Fatal("timer should be armed")
-	}
-	e.RunAll()
-	if fires != 1 {
-		t.Fatalf("fires = %d, want 1", fires)
-	}
-	if tm.Armed() {
-		t.Fatal("timer should disarm after firing")
-	}
-}
-
-func TestTimerRearmReplaces(t *testing.T) {
-	e := New()
-	fires := 0
-	tm := NewTimer(e, func() { fires++ })
-	tm.Arm(simtime.Second)
-	tm.Arm(2 * simtime.Second) // replaces the first schedule
-	e.RunAll()
-	if fires != 1 {
-		t.Fatalf("fires = %d, want 1 (re-arm must cancel previous)", fires)
-	}
-	if e.Now() != simtime.Time(2*simtime.Second) {
-		t.Fatalf("fired at %v, want 2s", e.Now())
-	}
-}
-
-func TestTimerDisarm(t *testing.T) {
-	e := New()
-	fires := 0
-	tm := NewTimer(e, func() { fires++ })
-	tm.Arm(simtime.Second)
-	tm.Disarm()
-	e.RunAll()
-	if fires != 0 {
-		t.Fatal("disarmed timer fired")
-	}
-}
-
 func TestTicker(t *testing.T) {
 	e := New()
 	var ticks []simtime.Time

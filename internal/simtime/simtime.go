@@ -25,7 +25,6 @@ const (
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
 	Minute               = 60 * Second
-	Hour                 = 60 * Minute
 )
 
 // Never is a sentinel Time later than any reachable simulation instant.
@@ -42,9 +41,6 @@ func (t Time) Add(d Duration) Time {
 
 // Sub returns the duration from u to t (t − u).
 func (t Time) Sub(u Time) Duration { return Duration(int64(t) - int64(u)) }
-
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
 
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
@@ -68,10 +64,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // milliseconds.
 func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
-// Std converts the virtual duration to a time.Duration. Both are nanosecond
-// counts, so the conversion is exact.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // String formats the duration using the standard library notation.
 func (d Duration) String() string { return time.Duration(d).String() }
 
@@ -84,26 +76,6 @@ func FromSeconds(s float64) Duration {
 	return Duration(s*float64(Second) + 0.5)
 }
 
-// FromStd converts a time.Duration to a virtual Duration.
+// FromStd converts a time.Duration to a virtual Duration. Both are
+// nanosecond counts, so the conversion is exact.
 func FromStd(d time.Duration) Duration { return Duration(d) }
-
-// Rate is an event rate in events per second of virtual time.
-type Rate float64
-
-// Interval returns the mean spacing between events at rate r. A non-positive
-// rate yields Never-like spacing (the maximum Duration).
-func (r Rate) Interval() Duration {
-	if r <= 0 {
-		return Duration(1<<63 - 1)
-	}
-	return FromSeconds(1 / float64(r))
-}
-
-// Over computes the rate of n events over duration d. A non-positive
-// duration yields 0.
-func Over(n int, d Duration) Rate {
-	if d <= 0 || n <= 0 {
-		return 0
-	}
-	return Rate(float64(n) / d.Seconds())
-}

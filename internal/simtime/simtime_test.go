@@ -38,9 +38,6 @@ func TestTimeSub(t *testing.T) {
 
 func TestBeforeAfter(t *testing.T) {
 	a, b := Time(1), Time(2)
-	if !a.Before(b) || b.Before(a) || a.Before(a) {
-		t.Fatal("Before misordered")
-	}
 	if !b.After(a) || a.After(b) || a.After(a) {
 		t.Fatal("After misordered")
 	}
@@ -89,8 +86,8 @@ func TestFromSecondsRoundTrip(t *testing.T) {
 }
 
 func TestStdConversion(t *testing.T) {
-	if got := (250 * Millisecond).Std(); got != 250*time.Millisecond {
-		t.Fatalf("Std = %v", got)
+	if got := FromStd(250 * time.Millisecond); got != 250*Millisecond {
+		t.Fatalf("FromStd = %v", got)
 	}
 	if got := FromStd(2 * time.Second); got != 2*Second {
 		t.Fatalf("FromStd = %v", got)
@@ -106,48 +103,5 @@ func TestStrings(t *testing.T) {
 	}
 	if got := (90 * Second).String(); got != "1m30s" {
 		t.Fatalf("Duration.String = %q", got)
-	}
-}
-
-func TestRateInterval(t *testing.T) {
-	if got := Rate(1000).Interval(); got != Millisecond {
-		t.Fatalf("Interval = %v, want 1ms", got)
-	}
-	if got := Rate(0).Interval(); got != Duration(1<<63-1) {
-		t.Fatalf("zero-rate Interval = %v", got)
-	}
-	if got := Rate(-3).Interval(); got != Duration(1<<63-1) {
-		t.Fatalf("negative-rate Interval = %v", got)
-	}
-}
-
-func TestOver(t *testing.T) {
-	if got := Over(100, Second); got != 100 {
-		t.Fatalf("Over = %v, want 100", got)
-	}
-	if got := Over(0, Second); got != 0 {
-		t.Fatalf("Over with zero events = %v", got)
-	}
-	if got := Over(10, 0); got != 0 {
-		t.Fatalf("Over with zero duration = %v", got)
-	}
-	if got := Over(10, -Second); got != 0 {
-		t.Fatalf("Over with negative duration = %v", got)
-	}
-}
-
-func TestRateIntervalInverse(t *testing.T) {
-	f := func(n uint16) bool {
-		if n == 0 {
-			return true
-		}
-		r := Rate(n)
-		// rate → interval → rate round-trips within the ns-rounding error.
-		back := Over(1, r.Interval())
-		diff := float64(back) - float64(r)
-		return diff < 1e-4*float64(r) && diff > -1e-4*float64(r)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -169,37 +169,3 @@ func BlockPermuted(start memory.PageNum, count, blockPages int64, compute simtim
 		})
 	}
 }
-
-// Limit returns a factory truncating the sub-factory to at most n
-// references.
-func Limit(n int64, part Factory) Factory {
-	return func() Source {
-		src := part()
-		emitted := int64(0)
-		return FuncSource(func() (Ref, bool) {
-			if emitted >= n {
-				return Ref{}, false
-			}
-			r, ok := src.Next()
-			if !ok {
-				return Ref{}, false
-			}
-			emitted++
-			return r, true
-		})
-	}
-}
-
-// Count drains a fresh source from the factory and returns its length.
-// Useful for sizing compute budgets; workload models should prefer
-// analytical counts when available.
-func Count(f Factory) int64 {
-	src := f()
-	var n int64
-	for {
-		if _, ok := src.Next(); !ok {
-			return n
-		}
-		n++
-	}
-}

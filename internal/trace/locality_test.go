@@ -173,70 +173,3 @@ func TestTemporalScore(t *testing.T) {
 		t.Fatalf("short-trace temporal = %v", got)
 	}
 }
-
-func TestDistinctPages(t *testing.T) {
-	if got := DistinctPages(pages(1, 2, 2, 3, 1)); got != 3 {
-		t.Fatalf("distinct = %d", got)
-	}
-	if got := DistinctPages(nil); got != 0 {
-		t.Fatalf("distinct(nil) = %d", got)
-	}
-}
-
-func TestDedupeRecent(t *testing.T) {
-	// Element-level alternation between two pages collapses to one entry
-	// per page transition.
-	raw := pages(1, 2, 1, 2, 1, 2, 3, 4, 3, 4)
-	got := DedupeRecent(raw, 4)
-	want := pages(1, 2, 3, 4)
-	if len(got) != len(want) {
-		t.Fatalf("dedupe = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dedupe = %v, want %v", got, want)
-		}
-	}
-	// A page re-appearing beyond the window is kept.
-	raw = pages(1, 2, 3, 4, 5, 1)
-	got = DedupeRecent(raw, 4)
-	if got[len(got)-1] != 1 {
-		t.Fatalf("out-of-window revisit dropped: %v", got)
-	}
-	// Degenerate window clamps to 1 (only consecutive repeats removed).
-	got = DedupeRecent(pages(7, 7, 8), 0)
-	if len(got) != 2 || got[0] != 7 || got[1] != 8 {
-		t.Fatalf("k=0 dedupe = %v", got)
-	}
-	if out := DedupeRecent(nil, 4); len(out) != 0 {
-		t.Fatal("dedupe(nil) not empty")
-	}
-}
-
-// TestDedupeRecentProperty: output never contains a page within k of its
-// previous occurrence, and preserves first-occurrence order.
-func TestDedupeRecentProperty(t *testing.T) {
-	f := func(raw []uint8, kRaw uint8) bool {
-		k := int(kRaw%8) + 1
-		in := make([]memory.PageNum, len(raw))
-		for i, r := range raw {
-			in[i] = memory.PageNum(r % 16)
-		}
-		out := DedupeRecent(in, k)
-		for i, p := range out {
-			lo := i - k
-			if lo < 0 {
-				lo = 0
-			}
-			for j := lo; j < i; j++ {
-				if out[j] == p {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}

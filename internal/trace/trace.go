@@ -28,28 +28,6 @@ type Source interface {
 	Next() (ref Ref, ok bool)
 }
 
-// SliceSource replays a fixed slice of references.
-type SliceSource struct {
-	refs []Ref
-	pos  int
-}
-
-// NewSliceSource returns a Source replaying refs in order.
-func NewSliceSource(refs []Ref) *SliceSource { return &SliceSource{refs: refs} }
-
-// Next implements Source.
-func (s *SliceSource) Next() (Ref, bool) {
-	if s.pos >= len(s.refs) {
-		return Ref{}, false
-	}
-	r := s.refs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
 // FuncSource adapts a closure to the Source interface.
 type FuncSource func() (Ref, bool)
 
