@@ -3,10 +3,11 @@
 # engine, the binary smoke tests, the campaign-service smoke (HTTP
 # submit, dedup and store-hit paths), a vet and test pass over the
 # perfbench benchmark module, a short fuzz pass over the AMPoM
-# prefetcher, the trace combinators, the scenario spec codec and whole
-# failure scripts, one bench-balance iteration so policy-dispatch overhead
-# is tracked, and one bench-fabric iteration asserting the 512-, 4096-
-# and 16384-node presets' event budgets.
+# prefetcher, the trace combinators, the scenario spec codec, whole
+# failure scripts, the event queue and the gossip cell table, one
+# bench-balance iteration so policy-dispatch overhead is tracked, and one
+# bench-fabric iteration asserting the 512-, 4096- and 16384-node
+# presets' event budgets.
 
 GO ?= go
 
@@ -52,15 +53,17 @@ perfbench-smoke:
 
 # Short fuzz passes over the AMPoM per-fault analysis, the trace
 # combinator algebra, the scenario spec JSON codec, whole failure-script
-# scenarios checked against the live-view rebuild, and the event queue's
-# differential model against container/heap (the full corpora live in the
-# build cache; run with a longer -fuzztime to dig).
+# scenarios checked against the live-view rebuild, the event queue's
+# differential model against container/heap, and the gossip daemon's flat
+# cell table against the frozen map-based heard set (the full corpora
+# live in the build cache; run with a longer -fuzztime to dig).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrefetcherFault -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCompose -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzFailureScript -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzQueueVsHeap -fuzztime 10s ./internal/eventq
+	$(GO) test -run '^$$' -fuzz FuzzGossipTable -fuzztime 10s ./internal/infod
 
 # BenchmarkCampaign compares a sequential full-matrix campaign against the
 # worker pool (byte-identical output either way).

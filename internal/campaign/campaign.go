@@ -393,18 +393,23 @@ func (e *Engine) fanOutCtx(ctx context.Context, n int, run func(i int), skip fun
 			}
 		}()
 	}
-dispatch:
 	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			if skip != nil {
-				for j := i; j < n; j++ {
-					skip(j)
-				}
+		// select picks at random between a done context and a ready
+		// worker, so the context is checked first: once it is done, no
+		// further job is dispatched.
+		if ctx.Err() == nil {
+			select {
+			case <-ctx.Done():
+			case idx <- i:
+				continue
 			}
-			break dispatch
-		case idx <- i:
 		}
+		if skip != nil {
+			for j := i; j < n; j++ {
+				skip(j)
+			}
+		}
+		break
 	}
 	close(idx)
 	wg.Wait()

@@ -12,7 +12,8 @@
 // pairing.
 //
 // Storage is compact: a daemon keeps only the origins it has actually
-// heard from (a map of cells plus a recency ring ordering them by last
+// heard from (a flat cell table — dense pointer-free cells behind an
+// open-addressed origin index — plus a recency ring ordering them by last
 // refresh), never a dense length-n vector, so the whole gossip plane is
 // O(n·l·retention) resident rather than O(n²). Alongside the periodic
 // pushes, each daemon runs slower anti-entropy pull rounds: it asks one
@@ -167,12 +168,13 @@ type gossipPullMsg struct {
 
 // cell is one heard origin's state: the entry itself plus the per-origin
 // staleness EWMA, and the recency-ring position of the origin's latest
-// refresh (the dedup key the window composer checks).
+// refresh (the dedup key the window composer checks). Every cell has an
+// age sample: merge records one as it inserts the cell.
 type cell struct {
 	entry   GossipEntry
 	ageEst  simtime.Duration
-	haveAge bool
 	ringPos int64
+	origin  int32
 }
 
 // sweepFloor is the minimum heard-set size before expiry sweeps trigger.
@@ -197,12 +199,14 @@ type Gossip struct {
 	// refresh order (ringN total appends); an origin is current at ring
 	// position p iff its cell's ringPos == p, so the window composer walks
 	// the ring newest-first with O(1) dedup. sweepAt is the heard-set size
-	// that triggers the next amortised expiry sweep.
+	// that triggers the next amortised expiry sweep. rttSum is the sum of
+	// 2×ageEst over every cell, kept in step by recordAge and drop.
 	self    GossipEntry
-	cells   map[int]*cell
+	cells   cellTable
 	ring    []int32
 	ringN   int64
 	sweepAt int
+	rttSum  simtime.Duration
 
 	peerScratch []int
 
@@ -234,7 +238,6 @@ func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float6
 		n:           n,
 		send:        send,
 		rng:         prng.New(seed),
-		cells:       make(map[int]*cell),
 		ring:        make([]int32, ringCap),
 		sweepAt:     sweepFloor,
 		nominalBw:   nominalBw,
@@ -299,7 +302,7 @@ func (g *Gossip) compose(now simtime.Time) []gossipEntryWire {
 		g.self = GossipEntry{Stamp: now, Known: true}
 	}
 	max := g.cfg.WindowLen
-	if m := len(g.cells) + 1; m < max {
+	if m := g.cells.len() + 1; m < max {
 		max = m
 	}
 	out := make([]gossipEntryWire, 0, max)
@@ -311,12 +314,13 @@ func (g *Gossip) compose(now simtime.Time) []gossipEntryWire {
 	for k := int64(1); k <= span && len(out) < g.cfg.WindowLen; k++ {
 		pos := g.ringN - k
 		o := int(g.ring[pos%int64(len(g.ring))])
-		c, ok := g.cells[o]
-		if !ok || c.ringPos != pos {
+		h := g.cells.find(o)
+		if h < 0 || g.cells.at(h).ringPos != pos {
 			continue // origin refreshed since (a newer slot covers it) or reclaimed
 		}
+		c := g.cells.at(h)
 		if g.expired(c.entry.Stamp, now) {
-			delete(g.cells, o)
+			g.drop(h)
 			continue
 		}
 		out = append(out, gossipEntryWire{Origin: o, Entry: c.entry})
@@ -426,13 +430,13 @@ func (g *Gossip) merge(m gossipMsg) {
 		if g.expired(w.Entry.Stamp, now) {
 			continue
 		}
-		c, ok := g.cells[o]
-		if ok && w.Entry.Stamp <= c.entry.Stamp {
+		h := g.cells.find(o)
+		added := h < 0
+		var c *cell
+		if added {
+			c = g.cells.insert(o)
+		} else if c = g.cells.at(h); w.Entry.Stamp <= c.entry.Stamp {
 			continue
-		}
-		if !ok {
-			c = &cell{}
-			g.cells[o] = c
 		}
 		e := w.Entry
 		e.Hops++
@@ -440,7 +444,7 @@ func (g *Gossip) merge(m gossipMsg) {
 		c.ringPos = g.ringN
 		g.ring[g.ringN%int64(len(g.ring))] = int32(o)
 		g.ringN++
-		g.recordAge(c, now.Sub(e.Stamp))
+		g.recordAge(c, now.Sub(e.Stamp), added)
 	}
 	g.maybeSweep(now)
 }
@@ -448,36 +452,46 @@ func (g *Gossip) merge(m gossipMsg) {
 // maybeSweep reclaims expired cells once the heard set crosses the sweep
 // threshold, then re-arms the threshold at twice the surviving size — an
 // amortised-O(1) bound that keeps a daemon's resident heard set within a
-// constant factor of the entries actually live under MaxAge. The expiry
-// set is a pure function of (cells, now), so the map-order iteration
-// cannot perturb determinism.
+// constant factor of the entries actually live under MaxAge. The sweep
+// swap-removes in place: a handle is re-examined after a removal, because
+// the last cell has just moved into it.
 func (g *Gossip) maybeSweep(now simtime.Time) {
-	if g.cfg.MaxAge <= 0 || len(g.cells) < g.sweepAt {
+	if g.cfg.MaxAge <= 0 || g.cells.len() < g.sweepAt {
 		return
 	}
-	for o, c := range g.cells {
-		if g.expired(c.entry.Stamp, now) {
-			delete(g.cells, o)
+	for h := 0; h < g.cells.len(); {
+		if g.expired(g.cells.at(h).entry.Stamp, now) {
+			g.drop(h)
+		} else {
+			h++
 		}
 	}
-	g.sweepAt = 2 * len(g.cells)
+	g.sweepAt = 2 * g.cells.len()
 	if g.sweepAt < sweepFloor {
 		g.sweepAt = sweepFloor
 	}
 }
 
-// recordAge folds one observed entry age into the origin's EWMA.
-func (g *Gossip) recordAge(c *cell, age simtime.Duration) {
+// drop removes the cell under handle h, and its estimate from rttSum.
+func (g *Gossip) drop(h int) {
+	g.rttSum -= 2 * g.cells.at(h).ageEst
+	g.cells.remove(h)
+}
+
+// recordAge folds one observed entry age into the origin's EWMA; a just
+// added cell takes its first sample as is.
+func (g *Gossip) recordAge(c *cell, age simtime.Duration, added bool) {
 	if age < 0 {
 		age = 0
 	}
-	if !c.haveAge {
+	old := c.ageEst
+	if added {
 		c.ageEst = age
-		c.haveAge = true
-		return
+	} else {
+		a := g.cfg.Alpha
+		c.ageEst = simtime.Duration(a*float64(age) + (1-a)*float64(c.ageEst))
 	}
-	a := g.cfg.Alpha
-	c.ageEst = simtime.Duration(a*float64(age) + (1-a)*float64(c.ageEst))
+	g.rttSum += 2*c.ageEst - 2*old
 }
 
 // Entry returns this daemon's current view of origin's load state. An
@@ -487,24 +501,30 @@ func (g *Gossip) Entry(origin int) GossipEntry {
 	if origin == g.id {
 		return g.self
 	}
-	c, ok := g.cells[origin]
-	if !ok || g.expired(c.entry.Stamp, g.eng.Now()) {
+	h := g.cells.find(origin)
+	if h < 0 {
+		return GossipEntry{}
+	}
+	c := g.cells.at(h)
+	if g.expired(c.entry.Stamp, g.eng.Now()) {
 		return GossipEntry{}
 	}
 	return c.entry
 }
 
 // Fresh calls f for every live (non-expired) entry this daemon currently
-// holds, own entry excluded. Callback order is map order — unspecified —
-// so callers must apply f per origin without cross-origin dependence (the
-// incremental gossip view writes one row per callback, which is order-free).
+// holds, own entry excluded. Callbacks run in cell-table handle order,
+// which is deterministic but shuffled by every removal, so callers must
+// apply f per origin without cross-origin dependence (the incremental
+// gossip view writes one row per callback, which is order-free).
 func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
 	now := g.eng.Now()
-	for o, c := range g.cells {
+	for h := 0; h < g.cells.len(); h++ {
+		c := g.cells.at(h)
 		if g.expired(c.entry.Stamp, now) {
 			continue
 		}
-		f(o, c.entry)
+		f(int(c.origin), c.entry)
 	}
 }
 
@@ -512,8 +532,8 @@ func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
 func (g *Gossip) KnownCount() int {
 	n := 0
 	now := g.eng.Now()
-	for _, c := range g.cells {
-		if !g.expired(c.entry.Stamp, now) {
+	for h := 0; h < g.cells.len(); h++ {
+		if !g.expired(g.cells.at(h).entry.Stamp, now) {
 			n++
 		}
 	}
@@ -523,30 +543,24 @@ func (g *Gossip) KnownCount() int {
 // AgeRTT returns the staleness-derived round-trip estimate for origin
 // (2× the smoothed one-way dissemination delay), if any sample arrived.
 func (g *Gossip) AgeRTT(origin int) (simtime.Duration, bool) {
-	c, ok := g.cells[origin]
-	if !ok || !c.haveAge {
+	h := g.cells.find(origin)
+	if h < 0 {
 		return 0, false
 	}
-	return 2 * c.ageEst, true
+	return 2 * g.cells.at(h).ageEst, true
 }
 
 // MeanRTT is the mean staleness-derived round-trip estimate over every
 // origin heard from; with no samples yet it falls back to the freshly
-// joined daemon's prior (two scheduling delays). The sum is integer
-// arithmetic over per-origin estimates, so map order cannot perturb it.
+// joined daemon's prior (two scheduling delays). rttSum is kept in
+// integer arithmetic as cells change, so it equals a fresh sum over the
+// cells exactly, whatever order they changed in.
 func (g *Gossip) MeanRTT() simtime.Duration {
-	var sum simtime.Duration
-	n := 0
-	for _, c := range g.cells {
-		if c.haveAge {
-			sum += 2 * c.ageEst
-			n++
-		}
-	}
+	n := g.cells.len()
 	if n == 0 {
 		return 2 * g.cfg.SchedDelay
 	}
-	return sum / simtime.Duration(n)
+	return g.rttSum / simtime.Duration(n)
 }
 
 // refreshBandwidth re-derives the bandwidth estimate from NIC counter

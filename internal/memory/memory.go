@@ -1,9 +1,9 @@
 // Package memory models a migrating process's address space at page
-// granularity: code/heap/stack regions, the dirty-page count a full-copy
-// migration ships, the residency state machine used by the remote-paging
-// machinery, and the two page tables of the paper's design — the master
-// page table (MPT) carried by the migrant and the home page table (HPT)
-// kept by the deputy at the origin node (paper §2.2).
+// granularity: code/heap/stack regions, the residency state machine used
+// by the remote-paging machinery, and the two page tables of the paper's
+// design — the master page table (MPT) carried by the migrant and the
+// home page table (HPT) kept by the deputy at the origin node (paper
+// §2.2).
 package memory
 
 import "fmt"
@@ -149,18 +149,16 @@ func (s PageState) String() string {
 	}
 }
 
-// AddressSpace tracks per-page residency and the dirty-page count for one
-// process.
+// AddressSpace tracks per-page residency for one process.
 type AddressSpace struct {
 	layout Layout
 	state  []PageState
 
 	counts [4]int64 // population per state
-	nDirty int64
 }
 
 // NewAddressSpace returns an address space with every page resident (the
-// process starts whole at its origin node) and clean.
+// process starts whole at its origin node).
 func NewAddressSpace(layout Layout) *AddressSpace {
 	n := layout.Pages()
 	as := &AddressSpace{
@@ -200,14 +198,6 @@ func (as *AddressSpace) SetState(p PageNum, s PageState) {
 
 // CountInState returns how many pages are in state s.
 func (as *AddressSpace) CountInState(s PageState) int64 { return as.counts[s] }
-
-// MarkAllDirty dirties the whole address space — the paper migrates kernels
-// right after they finished initialising their memory, at which point
-// essentially every page is dirty.
-func (as *AddressSpace) MarkAllDirty() { as.nDirty = as.Pages() }
-
-// DirtyPages returns the number of dirty pages.
-func (as *AddressSpace) DirtyPages() int64 { return as.nDirty }
 
 // EvictAllToRemote flips every page to StateRemote, modelling the state of
 // the migrant right after a lightweight migration (only explicitly

@@ -118,18 +118,6 @@ func TestEvictAllToRemote(t *testing.T) {
 	}
 }
 
-func TestDirtyTracking(t *testing.T) {
-	as := NewAddressSpace(MustLayout(2, 10, 2))
-	if as.DirtyPages() != 0 {
-		t.Fatal("fresh space dirty")
-	}
-	as.MarkAllDirty()
-	as.MarkAllDirty() // idempotent
-	if as.DirtyPages() != 14 {
-		t.Fatalf("all dirty = %d", as.DirtyPages())
-	}
-}
-
 func TestAddressSpaceBoundsPanic(t *testing.T) {
 	as := NewAddressSpace(MustLayout(1, 1, 1))
 	defer func() {

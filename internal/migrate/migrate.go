@@ -247,13 +247,12 @@ func Run(cfg RunConfig) (*Result, error) {
 	// --- Pre-migration phase ----------------------------------------------
 	// The kernel allocates and initialises its memory at the origin; the
 	// paper triggers migration right after. Initialisation dirties the
-	// whole address space.
+	// whole address space, so every page is dirty at migration time.
 	initTime := w.InitCompute
 	if cfg.SkipInit {
 		initTime = 0
 	}
 	res.Init = initTime
-	as.MarkAllDirty()
 
 	var (
 		exec       *executor
@@ -324,10 +323,10 @@ func Run(cfg RunConfig) (*Result, error) {
 	eng.At(migrationStart, func() {
 		switch cfg.Scheme {
 		case OpenMosix:
-			// Ship every dirty page in one bulk stream; no deputy needed
+			// Ship every (dirty) page in one bulk stream; no deputy needed
 			// for paging afterwards (openMosix still leaves a deputy for
 			// syscalls, but it serves no pages).
-			bytes := as.DirtyPages()*(memory.PageSize+cal.PageMsgOverhead) + cluster.RegisterBytes
+			bytes := as.Pages()*(memory.PageSize+cal.PageMsgOverhead) + cluster.RegisterBytes
 			res.BytesToDest += bytes
 			eng.Schedule(cal.MigrationBase, func() {
 				link.Send(origin.NIC, netmodel.Message{Size: bytes, Payload: freezeDone{resume}})

@@ -768,8 +768,9 @@ func (c *clusterSim) unknownRow(i int) sched.NodeView {
 // and then writes only the current daemon's known set — O(entries the
 // daemon holds), not O(nodes), per hand-off. InfoAge is derived lazily at
 // the decision instant from the entry's stamp, never stored. The write
-// order inside Fresh is the daemon's map order, but each callback touches
-// only its own origin's row, so the resulting view is order-independent.
+// order inside Fresh is the daemon's cell-table order, but each callback
+// touches only its own origin's row, so the resulting view is
+// order-independent.
 func (c *clusterSim) gossipView(src int, base sched.View) sched.View {
 	g := c.ic.Gossip(src)
 	if g == nil {
