@@ -94,11 +94,13 @@ bench-balance:
 bench-fabric:
 	$(GO) test -run '^$$' -bench '^BenchmarkFabric(512|512Failures|4096|16384|16384Shards)$$' -benchtime 1x -timeout 30m .
 
-# bench-json runs the fabric gates and records them machine-readably in
-# BENCH_fabric.json (benchmark name -> ns/op, events/sim-s and the other
-# reported metrics), so the perf trajectory is diffable across PRs.
+# bench-json runs the fabric gates three times each and records them
+# machine-readably in BENCH_fabric.json (per benchmark: GOMAXPROCS, sample
+# count, median and minimum ns/op, median events/sim-s and the other
+# reported metrics, plus the host's core count and CPU), so the perf
+# trajectory is diffable across PRs.
 bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkFabric(512|512Failures|4096|16384|16384Shards)$$' -benchtime 1x -timeout 30m . \
+	$(GO) test -run '^$$' -bench '^BenchmarkFabric(512|512Failures|4096|16384|16384Shards)$$' -benchtime 1x -count 3 -timeout 60m . \
 		| $(GO) run ./cmd/ampom-benchjson -o BENCH_fabric.json
 	@cat BENCH_fabric.json
 

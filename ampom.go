@@ -82,8 +82,6 @@ type (
 	RunConfig = migrate.RunConfig
 	// Result carries a run's timings and fault census.
 	Result = migrate.Result
-	// Calibration holds the simulator's cost constants.
-	Calibration = migrate.Calibration
 	// NetworkProfile describes a link (latency, bandwidth).
 	NetworkProfile = netmodel.Profile
 )

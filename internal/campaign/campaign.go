@@ -161,9 +161,6 @@ type Options struct {
 	// BaseSeed is the campaign seed every per-job seed is derived from.
 	// Zero means 42.
 	BaseSeed uint64
-	// Calibration overrides the simulator cost constants; nil means the
-	// Gideon 300 defaults.
-	Calibration *migrate.Calibration
 	// OnProgress, when set, is called after every job of a RunAll batch
 	// completes. Calls are serialised; the callback must not block long.
 	OnProgress func(Progress)
@@ -352,7 +349,6 @@ func (e *Engine) execute(j Job) (*migrate.Result, error) {
 		Scheme:         j.Scheme,
 		Network:        j.Network,
 		AMPoM:          j.AMPoM,
-		Calibration:    e.opts.Calibration,
 		Seed:           seed,
 		BackgroundLoad: j.BackgroundLoad,
 	})

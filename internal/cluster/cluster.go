@@ -8,6 +8,7 @@ package cluster
 import (
 	"fmt"
 
+	"ampom/internal/memory"
 	"ampom/internal/netmodel"
 	"ampom/internal/sim"
 	"ampom/internal/simtime"
@@ -66,6 +67,22 @@ func (n *Node) Scale(d simtime.Duration) simtime.Duration {
 	return simtime.Duration(float64(d) / n.CPUScale)
 }
 
-// RegisterBytes is the wire size of the captured architectural state plus
-// openMosix process metadata.
-const RegisterBytes = 2048
+// The migration protocol's calibration on the paper's Gideon 300 testbed,
+// pinned by the §5.2 freeze anchors (575 MB DGEMM: 53.9 s openMosix, 0.6 s
+// AMPoM, 0.07 s NoPrefetch). Every layer that prices a migration — the
+// packet-level executor, the balancer cost models and the scenario
+// engine's restore — reads them from here.
+const (
+	// RegisterBytes is the wire size of the captured architectural state
+	// plus openMosix process metadata.
+	RegisterBytes = 2048
+	// MigrationBase is the fixed openMosix migration protocol cost
+	// (negotiation, PCB capture/restore, socket setup).
+	MigrationBase = 65 * simtime.Millisecond
+	// PageFrameBytes is one page on the wire with its 64 B per-page
+	// framing, as freeze-time bulk transfers ship it.
+	PageFrameBytes = memory.PageSize + 64
+	// MPTEntryCPU is the destination-side cost of installing one MPT
+	// entry (AMPoM's freeze is dominated by this for large processes).
+	MPTEntryCPU = 3 * simtime.Microsecond
+)

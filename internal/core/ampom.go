@@ -12,7 +12,7 @@
 //
 // The implementation is allocation-free once warmed up: the window is a small
 // ring, every working list is a reused buffer, and the stride search runs in
-// O(l·dmax) — the WindowLen·DMax probes CostModel charges — mirroring the
+// O(l·dmax) — the WindowLen·DMax probes AnalysisCost charges — mirroring the
 // cheap in-kernel analysis the paper reports (<0.6 % of runtime, Fig. 11).
 package core
 

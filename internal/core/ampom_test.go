@@ -406,14 +406,13 @@ func TestZoneInvariantsProperty(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	cm := DefaultCostModel()
 	cfg := DefaultConfig()
 	a := Analysis{Zone: make([]memory.PageNum, 100)}
-	cost := cm.AnalysisCost(cfg, a)
+	cost := AnalysisCost(cfg, a)
 	if cost <= 0 {
 		t.Fatal("cost must be positive")
 	}
-	bigger := cm.AnalysisCost(cfg, Analysis{Zone: make([]memory.PageNum, 1000)})
+	bigger := AnalysisCost(cfg, Analysis{Zone: make([]memory.PageNum, 1000)})
 	if bigger <= cost {
 		t.Fatal("cost must grow with zone size")
 	}

@@ -99,27 +99,26 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("fabric: unknown topology %q (want %s)", s, strings.Join(KindNames(), ", "))
 }
 
-// Config describes the interconnect of one simulation run. Zero gossip
-// fields take defaults on switched topologies and are ignored on the star.
+// Config describes the interconnect of one simulation run. The gossip
+// fields must be positive on switched topologies, and RackSize and Oversub
+// on the two-tier (scenario's FabricSpec.Canonical resolves them from the
+// Default* constants); the star ignores them.
 type Config struct {
 	// Kind selects the topology.
 	Kind Kind
-	// RackSize is the number of nodes under one leaf switch (two-tier;
-	// default 16).
+	// RackSize is the number of nodes under one leaf switch (two-tier).
 	RackSize int
-	// Oversub is the core oversubscription ratio (two-tier; default 4): a
-	// rack's uplink carries RackSize/Oversub node-links' worth of
-	// bandwidth.
+	// Oversub is the core oversubscription ratio (two-tier): a rack's
+	// uplink carries RackSize/Oversub node-links' worth of bandwidth.
 	Oversub float64
 	// GossipFanout is how many random peers each daemon pushes its load
-	// vector to per period (switched topologies; default 2).
+	// vector to per period (switched topologies).
 	GossipFanout int
-	// GossipPeriod is the gossip push period (default 2 s — the paired
-	// daemons' historical update period).
+	// GossipPeriod is the gossip push period (switched topologies).
 	GossipPeriod simtime.Duration
 	// GossipWindow is l, the bounded number of entries (own sample
 	// included) one gossip push or pull response carries (switched
-	// topologies; default 32).
+	// topologies).
 	GossipWindow int
 	// Network is the per-node link profile; two-tier uplinks scale its
 	// bandwidth by RackSize/Oversub.
@@ -166,29 +165,9 @@ const (
 	// daemons' historical update period.
 	DefaultGossipPeriod = 2 * simtime.Second
 	// DefaultGossipWindow is the bounded partial-view size default — the
-	// l freshest entries one push carries (infod.DefaultWindowLen).
-	DefaultGossipWindow = infod.DefaultWindowLen
+	// l freshest entries one push carries.
+	DefaultGossipWindow = 32
 )
-
-// withDefaults resolves the zero gossip/topology fields.
-func (c Config) withDefaults() Config {
-	if c.RackSize <= 0 {
-		c.RackSize = DefaultRackSize
-	}
-	if c.Oversub <= 0 {
-		c.Oversub = DefaultOversub
-	}
-	if c.GossipFanout <= 0 {
-		c.GossipFanout = DefaultGossipFanout
-	}
-	if c.GossipPeriod <= 0 {
-		c.GossipPeriod = DefaultGossipPeriod
-	}
-	if c.GossipWindow <= 0 {
-		c.GossipWindow = DefaultGossipWindow
-	}
-	return c
-}
 
 // TierStats summarises one tier of the interconnect after (or during) a
 // run: how many links it has, their aggregate capacity, and the payload
@@ -276,11 +255,16 @@ type envelope struct {
 // Build constructs the configured interconnect over nodes on eng and
 // starts its monitoring plane. The node slice is the cluster, indexed by
 // node id; nodes must already exist (their handler chains gain the
-// fabric's routing handlers).
+// fabric's routing handlers). A switched fabric panics on a non-positive
+// field its topology uses.
 func Build(eng *sim.Engine, nodes []*cluster.Node, cfg Config) Interconnect {
 	switch cfg.Kind {
 	case KindTwoTier, KindFlat:
-		return buildSwitched(eng, nodes, cfg.withDefaults())
+		if cfg.GossipFanout <= 0 || cfg.GossipPeriod <= 0 || cfg.GossipWindow <= 0 ||
+			cfg.Kind == KindTwoTier && (cfg.RackSize <= 0 || cfg.Oversub <= 0) {
+			panic(fmt.Sprintf("fabric: non-positive %s shape or gossip field in %+v", cfg.Kind, cfg))
+		}
+		return buildSwitched(eng, nodes, cfg)
 	default:
 		return buildStar(eng, nodes, cfg)
 	}

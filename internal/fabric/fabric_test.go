@@ -50,8 +50,8 @@ func TestTwoTierShape(t *testing.T) {
 	eng := sim.New()
 	nodes, _, _ := testCluster(eng, 10)
 	ic := Build(eng, nodes, Config{
-		Kind: KindTwoTier, RackSize: 4, Oversub: 2,
-		Network: netmodel.FastEthernet(), Seed: 1,
+		Kind: KindTwoTier, RackSize: 4, Oversub: 2, GossipFanout: 2, GossipPeriod: 2 * simtime.Second,
+		GossipWindow: 32, Network: netmodel.FastEthernet(), Seed: 1,
 	})
 	tiers := ic.TierStats()
 	if len(tiers) != 2 {
@@ -82,7 +82,8 @@ func TestTwoTierShape(t *testing.T) {
 func TestFlatShape(t *testing.T) {
 	eng := sim.New()
 	nodes, _, _ := testCluster(eng, 6)
-	ic := Build(eng, nodes, Config{Kind: KindFlat, Network: netmodel.FastEthernet(), Seed: 1})
+	ic := Build(eng, nodes, Config{Kind: KindFlat, GossipFanout: 2, GossipPeriod: 2 * simtime.Second,
+		GossipWindow: 32, Network: netmodel.FastEthernet(), Seed: 1})
 	tiers := ic.TierStats()
 	if len(tiers) != 1 || tiers[0].Name != "edge" || tiers[0].Links != 6 {
 		t.Fatalf("flat tiers %+v, want one 6-link edge tier", tiers)
@@ -122,8 +123,8 @@ func TestRoutingDelivers(t *testing.T) {
 		eng := sim.New()
 		nodes, got, at := testCluster(eng, 8)
 		ic := Build(eng, nodes, Config{
-			Kind: tc.kind, RackSize: 4, Oversub: 4,
-			Network: netmodel.FastEthernet(), Seed: 1,
+			Kind: tc.kind, RackSize: 4, Oversub: 4, GossipFanout: 2, GossipPeriod: 2 * simtime.Second,
+			GossipWindow: 32, Network: netmodel.FastEthernet(), Seed: 1,
 		})
 		start := eng.Now()
 		ic.Send(tc.src, tc.dst, netmodel.Message{Size: 1000, Payload: "probe"})
@@ -157,8 +158,8 @@ func TestUplinkContention(t *testing.T) {
 		eng := sim.New()
 		nodes, _, at := testCluster(eng, 8)
 		ic := Build(eng, nodes, Config{
-			Kind: KindTwoTier, RackSize: 4, Oversub: 4,
-			Network: netmodel.FastEthernet(), Seed: 1,
+			Kind: KindTwoTier, RackSize: 4, Oversub: 4, GossipFanout: 2, GossipPeriod: 2 * simtime.Second,
+			GossipWindow: 32, Network: netmodel.FastEthernet(), Seed: 1,
 		})
 		for i := 0; i < payloads; i++ {
 			ic.Send(i, 4+i, netmodel.Message{Size: 5e6, Payload: "probe"}) // rack 0 → rack 1
@@ -188,7 +189,7 @@ func TestGossipPropagatesAndAges(t *testing.T) {
 		eng := sim.New()
 		nodes, _, _ := testCluster(eng, n)
 		ic := Build(eng, nodes, Config{
-			Kind: KindFlat, GossipFanout: 2, GossipPeriod: simtime.Second,
+			Kind: KindFlat, GossipFanout: 2, GossipPeriod: simtime.Second, GossipWindow: 32,
 			Network: netmodel.FastEthernet(), Seed: 9,
 		})
 		for i := 0; i < n; i++ {
@@ -241,4 +242,39 @@ func TestGossipPropagatesAndAges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSwitchedBuildRejectsNonPositive: a switched fabric takes its shape
+// and gossip fields as given, so a zero is a construction error rather
+// than a default; the star ignores them.
+func TestSwitchedBuildRejectsNonPositive(t *testing.T) {
+	good := Config{Kind: KindTwoTier, RackSize: 4, Oversub: 4, GossipFanout: 2,
+		GossipPeriod: 2 * simtime.Second, GossipWindow: 32, Network: netmodel.FastEthernet(), Seed: 1}
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.RackSize = 0 },
+		func(c *Config) { c.Oversub = 0 },
+		func(c *Config) { c.GossipFanout = 0 },
+		func(c *Config) { c.GossipPeriod = 0 },
+		func(c *Config) { c.GossipWindow = 0 },
+		func(c *Config) { c.Kind, c.GossipWindow = KindFlat, 0 },
+	} {
+		cfg := good
+		bad(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Build(%+v) did not panic", cfg)
+				}
+			}()
+			eng := sim.New()
+			nodes, _, _ := testCluster(eng, 8)
+			Build(eng, nodes, cfg)
+		}()
+	}
+	// The flat fabric has no racks, so it needs no rack shape.
+	eng := sim.New()
+	nodes, _, _ := testCluster(eng, 8)
+	flat := good
+	flat.Kind, flat.RackSize, flat.Oversub = KindFlat, 0, 0
+	Build(eng, nodes, flat)
 }

@@ -54,13 +54,12 @@ func buildStar(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *star {
 
 	// Daemon jitter seeds come from a stream derived from the scenario
 	// seed, so every policy observes identical daemon behaviour.
-	dcfg := infod.Config{UpdatePeriod: 2 * simtime.Second}
 	drng := prngForDaemons(cfg.Seed)
 	for i := 1; i < n; i++ {
 		s.links[i] = netmodel.NewLink(eng, cfg.Network, nodes[0].NIC, nodes[i].NIC)
 		s.links[i].SetBackgroundLoad(cfg.BackgroundLoad)
-		s.head[i] = infod.New(dcfg, nodes[0], s.links[i], drng.Uint64())
-		s.spoke[i] = infod.New(dcfg, nodes[i], s.links[i], drng.Uint64())
+		s.head[i] = infod.New(2*simtime.Second, nodes[0], s.links[i], drng.Uint64())
+		s.spoke[i] = infod.New(2*simtime.Second, nodes[i], s.links[i], drng.Uint64())
 		infod.Pair(s.head[i], s.spoke[i])
 		s.head[i].Start()
 		s.spoke[i].Start()

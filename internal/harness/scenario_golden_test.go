@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ampom/internal/campaign"
 	"ampom/internal/fabric"
 	"ampom/internal/scenario"
 	"ampom/internal/sched"
@@ -32,7 +33,11 @@ func renderScenarios(t *testing.T, workers int) string {
 	if len(specs) < 5 {
 		t.Fatalf("only %d presets under 128 nodes — the preset catalogue shrank", len(specs))
 	}
-	reports, err := m.RunScenarios(specs)
+	jobs := make([]campaign.ScenarioJob, len(specs))
+	for i, s := range specs {
+		jobs[i] = campaign.ScenarioJob{Spec: s}
+	}
+	reports, err := m.Engine().RunScenarios(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +70,11 @@ func TestScenarioGoldenAcceptancePreset(t *testing.T) {
 	if spec.Nodes != 64 || spec.Procs != 256 {
 		t.Fatalf("hpc-farm is %dn/%dp, want 64/256", spec.Nodes, spec.Procs)
 	}
-	a, err := NewMatrix(Config{Seed: 7, Workers: 4}).RunScenario(spec)
+	a, err := NewMatrix(Config{Seed: 7, Workers: 4}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
+	b, err := NewMatrix(Config{Seed: 7, Workers: 1}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +96,11 @@ func TestScenarioGoldenFivePolicyIO(t *testing.T) {
 	if len(spec.Policies) < 5 {
 		t.Fatalf("canonical policy set %v has fewer than 5 policies", spec.Policies)
 	}
-	a, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
+	a, err := NewMatrix(Config{Seed: 7, Workers: 1}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMatrix(Config{Seed: 7, Workers: 8}).RunScenario(spec)
+	b, err := NewMatrix(Config{Seed: 7, Workers: 8}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +151,11 @@ func TestFabricGoldenAcrossWorkers(t *testing.T) {
 		if len(spec.Policies) != len(sched.Names()) {
 			t.Fatalf("%s: spec runs %d policies, want the whole registry", topo, len(spec.Policies))
 		}
-		a, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
+		a, err := NewMatrix(Config{Seed: 7, Workers: 1}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewMatrix(Config{Seed: 7, Workers: 8}).RunScenario(spec)
+		b, err := NewMatrix(Config{Seed: 7, Workers: 8}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +193,11 @@ func TestRackFarmShrunkAcrossWorkers(t *testing.T) {
 	}
 	spec.Nodes, spec.Procs, spec.NodeMemMB = 64, 256, 0
 	spec = spec.Canonical()
-	a, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
+	a, err := NewMatrix(Config{Seed: 7, Workers: 1}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMatrix(Config{Seed: 7, Workers: 8}).RunScenario(spec)
+	b, err := NewMatrix(Config{Seed: 7, Workers: 8}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +221,11 @@ func TestScenarioSeedChangesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewMatrix(Config{Seed: 7}).RunScenario(spec)
+	a, err := NewMatrix(Config{Seed: 7}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMatrix(Config{Seed: 8}).RunScenario(spec)
+	b, err := NewMatrix(Config{Seed: 8}).Engine().RunScenario(campaign.ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,18 +240,14 @@ func TestScenarioMemoisedInMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunScenario(spec); err != nil {
+	if _, err := m.Engine().RunScenario(campaign.ScenarioJob{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
 	executed := m.Engine().Executed()
-	tab, err := m.ScenarioTable(spec)
-	if err != nil {
+	if _, err := m.Engine().RunScenario(campaign.ScenarioJob{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != len(spec.Policies) {
-		t.Fatalf("scenario table has %d rows, want %d", len(tab.Rows), len(spec.Policies))
-	}
 	if got := m.Engine().Executed(); got != executed {
-		t.Fatalf("re-rendering a cached scenario executed %d extra simulations", got-executed)
+		t.Fatalf("re-running a cached scenario executed %d extra simulations", got-executed)
 	}
 }

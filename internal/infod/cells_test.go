@@ -62,11 +62,11 @@ func (s gossipScript) compose() gossipScript { return append(s, 2) }
 // advance moves the clock by k/16 of fuzzAgeUnit (k < 64).
 func (s gossipScript) advance(k int) gossipScript { return append(s, byte(4*k+3)) }
 
-// fuzzAgeUnit scales the script's ages and clock steps: the default MaxAge.
-const fuzzAgeUnit = 30 * simtime.Second
+// fuzzAgeUnit scales the script's ages and clock steps: MaxAge.
+const fuzzAgeUnit = MaxAge
 
 // scriptEntry decodes one window entry. Its age is (ageByte-16)/64 of
-// fuzzAgeUnit, so an age byte past 80 is already past the default MaxAge
+// fuzzAgeUnit, so an age byte past 80 is already past MaxAge
 // on arrival and one below 16 is stamped in the future; age byte 0xff
 // marks the entry unknown.
 func scriptEntry(origin int, ageByte byte, now simtime.Time) gossipEntryWire {
@@ -111,8 +111,8 @@ func FuzzGossipTable(f *testing.F) {
 		run(32, 0, 16).run(31, 128, 50).advance(4).run(1, 200, 16).
 		run(64, 64, 16).compose().advance(12).run(64, 160, 20).compose().
 		advance(20).compose().run(64, 0, 16).advance(40).compose().run(64, 100, 0)
-	f.Add(uint16(300), uint8(0), false, []byte(grow))
-	f.Add(uint16(300), uint8(8), true, []byte(grow))
+	f.Add(uint16(300), uint8(0), []byte(grow))
+	f.Add(uint16(300), uint8(8), []byte(grow))
 
 	// Index wraparound: three origins whose home is the last slot of the
 	// 64-slot index and one whose home is slot 0 fill slots 63, 0, 1 and 2.
@@ -135,16 +135,18 @@ func FuzzGossipTable(f *testing.F) {
 		advance(4).compose().
 		merge([2]int{last[1], 16}, [2]int{first[0], 16}, [2]int{last[2], 16}, [2]int{last[0], 16}).
 		advance(40).compose()
-	f.Add(uint16(last[2]+2), uint8(8), false, []byte(seed))
+	f.Add(uint16(last[2]+2), uint8(8), []byte(seed))
 
-	f.Fuzz(func(t *testing.T, nOrigins uint16, windowLen uint8, neverExpire bool, script []byte) {
+	f.Fuzz(func(t *testing.T, nOrigins uint16, windowLen uint8, script []byte) {
 		if len(script) > 128 {
 			script = script[:128]
 		}
 		n := int(nOrigins)%511 + 2
-		cfg := GossipConfig{WindowLen: int(windowLen) % 64}
-		if neverExpire {
-			cfg.MaxAge = -1
+		// A zero window draws the fabric default, as the zero input always
+		// has.
+		cfg := GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: int(windowLen) % 64}
+		if cfg.WindowLen == 0 {
+			cfg.WindowLen = 32
 		}
 		id := n - 1
 		eng, g := tableGossip(cfg, id, n)
@@ -247,7 +249,7 @@ func TestMergeSteadyStateAllocFree(t *testing.T) {
 	// is re-inserted; group (r+2)%3, merged at r-1, has just expired and
 	// the sweep reclaims it.
 	const group = 64
-	eng, g := tableGossip(GossipConfig{}, 3*group, 3*group+1)
+	eng, g := tableGossip(GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 32}, 3*group, 3*group+1)
 	window := make([]gossipEntryWire, 2*group)
 	r := 0
 	reclaimed := 0

@@ -22,106 +22,27 @@
 package infod
 
 import (
+	"fmt"
+
 	"ampom/internal/cluster"
 	"ampom/internal/core"
-	"ampom/internal/memory"
 	"ampom/internal/netmodel"
-	"ampom/internal/prng"
 	"ampom/internal/sim"
 	"ampom/internal/simtime"
 )
 
-// DefaultWindowLen is the default bounded-window size l: how many entries
-// (own sample included) one push or pull response carries.
-const DefaultWindowLen = 32
-
-// GossipConfig tunes a gossip daemon. Zero fields take defaults; the
-// fields marked "negative disables" treat any negative value as an
-// explicit off switch, so a zero-jitter or never-expiring configuration is
-// expressible (zero still means "use the default", as everywhere else in
-// the spec surface). The fabric layer always passes Period, Fanout and
-// WindowLen explicitly (resolved from fabric.DefaultGossipPeriod/
-// DefaultGossipFanout/DefaultGossipWindow); the local defaults here only
-// serve direct NewGossip callers and mirror those values.
+// GossipConfig shapes a gossip daemon's dissemination. Every field must be
+// positive; the fabric resolves them from its spec (fabric.DefaultGossip*).
+// The rest of the daemon's calibration is the package constants.
 type GossipConfig struct {
-	// Period is the gossip push period. Default 2 s (the paired daemons'
-	// historical update period).
+	// Period is the gossip push period; anti-entropy pulls run every
+	// PullEvery periods.
 	Period simtime.Duration
 	// Fanout is how many distinct random peers each push round targets.
-	// Default 2.
 	Fanout int
 	// WindowLen is l, the maximum number of entries (own sample included)
 	// one outgoing vector carries — the openMosix bounded partial view.
-	// Default DefaultWindowLen.
 	WindowLen int
-	// PullPeriod is the anti-entropy pull period: every PullPeriod the
-	// daemon asks one random peer for its window. Default 4×Period;
-	// negative disables pulls.
-	PullPeriod simtime.Duration
-	// MaxAge expires entries: they are dropped from outgoing vectors and
-	// local reads past MaxAge report Unknown. Default 30 s; negative
-	// disables aging entirely (entries never expire).
-	MaxAge simtime.Duration
-	// SchedDelay is the mean user-level scheduling delay before a daemon
-	// composes or merges a message. Default 6 ms, as for Config.
-	SchedDelay simtime.Duration
-	// Jitter is the fractional spread of SchedDelay. Default 0.5; negative
-	// disables jitter (every delay is exactly SchedDelay).
-	Jitter float64
-	// Alpha is the EWMA weight folding new age samples into the per-origin
-	// staleness estimate. Default 0.1; negative disables smoothing updates
-	// (the estimate pins to the first observed sample).
-	Alpha float64
-	// BandwidthFloorFrac floors the bandwidth estimate at this fraction of
-	// nominal capacity. Default 0.25.
-	BandwidthFloorFrac float64
-	// MsgBytes is the wire size of a gossip message header. Default 192.
-	MsgBytes int64
-	// EntryBytes is the wire size of one load-vector entry. Default 32.
-	EntryBytes int64
-}
-
-func (c GossipConfig) withDefaults() GossipConfig {
-	if c.Period == 0 {
-		c.Period = 2 * simtime.Second
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
-	if c.WindowLen <= 0 {
-		c.WindowLen = DefaultWindowLen
-	}
-	if c.PullPeriod == 0 {
-		c.PullPeriod = 4 * c.Period
-	}
-	if c.MaxAge == 0 {
-		c.MaxAge = 30 * simtime.Second
-	}
-	if c.SchedDelay == 0 {
-		c.SchedDelay = 6 * simtime.Millisecond
-	}
-	switch {
-	case c.Jitter == 0:
-		c.Jitter = 0.5
-	case c.Jitter < 0:
-		c.Jitter = 0
-	}
-	switch {
-	case c.Alpha == 0:
-		c.Alpha = 0.1
-	case c.Alpha < 0:
-		c.Alpha = 0
-	}
-	if c.BandwidthFloorFrac == 0 {
-		c.BandwidthFloorFrac = 0.25
-	}
-	if c.MsgBytes == 0 {
-		c.MsgBytes = 192
-	}
-	if c.EntryBytes == 0 {
-		c.EntryBytes = 32
-	}
-	return c
 }
 
 // LoadSample is one node's disseminated load state at a stamp instant.
@@ -182,13 +103,11 @@ const sweepFloor = 64
 
 // Gossip is one node's gossip dissemination daemon.
 type Gossip struct {
+	estimator
 	cfg  GossipConfig
-	eng  *sim.Engine
-	node *cluster.Node
 	id   int
 	n    int
 	send func(dst int, m netmodel.Message)
-	rng  *prng.Source
 
 	probe      func() LoadSample
 	ticker     *sim.Ticker
@@ -209,40 +128,29 @@ type Gossip struct {
 	rttSum  simtime.Duration
 
 	peerScratch []int
-
-	// Bandwidth estimate state — the same NIC-counter differencing the
-	// paired daemon uses.
-	lastBytes   int64
-	lastAt      simtime.Time
-	bwEst       float64
-	haveBw      bool
-	nominalBw   float64
-	minInterval simtime.Duration
 }
 
 // NewGossip creates the gossip daemon of node id in an n-node cluster.
 // send routes one message to a peer (the fabric's topology path); seed
 // drives the daemon's jitter and peer-selection stream. The daemon
 // registers its message handler on the node; call Start to begin pushing.
+// It panics unless every cfg field is positive.
 func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float64, send func(dst int, m netmodel.Message), seed uint64) *Gossip {
-	cfg = cfg.withDefaults()
+	if cfg.Period <= 0 || cfg.Fanout <= 0 || cfg.WindowLen <= 0 {
+		panic(fmt.Sprintf("infod: non-positive gossip config %+v", cfg))
+	}
 	ringCap := 4 * cfg.WindowLen
 	if ringCap < sweepFloor {
 		ringCap = sweepFloor
 	}
 	g := &Gossip{
-		cfg:         cfg,
-		eng:         node.Eng,
-		node:        node,
-		id:          id,
-		n:           n,
-		send:        send,
-		rng:         prng.New(seed),
-		ring:        make([]int32, ringCap),
-		sweepAt:     sweepFloor,
-		nominalBw:   nominalBw,
-		minInterval: 10 * simtime.Millisecond,
-		lastAt:      node.Eng.Now(),
+		estimator: newEstimator(node, nominalBw, seed),
+		cfg:       cfg,
+		id:        id,
+		n:         n,
+		send:      send,
+		ring:      make([]int32, ringCap),
+		sweepAt:   sweepFloor,
 	}
 	node.Handle(g.handle)
 	return g
@@ -254,15 +162,13 @@ func (g *Gossip) ID() int { return g.id }
 // SetProbe installs the local load probe sampled at every push round.
 func (g *Gossip) SetProbe(f func() LoadSample) { g.probe = f }
 
-// Start begins periodic pushes (and, unless disabled, anti-entropy pulls).
+// Start begins periodic pushes and anti-entropy pulls.
 func (g *Gossip) Start() {
 	if g.ticker != nil {
 		return
 	}
 	g.ticker = sim.NewTicker(g.eng, g.cfg.Period, g.push)
-	if g.cfg.PullPeriod > 0 {
-		g.pullTicker = sim.NewTicker(g.eng, g.cfg.PullPeriod, g.pull)
-	}
+	g.pullTicker = sim.NewTicker(g.eng, PullEvery*g.cfg.Period, g.pull)
 }
 
 // Stop halts periodic pushes and pulls.
@@ -277,17 +183,8 @@ func (g *Gossip) Stop() {
 	}
 }
 
-// schedDelay draws one user-level scheduling delay.
-func (g *Gossip) schedDelay() simtime.Duration {
-	j := 1 + g.cfg.Jitter*(2*g.rng.Float64()-1)
-	return simtime.Duration(float64(g.cfg.SchedDelay) * j)
-}
-
-// expired reports whether a stamp has aged out under MaxAge (negative
-// MaxAge: never).
-func (g *Gossip) expired(stamp, now simtime.Time) bool {
-	return g.cfg.MaxAge > 0 && now.Sub(stamp) > g.cfg.MaxAge
-}
+// expired reports whether a stamp has aged out under MaxAge.
+func expired(stamp, now simtime.Time) bool { return now.Sub(stamp) > MaxAge }
 
 // compose re-probes the daemon's own sample and assembles the bounded
 // outgoing window: the fresh self entry plus the most recently refreshed
@@ -319,7 +216,7 @@ func (g *Gossip) compose(now simtime.Time) []gossipEntryWire {
 			continue // origin refreshed since (a newer slot covers it) or reclaimed
 		}
 		c := g.cells.at(h)
-		if g.expired(c.entry.Stamp, now) {
+		if expired(c.entry.Stamp, now) {
 			g.drop(h)
 			continue
 		}
@@ -364,7 +261,7 @@ func (g *Gossip) push() {
 	if g.n <= 1 {
 		return
 	}
-	size := g.cfg.MsgBytes + g.cfg.EntryBytes*int64(len(snapshot))
+	size := MsgBytes + EntryBytes*int64(len(snapshot))
 	msg := gossipMsg{From: g.id, Entries: snapshot}
 	for _, dst := range g.pickPeers(g.cfg.Fanout) {
 		dst := dst
@@ -386,7 +283,7 @@ func (g *Gossip) pull() {
 	dst := g.pickPeers(1)[0]
 	msg := gossipPullMsg{From: g.id}
 	g.eng.Schedule(g.schedDelay(), func() {
-		g.send(dst, netmodel.Message{Size: g.cfg.MsgBytes, Payload: msg})
+		g.send(dst, netmodel.Message{Size: MsgBytes, Payload: msg})
 	})
 }
 
@@ -411,7 +308,7 @@ func (g *Gossip) servePull(dst int) {
 		return
 	}
 	snapshot := g.compose(g.eng.Now())
-	size := g.cfg.MsgBytes + g.cfg.EntryBytes*int64(len(snapshot))
+	size := MsgBytes + EntryBytes*int64(len(snapshot))
 	g.send(dst, netmodel.Message{Size: size, Payload: gossipMsg{From: g.id, Entries: snapshot}})
 }
 
@@ -427,7 +324,7 @@ func (g *Gossip) merge(m gossipMsg) {
 		if o == g.id || o < 0 || o >= g.n || !w.Entry.Known {
 			continue
 		}
-		if g.expired(w.Entry.Stamp, now) {
+		if expired(w.Entry.Stamp, now) {
 			continue
 		}
 		h := g.cells.find(o)
@@ -456,11 +353,11 @@ func (g *Gossip) merge(m gossipMsg) {
 // swap-removes in place: a handle is re-examined after a removal, because
 // the last cell has just moved into it.
 func (g *Gossip) maybeSweep(now simtime.Time) {
-	if g.cfg.MaxAge <= 0 || g.cells.len() < g.sweepAt {
+	if g.cells.len() < g.sweepAt {
 		return
 	}
 	for h := 0; h < g.cells.len(); {
-		if g.expired(g.cells.at(h).entry.Stamp, now) {
+		if expired(g.cells.at(h).entry.Stamp, now) {
 			g.drop(h)
 		} else {
 			h++
@@ -488,8 +385,7 @@ func (g *Gossip) recordAge(c *cell, age simtime.Duration, added bool) {
 	if added {
 		c.ageEst = age
 	} else {
-		a := g.cfg.Alpha
-		c.ageEst = simtime.Duration(a*float64(age) + (1-a)*float64(c.ageEst))
+		c.ageEst = ewma(age, c.ageEst)
 	}
 	g.rttSum += 2*c.ageEst - 2*old
 }
@@ -506,7 +402,7 @@ func (g *Gossip) Entry(origin int) GossipEntry {
 		return GossipEntry{}
 	}
 	c := g.cells.at(h)
-	if g.expired(c.entry.Stamp, g.eng.Now()) {
+	if expired(c.entry.Stamp, g.eng.Now()) {
 		return GossipEntry{}
 	}
 	return c.entry
@@ -521,7 +417,7 @@ func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
 	now := g.eng.Now()
 	for h := 0; h < g.cells.len(); h++ {
 		c := g.cells.at(h)
-		if g.expired(c.entry.Stamp, now) {
+		if expired(c.entry.Stamp, now) {
 			continue
 		}
 		f(int(c.origin), c.entry)
@@ -533,7 +429,7 @@ func (g *Gossip) KnownCount() int {
 	n := 0
 	now := g.eng.Now()
 	for h := 0; h < g.cells.len(); h++ {
-		if !g.expired(g.cells.at(h).entry.Stamp, now) {
+		if !expired(g.cells.at(h).entry.Stamp, now) {
 			n++
 		}
 	}
@@ -558,43 +454,9 @@ func (g *Gossip) AgeRTT(origin int) (simtime.Duration, bool) {
 func (g *Gossip) MeanRTT() simtime.Duration {
 	n := g.cells.len()
 	if n == 0 {
-		return 2 * g.cfg.SchedDelay
+		return 2 * SchedDelay
 	}
 	return g.rttSum / simtime.Duration(n)
-}
-
-// refreshBandwidth re-derives the bandwidth estimate from NIC counter
-// deltas, exactly as the paired daemon does.
-func (g *Gossip) refreshBandwidth() {
-	now := g.eng.Now()
-	elapsed := now.Sub(g.lastAt)
-	if g.haveBw && elapsed < g.minInterval {
-		return
-	}
-	cur := g.node.NIC.Counters.RxBytes + g.node.NIC.Counters.TxBytes
-	if elapsed > 0 {
-		observed := float64(cur-g.lastBytes) / elapsed.Seconds()
-		floor := g.cfg.BandwidthFloorFrac * g.nominalBw
-		if observed < floor {
-			observed = floor
-		}
-		if observed > g.nominalBw {
-			observed = g.nominalBw
-		}
-		g.bwEst = observed
-		g.haveBw = true
-	}
-	g.lastBytes = cur
-	g.lastAt = now
-}
-
-// Bandwidth returns the current bytes/s estimate.
-func (g *Gossip) Bandwidth() float64 {
-	g.refreshBandwidth()
-	if !g.haveBw {
-		return g.cfg.BandwidthFloorFrac * g.nominalBw
-	}
-	return g.bwEst
 }
 
 // Estimates assembles the Eq. 3 inputs this daemon would report for a
@@ -604,11 +466,7 @@ func (g *Gossip) Bandwidth() float64 {
 func (g *Gossip) Estimates(origin int) core.Estimates {
 	rtt, ok := g.AgeRTT(origin)
 	if !ok {
-		rtt = 2 * g.cfg.SchedDelay
+		rtt = 2 * SchedDelay
 	}
-	pageBytes := float64(memory.PageSize + 64)
-	return core.Estimates{
-		RTT:          rtt,
-		PageTransfer: simtime.FromSeconds(pageBytes / g.Bandwidth()),
-	}
+	return core.Estimates{RTT: rtt, PageTransfer: g.pageTransfer()}
 }

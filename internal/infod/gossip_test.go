@@ -21,7 +21,7 @@ func gossipLine(t *testing.T, n int, fanout int, hopDelay simtime.Duration) (*si
 		nodes[i] = cluster.NewNode(eng, "g", 1)
 	}
 	daemons := make([]*Gossip, n)
-	cfg := GossipConfig{Period: simtime.Second, Fanout: fanout}
+	cfg := GossipConfig{Period: simtime.Second, Fanout: fanout, WindowLen: 32}
 	for i := range daemons {
 		i := i
 		send := func(dst int, m netmodel.Message) {
@@ -84,7 +84,7 @@ func TestGossipEstimatesAndBandwidth(t *testing.T) {
 		t.Fatalf("degenerate estimates %+v", est)
 	}
 	// Unheard origins fall back to the prior, never zero.
-	fresh := NewGossip(GossipConfig{}, cluster.NewNode(eng, "x", 1), 0, 4, 11.36e6,
+	fresh := NewGossip(GossipConfig{Period: simtime.Second, Fanout: 2, WindowLen: 32}, cluster.NewNode(eng, "x", 1), 0, 4, 11.36e6,
 		func(int, netmodel.Message) {}, 1)
 	if est := fresh.Estimates(3); est.RTT <= 0 || est.PageTransfer <= 0 {
 		t.Fatalf("fresh daemon estimates degenerate: %+v", est)
@@ -140,81 +140,80 @@ func gossipMesh(t *testing.T, n int, cfg GossipConfig, delay simtime.Duration,
 	return eng, daemons
 }
 
-// TestGossipConfigNegativeDisables locks the config convention: zero still
-// means "use the default", while a negative Jitter/MaxAge/Alpha/PullPeriod
-// explicitly disables the mechanism — the knobs withDefaults used to
-// silently overwrite.
-func TestGossipConfigNegativeDisables(t *testing.T) {
-	def := GossipConfig{}.withDefaults()
-	if def.Jitter != 0.5 || def.Alpha != 0.1 || def.MaxAge != 30*simtime.Second {
-		t.Fatalf("zero knobs did not take defaults: %+v", def)
-	}
-	if def.WindowLen != DefaultWindowLen {
-		t.Fatalf("default window %d, want %d", def.WindowLen, DefaultWindowLen)
-	}
-	if def.PullPeriod != 4*def.Period {
-		t.Fatalf("default pull period %v, want 4×%v", def.PullPeriod, def.Period)
-	}
-	off := GossipConfig{Jitter: -1, MaxAge: -simtime.Second, Alpha: -0.5, PullPeriod: -1}.withDefaults()
-	if off.Jitter != 0 {
-		t.Fatalf("negative Jitter resolved to %g, want disabled (0)", off.Jitter)
-	}
-	if off.Alpha != 0 {
-		t.Fatalf("negative Alpha resolved to %g, want disabled (0)", off.Alpha)
-	}
-	if off.MaxAge > 0 {
-		t.Fatalf("negative MaxAge resolved to %v, want disabled", off.MaxAge)
-	}
-	if off.PullPeriod > 0 {
-		t.Fatalf("negative PullPeriod resolved to %v, want disabled", off.PullPeriod)
-	}
-	// Disabled jitter draws exactly SchedDelay, every time.
-	eng := sim.New()
-	g := NewGossip(GossipConfig{Jitter: -1}, cluster.NewNode(eng, "x", 1), 0, 2, 11.36e6,
-		func(int, netmodel.Message) {}, 1)
-	for i := 0; i < 8; i++ {
-		if d := g.schedDelay(); d != g.cfg.SchedDelay {
-			t.Fatalf("disabled jitter drew delay %v, want exactly %v", d, g.cfg.SchedDelay)
-		}
+// TestNewGossipRejectsNonPositive: a zero or negative Period, Fanout or
+// WindowLen is a construction error, not a default.
+func TestNewGossipRejectsNonPositive(t *testing.T) {
+	good := GossipConfig{Period: simtime.Second, Fanout: 2, WindowLen: 32}
+	for _, bad := range []func(*GossipConfig){
+		func(c *GossipConfig) { c.Period = 0 },
+		func(c *GossipConfig) { c.Fanout = 0 },
+		func(c *GossipConfig) { c.WindowLen = -1 },
+	} {
+		cfg := good
+		bad(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewGossip(%+v) did not panic", cfg)
+				}
+			}()
+			NewGossip(cfg, cluster.NewNode(sim.New(), "x", 1), 0, 2, 11.36e6, func(int, netmodel.Message) {}, 1)
+		}()
 	}
 }
 
 // TestGossipPushDistinctPeers locks the fanout fix: one push round never
 // targets the same peer twice, so configured fanout is always realised.
-// With fanout = n-1 every round must cover the entire peer set.
+// With fanout = n-1 every round must cover the entire peer set. All sends
+// of one round share the window composed at the round's tick, so the
+// self entry's stamp keys the round; pull responses are composed off the
+// tick grid and are left out.
 func TestGossipPushDistinctPeers(t *testing.T) {
 	const n, fanout = 4, 3
-	sent := make(map[int][]int)
-	cfg := GossipConfig{
-		Period: simtime.Second, Fanout: fanout,
-		SchedDelay: simtime.Duration(1), Jitter: -1, PullPeriod: -1,
+	period := simtime.Second
+	type round struct {
+		src   int
+		stamp simtime.Time
 	}
+	sent := make(map[round][]int)
+	rounds := make(map[int]int)
+	cfg := GossipConfig{Period: period, Fanout: fanout, WindowLen: 32}
 	eng, _ := gossipMesh(t, n, cfg, simtime.Millisecond,
 		func(src, dst int, m netmodel.Message) bool {
-			if _, ok := m.Payload.(gossipMsg); ok {
-				sent[src] = append(sent[src], dst)
+			g, ok := m.Payload.(gossipMsg)
+			if !ok {
+				return true
 			}
+			stamp := g.Entries[0].Entry.Stamp
+			if simtime.Duration(stamp)%period != 0 {
+				return true // a pull response
+			}
+			r := round{src, stamp}
+			if len(sent[r]) == 0 {
+				rounds[src]++
+			}
+			sent[r] = append(sent[r], dst)
 			return true
 		})
 	eng.Run(simtime.Time(10500 * simtime.Millisecond))
 	for src := 0; src < n; src++ {
-		dsts := sent[src]
-		if len(dsts) < 10*fanout {
-			t.Fatalf("node %d pushed %d messages, want ≥ %d", src, len(dsts), 10*fanout)
+		if rounds[src] < 10 {
+			t.Fatalf("node %d pushed %d rounds, want ≥ 10", src, rounds[src])
 		}
-		// Scheduling delays are pinned, so sends arrive in per-round groups
-		// of exactly fanout; each group must cover all n-1 peers.
-		for r := 0; r+fanout <= len(dsts); r += fanout {
-			seen := map[int]bool{}
-			for _, d := range dsts[r : r+fanout] {
-				if d == src {
-					t.Fatalf("node %d pushed to itself", src)
-				}
-				if seen[d] {
-					t.Fatalf("node %d round %d drew peer %d twice: %v", src, r/fanout, d, dsts[r:r+fanout])
-				}
-				seen[d] = true
+	}
+	for r, dsts := range sent {
+		if len(dsts) != fanout {
+			t.Fatalf("node %d round at %v sent %d messages, want %d", r.src, r.stamp, len(dsts), fanout)
+		}
+		seen := map[int]bool{}
+		for _, d := range dsts {
+			if d == r.src {
+				t.Fatalf("node %d pushed to itself", r.src)
 			}
+			if seen[d] {
+				t.Fatalf("node %d round at %v drew peer %d twice: %v", r.src, r.stamp, d, dsts)
+			}
+			seen[d] = true
 		}
 	}
 }
@@ -233,7 +232,7 @@ func TestGossipWindowBoundsWire(t *testing.T) {
 				if len(g.Entries) > maxEntries {
 					maxEntries = len(g.Entries)
 				}
-				if want := cfg.withDefaults().MsgBytes + cfg.withDefaults().EntryBytes*int64(len(g.Entries)); m.Size != want {
+				if want := MsgBytes + EntryBytes*int64(len(g.Entries)); m.Size != want {
 					t.Fatalf("message size %d for %d entries, want %d", m.Size, len(g.Entries), want)
 				}
 			}
@@ -259,47 +258,43 @@ func TestGossipWindowBoundsWire(t *testing.T) {
 
 // TestGossipLocalReadsExpire locks the aging fix: entries past MaxAge stop
 // serving local reads (the row reads Unknown), instead of reporting
-// unbounded staleness to policies forever — while a negative MaxAge
-// explicitly disables expiry.
+// unbounded staleness to policies forever.
 func TestGossipLocalReadsExpire(t *testing.T) {
-	run := func(maxAge simtime.Duration) []*Gossip {
-		cfg := GossipConfig{Period: simtime.Second, Fanout: 2, MaxAge: maxAge}
-		eng, daemons := gossipMesh(t, 4, cfg, simtime.Millisecond, nil)
-		eng.Run(simtime.Time(10 * simtime.Second))
-		for i, g := range daemons {
-			for o := 0; o < 4; o++ {
-				if o != i && !g.Entry(o).Known {
-					t.Fatalf("daemon %d missing origin %d while gossiping", i, o)
-				}
+	cfg := GossipConfig{Period: simtime.Second, Fanout: 2, WindowLen: 32}
+	eng, daemons := gossipMesh(t, 4, cfg, simtime.Millisecond, nil)
+	eng.Run(simtime.Time(10 * simtime.Second))
+	for i, g := range daemons {
+		for o := 0; o < 4; o++ {
+			if o != i && !g.Entry(o).Known {
+				t.Fatalf("daemon %d missing origin %d while gossiping", i, o)
 			}
-			g.Stop()
 		}
-		// Idle far past MaxAge with every daemon stopped: nothing refreshes.
-		eng.At(simtime.Time(30*simtime.Second), func() {})
-		eng.Run(simtime.Time(30 * simtime.Second))
-		return daemons
+		g.Stop()
 	}
-
-	for i, g := range run(2 * simtime.Second) {
+	idleTo := func(at simtime.Time) {
+		eng.At(at, func() {})
+		eng.Run(at)
+	}
+	// Still within MaxAge of the last refresh: entries keep serving.
+	idleTo(simtime.Time(10*simtime.Second + MaxAge/2))
+	for i, g := range daemons {
+		if got := g.KnownCount(); got != 3 {
+			t.Fatalf("daemon %d counts %d live entries within MaxAge, want 3", i, got)
+		}
+	}
+	// Idle far past MaxAge with every daemon stopped: nothing refreshes.
+	idleTo(simtime.Time(10*simtime.Second + 2*MaxAge))
+	for i, g := range daemons {
 		for o := 0; o < 4; o++ {
 			if o == i {
 				continue
 			}
 			if g.Entry(o).Known {
-				t.Fatalf("daemon %d still serves origin %d %v past MaxAge", i, o, 28*simtime.Second)
+				t.Fatalf("daemon %d still serves origin %d %v past MaxAge", i, o, 2*MaxAge)
 			}
 		}
 		if g.KnownCount() != 0 {
 			t.Fatalf("daemon %d counts %d live entries past MaxAge", i, g.KnownCount())
-		}
-	}
-
-	// Negative MaxAge: aging disabled, stale entries serve forever.
-	for i, g := range run(-simtime.Second) {
-		for o := 0; o < 4; o++ {
-			if o != i && !g.Entry(o).Known {
-				t.Fatalf("daemon %d expired origin %d with aging disabled", i, o)
-			}
 		}
 	}
 }
@@ -315,10 +310,8 @@ func TestGossipAntiEntropyHealsPartition(t *testing.T) {
 		n      = 10
 		healAt = simtime.Time(20 * simtime.Second)
 	)
-	cfg := GossipConfig{
-		Period: simtime.Second, Fanout: 1, WindowLen: 3,
-		PullPeriod: 2 * simtime.Second, MaxAge: 30 * simtime.Second,
-	}
+	cfg := GossipConfig{Period: simtime.Second, Fanout: 1, WindowLen: 3}
+	pullPeriod := PullEvery * cfg.Period
 	var eng *sim.Engine
 	sideOf := func(i int) bool { return i < n/2 }
 	eng, daemons := gossipMesh(t, n, cfg, simtime.Millisecond,
@@ -337,7 +330,7 @@ func TestGossipAntiEntropyHealsPartition(t *testing.T) {
 
 	// Bounded convergence: 10 pull rounds after the heal, every view of
 	// every origin must be live again.
-	eng.Run(healAt.Add(10 * cfg.PullPeriod))
+	eng.Run(healAt.Add(10 * pullPeriod))
 	for i, g := range daemons {
 		for o := 0; o < n; o++ {
 			if o == i {

@@ -9,34 +9,28 @@ import (
 	"ampom/internal/simtime"
 )
 
-func rig(cfg Config) (*sim.Engine, *Daemon, *Daemon, *netmodel.Link) {
+// rig pairs two daemons updating once a second, as the migration
+// experiments run them.
+func rig() (*sim.Engine, *Daemon, *Daemon, *netmodel.Link) {
 	eng := sim.New()
 	a := cluster.NewNode(eng, "a", 1)
 	b := cluster.NewNode(eng, "b", 1)
 	link := netmodel.NewLink(eng, netmodel.FastEthernet(), a.NIC, b.NIC)
-	da := New(cfg, a, link, 1)
-	db := New(cfg, b, link, 2)
+	da := New(simtime.Second, a, link, 1)
+	db := New(simtime.Second, b, link, 2)
 	return eng, da, db, link
 }
 
-func TestDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.UpdatePeriod != simtime.Second || c.SchedDelay != 6*simtime.Millisecond ||
-		c.Alpha != 0.1 || c.BandwidthFloorFrac != 0.25 || c.MsgBytes != 192 || c.Jitter != 0.5 {
-		t.Fatalf("defaults = %+v", c)
-	}
-}
-
 func TestInitialRTTPrior(t *testing.T) {
-	_, da, _, link := rig(Config{})
-	want := 2*6*simtime.Millisecond + link.RTT()
+	_, da, _, link := rig()
+	want := 2*SchedDelay + link.RTT()
 	if da.RTT() != want {
 		t.Fatalf("prior RTT = %v, want %v", da.RTT(), want)
 	}
 }
 
 func TestRTTConvergesOnIdleLink(t *testing.T) {
-	eng, da, db, _ := rig(Config{})
+	eng, da, db, _ := rig()
 	prior := da.RTT()
 	da.Start()
 	db.Start()
@@ -53,11 +47,13 @@ func TestRTTConvergesOnIdleLink(t *testing.T) {
 	if got := da.node.NIC.Counters.RxMsgs; got < 100 {
 		t.Fatalf("a received %d daemon messages in 60 s, want ≈120", got)
 	}
-	// Idle-link daemon RTT ≈ two scheduling delays (6 ms ± 50 % each) plus
-	// the wire; the EWMA should sit in [6 ms, 20 ms].
-	got := da.RTT()
-	if got < 6*simtime.Millisecond || got > 20*simtime.Millisecond {
-		t.Fatalf("converged RTT = %v, want ≈12ms", got)
+	// Idle-link daemon RTT ≈ two scheduling delays (SchedDelay ± Jitter
+	// each) plus the wire; the EWMA should sit between the shortest pair of
+	// delays and the longest pair plus a 2 ms allowance for the wire.
+	lo := simtime.Duration(2 * (1 - Jitter) * float64(SchedDelay))
+	hi := simtime.Duration(2*(1+Jitter)*float64(SchedDelay)) + 2*simtime.Millisecond
+	if got := da.RTT(); got < lo || got > hi {
+		t.Fatalf("converged RTT = %v, want in [%v, %v]", got, lo, hi)
 	}
 }
 
@@ -70,8 +66,8 @@ func TestRTTInflatesUnderLoad(t *testing.T) {
 		a := cluster.NewNode(eng, "a", 1)
 		b := cluster.NewNode(eng, "b", 1)
 		link := netmodel.NewLink(eng, netmodel.FastEthernet(), a.NIC, b.NIC)
-		da := New(Config{}, a, link, 1)
-		db := New(Config{}, b, link, 2)
+		da := New(simtime.Second, a, link, 1)
+		db := New(simtime.Second, b, link, 2)
 		a.Handle(func(p any) bool { _, ok := p.(string); return ok })
 		b.Handle(func(p any) bool { _, ok := p.(string); return ok })
 		da.Start()
@@ -97,9 +93,9 @@ func TestRTTInflatesUnderLoad(t *testing.T) {
 }
 
 func TestBandwidthFloorWhenIdle(t *testing.T) {
-	_, da, _, link := rig(Config{})
+	_, da, _, link := rig()
 	bw := da.Bandwidth()
-	want := 0.25 * link.Profile().BandwidthBps
+	want := BandwidthFloorFrac * link.Profile().BandwidthBps
 	if bw != want {
 		t.Fatalf("idle bandwidth = %v, want floor %v", bw, want)
 	}
@@ -110,7 +106,7 @@ func TestBandwidthTracksTraffic(t *testing.T) {
 	a := cluster.NewNode(eng, "a", 1)
 	b := cluster.NewNode(eng, "b", 1)
 	link := netmodel.NewLink(eng, netmodel.FastEthernet(), a.NIC, b.NIC)
-	da := New(Config{}, a, link, 1)
+	da := New(simtime.Second, a, link, 1)
 	b.Handle(func(any) bool { return true }) // sink for bulk payloads
 
 	da.Bandwidth() // snapshot counters at t=0
@@ -130,7 +126,7 @@ func TestBandwidthTracksTraffic(t *testing.T) {
 }
 
 func TestEstimatesShape(t *testing.T) {
-	_, da, _, _ := rig(Config{})
+	_, da, _, _ := rig()
 	est := da.Estimates()
 	if est.RTT != da.RTT() {
 		t.Fatal("estimate RTT mismatch")
@@ -145,7 +141,7 @@ func TestEstimatesShape(t *testing.T) {
 }
 
 func TestStartStopIdempotent(t *testing.T) {
-	eng, da, _, _ := rig(Config{})
+	eng, da, _, _ := rig()
 	da.Start()
 	da.Start() // second start is a no-op
 	da.Stop()
@@ -158,7 +154,7 @@ func TestStartStopIdempotent(t *testing.T) {
 
 func TestDeterministicRTT(t *testing.T) {
 	run := func() simtime.Duration {
-		eng, da, db, _ := rig(Config{})
+		eng, da, db, _ := rig()
 		da.Start()
 		db.Start()
 		eng.Run(simtime.Time(20 * simtime.Second))

@@ -30,7 +30,6 @@ type refGossip struct {
 
 // newRefGossip mirrors NewGossip's heard-set setup for node id of n.
 func newRefGossip(cfg GossipConfig, id, n int) *refGossip {
-	cfg = cfg.withDefaults()
 	ringCap := 4 * cfg.WindowLen
 	if ringCap < sweepFloor {
 		ringCap = sweepFloor
@@ -46,7 +45,7 @@ func newRefGossip(cfg GossipConfig, id, n int) *refGossip {
 }
 
 func (g *refGossip) expired(stamp, now simtime.Time) bool {
-	return g.cfg.MaxAge > 0 && now.Sub(stamp) > g.cfg.MaxAge
+	return MaxAge > 0 && now.Sub(stamp) > MaxAge
 }
 
 // compose is Gossip.compose with no load probe installed.
@@ -107,7 +106,7 @@ func (g *refGossip) merge(m gossipMsg, now simtime.Time) {
 }
 
 func (g *refGossip) maybeSweep(now simtime.Time) {
-	if g.cfg.MaxAge <= 0 || len(g.cells) < g.sweepAt {
+	if MaxAge <= 0 || len(g.cells) < g.sweepAt {
 		return
 	}
 	for o, c := range g.cells {
@@ -130,7 +129,7 @@ func (g *refGossip) recordAge(c *refCell, age simtime.Duration) {
 		c.haveAge = true
 		return
 	}
-	a := g.cfg.Alpha
+	a := Alpha
 	c.ageEst = simtime.Duration(a*float64(age) + (1-a)*float64(c.ageEst))
 }
 
@@ -182,7 +181,7 @@ func (g *refGossip) meanRTT() simtime.Duration {
 		}
 	}
 	if n == 0 {
-		return 2 * g.cfg.SchedDelay
+		return 2 * SchedDelay
 	}
 	return sum / simtime.Duration(n)
 }

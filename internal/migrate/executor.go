@@ -21,7 +21,6 @@ type executor struct {
 	node *cluster.Node
 	src  trace.Source
 	as   *memory.AddressSpace
-	cal  Calibration
 
 	// Remote paging machinery; nil for openMosix (never faults).
 	pager *paging.Pager
@@ -53,7 +52,6 @@ type execConfig struct {
 	node  *cluster.Node
 	src   trace.Source
 	as    *memory.AddressSpace
-	cal   Calibration
 	pager *paging.Pager
 	pre   *core.Prefetcher
 	est   func() core.Estimates
@@ -64,7 +62,6 @@ func newExecutor(c execConfig) *executor {
 		node:  c.node,
 		src:   c.src,
 		as:    c.as,
-		cal:   c.cal,
 		pager: c.pager,
 		pre:   c.pre,
 		est:   c.est,
@@ -165,7 +162,7 @@ func (e *executor) fault(page memory.PageNum) {
 		// zone; identify which pages are in the dependent zone."
 		e.pre.RecordFault(page, e.node.Eng.Now(), ci)
 		a := e.pre.Analyze(e.est())
-		ac := e.node.Scale(e.cal.Cost.AnalysisCost(e.pre.Config(), a))
+		ac := e.node.Scale(core.AnalysisCost(e.pre.Config(), a))
 		e.analysisTime += ac
 		e.analyses++
 		e.scoreSum += a.Score

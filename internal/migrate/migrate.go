@@ -87,39 +87,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// Calibration gathers the cost constants of the modelled kernels and
-// protocol, calibrated against the paper's §5.2 anchors (575 MB DGEMM:
-// 53.9 s openMosix, 0.6 s AMPoM, 0.07 s NoPrefetch freeze).
-type Calibration struct {
-	// MigrationBase is the fixed openMosix migration protocol cost
-	// (negotiation, PCB capture/restore, socket setup).
-	MigrationBase simtime.Duration
-	// PageMsgOverhead is the per-page wire overhead during freeze-time bulk
-	// transfer.
-	PageMsgOverhead int64
-	// MPTEntryCPU is the destination-side cost of installing one MPT entry
-	// (AMPoM's freeze is dominated by this for large processes).
-	MPTEntryCPU simtime.Duration
-
-	Deputy paging.DeputyConfig
-	Pager  paging.PagerConfig
-	Cost   core.CostModel
-	Infod  infod.Config
-}
-
-// DefaultCalibration returns the Gideon 300 calibration.
-func DefaultCalibration() Calibration {
-	return Calibration{
-		MigrationBase:   65 * simtime.Millisecond,
-		PageMsgOverhead: 64,
-		MPTEntryCPU:     3 * simtime.Microsecond,
-		Deputy:          paging.DefaultDeputyConfig(),
-		Pager:           paging.DefaultPagerConfig(),
-		Cost:            core.DefaultCostModel(),
-		Infod:           infod.Config{},
-	}
-}
-
 // RunConfig describes one experiment run.
 type RunConfig struct {
 	// Workload is the kernel run to execute.
@@ -131,16 +98,11 @@ type RunConfig struct {
 	// AMPoM configures the prefetcher (AMPoM scheme only); zero value means
 	// paper defaults.
 	AMPoM core.Config
-	// Calibration overrides cost constants; zero value means defaults.
-	Calibration *Calibration
 	// Seed drives all stochastic components.
 	Seed uint64
 	// BackgroundLoad is the fraction of link bandwidth consumed by
 	// competing traffic.
 	BackgroundLoad float64
-	// SkipInit drops the pre-migration initialise phase from the timeline
-	// (the migration then happens at t=0 with all pages already dirty).
-	SkipInit bool
 }
 
 // Result carries everything the evaluation figures need from one run.
@@ -208,10 +170,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	if w == nil {
 		return nil, fmt.Errorf("migrate: nil workload")
 	}
-	cal := DefaultCalibration()
-	if cfg.Calibration != nil {
-		cal = *cfg.Calibration
-	}
 	net := cfg.Network
 	if net.BandwidthBps == 0 {
 		net = netmodel.FastEthernet()
@@ -249,9 +207,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	// paper triggers migration right after. Initialisation dirties the
 	// whole address space, so every page is dirty at migration time.
 	initTime := w.InitCompute
-	if cfg.SkipInit {
-		initTime = 0
-	}
 	res.Init = initTime
 
 	var (
@@ -294,7 +249,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	var precopyResidueBytes int64
 	if cfg.Scheme == Precopy {
 		precopyStream = &windowedStream{src: w.Source(), node: origin}
-		allBytes := w.Layout.Pages()*(memory.PageSize+cal.PageMsgOverhead) + cluster.RegisterBytes
+		allBytes := w.Layout.Pages()*cluster.PageFrameBytes + cluster.RegisterBytes
 		round := net.TransferTime(allBytes)
 		res.BytesToDest += allBytes
 		residue := int64(0)
@@ -305,7 +260,7 @@ func Run(cfg RunConfig) (*Result, error) {
 			if ended || dirtied == 0 {
 				break
 			}
-			bytes := dirtied * (memory.PageSize + cal.PageMsgOverhead)
+			bytes := dirtied * cluster.PageFrameBytes
 			next := net.TransferTime(bytes)
 			if i == 2 || next >= round {
 				break // not converging; stop-and-copy the rest
@@ -313,7 +268,7 @@ func Run(cfg RunConfig) (*Result, error) {
 			res.BytesToDest += bytes
 			round = next
 		}
-		precopyResidueBytes = residue*(memory.PageSize+cal.PageMsgOverhead) + cluster.RegisterBytes
+		precopyResidueBytes = residue*cluster.PageFrameBytes + cluster.RegisterBytes
 		res.BytesToDest += precopyResidueBytes
 	}
 
@@ -326,28 +281,28 @@ func Run(cfg RunConfig) (*Result, error) {
 			// Ship every (dirty) page in one bulk stream; no deputy needed
 			// for paging afterwards (openMosix still leaves a deputy for
 			// syscalls, but it serves no pages).
-			bytes := as.Pages()*(memory.PageSize+cal.PageMsgOverhead) + cluster.RegisterBytes
+			bytes := as.Pages()*cluster.PageFrameBytes + cluster.RegisterBytes
 			res.BytesToDest += bytes
-			eng.Schedule(cal.MigrationBase, func() {
+			eng.Schedule(cluster.MigrationBase, func() {
 				link.Send(origin.NIC, netmodel.Message{Size: bytes, Payload: freezeDone{resume}})
 			})
 
 		case Precopy:
 			// Only the residue dirtied during the last pre-copy round moves
 			// during the freeze.
-			eng.Schedule(cal.MigrationBase, func() {
+			eng.Schedule(cluster.MigrationBase, func() {
 				link.Send(origin.NIC, netmodel.Message{Size: precopyResidueBytes, Payload: freezeDone{resume}})
 			})
 
 		case NoPrefetch, AMPoM, FFAFileServer:
-			bytes := 3*(memory.PageSize+cal.PageMsgOverhead) + cluster.RegisterBytes
+			bytes := int64(3*cluster.PageFrameBytes + cluster.RegisterBytes)
 			var mptInstall simtime.Duration
 			if cfg.Scheme == AMPoM {
 				bytes += w.Layout.Pages() * memory.PTEntrySize
-				mptInstall = dest.Scale(cal.MPTEntryCPU * simtime.Duration(w.Layout.Pages()))
+				mptInstall = dest.Scale(cluster.MPTEntryCPU * simtime.Duration(w.Layout.Pages()))
 			}
 			res.BytesToDest += bytes
-			eng.Schedule(cal.MigrationBase, func() {
+			eng.Schedule(cluster.MigrationBase, func() {
 				link.Send(origin.NIC, netmodel.Message{Size: bytes, Payload: freezeDone{func() {
 					eng.Schedule(mptInstall, resume)
 				}}})
@@ -361,14 +316,14 @@ func Run(cfg RunConfig) (*Result, error) {
 		// All pages arrive during the freeze; the address space stays fully
 		// resident and the executor never faults.
 		exec = newExecutor(execConfig{
-			node: dest, src: w.Source(), as: as, cal: cal,
+			node: dest, src: w.Source(), as: as,
 		})
 
 	case Precopy:
 		// The precopy rounds already executed the stream's prefix at the
 		// origin; the destination continues from there, fully resident.
 		exec = newExecutor(execConfig{
-			node: dest, src: precopyStream.rest(), as: as, cal: cal,
+			node: dest, src: precopyStream.rest(), as: as,
 		})
 
 	case FFAFileServer:
@@ -393,16 +348,16 @@ func Run(cfg RunConfig) (*Result, error) {
 				return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
 			}
 		}
-		deputy = paging.NewDeputy(cal.Deputy, fs, linkMF, tables)
+		deputy = paging.NewDeputy(fs, linkMF, tables)
 		deputy.SetAvailableAfter(simtime.Never)
 		fsFlushDone = func(at simtime.Time) { deputy.SetAvailableAfter(at) }
-		pager = paging.NewPager(cal.Pager, dest, linkMF, as)
-		exec = newExecutor(execConfig{node: dest, src: w.Source(), as: as, cal: cal, pager: pager})
+		pager = paging.NewPager(dest, linkMF, as)
+		exec = newExecutor(execConfig{node: dest, src: w.Source(), as: as, pager: pager})
 
 		// The flush leaves the origin in parallel with the freeze.
-		flushBytes := as.CountInState(memory.StateRemote) * (memory.PageSize + cal.PageMsgOverhead)
+		flushBytes := as.CountInState(memory.StateRemote) * cluster.PageFrameBytes
 		eng.At(migrationStart, func() {
-			eng.Schedule(cal.MigrationBase, func() {
+			eng.Schedule(cluster.MigrationBase, func() {
 				linkOF.Send(origin.NIC, netmodel.Message{Size: flushBytes, Payload: freezeDone{func() {
 					fsFlushDone(eng.Now())
 				}}})
@@ -423,17 +378,17 @@ func Run(cfg RunConfig) (*Result, error) {
 				return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
 			}
 		}
-		deputy = paging.NewDeputy(cal.Deputy, origin, link, tables)
-		pager = paging.NewPager(cal.Pager, dest, link, as)
+		deputy = paging.NewDeputy(origin, link, tables)
+		pager = paging.NewPager(dest, link, as)
 
-		ec := execConfig{node: dest, src: w.Source(), as: as, cal: cal, pager: pager}
+		ec := execConfig{node: dest, src: w.Source(), as: as, pager: pager}
 		if cfg.Scheme == AMPoM {
 			pre, err := core.New(cfg.AMPoM, w.Layout.Pages())
 			if err != nil {
 				return nil, err
 			}
-			destDaemon = infod.New(cal.Infod, dest, link, cfg.Seed^0xd41d)
-			origDaemon = infod.New(cal.Infod, origin, link, cfg.Seed^0x8c1f)
+			destDaemon = infod.New(simtime.Second, dest, link, cfg.Seed^0xd41d)
+			origDaemon = infod.New(simtime.Second, origin, link, cfg.Seed^0x8c1f)
 			destDaemon.Start()
 			origDaemon.Start()
 			ec.pre = pre

@@ -271,17 +271,6 @@ func TestSeedChangesRandomAccessRun(t *testing.T) {
 	}
 }
 
-func TestSkipInit(t *testing.T) {
-	w := smallWorkload(t, hpcc.STREAM, 32)
-	r := MustRun(RunConfig{Workload: w, Scheme: OpenMosix, Seed: 5, SkipInit: true})
-	if r.Init != 0 {
-		t.Fatalf("init = %v with SkipInit", r.Init)
-	}
-	if r.Total != r.Freeze+r.Exec {
-		t.Fatalf("total %v != freeze %v + exec %v", r.Total, r.Freeze, r.Exec)
-	}
-}
-
 func TestResultAccounting(t *testing.T) {
 	w := smallWorkload(t, hpcc.STREAM, 32)
 	r := runScheme(t, w, AMPoM)

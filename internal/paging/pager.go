@@ -9,23 +9,16 @@ import (
 	"ampom/internal/simtime"
 )
 
-// PagerConfig prices the migrant-side fault handling.
-type PagerConfig struct {
-	// FaultBase is charged at every page fault (trap, handler entry).
-	FaultBase simtime.Duration
-	// InstallPerPage is charged per arrived page copied into the address
+// The migrant-side fault-handling costs, calibrated for the paper's 2 GHz
+// Pentium 4.
+const (
+	// faultBase is charged at every page fault (trap, handler entry).
+	faultBase = 2 * simtime.Microsecond
+	// installPerPage is charged per arrived page copied into the address
 	// space (Algorithm 1's "copy these pages to the migrant's address
 	// space").
-	InstallPerPage simtime.Duration
-}
-
-// DefaultPagerConfig returns the 2 GHz P4 calibration.
-func DefaultPagerConfig() PagerConfig {
-	return PagerConfig{
-		FaultBase:      2 * simtime.Microsecond,
-		InstallPerPage: 1500 * simtime.Nanosecond,
-	}
-}
+	installPerPage = 1500 * simtime.Nanosecond
+)
 
 // PagerStats accounts the migrant-side paging activity. The evaluation
 // figures read these directly:
@@ -56,7 +49,6 @@ type PagerStats struct {
 // state machine, sends batched requests, buffers arrivals, and wakes the
 // executor when the page it stalled on arrives.
 type Pager struct {
-	cfg  PagerConfig
 	node *cluster.Node
 	link *netmodel.Link
 	as   *memory.AddressSpace
@@ -74,8 +66,8 @@ type Pager struct {
 
 // NewPager installs a pager for the migrant's address space on node. It
 // registers itself as a payload handler for PageReply messages.
-func NewPager(cfg PagerConfig, node *cluster.Node, link *netmodel.Link, as *memory.AddressSpace) *Pager {
-	p := &Pager{cfg: cfg, node: node, link: link, as: as, waitingOn: NoDemand}
+func NewPager(node *cluster.Node, link *netmodel.Link, as *memory.AddressSpace) *Pager {
+	p := &Pager{node: node, link: link, as: as, waitingOn: NoDemand}
 	node.Handle(p.handle)
 	return p
 }
@@ -84,7 +76,7 @@ func NewPager(cfg PagerConfig, node *cluster.Node, link *netmodel.Link, as *memo
 func (p *Pager) AddressSpace() *memory.AddressSpace { return p.as }
 
 // FaultBaseCost returns the per-fault handler entry cost on this node.
-func (p *Pager) FaultBaseCost() simtime.Duration { return p.node.Scale(p.cfg.FaultBase) }
+func (p *Pager) FaultBaseCost() simtime.Duration { return p.node.Scale(faultBase) }
 
 // InstallArrived copies every buffered arrived page into the address space
 // and returns the CPU cost of doing so. Algorithm 1 performs this at the
@@ -102,7 +94,7 @@ func (p *Pager) InstallArrived() simtime.Duration {
 	}
 	p.arrived = p.arrived[:0]
 	p.Stats.PagesInstalled += int64(n)
-	return p.node.Scale(p.cfg.InstallPerPage * simtime.Duration(n))
+	return p.node.Scale(installPerPage * simtime.Duration(n))
 }
 
 // Request sends one batched paging request: demand is the faulted page

@@ -61,21 +61,13 @@ type PageReply struct {
 // WireSize returns the reply's bytes on the wire.
 func (r PageReply) WireSize() int64 { return memory.PageSize + ReplyOverhead }
 
-// DeputyConfig prices the deputy's CPU work.
-type DeputyConfig struct {
-	// ServeBase is charged once per request (wakeup, request parse).
-	ServeBase simtime.Duration
-	// ServePerPage is charged per page looked up and queued.
-	ServePerPage simtime.Duration
-}
-
-// DefaultDeputyConfig returns the 2 GHz P4 calibration.
-func DefaultDeputyConfig() DeputyConfig {
-	return DeputyConfig{
-		ServeBase:    25 * simtime.Microsecond,
-		ServePerPage: 2 * simtime.Microsecond,
-	}
-}
+// The deputy's CPU costs, calibrated for the paper's 2 GHz Pentium 4.
+const (
+	// serveBase is charged once per request (wakeup, request parse).
+	serveBase = 25 * simtime.Microsecond
+	// servePerPage is charged per page looked up and queued.
+	servePerPage = 2 * simtime.Microsecond
+)
 
 // DeputyStats counts the deputy's served traffic.
 type DeputyStats struct {
@@ -94,7 +86,6 @@ type DeputyStats struct {
 // Algorithm: with SetAvailableAfter, page service is gated until the
 // origin's dirty-page flush has landed (paper Figure 2, middle).
 type Deputy struct {
-	cfg    DeputyConfig
 	node   *cluster.Node
 	link   *netmodel.Link
 	tables *memory.TablePair
@@ -123,7 +114,7 @@ func (d *Deputy) SetAvailableAfter(t simtime.Time) {
 	}
 	for _, g := range d.gated {
 		g := g
-		cost := d.node.Scale(d.cfg.ServeBase + d.cfg.ServePerPage*simtime.Duration(len(g.pages)))
+		cost := d.node.Scale(serveBase + servePerPage*simtime.Duration(len(g.pages)))
 		d.node.Eng.Schedule(cost, func() { d.serve(g.seq, g.pages, g.demand) })
 	}
 	d.gated = nil
@@ -131,8 +122,8 @@ func (d *Deputy) SetAvailableAfter(t simtime.Time) {
 
 // NewDeputy installs a deputy on node serving pages across link from the
 // table pair. It registers itself as a payload handler.
-func NewDeputy(cfg DeputyConfig, node *cluster.Node, link *netmodel.Link, tables *memory.TablePair) *Deputy {
-	d := &Deputy{cfg: cfg, node: node, link: link, tables: tables}
+func NewDeputy(node *cluster.Node, link *netmodel.Link, tables *memory.TablePair) *Deputy {
+	d := &Deputy{node: node, link: link, tables: tables}
 	node.Handle(d.handle)
 	return d
 }
@@ -158,7 +149,7 @@ func (d *Deputy) handle(payload any) bool {
 		d.gated = append(d.gated, gatedRequest{seq: req.Seq, pages: pages, demand: demand})
 		return true
 	}
-	cost := d.node.Scale(d.cfg.ServeBase + d.cfg.ServePerPage*simtime.Duration(len(pages)))
+	cost := d.node.Scale(serveBase + servePerPage*simtime.Duration(len(pages)))
 	d.node.Eng.Schedule(cost, func() { d.serve(req.Seq, pages, demand) })
 	return true
 }

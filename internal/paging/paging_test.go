@@ -35,8 +35,8 @@ func newRig(t *testing.T, pages int64) *rig {
 	tables := memory.NewTablePair(pages)
 	return &rig{
 		eng: eng, origin: origin, dest: dest, link: link, as: as, tables: tables,
-		deputy: NewDeputy(DefaultDeputyConfig(), origin, link, tables),
-		pager:  NewPager(DefaultPagerConfig(), dest, link, as),
+		deputy: NewDeputy(origin, link, tables),
+		pager:  NewPager(dest, link, as),
 	}
 }
 

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -483,99 +485,105 @@ func ReportsJSON(reports []*Report) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// csvHeader is the column set of the CSV report encoding. The scenario and
-// seed columns make concatenated multi-report files self-describing.
-var csvHeader = []string{
-	"scenario", "seed", "policy", "makespan_s", "mean_slowdown",
-	"slowdown_vs_base", "migrations", "frozen_s", "extra_work_s",
-	"hard_faults", "prefetch_pages", "migration_bytes", "unfinished",
-	"final_rtt_ms", "events",
+// csvColumn is one per-policy column of the CSV report encoding: a
+// schemeJSON field, named by its wire name.
+type csvColumn struct {
+	name  string
+	field int
 }
 
-// csvFailureHeader extends csvHeader with the failure plane's SLO and
-// event-counter columns. A document uses the extended set when any of its
-// reports ran failure churn (every row must share one column count);
-// failure-free documents keep the legacy header byte-for-byte.
-var csvFailureHeader = append(append([]string(nil), csvHeader...),
-	"sojourn_p50_s", "sojourn_p95_s", "sojourn_p99_s",
-	"crashes", "evacuations", "fail_backs",
-)
+// csvColumns is the legacy column set; csvFailureColumns extends it with
+// the failure plane's columns. A document uses the extended set when any
+// of its reports ran failure churn (every row must share one column
+// count); failure-free documents keep the legacy header byte-for-byte.
+var csvColumns, csvFailureColumns = csvSchemeColumns()
+
+// csvSchemeColumns reads the per-policy columns off schemeJSON in
+// declaration order. The omitempty fields are the failure plane's SLO and
+// event-counter columns, which only the extended set carries; the tier
+// rows have no cell form and stay out of both.
+func csvSchemeColumns() (legacy, extended []csvColumn) {
+	var failure []csvColumn
+	t := reflect.TypeFor[schemeJSON]()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Type.Kind() == reflect.Slice {
+			continue
+		}
+		col := csvColumn{name: jsonFieldName(f), field: i}
+		if strings.HasSuffix(f.Tag.Get("json"), ",omitempty") {
+			failure = append(failure, col)
+		} else {
+			legacy = append(legacy, col)
+		}
+	}
+	return legacy, append(slices.Clip(legacy), failure...)
+}
 
 // fmtFloat renders a float with the shortest representation that parses
 // back exactly — deterministic and lossless.
 func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// csvRows appends the report's data rows (no header); failures widens the
-// rows with the failure-plane columns to match csvFailureHeader.
-func (r *Report) csvRows(b *strings.Builder, failures bool) {
+// csvHeader renders the header line. The scenario and seed columns make
+// concatenated multi-report files self-describing.
+func csvHeader(b *strings.Builder, cols []csvColumn) {
+	b.WriteString("scenario,seed")
+	for _, c := range cols {
+		b.WriteByte(',')
+		b.WriteString(c.name)
+	}
+	b.WriteByte('\n')
+}
+
+// csvRows appends the report's data rows (no header), one cell per column
+// of cols, read off the row's wire form.
+func (r *Report) csvRows(b *strings.Builder, cols []csvColumn) {
 	for _, st := range r.Schemes {
-		cells := []string{
-			r.Spec.Name,
-			strconv.FormatUint(r.Seed, 10),
-			st.Policy,
-			fmtFloat(st.Makespan.Seconds()),
-			fmtFloat(st.MeanSlowdown),
-			fmtFloat(st.SlowdownVsBase),
-			strconv.Itoa(st.Migrations),
-			fmtFloat(st.FrozenTotal.Seconds()),
-			fmtFloat(st.ExtraWork.Seconds()),
-			strconv.FormatInt(st.HardFaults, 10),
-			strconv.FormatInt(st.PrefetchPages, 10),
-			strconv.FormatInt(st.MigrationBytes, 10),
-			strconv.Itoa(st.Unfinished),
-			fmtFloat(st.FinalRTT.Milliseconds()),
-			strconv.FormatUint(st.Events, 10),
+		row := reflect.ValueOf(schemeToJSON(st))
+		b.WriteString(r.Spec.Name)
+		b.WriteByte(',')
+		b.WriteString(strconv.FormatUint(r.Seed, 10))
+		for _, c := range cols {
+			b.WriteByte(',')
+			if v := row.Field(c.field); v.Kind() == reflect.Float64 {
+				b.WriteString(fmtFloat(v.Float()))
+			} else {
+				fmt.Fprint(b, v.Interface()) // the policy name and the integer counts
+			}
 		}
-		if failures {
-			cells = append(cells,
-				fmtFloat(st.SojournP50.Seconds()),
-				fmtFloat(st.SojournP95.Seconds()),
-				fmtFloat(st.SojournP99.Seconds()),
-				strconv.Itoa(st.Crashes),
-				strconv.Itoa(st.Evacuations),
-				strconv.Itoa(st.FailBacks),
-			)
-		}
-		b.WriteString(strings.Join(cells, ","))
 		b.WriteByte('\n')
 	}
 }
 
-// csvHeaderFor picks the header for a document covering the given reports:
-// the extended failure set when any report ran failure churn, the legacy
-// set otherwise.
-func csvHeaderFor(reports []*Report) ([]string, bool) {
+// csvColumnsFor picks the columns of a document covering the given
+// reports: the extended failure set when any report ran failure churn, the
+// legacy set otherwise.
+func csvColumnsFor(reports []*Report) []csvColumn {
 	for _, r := range reports {
 		if r != nil && r.Spec.HasFailures() {
-			return csvFailureHeader, true
+			return csvFailureColumns
 		}
 	}
-	return csvHeader, false
+	return csvColumns
 }
 
 // CSV renders the report as comma-separated values, one row per policy in
 // the report's (registry-sorted) order.
 func (r *Report) CSV() string {
-	var b strings.Builder
-	header, failures := csvHeaderFor([]*Report{r})
-	b.WriteString(strings.Join(header, ","))
-	b.WriteByte('\n')
-	r.csvRows(&b, failures)
-	return b.String()
+	return ReportsCSV([]*Report{r})
 }
 
 // ReportsCSV renders several reports as one CSV document with a single
 // header; the scenario and seed columns distinguish the runs.
 func ReportsCSV(reports []*Report) string {
 	var b strings.Builder
-	header, failures := csvHeaderFor(reports)
-	b.WriteString(strings.Join(header, ","))
-	b.WriteByte('\n')
+	cols := csvColumnsFor(reports)
+	csvHeader(&b, cols)
 	for _, r := range reports {
 		if r == nil {
 			continue
 		}
-		r.csvRows(&b, failures)
+		r.csvRows(&b, cols)
 	}
 	return b.String()
 }

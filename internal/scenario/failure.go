@@ -109,7 +109,7 @@ func (c *clusterSim) evacTarget(v int) int {
 		if i == v || c.crashed[i] || !c.ic.PathUp(v, i) {
 			continue
 		}
-		load := float64(c.lv.live[i]) / c.nodes[i].CPUScale
+		load := float64(len(c.lv.liveOn[i])) / c.nodes[i].CPUScale
 		if best < 0 || load < bestLoad {
 			best, bestLoad = i, load
 		}

@@ -8,11 +8,12 @@
 // freeze, restore, kill, fail-back, recovery), memDelta balloon churn and
 // touch CPU churn:
 //
-//   - per-node resident counts, runnable counts and resident memory, the
-//     exact sums the full rebuild produced (integer arithmetic, so the
-//     incremental totals are bit-identical to a recompute);
-//   - per-node runnable process lists in ascending id order, the exact
-//     sequence candidatesOn used to extract by filtering the global slice;
+//   - per-node resident and runnable process lists in ascending id order
+//     (their lengths are the resident and runnable counts; the runnable
+//     list is the exact sequence candidatesOn used to extract by filtering
+//     the global slice) and per-node resident memory, the exact sums the
+//     full rebuild produced (integer arithmetic, so the incremental totals
+//     are bit-identical to a recompute);
 //   - derived NodeView rows plus the descending-load source order, kept
 //     sorted by a bounded repair: events mark their nodes dirty, and the
 //     next balance round re-derives only the dirty rows and re-inserts
@@ -40,13 +41,8 @@ type liveView struct {
 	nodes []*cluster.Node // CPUScale is read live at row refresh
 	capMB int64
 
-	// Aggregates, maintained O(1) per event. live counts the processes
-	// resident on a node (frozen migrants belong to their destination, as
-	// in the full rebuild); runnable counts only the running ones; mem sums
-	// resident footprints.
-	live     []int
-	runnable []int
-	mem      []int64
+	// mem sums each node's resident footprints, maintained O(1) per event.
+	mem []int64
 
 	// runnableOn holds each node's runnable processes in ascending id
 	// order — the iteration order candidatesOn's global filter preserved.
@@ -54,7 +50,8 @@ type liveView struct {
 
 	// liveOn holds each node's residents in ascending id order —
 	// runnableOn plus the suspended processes and the frozen in-migrants,
-	// which live on their destination like the live/mem aggregates. The
+	// which live on their destination (as in the full rebuild) like the
+	// mem aggregate. The
 	// quantum ticks iterate runnableOn; liveOn serves the per-node scans
 	// that must see the other residents too (balloon churn, crash,
 	// recovery), so neither ever walks the global process slice.
@@ -91,8 +88,6 @@ func newLiveView(nodes []*cluster.Node, capMB int64, shardOf []int, shards int) 
 	lv := &liveView{
 		nodes:      nodes,
 		capMB:      capMB,
-		live:       make([]int, n),
-		runnable:   make([]int, n),
 		mem:        make([]int64, n),
 		runnableOn: make([][]*proc, n),
 		liveOn:     make([][]*proc, n),
@@ -135,8 +130,7 @@ func (lv *liveView) dirtyCount() int {
 
 // move applies p's transition out of state from on node was to its current
 // state and node. Every delta follows from the two state predicates:
-// resident states count in live/mem/liveOn, running ones in
-// runnable/runnableOn. Transitions never loop, so running is always left
+// resident states count in mem/liveOn, running ones in runnableOn. Transitions never loop, so running is always left
 // or entered; a process that stays resident on the same node (unfreeze,
 // kill, recovery) keeps its row clean, since load tracks the resident
 // count alone.
@@ -144,23 +138,19 @@ func (lv *liveView) move(p *proc, from procState, was int) {
 	to, node := p.state, p.node
 	stay := node == was && from.resident() && to.resident()
 	if from.running() {
-		lv.runnable[was]--
 		lv.runnableOn[was] = removeByID(lv.runnableOn[was], p)
 	}
 	if from.resident() && !stay {
-		lv.live[was]--
 		lv.mem[was] -= p.footprintMB
 		lv.liveOn[was] = removeByID(lv.liveOn[was], p)
 		lv.touch(was)
 	}
 	if to.resident() && !stay {
-		lv.live[node]++
 		lv.mem[node] += p.footprintMB
 		lv.liveOn[node] = insertByID(lv.liveOn[node], p)
 		lv.touch(node)
 	}
 	if to.running() {
-		lv.runnable[node]++
 		lv.runnableOn[node] = insertByID(lv.runnableOn[node], p)
 	}
 }
@@ -183,14 +173,14 @@ func (lv *liveView) refresh() {
 	}
 	for _, list := range lv.dirtyBy {
 		for _, i := range list {
-			scale := lv.nodes[i].CPUScale
+			scale, live := lv.nodes[i].CPUScale, len(lv.liveOn[i])
 			lv.rows[i] = sched.NodeView{
-				Procs:      lv.live[i],
+				Procs:      live,
 				CPUScale:   scale,
-				Load:       float64(lv.live[i]) / scale,
+				Load:       float64(live) / scale,
 				UsedMemMB:  lv.mem[i],
 				CapacityMB: lv.capMB,
-				QueueLen:   lv.live[i],
+				QueueLen:   live,
 			}
 		}
 	}

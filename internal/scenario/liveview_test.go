@@ -81,9 +81,10 @@ func verifyAggregates(t *testing.T, c *clusterSim, when string) {
 	t.Helper()
 	live, runnable, mem, lists, residents := rebuildAggregates(c)
 	for i := 0; i < c.spec.Nodes; i++ {
-		if c.lv.live[i] != live[i] || c.lv.runnable[i] != runnable[i] || c.lv.mem[i] != mem[i] {
+		gotLive, gotRunnable := len(c.lv.liveOn[i]), len(c.lv.runnableOn[i])
+		if gotLive != live[i] || gotRunnable != runnable[i] || c.lv.mem[i] != mem[i] {
 			t.Fatalf("%s: node %d aggregates live/runnable/mem = %d/%d/%d, rebuild %d/%d/%d",
-				when, i, c.lv.live[i], c.lv.runnable[i], c.lv.mem[i], live[i], runnable[i], mem[i])
+				when, i, gotLive, gotRunnable, c.lv.mem[i], live[i], runnable[i], mem[i])
 		}
 		ids := make([]int, 0, len(c.lv.runnableOn[i]))
 		for _, p := range c.lv.runnableOn[i] {

@@ -146,7 +146,7 @@ var procStateNames = [...]string{"pending", "running", "suspended", "in-flight",
 func (s procState) String() string { return procStateNames[s] }
 
 // resident states occupy their node: they count in the live view's
-// live/mem/liveOn (a frozen migrant belongs to its destination). Only
+// mem/liveOn (a frozen migrant belongs to its destination). Only
 // running ones are runnable.
 func (s procState) resident() bool { return s != procPending && s != procDone }
 func (s procState) running() bool  { return s == procRunning }
@@ -501,7 +501,7 @@ func fnvHash(s string) uint64 {
 func (c *clusterSim) probeFor(i int) func() infod.LoadSample {
 	return func() infod.LoadSample {
 		s := infod.LoadSample{
-			Queue:     c.lv.live[i],
+			Queue:     len(c.lv.liveOn[i]),
 			UsedMemMB: c.lv.mem[i],
 		}
 		s.Load = float64(s.Queue) / c.nodes[i].CPUScale
@@ -627,7 +627,7 @@ func (c *clusterSim) tick() {
 // touches another node's counters, so the single up-front read equals the
 // whole-cluster pre-scan the monolithic tick used to take.
 func (c *clusterSim) tickNode(i int, now simtime.Time) (done int) {
-	cnt := c.lv.runnable[i]
+	cnt := len(c.lv.runnableOn[i])
 	if cnt == 0 {
 		return 0
 	}
@@ -941,7 +941,7 @@ func (c *clusterSim) deliver(node int, m migMsg) {
 // at the daemons' estimated bandwidth), and the prefetch census.
 func (c *clusterSim) restore(p *proc, dst int) {
 	c.transition(p, procRestoring, dst)
-	cal := 65 * simtime.Millisecond // openMosix protocol base cost
+	cal := cluster.MigrationBase
 	pages := footprintPages(p.footprintMB)
 	// The process's home node is the template's origin by construction and
 	// is never reassigned, so the index is known without scanning the
@@ -951,7 +951,7 @@ func (c *clusterSim) restore(p *proc, dst int) {
 	var extra simtime.Duration
 	if c.remotePages(p, bw) {
 		// MPT install on the destination CPU.
-		cal += c.nodes[dst].Scale(simtime.Duration(pages*3) * simtime.Microsecond)
+		cal += c.nodes[dst].Scale(simtime.Duration(pages) * cluster.MPTEntryCPU)
 		// The working set streams in from the origin while the process
 		// stalls on remote paging; the prefetcher census extrapolates how
 		// many of those first touches fault versus arrive prefetched.

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"sync"
 
+	"ampom/internal/cluster"
 	"ampom/internal/memory"
 	"ampom/internal/prng"
 	"ampom/internal/simtime"
@@ -185,10 +186,10 @@ func footprintBytesAndPages(footprintMB int64) (bytes float64, pages float64) {
 
 // FullCopyCost is the openMosix cost model: every dirty page moves during
 // the freeze, so the process stalls for footprint/bandwidth (plus the
-// 65 ms protocol base cost) and owes nothing afterwards.
+// protocol base cost) and owes nothing afterwards.
 func FullCopyCost(footprintMB int64, bandwidthBps float64) (freeze, extra simtime.Duration) {
 	bytes, _ := footprintBytesAndPages(footprintMB)
-	return simtime.FromSeconds(bytes/bandwidthBps) + 65*simtime.Millisecond, 0
+	return simtime.FromSeconds(bytes/bandwidthBps) + cluster.MigrationBase, 0
 }
 
 // LightweightCost is the AMPoM cost model: three pages plus the 6 B/page
@@ -198,8 +199,10 @@ func FullCopyCost(footprintMB int64, bandwidthBps float64) (freeze, extra simtim
 func LightweightCost(footprintMB int64, wsFrac, bandwidthBps float64) (freeze, extra simtime.Duration) {
 	bytes, pages := footprintBytesAndPages(footprintMB)
 	mptBytes := pages * memory.PTEntrySize
-	freeze = simtime.FromSeconds(mptBytes/bandwidthBps) +
-		simtime.Duration(pages*3)*simtime.Microsecond + 65*simtime.Millisecond
+	// The MPT install cost of the fractional page count is truncated to
+	// whole microseconds; the report goldens pin that rounding.
+	mptInstall := simtime.Duration(pages*float64(cluster.MPTEntryCPU/simtime.Microsecond)) * simtime.Microsecond
+	freeze = simtime.FromSeconds(mptBytes/bandwidthBps) + mptInstall + cluster.MigrationBase
 	extra = simtime.FromSeconds(bytes * wsFrac / bandwidthBps)
 	return freeze, extra
 }
@@ -291,7 +294,7 @@ func (openMosix) MigrationCost(footprintMB int64, _, bandwidthBps float64) (simt
 func (openMosix) FreezePayloadBytes(footprintMB int64) int64 {
 	_, pages := footprintBytesAndPages(footprintMB)
 	// Every page plus per-page framing.
-	return int64(pages) * (memory.PageSize + 64)
+	return int64(pages) * cluster.PageFrameBytes
 }
 
 func (openMosix) RemotePages() bool { return false }
