@@ -125,7 +125,7 @@ type (
 	// CampaignProgress is one progress/ETA sample of a running batch.
 	CampaignProgress = campaign.Progress
 	// CampaignRunError aggregates the failures of a campaign batch.
-	CampaignRunError = campaign.RunError
+	CampaignRunError = campaign.RunError[campaign.Job]
 	// CampaignScenarioProgress is one per-policy progress sample of an
 	// executing scenario job (CampaignOptions.OnScenarioProgress).
 	CampaignScenarioProgress = campaign.ScenarioProgress

@@ -9,6 +9,7 @@
 package ampom
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"testing"
@@ -583,7 +584,7 @@ func BenchmarkScenarioPresets(b *testing.B) {
 				jobs = append(jobs, ScenarioJob{Spec: spec})
 			}
 		}
-		if _, err := eng.RunScenarios(jobs); err != nil {
+		if _, err := eng.RunScenariosCtx(context.Background(), jobs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -191,8 +191,6 @@ type Engine struct {
 	statMu   sync.Mutex
 	executed int
 	requests int
-
-	now func() time.Time // test hook
 }
 
 // New returns an engine for the given options.
@@ -207,7 +205,6 @@ func New(opts Options) *Engine {
 	return &Engine{
 		opts:    opts,
 		workers: w,
-		now:     time.Now,
 	}
 }
 
@@ -285,9 +282,6 @@ func (f *flight[T]) do(key string, wrapPanic func(r any) error, compute func() (
 // Workers returns the pool bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// BaseSeed returns the campaign seed.
-func (e *Engine) BaseSeed() uint64 { return e.opts.BaseSeed }
-
 // Executed returns how many jobs the engine actually simulated (cache
 // misses). Requests returns how many Run calls it served in total.
 func (e *Engine) Executed() int {
@@ -314,19 +308,9 @@ func (e *Engine) SeedFor(j Job) uint64 {
 // Run executes one job, memoised: concurrent calls with the same
 // fingerprint run the simulation once and share the result.
 func (e *Engine) Run(job Job) (*migrate.Result, error) {
-	e.statMu.Lock()
-	e.requests++
-	e.statMu.Unlock()
-
-	res, err, executed := e.runs.do(job.Fingerprint(),
-		func(r any) error { return fmt.Errorf("campaign: %v: panic during simulation: %v", job, r) },
-		func() (*migrate.Result, error) { return e.execute(job.normalised()) })
-	if executed {
-		e.statMu.Lock()
-		e.executed++
-		e.statMu.Unlock()
-	}
-	return res, err
+	return memoRun(e, &e.runs, job, "simulation", func(string) (*migrate.Result, error) {
+		return e.execute(job.normalised())
+	})
 }
 
 // execute simulates one job with its derived seed.
@@ -358,23 +342,49 @@ func (e *Engine) execute(j Job) (*migrate.Result, error) {
 	return r, nil
 }
 
-// fanOut distributes n indexed tasks across the engine's worker pool and
-// waits for all of them. Both job batches (RunAll) and scenario batches
-// (RunScenarios) go through here, so they share one pool bound.
-func (e *Engine) fanOut(n int, run func(i int)) {
-	e.fanOutCtx(context.Background(), n, run, nil)
+// jobKind is what the shared memoisation and batch machinery needs of a
+// job: Job and ScenarioJob both satisfy it.
+type jobKind interface{ Fingerprint() string }
+
+// memoRun serves one job through f, memoised: concurrent calls with the
+// same fingerprint compute once and share the outcome. It counts every
+// request and, when this call computed, the execution. A panicking
+// compute reaches the flight's waiters as an error naming the job and
+// the phase that panicked.
+func memoRun[J jobKind, T any](e *Engine, f *flight[T], job J, phase string, compute func(fp string) (T, error)) (T, error) {
+	e.statMu.Lock()
+	e.requests++
+	e.statMu.Unlock()
+
+	fp := job.Fingerprint()
+	val, err, executed := f.do(fp,
+		func(r any) error { return fmt.Errorf("campaign: %v: panic during %s: %v", job, phase, r) },
+		func() (T, error) { return compute(fp) })
+	if executed {
+		e.statMu.Lock()
+		e.executed++
+		e.statMu.Unlock()
+	}
+	return val, err
 }
 
-// fanOutCtx is fanOut under cooperative cancellation: once ctx is done no
-// further index is dispatched — tasks already running finish normally (a
-// simulation is never torn mid-run) and every undispatched index is
-// reported to skip instead. This is the graceful-drain primitive the
-// SIGINT/SIGTERM handling of the batch CLIs and the daemon build on.
-func (e *Engine) fanOutCtx(ctx context.Context, n int, run func(i int), skip func(i int)) {
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
+// batch runs jobs through run across the engine's worker pool and returns
+// one result per job, in input order. Every batch of either job kind goes
+// through here, so they share one pool bound. Once ctx is done no further
+// job is dispatched: jobs already running finish normally (a simulation
+// is never torn mid-run) and every undispatched job fails with ctx's
+// error. This is the graceful-drain primitive the SIGINT/SIGTERM handling
+// of the batch CLIs and the daemon build on. done, when non-nil, is
+// called after each dispatched job finishes, from the worker that ran it.
+//
+// Failures are aggregated into a *RunError[J] holding one failure per
+// fingerprint, sorted by fingerprint for determinism; the failed jobs'
+// result slots are zero and every other job still runs to completion.
+func batch[J jobKind, T any](ctx context.Context, e *Engine, jobs []J, run func(J) (T, error), done func(i int, err error)) ([]T, error) {
+	n := len(jobs)
+	results := make([]T, n)
+	errs := make([]error, n)
+	workers := min(e.workers, n)
 	if workers < 1 {
 		workers = 1
 	}
@@ -385,7 +395,10 @@ func (e *Engine) fanOutCtx(ctx context.Context, n int, run func(i int), skip fun
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				run(i)
+				results[i], errs[i] = run(jobs[i])
+				if done != nil {
+					done(i, errs[i])
+				}
 			}
 		}()
 	}
@@ -400,38 +413,57 @@ func (e *Engine) fanOutCtx(ctx context.Context, n int, run func(i int), skip fun
 				continue
 			}
 		}
-		if skip != nil {
-			for j := i; j < n; j++ {
-				skip(j)
-			}
+		for j := i; j < n; j++ {
+			errs[j] = fmt.Errorf("campaign: skipped: %w", ctx.Err())
 		}
 		break
 	}
 	close(idx)
 	wg.Wait()
+
+	var failures []JobError[J]
+	seen := make(map[string]bool)
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		fp := jobs[i].Fingerprint()
+		if seen[fp] {
+			continue
+		}
+		seen[fp] = true
+		failures = append(failures, JobError[J]{Job: jobs[i], Err: err})
+	}
+	if len(failures) == 0 {
+		return results, nil
+	}
+	sort.Slice(failures, func(i, j int) bool {
+		return failures[i].Job.Fingerprint() < failures[j].Job.Fingerprint()
+	})
+	return results, &RunError[J]{Total: n, Failures: failures}
 }
 
-// JobError ties a failed job to its error.
-type JobError struct {
-	Job Job
+// JobError ties a failed job of either kind to its error.
+type JobError[J any] struct {
+	Job J
 	Err error
 }
 
-func (e JobError) Error() string { return fmt.Sprintf("%v: %v", e.Job, e.Err) }
+func (e JobError[J]) Error() string { return fmt.Sprintf("%v: %v", e.Job, e.Err) }
 
 // Unwrap exposes the underlying error to errors.Is/As.
-func (e JobError) Unwrap() error { return e.Err }
+func (e JobError[J]) Unwrap() error { return e.Err }
 
 // RunError aggregates every failure of a campaign batch. The batch's healthy
 // jobs still complete and return results — a broken ablation cell no longer
 // takes the whole figure regeneration down with it.
-type RunError struct {
+type RunError[J any] struct {
 	// Total is the batch size the failures came from.
 	Total    int
-	Failures []JobError
+	Failures []JobError[J]
 }
 
-func (e *RunError) Error() string {
+func (e *RunError[J]) Error() string {
 	if len(e.Failures) == 0 {
 		return "campaign: no failures"
 	}
@@ -449,65 +481,37 @@ func (e *RunError) Error() string {
 
 // RunAll executes a batch of jobs across the worker pool and returns one
 // result per job, in input order. Duplicate or already-cached jobs are
-// served from the cache. Failures are aggregated into a *RunError (sorted
-// by job fingerprint for determinism); the corresponding result slots are
-// nil and every other job still runs to completion.
+// served from the cache. Failures are aggregated into a *RunError[Job]
+// (sorted by job fingerprint for determinism); the corresponding result
+// slots are nil and every other job still runs to completion.
 func (e *Engine) RunAll(jobs []Job) ([]*migrate.Result, error) {
-	results := make([]*migrate.Result, len(jobs))
-	errs := make([]error, len(jobs))
-
-	start := e.now()
-	var (
-		progMu sync.Mutex
-		done   int
-		failed int
-	)
-	report := func(i int) {
-		if e.opts.OnProgress == nil {
-			return
+	var report func(i int, err error)
+	if e.opts.OnProgress != nil {
+		start := time.Now()
+		var (
+			progMu sync.Mutex
+			done   int
+			failed int
+		)
+		report = func(i int, err error) {
+			progMu.Lock()
+			defer progMu.Unlock()
+			done++
+			if err != nil {
+				failed++
+			}
+			elapsed := time.Since(start)
+			var eta time.Duration
+			if done < len(jobs) {
+				eta = time.Duration(float64(elapsed) / float64(done) * float64(len(jobs)-done))
+			}
+			e.opts.OnProgress(Progress{
+				Done: done, Failed: failed, Total: len(jobs),
+				Elapsed: elapsed, ETA: eta, Job: jobs[i],
+			})
 		}
-		progMu.Lock()
-		done++
-		if errs[i] != nil {
-			failed++
-		}
-		elapsed := e.now().Sub(start)
-		var eta time.Duration
-		if done > 0 && done < len(jobs) {
-			eta = time.Duration(float64(elapsed) / float64(done) * float64(len(jobs)-done))
-		}
-		e.opts.OnProgress(Progress{
-			Done: done, Failed: failed, Total: len(jobs),
-			Elapsed: elapsed, ETA: eta, Job: jobs[i],
-		})
-		progMu.Unlock()
 	}
-
-	e.fanOut(len(jobs), func(i int) {
-		results[i], errs[i] = e.Run(jobs[i])
-		report(i)
-	})
-
-	var failures []JobError
-	seen := make(map[string]bool)
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		fp := jobs[i].Fingerprint()
-		if seen[fp] {
-			continue
-		}
-		seen[fp] = true
-		failures = append(failures, JobError{Job: jobs[i], Err: err})
-	}
-	if len(failures) == 0 {
-		return results, nil
-	}
-	sort.Slice(failures, func(i, j int) bool {
-		return failures[i].Job.Fingerprint() < failures[j].Job.Fingerprint()
-	})
-	return results, &RunError{Total: len(jobs), Failures: failures}
+	return batch(context.Background(), e, jobs, e.Run, report)
 }
 
 // Dedupe returns jobs with duplicate fingerprints removed, preserving first

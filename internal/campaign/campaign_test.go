@@ -235,9 +235,9 @@ func TestRunAllAggregatesErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("want aggregated error")
 	}
-	var re *RunError
+	var re *RunError[Job]
 	if !errors.As(err, &re) {
-		t.Fatalf("error type %T, want *RunError", err)
+		t.Fatalf("error type %T, want *RunError[Job]", err)
 	}
 	if len(re.Failures) != 2 || re.Total != len(jobs) {
 		t.Fatalf("failures=%d total=%d, want 2/%d: %v", len(re.Failures), re.Total, len(jobs), err)
@@ -351,7 +351,8 @@ func TestWorkersDefault(t *testing.T) {
 	if w := New(Options{Workers: 3}).Workers(); w != 3 {
 		t.Fatalf("workers = %d, want 3", w)
 	}
-	if s := New(Options{}).BaseSeed(); s != 42 {
-		t.Fatalf("default base seed = %d, want 42", s)
+	j := job(hpcc.STREAM, 8, migrate.AMPoM)
+	if got, want := New(Options{}).SeedFor(j), New(Options{BaseSeed: 42}).SeedFor(j); got != want {
+		t.Fatalf("default seed = %d, want the base seed 42 derivation %d", got, want)
 	}
 }

@@ -2,9 +2,6 @@ package campaign
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
 
 	"ampom/internal/scenario"
 )
@@ -64,36 +61,23 @@ type ScenarioProgress struct {
 // (like every flight error) never stay in the in-memory cache either, so
 // retries re-execute.
 func (e *Engine) RunScenario(job ScenarioJob) (*scenario.Report, error) {
-	e.statMu.Lock()
-	e.requests++
-	e.statMu.Unlock()
-
-	fp := job.Fingerprint()
-	rep, err, executed := e.scenarios.do(fp,
-		func(r any) error { return fmt.Errorf("campaign: %v: panic during scenario: %v", job, r) },
-		func() (*scenario.Report, error) {
-			if rep, ok := e.storeLookup(fp); ok {
-				return rep, nil
-			}
-			var hook func(scenario.PolicyProgress)
-			if cb := e.opts.OnScenarioProgress; cb != nil {
-				hook = func(p scenario.PolicyProgress) {
-					cb(ScenarioProgress{Job: job, Fingerprint: fp, Policy: p.Policy, Done: p.Done, Total: p.Total})
-				}
-			}
-			rep, err := scenario.RunShardsHook(job.Spec, e.SeedForScenario(job), job.Shards, hook)
-			if err != nil {
-				return nil, err
-			}
-			e.storePersist(fp, rep)
+	return memoRun(e, &e.scenarios, job, "scenario", func(fp string) (*scenario.Report, error) {
+		if rep, ok := e.storeLookup(fp); ok {
 			return rep, nil
-		})
-	if executed {
-		e.statMu.Lock()
-		e.executed++
-		e.statMu.Unlock()
-	}
-	return rep, err
+		}
+		var hook func(scenario.PolicyProgress)
+		if cb := e.opts.OnScenarioProgress; cb != nil {
+			hook = func(p scenario.PolicyProgress) {
+				cb(ScenarioProgress{Job: job, Fingerprint: fp, Policy: p.Policy, Done: p.Done, Total: p.Total})
+			}
+		}
+		rep, err := scenario.RunShardsHook(job.Spec, e.SeedForScenario(job), job.Shards, hook)
+		if err != nil {
+			return nil, err
+		}
+		e.storePersist(fp, rep)
+		return rep, nil
+	})
 }
 
 // storeLookup serves a job from the persistent result store, if one is
@@ -132,80 +116,14 @@ func (e *Engine) storePersist(fp string, rep *scenario.Report) {
 	_ = st.Put(fp, data)
 }
 
-// ScenarioError ties a failed scenario job to its error.
-type ScenarioError struct {
-	Job ScenarioJob
-	Err error
-}
-
-func (e ScenarioError) Error() string { return fmt.Sprintf("%v: %v", e.Job, e.Err) }
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e ScenarioError) Unwrap() error { return e.Err }
-
-// ScenarioRunError aggregates every failure of a scenario batch; healthy
-// jobs still complete and return reports.
-type ScenarioRunError struct {
-	Total    int
-	Failures []ScenarioError
-}
-
-func (e *ScenarioRunError) Error() string {
-	if len(e.Failures) == 0 {
-		return "campaign: no failures"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "campaign: %d/%d scenario(s) failed", len(e.Failures), e.Total)
-	for i, f := range e.Failures {
-		if i == 4 && len(e.Failures) > 5 {
-			fmt.Fprintf(&b, "; … %d more", len(e.Failures)-i)
-			break
-		}
-		fmt.Fprintf(&b, "; %v", f)
-	}
-	return b.String()
-}
-
-// RunScenarios executes a batch of scenarios across the worker pool and
-// returns one report per job, in input order. Failures are aggregated into
-// a *ScenarioRunError (sorted by fingerprint for determinism); the
-// corresponding report slots are nil and every other scenario still runs.
-func (e *Engine) RunScenarios(jobs []ScenarioJob) ([]*scenario.Report, error) {
-	return e.RunScenariosCtx(context.Background(), jobs)
-}
-
-// RunScenariosCtx is RunScenarios under cooperative cancellation: once
-// ctx is done, no further scenario is dispatched — runs already in flight
-// finish and return their reports, and every skipped job fails with ctx's
-// error in the aggregate. This is the graceful-drain path the batch CLI
-// wires its SIGINT/SIGTERM context into.
+// RunScenariosCtx executes a batch of scenarios across the worker pool
+// and returns one report per job, in input order. Failures are aggregated
+// into a *RunError[ScenarioJob] (sorted by fingerprint for determinism);
+// the corresponding report slots are nil and every other scenario still
+// runs. Once ctx is done, no further scenario is dispatched — runs already
+// in flight finish and return their reports, and every skipped job fails
+// with ctx's error in the aggregate. This is the graceful-drain path the
+// batch CLI wires its SIGINT/SIGTERM context into.
 func (e *Engine) RunScenariosCtx(ctx context.Context, jobs []ScenarioJob) ([]*scenario.Report, error) {
-	reports := make([]*scenario.Report, len(jobs))
-	errs := make([]error, len(jobs))
-	e.fanOutCtx(ctx, len(jobs), func(i int) {
-		reports[i], errs[i] = e.RunScenario(jobs[i])
-	}, func(i int) {
-		errs[i] = fmt.Errorf("campaign: skipped: %w", ctx.Err())
-	})
-
-	var failures []ScenarioError
-	seen := make(map[string]bool)
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		fp := jobs[i].Fingerprint()
-		if seen[fp] {
-			continue
-		}
-		seen[fp] = true
-		failures = append(failures, ScenarioError{Job: jobs[i], Err: err})
-	}
-	if len(failures) == 0 {
-		return reports, nil
-	}
-	sort.Slice(failures, func(i, j int) bool {
-		return failures[i].Job.Fingerprint() < failures[j].Job.Fingerprint()
-	})
-	return reports, &ScenarioRunError{Total: len(jobs), Failures: failures}
+	return batch(ctx, e, jobs, e.RunScenario, nil)
 }

@@ -138,9 +138,9 @@ func TestRunScenariosCtxCancelled(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled batch reported success")
 	}
-	re, ok := err.(*ScenarioRunError)
+	re, ok := err.(*RunError[ScenarioJob])
 	if !ok {
-		t.Fatalf("error is %T, want *ScenarioRunError", err)
+		t.Fatalf("error is %T, want *RunError[ScenarioJob]", err)
 	}
 	if len(re.Failures) != len(jobs) {
 		t.Fatalf("%d/%d jobs failed, want all skipped", len(re.Failures), len(jobs))

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 	jobs := []ScenarioJob{testScenario("a"), testScenario("b"), testScenario("c")}
 	render := func(workers int) string {
 		e := New(Options{Workers: workers, BaseSeed: 7})
-		reports, err := e.RunScenarios(jobs)
+		reports, err := e.RunScenariosCtx(context.Background(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,13 +90,13 @@ func TestScenarioSeedDerivation(t *testing.T) {
 func TestScenarioFailureAggregation(t *testing.T) {
 	bad := ScenarioJob{Spec: scenario.Spec{Name: "bad", Nodes: 4, Skew: 3}}
 	e := New(Options{Workers: 4, BaseSeed: 7})
-	reports, err := e.RunScenarios([]ScenarioJob{testScenario("ok"), bad})
+	reports, err := e.RunScenariosCtx(context.Background(), []ScenarioJob{testScenario("ok"), bad})
 	if err == nil {
 		t.Fatal("invalid scenario did not fail the batch")
 	}
-	re, ok := err.(*ScenarioRunError)
+	re, ok := err.(*RunError[ScenarioJob])
 	if !ok {
-		t.Fatalf("error is %T, want *ScenarioRunError", err)
+		t.Fatalf("error is %T, want *RunError[ScenarioJob]", err)
 	}
 	if len(re.Failures) != 1 || re.Total != 2 {
 		t.Fatalf("got %d/%d failures, want 1/2", len(re.Failures), re.Total)

@@ -233,7 +233,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The store already holds this fingerprint's report — perhaps from
 		// a batch CLI run, perhaps from a previous daemon lifetime. Serve
 		// it as a completed job without simulating.
-		j := newJob(key, fp, spec, shards, tenant, StatusQueued)
+		j := newJob(key, spec, shards, tenant, StatusQueued)
 		j.cached = true
 		s.jobs[key] = j
 		s.quotaHeaders(w, tenant)
@@ -251,7 +251,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"tenant quota exhausted: %d of %d job(s) active", used, s.quota)
 		return
 	}
-	j := newJob(key, fp, spec, shards, tenant, StatusQueued)
+	j := newJob(key, spec, shards, tenant, StatusQueued)
 	s.jobs[key] = j
 	s.active[tenant]++
 	s.wg.Add(1)

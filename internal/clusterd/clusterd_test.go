@@ -267,7 +267,7 @@ func TestFailedEntryReplaced(t *testing.T) {
 	sj := campaign.ScenarioJob{Spec: spec}
 	key := resultstore.Key(sj.Fingerprint())
 	// Plant a failed entry under the spec's key, as a crashed run leaves.
-	failed := newJob(key, sj.Fingerprint(), spec, 1, "anonymous", StatusQueued)
+	failed := newJob(key, spec, 1, "anonymous", StatusQueued)
 	failed.setStatus(StatusFailed, "synthetic failure")
 	s.mu.Lock()
 	s.jobs[key] = failed

@@ -12,11 +12,10 @@ import (
 // engine's single-flight cache and the on-disk store all agree about
 // which submissions are "the same job".
 type job struct {
-	key         string
-	fingerprint string
-	spec        scenario.Spec
-	shards      int
-	tenant      string
+	key    string
+	spec   scenario.Spec
+	shards int
+	tenant string
 
 	mu     sync.Mutex
 	status string
@@ -39,16 +38,15 @@ type job struct {
 // events are dropped for that subscriber rather than blocking the engine.
 const subEventBuffer = 64
 
-func newJob(key, fingerprint string, spec scenario.Spec, shards int, tenant, status string) *job {
+func newJob(key string, spec scenario.Spec, shards int, tenant, status string) *job {
 	return &job{
-		key:         key,
-		fingerprint: fingerprint,
-		spec:        spec,
-		shards:      shards,
-		tenant:      tenant,
-		status:      status,
-		subs:        make(map[chan Event]struct{}),
-		done:        make(chan struct{}),
+		key:    key,
+		spec:   spec,
+		shards: shards,
+		tenant: tenant,
+		status: status,
+		subs:   make(map[chan Event]struct{}),
+		done:   make(chan struct{}),
 	}
 }
 

@@ -109,8 +109,7 @@ type Node struct {
 	mu    sync.Mutex
 	procs map[int]*Proc
 
-	wg     sync.WaitGroup
-	closed bool
+	wg sync.WaitGroup
 }
 
 // Listen starts a node on addr (use "127.0.0.1:0" for tests).
@@ -133,9 +132,6 @@ func (n *Node) Name() string { return n.name }
 
 // Close stops the listener and waits for connection handlers to drain.
 func (n *Node) Close() error {
-	n.mu.Lock()
-	n.closed = true
-	n.mu.Unlock()
 	err := n.ln.Close()
 	n.wg.Wait()
 	return err

@@ -247,9 +247,9 @@ type Interconnect interface {
 // stage their deliveries in origination order — the order one sequential
 // engine's insertion sequence gives them. Zero on unsharded builds.
 type envelope struct {
-	src, dst int
-	rank     uint64
-	inner    netmodel.Message
+	dst   int
+	rank  uint64
+	inner netmodel.Message
 }
 
 // Build constructs the configured interconnect over nodes on eng and

@@ -73,7 +73,7 @@ func (s *star) Kind() Kind { return KindStar }
 // Send ships a payload across the star: the origin spoke to the hub,
 // relayed onward to the destination spoke (deliver handles the relay).
 func (s *star) Send(src, dst int, m netmodel.Message) {
-	env := &envelope{src: src, dst: dst, inner: m}
+	env := &envelope{dst: dst, inner: m}
 	wire := netmodel.Message{Size: m.Size, Payload: env}
 	s.carried += m.Size
 	if src == 0 {

@@ -36,7 +36,6 @@ const (
 // above them, and static next-hop routing per destination node.
 type switched struct {
 	kind  Kind
-	eng   *sim.Engine
 	nodes []*cluster.Node
 
 	nominal float64
@@ -85,7 +84,6 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 	n := len(nodes)
 	s := &switched{
 		kind:     cfg.Kind,
-		eng:      eng,
 		nodes:    nodes,
 		nominal:  cfg.Network.BandwidthBps,
 		edgeLink: make([]int, n),
@@ -310,7 +308,7 @@ func (s *switched) Send(src, dst int, m netmodel.Message) {
 	if src == dst {
 		panic(fmt.Sprintf("fabric: send from node %d to itself", src))
 	}
-	env := &envelope{src: src, dst: dst, inner: m}
+	env := &envelope{dst: dst, inner: m}
 	if s.shard != nil {
 		if s.shard.Group.InMerge() {
 			s.mergeRank++

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func renderScenarios(t *testing.T, workers int) string {
 	for i, s := range specs {
 		jobs[i] = campaign.ScenarioJob{Spec: s}
 	}
-	reports, err := m.Engine().RunScenarios(jobs)
+	reports, err := m.Engine().RunScenariosCtx(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,6 @@ type gossipEntryWire struct {
 // gossipMsg is one load-vector push (or pull response — the receiver
 // merges both identically).
 type gossipMsg struct {
-	From    int
 	Entries []gossipEntryWire
 }
 
@@ -262,7 +261,7 @@ func (g *Gossip) push() {
 		return
 	}
 	size := MsgBytes + EntryBytes*int64(len(snapshot))
-	msg := gossipMsg{From: g.id, Entries: snapshot}
+	msg := gossipMsg{Entries: snapshot}
 	for _, dst := range g.pickPeers(g.cfg.Fanout) {
 		dst := dst
 		g.eng.Schedule(g.schedDelay(), func() {
@@ -309,7 +308,7 @@ func (g *Gossip) servePull(dst int) {
 	}
 	snapshot := g.compose(g.eng.Now())
 	size := MsgBytes + EntryBytes*int64(len(snapshot))
-	g.send(dst, netmodel.Message{Size: size, Payload: gossipMsg{From: g.id, Entries: snapshot}})
+	g.send(dst, netmodel.Message{Size: size, Payload: gossipMsg{Entries: snapshot}})
 }
 
 // merge folds a received window in: newer stamps win, hop counts

@@ -26,14 +26,12 @@ import (
 // loadUpdate is the periodic oM_infoD broadcast carrying node load; the
 // peer acknowledges it, and the ack round trip is the RTT sample.
 type loadUpdate struct {
-	Seq    uint64
 	SentAt simtime.Time
 	From   *Daemon
 }
 
 // loadAck acknowledges a loadUpdate.
 type loadAck struct {
-	Seq    uint64
 	SentAt simtime.Time
 	From   *Daemon
 }
@@ -46,17 +44,11 @@ type Daemon struct {
 	link   *netmodel.Link
 
 	ticker *sim.Ticker
-	seq    uint64
-	peer   *Daemon // set by Pair; nil daemons answer any peer
+	peer   *Daemon // set by Pair
 
 	// RTT estimate state.
 	rttEst  simtime.Duration
 	haveRTT bool
-
-	// CPU utilisation hook: the executor (or scheduler) publishes the
-	// node's current utilisation here; the daemon just reports it, as the
-	// original oM_infoD does.
-	cpuUtil func() float64
 }
 
 // New creates a daemon on node, talking across link, that broadcasts a
@@ -74,15 +66,11 @@ func New(period simtime.Duration, node *cluster.Node, link *netmodel.Link, seed 
 	return d
 }
 
-// SetCPUUtil installs the utilisation probe reported to peers.
-func (d *Daemon) SetCPUUtil(f func() float64) { d.cpuUtil = f }
-
 // Pair binds two daemons as the endpoints of one monitored link: each then
 // handles only traffic originating from the other and leaves everything else
-// to the next handler on its node. Unpaired daemons keep the historical
-// behaviour (answer any daemon traffic), so two-node experiments are
-// unchanged; pairing is what lets a hub node run one daemon per spoke in a
-// star-topology cluster without the daemons stealing each other's acks.
+// to the next handler on its node, which is what lets a hub node run one
+// daemon per spoke in a star-topology cluster without the daemons stealing
+// each other's acks. Every daemon is paired before it starts.
 func Pair(a, b *Daemon) {
 	a.peer = b
 	b.peer = a
@@ -105,11 +93,10 @@ func (d *Daemon) Stop() {
 }
 
 func (d *Daemon) sendUpdate() {
-	d.seq++
 	// The daemon wakes, composes the update, and hands it to the kernel
 	// after a scheduling delay; SentAt is stamped at composition time, as
 	// the real daemon stamps its payload.
-	upd := loadUpdate{Seq: d.seq, SentAt: d.eng.Now(), From: d}
+	upd := loadUpdate{SentAt: d.eng.Now(), From: d}
 	d.eng.Schedule(d.schedDelay(), func() {
 		d.link.Send(d.node.NIC, netmodel.Message{Size: MsgBytes, Payload: upd})
 	})
@@ -119,20 +106,17 @@ func (d *Daemon) sendUpdate() {
 func (d *Daemon) handle(payload any) bool {
 	switch m := payload.(type) {
 	case loadUpdate:
-		if m.From == d {
-			return false // our own update echoed back — not ours to handle
-		}
-		if d.peer != nil && m.From != d.peer {
+		if m.From != d.peer {
 			return false // another spoke's update — its own daemon acks it
 		}
 		// Ack after this side's scheduling delay.
-		ack := loadAck{Seq: m.Seq, SentAt: m.SentAt, From: d}
+		ack := loadAck{SentAt: m.SentAt, From: d}
 		d.eng.Schedule(d.schedDelay(), func() {
 			d.link.Send(d.node.NIC, netmodel.Message{Size: MsgBytes, Payload: ack})
 		})
 		return true
 	case loadAck:
-		if d.peer != nil && m.From != nil && m.From != d.peer {
+		if m.From != d.peer {
 			return false
 		}
 		sample := d.eng.Now().Sub(m.SentAt)

@@ -18,6 +18,7 @@ func rig() (*sim.Engine, *Daemon, *Daemon, *netmodel.Link) {
 	link := netmodel.NewLink(eng, netmodel.FastEthernet(), a.NIC, b.NIC)
 	da := New(simtime.Second, a, link, 1)
 	db := New(simtime.Second, b, link, 2)
+	Pair(da, db)
 	return eng, da, db, link
 }
 
@@ -68,6 +69,7 @@ func TestRTTInflatesUnderLoad(t *testing.T) {
 		link := netmodel.NewLink(eng, netmodel.FastEthernet(), a.NIC, b.NIC)
 		da := New(simtime.Second, a, link, 1)
 		db := New(simtime.Second, b, link, 2)
+		Pair(da, db)
 		a.Handle(func(p any) bool { _, ok := p.(string); return ok })
 		b.Handle(func(p any) bool { _, ok := p.(string); return ok })
 		da.Start()

@@ -29,7 +29,6 @@ type executor struct {
 	est func() core.Estimates
 
 	// Utilisation sampling (the C array of §3.1).
-	startAt        simtime.Time
 	busy           simtime.Duration
 	lastSampleAt   simtime.Time
 	lastSampleBusy simtime.Duration
@@ -72,9 +71,7 @@ func newExecutor(c execConfig) *executor {
 // start begins execution at the current instant; done fires at completion.
 func (e *executor) start(done func(endAt simtime.Time)) {
 	e.done = done
-	now := e.node.Eng.Now()
-	e.startAt = now
-	e.lastSampleAt = now
+	e.lastSampleAt = e.node.Eng.Now()
 	e.step()
 }
 
@@ -101,9 +98,6 @@ func (e *executor) step() {
 		return
 	}
 }
-
-// Utilization returns the most recent CPU utilisation sample.
-func (e *executor) Utilization() float64 { return e.util }
 
 // utilTau is the smoothing horizon of the utilisation estimate. The
 // paper's C_i comes from oM_infoD's coarse node-level sampling, not from

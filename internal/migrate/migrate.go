@@ -336,17 +336,9 @@ func Run(cfg RunConfig) (*Result, error) {
 		linkMF := netmodel.NewLink(eng, net, dest.NIC, fs.NIC)
 		linkMF.SetBackgroundLoad(cfg.BackgroundLoad)
 
-		tables := memory.NewTablePair(w.Layout.Pages())
-		as.EvictAllToRemote()
-		for _, p := range []memory.PageNum{
-			w.Layout.Region(memory.RegionCode).Start,
-			w.Layout.Region(memory.RegionHeap).Start,
-			w.Layout.Region(memory.RegionStack).Start,
-		} {
-			as.SetState(p, memory.StateResident)
-			if err := tables.TransferToMigrant(p); err != nil {
-				return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
-			}
+		tables, err := freezeInstall(as, w.Layout)
+		if err != nil {
+			return nil, err
 		}
 		deputy = paging.NewDeputy(fs, linkMF, tables)
 		deputy.SetAvailableAfter(simtime.Never)
@@ -365,18 +357,9 @@ func Run(cfg RunConfig) (*Result, error) {
 		})
 
 	case NoPrefetch, AMPoM:
-		tables := memory.NewTablePair(w.Layout.Pages())
-		as.EvictAllToRemote()
-		// The three "currently accessed" pages travel with the freeze.
-		for _, p := range []memory.PageNum{
-			w.Layout.Region(memory.RegionCode).Start,
-			w.Layout.Region(memory.RegionHeap).Start,
-			w.Layout.Region(memory.RegionStack).Start,
-		} {
-			as.SetState(p, memory.StateResident)
-			if err := tables.TransferToMigrant(p); err != nil {
-				return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
-			}
+		tables, err := freezeInstall(as, w.Layout)
+		if err != nil {
+			return nil, err
 		}
 		deputy = paging.NewDeputy(origin, link, tables)
 		pager = paging.NewPager(dest, link, as)
@@ -389,15 +372,13 @@ func Run(cfg RunConfig) (*Result, error) {
 			}
 			destDaemon = infod.New(simtime.Second, dest, link, cfg.Seed^0xd41d)
 			origDaemon = infod.New(simtime.Second, origin, link, cfg.Seed^0x8c1f)
+			infod.Pair(destDaemon, origDaemon)
 			destDaemon.Start()
 			origDaemon.Start()
 			ec.pre = pre
 			ec.est = destDaemon.Estimates
 		}
 		exec = newExecutor(ec)
-		if destDaemon != nil {
-			destDaemon.SetCPUUtil(exec.Utilization)
-		}
 	}
 
 	// --- Run to completion --------------------------------------------------
@@ -448,6 +429,26 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	res.Events = eng.Processed
 	return res, nil
+}
+
+// freezeInstall evicts the whole address space to the origin, then
+// installs at the migrant the three "currently accessed" pages that travel
+// with the freeze: the first pages of the code, heap and stack regions.
+// It returns the page tables the deputy serves the remaining pages from.
+func freezeInstall(as *memory.AddressSpace, layout memory.Layout) (*memory.TablePair, error) {
+	tables := memory.NewTablePair(layout.Pages())
+	as.EvictAllToRemote()
+	for _, p := range []memory.PageNum{
+		layout.Region(memory.RegionCode).Start,
+		layout.Region(memory.RegionHeap).Start,
+		layout.Region(memory.RegionStack).Start,
+	} {
+		as.SetState(p, memory.StateResident)
+		if err := tables.TransferToMigrant(p); err != nil {
+			return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
+		}
+	}
+	return tables, nil
 }
 
 // windowedStream executes a reference stream in wall-clock windows (the

@@ -20,19 +20,11 @@ const (
 	installPerPage = 1500 * simtime.Nanosecond
 )
 
-// PagerStats accounts the migrant-side paging activity. The evaluation
-// figures read these directly:
-//
-//   - HardFaults is Figure 7's "number of page fault requests": faults on
-//     pages that were neither local nor in flight, forcing a demand request
-//     to the origin.
-//   - PrefetchRequested/HardFaults is Figure 8's prefetched pages per page
-//     fault (request).
+// PagerStats accounts the migrant-side paging activity. The fault census
+// is not kept here: the executor classifies each fault, and Figure 7's
+// "number of page fault requests" is migrate.Result.HardFaults. Figure 8
+// divides PrefetchRequested by that count.
 type PagerStats struct {
-	HardFaults int64 // demand request sent, full stall
-	WaitFaults int64 // page already in flight, stalled without a request
-	SoftFaults int64 // page had arrived, install only
-
 	RequestsSent      int64 // PageRequest messages carrying ≥ 1 page
 	PrefetchOnly      int64 // requests with no demand page
 	PrefetchRequested int64 // pages requested as prefetch

@@ -123,7 +123,6 @@ type proc struct {
 
 	freezeStart simtime.Time
 	finishAt    simtime.Time
-	migrations  int
 }
 
 // procState is a process's place in its lifecycle. A migration ends in
@@ -180,10 +179,9 @@ func (c *clusterSim) transition(p *proc, to procState, node int) {
 // bounced the migrant while the bytes were in flight) arrives stale and is
 // ignored.
 type migMsg struct {
-	pid   int
-	seq   uint64
-	dest  int
-	bytes int64
+	pid  int
+	seq  uint64
+	dest int
 }
 
 // clusterSim is one policy's end-to-end simulation.
@@ -889,7 +887,6 @@ func (c *clusterSim) migrate(p *proc, src, dst int) {
 	p.seq++
 	p.from = src
 	p.freezeStart = c.eng.Now()
-	p.migrations++
 	c.transition(p, procInFlight, dst)
 	c.st.Migrations++
 
@@ -903,7 +900,7 @@ func (c *clusterSim) migrate(p *proc, src, dst int) {
 		return
 	}
 	c.st.MigrationBytes += bytes
-	m := migMsg{pid: p.t.id, seq: p.seq, dest: dst, bytes: bytes}
+	m := migMsg{pid: p.t.id, seq: p.seq, dest: dst}
 	c.ic.Send(src, dst, netmodel.Message{Size: bytes, Payload: m})
 }
 

@@ -133,28 +133,16 @@ func (e *Engine) Run(until simtime.Time) simtime.Time {
 			}
 			return e.now
 		}
-		ev := e.queue.Pop()
-		if ev.At > e.now {
-			e.now = ev.At
-		}
-		e.curPushed = ev.PushedAt
-		fn := ev.Fn
-		ev.Fn = nil
-		if fn != nil {
-			fn()
-		}
-		e.Processed++
-		if e.MaxEvents != 0 && e.Processed > e.MaxEvents {
-			panic(fmt.Sprintf("sim: event budget exceeded (%d events, t=%v)", e.Processed, e.now))
-		}
+		e.step()
 	}
 	return e.now
 }
 
 // step pops and runs the earliest pending event, advancing the clock to
-// its firing instant — one iteration of Run's loop, for a coordinator
-// interleaving several engines at a shared instant. The caller has
-// checked the queue is non-empty and the event is within its horizon.
+// its firing instant. It is Run's loop body, and a coordinator
+// interleaving several engines at a shared instant calls it directly. The
+// caller has checked the queue is non-empty and the event is within its
+// horizon.
 func (e *Engine) step() {
 	ev := e.queue.Pop()
 	if ev.At > e.now {
