@@ -206,8 +206,8 @@ func TestGossipPropagatesAndAges(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g := ic.Gossip(i)
 		for o := 0; o < n; o++ {
-			e := g.Entry(o)
-			if !e.Known {
+			e, ok := g.Entry(o)
+			if !ok {
 				t.Fatalf("daemon %d never heard about origin %d after 20 periods", i, o)
 			}
 			if e.Sample.Queue != o {
@@ -217,8 +217,10 @@ func TestGossipPropagatesAndAges(t *testing.T) {
 				if rtt, ok := g.AgeRTT(o); !ok || rtt <= 0 {
 					t.Fatalf("daemon %d has no staleness estimate for origin %d", i, o)
 				}
-				if e.Hops < 1 {
-					t.Fatalf("daemon %d origin %d entry has hop count %d", i, o, e.Hops)
+				// A stamp strictly before now: the entry crossed at
+				// least one link.
+				if now := eng.Now(); e.Stamp >= now {
+					t.Fatalf("daemon %d origin %d entry stamped %v, not before now %v", i, o, e.Stamp, now)
 				}
 			}
 		}

@@ -1,6 +1,34 @@
 package infod
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"ampom/internal/simtime"
+)
+
+// cell is one heard origin's state, flat and pointer-free: the origin's
+// latest entry (load, memory, queue, stamp), the per-origin staleness
+// EWMA, and the recency-ring slot of the origin's latest refresh. Every
+// cell has an age sample: merge records one as it inserts the cell.
+type cell struct {
+	load   float64
+	mem    int64
+	stamp  simtime.Time
+	ageEst simtime.Duration
+	queue  int
+	origin int32
+	// slot is the cell's recency-ring slot plus one; 0 once the ring head
+	// has overwritten it, or before the first refresh.
+	slot int32
+}
+
+// entry returns the cell's reader-side load entry.
+func (c *cell) entry() GossipEntry {
+	return GossipEntry{
+		Sample: LoadSample{Load: c.load, Queue: c.queue, UsedMemMB: c.mem},
+		Stamp:  c.stamp,
+	}
+}
 
 // cellTable is a daemon's heard set: the cells of every origin it holds,
 // kept dense under handles 0..n-1, plus an open-addressed index from
@@ -12,14 +40,17 @@ import "math/bits"
 //     pointer stays valid until the next removal.
 //   - Removing handle h moves the last cell into h (swap-remove), so the
 //     live cells are always handles 0..n-1.
-//   - index maps origin to handle+1 (0 marks an empty slot) by linear
-//     probing from a Fibonacci hash of the origin. It doubles, rehashing
-//     from the dense cells, before its load passes 3/4, and deletion
-//     shifts the rest of the probe run back, so there are no tombstones.
+//   - index is keyed in place: each slot holds origin<<32 | handle+1 (0
+//     marks an empty slot), so a probe compares origins inside the index
+//     and never loads a cell, hit, miss or collision. Slots are found by
+//     linear probing from a Fibonacci hash of the origin. The index
+//     doubles, rehashing its own keys, before its load passes 3/4, and
+//     deletion shifts the rest of the probe run back, so there are no
+//     tombstones.
 type cellTable struct {
 	chunks []*[chunkLen]cell
 	n      int
-	index  []int32
+	index  []uint64
 	shift  uint // 64 - log2(len(index))
 }
 
@@ -29,6 +60,13 @@ const (
 	// minIndex is the index size the first insertion allocates.
 	minIndex = 64
 )
+
+// key packs origin and handle h into an index slot value.
+func key(origin int32, h int) uint64 { return uint64(uint32(origin))<<32 | uint64(uint32(h+1)) }
+
+// keyOrigin and keyHandle unpack a non-empty index slot value.
+func keyOrigin(k uint64) int32 { return int32(k >> 32) }
+func keyHandle(k uint64) int   { return int(uint32(k)) - 1 }
 
 // len reports how many cells the table holds.
 func (t *cellTable) len() int { return t.n }
@@ -44,18 +82,18 @@ func (t *cellTable) home(origin int32) int {
 	return int((uint64(uint32(origin)) * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
-// slot returns the index slot holding origin's handle, or -1.
+// slot returns the index slot holding origin's key, or -1.
 func (t *cellTable) slot(origin int32) int {
 	if t.n == 0 {
 		return -1
 	}
 	mask := len(t.index) - 1
 	for i := t.home(origin); ; i = (i + 1) & mask {
-		v := t.index[i]
-		if v == 0 {
+		k := t.index[i]
+		if k == 0 {
 			return -1
 		}
-		if t.at(int(v-1)).origin == origin {
+		if keyOrigin(k) == origin {
 			return i
 		}
 	}
@@ -67,12 +105,12 @@ func (t *cellTable) find(origin int) int {
 	if i < 0 {
 		return -1
 	}
-	return int(t.index[i] - 1)
+	return keyHandle(t.index[i])
 }
 
 // insert appends a zeroed cell for origin, which the table must not hold
-// yet, and returns it.
-func (t *cellTable) insert(origin int) *cell {
+// yet, and returns its handle.
+func (t *cellTable) insert(origin int) int {
 	if 4*(t.n+1) > 3*len(t.index) {
 		t.grow()
 	}
@@ -81,33 +119,34 @@ func (t *cellTable) insert(origin int) *cell {
 		t.chunks = append(t.chunks, new([chunkLen]cell))
 	}
 	t.n++
-	c := t.at(h)
-	*c = cell{origin: int32(origin)}
-	t.place(c.origin, h)
-	return c
+	*t.at(h) = cell{origin: int32(origin)}
+	t.place(key(int32(origin), h))
+	return h
 }
 
-// place records handle h for origin in the first free slot of its probe
-// run.
-func (t *cellTable) place(origin int32, h int) {
+// place stores k in the first free slot of its origin's probe run.
+func (t *cellTable) place(k uint64) {
 	mask := len(t.index) - 1
-	i := t.home(origin)
+	i := t.home(keyOrigin(k))
 	for t.index[i] != 0 {
 		i = (i + 1) & mask
 	}
-	t.index[i] = int32(h + 1)
+	t.index[i] = k
 }
 
-// grow doubles the index and re-places every cell.
+// grow doubles the index and re-places every key.
 func (t *cellTable) grow() {
 	size := 2 * len(t.index)
 	if size < minIndex {
 		size = minIndex
 	}
-	t.index = make([]int32, size)
+	old := t.index
+	t.index = make([]uint64, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for h := 0; h < t.n; h++ {
-		t.place(t.at(h).origin, h)
+	for _, k := range old {
+		if k != 0 {
+			t.place(k)
+		}
 	}
 }
 
@@ -115,11 +154,11 @@ func (t *cellTable) grow() {
 func (t *cellTable) remove(h int) {
 	mask := len(t.index) - 1
 	// Backward-shift deletion: walk the probe run past the freed slot and
-	// pull back every entry whose home does not lie cyclically in
-	// (free, j], so each stays reachable from its home without tombstones.
+	// pull back every key whose home does not lie cyclically in (free, j],
+	// so each stays reachable from its home without tombstones.
 	free := t.slot(t.at(h).origin)
 	for j := (free + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
-		home := t.home(t.at(int(t.index[j] - 1)).origin)
+		home := t.home(keyOrigin(t.index[j]))
 		if (j-home)&mask >= (j-free)&mask {
 			t.index[free] = t.index[j]
 			free = j
@@ -131,7 +170,7 @@ func (t *cellTable) remove(h int) {
 	if h != last {
 		moved := t.at(last)
 		*t.at(h) = *moved
-		t.index[t.slot(moved.origin)] = int32(h + 1)
+		t.index[t.slot(moved.origin)] = key(moved.origin, h)
 	}
 	t.n--
 }

@@ -18,24 +18,50 @@ func tableGossip(cfg GossipConfig, id, n int) (*sim.Engine, *Gossip) {
 	return eng, NewGossip(cfg, node, id, n, 11.36e6, func(int, netmodel.Message) {}, 1)
 }
 
-// checkTable asserts the cell table's own invariants: every handle is
-// reachable from its origin through the index, and the index holds
-// exactly one slot per cell.
-func checkTable(t *testing.T, ct *cellTable) {
+// checkTable asserts the heard set's invariants. The cell table: every
+// handle is reachable from its origin through the index, the index holds
+// exactly one slot per cell, and each index key's origin is its cell's
+// origin. The recency ring: each non-empty slot names a live handle whose
+// cell records that slot, no handle appears twice, and every cell that
+// records a slot is named there.
+func checkTable(t *testing.T, g *Gossip) {
 	t.Helper()
+	ct := &g.cells
 	for h := 0; h < ct.len(); h++ {
 		if got := ct.find(int(ct.at(h).origin)); got != h {
 			t.Fatalf("origin %d under handle %d finds handle %d", ct.at(h).origin, h, got)
 		}
 	}
 	used := 0
-	for _, v := range ct.index {
-		if v != 0 {
-			used++
+	for i, k := range ct.index {
+		if k == 0 {
+			continue
+		}
+		used++
+		if h := keyHandle(k); h < 0 || h >= ct.len() || ct.at(h).origin != keyOrigin(k) {
+			t.Fatalf("index slot %d keys origin %d to handle %d, which is not that origin's live cell", i, keyOrigin(k), h)
 		}
 	}
 	if used != ct.len() {
 		t.Fatalf("index holds %d slots for %d cells", used, ct.len())
+	}
+	seen := make(map[int32]int)
+	for s, v := range g.ring {
+		if v == 0 {
+			continue
+		}
+		if prev, dup := seen[v]; dup {
+			t.Fatalf("handle %d sits in ring slots %d and %d", v-1, prev, s)
+		}
+		seen[v] = s
+		if h := int(v - 1); h >= ct.len() || ct.at(h).slot != int32(s+1) {
+			t.Fatalf("ring slot %d names handle %d, which does not record that slot", s, h)
+		}
+	}
+	for h := 0; h < ct.len(); h++ {
+		if s := ct.at(h).slot; s != 0 && g.ring[s-1] != int32(h+1) {
+			t.Fatalf("handle %d records ring slot %d, which holds %d", h, s-1, g.ring[s-1])
+		}
 	}
 }
 
@@ -67,8 +93,7 @@ const fuzzAgeUnit = MaxAge
 
 // scriptEntry decodes one window entry. Its age is (ageByte-16)/64 of
 // fuzzAgeUnit, so an age byte past 80 is already past MaxAge
-// on arrival and one below 16 is stamped in the future; age byte 0xff
-// marks the entry unknown.
+// on arrival and one below 16 is stamped in the future.
 func scriptEntry(origin int, ageByte byte, now simtime.Time) gossipEntryWire {
 	age := simtime.Duration(int64(ageByte)-16) * fuzzAgeUnit / 64
 	return gossipEntryWire{
@@ -76,8 +101,6 @@ func scriptEntry(origin int, ageByte byte, now simtime.Time) gossipEntryWire {
 		Entry: GossipEntry{
 			Sample: LoadSample{Load: float64(origin), Queue: int(ageByte), UsedMemMB: int64(origin) * 3},
 			Stamp:  now.Add(-age),
-			Hops:   int(ageByte % 3),
-			Known:  ageByte != 0xff,
 		},
 	}
 }
@@ -164,7 +187,7 @@ func FuzzGossipTable(f *testing.F) {
 				if k > len(script)/3 {
 					k = len(script) / 3
 				}
-				m := gossipMsg{Entries: make([]gossipEntryWire, k)}
+				m := &gossipMsg{Entries: make([]gossipEntryWire, k)}
 				for i := range m.Entries {
 					b := script[3*i : 3*i+3]
 					m.Entries[i] = scriptEntry((int(b[0])<<8|int(b[1]))%n, b[2], now)
@@ -177,7 +200,7 @@ func FuzzGossipTable(f *testing.F) {
 					script = nil
 					break
 				}
-				m := gossipMsg{Entries: make([]gossipEntryWire, op/4+1)}
+				m := &gossipMsg{Entries: make([]gossipEntryWire, op/4+1)}
 				start := int(script[0]) * n / 256
 				for i := range m.Entries {
 					m.Entries[i] = scriptEntry((start+i)%n, script[1]+byte(i), now)
@@ -186,7 +209,8 @@ func FuzzGossipTable(f *testing.F) {
 				g.merge(m)
 				ref.merge(m, now)
 			case 2:
-				got, want := g.compose(now), ref.compose(now)
+				m := g.compose(now)
+				got, want := m.Entries, ref.compose(now)
 				if len(got) != len(want) {
 					t.Fatalf("composed %d entries, reference %d", len(got), len(want))
 				}
@@ -195,15 +219,18 @@ func FuzzGossipTable(f *testing.F) {
 						t.Fatalf("window[%d] = %+v, reference %+v", i, got[i], want[i])
 					}
 				}
+				g.adopt(m) // the next compose reuses the buffer
 			case 3:
 				now = now.Add(simtime.Duration(op/4) * fuzzAgeUnit / 16)
 				eng.AdvanceTo(now)
 			}
 
-			checkTable(t, &g.cells)
+			checkTable(t, g)
 			for o := 0; o < n; o++ {
-				if got, want := g.Entry(o), ref.entry(o, now); got != want {
-					t.Fatalf("Entry(%d) = %+v, reference %+v", o, got, want)
+				got, ok := g.Entry(o)
+				want := ref.entry(o, now)
+				if got != want || ok != (o == id || want != GossipEntry{}) {
+					t.Fatalf("Entry(%d) = %+v,%v, reference %+v", o, got, ok, want)
 				}
 				gr, gok := g.AgeRTT(o)
 				rr, rok := ref.ageRTT(o)
@@ -250,19 +277,19 @@ func TestMergeSteadyStateAllocFree(t *testing.T) {
 	// the sweep reclaims it.
 	const group = 64
 	eng, g := tableGossip(GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 32}, 3*group, 3*group+1)
-	window := make([]gossipEntryWire, 2*group)
+	window := &gossipMsg{Entries: make([]gossipEntryWire, 2*group)}
 	r := 0
 	reclaimed := 0
 	run := func() {
 		now := eng.Now().Add(31 * simtime.Second)
 		eng.AdvanceTo(now)
-		for i := range window {
-			window[i] = gossipEntryWire{
+		for i := range window.Entries {
+			window.Entries[i] = gossipEntryWire{
 				Origin: ((r+i/group)%3)*group + i%group,
-				Entry:  GossipEntry{Stamp: now, Known: true},
+				Entry:  GossipEntry{Stamp: now},
 			}
 		}
-		g.merge(gossipMsg{Entries: window})
+		g.merge(window)
 		before := g.cells.len()
 		g.sweepAt = 0 // arm the sweep
 		g.maybeSweep(now)
@@ -286,5 +313,5 @@ func TestMergeSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("table grew in steady state: %d→%d chunks, %d→%d index slots",
 			chunks, len(g.cells.chunks), index, len(g.cells.index))
 	}
-	checkTable(t, &g.cells)
+	checkTable(t, g)
 }

@@ -13,16 +13,34 @@
 //
 // Storage is compact: a daemon keeps only the origins it has actually
 // heard from (a flat cell table — dense pointer-free cells behind an
-// open-addressed origin index — plus a recency ring ordering them by last
-// refresh), never a dense length-n vector, so the whole gossip plane is
-// O(n·l·retention) resident rather than O(n²). Alongside the periodic
-// pushes, each daemon runs slower anti-entropy pull rounds: it asks one
-// random peer for that peer's current window, which heals partitions and
-// brings late joiners up to date even when pushes alone would starve them.
+// open-addressed index keyed in place by origin, see cellTable), never a
+// dense length-n vector, so the whole gossip plane is O(n·l·retention)
+// resident rather than O(n²). A recency ring of cell handles orders the
+// cells by last refresh. Each cell records its slot. A refresh clears the
+// cell's previous slot and writes its handle at the ring head, whose
+// previous occupant falls off the ring; removing a cell clears its slot
+// and relabels the slot of the cell swap-removal moves. So every non-empty
+// slot names the live cell last refreshed there, and the window composer
+// reads cells straight off the ring, with no index lookup. Alongside the periodic pushes, each daemon runs slower
+// anti-entropy pull rounds: it asks one random peer for that peer's
+// current window, which heals partitions and brings late joiners up to
+// date even when pushes alone would starve them.
+//
+// Windows are recycled. A daemon composes each outgoing window into a
+// buffer off its own short free list, and the buffer is shared by every
+// copy sent. Its receiver count is set at send time; each receiver
+// decrements it atomically once its merge has read the entries, and the
+// last one adopts the buffer onto its own daemon's free list. Only the
+// daemon that owns a free list ever touches it, so under the sharded
+// engine a list never crosses shards; the count is the one cross-shard
+// word. A copy lost on the way (a down link, a dropped message) leaves
+// the count above zero, and the buffer goes to the garbage collector
+// instead.
 package infod
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ampom/internal/cluster"
 	"ampom/internal/core"
@@ -61,23 +79,22 @@ type GossipEntry struct {
 	Sample LoadSample
 	// Stamp is the origin-side composition instant of the sample.
 	Stamp simtime.Time
-	// Hops counts how many daemon-to-daemon pushes the entry crossed.
-	Hops int
-	// Known reports whether any sample for the origin has arrived yet.
-	Known bool
 }
 
-// gossipEntryWire is one entry on the wire (hops as recorded by the
-// sender; the receiver increments).
+// gossipEntryWire is one entry on the wire. Every composed entry is a
+// known one, so the wire carries no presence flag.
 type gossipEntryWire struct {
 	Origin int
 	Entry  GossipEntry
 }
 
-// gossipMsg is one load-vector push (or pull response — the receiver
-// merges both identically).
+// gossipMsg is one composed window, sent as a load-vector push or a pull
+// response (the receiver merges both identically). Every copy of a send
+// shares one gossipMsg; receivers counts the copies whose merge is still
+// to run, and the merge that takes it to zero adopts the buffer.
 type gossipMsg struct {
-	Entries []gossipEntryWire
+	Entries   []gossipEntryWire
+	receivers atomic.Int32
 }
 
 // gossipPullMsg is one anti-entropy pull request: the receiver replies to
@@ -86,19 +103,13 @@ type gossipPullMsg struct {
 	From int
 }
 
-// cell is one heard origin's state: the entry itself plus the per-origin
-// staleness EWMA, and the recency-ring position of the origin's latest
-// refresh (the dedup key the window composer checks). Every cell has an
-// age sample: merge records one as it inserts the cell.
-type cell struct {
-	entry   GossipEntry
-	ageEst  simtime.Duration
-	ringPos int64
-	origin  int32
-}
-
-// sweepFloor is the minimum heard-set size before expiry sweeps trigger.
-const sweepFloor = 64
+const (
+	// sweepFloor is the minimum heard-set size before expiry sweeps
+	// trigger.
+	sweepFloor = 64
+	// freeWindows caps a daemon's free list of window buffers.
+	freeWindows = 4
+)
 
 // Gossip is one node's gossip dissemination daemon.
 type Gossip struct {
@@ -113,18 +124,21 @@ type Gossip struct {
 	pullTicker *sim.Ticker
 
 	// self is the daemon's own latest sample; cells holds only origins
-	// actually heard from. ring is a circular buffer of origin ids in
-	// refresh order (ringN total appends); an origin is current at ring
-	// position p iff its cell's ringPos == p, so the window composer walks
-	// the ring newest-first with O(1) dedup. sweepAt is the heard-set size
-	// that triggers the next amortised expiry sweep. rttSum is the sum of
-	// 2×ageEst over every cell, kept in step by recordAge and drop.
+	// actually heard from. ring is a circular buffer of cell handles+1 (0
+	// marks an empty slot) in refresh order, ringN total appends; a cell
+	// and the ring slot it records name each other, so the window composer
+	// walks the ring newest-first and reads each cell directly. sweepAt is
+	// the heard-set size that triggers the next amortised expiry sweep.
+	// rttSum is the sum of 2×ageEst over every cell, kept in step by
+	// recordAge and drop. free holds the window buffers this daemon has
+	// adopted, which compose reuses.
 	self    GossipEntry
 	cells   cellTable
 	ring    []int32
 	ringN   int64
 	sweepAt int
 	rttSum  simtime.Duration
+	free    []*gossipMsg
 
 	peerScratch []int
 }
@@ -150,6 +164,7 @@ func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float6
 		send:      send,
 		ring:      make([]int32, ringCap),
 		sweepAt:   sweepFloor,
+		free:      make([]*gossipMsg, 0, freeWindows),
 	}
 	node.Handle(g.handle)
 	return g
@@ -186,42 +201,55 @@ func (g *Gossip) Stop() {
 func expired(stamp, now simtime.Time) bool { return now.Sub(stamp) > MaxAge }
 
 // compose re-probes the daemon's own sample and assembles the bounded
-// outgoing window: the fresh self entry plus the most recently refreshed
-// live entries off the recency ring, up to WindowLen total. Stale ring
-// slots (an origin refreshed again later, or an entry past MaxAge) are
-// skipped; expired cells encountered on the walk are reclaimed. The slice
-// is allocated per call because it escapes into the in-flight message.
-func (g *Gossip) compose(now simtime.Time) []gossipEntryWire {
+// outgoing window into a buffer off the free list: the fresh self entry
+// plus the most recently refreshed live entries off the recency ring, up
+// to WindowLen total. Empty ring slots (a cell refreshed again later, or
+// reclaimed) are skipped; expired cells encountered on the walk are
+// reclaimed.
+func (g *Gossip) compose(now simtime.Time) *gossipMsg {
+	g.self = GossipEntry{Stamp: now}
 	if g.probe != nil {
-		g.self = GossipEntry{Sample: g.probe(), Stamp: now, Known: true}
-	} else {
-		g.self = GossipEntry{Stamp: now, Known: true}
+		g.self.Sample = g.probe()
 	}
-	max := g.cfg.WindowLen
-	if m := g.cells.len() + 1; m < max {
-		max = m
-	}
-	out := make([]gossipEntryWire, 0, max)
-	out = append(out, gossipEntryWire{Origin: g.id, Entry: g.self})
+	m := g.window()
+	out := append(m.Entries[:0], gossipEntryWire{Origin: g.id, Entry: g.self})
 	span := int64(len(g.ring))
 	if g.ringN < span {
 		span = g.ringN
 	}
 	for k := int64(1); k <= span && len(out) < g.cfg.WindowLen; k++ {
-		pos := g.ringN - k
-		o := int(g.ring[pos%int64(len(g.ring))])
-		h := g.cells.find(o)
-		if h < 0 || g.cells.at(h).ringPos != pos {
-			continue // origin refreshed since (a newer slot covers it) or reclaimed
+		v := g.ring[(g.ringN-k)%int64(len(g.ring))]
+		if v == 0 {
+			continue
 		}
+		h := int(v - 1)
 		c := g.cells.at(h)
-		if expired(c.entry.Stamp, now) {
+		if expired(c.stamp, now) {
 			g.drop(h)
 			continue
 		}
-		out = append(out, gossipEntryWire{Origin: o, Entry: c.entry})
+		out = append(out, gossipEntryWire{Origin: int(c.origin), Entry: c.entry()})
 	}
-	return out
+	m.Entries = out
+	return m
+}
+
+// window takes a buffer off the free list, or allocates one.
+func (g *Gossip) window() *gossipMsg {
+	if k := len(g.free); k > 0 {
+		m := g.free[k-1]
+		g.free = g.free[:k-1]
+		return m
+	}
+	return &gossipMsg{Entries: make([]gossipEntryWire, 0, g.cfg.WindowLen)}
+}
+
+// adopt puts a window buffer no one else holds on the free list, or leaves
+// it to the garbage collector when the list is full.
+func (g *Gossip) adopt(m *gossipMsg) {
+	if len(g.free) < freeWindows {
+		g.free = append(g.free, m)
+	}
 }
 
 // pickPeers selects k distinct random peers (never the daemon itself) by
@@ -256,16 +284,18 @@ func (g *Gossip) pickPeers(k int) []int {
 // peers, each after a scheduling delay. The vector is stamped at
 // composition time, as the paired daemon stamps its payload.
 func (g *Gossip) push() {
-	snapshot := g.compose(g.eng.Now())
+	m := g.compose(g.eng.Now())
 	if g.n <= 1 {
+		g.adopt(m)
 		return
 	}
-	size := MsgBytes + EntryBytes*int64(len(snapshot))
-	msg := gossipMsg{Entries: snapshot}
-	for _, dst := range g.pickPeers(g.cfg.Fanout) {
+	peers := g.pickPeers(g.cfg.Fanout)
+	m.receivers.Store(int32(len(peers)))
+	size := MsgBytes + EntryBytes*int64(len(m.Entries))
+	for _, dst := range peers {
 		dst := dst
 		g.eng.Schedule(g.schedDelay(), func() {
-			g.send(dst, netmodel.Message{Size: size, Payload: msg})
+			g.send(dst, netmodel.Message{Size: size, Payload: m})
 		})
 	}
 }
@@ -291,7 +321,7 @@ func (g *Gossip) pull() {
 // woken and run).
 func (g *Gossip) handle(payload any) bool {
 	switch m := payload.(type) {
-	case gossipMsg:
+	case *gossipMsg:
 		g.eng.Schedule(g.schedDelay(), func() { g.merge(m) })
 		return true
 	case gossipPullMsg:
@@ -306,43 +336,58 @@ func (g *Gossip) servePull(dst int) {
 	if dst == g.id || dst < 0 || dst >= g.n {
 		return
 	}
-	snapshot := g.compose(g.eng.Now())
-	size := MsgBytes + EntryBytes*int64(len(snapshot))
-	g.send(dst, netmodel.Message{Size: size, Payload: gossipMsg{Entries: snapshot}})
+	m := g.compose(g.eng.Now())
+	m.receivers.Store(1)
+	size := MsgBytes + EntryBytes*int64(len(m.Entries))
+	g.send(dst, netmodel.Message{Size: size, Payload: m})
 }
 
-// merge folds a received window in: newer stamps win, hop counts
-// increment, accepted entries move to the head of the recency ring, and
-// every accepted entry contributes an age sample to the per-origin
-// staleness estimate. Entries already past MaxAge on arrival are not
-// resurrected.
-func (g *Gossip) merge(m gossipMsg) {
+// merge folds a received window in: newer stamps win, accepted entries
+// move to the head of the recency ring, and every accepted entry
+// contributes an age sample to the per-origin staleness estimate. Entries
+// already past MaxAge on arrival are not resurrected. Once the entries are
+// read, the merge releases its copy of the window, adopting the buffer if
+// it was the last one out.
+func (g *Gossip) merge(m *gossipMsg) {
 	now := g.eng.Now()
 	for _, w := range m.Entries {
 		o := w.Origin
-		if o == g.id || o < 0 || o >= g.n || !w.Entry.Known {
-			continue
-		}
-		if expired(w.Entry.Stamp, now) {
+		if o == g.id || o < 0 || o >= g.n || expired(w.Entry.Stamp, now) {
 			continue
 		}
 		h := g.cells.find(o)
 		added := h < 0
-		var c *cell
 		if added {
-			c = g.cells.insert(o)
-		} else if c = g.cells.at(h); w.Entry.Stamp <= c.entry.Stamp {
+			h = g.cells.insert(o)
+		} else if w.Entry.Stamp <= g.cells.at(h).stamp {
 			continue
 		}
-		e := w.Entry
-		e.Hops++
-		c.entry = e
-		c.ringPos = g.ringN
-		g.ring[g.ringN%int64(len(g.ring))] = int32(o)
-		g.ringN++
-		g.recordAge(c, now.Sub(e.Stamp), added)
+		c := g.cells.at(h)
+		s := w.Entry.Sample
+		c.load, c.queue, c.mem, c.stamp = s.Load, s.Queue, s.UsedMemMB, w.Entry.Stamp
+		g.refresh(h, c)
+		g.recordAge(c, now.Sub(w.Entry.Stamp), added)
+	}
+	if m.receivers.Add(-1) == 0 {
+		g.adopt(m)
 	}
 	g.maybeSweep(now)
+}
+
+// refresh moves cell h to the head of the recency ring: it clears the
+// cell's previous slot, takes the head slot from whichever cell held it
+// (that cell falls off the ring), and records the new slot in the cell.
+func (g *Gossip) refresh(h int, c *cell) {
+	if c.slot != 0 {
+		g.ring[c.slot-1] = 0
+	}
+	s := g.ringN % int64(len(g.ring))
+	if v := g.ring[s]; v != 0 {
+		g.cells.at(int(v - 1)).slot = 0
+	}
+	g.ring[s] = int32(h + 1)
+	c.slot = int32(s + 1)
+	g.ringN++
 }
 
 // maybeSweep reclaims expired cells once the heard set crosses the sweep
@@ -356,7 +401,7 @@ func (g *Gossip) maybeSweep(now simtime.Time) {
 		return
 	}
 	for h := 0; h < g.cells.len(); {
-		if expired(g.cells.at(h).entry.Stamp, now) {
+		if expired(g.cells.at(h).stamp, now) {
 			g.drop(h)
 		} else {
 			h++
@@ -368,10 +413,21 @@ func (g *Gossip) maybeSweep(now simtime.Time) {
 	}
 }
 
-// drop removes the cell under handle h, and its estimate from rttSum.
+// drop removes the cell under handle h: its ring slot and its estimate
+// in rttSum go with it, and the cell swap-removal moves into h takes its
+// ring slot along.
 func (g *Gossip) drop(h int) {
-	g.rttSum -= 2 * g.cells.at(h).ageEst
+	c := g.cells.at(h)
+	g.rttSum -= 2 * c.ageEst
+	if c.slot != 0 {
+		g.ring[c.slot-1] = 0
+	}
 	g.cells.remove(h)
+	if h < g.cells.len() {
+		if s := g.cells.at(h).slot; s != 0 {
+			g.ring[s-1] = int32(h + 1)
+		}
+	}
 }
 
 // recordAge folds one observed entry age into the origin's EWMA; a just
@@ -389,22 +445,23 @@ func (g *Gossip) recordAge(c *cell, age simtime.Duration, added bool) {
 	g.rttSum += 2*c.ageEst - 2*old
 }
 
-// Entry returns this daemon's current view of origin's load state. An
-// entry past MaxAge reads as unknown — local readers see the same expiry
-// the wire applies, never unbounded staleness.
-func (g *Gossip) Entry(origin int) GossipEntry {
+// Entry returns this daemon's current view of origin's load state, and
+// whether it holds one; its own entry is always held. An entry past MaxAge
+// reads as not held — local readers see the same expiry the wire applies,
+// never unbounded staleness.
+func (g *Gossip) Entry(origin int) (GossipEntry, bool) {
 	if origin == g.id {
-		return g.self
+		return g.self, true
 	}
 	h := g.cells.find(origin)
 	if h < 0 {
-		return GossipEntry{}
+		return GossipEntry{}, false
 	}
 	c := g.cells.at(h)
-	if expired(c.entry.Stamp, g.eng.Now()) {
-		return GossipEntry{}
+	if expired(c.stamp, g.eng.Now()) {
+		return GossipEntry{}, false
 	}
-	return c.entry
+	return c.entry(), true
 }
 
 // Fresh calls f for every live (non-expired) entry this daemon currently
@@ -416,10 +473,10 @@ func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
 	now := g.eng.Now()
 	for h := 0; h < g.cells.len(); h++ {
 		c := g.cells.at(h)
-		if expired(c.entry.Stamp, now) {
+		if expired(c.stamp, now) {
 			continue
 		}
-		f(int(c.origin), c.entry)
+		f(int(c.origin), c.entry())
 	}
 }
 
@@ -428,7 +485,7 @@ func (g *Gossip) KnownCount() int {
 	n := 0
 	now := g.eng.Now()
 	for h := 0; h < g.cells.len(); h++ {
-		if !expired(g.cells.at(h).entry.Stamp, now) {
+		if !expired(g.cells.at(h).stamp, now) {
 			n++
 		}
 	}

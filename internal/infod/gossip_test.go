@@ -45,8 +45,8 @@ func TestGossipMergesNewestWins(t *testing.T) {
 	eng.Run(simtime.Time(15 * simtime.Second))
 	for i, g := range daemons {
 		for o := 0; o < 6; o++ {
-			e := g.Entry(o)
-			if !e.Known {
+			e, ok := g.Entry(o)
+			if !ok {
 				t.Fatalf("daemon %d missing origin %d", i, o)
 			}
 			if e.Sample.Queue != 2*o || e.Sample.UsedMemMB != int64(o) {
@@ -180,7 +180,7 @@ func TestGossipPushDistinctPeers(t *testing.T) {
 	cfg := GossipConfig{Period: period, Fanout: fanout, WindowLen: 32}
 	eng, _ := gossipMesh(t, n, cfg, simtime.Millisecond,
 		func(src, dst int, m netmodel.Message) bool {
-			g, ok := m.Payload.(gossipMsg)
+			g, ok := m.Payload.(*gossipMsg)
 			if !ok {
 				return true
 			}
@@ -227,7 +227,7 @@ func TestGossipWindowBoundsWire(t *testing.T) {
 	maxEntries, msgs := 0, 0
 	eng, daemons := gossipMesh(t, n, cfg, simtime.Millisecond,
 		func(src, dst int, m netmodel.Message) bool {
-			if g, ok := m.Payload.(gossipMsg); ok {
+			if g, ok := m.Payload.(*gossipMsg); ok {
 				msgs++
 				if len(g.Entries) > maxEntries {
 					maxEntries = len(g.Entries)
@@ -265,7 +265,7 @@ func TestGossipLocalReadsExpire(t *testing.T) {
 	eng.Run(simtime.Time(10 * simtime.Second))
 	for i, g := range daemons {
 		for o := 0; o < 4; o++ {
-			if o != i && !g.Entry(o).Known {
+			if _, ok := g.Entry(o); o != i && !ok {
 				t.Fatalf("daemon %d missing origin %d while gossiping", i, o)
 			}
 		}
@@ -289,7 +289,7 @@ func TestGossipLocalReadsExpire(t *testing.T) {
 			if o == i {
 				continue
 			}
-			if g.Entry(o).Known {
+			if _, ok := g.Entry(o); ok {
 				t.Fatalf("daemon %d still serves origin %d %v past MaxAge", i, o, 2*MaxAge)
 			}
 		}
@@ -302,7 +302,7 @@ func TestGossipLocalReadsExpire(t *testing.T) {
 // TestGossipAntiEntropyHealsPartition locks the pull rounds' purpose: two
 // halves of a cluster are isolated from the first round (no cross entry is
 // ever learned), the partition heals, and within a bounded number of pull
-// rounds every daemon's view of every origin is Known — with a window much
+// rounds every daemon holds a live entry for every origin — with a window much
 // smaller than the cluster, so any single push or pull carries only a
 // slice of the plane.
 func TestGossipAntiEntropyHealsPartition(t *testing.T) {
@@ -322,7 +322,7 @@ func TestGossipAntiEntropyHealsPartition(t *testing.T) {
 	eng.Run(healAt)
 	for i, g := range daemons {
 		for o := 0; o < n; o++ {
-			if sideOf(i) != sideOf(o) && g.Entry(o).Known {
+			if _, ok := g.Entry(o); sideOf(i) != sideOf(o) && ok {
 				t.Fatalf("daemon %d knows cross-partition origin %d while partitioned", i, o)
 			}
 		}
@@ -336,7 +336,7 @@ func TestGossipAntiEntropyHealsPartition(t *testing.T) {
 			if o == i {
 				continue
 			}
-			if !g.Entry(o).Known {
+			if _, ok := g.Entry(o); !ok {
 				t.Fatalf("daemon %d still missing origin %d ten pull rounds after the heal", i, o)
 			}
 		}
@@ -350,7 +350,8 @@ func TestGossipDeterministicPeers(t *testing.T) {
 		var out []GossipEntry
 		for _, g := range daemons {
 			for o := 0; o < 5; o++ {
-				out = append(out, g.Entry(o))
+				e, _ := g.Entry(o)
+				out = append(out, e)
 			}
 		}
 		return out

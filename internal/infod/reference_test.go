@@ -50,7 +50,7 @@ func (g *refGossip) expired(stamp, now simtime.Time) bool {
 
 // compose is Gossip.compose with no load probe installed.
 func (g *refGossip) compose(now simtime.Time) []gossipEntryWire {
-	g.self = GossipEntry{Stamp: now, Known: true}
+	g.self = GossipEntry{Stamp: now}
 	max := g.cfg.WindowLen
 	if m := len(g.cells) + 1; m < max {
 		max = m
@@ -77,10 +77,10 @@ func (g *refGossip) compose(now simtime.Time) []gossipEntryWire {
 	return out
 }
 
-func (g *refGossip) merge(m gossipMsg, now simtime.Time) {
+func (g *refGossip) merge(m *gossipMsg, now simtime.Time) {
 	for _, w := range m.Entries {
 		o := w.Origin
-		if o == g.id || o < 0 || o >= g.n || !w.Entry.Known {
+		if o == g.id || o < 0 || o >= g.n {
 			continue
 		}
 		if g.expired(w.Entry.Stamp, now) {
@@ -95,7 +95,6 @@ func (g *refGossip) merge(m gossipMsg, now simtime.Time) {
 			g.cells[o] = c
 		}
 		e := w.Entry
-		e.Hops++
 		c.entry = e
 		c.ringPos = g.ringN
 		g.ring[g.ringN%int64(len(g.ring))] = int32(o)

@@ -64,8 +64,8 @@ func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 					want[i] = base.Nodes[i]
 					continue
 				}
-				e := g.Entry(i)
-				if !e.Known {
+				e, ok := g.Entry(i)
+				if !ok {
 					want[i] = sched.NodeView{
 						CPUScale:   c.nodes[i].CPUScale,
 						Load:       math.Inf(1),

@@ -353,8 +353,8 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 			continue
 		}
 		known++
-		e := g.Entry(i)
-		if !e.Known {
+		e, ok := g.Entry(i)
+		if !ok {
 			t.Fatalf("row %d known in the view but not in the daemon", i)
 		}
 		if v.Nodes[i].Procs != e.Sample.Queue || v.Nodes[i].UsedMemMB != e.Sample.UsedMemMB ||
