@@ -240,8 +240,8 @@ func BenchmarkMigrationRun(b *testing.B) {
 // BenchmarkLinkThroughput measures the network model's message path.
 func BenchmarkLinkThroughput(b *testing.B) {
 	eng := newEngine()
-	a := netmodel.NewNIC("a", nil)
-	c := netmodel.NewNIC("b", func(netmodel.Message) {})
+	a := netmodel.NewNIC(nil)
+	c := netmodel.NewNIC(func(netmodel.Message) {})
 	link := netmodel.NewLink(eng, netmodel.FastEthernet(), a, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

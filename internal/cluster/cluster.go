@@ -35,7 +35,7 @@ func NewNode(eng *sim.Engine, name string, cpuScale float64) *Node {
 		cpuScale = 1
 	}
 	n := &Node{Name: name, CPUScale: cpuScale, Eng: eng}
-	n.NIC = netmodel.NewNIC(name, n.dispatch)
+	n.NIC = netmodel.NewNIC(n.dispatch)
 	return n
 }
 

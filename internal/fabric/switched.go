@@ -144,7 +144,7 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 		if v == spine {
 			name = "core"
 		}
-		nic := netmodel.NewNIC(name, nil)
+		nic := netmodel.NewNIC(nil)
 		nic.SetHandler(func(m netmodel.Message) {
 			env, ok := m.Payload.(*envelope)
 			if !ok {

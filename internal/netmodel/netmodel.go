@@ -85,13 +85,10 @@ type Handler func(m Message)
 type Counters struct {
 	TxBytes int64
 	RxBytes int64
-	TxMsgs  int64
-	RxMsgs  int64
 }
 
 // NIC is a network endpoint with counters. Attach one per node.
 type NIC struct {
-	Name     string
 	Counters Counters
 	handler  Handler
 
@@ -103,8 +100,8 @@ type NIC struct {
 }
 
 // NewNIC returns a NIC delivering received messages to handler.
-func NewNIC(name string, handler Handler) *NIC {
-	return &NIC{Name: name, handler: handler}
+func NewNIC(handler Handler) *NIC {
+	return &NIC{handler: handler}
 }
 
 // SetHandler replaces the delivery callback (used when a node binds its
@@ -115,7 +112,6 @@ func (n *NIC) SetHandler(h Handler) { n.handler = h }
 func (n *NIC) deliver(m Message) {
 	if !n.Quiet {
 		n.Counters.RxBytes += m.Size
-		n.Counters.RxMsgs++
 	}
 	if n.handler != nil {
 		n.handler(m)
@@ -140,9 +136,6 @@ type Link struct {
 	// network in adaptation experiments.
 	backgroundLoad float64
 
-	// Delivered counts messages delivered in both directions.
-	Delivered int64
-
 	// router, when set, is offered every delivery before it is scheduled
 	// on the link's engine. See SetDeliveryRouter.
 	router DeliveryRouter
@@ -150,8 +143,8 @@ type Link struct {
 
 // DeliveryRouter intercepts a delivery scheduled for NIC to at instant at.
 // Returning true claims the delivery: the link schedules nothing and the
-// router must arrange for deliver (which updates the link's Delivered
-// count and the NIC's RX counters before dispatching) to run at at, or
+// router must arrange for deliver (which updates the NIC's RX counters
+// before dispatching) to run at at, or
 // substitute its own dispatch. A sharded fabric uses this to land
 // deliveries on the engine that owns the receiver's state instead of the
 // engine the sender ran on.
@@ -212,12 +205,8 @@ func (l *Link) Send(from *NIC, m Message) simtime.Time {
 
 	if !from.Quiet {
 		from.Counters.TxBytes += m.Size
-		from.Counters.TxMsgs++
 	}
-	deliver := func() {
-		l.Delivered++
-		to.deliver(m)
-	}
+	deliver := func() { to.deliver(m) }
 	if l.router != nil && l.router(to, m, arrival, deliver) {
 		return arrival
 	}

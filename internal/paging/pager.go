@@ -30,9 +30,8 @@ type PagerStats struct {
 	PrefetchRequested int64 // pages requested as prefetch
 	DemandRequested   int64 // pages requested on demand
 
-	PagesArrived   int64
-	PagesInstalled int64
-	BytesReceived  int64
+	PagesArrived  int64
+	BytesReceived int64
 
 	StallTime simtime.Duration // time the process spent blocked on pages
 }
@@ -45,7 +44,6 @@ type Pager struct {
 	link *netmodel.Link
 	as   *memory.AddressSpace
 
-	seq     uint64
 	arrived []memory.PageNum // arrived but not yet installed
 
 	// waiting executor state
@@ -85,7 +83,6 @@ func (p *Pager) InstallArrived() simtime.Duration {
 		}
 	}
 	p.arrived = p.arrived[:0]
-	p.Stats.PagesInstalled += int64(n)
 	return p.node.Scale(installPerPage * simtime.Duration(n))
 }
 
@@ -118,8 +115,7 @@ func (p *Pager) Request(demand memory.PageNum, prefetch []memory.PageNum) int {
 		return 0 // nothing to ask for; no message
 	}
 
-	p.seq++
-	req := PageRequest{Seq: p.seq, Demand: demand, Prefetch: wanted}
+	req := PageRequest{Demand: demand, Prefetch: wanted}
 	p.Stats.RequestsSent++
 	if demand == NoDemand {
 		p.Stats.PrefetchOnly++

@@ -37,7 +37,6 @@ const (
 // migrant is stalled on (NoDemand if none); Prefetch lists dependent-zone
 // pages wanted ahead of use.
 type PageRequest struct {
-	Seq      uint64
 	Demand   memory.PageNum
 	Prefetch []memory.PageNum
 }
@@ -53,9 +52,7 @@ func (r PageRequest) WireSize() int64 {
 
 // PageReply carries one page of data to the migrant.
 type PageReply struct {
-	Seq    uint64
-	Page   memory.PageNum
-	Demand bool // serving the request's demand page
+	Page memory.PageNum
 }
 
 // WireSize returns the reply's bytes on the wire.
@@ -71,11 +68,8 @@ const (
 
 // DeputyStats counts the deputy's served traffic.
 type DeputyStats struct {
-	Requests       int64 // requests received
 	DemandServed   int64 // demand pages sent
 	PrefetchServed int64 // prefetch pages sent
-	Skipped        int64 // requested pages no longer stored at the origin
-	BytesSent      int64
 }
 
 // Deputy is the origin-side stub process: after migration it "only answers
@@ -98,7 +92,6 @@ type Deputy struct {
 
 // gatedRequest is a request parked until the backing store is ready.
 type gatedRequest struct {
-	seq    uint64
 	pages  []memory.PageNum
 	demand map[memory.PageNum]bool
 }
@@ -115,7 +108,7 @@ func (d *Deputy) SetAvailableAfter(t simtime.Time) {
 	for _, g := range d.gated {
 		g := g
 		cost := d.node.Scale(serveBase + servePerPage*simtime.Duration(len(g.pages)))
-		d.node.Eng.Schedule(cost, func() { d.serve(g.seq, g.pages, g.demand) })
+		d.node.Eng.Schedule(cost, func() { d.serve(g.pages, g.demand) })
 	}
 	d.gated = nil
 }
@@ -133,7 +126,6 @@ func (d *Deputy) handle(payload any) bool {
 	if !ok {
 		return false
 	}
-	d.Stats.Requests++
 
 	// The demand page is served first — the migrant is stalled on it — and
 	// the dependent zone streams behind it.
@@ -146,27 +138,25 @@ func (d *Deputy) handle(payload any) bool {
 	pages = append(pages, req.Prefetch...)
 
 	if d.node.Eng.Now() < d.availableAfter {
-		d.gated = append(d.gated, gatedRequest{seq: req.Seq, pages: pages, demand: demand})
+		d.gated = append(d.gated, gatedRequest{pages: pages, demand: demand})
 		return true
 	}
 	cost := d.node.Scale(serveBase + servePerPage*simtime.Duration(len(pages)))
-	d.node.Eng.Schedule(cost, func() { d.serve(req.Seq, pages, demand) })
+	d.node.Eng.Schedule(cost, func() { d.serve(pages, demand) })
 	return true
 }
 
-func (d *Deputy) serve(seq uint64, pages []memory.PageNum, demand map[memory.PageNum]bool) {
+func (d *Deputy) serve(pages []memory.PageNum, demand map[memory.PageNum]bool) {
 	for _, p := range pages {
 		if d.tables.HPT.Loc(p) == memory.LocUnmapped {
 			// Already transferred (or never stored) — a benign race when a
 			// demand fault and an in-flight prefetch cross on the wire.
-			d.Stats.Skipped++
 			continue
 		}
 		if err := d.tables.TransferToMigrant(p); err != nil {
 			panic(fmt.Sprintf("paging: deputy serving page %d: %v", p, err))
 		}
-		rep := PageReply{Seq: seq, Page: p, Demand: demand[p]}
-		d.Stats.BytesSent += rep.WireSize()
+		rep := PageReply{Page: p}
 		if demand[p] {
 			d.Stats.DemandServed++
 		} else {

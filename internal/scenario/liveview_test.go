@@ -228,7 +228,7 @@ func stepVerifying(t *testing.T, c *clusterSim, name string) bool {
 		c.eng.Run(at)
 		verifyAggregates(t, c, name+" "+at.String())
 		verifyDerived(t, c, name+" "+at.String())
-		if c.doneN == len(c.procs) {
+		if doneCount(c) == len(c.procs) {
 			return true
 		}
 	}

@@ -204,22 +204,24 @@ type clusterSim struct {
 	engines []*sim.Engine
 	group   *sim.ShardGroup
 
-	// Per-rack tick decomposition (two-tier fabrics): the quantum tick is
-	// not one whole-cluster event but one sub-event per rack band plus a
-	// global epilogue. Bands are rack-sized node ranges fixed by the spec —
-	// never by the shard count — so the event population, and with it
-	// st.Events and every report byte, is identical at every shard count.
-	// bandEng[b] is the engine owning band b's nodes (the global engine on
-	// sequential runs); doneBy[b] accumulates band b's completions for the
-	// epilogue to aggregate. Star and flat fabrics keep the monolithic
-	// ticker (bands == 0), which pins the legacy goldens.
-	bands   int
-	bandLo  []int // bandLo[b] is band b's first node; band b ends at bandLo[b+1]
-	bandEng []*sim.Engine
-	doneBy  []int
+	// The quantum tick runs per band of nodes. Star and flat fabrics have
+	// one band spanning the cluster; two-tier fabrics have one band per
+	// rack. Bands are fixed by the spec — never by the shard count — so the
+	// event population, and with it st.Events and every report byte, is
+	// identical at every shard count. bandEng[b] is the engine owning band
+	// b's nodes (the global engine on sequential runs); doneBy[b]
+	// accumulates band b's completions. split (two-tier) gives every band
+	// its own event plus a global epilogue; otherwise one fused event ticks
+	// every band and closes the quantum (scheduleTick).
+	bands     int
+	bandLo    []int // bandLo[b] is band b's first node; band b ends at bandLo[b+1]
+	bandEng   []*sim.Engine
+	doneBy    []int
+	split     bool
+	bandTicks []func() // bandTicks[b] ticks band b; built once so re-arming allocates no closure
+	endTick   func()   // endQuantum, bound once for the same reason
 
 	procs   []*proc
-	doneN   int
 	horizon simtime.Time
 
 	// lv is the incrementally maintained ground-truth view: per-node
@@ -302,13 +304,21 @@ func shardPlan(spec Spec, shards int) (int, []int) {
 // the goroutine overhead where no parallel hardware would repay it.
 func shardWorkers() bool { return runtime.GOMAXPROCS(0) > 1 }
 
-// newClusterSimShards wires the cluster: nodes, the interconnect fabric
-// with its monitoring plane, the migration payload handlers, arrivals,
-// churn and the two tickers. With an effective shard count above 1 each
+// newClusterSimShards wires the cluster (buildClusterSim) and schedules
+// its first quantum and balance round (start).
+func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64, shards int) *clusterSim {
+	c := buildClusterSim(spec, scales, tmpl, pol, seed, shards)
+	c.start()
+	return c
+}
+
+// buildClusterSim wires the cluster: nodes, the interconnect fabric with
+// its monitoring plane, the migration payload handlers, arrivals, churn
+// and the tick bands. With an effective shard count above 1 each
 // rack band's nodes, links and gossip daemons live on a shard engine and
 // the run advances through conservative lookahead windows; the global
 // engine keeps everything cross-shard (ticks, balancing, migrations).
-func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64, shards int) *clusterSim {
+func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64, shards int) *clusterSim {
 	c := &clusterSim{
 		spec: spec,
 		pol:  pol,
@@ -451,35 +461,42 @@ func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol s
 		}
 	}
 
-	if f.Topology == fabric.KindTwoTier && !forceMonolithicTick {
-		// Per-rack tick decomposition. The band count follows the spec's
-		// rack geometry, not the shard plan: a sequential run schedules the
-		// same sub-events on its one engine, so every shard count replays
-		// the identical event population.
+	// Tick bands. Two-tier bands follow the spec's rack geometry, not the
+	// shard plan, and split the tick whatever their count: a sequential
+	// run schedules the same sub-events on its one engine, so every shard
+	// count replays the identical event population.
+	c.bands = 1
+	size := spec.Nodes
+	if f.Topology == fabric.KindTwoTier {
 		c.bands = (spec.Nodes + f.RackSize - 1) / f.RackSize
-		c.bandLo = make([]int, c.bands+1)
-		c.bandEng = make([]*sim.Engine, c.bands)
-		c.doneBy = make([]int, c.bands)
-		for b := 0; b < c.bands; b++ {
-			c.bandLo[b] = b * f.RackSize
-			c.bandEng[b] = engOf(c.bandLo[b])
-		}
-		c.bandLo[c.bands] = spec.Nodes
-		c.scheduleBandTicks(simtime.Time(spec.Quantum))
-	} else {
-		sim.NewTicker(c.eng, spec.Quantum, c.tick)
+		size = f.RackSize
+		c.split = true
 	}
-	if pol.Name() != sched.BaselineName {
-		sim.NewTicker(c.eng, spec.BalancePeriod, c.balance)
+	c.bandLo = make([]int, c.bands+1)
+	c.bandEng = make([]*sim.Engine, c.bands)
+	c.bandTicks = make([]func(), c.bands)
+	c.doneBy = make([]int, c.bands)
+	for b := 0; b < c.bands; b++ {
+		b := b
+		c.bandLo[b] = b * size
+		c.bandEng[b] = engOf(c.bandLo[b])
+		c.bandTicks[b] = func() { c.tickBand(b) }
 	}
+	c.bandLo[c.bands] = spec.Nodes
+	c.endTick = c.endQuantum
 	return c
 }
 
-// forceMonolithicTick (tests only) makes two-tier runs keep the
-// single-event whole-cluster ticker instead of the per-band decomposition
-// — the reference implementation the decomposition property test compares
-// against.
-var forceMonolithicTick = false
+// start schedules the first quantum tick and, unless the policy never
+// migrates, the balance ticker. Both come after every arrival and churn
+// event, in this order: sequence numbers break ties between coincident
+// events, and the goldens pin the resulting event order.
+func (c *clusterSim) start() {
+	c.scheduleTick(simtime.Time(c.spec.Quantum))
+	if c.pol.Name() != sched.BaselineName {
+		sim.NewTicker(c.eng, c.spec.BalancePeriod, c.balance)
+	}
+}
 
 // fnvHash is FNV-1a over s — the per-policy stream discriminator.
 func fnvHash(s string) uint64 {
@@ -600,30 +617,12 @@ func (c *clusterSim) run() SchemeStats {
 	return c.st
 }
 
-// tick advances one processor-sharing quantum on every node — the
-// monolithic ticker star and flat fabrics keep. It walks the live view's
-// per-node runnable lists instead of the global process slice, so neither
-// finished processes nor a Poisson arrival tail are ever rescanned; the
-// per-process updates are independent given each node's population
-// snapshot, so the node-major order leaves every observable byte where
-// the old id-major global scan put it.
-func (c *clusterSim) tick() {
-	now := c.eng.Now()
-	for i := 0; i < c.spec.Nodes; i++ {
-		c.doneN += c.tickNode(i, now)
-	}
-	if c.doneN == len(c.procs) {
-		c.st.Makespan = simtime.Duration(now.Add(c.spec.Quantum))
-		c.eng.Stop()
-	}
-}
-
 // tickNode advances one quantum on node i's runnable residents and
 // reports how many of them completed. The share divisor is the node's
 // runnable population when its quantum fires: completions during the loop
 // shrink the list but must not perturb later shares, and no tick ever
-// touches another node's counters, so the single up-front read equals the
-// whole-cluster pre-scan the monolithic tick used to take.
+// touches another node's counters, so the single up-front read equals a
+// whole-cluster pre-scan.
 func (c *clusterSim) tickNode(i int, now simtime.Time) (done int) {
 	cnt := len(c.lv.runnableOn[i])
 	if cnt == 0 {
@@ -655,23 +654,27 @@ func (c *clusterSim) tickNode(i int, now simtime.Time) (done int) {
 // dragging them into the single-threaded coincident instant.
 const tickEpilogueLag = simtime.Nanosecond
 
-// scheduleBandTicks schedules quantum at's tick sub-events — one per rack
-// band, each on the engine owning the band — plus the global epilogue one
-// nanosecond later. Ascending band order on every engine mirrors the
-// coordinator's shards-first, ascending-index interleave at coincident
-// instants, which is how a sharded run replays the sequential schedule.
-func (c *clusterSim) scheduleBandTicks(at simtime.Time) {
-	for b := 0; b < c.bands; b++ {
-		b := b
-		c.bandEng[b].At(at, func() { c.tickBand(b) })
+// scheduleTick schedules quantum at's tick. A split run schedules one
+// event per band, each on the engine owning the band, plus the global
+// epilogue one nanosecond later; ascending band order on every engine
+// mirrors the coordinator's shards-first, ascending-index interleave at
+// coincident instants, which is how a sharded run replays the sequential
+// schedule. Otherwise one fused event at the instant itself ticks every
+// band and closes the quantum.
+func (c *clusterSim) scheduleTick(at simtime.Time) {
+	if c.split {
+		for b := 0; b < c.bands; b++ {
+			c.bandEng[b].At(at, c.bandTicks[b])
+		}
+		at = at.Add(tickEpilogueLag)
 	}
-	c.eng.At(at.Add(tickEpilogueLag), func() { c.tickEpilogue(at) })
+	c.eng.At(at, c.endTick)
 }
 
-// tickBand advances one quantum on one rack band's nodes. It runs on the
-// band's owning engine inside the window's parallel phase and touches only
-// band-local state: its nodes' processes, their live-view slices and the
-// band's completion counter.
+// tickBand advances one quantum on one band's nodes. On a split run it
+// runs on the band's owning engine inside the window's parallel phase and
+// touches only band-local state: its nodes' processes, their live-view
+// slices and the band's completion counter.
 func (c *clusterSim) tickBand(b int) {
 	now := c.bandEng[b].Now()
 	done := 0
@@ -681,19 +684,27 @@ func (c *clusterSim) tickBand(b int) {
 	c.doneBy[b] += done
 }
 
-// tickEpilogue is the global aggregation closing quantum at: it reschedules
-// the next quantum's sub-events (first, like the monolithic ticker), sums
-// the per-band completion counters into doneN and applies the monolithic
-// tick's Stop/Makespan rule. It is the decomposition's only global event —
-// the window barrier separating it from the band ticks is what makes their
-// doneBy writes visible here.
-func (c *clusterSim) tickEpilogue(at simtime.Time) {
-	c.scheduleBandTicks(at.Add(c.spec.Quantum))
+// endQuantum is the global event closing a quantum: the fused tick, or a
+// split run's epilogue. It re-arms the next quantum first, runs the bands
+// if the tick is fused, then stops the run once the bands' completion
+// counters cover every process. The epilogue is the split tick's only
+// global event — the window barrier separating it from the band ticks is
+// what makes their doneBy writes visible here.
+func (c *clusterSim) endQuantum() {
+	at := c.eng.Now()
+	if c.split {
+		at = at.Add(-tickEpilogueLag)
+	}
+	c.scheduleTick(at.Add(c.spec.Quantum))
+	if !c.split {
+		for b := 0; b < c.bands; b++ {
+			c.tickBand(b)
+		}
+	}
 	done := 0
 	for _, n := range c.doneBy {
 		done += n
 	}
-	c.doneN = done
 	if done == len(c.procs) {
 		c.st.Makespan = simtime.Duration(at.Add(c.spec.Quantum))
 		c.eng.Stop()

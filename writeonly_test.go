@@ -1,6 +1,7 @@
 package ampom
 
 import (
+	"errors"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -9,8 +10,10 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,33 +23,28 @@ import (
 var writeOnlyAllowlist = map[string]string{}
 
 // TestNoWriteOnlyState keeps write-only state from growing back: every
-// struct field declared by a package under internal/ that is unexported,
-// or belongs to an unexported type, must be read by some non-test Go file
-// in the repo, perfbench included. A write is the left-hand side of an
-// assignment, the operand of ++ or --, or a composite-literal key; every
-// other use of the field is a read.
+// struct field declared by a package under internal/ must be read by some
+// non-test Go file in the repo, perfbench included. A write is the
+// left-hand side of an assignment, the operand of ++ or --, or a
+// composite-literal key; every other use of the field is a read.
+//
+// Two rules exempt the exported fields of an exported type, because code
+// outside the repo reads them: the type is reachable through exported
+// fields from a type the root ampom package exports (the facade), or it
+// is reachable from a struct with a json tag (the wire formats). Fields
+// that are unexported, or belong to an unexported type, are always checked.
 func TestNoWriteOnlyState(t *testing.T) {
-	s := &stateScan{fset: token.NewFileSet(), files: map[string][]*ast.File{}}
-	if err := filepath.WalkDir(".", s.visit); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.files) == 0 {
-		t.Fatal("no Go files found: is the test running at the repo root?")
-	}
-	fields, err := s.check()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fields := scanRepo(t).fields
 	for key := range writeOnlyAllowlist {
 		if f, ok := fields[key]; !ok {
 			t.Errorf("allowlist entry %s names no checked internal field", key)
-		} else if f.read {
+		} else if f.used {
 			t.Errorf("allowlist entry %s is read by production code; drop it", key)
 		}
 	}
 	var unread []string
 	for key, f := range fields {
-		if _, ok := writeOnlyAllowlist[key]; !f.read && !ok {
+		if _, ok := writeOnlyAllowlist[key]; !f.used && !ok {
 			unread = append(unread, f.pos+": "+key)
 		}
 	}
@@ -56,21 +54,67 @@ func TestNoWriteOnlyState(t *testing.T) {
 	}
 }
 
+// TestNoTestSwitches keeps test-only switches out of production code: a
+// package-level variable declared under internal/ with a boolean, numeric
+// or string type must be assigned by some non-test Go file in the repo.
+// One that only its initialiser sets is a constant, or a knob only tests
+// turn. Taking the variable's address counts as an assignment.
+func TestNoTestSwitches(t *testing.T) {
+	var unset []string
+	for key, v := range scanRepo(t).vars {
+		if !v.used {
+			unset = append(unset, v.pos+": "+key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("package variable is never assigned by production code (make it a constant, or move the switch into a test): %s", u)
+	}
+}
+
+// scanRepo type-checks every non-test Go file once, walking from the repo
+// root, for both guards.
+func scanRepo(t *testing.T) *stateScan {
+	t.Helper()
+	s, err := repoScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+var repoScan = sync.OnceValues(func() (*stateScan, error) {
+	s := &stateScan{fset: token.NewFileSet(), files: map[string][]*ast.File{}}
+	if err := filepath.WalkDir(".", s.visit); err != nil {
+		return nil, err
+	}
+	if len(s.files) == 0 {
+		return nil, errors.New("no Go files found: is the test running at the repo root?")
+	}
+	return s, s.check()
+})
+
 // stateScan type-checks the repo's non-test Go files, keyed by import
-// path, and classifies every use of an internal struct field.
+// path, and classifies every use of an internal struct field and of an
+// internal package-level variable of basic type.
 type stateScan struct {
 	fset  *token.FileSet
 	files map[string][]*ast.File
 	pkgs  map[string]*types.Package
 	std   types.Importer
 	info  *types.Info
+
+	// fields and vars are the checked declarations, keyed
+	// "importpath.Type.field" and "importpath.name". A field is used when
+	// production code reads it, a variable when production code assigns it.
+	fields, vars map[string]*declUse
 }
 
-// fieldUse is one checked field: its "importpath.Type.field" key, where
-// it is declared, and whether any production code reads it.
-type fieldUse struct {
+// declUse is one checked declaration: its key, where it is declared, and
+// whether production code uses it.
+type declUse struct {
 	key, pos string
-	read     bool
+	used     bool
 }
 
 func (s *stateScan) visit(p string, d fs.DirEntry, err error) error {
@@ -117,13 +161,15 @@ func (s *stateScan) Import(p string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// check type-checks every package and returns the checked fields, keyed
-// "importpath.Type.field".
-func (s *stateScan) check() (map[string]*fieldUse, error) {
+// check type-checks every package and fills in the checked fields and
+// variables.
+func (s *stateScan) check() error {
 	s.pkgs = map[string]*types.Package{}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	s.info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	paths := make([]string, 0, len(s.files))
@@ -133,16 +179,19 @@ func (s *stateScan) check() (map[string]*fieldUse, error) {
 	sort.Strings(paths)
 	for _, p := range paths {
 		if _, err := s.Import(p); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	fields := map[*types.Var]*fieldUse{}
+	exempt := s.exemptTypes()
+	fields := map[*types.Var]*declUse{}
+	vars := map[*types.Var]*declUse{}
 	writes := map[ast.Expr]bool{}
 	for _, p := range paths {
 		for _, f := range s.files[p] {
 			if strings.HasPrefix(p, "ampom/internal/") {
-				s.declaredFields(p, f, fields)
+				s.declaredFields(p, f, exempt, fields)
+				s.declaredVars(p, f, vars)
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
@@ -152,36 +201,128 @@ func (s *stateScan) check() (map[string]*fieldUse, error) {
 					}
 				case *ast.IncDecStmt:
 					writes[ast.Unparen(x.X)] = true
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						s.markVar(vars, ast.Unparen(x.X))
+					}
 				}
 				return true
 			})
 		}
+	}
+	for w := range writes {
+		s.markVar(vars, w)
 	}
 	for sel, selection := range s.info.Selections {
 		if selection.Kind() != types.FieldVal || writes[sel] {
 			continue
 		}
 		if u, ok := fields[selection.Obj().(*types.Var).Origin()]; ok {
-			u.read = true
+			u.used = true
 		}
 	}
 
-	out := make(map[string]*fieldUse, len(fields))
-	for _, u := range fields {
-		out[u.key] = u
-	}
-	return out, nil
+	s.fields, s.vars = byKey(fields), byKey(vars)
+	return nil
 }
 
-// declaredFields records the named fields of every struct type f
-// declares that are unexported or belong to an unexported type. Embedded
-// fields are left out: they are reached through the names they promote.
-func (s *stateScan) declaredFields(pkg string, f *ast.File, fields map[*types.Var]*fieldUse) {
+// markVar marks the checked variable that e names, bare or qualified, as
+// assigned.
+func (s *stateScan) markVar(vars map[*types.Var]*declUse, e ast.Expr) {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		e = sel.Sel
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		if v, ok := s.info.Uses[id].(*types.Var); ok && vars[v] != nil {
+			vars[v].used = true
+		}
+	}
+}
+
+func byKey(m map[*types.Var]*declUse) map[string]*declUse {
+	out := make(map[string]*declUse, len(m))
+	for _, u := range m {
+		out[u.key] = u
+	}
+	return out
+}
+
+// exemptTypes returns the named types whose exported fields code outside
+// the repo reads: those reachable through exported fields from a type the
+// root package exports, and those reachable from a struct with a json tag.
+func (s *stateScan) exemptTypes() map[*types.Named]bool {
+	exempt := map[*types.Named]bool{}
+	var reach func(t types.Type)
+	reach = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			if exempt[t.Origin()] {
+				return
+			}
+			exempt[t.Origin()] = true
+			reach(t.Underlying())
+		case *types.Pointer:
+			reach(t.Elem())
+		case *types.Slice:
+			reach(t.Elem())
+		case *types.Array:
+			reach(t.Elem())
+		case *types.Map:
+			reach(t.Key())
+			reach(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if t.Field(i).Exported() {
+					reach(t.Field(i).Type())
+				}
+			}
+		}
+	}
+	root := s.pkgs["ampom"].Scope()
+	for _, name := range root.Names() {
+		if tn, ok := root.Lookup(name).(*types.TypeName); ok && tn.Exported() {
+			reach(tn.Type())
+		}
+	}
+	for _, obj := range s.info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && hasJSONTag(tn.Type().Underlying()) {
+			reach(tn.Type())
+		}
+	}
+	for e, tv := range s.info.Types {
+		if _, ok := e.(*ast.StructType); ok && hasJSONTag(tv.Type) {
+			reach(tv.Type)
+		}
+	}
+	return exempt
+}
+
+// hasJSONTag reports whether t is a struct with a json-tagged field.
+func hasJSONTag(t types.Type) bool {
+	st, ok := t.(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// declaredFields records the named fields of every struct type f declares,
+// leaving out the exported fields of exempt exported types. Embedded
+// fields are left out too: they are reached through the names they
+// promote.
+func (s *stateScan) declaredFields(pkg string, f *ast.File, exempt map[*types.Named]bool, fields map[*types.Var]*declUse) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)
 		if !ok {
 			return true
 		}
+		named, _ := types.Unalias(s.info.Defs[ts.Name].Type()).(*types.Named)
+		skipExported := ts.Name.IsExported() && named != nil && exempt[named]
 		ast.Inspect(ts.Type, func(n ast.Node) bool {
 			field, ok := n.(*ast.Field)
 			if !ok {
@@ -189,10 +330,10 @@ func (s *stateScan) declaredFields(pkg string, f *ast.File, fields map[*types.Va
 			}
 			for _, id := range field.Names {
 				v, ok := s.info.Defs[id].(*types.Var)
-				if !ok || !v.IsField() || (v.Exported() && ts.Name.IsExported()) {
+				if !ok || !v.IsField() || (v.Exported() && skipExported) {
 					continue
 				}
-				fields[v] = &fieldUse{
+				fields[v] = &declUse{
 					key: pkg + "." + ts.Name.Name + "." + id.Name,
 					pos: s.fset.Position(id.Pos()).String(),
 				}
@@ -201,4 +342,31 @@ func (s *stateScan) declaredFields(pkg string, f *ast.File, fields map[*types.Va
 		})
 		return false
 	})
+}
+
+// declaredVars records the package-level variables f declares whose type
+// is boolean, numeric or string.
+func (s *stateScan) declaredVars(pkg string, f *ast.File, vars map[*types.Var]*declUse) {
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, id := range spec.(*ast.ValueSpec).Names {
+				v, ok := s.info.Defs[id].(*types.Var)
+				if !ok {
+					continue
+				}
+				b, ok := v.Type().Underlying().(*types.Basic)
+				if !ok || b.Info()&(types.IsBoolean|types.IsNumeric|types.IsString) == 0 {
+					continue
+				}
+				vars[v] = &declUse{
+					key: pkg + "." + id.Name,
+					pos: s.fset.Position(id.Pos()).String(),
+				}
+			}
+		}
+	}
 }
