@@ -16,7 +16,7 @@ type refEvent struct {
 }
 
 // refHeap is the trusted oracle: the standard library's heap over the same
-// (At, PushedAt, Seq) order the queue promises.
+// (At, PushedAt, seq) order the queue promises.
 type refHeap []*refEvent
 
 func (h refHeap) Len() int { return len(h) }
@@ -54,24 +54,36 @@ func (h *refHeap) Pop() any {
 // divergence in lengths, pop order or cancel outcomes. The byte stream is
 // consumed three bytes per operation: opcode, then two operands (firing
 // time and scheduling instant for pushes — deliberately unordered, the
-// queue is a plain priority set — or a handle selector for cancels).
+// queue is a plain priority set — or a push selector for cancels). Odd
+// pushes take a handle and even ones do not; cancelling through a plain
+// push's zero Handle must be refused, and so must a stale handle: one
+// whose event was popped or cancelled, even after a newer handle reuses
+// its slot.
 func FuzzQueueVsHeap(f *testing.F) {
 	// Pops interleaved with pushes.
 	f.Add([]byte{0, 5, 0, 0, 3, 0, 2, 0, 0, 0, 1, 0, 2, 0, 0, 2, 0, 0})
-	// Cancel of the last heap element (selector far past the live count
-	// wraps onto the newest handle).
-	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 3, 255, 255, 2, 0, 0})
+	// Cancel of the last heap element: push 1 (handle) sits at the tail.
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 3, 0, 1, 2, 0, 0})
 	// Cancel of the head while later, larger elements must sift down.
 	f.Add([]byte{0, 9, 0, 0, 1, 0, 0, 8, 0, 0, 7, 0, 3, 0, 1, 2, 0, 0, 2, 0, 0})
-	// Double cancel and cancel-after-pop: both must agree on "false".
+	// Cancels through a plain push's zero Handle, before and after its
+	// pop: all refused.
 	f.Add([]byte{0, 4, 0, 3, 0, 0, 3, 0, 0, 0, 2, 0, 2, 0, 0, 3, 0, 0})
+	// Stale after pop: push 1 (handle) fires first, then its handle is
+	// used.
+	f.Add([]byte{0, 9, 0, 1, 1, 0, 2, 0, 0, 3, 0, 1, 3, 0, 1})
+	// Stale after cancel: push 1 (handle) is cancelled twice.
+	f.Add([]byte{0, 9, 0, 1, 5, 0, 0, 7, 0, 3, 0, 1, 3, 0, 1, 2, 0, 0})
+	// Stale after reuse: push 1 (handle) is cancelled, push 3 (handle)
+	// takes its slot, then push 1's handle must not reach push 3.
+	f.Add([]byte{0, 9, 0, 1, 5, 0, 3, 0, 1, 0, 8, 0, 1, 6, 0, 3, 0, 1, 2, 0, 0, 3, 0, 3, 2, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
 			q       Queue
 			ref     refHeap
-			handles []*Event    // every event ever pushed, in push order
-			refs    []*refEvent // the reference twin of each handle
+			handles []Handle    // every push's handle, zero for plain pushes
+			refs    []*refEvent // the reference twin of each push
 			seq     uint64
 		)
 		for len(data) >= 3 {
@@ -83,49 +95,42 @@ func FuzzQueueVsHeap(f *testing.F) {
 				pushedAt := simtime.Time(b % 16) // coarse, to force At+PushedAt ties
 				r := &refEvent{at: at, pushedAt: pushedAt, seq: seq}
 				seq++
-				handles = append(handles, q.Push(at, pushedAt, func() {}))
+				var h Handle
+				if len(refs)%2 == 1 {
+					h = q.PushHandle(at, pushedAt, func() {})
+				} else {
+					q.Push(at, pushedAt, func() {})
+				}
+				handles = append(handles, h)
 				heap.Push(&ref, r)
 				refs = append(refs, r)
 			case 2: // pop
+				if q.Len() == 0 || len(ref) == 0 {
+					continue // the length check below catches a mismatch
+				}
 				got := q.Pop()
-				if len(ref) == 0 {
-					if got != nil {
-						t.Fatalf("pop: queue returned (at=%v seq=%d), reference empty", got.At, got.Seq)
-					}
-					continue
-				}
 				want := heap.Pop(&ref).(*refEvent)
-				if got == nil {
-					t.Fatalf("pop: queue empty, reference has (at=%v seq=%d)", want.at, want.seq)
+				if got.At != want.at || got.PushedAt != want.pushedAt || seqOf(got) != want.seq {
+					t.Fatalf("pop: queue (at=%v pushedAt=%v seq=%d), reference (at=%v pushedAt=%v seq=%d)",
+						got.At, got.PushedAt, seqOf(got), want.at, want.pushedAt, want.seq)
 				}
-				if got.At != want.at || got.Seq != want.seq {
-					t.Fatalf("pop: queue (at=%v seq=%d), reference (at=%v seq=%d)",
-						got.At, got.Seq, want.at, want.seq)
-				}
-				if !got.Fired() || got.Cancelled() {
-					t.Fatalf("popped event: Fired=%v Cancelled=%v, want true/false",
-						got.Fired(), got.Cancelled())
-				}
-			case 3: // cancel an arbitrary past handle (possibly already gone)
+			case 3: // cancel an arbitrary past push (possibly already gone)
 				if len(handles) == 0 {
-					if q.Cancel(nil) {
-						t.Fatal("Cancel(nil) returned true")
+					if q.Cancel(Handle{}) {
+						t.Fatal("Cancel of the zero Handle returned true")
 					}
 					continue
 				}
 				i := (int(a)<<8 | int(b)) % len(handles)
-				e, r := handles[i], refs[i]
-				got := q.Cancel(e)
-				want := r.index >= 0
+				r := refs[i]
+				got := q.Cancel(handles[i])
+				want := i%2 == 1 && r.index >= 0
 				if want {
 					heap.Remove(&ref, r.index)
 					r.index = -1
 				}
 				if got != want {
-					t.Fatalf("cancel handle %d: queue=%v, reference=%v", i, got, want)
-				}
-				if got && !e.Cancelled() {
-					t.Fatal("successful Cancel left Cancelled() false")
+					t.Fatalf("cancel push %d: queue=%v, reference=%v", i, got, want)
 				}
 			}
 			if q.Len() != len(ref) {
@@ -133,18 +138,16 @@ func FuzzQueueVsHeap(f *testing.F) {
 			}
 		}
 		// Drain both; the tails must agree element for element.
-		for {
+		for len(ref) > 0 {
 			got := q.Pop()
-			if len(ref) == 0 {
-				if got != nil {
-					t.Fatalf("drain: queue returned (at=%v seq=%d), reference empty", got.At, got.Seq)
-				}
-				return
-			}
 			want := heap.Pop(&ref).(*refEvent)
-			if got == nil || got.At != want.at || got.Seq != want.seq {
-				t.Fatalf("drain: queue %v, reference (at=%v seq=%d)", got, want.at, want.seq)
+			if got.At != want.at || got.PushedAt != want.pushedAt || seqOf(got) != want.seq {
+				t.Fatalf("drain: queue (at=%v pushedAt=%v seq=%d), reference (at=%v pushedAt=%v seq=%d)",
+					got.At, got.PushedAt, seqOf(got), want.at, want.pushedAt, want.seq)
 			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("drain: queue has %d events left, reference empty", q.Len())
 		}
 	})
 }

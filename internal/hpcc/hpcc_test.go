@@ -122,7 +122,7 @@ func TestStreamsStayInHeap(t *testing.T) {
 			if !ok {
 				break
 			}
-			if !heap.Contains(r.Page) {
+			if r.Page < heap.Start || r.Page >= heap.Start+memory.PageNum(heap.Count) {
 				t.Fatalf("%v: ref to page %d outside heap %+v", k, r.Page, heap)
 			}
 		}

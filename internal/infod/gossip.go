@@ -170,9 +170,6 @@ func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float6
 	return g
 }
 
-// ID returns the daemon's node id.
-func (g *Gossip) ID() int { return g.id }
-
 // SetProbe installs the local load probe sampled at every push round.
 func (g *Gossip) SetProbe(f func() LoadSample) { g.probe = f }
 

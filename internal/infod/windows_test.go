@@ -159,7 +159,7 @@ func TestWindowMergesConcurrently(t *testing.T) {
 	}
 	for _, d := range g[1:] {
 		if e, ok := d.Entry(0); !ok || e.Stamp != engs[0].Now() {
-			t.Fatalf("daemon %d holds origin 0 as %+v,%v, want the last window's stamp", d.ID(), e, ok)
+			t.Fatalf("daemon %d holds origin 0 as %+v,%v, want the last window's stamp", d.id, e, ok)
 		}
 	}
 }

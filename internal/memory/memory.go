@@ -50,11 +50,6 @@ type Region struct {
 	Count int64   // number of pages
 }
 
-// Contains reports whether page p falls inside the region.
-func (r Region) Contains(p PageNum) bool {
-	return p >= r.Start && p < r.Start+PageNum(r.Count)
-}
-
 // Layout is an ordered, non-overlapping set of regions starting at page 0.
 type Layout struct {
 	regions []Region
@@ -171,9 +166,6 @@ func NewAddressSpace(layout Layout) *AddressSpace {
 	as.counts[StateResident] = n
 	return as
 }
-
-// Layout returns the address-space layout.
-func (as *AddressSpace) Layout() Layout { return as.layout }
 
 // Pages returns the total page count.
 func (as *AddressSpace) Pages() int64 { return as.layout.Pages() }

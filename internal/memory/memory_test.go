@@ -5,6 +5,11 @@ import (
 	"testing/quick"
 )
 
+// Contains reports whether page p falls inside the region.
+func (r Region) Contains(p PageNum) bool {
+	return p >= r.Start && p < r.Start+PageNum(r.Count)
+}
+
 func TestNewLayout(t *testing.T) {
 	l, err := NewLayout(32, 1000, 16)
 	if err != nil {

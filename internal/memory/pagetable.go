@@ -34,7 +34,6 @@ func (l Loc) String() string {
 type Table struct {
 	name    string
 	entries []Loc
-	mapped  int64
 }
 
 // NewTable returns a table for n pages with every page mapped at the given
@@ -44,24 +43,11 @@ func NewTable(name string, n int64, initial Loc) *Table {
 	for i := range t.entries {
 		t.entries[i] = initial
 	}
-	if initial != LocUnmapped {
-		t.mapped = n
-	}
 	return t
 }
 
-// Name returns the table's diagnostic name.
-func (t *Table) Name() string { return t.name }
-
 // Pages returns the number of entries.
 func (t *Table) Pages() int64 { return int64(len(t.entries)) }
-
-// Mapped returns the number of mapped entries.
-func (t *Table) Mapped() int64 { return t.mapped }
-
-// Bytes returns the wire size of the table: PTEntrySize bytes per entry
-// (paper §5.2: "the size of an MPT is 6 bytes per page").
-func (t *Table) Bytes() int64 { return int64(len(t.entries)) * PTEntrySize }
 
 // Loc returns the entry for page p.
 func (t *Table) Loc(p PageNum) Loc {
@@ -72,16 +58,6 @@ func (t *Table) Loc(p PageNum) Loc {
 // Set overwrites the entry for page p.
 func (t *Table) Set(p PageNum, l Loc) {
 	t.check(p)
-	old := t.entries[p]
-	if old == l {
-		return
-	}
-	if old == LocUnmapped {
-		t.mapped++
-	}
-	if l == LocUnmapped {
-		t.mapped--
-	}
 	t.entries[p] = l
 }
 

@@ -62,9 +62,6 @@ func NewPager(node *cluster.Node, link *netmodel.Link, as *memory.AddressSpace) 
 	return p
 }
 
-// AddressSpace returns the migrant's address space.
-func (p *Pager) AddressSpace() *memory.AddressSpace { return p.as }
-
 // FaultBaseCost returns the per-fault handler entry cost on this node.
 func (p *Pager) FaultBaseCost() simtime.Duration { return p.node.Scale(faultBase) }
 

@@ -253,15 +253,17 @@ func TestBulkTransferConservation(t *testing.T) {
 	if err := r.tables.CheckConsistent(); err != nil {
 		t.Fatal(err)
 	}
-	if r.tables.HPT.Mapped() != 0 {
-		t.Fatalf("origin still stores %d pages", r.tables.HPT.Mapped())
+	for p := memory.PageNum(0); p < memory.PageNum(pages); p++ {
+		if l := r.tables.HPT.Loc(p); l != memory.LocUnmapped {
+			t.Fatalf("origin still stores page %d (hpt=%v)", p, l)
+		}
 	}
 }
 
 func TestOutstanding(t *testing.T) {
 	r := newRig(t, 64)
 	r.pager.Request(NoDemand, []memory.PageNum{1, 2, 3})
-	inFlight := func() int64 { return r.pager.AddressSpace().CountInState(memory.StateInFlight) }
+	inFlight := func() int64 { return r.pager.as.CountInState(memory.StateInFlight) }
 	if inFlight() != 3 {
 		t.Fatalf("outstanding = %d", inFlight())
 	}

@@ -297,14 +297,14 @@ func (g *ShardGroup) runInstant(t simtime.Time) {
 		var best *Engine
 		var bestPushed simtime.Time
 		for _, sh := range g.Shards {
-			if ev := sh.queue.Peek(); ev != nil && ev.At == t {
+			if ev, ok := sh.queue.Peek(); ok && ev.At == t {
 				if best == nil || ev.PushedAt < bestPushed {
 					best, bestPushed = sh, ev.PushedAt
 				}
 			}
 		}
 		isGlobal := false
-		if ev := g.Global.queue.Peek(); ev != nil && ev.At == t {
+		if ev, ok := g.Global.queue.Peek(); ok && ev.At == t {
 			if best == nil || ev.PushedAt < bestPushed {
 				best, bestPushed, isGlobal = g.Global, ev.PushedAt, true
 			}

@@ -52,10 +52,8 @@ func (e *Engine) Pending() int { return e.queue.Len() }
 // whether one exists. The window scheduler uses it to compute conservative
 // horizons without disturbing the queue.
 func (e *Engine) NextAt() (simtime.Time, bool) {
-	if ev := e.queue.Peek(); ev != nil {
-		return ev.At, true
-	}
-	return 0, false
+	ev, ok := e.queue.Peek()
+	return ev.At, ok
 }
 
 // AdvanceTo moves the clock forward to t without running anything; instants
@@ -74,21 +72,22 @@ func (e *Engine) Interrupted() bool { return e.stopped }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero
 // (fire as soon as possible, after already-pending events at the current
-// instant). The returned handle can be passed to Cancel.
-func (e *Engine) Schedule(d simtime.Duration, fn func()) *eventq.Event {
+// instant). A scheduled event cannot be cancelled; a Ticker can be
+// stopped.
+func (e *Engine) Schedule(d simtime.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return e.queue.Push(e.now.Add(d), e.now, fn)
+	e.queue.Push(e.now.Add(d), e.now, fn)
 }
 
 // At schedules fn at the absolute instant t. Instants in the past are
 // clamped to the current time.
-func (e *Engine) At(t simtime.Time, fn func()) *eventq.Event {
+func (e *Engine) At(t simtime.Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	return e.queue.Push(t, e.now, fn)
+	e.queue.Push(t, e.now, fn)
 }
 
 // AtPushed schedules fn at the absolute instant t recording pushedAt — an
@@ -96,16 +95,12 @@ func (e *Engine) At(t simtime.Time, fn func()) *eventq.Event {
 // its tie-break rank. The shard barrier uses it to inject events staged by
 // other engines into the exact slot a sequential push at pushedAt would
 // have occupied.
-func (e *Engine) AtPushed(t, pushedAt simtime.Time, fn func()) *eventq.Event {
+func (e *Engine) AtPushed(t, pushedAt simtime.Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	return e.queue.Push(t, pushedAt, fn)
+	e.queue.Push(t, pushedAt, fn)
 }
-
-// Cancel prevents a scheduled event from firing. It is safe to cancel an
-// event that already fired.
-func (e *Engine) Cancel(ev *eventq.Event) { e.queue.Cancel(ev) }
 
 // Stop makes the current Run return after the executing callback finishes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -122,8 +117,8 @@ func (e *Engine) Run(until simtime.Time) simtime.Time {
 	defer func() { e.running = false }()
 
 	for !e.stopped {
-		next := e.queue.Peek()
-		if next == nil {
+		next, ok := e.queue.Peek()
+		if !ok {
 			break
 		}
 		if next.At > until {
@@ -149,10 +144,8 @@ func (e *Engine) step() {
 		e.now = ev.At
 	}
 	e.curPushed = ev.PushedAt
-	fn := ev.Fn
-	ev.Fn = nil
-	if fn != nil {
-		fn()
+	if ev.Fn != nil {
+		ev.Fn()
 	}
 	e.Processed++
 	if e.MaxEvents != 0 && e.Processed > e.MaxEvents {
@@ -165,12 +158,13 @@ func (e *Engine) step() {
 func (e *Engine) RunAll() simtime.Time { return e.Run(simtime.Never) }
 
 // Ticker repeatedly invokes a callback at a fixed virtual period until
-// stopped.
+// stopped. It is the only holder of a cancellation handle: each period
+// re-arms the same fire closure, so a running ticker allocates nothing.
 type Ticker struct {
 	eng    *Engine
 	period simtime.Duration
-	ev     *eventq.Event
-	fn     func()
+	next   eventq.Handle
+	fire   func()
 }
 
 // NewTicker creates and starts a ticker with the given period. The first
@@ -179,22 +173,21 @@ func NewTicker(eng *Engine, period simtime.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: non-positive ticker period")
 	}
-	t := &Ticker{eng: eng, period: period, fn: fn}
-	t.schedule()
+	t := &Ticker{eng: eng, period: period}
+	t.fire = func() {
+		t.arm()
+		fn()
+	}
+	t.arm()
 	return t
 }
 
-func (t *Ticker) schedule() {
-	t.ev = t.eng.Schedule(t.period, func() {
-		t.schedule()
-		t.fn()
-	})
+// arm schedules the next tick one period from now, as Schedule would.
+func (t *Ticker) arm() {
+	now := t.eng.now
+	t.next = t.eng.queue.PushHandle(now.Add(t.period), now, t.fire)
 }
 
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	if t.ev != nil {
-		t.eng.Cancel(t.ev)
-		t.ev = nil
-	}
-}
+// Stop cancels future ticks. The pending tick leaves the queue at once, so
+// a drained run ends at the last tick that fired.
+func (t *Ticker) Stop() { t.eng.queue.Cancel(t.next) }

@@ -128,15 +128,25 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestCancel stops a ticker from outside its callback: the pending tick
+// leaves the queue at once, so a drained run neither fires it nor counts
+// it, and ends at the last event that did fire.
 func TestCancel(t *testing.T) {
 	e := New()
-	fired := false
-	ev := e.Schedule(simtime.Second, func() { fired = true })
-	e.Cancel(ev)
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
+	ticks := 0
+	tk := NewTicker(e, simtime.Second, func() { ticks++ })
+	e.Schedule(2500*simtime.Millisecond, tk.Stop)
+	end := e.RunAll()
+	if ticks != 2 {
+		t.Fatalf("ticks = %d, want 2 (stop at 2.5s)", ticks)
 	}
+	if e.Pending() != 0 || e.Processed != 3 {
+		t.Fatalf("pending = %d, processed = %d; want 0 and 3", e.Pending(), e.Processed)
+	}
+	if end != simtime.Time(2500*simtime.Millisecond) {
+		t.Fatalf("end = %v, want 2.5s", end)
+	}
+	tk.Stop() // a second Stop holds a stale handle and is a no-op
 }
 
 func TestReentrantRunPanics(t *testing.T) {
@@ -214,6 +224,22 @@ func TestTicker(t *testing.T) {
 		if at != want {
 			t.Fatalf("tick %d at %v, want %v", i, at, want)
 		}
+	}
+}
+
+// TestTickerRearmAllocFree: a running ticker re-arms with the closure
+// NewTicker built, so a period allocates nothing.
+func TestTickerRearmAllocFree(t *testing.T) {
+	e := New()
+	NewTicker(e, simtime.Second, func() {})
+	e.Run(simtime.Time(simtime.Second)) // grow the queue once
+	if a := testing.AllocsPerRun(100, func() {
+		e.Run(e.Now().Add(simtime.Second))
+	}); a != 0 {
+		t.Fatalf("a ticker period allocates %v times", a)
+	}
+	if e.Processed != 102 {
+		t.Fatalf("processed = %d, want 102 (one tick per period)", e.Processed)
 	}
 }
 

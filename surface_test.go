@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -15,7 +16,10 @@ import (
 // surfaceAllowlist names internal exports that production code does not
 // reference but that stay exported on purpose, each with its reason.
 var surfaceAllowlist = map[string]string{
-	"ampom/internal/memory.MustLayout": "panicking Layout constructor the package's own tests and the hpcc tests build fixtures with",
+	"ampom/internal/memory.MustLayout":                "panicking Layout constructor the package's own tests and the hpcc tests build fixtures with",
+	"ampom/internal/memory.TablePair.CheckConsistent": "cross-table invariant the memory and paging tests assert after protocol steps",
+	"ampom/internal/infod.Gossip.Entry":               "one origin's entry in a daemon's view, which the infod, fabric and scenario tests inspect",
+	"ampom/internal/infod.Gossip.Stop":                "counterpart of Start; the gossip tests stop the plane to watch entries age out",
 }
 
 // TestNoDeadInternalSurface keeps dead surface from growing back: every
@@ -23,8 +27,12 @@ var surfaceAllowlist = map[string]string{
 // internal/ must be referenced by some non-test Go file in the repo,
 // perfbench included. A reference from another package is a selector on
 // an import of the declaring package; one from inside the package is a
-// use of the name outside the symbol's own declaration and methods. A
-// symbol only tests reach belongs in a _test.go file.
+// use of the name outside the symbol's own declaration and methods. The
+// same holds for every exported method, selected outside its own body,
+// except a method that satisfies an interface (it may be called through
+// one) and a method of a type reachable from the root facade (code
+// outside the repo calls it). A symbol only tests reach belongs in a
+// _test.go file.
 func TestNoDeadInternalSurface(t *testing.T) {
 	s := newSurfaceScan()
 	if err := filepath.WalkDir(".", s.visit); err != nil {
@@ -32,6 +40,12 @@ func TestNoDeadInternalSurface(t *testing.T) {
 	}
 	if len(s.decls) == 0 {
 		t.Fatal("no internal declarations found: is the test running at the repo root?")
+	}
+	for key, u := range scanRepo(t).methods {
+		s.decls[key] = u.pos
+		if u.used {
+			s.refs[key] = true
+		}
 	}
 	var dead []string
 	for key, pos := range s.decls {
@@ -189,4 +203,125 @@ func receiverBase(e ast.Expr) string {
 			return ""
 		}
 	}
+}
+
+// stdAsserted are the interfaces the standard library finds by anonymous
+// type assertion, so no package scope declares them.
+const stdAsserted = `package p
+type unwrapper interface{ Unwrap() error }
+type multiUnwrapper interface{ Unwrap() []error }
+type iser interface{ Is(error) bool }
+type aser interface{ As(any) bool }
+`
+
+// checkMethods records the exported methods declared under internal/,
+// except those of a facade type or satisfying an interface, and marks the
+// ones production code selects outside their own bodies.
+func (s *stateScan) checkMethods(paths []string, facade map[*types.Named]bool) map[string]*declUse {
+	ifaces := s.interfaces()
+	methods := map[*types.Func]*declUse{}
+	bodies := map[*types.Func]*ast.FuncDecl{}
+	for _, p := range paths {
+		if !strings.HasPrefix(p, "ampom/internal/") {
+			continue
+		}
+		for _, f := range s.files[p] {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+					continue
+				}
+				fn := s.info.Defs[fd.Name].(*types.Func)
+				recv := fn.Type().(*types.Signature).Recv().Type()
+				if ptr, ok := recv.(*types.Pointer); ok {
+					recv = ptr.Elem()
+				}
+				named := recv.(*types.Named).Origin()
+				if facade[named] || satisfiesInterface(named, fn.Name(), ifaces) {
+					continue
+				}
+				methods[fn] = &declUse{
+					key: p + "." + named.Obj().Name() + "." + fn.Name(),
+					pos: s.fset.Position(fd.Name.Pos()).String(),
+				}
+				bodies[fn] = fd
+			}
+		}
+	}
+	for sel, selection := range s.info.Selections {
+		if selection.Kind() == types.FieldVal {
+			continue
+		}
+		fn := selection.Obj().(*types.Func).Origin()
+		if u, ok := methods[fn]; ok && (sel.Pos() < bodies[fn].Pos() || sel.Pos() >= bodies[fn].End()) {
+			u.used = true
+		}
+	}
+	out := make(map[string]*declUse, len(methods))
+	for _, u := range methods {
+		out[u.key] = u
+	}
+	return out
+}
+
+// interfaces returns every interface a method could be called through:
+// those declared at package level in the repo and in every package it
+// imports, the interface literals the repo writes, error, and the ones
+// in stdAsserted.
+func (s *stateScan) interfaces() []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	add := func(pkg *types.Package) {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(pkg *types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		add(pkg)
+		for _, im := range pkg.Imports() {
+			walk(im)
+		}
+	}
+	for _, pkg := range s.pkgs {
+		walk(pkg)
+	}
+	for _, tv := range s.info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok {
+			ifaces = append(ifaces, it)
+		}
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "asserted.go", stdAsserted, 0)
+	if err != nil {
+		panic(err)
+	}
+	pkg, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, nil)
+	if err != nil {
+		panic(err)
+	}
+	add(pkg)
+	return ifaces
+}
+
+// satisfiesInterface reports whether named, or a pointer to it, implements
+// an interface that has a method called name.
+func satisfiesInterface(named *types.Named, name string, ifaces []*types.Interface) bool {
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == name &&
+				(types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -108,6 +108,10 @@ type stateScan struct {
 	// "importpath.Type.field" and "importpath.name". A field is used when
 	// production code reads it, a variable when production code assigns it.
 	fields, vars map[string]*declUse
+	// methods are the checked exported methods, keyed
+	// "importpath.Type.Method"; one is used when production code outside
+	// its own body selects it.
+	methods map[string]*declUse
 }
 
 // declUse is one checked declaration: its key, where it is declared, and
@@ -183,7 +187,9 @@ func (s *stateScan) check() error {
 		}
 	}
 
-	exempt := s.exemptTypes()
+	roots := s.facadeRoots()
+	facade := reachableTypes(roots)
+	exempt := reachableTypes(append(roots, s.jsonRoots()...))
 	fields := map[*types.Var]*declUse{}
 	vars := map[*types.Var]*declUse{}
 	writes := map[ast.Expr]bool{}
@@ -223,6 +229,7 @@ func (s *stateScan) check() error {
 	}
 
 	s.fields, s.vars = byKey(fields), byKey(vars)
+	s.methods = s.checkMethods(paths, facade)
 	return nil
 }
 
@@ -247,19 +254,18 @@ func byKey(m map[*types.Var]*declUse) map[string]*declUse {
 	return out
 }
 
-// exemptTypes returns the named types whose exported fields code outside
-// the repo reads: those reachable through exported fields from a type the
-// root package exports, and those reachable from a struct with a json tag.
-func (s *stateScan) exemptTypes() map[*types.Named]bool {
-	exempt := map[*types.Named]bool{}
+// reachableTypes returns the named types reachable through exported
+// fields from roots.
+func reachableTypes(roots []types.Type) map[*types.Named]bool {
+	seen := map[*types.Named]bool{}
 	var reach func(t types.Type)
 	reach = func(t types.Type) {
 		switch t := types.Unalias(t).(type) {
 		case *types.Named:
-			if exempt[t.Origin()] {
+			if seen[t.Origin()] {
 				return
 			}
-			exempt[t.Origin()] = true
+			seen[t.Origin()] = true
 			reach(t.Underlying())
 		case *types.Pointer:
 			reach(t.Elem())
@@ -278,23 +284,42 @@ func (s *stateScan) exemptTypes() map[*types.Named]bool {
 			}
 		}
 	}
+	for _, t := range roots {
+		reach(t)
+	}
+	return seen
+}
+
+// facadeRoots returns the types the root package exports: code outside
+// the repo reaches the exported fields and methods of every type
+// reachable from them.
+func (s *stateScan) facadeRoots() []types.Type {
+	var roots []types.Type
 	root := s.pkgs["ampom"].Scope()
 	for _, name := range root.Names() {
 		if tn, ok := root.Lookup(name).(*types.TypeName); ok && tn.Exported() {
-			reach(tn.Type())
+			roots = append(roots, tn.Type())
 		}
 	}
+	return roots
+}
+
+// jsonRoots returns the structs with a json tag, named or not: code
+// outside the repo reads the exported fields of every type reachable from
+// the wire formats.
+func (s *stateScan) jsonRoots() []types.Type {
+	var roots []types.Type
 	for _, obj := range s.info.Defs {
 		if tn, ok := obj.(*types.TypeName); ok && hasJSONTag(tn.Type().Underlying()) {
-			reach(tn.Type())
+			roots = append(roots, tn.Type())
 		}
 	}
 	for e, tv := range s.info.Types {
 		if _, ok := e.(*ast.StructType); ok && hasJSONTag(tv.Type) {
-			reach(tv.Type)
+			roots = append(roots, tv.Type)
 		}
 	}
-	return exempt
+	return roots
 }
 
 // hasJSONTag reports whether t is a struct with a json-tagged field.
