@@ -253,7 +253,7 @@ func (s *switched) wireSharding(cfg Config) {
 	for r := range s.uplink {
 		sr := s.shardOfRack[r]
 		l := s.links[s.uplink[r]]
-		l.SetDeliveryRouter(func(to *netmodel.NIC, m netmodel.Message, at simtime.Time, deliver func()) bool {
+		l.SetDeliveryRouter(func(to *netmodel.NIC, m netmodel.Message, at simtime.Time) bool {
 			if to != spineNIC {
 				return false // core→leaf: the uplink already runs on the rack's shard
 			}
@@ -273,7 +273,7 @@ func (s *switched) wireSharding(cfg Config) {
 		si := sh.ShardOf[i]
 		nodeNIC := s.nicOf[i]
 		l := s.links[s.edgeLink[i]]
-		l.SetDeliveryRouter(func(to *netmodel.NIC, m netmodel.Message, at simtime.Time, deliver func()) bool {
+		l.SetDeliveryRouter(func(to *netmodel.NIC, m netmodel.Message, at simtime.Time) bool {
 			if to != nodeNIC || sh.GlobalPayload == nil {
 				return false
 			}
@@ -282,9 +282,9 @@ func (s *switched) wireSharding(cfg Config) {
 				return false
 			}
 			// Final hop of a global payload (a migration): the restore path
-			// mutates both endpoints' daemons, so the delivery — with its
-			// full link and NIC bookkeeping — runs in the global phase.
-			sh.Group.Stage(si, sim.GlobalShard, at, env.rank, deliver)
+			// mutates both endpoints' daemons, so the delivery — the NIC's
+			// RX counters and its handlers — runs in the global phase.
+			sh.Group.Stage(si, sim.GlobalShard, at, env.rank, func() { nodeNIC.Receive(m) })
 			return true
 		})
 	}

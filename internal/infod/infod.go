@@ -23,28 +23,31 @@ import (
 	"ampom/internal/simtime"
 )
 
-// loadUpdate is the periodic oM_infoD broadcast carrying node load; the
-// peer acknowledges it, and the ack round trip is the RTT sample.
-type loadUpdate struct {
-	SentAt simtime.Time
-	From   *Daemon
-}
-
-// loadAck acknowledges a loadUpdate.
-type loadAck struct {
-	SentAt simtime.Time
-	From   *Daemon
+// exchange is one load-update round trip: the periodic oM_infoD update a
+// daemon sends its peer, which the peer turns round into the ack whose
+// arrival is the RTT sample. One record carries both legs, and its send
+// callback is built once, when the record is made, so an exchange
+// allocates nothing: the sender takes the record from its free list and
+// puts it back when the ack lands.
+type exchange struct {
+	sentAt simtime.Time // when the update was composed
+	from   *Daemon      // the daemon sending the current leg
+	ack    bool         // the current leg is the ack
+	send   func()       // hands the record to from's link
 }
 
 // Daemon is one node's monitoring daemon, paired with the peer daemon at
-// the other end of the link.
+// the other end of the link. Every period it sends its peer a load update
+// and times the ack; the exchange records it sends come back to it and are
+// reused, so a running daemon pair allocates nothing per period.
 type Daemon struct {
 	estimator
 	period simtime.Duration
 	link   *netmodel.Link
 
 	ticker *sim.Ticker
-	peer   *Daemon // set by Pair
+	peer   *Daemon     // set by Pair
+	free   []*exchange // this daemon's records not in flight
 
 	// RTT estimate state.
 	rttEst  simtime.Duration
@@ -93,38 +96,38 @@ func (d *Daemon) Stop() {
 }
 
 func (d *Daemon) sendUpdate() {
+	var x *exchange
+	if n := len(d.free); n > 0 {
+		x = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		x = &exchange{}
+		x.send = func() {
+			x.from.link.Send(x.from.node.NIC, netmodel.Message{Size: MsgBytes, Payload: x})
+		}
+	}
 	// The daemon wakes, composes the update, and hands it to the kernel
-	// after a scheduling delay; SentAt is stamped at composition time, as
+	// after a scheduling delay; sentAt is stamped at composition time, as
 	// the real daemon stamps its payload.
-	upd := loadUpdate{SentAt: d.eng.Now(), From: d}
-	d.eng.Schedule(d.schedDelay(), func() {
-		d.link.Send(d.node.NIC, netmodel.Message{Size: MsgBytes, Payload: upd})
-	})
+	x.sentAt, x.from, x.ack = d.eng.Now(), d, false
+	d.eng.Schedule(d.schedDelay(), x.send)
 }
 
 // handle consumes daemon messages delivered to this node.
 func (d *Daemon) handle(payload any) bool {
-	switch m := payload.(type) {
-	case loadUpdate:
-		if m.From != d.peer {
-			return false // another spoke's update — its own daemon acks it
-		}
-		// Ack after this side's scheduling delay.
-		ack := loadAck{SentAt: m.SentAt, From: d}
-		d.eng.Schedule(d.schedDelay(), func() {
-			d.link.Send(d.node.NIC, netmodel.Message{Size: MsgBytes, Payload: ack})
-		})
-		return true
-	case loadAck:
-		if m.From != d.peer {
-			return false
-		}
-		sample := d.eng.Now().Sub(m.SentAt)
-		d.recordRTT(sample)
-		return true
-	default:
-		return false
+	x, ok := payload.(*exchange)
+	if !ok || x.from != d.peer {
+		return false // another spoke's exchange — its own daemon takes it
 	}
+	if !x.ack {
+		// Ack after this side's scheduling delay.
+		x.from, x.ack = d, true
+		d.eng.Schedule(d.schedDelay(), x.send)
+		return true
+	}
+	d.recordRTT(d.eng.Now().Sub(x.sentAt))
+	d.free = append(d.free, x)
+	return true
 }
 
 func (d *Daemon) recordRTT(sample simtime.Duration) {

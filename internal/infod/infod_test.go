@@ -169,3 +169,83 @@ func TestDeterministicRTT(t *testing.T) {
 		t.Fatalf("same seed diverged: %v vs %v", a, b)
 	}
 }
+
+// TestPairedDaemonAllocFree: once both daemons have a record and the
+// engine's queue and the link's rings have grown, a period of updates and
+// acks in both directions allocates nothing.
+func TestPairedDaemonAllocFree(t *testing.T) {
+	eng, da, db, _ := rig()
+	da.Start()
+	db.Start()
+	eng.Run(simtime.Time(10 * simtime.Second))
+	if n := testing.AllocsPerRun(50, func() {
+		eng.Run(eng.Now().Add(simtime.Second))
+	}); n != 0 {
+		t.Fatalf("a paired-daemon period allocates %v times", n)
+	}
+	if !da.haveRTT || !db.haveRTT {
+		t.Fatal("no ack sampled")
+	}
+}
+
+// TestHubDaemonsAckOnlyTheirPeers: a hub runs one daemon per spoke on
+// three spokes, over links slow enough that several exchanges are in
+// flight at once. Every exchange comes back to the daemon that sent it,
+// acked by that daemon's own peer, and no daemon holds more records than
+// it ever had in flight.
+func TestHubDaemonsAckOnlyTheirPeers(t *testing.T) {
+	const spokes, periods = 3, 60
+	eng := sim.New()
+	hub := cluster.NewNode(eng, "hub", 1)
+	p := netmodel.Profile{BandwidthBps: 1e6, LatencyOneWay: 2500 * simtime.Millisecond}
+	var all []*Daemon
+	acks := map[*Daemon]int{} // acks delivered to each daemon's node
+	spy := func(p any) bool {
+		if x, ok := p.(*exchange); ok && x.ack {
+			acks[x.from.peer]++
+		}
+		return false
+	}
+	hub.Handle(spy)
+	for i := 0; i < spokes; i++ {
+		node := cluster.NewNode(eng, "spoke", 1)
+		node.Handle(spy)
+		link := netmodel.NewLink(eng, p, hub.NIC, node.NIC)
+		h := New(simtime.Second, hub, link, uint64(2*i+1))
+		s := New(simtime.Second, node, link, uint64(2*i+2))
+		Pair(h, s)
+		all = append(all, h, s)
+	}
+	for _, d := range all {
+		d.Start()
+	}
+	// A daemon's in-flight count rises only at its ticks (instants k·period),
+	// and is at most k minus the acks it received before that instant.
+	highWater := map[*Daemon]int{}
+	for k := 1; k <= periods; k++ {
+		tick := simtime.Time(simtime.Duration(k) * simtime.Second)
+		eng.Run(tick - 1)
+		for _, d := range all {
+			highWater[d] = max(highWater[d], k-acks[d])
+		}
+		eng.Run(tick)
+	}
+	for _, d := range all {
+		d.Stop()
+	}
+	eng.RunAll()
+
+	for i, d := range all {
+		if acks[d] != periods {
+			t.Fatalf("daemon %d received %d acks, want %d", i, acks[d], periods)
+		}
+		if len(d.free) > highWater[d] || highWater[d] < 5 {
+			t.Fatalf("daemon %d holds %d records, in-flight high-water %d (want ≥ 5)", i, len(d.free), highWater[d])
+		}
+		for _, x := range d.free {
+			if !x.ack || x.from != d.peer {
+				t.Fatalf("daemon %d holds a record last sent by %p, want its peer %p", i, x.from, d.peer)
+			}
+		}
+	}
+}

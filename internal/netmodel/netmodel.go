@@ -10,6 +10,13 @@
 // pipeline — the receiver sees them spaced by their serialisation times but
 // pays the propagation latency only once. This is the effect AMPoM's batched
 // prefetching exploits (paper §5.4).
+//
+// Because arrivals in one direction never decrease, each direction is a
+// FIFO pipe in the model too: in-flight messages wait in a ring in send
+// order, and every delivery event runs the one callback the pipe built at
+// link creation, which pops the front. Sending a message therefore
+// allocates nothing once the ring has grown to the direction's in-flight
+// high-water mark.
 package netmodel
 
 import (
@@ -108,8 +115,11 @@ func NewNIC(handler Handler) *NIC {
 // protocol stack after NIC creation).
 func (n *NIC) SetHandler(h Handler) { n.handler = h }
 
-// deliver records and dispatches an arriving message.
-func (n *NIC) deliver(m Message) {
+// Receive records and dispatches an arriving message: it updates the RX
+// counters, then runs the handler. A link calls it for every delivery it
+// schedules itself; a DeliveryRouter that claims a delivery calls it from
+// the callback it schedules instead.
+func (n *NIC) Receive(m Message) {
 	if !n.Quiet {
 		n.Counters.RxBytes += m.Size
 	}
@@ -124,12 +134,7 @@ func (n *NIC) deliver(m Message) {
 type Link struct {
 	eng     *sim.Engine
 	profile Profile
-	a, b    *NIC
-
-	// busyUntil tracks, per direction, when the transmitter finishes
-	// serialising the last queued message.
-	busyUntilAB simtime.Time
-	busyUntilBA simtime.Time
+	ab, ba  pipe // the a→b and b→a directions
 
 	// Background load: fraction [0,1) of bandwidth consumed by other
 	// traffic, reducing effective serialisation rate. Used to model a busy
@@ -141,21 +146,81 @@ type Link struct {
 	router DeliveryRouter
 }
 
-// DeliveryRouter intercepts a delivery scheduled for NIC to at instant at.
-// Returning true claims the delivery: the link schedules nothing and the
-// router must arrange for deliver (which updates the NIC's RX counters
-// before dispatching) to run at at, or
-// substitute its own dispatch. A sharded fabric uses this to land
+// pipe is one direction of a link. Its deliveries are scheduled on the
+// link's engine in send order with non-decreasing instants, and the engine
+// orders equal instants by scheduling time and then push order, so they
+// fire in send order: the front of the ring is always the message whose
+// delivery is running. pop checks that rather than assuming it.
+type pipe struct {
+	to *NIC
+	// busyUntil is when the transmitter finishes serialising the last
+	// queued message.
+	busyUntil simtime.Time
+
+	// ring holds the in-flight messages the link delivers itself (not the
+	// ones a router claimed), oldest at head; its length is a power of two.
+	ring    []inFlight
+	head, n int
+
+	// deliver pops the front message and hands it to to. It is built once
+	// in NewLink and scheduled for every unclaimed message.
+	deliver func()
+}
+
+// inFlight is a queued message and the instant it arrives.
+type inFlight struct {
+	m  Message
+	at simtime.Time
+}
+
+// push appends a message arriving at at to the back of the ring, doubling
+// the ring when it is full.
+func (p *pipe) push(m Message, at simtime.Time) {
+	if p.n == len(p.ring) {
+		grown := make([]inFlight, max(4, 2*len(p.ring)))
+		for i := 0; i < p.n; i++ {
+			grown[i] = p.ring[(p.head+i)&(len(p.ring)-1)]
+		}
+		p.ring, p.head = grown, 0
+	}
+	p.ring[(p.head+p.n)&(len(p.ring)-1)] = inFlight{m: m, at: at}
+	p.n++
+}
+
+// DeliveryRouter intercepts a delivery of m to NIC to at instant at.
+// Returning true claims the delivery: the link neither queues nor
+// schedules it, and the router must arrange for to.Receive(m) to run at
+// at, or substitute its own dispatch. A sharded fabric uses this to land
 // deliveries on the engine that owns the receiver's state instead of the
 // engine the sender ran on.
-type DeliveryRouter func(to *NIC, m Message, at simtime.Time, deliver func()) bool
+type DeliveryRouter func(to *NIC, m Message, at simtime.Time) bool
 
 // NewLink connects two NICs with the given profile.
 func NewLink(eng *sim.Engine, profile Profile, a, b *NIC) *Link {
 	if a == nil || b == nil {
 		panic("netmodel: link requires two NICs")
 	}
-	return &Link{eng: eng, profile: profile, a: a, b: b}
+	l := &Link{eng: eng, profile: profile, ab: pipe{to: b}, ba: pipe{to: a}}
+	l.ab.deliver = func() { l.ab.pop(eng) }
+	l.ba.deliver = func() { l.ba.pop(eng) }
+	return l
+}
+
+// pop delivers the front message; eng is the link's engine, whose clock
+// must stand at the front's arrival instant.
+func (p *pipe) pop(eng *sim.Engine) {
+	if p.n == 0 {
+		panic("netmodel: delivery from an empty link direction")
+	}
+	slot := &p.ring[p.head]
+	if slot.at != eng.Now() {
+		panic(fmt.Sprintf("netmodel: link direction out of FIFO order: front arrives at %v, delivered at %v", slot.at, eng.Now()))
+	}
+	m := slot.m
+	*slot = inFlight{} // drop the payload reference
+	p.head = (p.head + 1) & (len(p.ring) - 1)
+	p.n--
+	p.to.Receive(m)
 }
 
 // Profile returns the link's current characteristics.
@@ -182,35 +247,32 @@ func (l *Link) effectiveBandwidth() float64 {
 // scheduled arrival instant. Sending from a NIC not attached to the link
 // panics — it indicates a mis-wired model.
 func (l *Link) Send(from *NIC, m Message) simtime.Time {
-	var to *NIC
-	var busy *simtime.Time
+	var p *pipe
 	switch from {
-	case l.a:
-		to, busy = l.b, &l.busyUntilAB
-	case l.b:
-		to, busy = l.a, &l.busyUntilBA
+	case l.ba.to:
+		p = &l.ab
+	case l.ab.to:
+		p = &l.ba
 	default:
 		panic("netmodel: send from NIC not attached to link")
 	}
 
-	now := l.eng.Now()
-	start := now
-	if busy.After(start) {
-		start = *busy
+	start := l.eng.Now()
+	if p.busyUntil.After(start) {
+		start = p.busyUntil
 	}
 	ser := simtime.FromSeconds(float64(m.Size) / l.effectiveBandwidth())
-	departure := start.Add(ser)
-	*busy = departure
-	arrival := departure.Add(l.profile.LatencyOneWay)
+	p.busyUntil = start.Add(ser)
+	arrival := p.busyUntil.Add(l.profile.LatencyOneWay)
 
 	if !from.Quiet {
 		from.Counters.TxBytes += m.Size
 	}
-	deliver := func() { to.deliver(m) }
-	if l.router != nil && l.router(to, m, arrival, deliver) {
+	if l.router != nil && l.router(p.to, m, arrival) {
 		return arrival
 	}
-	l.eng.At(arrival, deliver)
+	p.push(m, arrival)
+	l.eng.At(arrival, p.deliver)
 	return arrival
 }
 

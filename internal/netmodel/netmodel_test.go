@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,48 +233,168 @@ func TestArrivalMonotonicProperty(t *testing.T) {
 	}
 }
 
+// TestDeliveryRouterClaimsScheduling: a router claims some deliveries of
+// one direction and declines others; the declined ones still arrive in
+// send order through the link's own ring, and a claimed one arrives only
+// when the router calls Receive.
 func TestDeliveryRouterClaimsScheduling(t *testing.T) {
 	p := Profile{BandwidthBps: 1e6, LatencyOneWay: 10 * simtime.Millisecond}
-	eng, l, a, b, arrivals := testLink(p)
-	var claimed []simtime.Time
-	var claimedFns []func()
-	l.SetDeliveryRouter(func(to *NIC, m Message, at simtime.Time, deliver func()) bool {
-		if to != b {
+	eng, l, a, b, _ := testLink(p)
+	var got []int
+	b.SetHandler(func(m Message) { got = append(got, m.Payload.(int)) })
+	a.SetHandler(func(m Message) { got = append(got, m.Payload.(int)) })
+	type claim struct {
+		m  Message
+		at simtime.Time
+	}
+	var claimed []claim
+	l.SetDeliveryRouter(func(to *NIC, m Message, at simtime.Time) bool {
+		if to != b || m.Payload.(int)%2 == 0 {
 			return false
 		}
-		claimed = append(claimed, at)
-		claimedFns = append(claimedFns, deliver)
+		claimed = append(claimed, claim{m, at})
 		return true
 	})
 
-	// b-ward delivery is claimed: the link schedules nothing itself.
-	arrival := l.Send(a, Message{Size: 1000})
-	if want := simtime.Time(11 * simtime.Millisecond); arrival != want {
-		t.Fatalf("arrival = %v, want %v", arrival, want)
+	// b-ward: odd payloads are claimed, even ones flow through the ring.
+	var arrivals []simtime.Time
+	for i := 0; i < 6; i++ {
+		arrivals = append(arrivals, l.Send(a, Message{Size: 1000, Payload: i}))
+	}
+	if want := simtime.Time(11 * simtime.Millisecond); arrivals[0] != want {
+		t.Fatalf("arrival = %v, want %v", arrivals[0], want)
 	}
 	eng.RunAll()
-	if len(*arrivals) != 0 || len(claimed) != 1 || claimed[0] != arrival {
-		t.Fatalf("claimed = %v, arrivals = %v, want claim at %v and no delivery", claimed, *arrivals, arrival)
+	if !slices.Equal(got, []int{0, 2, 4}) || b.Counters.RxBytes != 3000 {
+		t.Fatalf("declined deliveries = %v (RxBytes %d), want [0 2 4] (3000)", got, b.Counters.RxBytes)
 	}
-	// Running the captured deliver performs the full bookkeeping.
-	claimedFns[0]()
-	if b.Counters.RxBytes != 1000 || len(*arrivals) != 1 {
-		t.Fatalf("deliver closure: RxBytes=%d arrivals=%v", b.Counters.RxBytes, *arrivals)
+	if len(claimed) != 3 {
+		t.Fatalf("claimed %d deliveries, want 3", len(claimed))
+	}
+	for i, c := range claimed {
+		if c.m.Payload.(int) != 2*i+1 || c.at != arrivals[2*i+1] {
+			t.Fatalf("claim %d = %v at %v, want %d at %v", i, c.m.Payload, c.at, 2*i+1, arrivals[2*i+1])
+		}
+	}
+	// Receive performs the full bookkeeping the link would have.
+	got = got[:0]
+	for _, c := range claimed {
+		b.Receive(c.m)
+	}
+	if !slices.Equal(got, []int{1, 3, 5}) || b.Counters.RxBytes != 6000 {
+		t.Fatalf("Receive: delivered %v, RxBytes %d", got, b.Counters.RxBytes)
 	}
 
 	// a-ward deliveries are declined by this router and flow normally.
-	l.Send(b, Message{Size: 1000})
+	got = got[:0]
+	l.Send(b, Message{Size: 1000, Payload: 7})
 	eng.RunAll()
-	if len(*arrivals) != 2 || len(claimed) != 1 {
-		t.Fatalf("declined direction: arrivals=%v claimed=%v", *arrivals, claimed)
+	if !slices.Equal(got, []int{7}) || len(claimed) != 3 {
+		t.Fatalf("declined direction: delivered %v, claimed %d", got, len(claimed))
 	}
 
 	// Removing the router restores sequential behaviour.
+	got = got[:0]
 	l.SetDeliveryRouter(nil)
-	l.Send(a, Message{Size: 1000})
+	l.Send(a, Message{Size: 1000, Payload: 9})
 	eng.RunAll()
-	if len(*arrivals) != 3 {
-		t.Fatalf("after router removal: arrivals=%v", *arrivals)
+	if !slices.Equal(got, []int{9}) {
+		t.Fatalf("after router removal: delivered %v", got)
+	}
+}
+
+// TestRingOrderUnderGrowthAndWrap: a bulk transfer and a thousand small
+// messages queue in each direction, in two waves so the ring grows while
+// its head has moved on and wraps round; every direction delivers in send
+// order and the byte counters balance.
+func TestRingOrderUnderGrowthAndWrap(t *testing.T) {
+	p := Profile{BandwidthBps: 1e6, LatencyOneWay: simtime.Millisecond}
+	eng, l, a, b, _ := testLink(p)
+	var toA, toB []int
+	a.SetHandler(func(m Message) { toA = append(toA, m.Payload.(int)) })
+	b.SetHandler(func(m Message) { toB = append(toB, m.Payload.(int)) })
+	const small = 1000
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			l.Send(a, Message{Size: 100, Payload: i})
+			l.Send(b, Message{Size: 100, Payload: i})
+		}
+	}
+	l.Send(a, Message{Size: 1e6, Payload: -1}) // 1 s of serialisation
+	l.Send(b, Message{Size: 1e6, Payload: -1})
+	send(0, 300)
+	// Small message i arrives at 1.001 s + (i+1)·0.1 ms, so the bulk
+	// message and 95 small ones have arrived by 1.01055 s; the rest of the
+	// first wave is still queued, and the second wave wraps the ring.
+	eng.Run(simtime.Time(1010550 * simtime.Microsecond))
+	if len(toA) != 96 || len(toB) != 96 {
+		t.Fatalf("mid-run deliveries: %d a-ward, %d b-ward, want 96 each", len(toA), len(toB))
+	}
+	send(300, small)
+	eng.RunAll()
+
+	want := []int{-1}
+	for i := 0; i < small; i++ {
+		want = append(want, i)
+	}
+	if !slices.Equal(toA, want) || !slices.Equal(toB, want) {
+		t.Fatalf("delivery order differs from send order (a-ward %d, b-ward %d messages)", len(toA), len(toB))
+	}
+	sent := int64(1e6 + small*100)
+	for _, n := range []*NIC{a, b} {
+		if n.Counters.TxBytes != sent || n.Counters.RxBytes != sent {
+			t.Fatalf("counters %+v, want %d each way", n.Counters, sent)
+		}
+	}
+	if l.ab.n != 0 || l.ba.n != 0 {
+		t.Fatalf("rings not drained: %d, %d", l.ab.n, l.ba.n)
+	}
+}
+
+// TestPipeChecksFIFO: a delivery whose front message is not due now is a
+// broken FIFO assumption and panics rather than misdelivering.
+func TestPipeChecksFIFO(t *testing.T) {
+	_, l, _, _, _ := testLink(Profile{BandwidthBps: 1e6})
+	for name, fire := range map[string]func(){
+		"empty":   l.ab.deliver,
+		"not due": func() { l.ba.push(Message{}, simtime.Time(simtime.Second)); l.ba.deliver() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: delivery did not panic", name)
+				}
+			}()
+			fire()
+		}()
+	}
+}
+
+// TestLinkSteadyStateAllocFree: once a direction's ring has grown, a Send
+// and its delivery allocate nothing — the link schedules the callback it
+// built at creation, not a closure per message.
+func TestLinkSteadyStateAllocFree(t *testing.T) {
+	p := Profile{BandwidthBps: 1e6, LatencyOneWay: simtime.Millisecond}
+	eng, l, a, b, _ := testLink(p)
+	delivered := 0
+	b.SetHandler(func(Message) { delivered++ })
+	payload := &struct{}{}
+	for i := 0; i < 3; i++ { // three messages stay in flight throughout
+		l.Send(a, Message{Size: 1000, Payload: payload})
+	}
+	step := func() {
+		l.Send(a, Message{Size: 1000, Payload: payload})
+		at, _ := eng.NextAt()
+		eng.Run(at)
+	}
+	for i := 0; i < 10; i++ { // grow the ring and the event queue
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("a send and its delivery allocate %v times", n)
+	}
+	if l.ab.n != 3 || delivered != 111 {
+		t.Fatalf("ring depth %d, delivered %d; want 3 and 111", l.ab.n, delivered)
 	}
 }
 

@@ -93,7 +93,7 @@ type Deputy struct {
 // gatedRequest is a request parked until the backing store is ready.
 type gatedRequest struct {
 	pages  []memory.PageNum
-	demand map[memory.PageNum]bool
+	demand memory.PageNum
 }
 
 // SetAvailableAfter gates page service until instant t: requests arriving
@@ -129,11 +129,10 @@ func (d *Deputy) handle(payload any) bool {
 
 	// The demand page is served first — the migrant is stalled on it — and
 	// the dependent zone streams behind it.
+	demand := req.Demand
 	pages := make([]memory.PageNum, 0, len(req.Prefetch)+1)
-	demand := map[memory.PageNum]bool{}
-	if req.Demand != NoDemand {
-		pages = append(pages, req.Demand)
-		demand[req.Demand] = true
+	if demand != NoDemand {
+		pages = append(pages, demand)
 	}
 	pages = append(pages, req.Prefetch...)
 
@@ -146,7 +145,9 @@ func (d *Deputy) handle(payload any) bool {
 	return true
 }
 
-func (d *Deputy) serve(pages []memory.PageNum, demand map[memory.PageNum]bool) {
+// serve sends pages, counting the one equal to demand (NoDemand matches
+// none) as demand-served and the rest as prefetched.
+func (d *Deputy) serve(pages []memory.PageNum, demand memory.PageNum) {
 	for _, p := range pages {
 		if d.tables.HPT.Loc(p) == memory.LocUnmapped {
 			// Already transferred (or never stored) — a benign race when a
@@ -157,7 +158,7 @@ func (d *Deputy) serve(pages []memory.PageNum, demand map[memory.PageNum]bool) {
 			panic(fmt.Sprintf("paging: deputy serving page %d: %v", p, err))
 		}
 		rep := PageReply{Page: p}
-		if demand[p] {
+		if p == demand {
 			d.Stats.DemandServed++
 		} else {
 			d.Stats.PrefetchServed++
