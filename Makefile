@@ -5,15 +5,16 @@
 # perfbench benchmark module, a short fuzz pass over the AMPoM
 # prefetcher, the trace combinators, the scenario spec codec, whole
 # failure scripts, the event queue and the gossip cell table, one
-# bench-balance iteration so policy-dispatch overhead is tracked, and one
-# bench-fabric iteration asserting the 512-, 4096- and 16384-node
-# presets' event budgets.
+# bench-balance iteration so policy-dispatch overhead is tracked, one
+# bench-analyze iteration of the per-fault AMPoM analysis and the
+# scenario's prefetch census, and one bench-fabric iteration asserting
+# the 512-, 4096- and 16384-node presets' event budgets.
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-fabric bench-json profile
+.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-analyze bench-fabric bench-json profile
 
-ci: fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench-balance bench-fabric
+ci: fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench-balance bench-analyze bench-fabric
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -80,6 +81,13 @@ bench-scenario:
 # registry is tracked per PR.
 bench-balance:
 	$(GO) test -run '^$$' -bench '^BenchmarkPolicySweep$$' -benchtime 1x .
+
+# BenchmarkAnalyze runs one fault's AMPoM analysis per fault pattern
+# (sequential, strided, random) and BenchmarkPrefetchCensus one migrant's
+# prefetch census per workload mix, so the cost and allocations of the
+# analysis path are tracked per PR.
+bench-analyze:
+	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus)$$' -benchmem -benchtime 1x ./internal/core ./internal/scenario
 
 # BenchmarkFabric{512,512Failures,4096,16384,16384Shards} run the rack-farm
 # (512n/2048p, failure-free and under the crash/evacuation/link-flap

@@ -175,13 +175,12 @@ type Prefetcher struct {
 
 	// Per-analysis scratch, reused so that Analyze allocates nothing once
 	// the zone buffer has grown to the largest zone: the window pages, each
-	// slot's stride, the score's link/member lists and per-stride counts,
-	// the zone's stream runs, and the buffers behind Analysis.Pivots and
-	// Analysis.Zone.
+	// slot's stride, the score's page-sorted link list and per-stride
+	// counts, the zone's stream runs, and the buffers behind
+	// Analysis.Pivots and Analysis.Zone.
 	pages    []memory.PageNum
 	strides  []int
 	links    []pageStride
-	members  []pageStride
 	counts   []int64
 	runs     []pageRun
 	pivotBuf []memory.PageNum
@@ -198,8 +197,8 @@ func New(cfg Config, totalPages int64) (*Prefetcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	if totalPages <= 0 {
-		return nil, fmt.Errorf("core: non-positive address space size %d", totalPages)
+	if err := checkPages(totalPages); err != nil {
+		return nil, err
 	}
 	l := cfg.WindowLen
 	return &Prefetcher{
@@ -209,7 +208,6 @@ func New(cfg Config, totalPages int64) (*Prefetcher, error) {
 		pages:    make([]memory.PageNum, 0, l),
 		strides:  make([]int, l),
 		links:    make([]pageStride, 0, l),
-		members:  make([]pageStride, 0, 2*l),
 		counts:   make([]int64, cfg.DMax+1),
 		runs:     make([]pageRun, 0, l),
 		pivotBuf: make([]memory.PageNum, 0, l),
@@ -224,6 +222,28 @@ func MustNew(cfg Config, totalPages int64) *Prefetcher {
 		panic(err)
 	}
 	return p
+}
+
+// checkPages rejects a non-positive address-space size.
+func checkPages(totalPages int64) error {
+	if totalPages <= 0 {
+		return fmt.Errorf("core: non-positive address space size %d", totalPages)
+	}
+	return nil
+}
+
+// Reset returns p to the state New leaves it in for an address space of
+// totalPages pages: an empty window and zeroed fault and prefetch counts,
+// under the same configuration. Every buffer is kept, so a caller that
+// dry-runs many short streams reuses one Prefetcher without allocating.
+// Like MustNew, it panics on a non-positive totalPages.
+func (p *Prefetcher) Reset(totalPages int64) {
+	if err := checkPages(totalPages); err != nil {
+		panic(err)
+	}
+	p.head, p.count = 0, 0
+	p.maxPage = memory.PageNum(totalPages)
+	p.faults, p.prefetched = 0, 0
 }
 
 // Config returns the active configuration.
@@ -284,11 +304,19 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 		return a
 	}
 
-	// Gather the window pages (oldest first) and their strides, shared by
-	// the score and the pivot search.
+	// Gather the window pages and the CPU sum, oldest first, walking the
+	// ring as its two contiguous segments; then the strides, shared by the
+	// score and the pivot search.
 	w := p.pages[:0]
-	for i := 0; i < p.count; i++ {
-		w = append(w, p.at(i).page)
+	var cpuSum float64
+	tail := min(p.head+p.count, len(p.win))
+	for _, e := range p.win[p.head:tail] {
+		w = append(w, e.page)
+		cpuSum += e.cpu
+	}
+	for _, e := range p.win[:p.count-(tail-p.head)] {
+		w = append(w, e.page)
+		cpuSum += e.cpu
 	}
 	p.pages = w
 	strides := p.strides[:len(w)]
@@ -306,11 +334,6 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 		span = simtime.Nanosecond
 	}
 	a.PagingRate = float64(p.count) / span.Seconds()
-
-	var cpuSum float64
-	for i := 0; i < p.count; i++ {
-		cpuSum += p.at(i).cpu
-	}
 	a.CPUMean = cpuSum / float64(p.count)
 	a.CPUExpected = last.cpu
 
@@ -371,8 +394,9 @@ func (p *Prefetcher) strideOf(w []memory.PageNum, i int) int {
 	return 0
 }
 
-// pageStride is one (page, stride) pair of the score's link and member
-// lists. With at most l = 20 entries a flat list beats a map.
+// pageStride is one (page, stride) link of the score: page's minimum
+// forward distance d to page+1. With at most l = 20 links a flat sorted
+// list beats a map.
 type pageStride struct {
 	page memory.PageNum
 	d    int
@@ -387,40 +411,41 @@ type pageStride struct {
 // that successor page itself, matching the paper's worked examples (e.g.
 // {1,99,2,45,3,78,4} ⇒ stride_2 = 4 for pages {1,2,3,4}). strides[i] is
 // strideOf(w, i).
+//
+// The participations are the distinct (page, d) and (page+1, d) endpoints
+// of the links, one link per page value. Two links never share a first
+// endpoint, nor a second one, so with the links sorted by page the only
+// collision is a link's second endpoint landing on the next link's first:
+// pages p and p+1 linked at the same d. Counting is one linear pass.
 func (p *Prefetcher) score(w []memory.PageNum, strides []int) float64 {
-	// Minimum forward distance per page *value*, across duplicate positions.
+	// Minimum forward distance per page *value*, across duplicate
+	// positions, kept sorted by page. The search starts at the end, where a
+	// rising stream appends.
 	links := p.links[:0]
 	for i, d := range strides {
 		if d == 0 {
 			continue
 		}
-		found := false
-		for k := range links {
-			if links[k].page == w[i] {
-				found = true
-				links[k].d = min(links[k].d, d)
-				break
-			}
+		k := len(links)
+		for k > 0 && links[k-1].page > w[i] {
+			k--
 		}
-		if !found {
-			links = append(links, pageStride{w[i], d})
+		if k > 0 && links[k-1].page == w[i] {
+			links[k-1].d = min(links[k-1].d, d)
+			continue
 		}
+		links = slices.Insert(links, k, pageStride{w[i], d})
 	}
 	p.links = links
 
-	// Count distinct (page, d) participations: both endpoints of each link.
-	members := p.members[:0]
 	counts := p.counts
 	clear(counts)
-	for _, lk := range links {
-		for _, m := range [2]pageStride{lk, {lk.page + 1, lk.d}} {
-			if !slices.Contains(members, m) {
-				members = append(members, m)
-				counts[m.d]++
-			}
+	for k, lk := range links {
+		counts[lk.d] += 2
+		if k+1 < len(links) && links[k+1] == (pageStride{lk.page + 1, lk.d}) {
+			counts[lk.d]--
 		}
 	}
-	p.members = members
 
 	l := p.cfg.WindowLen
 	s := 0.0

@@ -17,6 +17,11 @@ import (
 // whenever it touches a page that is not installed. Consecutive resident
 // references are batched into a single scheduled compute interval, so the
 // event count is proportional to faults, not references.
+//
+// At most one fault is in progress at a time — the process cannot fault
+// again until the current fault resumes it — so the fault's page, demand
+// and zone live on the executor, and every event it schedules runs one of
+// four callbacks built once in newExecutor.
 type executor struct {
 	node *cluster.Node
 	src  trace.Source
@@ -44,6 +49,19 @@ type executor struct {
 	scoreSum     float64
 	nSum         float64
 
+	// The fault in progress: the faulting page, the page demanded from the
+	// origin (paging.NoDemand if none), and the dependent zone, which is
+	// the Prefetcher's reused buffer and is consumed by faultSend before
+	// the next Analyze.
+	faulting bool
+	page     memory.PageNum
+	demand   memory.PageNum
+	zone     []memory.PageNum
+
+	// The scheduled callbacks, built once: fault, faultSend, step and the
+	// completion that calls done.
+	faultFn, faultSendFn, stepFn, finishFn func()
+
 	done func(endAt simtime.Time)
 }
 
@@ -57,7 +75,7 @@ type execConfig struct {
 }
 
 func newExecutor(c execConfig) *executor {
-	return &executor{
+	e := &executor{
 		node:  c.node,
 		src:   c.src,
 		as:    c.as,
@@ -66,6 +84,11 @@ func newExecutor(c execConfig) *executor {
 		est:   c.est,
 		util:  1,
 	}
+	e.faultFn = e.fault
+	e.faultSendFn = e.faultSend
+	e.stepFn = e.step
+	e.finishFn = func() { e.done(e.node.Eng.Now()) }
+	return e
 }
 
 // start begins execution at the current instant; done fires at completion.
@@ -83,18 +106,20 @@ func (e *executor) step() {
 		ref, ok := e.src.Next()
 		if !ok {
 			e.busy += pending
-			e.node.Eng.Schedule(pending, func() {
-				e.done(e.node.Eng.Now())
-			})
+			e.node.Eng.Schedule(pending, e.finishFn)
 			return
 		}
 		pending += e.node.Scale(ref.Compute)
 		if e.as.State(ref.Page) == memory.StateResident {
 			continue
 		}
-		page := ref.Page
+		if e.faulting {
+			panic(fmt.Sprintf("migrate: fault on page %d scheduled while the fault on page %d is pending", ref.Page, e.page))
+		}
+		e.faulting = true
+		e.page = ref.Page
 		e.busy += pending
-		e.node.Eng.Schedule(pending, func() { e.fault(page) })
+		e.node.Eng.Schedule(pending, e.faultFn)
 		return
 	}
 }
@@ -129,8 +154,9 @@ func (e *executor) sampleUtil() float64 {
 	return e.util
 }
 
-// fault is the page-fault handler: Algorithm 1 of the paper.
-func (e *executor) fault(page memory.PageNum) {
+// fault is the page-fault handler for e.page: Algorithm 1 of the paper.
+func (e *executor) fault() {
+	page := e.page
 	if e.pager == nil {
 		panic(fmt.Sprintf("migrate: fault on page %d under a scheme with no remote paging", page))
 	}
@@ -144,12 +170,11 @@ func (e *executor) fault(page memory.PageNum) {
 	st := e.as.State(page)
 
 	ci := e.sampleUtil()
-	demand := paging.NoDemand
+	e.demand = paging.NoDemand
 	if st == memory.StateRemote {
-		demand = page
+		e.demand = page
 	}
 
-	var zone []memory.PageNum
 	if e.pre != nil {
 		// "record i in the lookback window; calculate the current spatial
 		// locality score; calculate the number of pages in the dependent
@@ -165,19 +190,21 @@ func (e *executor) fault(page memory.PageNum) {
 		// a.Zone is the Prefetcher's reused buffer. faultSend consumes it
 		// before the next Analyze: the process cannot fault again until
 		// faultSend resumes it.
-		zone = a.Zone
+		e.zone = a.Zone
 	}
 
-	e.node.Eng.Schedule(cost, func() { e.faultSend(page, demand, zone) })
+	e.node.Eng.Schedule(cost, e.faultSendFn)
 }
 
 // faultSend finishes the fault after handler costs: it sends the batched
 // request and either resumes immediately or blocks on the missing page.
-func (e *executor) faultSend(page memory.PageNum, demand memory.PageNum, zone []memory.PageNum) {
+func (e *executor) faultSend() {
+	page, demand := e.page, e.demand
 	// A page that arrived while the handler ran is not yet installed;
 	// demand cannot have been requested by anyone else, so its state can
 	// only still be Remote.
-	nPref := e.pager.Request(demand, zone)
+	nPref := e.pager.Request(demand, e.zone)
+	e.faulting = false
 	if e.pre != nil {
 		e.pre.NotePrefetched(nPref)
 	}
@@ -191,14 +218,14 @@ func (e *executor) faultSend(page memory.PageNum, demand memory.PageNum, zone []
 		// Arrived while the handler ran; install and continue.
 		e.softFaults++
 		cost := e.pager.InstallArrived()
-		e.node.Eng.Schedule(cost, e.step)
+		e.node.Eng.Schedule(cost, e.stepFn)
 	case memory.StateInFlight:
 		if demand == page {
 			e.hardFaults++
 		} else {
 			e.waitFaults++
 		}
-		e.pager.Wait(page, e.step)
+		e.pager.Wait(page, e.stepFn)
 	default:
 		panic(fmt.Sprintf("migrate: page %d still remote after fault handling", page))
 	}

@@ -265,11 +265,14 @@ type clusterSim struct {
 	// live-view-vs-rebuild property test and the retention tests use.
 	checkView func(base sched.View)
 
-	// censusSeen and censusArrived are the prefetch census's per-page
-	// flags, grown to the largest working set and cleared per migration.
-	// One pair suffices: restore, the census's only caller, runs on the
-	// global engine.
-	censusSeen, censusArrived []bool
+	// census is the prefetch census's dry-run prefetcher, built at the
+	// first census and Reset for every later one. censusSeen and
+	// censusArrived are its per-page bit sets (first touched, prefetched),
+	// grown to the largest working set and cleared per census, wsPages/64
+	// words each. One set suffices: restore, the census's only caller,
+	// runs on the global engine.
+	census                    *core.Prefetcher
+	censusSeen, censusArrived pageBits
 
 	st SchemeStats
 }
@@ -1015,13 +1018,19 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 	if wsPages < 1 {
 		return 0, 0
 	}
-	pre := core.MustNew(core.DefaultConfig(), wsPages)
-	src := p.t.mix.Trace(wsPages, p.t.traceSeed)()
-	if int64(len(c.censusSeen)) < wsPages {
-		c.censusSeen = make([]bool, wsPages)
-		c.censusArrived = make([]bool, wsPages)
+	if c.census == nil {
+		c.census = core.MustNew(core.DefaultConfig(), wsPages)
+	} else {
+		c.census.Reset(wsPages)
 	}
-	seen, arrived := c.censusSeen[:wsPages], c.censusArrived[:wsPages]
+	pre := c.census
+	src := p.t.mix.Trace(wsPages, p.t.traceSeed)()
+	words := (wsPages + 63) / 64
+	if int64(len(c.censusSeen)) < words {
+		c.censusSeen = make(pageBits, words)
+		c.censusArrived = make(pageBits, words)
+	}
+	seen, arrived := c.censusSeen[:words], c.censusArrived[:words]
 	clear(seen)
 	clear(arrived)
 	var sampled, sampleHard int64
@@ -1031,13 +1040,13 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 		if !ok {
 			break
 		}
-		if ref.Page < 0 || int64(ref.Page) >= wsPages || seen[ref.Page] {
+		if ref.Page < 0 || int64(ref.Page) >= wsPages || seen.has(ref.Page) {
 			continue
 		}
-		seen[ref.Page] = true
+		seen.set(ref.Page)
 		sampled++
 		t = t.Add(est.PageTransfer)
-		if arrived[ref.Page] {
+		if arrived.has(ref.Page) {
 			continue // prevented: the zone fetch beat the touch
 		}
 		sampleHard++
@@ -1046,8 +1055,8 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 		a := pre.Analyze(est) // a.Zone is reused by the next Analyze: consume it now
 		n := 0
 		for _, pg := range a.Zone {
-			if pg >= 0 && int64(pg) < wsPages && !arrived[pg] {
-				arrived[pg] = true
+			if pg >= 0 && int64(pg) < wsPages && !arrived.has(pg) {
+				arrived.set(pg)
 				n++
 			}
 		}
@@ -1065,6 +1074,13 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 	}
 	return hard, wsPages - hard
 }
+
+// pageBits is a set of pages, one bit per page.
+type pageBits []uint64
+
+func (b pageBits) has(pg memory.PageNum) bool { return b[pg>>6]&(1<<(pg&63)) != 0 }
+
+func (b pageBits) set(pg memory.PageNum) { b[pg>>6] |= 1 << (pg & 63) }
 
 // Run executes the scenario under the spec's policy set from the single
 // seed and assembles the cluster-level report. It is a pure function of its
