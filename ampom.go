@@ -240,14 +240,18 @@ func NewCampaign(cfg CampaignConfig) *Campaign { return harness.NewMatrix(cfg) }
 func Locality(w *Workload) (spatial, temporal float64) { return hpcc.Locality(w) }
 
 // Load-balancing aliases (the paper's §7 outlook): the open BalancerPolicy
-// interface plus a sorted, deterministic registry, so new cost models plug
-// in beside the built-in six. Policies run inside cluster scenarios: name
+// interface plus a sorted, deterministic registry, so new policies plug in
+// beside the built-in six. Policies run inside cluster scenarios: name
 // them in a ScenarioSpec's Policies and call RunScenario.
 type (
 	// BalancerPolicy decides when and where the load balancer migrates.
-	// Implement it (Name, MigrationCost, ShouldMigrate) and register with
+	// Implement it (Name, Mechanism, ShouldMigrate) and register with
 	// RegisterBalancerPolicy to add a policy to every report.
 	BalancerPolicy = sched.BalancerPolicy
+	// Mechanism is how a policy's migrations move a process; it prices
+	// both the policy's decision (BalancerView.Clears) and the migration a
+	// scenario charges.
+	Mechanism = sched.Mechanism
 	// BalancerView is the cluster state a policy decides on.
 	BalancerView = sched.View
 	// BalancerNodeView is one node of a BalancerView.
@@ -265,6 +269,16 @@ const (
 	PolicyNoMigration = sched.NameNoMigration
 	PolicyOpenMosix   = sched.NameOpenMosix
 	PolicyQueueGossip = sched.NameQueueGossip
+)
+
+// The migration mechanisms a policy declares: the paper's two, and the
+// no-migration baseline's zero value, whose only migrations are crash
+// evacuations (lightweight payload, no MPT install, no paging after
+// resume).
+const (
+	MechanismEvacuationOnly = sched.EvacuationOnly
+	MechanismFullCopy       = sched.FullCopy
+	MechanismLightweight    = sched.Lightweight
 )
 
 // RegisterBalancerPolicy adds a policy to the registry; registered

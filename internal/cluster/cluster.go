@@ -60,11 +60,15 @@ func (n *Node) dispatch(m netmodel.Message) {
 func (n *Node) Deliver(payload any) { n.dispatch(netmodel.Message{Payload: payload}) }
 
 // Scale converts reference-CPU compute time to this node's wall time.
-func (n *Node) Scale(d simtime.Duration) simtime.Duration {
-	if n.CPUScale == 1 {
+func (n *Node) Scale(d simtime.Duration) simtime.Duration { return ScaleCPU(d, n.CPUScale) }
+
+// ScaleCPU converts reference-CPU compute time to wall time on a CPU of
+// relative speed cpuScale.
+func ScaleCPU(d simtime.Duration, cpuScale float64) simtime.Duration {
+	if cpuScale == 1 {
 		return d
 	}
-	return simtime.Duration(float64(d) / n.CPUScale)
+	return simtime.Duration(float64(d) / cpuScale)
 }
 
 // The migration protocol's calibration on the paper's Gideon 300 testbed,

@@ -6,6 +6,7 @@ import (
 
 	"ampom/internal/core"
 	"ampom/internal/memory"
+	"ampom/internal/sched"
 	"ampom/internal/simtime"
 )
 
@@ -140,6 +141,34 @@ func TestCensusStateAllocFree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCensusCoversBalloonedFootprint: the census bit sets are sized once
+// per simulation, to its largest footprint, so a balloon that grows a
+// process past that size after a census has run must make the next census
+// size them again. The ballooned process's census must still equal the
+// reference's.
+func TestCensusCoversBalloonedFootprint(t *testing.T) {
+	spec := Spec{Name: "balloon-census", Nodes: 2, Procs: 4, Skew: 1, MeanFootprintMB: 16}.Canonical()
+	scales, tmpl := buildWorkload(spec, 3)
+	c := buildClusterSim(spec, scales, tmpl, sched.AMPoMPolicy, 3, 1)
+	c.eng.Run(0) // the batch arrives
+	est := core.Estimates{RTT: 2 * simtime.Millisecond, PageTransfer: 40 * simtime.Microsecond}
+	p := c.procs[0]
+	c.prefetchCensus(p, est, footprintPages(p.footprintMB))
+	largest := c.maxFootprintMB
+	c.balloon(ChurnEvent{Kind: ChurnBalloon, Node: p.node, Factor: 8})
+	for _, q := range c.procs {
+		if q.footprintMB > largest {
+			ws := footprintPages(q.footprintMB)
+			hard, pref := c.prefetchCensus(q, est, ws)
+			if wantHard, wantPref, _ := refPrefetchCensus(q, est, ws); hard != wantHard || pref != wantPref {
+				t.Fatalf("ballooned census (%d hard, %d prefetched), reference (%d, %d)", hard, pref, wantHard, wantPref)
+			}
+			return
+		}
+	}
+	t.Fatal("the balloon grew no process")
 }
 
 // BenchmarkPrefetchCensus measures one migrant's prefetch census per mix,

@@ -68,10 +68,11 @@ func FuzzSpecRoundTrip(f *testing.F) {
 }
 
 // FuzzFailureScript drives whole failure scenarios decoded from the fuzz
-// input (failureScript). Under AMPoM and the no-migration baseline every
-// lifecycle transition must be legal (an illegal one panics), the live
-// view must equal the rebuild at every quantum, and Unfinished must count
-// exactly the processes that never completed.
+// input (failureScript) under one policy per migration mechanism: AMPoM
+// (lightweight), openMosix (full copy) and the no-migration baseline
+// (evacuation only). Every lifecycle transition must be legal (an illegal
+// one panics), the live view must equal the rebuild at every quantum, and
+// Unfinished must count exactly the processes that never completed.
 func FuzzFailureScript(f *testing.F) {
 	// Evacuating crash of node 1 with a recovery; a kill-in-place crash
 	// plus a rack-uplink flap; a crash of a migration destination while
@@ -85,7 +86,7 @@ func FuzzFailureScript(f *testing.F) {
 			return
 		}
 		scales, tmpl := buildWorkload(spec, seed)
-		for _, pol := range []sched.BalancerPolicy{sched.AMPoMPolicy, sched.NoMigrationPolicy} {
+		for _, pol := range []sched.BalancerPolicy{sched.AMPoMPolicy, sched.OpenMosixPolicy, sched.NoMigrationPolicy} {
 			c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
 			stepVerifying(t, c, pol.Name())
 			st := c.run()

@@ -239,16 +239,10 @@ func stepVerifying(t *testing.T, c *clusterSim, name string) bool {
 // it keeps the Nodes slice it was handed and scribbles over every row it
 // retained before delegating the next decision. The driver's
 // copy-on-hand-off must confine the damage to the round the scribble
-// happened in.
+// happened in. Name and Mechanism come from the embedded policy.
 type retainingPolicy struct {
-	inner    sched.BalancerPolicy
+	sched.BalancerPolicy
 	retained []sched.NodeView
-}
-
-func (r *retainingPolicy) Name() string { return r.inner.Name() }
-
-func (r *retainingPolicy) MigrationCost(footprintMB int64, wsFrac, bandwidthBps float64) (simtime.Duration, simtime.Duration) {
-	return r.inner.MigrationCost(footprintMB, wsFrac, bandwidthBps)
 }
 
 func (r *retainingPolicy) ShouldMigrate(v sched.View, p sched.ProcView) (int, bool) {
@@ -258,7 +252,7 @@ func (r *retainingPolicy) ShouldMigrate(v sched.View, p sched.ProcView) (int, bo
 		}
 	}
 	r.retained = v.Nodes
-	return r.inner.ShouldMigrate(v, p)
+	return r.BalancerPolicy.ShouldMigrate(v, p)
 }
 
 // TestRetainingPolicyCannotCorruptNextRound locks the hand-off contract's
@@ -280,7 +274,7 @@ func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 			Fabric:          FabricSpec{Topology: topo, RackSize: 4},
 		}.Canonical()
 		scales, tmpl := buildWorkload(spec, 7)
-		evil := &retainingPolicy{inner: sched.AMPoMPolicy}
+		evil := &retainingPolicy{BalancerPolicy: sched.AMPoMPolicy}
 		c := newClusterSimShards(spec, scales, tmpl, evil, 7, 1)
 		rounds := 0
 		c.checkView = func(base sched.View) {

@@ -188,7 +188,8 @@ type migMsg struct {
 type clusterSim struct {
 	spec  Spec
 	pol   sched.BalancerPolicy
-	prand *prng.Source // policy-decision stream (probabilistic policies)
+	mech  sched.Mechanism // pol's, read once: it charges every migration
+	prand *prng.Source    // policy-decision stream (probabilistic policies)
 
 	eng   *sim.Engine
 	nodes []*cluster.Node
@@ -268,11 +269,13 @@ type clusterSim struct {
 	// census is the prefetch census's dry-run prefetcher, built at the
 	// first census and Reset for every later one. censusSeen and
 	// censusArrived are its per-page bit sets (first touched, prefetched),
-	// grown to the largest working set and cleared per census, wsPages/64
-	// words each. One set suffices: restore, the census's only caller,
-	// runs on the global engine.
+	// sized at the first census to maxFootprintMB, the largest footprint
+	// of the simulation (a balloon past it drops them, and the next census
+	// sizes them again), and cleared per census. One set suffices:
+	// restore, the census's only caller, runs on the global engine.
 	census                    *core.Prefetcher
 	censusSeen, censusArrived pageBits
+	maxFootprintMB            int64
 
 	st SchemeStats
 }
@@ -325,6 +328,7 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 	c := &clusterSim{
 		spec: spec,
 		pol:  pol,
+		mech: pol.Mechanism(),
 		// Each policy draws decisions from its own stream, a pure function
 		// of (scenario seed, policy name), so adding a policy to the set
 		// never perturbs another policy's run.
@@ -417,6 +421,7 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 			node:        t.node,
 		}
 		c.procs[i] = p
+		c.maxFootprintMB = max(c.maxFootprintMB, t.footprintMB)
 		// Arrival is a shard event: it touches only the template node's
 		// slice of the live view (a process cannot have migrated before it
 		// arrived).
@@ -491,12 +496,12 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 }
 
 // start schedules the first quantum tick and, unless the policy never
-// migrates, the balance ticker. Both come after every arrival and churn
+// migrates by choice (sched.EvacuationOnly), the balance ticker. Both come after every arrival and churn
 // event, in this order: sequence numbers break ties between coincident
 // events, and the goldens pin the resulting event order.
 func (c *clusterSim) start() {
 	c.scheduleTick(simtime.Time(c.spec.Quantum))
-	if c.pol.Name() != sched.BaselineName {
+	if c.mech != sched.EvacuationOnly {
 		sim.NewTicker(c.eng, c.spec.BalancePeriod, c.balance)
 	}
 }
@@ -551,6 +556,10 @@ func (c *clusterSim) balloon(ev ChurnEvent) {
 		target.footprintMB = 1
 	}
 	c.lv.memDelta(target.node, target.footprintMB-was)
+	if target.footprintMB > c.maxFootprintMB {
+		c.maxFootprintMB = target.footprintMB
+		c.censusSeen, c.censusArrived = nil, nil
+	}
 }
 
 // run executes the simulation to completion (or the horizon) and finalises
@@ -904,7 +913,7 @@ func (c *clusterSim) migrate(p *proc, src, dst int) {
 	c.transition(p, procInFlight, dst)
 	c.st.Migrations++
 
-	bytes := c.freezeBytes(p)
+	bytes := c.mech.PayloadBytes(p.footprintMB)
 	if !c.ic.PathUp(src, dst) {
 		// Stale gossip steered the migrant at an unreachable destination.
 		// The freeze-time payload cannot be committed to the wire, so no
@@ -916,18 +925,6 @@ func (c *clusterSim) migrate(p *proc, src, dst int) {
 	c.st.MigrationBytes += bytes
 	m := migMsg{pid: p.t.id, seq: p.seq, dest: dst}
 	c.ic.Send(src, dst, netmodel.Message{Size: bytes, Payload: m})
-}
-
-// freezeBytes sizes the freeze-time transfer under the policy: policies
-// that ship a non-default payload (openMosix's full copy) declare it via
-// sched.FreezePayloadSizer; everything else rides the AMPoM substrate —
-// three pages, the 6 B/page MPT, and the PCB.
-func (c *clusterSim) freezeBytes(p *proc) int64 {
-	if s, ok := c.pol.(sched.FreezePayloadSizer); ok {
-		return s.FreezePayloadBytes(p.footprintMB) + cluster.RegisterBytes
-	}
-	pages := footprintPages(p.footprintMB)
-	return 3*memory.PageSize + pages*memory.PTEntrySize + cluster.RegisterBytes
 }
 
 // deliver consumes a migration payload arriving at its destination node
@@ -947,32 +944,25 @@ func (c *clusterSim) deliver(node int, m migMsg) {
 	c.restore(p, m.dest)
 }
 
-// restore finishes a migration at the destination: destination-side restore
-// costs, the AMPoM working-set stream (charged as continued unavailability
-// at the daemons' estimated bandwidth), and the prefetch census.
+// restore finishes a migration at the destination under the policy's
+// mechanism: the destination-side restore CPU and, when the mechanism pages
+// after resume, the working-set stream (charged as continued
+// unavailability at the path's estimated bandwidth) and the prefetch
+// census.
 func (c *clusterSim) restore(p *proc, dst int) {
 	c.transition(p, procRestoring, dst)
-	cal := cluster.MigrationBase
-	pages := footprintPages(p.footprintMB)
 	// The process's home node is the template's origin by construction and
 	// is never reassigned, so the index is known without scanning the
 	// cluster.
 	src := p.t.node
-	bw := c.ic.PathBandwidth(src, dst)
-	var extra simtime.Duration
-	if c.remotePages(p, bw) {
-		// MPT install on the destination CPU.
-		cal += c.nodes[dst].Scale(simtime.Duration(pages) * cluster.MPTEntryCPU)
+	r := c.mech.Restore(p.footprintMB, p.t.mix.WorkingSetFrac(), c.nodes[dst].CPUScale, c.ic.PathBandwidth(src, dst))
+	if c.mech.PagesAfterResume() {
 		// The working set streams in from the origin while the process
 		// stalls on remote paging; the prefetcher census extrapolates how
 		// many of those first touches fault versus arrive prefetched.
-		wsPages := int64(float64(pages) * p.t.mix.WorkingSetFrac())
-		wsBytes := wsPages * memory.PageSize
-		extra = simtime.FromSeconds(float64(wsBytes) / bw)
-		c.st.ExtraWork += extra
-		c.st.MigrationBytes += wsBytes
-
-		hard, pref := c.prefetchCensus(p, c.ic.PathEstimates(src, dst), wsPages)
+		c.st.ExtraWork += r.Stream
+		c.st.MigrationBytes += r.StreamBytes()
+		hard, pref := c.prefetchCensus(p, c.ic.PathEstimates(src, dst), r.WSPages)
 		c.st.HardFaults += hard
 		c.st.PrefetchPages += pref
 	}
@@ -980,24 +970,12 @@ func (c *clusterSim) restore(p *proc, dst int) {
 	// crashes during the restore window the migrant fails back (bumping the
 	// sequence) and this event must land dead.
 	seq := p.seq
-	c.eng.Schedule(cal+extra, func() {
+	c.eng.Schedule(r.CPU+r.Stream, func() {
 		if p.seq != seq || p.state != procRestoring {
 			return
 		}
 		c.unfreeze(p)
 	})
-}
-
-// remotePages decides whether a migrant rides the lightweight substrate —
-// MPT install, post-resume working-set stream and prefetch census. The
-// policy states it explicitly via sched.RemotePager; otherwise its cost
-// model classifies it (a non-zero extra means remote paging).
-func (c *clusterSim) remotePages(p *proc, bw float64) bool {
-	if rp, ok := c.pol.(sched.RemotePager); ok {
-		return rp.RemotePages()
-	}
-	_, extra := c.pol.MigrationCost(p.footprintMB, p.t.mix.WorkingSetFrac(), bw)
-	return extra > 0
 }
 
 // unfreeze resumes a restored migrant.
@@ -1023,13 +1001,15 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 	} else {
 		c.census.Reset(wsPages)
 	}
+	if c.censusSeen == nil {
+		// A working set never exceeds its footprint; wsPages covers a
+		// census run outside a simulation.
+		words := (max(footprintPages(c.maxFootprintMB), wsPages) + 63) / 64
+		c.censusSeen, c.censusArrived = make(pageBits, words), make(pageBits, words)
+	}
 	pre := c.census
 	src := p.t.mix.Trace(wsPages, p.t.traceSeed)()
 	words := (wsPages + 63) / 64
-	if int64(len(c.censusSeen)) < words {
-		c.censusSeen = make(pageBits, words)
-		c.censusArrived = make(pageBits, words)
-	}
 	seen, arrived := c.censusSeen[:words], c.censusArrived[:words]
 	clear(seen)
 	clear(arrived)

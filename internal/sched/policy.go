@@ -4,14 +4,16 @@
 // suboptimal decisions has been dramatically decreased."
 //
 // It holds the open BalancerPolicy interface, the sorted registry of
-// policies, and the migration cost models (FullCopyCost for openMosix's
-// copy-everything freeze, LightweightCost for AMPoM). The classic
-// cost-benefit policies migrate a process only when its expected remaining
-// work justifies the cost (the conservatism of Harchol-Balter & Downey, the
-// paper's [10]); AMPoM's far cheaper cost model makes the same rule fire
-// more often. The probabilistic load-vector, memory-ushering and
-// queue-gossip policies model the dissemination and memory-pressure
-// behaviours openMosix farms tuned in practice.
+// policies, and the migration mechanisms each policy declares (Mechanism:
+// FullCopy for openMosix's copy-everything freeze, Lightweight for AMPoM),
+// which price both a policy's decision and the migration the scenario
+// engine charges. The classic cost-benefit policies migrate a process only
+// when its expected remaining work justifies the cost (the conservatism of
+// Harchol-Balter & Downey, the paper's [10]); AMPoM's far cheaper
+// mechanism makes the same rule fire more often. The probabilistic
+// load-vector, memory-ushering and queue-gossip policies model the
+// dissemination and memory-pressure behaviours openMosix farms tuned in
+// practice.
 //
 // The package simulates nothing: the cluster simulation that drives these
 // policies lives in internal/scenario.
@@ -28,8 +30,6 @@ import (
 	"strings"
 	"sync"
 
-	"ampom/internal/cluster"
-	"ampom/internal/memory"
 	"ampom/internal/prng"
 	"ampom/internal/simtime"
 )
@@ -121,17 +121,14 @@ func (v *View) CacheLeastLoaded(cell *int) {
 
 // BalancerPolicy decides when and where the load balancer migrates. The
 // three methods are the whole contract: a name (the registry key and report
-// label), the migration cost model the balancer charges, and the decision
-// itself.
+// label), the mechanism its migrations use, and the decision itself.
 type BalancerPolicy interface {
 	// Name is the registry key. Reports key their per-policy rows by it.
 	Name() string
-	// MigrationCost returns the freeze duration and the post-resume
-	// remote-paging work that migrating a process of footprintMB costs, at
-	// bandwidthBps of interconnect bandwidth, when wsFrac of the footprint
-	// is touched after the move. A zero extra means the mechanism moves
-	// everything at freeze time (no remote paging after resume).
-	MigrationCost(footprintMB int64, wsFrac, bandwidthBps float64) (freeze, extra simtime.Duration)
+	// Mechanism is how the policy's migrations move a process. The
+	// scenario engine reads it once per simulation and charges every
+	// migration, evacuations included, by it.
+	Mechanism() Mechanism
 	// ShouldMigrate decides whether proc should move, returning the
 	// destination node. The driver offers candidates from the most loaded
 	// nodes first, longest remaining demand first. The view's Nodes slice
@@ -140,30 +137,17 @@ type BalancerPolicy interface {
 	ShouldMigrate(view View, proc ProcView) (dest int, ok bool)
 }
 
-// FreezePayloadSizer is an optional BalancerPolicy extension: policies
-// whose mechanism ships a non-default freeze-time payload implement it so
-// the scenario engine's network model carries the right byte count. The
-// default (for policies that do not implement it) is AMPoM's lightweight
-// payload: three pages plus the 6 B/page MPT.
-type FreezePayloadSizer interface {
-	// FreezePayloadBytes is the freeze-time network payload, excluding the
-	// PCB/register state every mechanism ships.
-	FreezePayloadBytes(footprintMB int64) int64
-}
+// FreezePayloadSizer stays only because the benchmark module still names it.
+//
+// Deprecated: Mechanism declares the freeze payload. Nothing in this
+// module implements or consults this interface.
+type FreezePayloadSizer interface{ FreezePayloadBytes(footprintMB int64) int64 }
 
-// RemotePager is an optional BalancerPolicy extension: policies state
-// explicitly whether their mechanism remote-pages the working set after
-// resume (the lightweight substrate — MPT install, post-resume stream,
-// prefetch census) or moves everything at freeze time. Policies that do
-// not implement it are classified by their cost model: a non-zero extra
-// from MigrationCost means the lightweight substrate. Implement this when
-// the cost model's extra can legitimately be zero in some regimes even
-// though the mechanism still remote-pages (or vice versa).
-type RemotePager interface {
-	// RemotePages reports whether migrants page their working set in from
-	// the origin after resuming.
-	RemotePages() bool
-}
+// RemotePager stays only because the benchmark module still names it.
+//
+// Deprecated: Mechanism declares whether a migrant pages after resume.
+// Nothing in this module implements or consults this interface.
+type RemotePager interface{ RemotePages() bool }
 
 // The built-in policy names, in registry-sorted order.
 const (
@@ -177,35 +161,6 @@ const (
 
 // BaselineName is the policy every report's slowdown ratios divide by.
 const BaselineName = NameNoMigration
-
-// footprintBytesAndPages converts a footprint in MB.
-func footprintBytesAndPages(footprintMB int64) (bytes float64, pages float64) {
-	bytes = float64(footprintMB) * 1e6
-	return bytes, bytes / float64(memory.PageSize)
-}
-
-// FullCopyCost is the openMosix cost model: every dirty page moves during
-// the freeze, so the process stalls for footprint/bandwidth (plus the
-// protocol base cost) and owes nothing afterwards.
-func FullCopyCost(footprintMB int64, bandwidthBps float64) (freeze, extra simtime.Duration) {
-	bytes, _ := footprintBytesAndPages(footprintMB)
-	return simtime.FromSeconds(bytes/bandwidthBps) + cluster.MigrationBase, 0
-}
-
-// LightweightCost is the AMPoM cost model: three pages plus the 6 B/page
-// MPT move at freeze, and the working set is remote-paged during execution
-// as extra work (the Figure 6 finding that prefetching amortises round
-// trips but transfer time adds to compute).
-func LightweightCost(footprintMB int64, wsFrac, bandwidthBps float64) (freeze, extra simtime.Duration) {
-	bytes, pages := footprintBytesAndPages(footprintMB)
-	mptBytes := pages * memory.PTEntrySize
-	// The MPT install cost of the fractional page count is truncated to
-	// whole microseconds; the report goldens pin that rounding.
-	mptInstall := simtime.Duration(pages*float64(cluster.MPTEntryCPU/simtime.Microsecond)) * simtime.Microsecond
-	freeze = simtime.FromSeconds(mptBytes/bandwidthBps) + mptInstall + cluster.MigrationBase
-	extra = simtime.FromSeconds(bytes * wsFrac / bandwidthBps)
-	return freeze, extra
-}
 
 // MaxCandidates bounds how many processes per node a driving simulator
 // offers the policy each balancing round, longest remaining demand first.
@@ -260,75 +215,44 @@ func (v View) LeastLoaded() int {
 
 // Clears applies the cost-benefit rule of Harchol-Balter & Downey (the
 // paper's [10]): proc migrates to dest only when its estimated completion
-// staying put (processor sharing on its node) beats migrating (freeze,
-// remote-paging stalls, sharing on dest) by the view's safety factor.
-func (v View) Clears(p ProcView, dest int, freeze, extra simtime.Duration) bool {
+// staying put (processor sharing on its node) beats migrating (m's
+// estimated freeze and remote-paging stalls, then sharing on dest) by the
+// view's safety factor.
+func (v View) Clears(p ProcView, dest int, m Mechanism) bool {
+	freeze, extra := m.Estimate(p.FootprintMB, p.WorkingSetFrac, v.BandwidthBps)
 	src, dst := v.Nodes[p.Node], v.Nodes[dest]
 	stay := float64(p.Remaining) * float64(src.Procs) / src.CPUScale
 	move := float64(freeze+extra) + float64(p.Remaining)*float64(dst.Procs+1)/dst.CPUScale
 	return stay >= v.CostThreshold*move
 }
 
-// noMigration is the baseline: it never migrates and charges nothing.
+// noMigration is the baseline: it never migrates by choice. A crash
+// evacuation still moves its processes, charged as EvacuationOnly.
 type noMigration struct{}
 
 func (noMigration) Name() string { return NameNoMigration }
 
-func (noMigration) MigrationCost(int64, float64, float64) (simtime.Duration, simtime.Duration) {
-	return 0, 0
-}
+func (noMigration) Mechanism() Mechanism { return EvacuationOnly }
 
 func (noMigration) ShouldMigrate(View, ProcView) (int, bool) { return 0, false }
 
-// openMosix is the paper's baseline mechanism under the §7 cost-benefit
-// rule: the full-address-space freeze makes most candidate moves fail the
-// rule, so the balancer holds back.
-type openMosix struct{}
-
-func (openMosix) Name() string { return NameOpenMosix }
-
-func (openMosix) MigrationCost(footprintMB int64, _, bandwidthBps float64) (simtime.Duration, simtime.Duration) {
-	return FullCopyCost(footprintMB, bandwidthBps)
+// classic is the §7 cost-benefit rule over one mechanism: target the
+// globally least loaded node, require a real load gap, and migrate when
+// the rule clears. Under openMosix's full copy most candidate moves fail
+// the rule, so the balancer holds back; AMPoM's lightweight freeze makes
+// far more of them clear it — the paper's "more aggressive migrations".
+type classic struct {
+	name string
+	mech Mechanism
 }
 
-func (openMosix) FreezePayloadBytes(footprintMB int64) int64 {
-	_, pages := footprintBytesAndPages(footprintMB)
-	// Every page plus per-page framing.
-	return int64(pages) * cluster.PageFrameBytes
-}
+func (p classic) Name() string { return p.name }
 
-func (openMosix) RemotePages() bool { return false }
+func (p classic) Mechanism() Mechanism { return p.mech }
 
-func (p openMosix) ShouldMigrate(v View, proc ProcView) (int, bool) {
-	freeze, extra := p.MigrationCost(proc.FootprintMB, proc.WorkingSetFrac, v.BandwidthBps)
-	return classicTarget(v, proc, freeze, extra)
-}
-
-// ampom is the §7 outlook's headline policy: the lightweight freeze makes far
-// more candidate moves clear the same rule — the paper's "more aggressive
-// migrations".
-type ampom struct{}
-
-func (ampom) Name() string { return NameAMPoM }
-
-func (ampom) MigrationCost(footprintMB int64, wsFrac, bandwidthBps float64) (simtime.Duration, simtime.Duration) {
-	return LightweightCost(footprintMB, wsFrac, bandwidthBps)
-}
-
-func (p ampom) ShouldMigrate(v View, proc ProcView) (int, bool) {
-	freeze, extra := p.MigrationCost(proc.FootprintMB, proc.WorkingSetFrac, v.BandwidthBps)
-	return classicTarget(v, proc, freeze, extra)
-}
-
-// classicTarget is the shared decision core of the cost-model policies:
-// target the globally least loaded node, require a real load gap, and
-// apply the cost-benefit rule.
-func classicTarget(v View, proc ProcView, freeze, extra simtime.Duration) (int, bool) {
+func (p classic) ShouldMigrate(v View, proc ProcView) (int, bool) {
 	dest := v.LeastLoaded()
-	if dest == proc.Node || v.Nodes[proc.Node].Load <= v.Nodes[dest].Load {
-		return 0, false
-	}
-	if !v.Clears(proc, dest, freeze, extra) {
+	if dest == proc.Node || v.Nodes[proc.Node].Load <= v.Nodes[dest].Load || !v.Clears(proc, dest, p.mech) {
 		return 0, false
 	}
 	return dest, true
@@ -338,8 +262,8 @@ func classicTarget(v View, proc ProcView, freeze, extra simtime.Duration) (int, 
 // each node gossips its load to a few random peers per tick, so a balancer
 // decides from an l-entry random sample of the cluster rather than global
 // knowledge. The policy draws that sample from the view's PRNG stream,
-// targets the least loaded node *it happens to know about*, and charges the
-// lightweight cost model (it rides the AMPoM substrate).
+// targets the least loaded node *it happens to know about*, and migrates
+// with the lightweight mechanism (it rides the AMPoM substrate).
 type loadVector struct {
 	// vectorLen is l, the number of peer loads in the gossiped vector.
 	vectorLen int
@@ -347,9 +271,7 @@ type loadVector struct {
 
 func (loadVector) Name() string { return NameLoadVector }
 
-func (loadVector) MigrationCost(footprintMB int64, wsFrac, bandwidthBps float64) (simtime.Duration, simtime.Duration) {
-	return LightweightCost(footprintMB, wsFrac, bandwidthBps)
-}
+func (loadVector) Mechanism() Mechanism { return Lightweight }
 
 func (p loadVector) ShouldMigrate(v View, proc ProcView) (int, bool) {
 	n := len(v.Nodes)
@@ -378,11 +300,7 @@ func (p loadVector) ShouldMigrate(v View, proc ProcView) (int, bool) {
 			}
 		}
 	}
-	if !know || v.Nodes[proc.Node].Load <= v.Nodes[dest].Load {
-		return 0, false
-	}
-	freeze, extra := LightweightCost(proc.FootprintMB, proc.WorkingSetFrac, v.BandwidthBps)
-	if !v.Clears(proc, dest, freeze, extra) {
+	if !know || v.Nodes[proc.Node].Load <= v.Nodes[dest].Load || !v.Clears(proc, dest, p.Mechanism()) {
 		return 0, false
 	}
 	return dest, true
@@ -392,7 +310,8 @@ func (p loadVector) ShouldMigrate(v View, proc ProcView) (int, bool) {
 // footprints push past the high-water fraction of its physical memory, the
 // balancer evacuates processes to the node with the most free memory —
 // regardless of CPU load, because paging to disk costs more than any
-// imbalance. It ships on the lightweight substrate.
+// imbalance. Its decision prices nothing, but its migrations use the
+// lightweight mechanism.
 type memUsher struct {
 	// highWater is the used-memory fraction that triggers ushering;
 	// lowWater bounds how full a destination may get.
@@ -401,9 +320,7 @@ type memUsher struct {
 
 func (memUsher) Name() string { return NameMemUsher }
 
-func (memUsher) MigrationCost(footprintMB int64, wsFrac, bandwidthBps float64) (simtime.Duration, simtime.Duration) {
-	return LightweightCost(footprintMB, wsFrac, bandwidthBps)
-}
+func (memUsher) Mechanism() Mechanism { return Lightweight }
 
 func (p memUsher) ShouldMigrate(v View, proc ProcView) (int, bool) {
 	src := v.Nodes[proc.Node]
@@ -436,8 +353,8 @@ func (p memUsher) ShouldMigrate(v View, proc ProcView) (int, bool) {
 // infod dissemination carries (NodeView.QueueLen/InfoAge): it samples l
 // known peers from the deciding node's vector, targets the shortest
 // CPU-scaled queue (freshest entry on ties), requires a real queue gap
-// even after the candidate lands, and applies the cost-benefit rule on
-// the lightweight substrate. On a fabric where entries age with topology
+// even after the candidate lands, and applies the cost-benefit rule to
+// the lightweight mechanism. On a fabric where entries age with topology
 // distance, the policy's picture of far racks lags — the price of
 // decentralisation the gossip literature trades for scalability.
 type queueGossip struct {
@@ -447,9 +364,7 @@ type queueGossip struct {
 
 func (queueGossip) Name() string { return NameQueueGossip }
 
-func (queueGossip) MigrationCost(footprintMB int64, wsFrac, bandwidthBps float64) (simtime.Duration, simtime.Duration) {
-	return LightweightCost(footprintMB, wsFrac, bandwidthBps)
-}
+func (queueGossip) Mechanism() Mechanism { return Lightweight }
 
 func (p queueGossip) ShouldMigrate(v View, proc ProcView) (int, bool) {
 	n := len(v.Nodes)
@@ -482,11 +397,7 @@ func (p queueGossip) ShouldMigrate(v View, proc ProcView) (int, bool) {
 		}
 	}
 	// The gap must survive the candidate joining the destination queue.
-	if !know || scaledQ(proc.Node, 0) <= scaledQ(dest, 1) {
-		return 0, false
-	}
-	freeze, extra := LightweightCost(proc.FootprintMB, proc.WorkingSetFrac, v.BandwidthBps)
-	if !v.Clears(proc, dest, freeze, extra) {
+	if !know || scaledQ(proc.Node, 0) <= scaledQ(dest, 1) || !v.Clears(proc, dest, p.Mechanism()) {
 		return 0, false
 	}
 	return dest, true
@@ -495,8 +406,8 @@ func (p queueGossip) ShouldMigrate(v View, proc ProcView) (int, bool) {
 // The built-in policy instances, usable directly without a registry lookup.
 var (
 	NoMigrationPolicy BalancerPolicy = noMigration{}
-	OpenMosixPolicy   BalancerPolicy = openMosix{}
-	AMPoMPolicy       BalancerPolicy = ampom{}
+	OpenMosixPolicy   BalancerPolicy = classic{NameOpenMosix, FullCopy}
+	AMPoMPolicy       BalancerPolicy = classic{NameAMPoM, Lightweight}
 	LoadVectorPolicy  BalancerPolicy = loadVector{vectorLen: 3}
 	MemUsherPolicy    BalancerPolicy = memUsher{highWater: 0.85, lowWater: 0.6}
 	QueueGossipPolicy BalancerPolicy = queueGossip{sample: 8}

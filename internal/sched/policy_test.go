@@ -65,8 +65,8 @@ func view(loads []int) View {
 }
 
 func TestCostModelsOrdered(t *testing.T) {
-	omF, omE := OpenMosixPolicy.MigrationCost(192, 0.5, 11.36e6)
-	amF, amE := AMPoMPolicy.MigrationCost(192, 0.5, 11.36e6)
+	omF, omE := OpenMosixPolicy.Mechanism().Estimate(192, 0.5, 11.36e6)
+	amF, amE := AMPoMPolicy.Mechanism().Estimate(192, 0.5, 11.36e6)
 	if amF >= omF/5 {
 		t.Fatalf("lightweight freeze %v not ≪ full-copy %v", amF, omF)
 	}
@@ -76,7 +76,7 @@ func TestCostModelsOrdered(t *testing.T) {
 	if amE <= 0 {
 		t.Fatal("lightweight must charge remote paging")
 	}
-	if f, e := NoMigrationPolicy.MigrationCost(192, 0.5, 11.36e6); f != 0 || e != 0 {
+	if f, e := NoMigrationPolicy.Mechanism().Estimate(192, 0.5, 11.36e6); f != 0 || e != 0 {
 		t.Fatal("no-migration charges a cost")
 	}
 }
@@ -268,15 +268,20 @@ func TestMemUsherSkipsUnknownRows(t *testing.T) {
 }
 
 func TestFreezePayloadSizes(t *testing.T) {
-	s, ok := OpenMosixPolicy.(FreezePayloadSizer)
-	if !ok {
+	om := OpenMosixPolicy.Mechanism()
+	if om != FullCopy {
 		t.Fatal("openMosix must size its full-copy freeze payload")
 	}
-	if got := s.FreezePayloadBytes(100); got < 100e6 {
+	if got := om.PayloadBytes(100); got < 100e6 {
 		t.Fatalf("full-copy payload %d below the footprint", got)
 	}
-	if _, ok := AMPoMPolicy.(FreezePayloadSizer); ok {
-		t.Fatal("AMPoM should use the default lightweight payload")
+	// The lightweight payload is every mechanism's but full copy's: three
+	// pages, the 6 B/page MPT and the PCB.
+	light := int64(3*4096 + 24414*6 + 2048)
+	for _, p := range []BalancerPolicy{AMPoMPolicy, NoMigrationPolicy} {
+		if got := p.Mechanism().PayloadBytes(100); got != light {
+			t.Fatalf("%s should use the default lightweight payload: %d bytes, want %d", p.Name(), got, light)
+		}
 	}
 }
 
