@@ -4,11 +4,12 @@
 # submit, dedup and store-hit paths), a vet and test pass over the
 # perfbench benchmark module, a short fuzz pass over the AMPoM
 # prefetcher, the trace combinators, the scenario spec codec, whole
-# failure scripts, the event queue and the gossip cell table, one
-# bench-balance iteration so policy-dispatch overhead is tracked, one
-# bench-analyze iteration of the per-fault AMPoM analysis and the
-# scenario's prefetch census, and one bench-fabric iteration asserting
-# the 512-, 4096- and 16384-node presets' event budgets.
+# failure scripts, the event queue, the gossip cell table and the remote
+# paging protocol, one bench-balance iteration so policy-dispatch
+# overhead is tracked, one bench-analyze iteration of the per-fault AMPoM
+# analysis, the scenario's prefetch census and a remote-paging round
+# trip, and one bench-fabric iteration asserting the 512-, 4096- and
+# 16384-node presets' event budgets.
 
 GO ?= go
 
@@ -55,8 +56,9 @@ perfbench-smoke:
 # Short fuzz passes over the AMPoM per-fault analysis, the trace
 # combinator algebra, the scenario spec JSON codec, whole failure-script
 # scenarios checked against the live-view rebuild, the event queue's
-# differential model against container/heap, and the gossip daemon's flat
-# cell table against the frozen map-based heard set (the full corpora
+# differential model against container/heap, the gossip daemon's flat
+# cell table against the frozen map-based heard set, and random request
+# sequences between the migrant's pager and the deputy (the full corpora
 # live in the build cache; run with a longer -fuzztime to dig).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrefetcherFault -fuzztime 10s ./internal/core
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFailureScript -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzQueueVsHeap -fuzztime 10s ./internal/eventq
 	$(GO) test -run '^$$' -fuzz FuzzGossipTable -fuzztime 10s ./internal/infod
+	$(GO) test -run '^$$' -fuzz FuzzPagingProtocol -fuzztime 10s ./internal/paging
 
 # BenchmarkCampaign compares a sequential full-matrix campaign against the
 # worker pool (byte-identical output either way).
@@ -83,11 +86,12 @@ bench-balance:
 	$(GO) test -run '^$$' -bench '^BenchmarkPolicySweep$$' -benchtime 1x .
 
 # BenchmarkAnalyze runs one fault's AMPoM analysis per fault pattern
-# (sequential, strided, random) and BenchmarkPrefetchCensus one migrant's
-# prefetch census per workload mix, so the cost and allocations of the
-# analysis path are tracked per PR.
+# (sequential, strided, random), BenchmarkPrefetchCensus one migrant's
+# prefetch census per workload mix and BenchmarkPagingRoundTrip one demand
+# request with prefetch pages from send to install, so the cost and
+# allocations of the analysis and remote-paging paths are tracked per PR.
 bench-analyze:
-	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus)$$' -benchmem -benchtime 1x ./internal/core ./internal/scenario
+	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus|PagingRoundTrip)$$' -benchmem -benchtime 1x ./internal/core ./internal/scenario ./internal/paging
 
 # BenchmarkFabric{512,512Failures,4096,16384,16384Shards} run the rack-farm
 # (512n/2048p, failure-free and under the crash/evacuation/link-flap

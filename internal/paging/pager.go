@@ -45,6 +45,7 @@ type Pager struct {
 	as   *memory.AddressSpace
 
 	arrived []memory.PageNum // arrived but not yet installed
+	free    []*PageRequest   // request records back from the deputy
 
 	// waiting executor state
 	waitingOn    memory.PageNum
@@ -88,16 +89,17 @@ func (p *Pager) InstallArrived() simtime.Duration {
 // dependent-zone candidates. Pages that are not remote any more are
 // filtered out here — "if j is not stored locally, record j in the remote
 // paging request" (Algorithm 1). It returns how many prefetch pages were
-// actually requested. The wanted pages are copied into the request, so
-// prefetch may be a buffer the caller reuses, such as core.Analysis.Zone.
+// actually requested. The wanted pages are copied into a request record
+// from the pager's free list, so prefetch may be a buffer the caller
+// reuses, such as core.Analysis.Zone.
 func (p *Pager) Request(demand memory.PageNum, prefetch []memory.PageNum) int {
-	var wanted []memory.PageNum
+	req := p.request()
 	for _, page := range prefetch {
 		if page == demand {
 			continue
 		}
 		if p.as.State(page) == memory.StateRemote {
-			wanted = append(wanted, page)
+			req.Prefetch = append(req.Prefetch, page)
 			p.as.SetState(page, memory.StateInFlight)
 		}
 	}
@@ -108,18 +110,37 @@ func (p *Pager) Request(demand memory.PageNum, prefetch []memory.PageNum) int {
 		p.as.SetState(demand, memory.StateInFlight)
 		p.Stats.DemandRequested++
 	}
-	if demand == NoDemand && len(wanted) == 0 {
+	wanted := len(req.Prefetch)
+	if demand == NoDemand && wanted == 0 {
+		p.recycle(req)
 		return 0 // nothing to ask for; no message
 	}
 
-	req := PageRequest{Demand: demand, Prefetch: wanted}
+	req.Demand = demand
 	p.Stats.RequestsSent++
 	if demand == NoDemand {
 		p.Stats.PrefetchOnly++
 	}
-	p.Stats.PrefetchRequested += int64(len(wanted))
+	p.Stats.PrefetchRequested += int64(wanted)
 	p.link.Send(p.node.NIC, netmodel.Message{Size: req.WireSize(), Payload: req})
-	return len(wanted)
+	return wanted
+}
+
+// request takes an empty request record from the free list, building one
+// when the list is dry.
+func (p *Pager) request() *PageRequest {
+	if n := len(p.free); n > 0 {
+		req := p.free[n-1]
+		p.free = p.free[:n-1]
+		return req
+	}
+	return &PageRequest{sender: p}
+}
+
+// recycle empties req and returns it to the free list.
+func (p *Pager) recycle(req *PageRequest) {
+	req.Prefetch = req.Prefetch[:0]
+	p.free = append(p.free, req)
 }
 
 // Wait registers the executor as blocked on page, with resume invoked once
@@ -137,12 +158,14 @@ func (p *Pager) Wait(page memory.PageNum, resume func()) {
 	p.resume = resume
 }
 
-// handle consumes PageReply messages.
+// handle consumes PageReply messages: each delivery of the deputy's
+// reply FIFO carries its oldest page.
 func (p *Pager) handle(payload any) bool {
-	rep, ok := payload.(PageReply)
+	replies, ok := payload.(*replyFIFO)
 	if !ok {
 		return false
 	}
+	rep := PageReply{Page: replies.pop()}
 	p.Stats.PagesArrived++
 	p.Stats.BytesReceived += rep.WireSize()
 

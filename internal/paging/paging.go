@@ -11,6 +11,31 @@
 // round-trip latency is paid once per batch (the pipelining effect of
 // §5.4). Serving a page deletes it at the origin and updates the HPT; the
 // migrant flips its MPT entry when the page arrives.
+//
+// Records: a round trip allocates nothing once the pools have grown to the
+// largest number of requests in flight at once.
+//
+//   - A *PageRequest is owned by the Pager that sent it. Request takes it
+//     from the pager's free list and sends the pointer as the message
+//     payload. The deputy copies the pages out the moment the request
+//     arrives and hands the record straight back to that free list, so a
+//     request record lives exactly as long as its message is on the wire.
+//   - A serveJob is owned by the Deputy. Arrival fills one from the
+//     deputy's pool with the request's pages; the job waits out the
+//     request's service cost, or parks behind the SetAvailableAfter gate,
+//     and goes back to the pool when serve has sent its pages. Service is
+//     not FIFO: a request is served at its arrival plus a cost that grows
+//     with its page count, so a short request can finish before a longer
+//     one that arrived first. The jobs are therefore independent records,
+//     each with a callback built once when the record is created, not a
+//     queue.
+//   - A PageReply travels as the deputy's reply FIFO: serve pushes each
+//     page onto it and sends a pointer to it as the payload, and the pager
+//     pops one page per delivered message. That is sound because the
+//     replies are the only messages carrying the FIFO and every link
+//     direction delivers in send order (netmodel panics otherwise), so the
+//     n-th reply delivered is the n-th page pushed. An empty FIFO at a
+//     delivery is a mis-wired model and panics.
 package paging
 
 import (
@@ -39,6 +64,10 @@ const (
 type PageRequest struct {
 	Demand   memory.PageNum
 	Prefetch []memory.PageNum
+
+	// sender is the pager whose free list the record returns to once the
+	// deputy has copied its pages out.
+	sender *Pager
 }
 
 // WireSize returns the request's bytes on the wire.
@@ -57,6 +86,37 @@ type PageReply struct {
 
 // WireSize returns the reply's bytes on the wire.
 func (r PageReply) WireSize() int64 { return memory.PageSize + ReplyOverhead }
+
+// replyFIFO is the deputy's queue of pages sent and not yet delivered,
+// oldest at head; its length is a power of two.
+type replyFIFO struct {
+	ring    []memory.PageNum
+	head, n int
+}
+
+// push appends page at the back, doubling the ring when it is full.
+func (f *replyFIFO) push(page memory.PageNum) {
+	if f.n == len(f.ring) {
+		grown := make([]memory.PageNum, max(8, 2*len(f.ring)))
+		for i := 0; i < f.n; i++ {
+			grown[i] = f.ring[(f.head+i)&(len(f.ring)-1)]
+		}
+		f.ring, f.head = grown, 0
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = page
+	f.n++
+}
+
+// pop removes and returns the oldest page.
+func (f *replyFIFO) pop() memory.PageNum {
+	if f.n == 0 {
+		panic("paging: page reply delivered from an empty reply FIFO")
+	}
+	page := f.ring[f.head]
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
+	return page
+}
 
 // The deputy's CPU costs, calibrated for the paper's 2 GHz Pentium 4.
 const (
@@ -85,15 +145,20 @@ type Deputy struct {
 	tables *memory.TablePair
 
 	availableAfter simtime.Time
-	gated          []gatedRequest
+	gated          []*serveJob // parked until the backing store is ready
+
+	jobs    []*serveJob // free service records
+	replies replyFIFO   // pages sent and not yet delivered
 
 	Stats DeputyStats
 }
 
-// gatedRequest is a request parked until the backing store is ready.
-type gatedRequest struct {
+// serveJob is one arrived request waiting to be served: its pages, demand
+// page first, and the callback that serves them, built once per record.
+type serveJob struct {
 	pages  []memory.PageNum
 	demand memory.PageNum
+	run    func()
 }
 
 // SetAvailableAfter gates page service until instant t: requests arriving
@@ -105,12 +170,10 @@ func (d *Deputy) SetAvailableAfter(t simtime.Time) {
 	if d.node.Eng.Now() < t {
 		return
 	}
-	for _, g := range d.gated {
-		g := g
-		cost := d.node.Scale(serveBase + servePerPage*simtime.Duration(len(g.pages)))
-		d.node.Eng.Schedule(cost, func() { d.serve(g.pages, g.demand) })
+	for _, j := range d.gated {
+		d.schedule(j)
 	}
-	d.gated = nil
+	d.gated = d.gated[:0]
 }
 
 // NewDeputy installs a deputy on node serving pages across link from the
@@ -122,33 +185,53 @@ func NewDeputy(node *cluster.Node, link *netmodel.Link, tables *memory.TablePair
 }
 
 func (d *Deputy) handle(payload any) bool {
-	req, ok := payload.(PageRequest)
+	req, ok := payload.(*PageRequest)
 	if !ok {
 		return false
 	}
 
 	// The demand page is served first — the migrant is stalled on it — and
 	// the dependent zone streams behind it.
-	demand := req.Demand
-	pages := make([]memory.PageNum, 0, len(req.Prefetch)+1)
-	if demand != NoDemand {
-		pages = append(pages, demand)
+	j := d.job()
+	j.demand = req.Demand
+	if j.demand != NoDemand {
+		j.pages = append(j.pages, j.demand)
 	}
-	pages = append(pages, req.Prefetch...)
+	j.pages = append(j.pages, req.Prefetch...)
+	req.sender.recycle(req)
 
 	if d.node.Eng.Now() < d.availableAfter {
-		d.gated = append(d.gated, gatedRequest{pages: pages, demand: demand})
+		d.gated = append(d.gated, j)
 		return true
 	}
-	cost := d.node.Scale(serveBase + servePerPage*simtime.Duration(len(pages)))
-	d.node.Eng.Schedule(cost, func() { d.serve(pages, demand) })
+	d.schedule(j)
 	return true
 }
 
-// serve sends pages, counting the one equal to demand (NoDemand matches
-// none) as demand-served and the rest as prefetched.
-func (d *Deputy) serve(pages []memory.PageNum, demand memory.PageNum) {
-	for _, p := range pages {
+// job takes an empty service record from the pool, building one (and its
+// callback) when the pool is dry.
+func (d *Deputy) job() *serveJob {
+	if n := len(d.jobs); n > 0 {
+		j := d.jobs[n-1]
+		d.jobs = d.jobs[:n-1]
+		return j
+	}
+	j := &serveJob{}
+	j.run = func() { d.serve(j) }
+	return j
+}
+
+// schedule charges j's service cost and serves it when that has elapsed.
+func (d *Deputy) schedule(j *serveJob) {
+	cost := d.node.Scale(serveBase + servePerPage*simtime.Duration(len(j.pages)))
+	d.node.Eng.Schedule(cost, j.run)
+}
+
+// serve sends j's pages, counting the one equal to its demand (NoDemand
+// matches none) as demand-served and the rest as prefetched, then returns
+// j to the pool.
+func (d *Deputy) serve(j *serveJob) {
+	for _, p := range j.pages {
 		if d.tables.HPT.Loc(p) == memory.LocUnmapped {
 			// Already transferred (or never stored) — a benign race when a
 			// demand fault and an in-flight prefetch cross on the wire.
@@ -157,12 +240,14 @@ func (d *Deputy) serve(pages []memory.PageNum, demand memory.PageNum) {
 		if err := d.tables.TransferToMigrant(p); err != nil {
 			panic(fmt.Sprintf("paging: deputy serving page %d: %v", p, err))
 		}
-		rep := PageReply{Page: p}
-		if p == demand {
+		if p == j.demand {
 			d.Stats.DemandServed++
 		} else {
 			d.Stats.PrefetchServed++
 		}
-		d.link.Send(d.node.NIC, netmodel.Message{Size: rep.WireSize(), Payload: rep})
+		d.replies.push(p)
+		d.link.Send(d.node.NIC, netmodel.Message{Size: PageReply{Page: p}.WireSize(), Payload: &d.replies})
 	}
+	j.pages = j.pages[:0]
+	d.jobs = append(d.jobs, j)
 }

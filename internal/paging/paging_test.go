@@ -23,12 +23,18 @@ type rig struct {
 	pager  *Pager
 }
 
-func newRig(t *testing.T, pages int64) *rig {
+func newRig(t testing.TB, pages int64) *rig {
+	t.Helper()
+	return newRigOn(t, pages, netmodel.FastEthernet())
+}
+
+// newRigOn is newRig on a link of the given profile.
+func newRigOn(t testing.TB, pages int64, prof netmodel.Profile) *rig {
 	t.Helper()
 	eng := sim.New()
 	origin := cluster.NewNode(eng, "origin", 1)
 	dest := cluster.NewNode(eng, "dest", 1)
-	link := netmodel.NewLink(eng, netmodel.FastEthernet(), origin.NIC, dest.NIC)
+	link := netmodel.NewLink(eng, prof, origin.NIC, dest.NIC)
 	layout := memory.MustLayout(1, pages-2, 1)
 	as := memory.NewAddressSpace(layout)
 	as.EvictAllToRemote()
@@ -300,5 +306,85 @@ func TestDeputyGateInPastIsTransparent(t *testing.T) {
 	r.eng.RunAll()
 	if r.pager.Stats.PagesArrived != 1 {
 		t.Fatal("past gate blocked service")
+	}
+}
+
+// tapReplies records, for every reply the pager receives, the page at the
+// front of the deputy's reply FIFO and the delivery instant, hands the
+// message on to the node's handlers, and fails unless that page has then
+// left the in-flight state: a reply must land under its own page number.
+func tapReplies(t testing.TB, r *rig) *[]arrival {
+	var got []arrival
+	r.dest.NIC.SetHandler(func(m netmodel.Message) {
+		f, ok := m.Payload.(*replyFIFO)
+		if !ok || f.n == 0 {
+			r.dest.Deliver(m.Payload)
+			return
+		}
+		a := arrival{page: f.ring[f.head], at: r.eng.Now()}
+		got = append(got, a)
+		r.dest.Deliver(m.Payload)
+		if st := r.as.State(a.page); st == memory.StateInFlight {
+			t.Fatalf("reply for page %d delivered at %v, but the page is still in flight", a.page, a.at)
+		}
+	})
+	return &got
+}
+
+// arrival is one reply as the pager received it.
+type arrival struct {
+	page memory.PageNum
+	at   simtime.Time
+}
+
+// TestServiceOutOfOrder: the deputy serves a request its service cost after
+// it arrives, and the cost grows with the page count, so a short demand
+// request sent right behind a long prefetch request is served first. Every
+// page must still arrive exactly once, under its own number, at the instant
+// the link and service costs give. The instants are worked out by hand on a
+// 1 byte/µs link with 100 µs latency:
+//
+//   - prefetch request, pages 100..199: 64+100·6 = 664 B, on the wire
+//     0–664 µs, arrives at 764 µs, served at 764+25+100·2 = 989 µs;
+//   - demand request, page 7: 64+6 = 70 B, on the wire 664–734 µs, arrives
+//     at 834 µs, served at 834+25+2 = 861 µs — 128 µs before the prefetch;
+//   - replies, 4096+64 = 4160 B each: page 7 leaves at 861 µs and arrives
+//     at 861+4160+100 = 5121 µs; the k-th prefetch page (k = 0..99) queues
+//     behind it and arrives at 5121+(k+1)·4160 µs;
+//   - the stalled process resumes after installing page 7: 5121 µs + 1.5 µs.
+func TestServiceOutOfOrder(t *testing.T) {
+	r := newRigOn(t, 256, netmodel.Profile{Name: "1B/us", LatencyOneWay: 100 * simtime.Microsecond, BandwidthBps: 1e6})
+	got := tapReplies(t, r)
+	var prefetch []memory.PageNum
+	for p := memory.PageNum(100); p < 200; p++ {
+		prefetch = append(prefetch, p)
+	}
+	r.pager.Request(NoDemand, prefetch)
+	r.pager.Request(7, nil)
+	resumedAt := simtime.Time(-1)
+	r.pager.Wait(7, func() { resumedAt = r.eng.Now() })
+	r.eng.RunAll()
+
+	us := func(n int64) simtime.Time { return simtime.Time(n * int64(simtime.Microsecond)) }
+	want := []arrival{{page: 7, at: us(5121)}}
+	for k, p := range prefetch {
+		want = append(want, arrival{page: p, at: us(5121 + int64(k+1)*4160)})
+	}
+	if len(*got) != len(want) {
+		t.Fatalf("%d replies arrived, want %d", len(*got), len(want))
+	}
+	for i, a := range *got {
+		if a != want[i] {
+			t.Fatalf("reply %d: page %d at %v, want page %d at %v", i, a.page, a.at, want[i].page, want[i].at)
+		}
+	}
+	if wantResume := us(5121).Add(1500 * simtime.Nanosecond); resumedAt != wantResume {
+		t.Fatalf("resumed at %v, want %v", resumedAt, wantResume)
+	}
+	if r.deputy.Stats.DemandServed != 1 || r.deputy.Stats.PrefetchServed != 100 || r.pager.Stats.PagesArrived != 101 {
+		t.Fatalf("deputy %+v, arrived %d; want 1 demand + 100 prefetch", r.deputy.Stats, r.pager.Stats.PagesArrived)
+	}
+	if err := r.tables.CheckConsistent(); err != nil {
+		t.Fatal(err)
 	}
 }
