@@ -104,6 +104,14 @@ func main() {
 		return
 	}
 
+	// Zero keeps the preset's size; a negative one is a typo, not a shrink.
+	if *nodes < 0 {
+		cli.Usage("-nodes %d: want a positive node count", *nodes)
+	}
+	if *procs < 0 {
+		cli.Usage("-procs %d: want a positive process count", *procs)
+	}
+
 	var specs []ampom.ScenarioSpec
 	switch {
 	case *specFile != "":

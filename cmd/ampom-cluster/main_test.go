@@ -229,6 +229,22 @@ func TestSmokeGossipWindowOverride(t *testing.T) {
 	}
 }
 
+// TestSmokeNegativeSizeIsUsageError: -nodes and -procs of zero keep the
+// preset's size, but a negative one must not silently run the unshrunk
+// preset.
+func TestSmokeNegativeSizeIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "hpc-farm", "-nodes", "-3", "-procs", "-7"},
+		{"-scenario", "hpc-farm", "-nodes", "-3"},
+		{"-scenario", "hpc-farm", "-nodes", "8", "-procs", "-7"},
+	} {
+		_, stderr := clitest.RunExpect(t, cli.CodeUsage, args...)
+		if !strings.Contains(stderr, "-nodes") && !strings.Contains(stderr, "-procs") {
+			t.Fatalf("%v: stderr does not name the flag:\n%s", args, stderr)
+		}
+	}
+}
+
 func TestSmokeUnknownFabricIsUsageError(t *testing.T) {
 	_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-scenario", "web-churn", "-fabric", "hypercube")
 	if !strings.Contains(stderr, "unknown topology") {

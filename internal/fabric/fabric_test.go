@@ -280,3 +280,37 @@ func TestSwitchedBuildRejectsNonPositive(t *testing.T) {
 	flat.Kind, flat.RackSize, flat.Oversub = KindFlat, 0, 0
 	Build(eng, nodes, flat)
 }
+
+// TestShardedBuildRejectsLookaheadMismatch: a shard group whose window is
+// not the fabric's one-way latency could see a staged delivery land inside
+// the window it was staged in, so the sharded build refuses it.
+func TestShardedBuildRejectsLookaheadMismatch(t *testing.T) {
+	net := netmodel.FastEthernet()
+	for _, tc := range []struct {
+		window simtime.Duration
+		panics bool
+	}{
+		{net.LatencyOneWay, false},
+		{2 * net.LatencyOneWay, true},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != tc.panics {
+					t.Errorf("window %v (latency %v): recovered %v, want a panic: %v", tc.window, net.LatencyOneWay, r, tc.panics)
+				}
+			}()
+			global := sim.New()
+			shards := []*sim.Engine{sim.New(), sim.New()}
+			shardOf := []int{0, 0, 0, 0, 1, 1, 1, 1}
+			nodes := make([]*cluster.Node, len(shardOf))
+			for i := range nodes {
+				nodes[i] = cluster.NewNode(shards[shardOf[i]], "n", 1)
+			}
+			Build(global, nodes, Config{
+				Kind: KindTwoTier, RackSize: 4, Oversub: 4, GossipFanout: 2, GossipPeriod: 2 * simtime.Second,
+				GossipWindow: 32, Network: net, Seed: 1,
+				Sharding: &Sharding{ShardOf: shardOf, Engines: shards, Group: sim.NewShardGroup(global, shards, tc.window, false)},
+			})
+		}()
+	}
+}

@@ -59,12 +59,9 @@ type switched struct {
 	uplink []int // two-tier: rack → core uplink link index
 	spine  int   // two-tier core vertex, or -1
 
-	// Sharded builds only: the sharding plan, the rack → shard map, and
-	// the conservative lookahead (the fabric's one-way latency — the
-	// minimum delay before one shard's action can reach another).
+	// Sharded builds only: the sharding plan and the rack → shard map.
 	shard       *Sharding
 	shardOfRack []int
-	lookahead   simtime.Duration
 
 	// Envelope rank counters (sharded builds): mergeRank serves Sends made
 	// while the group executes a coincident instant single-threaded (the
@@ -98,7 +95,6 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 		}
 	}
 	s.rackOf = rackOf
-	s.lookahead = cfg.Network.LatencyOneWay
 
 	sh := cfg.Sharding
 	s.shard = sh
@@ -241,9 +237,13 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 // coordinator owns. Both are staged through the group's barriers; the
 // conservative lookahead (one edge latency, which every delivery pays on
 // top of a positive serialisation delay) guarantees staged instants land
-// strictly beyond the window they were staged in.
+// strictly beyond the window they were staged in — so the group's window
+// must be exactly that latency, or conservative execution is unsound.
 func (s *switched) wireSharding(cfg Config) {
 	sh := s.shard
+	if lk := cfg.Network.LatencyOneWay; lk != sh.Group.Lookahead() {
+		panic(fmt.Sprintf("fabric: lookahead %v != shard window %v", lk, sh.Group.Lookahead()))
+	}
 	s.shardRank = make([]uint64, len(sh.Engines))
 	spineNIC := s.nicOf[s.spine]
 	// The core never runs events of its own under sharding, and its links'
@@ -292,11 +292,6 @@ func (s *switched) wireSharding(cfg Config) {
 
 // Kind reports the topology.
 func (s *switched) Kind() Kind { return s.kind }
-
-// Lookahead is the conservative window bound a sharded run of this fabric
-// may use: the one-way edge latency, the soonest one shard's action can
-// become visible to another.
-func (s *switched) Lookahead() simtime.Duration { return s.lookahead }
 
 // Send routes m from node src to node dst along the tree path, one
 // store-and-forward hop at a time. On sharded builds the envelope is

@@ -72,7 +72,10 @@ func FuzzSpecRoundTrip(f *testing.F) {
 // (lightweight), openMosix (full copy) and the no-migration baseline
 // (evacuation only). Every lifecycle transition must be legal (an illegal
 // one panics), the live view must equal the rebuild at every quantum, and
-// Unfinished must count exactly the processes that never completed.
+// Unfinished must count exactly the processes that never completed. The
+// same script then runs sharded, at two shards and at one shard per rack,
+// and must reproduce the sequential statistics exactly; only the Sharding
+// telemetry differs.
 func FuzzFailureScript(f *testing.F) {
 	// Evacuating crash of node 1 with a recovery; a kill-in-place crash
 	// plus a rack-uplink flap; a crash of a migration destination while
@@ -99,6 +102,13 @@ func FuzzFailureScript(f *testing.F) {
 			}
 			if st.Unfinished != left {
 				t.Fatalf("%s: Unfinished = %d, but %d processes never completed", pol.Name(), st.Unfinished, left)
+			}
+			for _, shards := range []int{2, (spec.Nodes + 1) / 2} {
+				sh := newClusterSimShards(spec, scales, tmpl, pol, seed, shards).run()
+				sh.Sharding = nil
+				if !reflect.DeepEqual(sh, st) {
+					t.Fatalf("%s at %d shards:\n%+v\nsequential:\n%+v", pol.Name(), shards, sh, st)
+				}
 			}
 		}
 	})

@@ -47,10 +47,10 @@ func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 	}
 	const seed = 5
 	scales, tmpl := buildWorkload(spec, seed)
-	c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
+	c := buildClusterSim(spec, scales, tmpl, pol, seed, 1)
 	rounds := 0
 	sawKnown, sawUnknownWithCap := false, false
-	c.checkView = func(base sched.View) {
+	startChecking(t, c, func(base sched.View) {
 		rounds++
 		now := c.eng.Now()
 		for src := 0; src < spec.Nodes; src++ {
@@ -86,7 +86,7 @@ func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 				}
 				sawKnown = true
 			}
-			got := c.gossipView(src, base)
+			got := c.bal.gossipView(src, base)
 			for i := range want {
 				if got.Nodes[i] != want[i] {
 					t.Fatalf("src %d row %d at %v: incremental %+v, rebuild %+v",
@@ -94,7 +94,7 @@ func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	c.run()
 	if rounds == 0 {
 		t.Fatal("no balance rounds ran — the property was never checked")

@@ -10,6 +10,7 @@ import (
 	"ampom/internal/fabric"
 	"ampom/internal/prng"
 	"ampom/internal/sched"
+	"ampom/internal/sim"
 	"ampom/internal/simtime"
 )
 
@@ -151,6 +152,30 @@ func churnSpec(seed uint64) Spec {
 	return s.Canonical()
 }
 
+// startChecking starts c the way start does, but with a balance ticker the
+// test installs itself: every balanceOnce's ground-truth view goes to
+// check right after the incremental refresh, before any policy sees it,
+// and its seeded LeastLoaded must equal a fresh scan of its rows.
+func startChecking(t *testing.T, c *clusterSim, check func(base sched.View)) {
+	t.Helper()
+	c.scheduleTick(simtime.Time(c.spec.Quantum))
+	if c.mech == sched.EvacuationOnly {
+		return
+	}
+	sim.NewTicker(c.eng, c.spec.BalancePeriod, func() {
+		for range c.bal.nodes {
+			base := c.bal.view()
+			if got, scan := base.LeastLoaded(), (sched.View{Nodes: base.Nodes}).LeastLoaded(); got != scan {
+				t.Fatalf("base view at %v: seeded LeastLoaded %d, scan %d", c.eng.Now(), got, scan)
+			}
+			check(base)
+			if !c.bal.balanceOnce(base) {
+				return
+			}
+		}
+	})
+}
+
 // TestLiveViewMatchesRebuild is the tentpole's central property: across
 // random churn/balloon/migration sequences, every balance round's
 // incrementally maintained view — aggregates, candidate lists, derived
@@ -168,9 +193,9 @@ func TestLiveViewMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range pols {
-			c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
+			c := buildClusterSim(spec, scales, tmpl, pol, seed, 1)
 			rounds := 0
-			c.checkView = func(base sched.View) {
+			startChecking(t, c, func(base sched.View) {
 				rounds++
 				verifyAggregates(t, c, spec.Fabric.Topology.String()+"/"+pol.Name())
 				verifyDerived(t, c, spec.Fabric.Topology.String()+"/"+pol.Name())
@@ -181,10 +206,14 @@ func TestLiveViewMatchesRebuild(t *testing.T) {
 							pol.Name(), i, base.Nodes[i], c.lv.rows[i])
 					}
 				}
-			}
-			c.run()
+			})
+			st := c.run()
 			if pol.Name() != sched.BaselineName && rounds == 0 {
 				t.Fatalf("seed %d: %s ran no balance rounds — the property was never checked", seed, pol.Name())
+			}
+			// The checking ticker must drive the same simulation start does.
+			if want := newClusterSimShards(spec, scales, tmpl, pol, seed, 1).run(); !reflect.DeepEqual(st, want) {
+				t.Fatalf("seed %d: %s: checked run %+v, plain run %+v", seed, pol.Name(), st, want)
 			}
 		}
 	}
@@ -258,10 +287,10 @@ func (r *retainingPolicy) ShouldMigrate(v sched.View, p sched.ProcView) (int, bo
 // TestRetainingPolicyCannotCorruptNextRound locks the hand-off contract's
 // enforcement: every balance round re-derives the rows a policy sees, so a
 // policy that retains and corrupts a previous round's slice never poisons
-// a later round's view. checkView (which verifies the handed rows against
-// a from-scratch rebuild every round) is the invariant check; it runs
-// against both hand-off paths — the star's ground-truth copy and the
-// switched fabrics' per-source gossip rewrite.
+// a later round's view. The checking ticker (which verifies the handed
+// rows against a from-scratch rebuild at every balanceOnce) is the
+// invariant check; it runs against both hand-off paths — the star's
+// ground-truth copy and the switched fabrics' per-source gossip rewrite.
 func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 	for _, topo := range []fabric.Kind{fabric.KindStar, fabric.KindTwoTier} {
 		spec := Spec{
@@ -275,9 +304,9 @@ func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 		}.Canonical()
 		scales, tmpl := buildWorkload(spec, 7)
 		evil := &retainingPolicy{BalancerPolicy: sched.AMPoMPolicy}
-		c := newClusterSimShards(spec, scales, tmpl, evil, 7, 1)
+		c := buildClusterSim(spec, scales, tmpl, evil, 7, 1)
 		rounds := 0
-		c.checkView = func(base sched.View) {
+		startChecking(t, c, func(base sched.View) {
 			rounds++
 			// The previous round's scribble must not have leaked into this
 			// round's hand-off.
@@ -288,7 +317,7 @@ func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 						topo, rounds, i, base.Nodes[i], rows[i])
 				}
 			}
-		}
+		})
 		c.run()
 		if rounds < 2 {
 			t.Fatalf("%v: only %d balance rounds — retention was never exercised", topo, rounds)
@@ -318,8 +347,8 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 	// Before any gossip lands every non-source row is Unknown.
 	c.eng.Run(simtime.Time(10 * simtime.Millisecond))
 	const src = 2
-	base := c.view()
-	v := c.gossipView(src, base)
+	base := c.bal.view()
+	v := c.bal.gossipView(src, base)
 	if &v.Nodes[0] == &base.Nodes[0] {
 		t.Fatal("gossip view aliases the ground-truth hand-off buffer")
 	}
@@ -337,8 +366,8 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 
 	// After several gossip periods the rows fill in from the probes.
 	c.eng.Run(simtime.Time(5 * spec.Fabric.GossipPeriod))
-	base = c.view()
-	v = c.gossipView(src, base)
+	base = c.bal.view()
+	v = c.bal.gossipView(src, base)
 	g := c.ic.Gossip(src)
 	now := c.eng.Now()
 	known := 0

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 
@@ -186,10 +185,9 @@ type migMsg struct {
 
 // clusterSim is one policy's end-to-end simulation.
 type clusterSim struct {
-	spec  Spec
-	pol   sched.BalancerPolicy
-	mech  sched.Mechanism // pol's, read once: it charges every migration
-	prand *prng.Source    // policy-decision stream (probabilistic policies)
+	spec Spec
+	mech sched.Mechanism // the policy's, read once: it charges every migration
+	bal  balancer
 
 	eng   *sim.Engine
 	nodes []*cluster.Node
@@ -231,40 +229,11 @@ type clusterSim struct {
 	// event instead of rebuilt O(nodes+procs) per balance decision.
 	lv *liveView
 
-	// viewScratch and gvScratch are the reusable row buffers handed to
-	// policies: the ground-truth copy, fully re-copied from the canonical
-	// rows at every balance round, and the per-source gossip view,
-	// maintained incrementally — gvScratch is a persistent template of
-	// Unknown rows into which each hand-off writes only the source's exact
-	// row plus the rows its daemon actually knows (gvWritten records them,
-	// and the next hand-off restores exactly those back to the template),
-	// so a hand-off costs O(known set), not O(nodes). Policies do not
-	// retain a view past ShouldMigrate (the sched.BalancerPolicy
-	// contract); because nothing handed out survives a round boundary
-	// unrewritten, a policy that breaks the contract and scribbles on a
-	// retained slice still cannot corrupt the next round — the canonical
-	// rows live in lv and are never handed out.
-	viewScratch []sched.NodeView
-	gvScratch   []sched.NodeView
-	gvWritten   []int
-
-	// llBase and llGossip are the LeastLoaded memo cells of the two
-	// hand-off views, reset at each hand-off.
-	llBase, llGossip int
-
-	// candScratch is the per-decision candidate reuse buffer.
-	candScratch []*proc
-
 	// crashed marks the nodes currently down. Crash and recovery are global
 	// (merge-phase) events; shard events only read the flags, and the window
 	// barriers order those reads against the writes, so every shard count
 	// observes identical node liveness at identical virtual instants.
 	crashed []bool
-
-	// checkView, when set (tests only), observes every balance round's
-	// ground-truth view right after the incremental refresh — the hook the
-	// live-view-vs-rebuild property test and the retention tests use.
-	checkView func(base sched.View)
 
 	// census is the prefetch census's dry-run prefetcher, built at the
 	// first census and Reset for every later one. censusSeen and
@@ -326,13 +295,8 @@ func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol s
 // engine keeps everything cross-shard (ticks, balancing, migrations).
 func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64, shards int) *clusterSim {
 	c := &clusterSim{
-		spec: spec,
-		pol:  pol,
-		mech: pol.Mechanism(),
-		// Each policy draws decisions from its own stream, a pure function
-		// of (scenario seed, policy name), so adding a policy to the set
-		// never perturbs another policy's run.
-		prand:   prng.New(seed ^ fnvHash(pol.Name())),
+		spec:    spec,
+		mech:    pol.Mechanism(),
 		eng:     sim.New(),
 		horizon: simtime.Time(spec.MaxSimTime),
 		st:      SchemeStats{Policy: pol.Name()},
@@ -397,15 +361,7 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 		Seed:           seed,
 		Sharding:       shcfg,
 	})
-	if c.group != nil {
-		// The group's window bound and the fabric's declared minimum
-		// cross-shard latency must agree, or conservative execution is
-		// unsound.
-		lk := c.ic.(interface{ Lookahead() simtime.Duration }).Lookahead()
-		if lk != c.group.Lookahead() {
-			panic(fmt.Sprintf("scenario: fabric lookahead %v != shard window %v", lk, c.group.Lookahead()))
-		}
-	}
+	c.bal = newBalancer(c, pol, seed)
 	for i := 0; i < spec.Nodes; i++ {
 		if g := c.ic.Gossip(i); g != nil {
 			g.SetProbe(c.probeFor(i))
@@ -445,12 +401,7 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 			c.eng.Schedule(ev.At, func() {
 				c.nodes[ev.Node].CPUScale *= ev.Factor
 				c.lv.touch(ev.Node)
-				// A template (Unknown) row in the gossip-view scratch
-				// carries the live CPU scale; written rows are restored
-				// from the live nodes at the next hand-off anyway.
-				if c.gvScratch != nil && c.gvScratch[ev.Node].Unknown {
-					c.gvScratch[ev.Node].CPUScale = c.nodes[ev.Node].CPUScale
-				}
+				c.bal.rescaled(ev.Node)
 			})
 		case ChurnNetLoad:
 			c.eng.Schedule(ev.At, func() { c.ic.SetBackgroundLoad(ev.Node, ev.Factor) })
@@ -502,18 +453,8 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 func (c *clusterSim) start() {
 	c.scheduleTick(simtime.Time(c.spec.Quantum))
 	if c.mech != sched.EvacuationOnly {
-		sim.NewTicker(c.eng, c.spec.BalancePeriod, c.balance)
+		sim.NewTicker(c.eng, c.spec.BalancePeriod, c.bal.round)
 	}
-}
-
-// fnvHash is FNV-1a over s — the per-policy stream discriminator.
-func fnvHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // probeFor is node i's local load probe, sampled by its gossip daemon at
@@ -721,185 +662,6 @@ func (c *clusterSim) endQuantum() {
 		c.st.Makespan = simtime.Duration(at.Add(c.spec.Quantum))
 		c.eng.Stop()
 	}
-}
-
-// view assembles the ground-truth picture of the cluster: per-node
-// resident counts (frozen migrants count towards their destination),
-// CPU-scaled loads, resident memory, and the monitoring plane's
-// conservative bandwidth estimate. The rows come from the live
-// view — only nodes dirtied since the last round are re-derived — and are
-// copied into the hand-off scratch, so the canonical rows stay private and
-// a policy that wrongly retains or mutates a handed view cannot corrupt
-// the next round. On the legacy star this is exactly what policies decide
-// with; on switched fabrics it only orders the driver's source scan, and
-// decisions see gossipView instead.
-func (c *clusterSim) view() sched.View {
-	c.lv.refresh()
-	if c.viewScratch == nil {
-		c.viewScratch = make([]sched.NodeView, c.spec.Nodes)
-	}
-	copy(c.viewScratch, c.lv.rows)
-	v := sched.View{
-		Nodes:         c.viewScratch,
-		BandwidthBps:  c.ic.ClusterBandwidth(),
-		CostThreshold: c.spec.CostThreshold,
-		Rand:          c.prand,
-		SampleLen:     c.spec.LoadVectorLen,
-	}
-	v.CacheLeastLoaded(&c.llBase)
-	// Seed the memo from the live view's sorted order instead of letting
-	// the first LeastLoaded call rescan all rows: the order is (load desc,
-	// index asc), so the min-load class is the suffix and its first
-	// element is exactly the scan's answer — the lowest index at minimum
-	// load. Binary search finds the suffix start in O(log n).
-	if n := len(c.lv.order); n > 0 {
-		minLoad := c.viewScratch[c.lv.order[n-1]].Load
-		p := sort.Search(n, func(i int) bool {
-			return c.viewScratch[c.lv.order[i]].Load <= minLoad
-		})
-		c.llBase = c.lv.order[p]
-	}
-	return v
-}
-
-// unknownRow is the gossip view's template row for a node the deciding
-// daemon has no live entry for: infinite load (never a load target),
-// marked Unknown, but still carrying the node's CPU scale and physical
-// memory — capacity is cluster configuration every node knows, so the
-// memory usher sees an unknown node as unknown, not as zero-capacity.
-func (c *clusterSim) unknownRow(i int) sched.NodeView {
-	return sched.NodeView{
-		CPUScale:   c.nodes[i].CPUScale,
-		Load:       math.Inf(1),
-		CapacityMB: c.spec.NodeMemMB,
-		Unknown:    true,
-	}
-}
-
-// gossipView rewrites the ground-truth view into what the source node's
-// gossip daemon actually knows: every row the daemon holds a live entry
-// for comes from that aged entry, the node's own row stays exact (a node
-// always knows itself), and everything else is the Unknown template.
-// Staleness therefore grows with topology distance, and so do the
-// policies' mistakes.
-//
-// The view is maintained incrementally, mirroring the live ground-truth
-// view: the scratch rows idle in the Unknown-template state, each call
-// first restores the rows the previous call wrote (recorded in gvWritten)
-// and then writes only the current daemon's known set — O(entries the
-// daemon holds), not O(nodes), per hand-off. InfoAge is derived lazily at
-// the decision instant from the entry's stamp, never stored. The write
-// order inside Fresh is the daemon's cell-table order, but each callback
-// touches only its own origin's row, so the resulting view is
-// order-independent.
-func (c *clusterSim) gossipView(src int, base sched.View) sched.View {
-	g := c.ic.Gossip(src)
-	if g == nil {
-		return base
-	}
-	if c.gvScratch == nil {
-		c.gvScratch = make([]sched.NodeView, len(base.Nodes))
-		for i := range c.gvScratch {
-			c.gvScratch[i] = c.unknownRow(i)
-		}
-		c.gvWritten = make([]int, 0, len(base.Nodes))
-	}
-	for _, i := range c.gvWritten {
-		c.gvScratch[i] = c.unknownRow(i)
-	}
-	c.gvWritten = c.gvWritten[:0]
-
-	v := base
-	v.Nodes = c.gvScratch
-	v.CacheLeastLoaded(&c.llGossip)
-	now := c.eng.Now()
-	c.gvScratch[src] = base.Nodes[src]
-	c.gvWritten = append(c.gvWritten, src)
-	// Seed the LeastLoaded memo while writing: every unwritten row is the
-	// infinite-load Unknown template, so the argmin over written rows —
-	// lowest index on load ties, matching the scan's order — is the
-	// scan's answer, and the O(nodes) pass per hand-off disappears.
-	bestO, bestL := src, base.Nodes[src].Load
-	g.Fresh(func(o int, e infod.GossipEntry) {
-		if o == src {
-			return
-		}
-		c.gvScratch[o] = sched.NodeView{
-			Procs:      e.Sample.Queue,
-			CPUScale:   base.Nodes[o].CPUScale,
-			Load:       e.Sample.Load,
-			UsedMemMB:  e.Sample.UsedMemMB,
-			CapacityMB: c.spec.NodeMemMB,
-			QueueLen:   e.Sample.Queue,
-			InfoAge:    now.Sub(e.Stamp),
-		}
-		c.gvWritten = append(c.gvWritten, o)
-		if l := e.Sample.Load; l < bestL || (l == bestL && o < bestO) {
-			bestO, bestL = o, l
-		}
-	})
-	c.llGossip = bestO
-	return v
-}
-
-// balance runs one balancing round: up to one migration per node, stopping
-// at the first pass where the policy accepts nothing.
-func (c *clusterSim) balance() {
-	for i := 0; i < c.spec.Nodes; i++ {
-		if !c.balanceOnce() {
-			return
-		}
-	}
-}
-
-// balanceOnce offers the policy candidates — most loaded nodes first,
-// longest remaining demand first — and executes the first migration it
-// accepts, reporting whether one happened. On switched fabrics each
-// source's candidates are judged against that source's gossip view. The
-// source order is the live view's maintained descending-load sequence, and
-// sources with no runnable candidates skip the per-source view build
-// entirely (the policy was never consulted for them before either).
-func (c *clusterSim) balanceOnce() bool {
-	base := c.view()
-	if c.checkView != nil {
-		c.checkView(base)
-	}
-	for _, src := range c.lv.order {
-		cands := c.candidatesOn(src)
-		if len(cands) == 0 {
-			continue
-		}
-		v := c.gossipView(src, base)
-		for _, p := range cands {
-			pv := sched.ProcView{
-				ID:             p.t.id,
-				Node:           src,
-				Remaining:      p.remaining,
-				FootprintMB:    p.footprintMB,
-				WorkingSetFrac: p.t.mix.WorkingSetFrac(),
-			}
-			dest, ok := c.pol.ShouldMigrate(v, pv)
-			if !ok || dest == src || dest < 0 || dest >= c.spec.Nodes {
-				continue
-			}
-			c.migrate(p, src, dest)
-			return true
-		}
-	}
-	return false
-}
-
-// candidatesOn returns up to sched.MaxCandidates runnable processes on
-// node, longest remaining demand first (lifetime best justifies the cost,
-// following Harchol-Balter & Downey), ties broken by ascending id. The
-// pool is the live view's per-node list — already filtered to runnable
-// residents, already in the ascending-id order the global filter used to
-// preserve.
-func (c *clusterSim) candidatesOn(node int) []*proc {
-	c.candScratch = sched.TopCandidatesInto(c.candScratch, c.lv.runnableOn[node],
-		func(p *proc) bool { return true },
-		func(p *proc) simtime.Duration { return p.remaining })
-	return c.candScratch
 }
 
 // migrate freezes cand and ships its freeze-time payload across the

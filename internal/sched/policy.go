@@ -102,22 +102,16 @@ type View struct {
 	// Spec.LoadVectorLen.
 	SampleLen int
 
-	// least memoises LeastLoaded for drivers that hand the same immutable
-	// rows to several candidate decisions in a row (CacheLeastLoaded). Nil
-	// — the zero value every hand-built view has — recomputes per call.
-	least *int
+	// least is the driver-set LeastLoaded answer plus one; the zero value
+	// every hand-built view has scans instead.
+	least int
 }
 
-// CacheLeastLoaded installs (and resets) a memo cell for LeastLoaded.
-// Drivers that guarantee the view's rows stay unchanged for the lifetime of
-// one hand-off call it at every hand-off, so policies that consult
-// LeastLoaded once per candidate pay the O(nodes) scan once per view
-// instead. The cell is driver-owned storage; resetting it at each hand-off
-// is what keeps the memo coherent when the backing rows are refreshed.
-func (v *View) CacheLeastLoaded(cell *int) {
-	*cell = -1
-	v.least = cell
-}
+// SetLeastLoaded records node i as the view's LeastLoaded answer, so
+// policies that consult it once per candidate skip the O(nodes) scan. A
+// driver sets it at each hand-off to what the scan would return over the
+// rows it hands out: the lowest index at minimum load.
+func (v *View) SetLeastLoaded(i int) { v.least = i + 1 }
 
 // BalancerPolicy decides when and where the load balancer migrates. The
 // three methods are the whole contract: a name (the registry key and report
@@ -166,49 +160,17 @@ const BaselineName = NameNoMigration
 // offers the policy each balancing round, longest remaining demand first.
 const MaxCandidates = 4
 
-// TopCandidatesInto selects up to MaxCandidates eligible items with the
-// largest remaining demand, earliest-input-first on ties (callers iterate
-// their processes in ascending id order). It appends into buf[:0], so
-// hot-path callers (one selection per node per balance round) can reuse
-// one scratch slice instead of allocating per call.
-func TopCandidatesInto[T any](buf []T, items []T, eligible func(T) bool, remaining func(T) simtime.Duration) []T {
-	top := buf[:0]
-	for _, it := range items {
-		if !eligible(it) {
-			continue
-		}
-		at := len(top)
-		for at > 0 && remaining(top[at-1]) < remaining(it) {
-			at--
-		}
-		if at >= MaxCandidates {
-			continue
-		}
-		var zero T
-		top = append(top, zero)
-		copy(top[at+1:], top[at:])
-		top[at] = it
-		if len(top) > MaxCandidates {
-			top = top[:MaxCandidates]
-		}
-	}
-	return top
-}
-
 // LeastLoaded returns the index of the least loaded node (lowest index on
 // ties).
 func (v View) LeastLoaded() int {
-	if v.least != nil && *v.least >= 0 {
-		return *v.least
+	if v.least > 0 {
+		return v.least - 1
 	}
 	best := 0
 	for i, n := range v.Nodes {
 		if n.Load < v.Nodes[best].Load {
 			best = i
 		}
-	}
-	if v.least != nil {
-		*v.least = best
 	}
 	return best
 }
