@@ -109,6 +109,9 @@ type (
 	CampaignConfig = harness.Config
 	// FigureTable is a rendered experiment artefact.
 	FigureTable = harness.Table
+	// FigureArtefact names one table of the evaluation (Table 1, Figures
+	// 4–11, the ablations); Campaign.Render renders artefacts by name.
+	FigureArtefact = harness.Artefact
 )
 
 // Campaign-engine aliases: the parallel worker pool underneath the figure
@@ -234,6 +237,10 @@ func ShapeNetwork(p NetworkProfile, bitsPerSecond float64, oneWayLatency Duratio
 // tables and figures. Scale 1 reproduces paper-scale runs; larger divisors
 // shrink footprints for quick exploration.
 func NewCampaign(cfg CampaignConfig) *Campaign { return harness.NewMatrix(cfg) }
+
+// FigureArtefacts lists every artefact a Campaign renders, in output
+// order: Table 1 and Figures 4–11, then the ablations.
+func FigureArtefacts() []FigureArtefact { return harness.Artefacts() }
 
 // Locality measures a workload's page-level spatial and temporal locality
 // (the Figure 4 axes).

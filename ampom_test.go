@@ -76,10 +76,23 @@ func TestFacadePrefetcher(t *testing.T) {
 
 func TestFacadeCampaign(t *testing.T) {
 	c := NewCampaign(CampaignConfig{Scale: 32, Seed: 3})
-	tab := c.Table1()
+	tab := renderFigure(t, c, "table1")
 	if len(tab.Rows) == 0 {
 		t.Fatal("campaign table empty")
 	}
+}
+
+// renderFigure renders one named artefact of c, failing t on any error.
+func renderFigure(t testing.TB, c *Campaign, name string) *FigureTable {
+	t.Helper()
+	out, err := c.Render(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Err != nil {
+		t.Fatal(out[0].Err)
+	}
+	return out[0].Table
 }
 
 func TestFacadeWorkingSet(t *testing.T) {
@@ -275,8 +288,8 @@ func TestFacadeScenarioSpecIO(t *testing.T) {
 
 // TestFacadeCampaignWorkers checks the harness-level Workers plumbing.
 func TestFacadeCampaignWorkers(t *testing.T) {
-	seq := NewCampaign(CampaignConfig{Scale: 16, Seed: 7, Workers: 1}).Table1().Render()
-	par := NewCampaign(CampaignConfig{Scale: 16, Seed: 7, Workers: 8}).Table1().Render()
+	seq := renderFigure(t, NewCampaign(CampaignConfig{Scale: 16, Seed: 7, Workers: 1}), "table1").Render()
+	par := renderFigure(t, NewCampaign(CampaignConfig{Scale: 16, Seed: 7, Workers: 8}), "table1").Render()
 	if seq != par {
 		t.Fatal("Table 1 differs across worker counts")
 	}

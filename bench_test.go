@@ -40,7 +40,7 @@ func benchCampaign() *harness.Matrix {
 // BenchmarkTable1Catalogue regenerates Table 1 (problem and memory sizes).
 func BenchmarkTable1Catalogue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := benchCampaign().Table1()
+		t := renderFigure(b, benchCampaign(), "table1")
 		if len(t.Rows) != 18 {
 			b.Fatal("catalogue incomplete")
 		}
@@ -52,7 +52,7 @@ func BenchmarkFigure4Localities(b *testing.B) {
 	m := benchCampaign()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := m.Figure4()
+		t := renderFigure(b, m, "fig4")
 		if len(t.Rows) != 4 {
 			b.Fatal("figure incomplete")
 		}
@@ -65,7 +65,7 @@ func BenchmarkFigure5FreezeTime(b *testing.B) {
 	m := benchCampaign()
 	for i := 0; i < b.N; i++ {
 		m = benchCampaign()
-		if t := m.Figure5(); len(t.Rows) == 0 {
+		if t := renderFigure(b, m, "fig5"); len(t.Rows) == 0 {
 			b.Fatal("empty figure")
 		}
 	}
@@ -77,7 +77,7 @@ func BenchmarkFigure6ExecutionTime(b *testing.B) {
 	m := benchCampaign()
 	for i := 0; i < b.N; i++ {
 		m = benchCampaign()
-		if t := m.Figure6(); len(t.Rows) == 0 {
+		if t := renderFigure(b, m, "fig6"); len(t.Rows) == 0 {
 			b.Fatal("empty figure")
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkFigure7PageFaults(b *testing.B) {
 	m := benchCampaign()
 	for i := 0; i < b.N; i++ {
 		m = benchCampaign()
-		if t := m.Figure7(); len(t.Rows) == 0 {
+		if t := renderFigure(b, m, "fig7"); len(t.Rows) == 0 {
 			b.Fatal("empty figure")
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkFigure8PrefetchAggressiveness(b *testing.B) {
 	m := benchCampaign()
 	for i := 0; i < b.N; i++ {
 		m = benchCampaign()
-		if t := m.Figure8(); len(t.Rows) == 0 {
+		if t := renderFigure(b, m, "fig8"); len(t.Rows) == 0 {
 			b.Fatal("empty figure")
 		}
 	}
@@ -113,7 +113,7 @@ func BenchmarkFigure8PrefetchAggressiveness(b *testing.B) {
 // bars.
 func BenchmarkFigure9NetworkAdaptation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if t := benchCampaign().Figure9(); len(t.Rows) != 4 {
+		if t := renderFigure(b, benchCampaign(), "fig9"); len(t.Rows) != 4 {
 			b.Fatal("figure incomplete")
 		}
 	}
@@ -122,7 +122,7 @@ func BenchmarkFigure9NetworkAdaptation(b *testing.B) {
 // BenchmarkFigure10WorkingSets regenerates the small-working-set curves.
 func BenchmarkFigure10WorkingSets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if t := benchCampaign().Figure10(); len(t.Rows) != 5 {
+		if t := renderFigure(b, benchCampaign(), "fig10"); len(t.Rows) != 5 {
 			b.Fatal("figure incomplete")
 		}
 	}
@@ -133,7 +133,7 @@ func BenchmarkFigure11Overhead(b *testing.B) {
 	m := benchCampaign()
 	for i := 0; i < b.N; i++ {
 		m = benchCampaign()
-		if t := m.Figure11(); len(t.Rows) == 0 {
+		if t := renderFigure(b, m, "fig11"); len(t.Rows) == 0 {
 			b.Fatal("empty figure")
 		}
 	}
@@ -160,7 +160,7 @@ func report575(b *testing.B, m *harness.Matrix, f func(*migrate.Result) float64,
 
 func BenchmarkAblationBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if t := benchCampaign().AblationBaseline(); len(t.Rows) != 4 {
+		if t := renderFigure(b, benchCampaign(), "ablation-baseline"); len(t.Rows) != 4 {
 			b.Fatal("ablation incomplete")
 		}
 	}
@@ -168,7 +168,7 @@ func BenchmarkAblationBaseline(b *testing.B) {
 
 func BenchmarkAblationWindowLength(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if t := benchCampaign().AblationWindow(); len(t.Rows) != 5 {
+		if t := renderFigure(b, benchCampaign(), "ablation-window"); len(t.Rows) != 5 {
 			b.Fatal("ablation incomplete")
 		}
 	}
@@ -176,7 +176,7 @@ func BenchmarkAblationWindowLength(b *testing.B) {
 
 func BenchmarkAblationDMax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if t := benchCampaign().AblationDMax(); len(t.Rows) != 4 {
+		if t := renderFigure(b, benchCampaign(), "ablation-dmax"); len(t.Rows) != 4 {
 			b.Fatal("ablation incomplete")
 		}
 	}
@@ -184,7 +184,7 @@ func BenchmarkAblationDMax(b *testing.B) {
 
 func BenchmarkAblationPrefetchCap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if t := benchCampaign().AblationCap(); len(t.Rows) != 4 {
+		if t := renderFigure(b, benchCampaign(), "ablation-cap"); len(t.Rows) != 4 {
 			b.Fatal("ablation incomplete")
 		}
 	}
@@ -269,7 +269,11 @@ func BenchmarkCampaign(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := harness.NewMatrix(harness.Config{Scale: benchScale(), Seed: 42, Workers: v.workers})
-				if err := m.Prewarm(); err != nil {
+				var names []string
+				for _, a := range harness.Artefacts() {
+					names = append(names, a.Name)
+				}
+				if _, err := m.Render(names...); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(m.Engine().Executed()), "jobs/op")

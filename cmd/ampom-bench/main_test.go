@@ -28,3 +28,18 @@ func TestSmokeUnknownFigureIsUsageError(t *testing.T) {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
 }
+
+// TestSmokeNonPositiveSizesAreUsageErrors: a scale below 1 used to run
+// silently at paper scale, and a negative -j at GOMAXPROCS workers.
+func TestSmokeNonPositiveSizesAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-figure", "table1", "-scale", "-4"},
+		{"-figure", "table1", "-scale", "0"},
+		{"-figure", "table1", "-scale", "64", "-j", "-3"},
+	} {
+		_, stderr := clitest.RunExpect(t, cli.CodeUsage, args...)
+		if !strings.Contains(stderr, "must be >= ") {
+			t.Fatalf("%v: unexpected stderr:\n%s", args, stderr)
+		}
+	}
+}

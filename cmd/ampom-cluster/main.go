@@ -198,7 +198,7 @@ func main() {
 		}
 		reports, exitCode = runRemote(ctx, *server, *apiKey, specs, *shards)
 	} else {
-		opts := ampom.CampaignOptions{Workers: cf.Workers(), BaseSeed: cf.Seed}
+		opts := ampom.CampaignOptions{Workers: cf.Workers, BaseSeed: cf.Seed}
 		if *storeDir != "" {
 			store, err := ampom.OpenResultStore(*storeDir)
 			if err != nil {

@@ -562,3 +562,10 @@ func TestSmokeProfileFlags(t *testing.T) {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
 }
+
+func TestSmokeNegativeWorkersIsUsageError(t *testing.T) {
+	_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-j", "-3")
+	if !strings.Contains(stderr, "must be >= 0") {
+		t.Fatalf("unexpected stderr:\n%s", stderr)
+	}
+}

@@ -54,7 +54,7 @@ func main() {
 	cli.Check(err)
 	srv, err := ampom.NewClusterServer(ampom.ClusterServerConfig{
 		Store:         store,
-		Workers:       cf.Workers(),
+		Workers:       cf.Workers,
 		BaseSeed:      cf.Seed,
 		QuotaJobs:     *quota,
 		DefaultShards: *shards,

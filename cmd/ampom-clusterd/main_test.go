@@ -232,6 +232,7 @@ func TestDaemonUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-store", ""},
 		{"-shards", "0"},
+		{"-j", "-3"},
 		{"unexpected-arg"},
 	} {
 		cmd := exec.Command(daemonBinary(t), args...)

@@ -53,7 +53,7 @@ func main() {
 		net = ampom.Broadband()
 	}
 
-	eng := ampom.NewCampaignEngine(ampom.CampaignOptions{Workers: cf.Workers(), BaseSeed: cf.Seed})
+	eng := ampom.NewCampaignEngine(ampom.CampaignOptions{Workers: cf.Workers, BaseSeed: cf.Seed})
 
 	job := ampom.CampaignJob{
 		Kernel: k, MemoryMB: *mb, AllocMB: *alloc,

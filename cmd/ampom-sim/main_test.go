@@ -30,3 +30,10 @@ func TestSmokeUnknownKernelIsUsageError(t *testing.T) {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
 }
+
+func TestSmokeNegativeWorkersIsUsageError(t *testing.T) {
+	_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-kernel", "STREAM", "-mb", "8", "-j", "-3")
+	if !strings.Contains(stderr, "must be >= 0") {
+		t.Fatalf("unexpected stderr:\n%s", stderr)
+	}
+}

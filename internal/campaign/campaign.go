@@ -516,16 +516,18 @@ func (e *Engine) RunAll(jobs []Job) ([]*migrate.Result, error) {
 
 // Dedupe returns jobs with duplicate fingerprints removed, preserving first
 // occurrence order — handy for enumerating a figure matrix whose tables
-// share cells.
+// share cells. The fingerprint prints every field of the normalised job,
+// so Dedupe compares normalised jobs directly rather than formatting a
+// fingerprint for each.
 func Dedupe(jobs []Job) []Job {
-	seen := make(map[string]bool, len(jobs))
+	seen := make(map[Job]bool, len(jobs))
 	out := jobs[:0:0]
 	for _, j := range jobs {
-		fp := j.Fingerprint()
-		if seen[fp] {
+		n := j.normalised()
+		if seen[n] {
 			continue
 		}
-		seen[fp] = true
+		seen[n] = true
 		out = append(out, j)
 	}
 	return out

@@ -2,45 +2,45 @@ package cli
 
 import (
 	"flag"
+	"fmt"
+	"strconv"
 	"strings"
 )
 
 // This file dedupes the campaign flag plumbing every binary used to repeat:
-// -seed, -j and -parallel are registered once here, and the
-// -parallel=false ⇒ one worker resolution lives in one place instead of
-// being copied into each main.
+// -seed and -j are registered once here, and -j's range check lives in one
+// place instead of being copied into each main.
 
 // CampaignFlags holds the campaign-engine flags the cmd/ binaries share.
-// Read the fields after flag parsing; resolve the pool size with Workers.
+// Read the fields after flag parsing.
 type CampaignFlags struct {
 	// Seed is the campaign base seed every per-job seed derives from.
 	Seed uint64
-	// Jobs is the requested worker pool size (0 = GOMAXPROCS).
-	Jobs int
-	// Parallel fans batches across the worker pool; false forces strictly
-	// sequential runs unless -j overrides it.
-	Parallel bool
+	// Workers is the -j worker pool size: 0 means GOMAXPROCS, 1 runs
+	// strictly sequentially. Per-job seeds are derived from job keys, so
+	// every setting renders byte-identical output.
+	Workers int
 }
 
-// AddCampaignFlags registers -seed, -j and -parallel on fs (the binaries
-// pass flag.CommandLine) and returns the destination struct.
+// AddCampaignFlags registers -seed and -j on fs (the binaries pass
+// flag.CommandLine) and returns the destination struct. A negative -j is
+// a parse error, which flag.CommandLine reports as a usage error
+// (CodeUsage).
 func AddCampaignFlags(fs *flag.FlagSet) *CampaignFlags {
 	c := &CampaignFlags{}
 	fs.Uint64Var(&c.Seed, "seed", 42, "campaign base seed")
-	fs.IntVar(&c.Jobs, "j", 0, "worker pool size (0 = GOMAXPROCS; implies -parallel)")
-	fs.BoolVar(&c.Parallel, "parallel", true, "fan batches across the worker pool")
+	fs.Func("j", "worker pool size (0 = GOMAXPROCS, 1 = sequential)", func(s string) error {
+		n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+		if err != nil {
+			return err
+		}
+		if n < 0 {
+			return fmt.Errorf("must be >= 0, have %d", n)
+		}
+		c.Workers = int(n)
+		return nil
+	})
 	return c
-}
-
-// Workers resolves the worker-pool bound the campaign engine should use:
-// -j wins when set; -parallel=false forces 1; otherwise 0 (GOMAXPROCS).
-// Per-job seeds are derived from job keys, so every setting renders
-// byte-identical output.
-func (c *CampaignFlags) Workers() int {
-	if !c.Parallel && c.Jobs == 0 {
-		return 1
-	}
-	return c.Jobs
 }
 
 // AddSeedFlag registers just -seed, for binaries without a worker pool.

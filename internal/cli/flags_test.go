@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"testing"
 )
 
@@ -17,11 +18,11 @@ func parseCampaign(t *testing.T, args ...string) *CampaignFlags {
 
 func TestCampaignFlagDefaults(t *testing.T) {
 	c := parseCampaign(t)
-	if c.Seed != 42 || c.Jobs != 0 || !c.Parallel {
+	if c.Seed != 42 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	if c.Workers() != 0 {
-		t.Fatalf("default workers = %d, want 0 (GOMAXPROCS)", c.Workers())
+	if c.Workers != 0 {
+		t.Fatalf("default workers = %d, want 0 (GOMAXPROCS)", c.Workers)
 	}
 }
 
@@ -32,12 +33,21 @@ func TestCampaignFlagWorkersResolution(t *testing.T) {
 	}{
 		{nil, 0},
 		{[]string{"-j", "8"}, 8},
-		{[]string{"-parallel=false"}, 1},
-		{[]string{"-parallel=false", "-j", "4"}, 4}, // -j implies -parallel
 	}
 	for _, tc := range cases {
-		if got := parseCampaign(t, tc.args...).Workers(); got != tc.want {
+		if got := parseCampaign(t, tc.args...).Workers; got != tc.want {
 			t.Fatalf("%v: workers = %d, want %d", tc.args, got, tc.want)
+		}
+	}
+}
+
+func TestCampaignFlagRejectsNegativeWorkers(t *testing.T) {
+	for _, arg := range []string{"-3", "x"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		AddCampaignFlags(fs)
+		if err := fs.Parse([]string{"-j", arg}); err == nil {
+			t.Fatalf("-j %s parsed without an error", arg)
 		}
 	}
 }

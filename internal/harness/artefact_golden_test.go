@@ -54,7 +54,7 @@ func checkGolden(t *testing.T, name, got string) {
 func TestArtefactsGolden(t *testing.T) {
 	m := NewMatrix(goldenCfg(0))
 	var b strings.Builder
-	for _, tab := range append(m.AllFigures(), m.AllAblations()...) {
+	for _, tab := range renderTables(t, m, append(catalogueNames(false), catalogueNames(true)...)...) {
 		fmt.Fprintf(&b, "%s\n# %s\n%s\n", tab.Render(), tab.Title, tab.CSV())
 	}
 	checkGolden(t, "artefacts.golden", b.String())

@@ -9,46 +9,47 @@ import (
 	"ampom/internal/netmodel"
 )
 
-// Table1 reproduces the paper's Table 1: problem and memory sizes of the
+// table1 reproduces the paper's Table 1: problem and memory sizes of the
 // HPCC configurations (scaled by the campaign scale).
-func (m *Matrix) Table1() *Table {
-	t := &Table{
+func (m *Matrix) table1() plan {
+	p := plan{table: &Table{
 		Title:   "Table 1: Problem and memory sizes of HPCC",
 		Caption: fmt.Sprintf("(scale 1/%d of the paper's configuration)", m.cfg.Scale),
 		Header:  []string{"kernel", "problem size", "memory size (MB)"},
-	}
-	for _, k := range sortKernels() {
+	}}
+	for _, k := range hpcc.Kernels() {
 		for _, e := range m.entries(k) {
-			t.Rows = append(t.Rows, []string{
-				k.String(), fmt.Sprint(e.ProblemSize), fmt.Sprint(e.MemoryMB),
-			})
+			p.rows = append(p.rows, row{cols: func([]*migrate.Result) []string {
+				return []string{k.String(), fmt.Sprint(e.ProblemSize), fmt.Sprint(e.MemoryMB)}
+			}})
 		}
 	}
-	return t
+	return p
 }
 
-// Figure4 reproduces the locality quadrants: measured spatial and temporal
-// locality of each kernel's reference stream.
-func (m *Matrix) Figure4() *Table {
-	t := &Table{
+// figure4 reproduces the locality quadrants: measured spatial and temporal
+// locality of each kernel's reference stream. It simulates no migration;
+// each row builds and measures its workload when formatted.
+func (m *Matrix) figure4() plan {
+	p := plan{table: &Table{
 		Title:   "Figure 4: HPCC kernels and localities",
 		Caption: "measured page-level locality of the modelled kernels",
 		Header:  []string{"kernel", "spatial score", "temporal score", "quadrant"},
+	}}
+	for _, k := range hpcc.Kernels() {
+		p.rows = append(p.rows, row{cols: func([]*migrate.Result) []string {
+			e := m.entries(k)[0]
+			// Measure the exact stream the campaign simulates for this
+			// cell: same entry shape and same derived seed as the engine's
+			// build.
+			job := campaign.Job{Kernel: k, MemoryMB: e.MemoryMB}
+			w := hpcc.MustBuild(hpcc.Entry{Kernel: k, ProblemSize: e.MemoryMB, MemoryMB: e.MemoryMB},
+				m.eng.SeedFor(job))
+			s, tmp := hpcc.Locality(w)
+			return []string{k.String(), fmt.Sprintf("%.3f", s), fmt.Sprintf("%.3f", tmp), quadrant(s, tmp)}
+		}})
 	}
-	for _, k := range sortKernels() {
-		e := m.entries(k)[0]
-		// Measure the exact stream the campaign simulates for this cell:
-		// same entry shape and same derived seed as the engine's build.
-		job := campaign.Job{Kernel: k, MemoryMB: e.MemoryMB}
-		w := hpcc.MustBuild(hpcc.Entry{Kernel: k, ProblemSize: e.MemoryMB, MemoryMB: e.MemoryMB},
-			m.eng.SeedFor(job))
-		s, tmp := hpcc.Locality(w)
-		quad := quadrant(s, tmp)
-		t.Rows = append(t.Rows, []string{
-			k.String(), fmt.Sprintf("%.3f", s), fmt.Sprintf("%.3f", tmp), quad,
-		})
-	}
-	return t
+	return p
 }
 
 func quadrant(spatial, temporal float64) string {
@@ -63,200 +64,134 @@ func quadrant(spatial, temporal float64) string {
 	return sp + "/" + tm
 }
 
-// Figure5 reproduces the migration freeze times of AMPoM, openMosix and
+// Figures 5, 6 and 9 read the paper's three schemes in migrate.Schemes
+// order: rs[0] is AMPoM, rs[1] openMosix, rs[2] NoPrefetch.
+
+// figure5 reproduces the migration freeze times of AMPoM, openMosix and
 // NoPrefetch across all kernels and sizes.
-func (m *Matrix) Figure5() *Table {
-	t := &Table{
+func (m *Matrix) figure5() plan {
+	return m.gridPlan(&Table{
 		Title:   "Figure 5: Migration latencies (freeze time, seconds)",
 		Caption: "per kernel and program size; log-scale plot in the paper",
 		Header:  []string{"kernel", "size (MB)", "AMPoM", "openMosix", "NoPrefetch"},
-	}
-	fe := netmodel.FastEthernet()
-	for _, k := range sortKernels() {
-		for _, mb := range m.sortedSizes(k) {
-			am := m.run(k, mb, migrate.AMPoM, fe)
-			om := m.run(k, mb, migrate.OpenMosix, fe)
-			np := m.run(k, mb, migrate.NoPrefetch, fe)
-			t.Rows = append(t.Rows, []string{
-				k.String(), fmt.Sprint(mb),
-				fmtSec(am.Freeze.Seconds()), fmtSec(om.Freeze.Seconds()), fmtSec(np.Freeze.Seconds()),
-			})
-		}
-	}
-	return t
+	}, migrate.Schemes(), func(rs []*migrate.Result) []string {
+		return []string{fmtSec(rs[0].Freeze.Seconds()), fmtSec(rs[1].Freeze.Seconds()), fmtSec(rs[2].Freeze.Seconds())}
+	})
 }
 
-// Figure6 reproduces the total execution times.
-func (m *Matrix) Figure6() *Table {
-	t := &Table{
+// figure6 reproduces the total execution times.
+func (m *Matrix) figure6() plan {
+	return m.gridPlan(&Table{
 		Title:   "Figure 6: Application performance (total execution time, seconds)",
 		Caption: "init + freeze + post-migration execution",
 		Header:  []string{"kernel", "size (MB)", "AMPoM", "openMosix", "NoPrefetch", "AMPoM vs oM", "NoPref vs oM"},
-	}
-	fe := netmodel.FastEthernet()
-	for _, k := range sortKernels() {
-		for _, mb := range m.sortedSizes(k) {
-			am := m.run(k, mb, migrate.AMPoM, fe)
-			om := m.run(k, mb, migrate.OpenMosix, fe)
-			np := m.run(k, mb, migrate.NoPrefetch, fe)
-			rel := func(r *migrate.Result) string {
-				return fmtPct(100 * (r.Total.Seconds() - om.Total.Seconds()) / om.Total.Seconds())
-			}
-			t.Rows = append(t.Rows, []string{
-				k.String(), fmt.Sprint(mb),
-				fmtSec(am.Total.Seconds()), fmtSec(om.Total.Seconds()), fmtSec(np.Total.Seconds()),
-				rel(am), rel(np),
-			})
+	}, migrate.Schemes(), func(rs []*migrate.Result) []string {
+		am, om, np := rs[0], rs[1], rs[2]
+		return []string{
+			fmtSec(am.Total.Seconds()), fmtSec(om.Total.Seconds()), fmtSec(np.Total.Seconds()),
+			relTotal(am, om), relTotal(np, om),
 		}
-	}
-	return t
+	})
 }
 
-// Figure7 reproduces the page-fault-request counts of AMPoM vs NoPrefetch.
-func (m *Matrix) Figure7() *Table {
-	t := &Table{
+// relTotal formats r's total execution time relative to the openMosix
+// run om.
+func relTotal(r, om *migrate.Result) string {
+	return fmtPct(100 * (r.Total.Seconds() - om.Total.Seconds()) / om.Total.Seconds())
+}
+
+// figure7 reproduces the page-fault-request counts of AMPoM vs NoPrefetch.
+func (m *Matrix) figure7() plan {
+	return m.gridPlan(&Table{
 		Title:   "Figure 7: Number of page fault requests",
 		Caption: "demand requests reaching the home node; log-scale plot in the paper",
 		Header:  []string{"kernel", "size (MB)", "AMPoM", "NoPrefetch", "prevented"},
-	}
-	fe := netmodel.FastEthernet()
-	for _, k := range sortKernels() {
-		for _, mb := range m.sortedSizes(k) {
-			am := m.run(k, mb, migrate.AMPoM, fe)
-			np := m.run(k, mb, migrate.NoPrefetch, fe)
-			t.Rows = append(t.Rows, []string{
-				k.String(), fmt.Sprint(mb),
-				fmt.Sprint(am.HardFaults), fmt.Sprint(np.HardFaults),
-				fmt.Sprintf("%.1f%%", 100*am.FaultPrevention(np.HardFaults)),
-			})
+	}, []migrate.Scheme{migrate.AMPoM, migrate.NoPrefetch}, func(rs []*migrate.Result) []string {
+		am, np := rs[0], rs[1]
+		return []string{
+			fmt.Sprint(am.HardFaults), fmt.Sprint(np.HardFaults),
+			fmt.Sprintf("%.1f%%", 100*am.FaultPrevention(np.HardFaults)),
 		}
-	}
-	return t
+	})
 }
 
-// Figure8 reproduces the prefetch aggressiveness: pages prefetched per page
-// fault request.
-func (m *Matrix) Figure8() *Table {
-	t := &Table{
+// figure8 reproduces the prefetch aggressiveness: pages prefetched per
+// page fault request.
+func (m *Matrix) figure8() plan {
+	return m.ampomGridPlan(&Table{
 		Title:   "Figure 8: Prefetched pages per page fault (request)",
 		Caption: "AMPoM adapts aggressiveness to access pattern and paging rate",
 		Header:  []string{"kernel", "size (MB)", "prefetched/request", "mean N", "mean S"},
-	}
-	fe := netmodel.FastEthernet()
-	for _, k := range sortKernels() {
-		for _, mb := range m.sortedSizes(k) {
-			am := m.run(k, mb, migrate.AMPoM, fe)
-			t.Rows = append(t.Rows, []string{
-				k.String(), fmt.Sprint(mb),
-				fmt.Sprintf("%.1f", am.PrefetchPerRequest),
-				fmt.Sprintf("%.1f", am.MeanN),
-				fmt.Sprintf("%.3f", am.MeanScore),
-			})
+	}, func(am *migrate.Result) []string {
+		return []string{
+			fmt.Sprintf("%.1f", am.PrefetchPerRequest), fmt.Sprintf("%.1f", am.MeanN), fmt.Sprintf("%.3f", am.MeanScore),
 		}
-	}
-	return t
+	})
 }
 
-// Figure9 reproduces the broadband adaptation experiment: execution time
+// figure9 reproduces the broadband adaptation experiment: execution time
 // increase vs openMosix at 100 Mb/s and at tc-shaped 6 Mb/s / 2 ms.
-func (m *Matrix) Figure9() *Table {
-	t := &Table{
+func (m *Matrix) figure9() plan {
+	p := plan{table: &Table{
 		Title:   "Figure 9: Adaptation to network performances",
 		Caption: "% increase in execution time relative to openMosix on the same network",
 		Header:  []string{"workload", "network", "AMPoM", "NoPrefetch"},
-	}
-	type cfg struct {
-		k  hpcc.Kernel
-		mb int64
-	}
-	cfgs := []cfg{
-		{hpcc.DGEMM, scaled(115, m.cfg.Scale)},
-		{hpcc.RandomAccess, scaled(129, m.cfg.Scale)},
-	}
-	for _, c := range cfgs {
+	}}
+	for _, e := range []hpcc.Entry{{Kernel: hpcc.DGEMM, MemoryMB: 115}, {Kernel: hpcc.RandomAccess, MemoryMB: 129}} {
+		e = hpcc.Scaled(e, m.cfg.Scale)
 		for _, net := range []netmodel.Profile{netmodel.FastEthernet(), netmodel.Broadband()} {
-			om := m.run(c.k, c.mb, migrate.OpenMosix, net)
-			am := m.run(c.k, c.mb, migrate.AMPoM, net)
-			np := m.run(c.k, c.mb, migrate.NoPrefetch, net)
-			rel := func(r *migrate.Result) string {
-				return fmtPct(100 * (r.Total.Seconds() - om.Total.Seconds()) / om.Total.Seconds())
+			r := row{cols: func(rs []*migrate.Result) []string {
+				return []string{fmt.Sprintf("%v(%dMB)", e.Kernel, e.MemoryMB), net.Name, relTotal(rs[0], rs[1]), relTotal(rs[2], rs[1])}
+			}}
+			for _, s := range migrate.Schemes() {
+				r.cells = append(r.cells, campaign.Job{Kernel: e.Kernel, MemoryMB: e.MemoryMB, Scheme: s, Network: net})
 			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%v(%dMB)", c.k, c.mb), net.Name, rel(am), rel(np),
-			})
+			p.rows = append(p.rows, r)
 		}
 	}
-	return t
+	return p
 }
 
-func scaled(mb, scale int64) int64 {
-	v := mb / scale
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
-// Figure10 reproduces the small-working-set experiment: modified DGEMM that
-// allocates the full footprint but works on a subset.
-func (m *Matrix) Figure10() *Table {
-	alloc := scaled(575, m.cfg.Scale)
-	t := &Table{
+// figure10 reproduces the small-working-set experiment: modified DGEMM
+// that allocates the full footprint but works on a subset.
+func (m *Matrix) figure10() plan {
+	alloc := m.largest(hpcc.DGEMM)
+	p := plan{table: &Table{
 		Title:   "Figure 10: Process migration with smaller working sets",
 		Caption: fmt.Sprintf("modified DGEMM: %d MB allocated, working set varies", alloc),
 		Header:  []string{"working set (MB)", "openMosix", "AMPoM", "AMPoM/openMosix"},
-	}
+	}}
 	for _, frac := range []int64{5, 4, 3, 2, 1} { // 1/5 .. full
-		ws := alloc / frac
-		if ws < 1 {
-			ws = 1
+		ws := max(alloc/frac, 1)
+		r := row{cols: func(rs []*migrate.Result) []string {
+			om, am := rs[0], rs[1]
+			return []string{
+				fmt.Sprint(ws), fmtSec(om.Total.Seconds()), fmtSec(am.Total.Seconds()),
+				fmt.Sprintf("%.2f", am.Total.Seconds()/om.Total.Seconds()),
+			}
+		}}
+		for _, s := range []migrate.Scheme{migrate.OpenMosix, migrate.AMPoM} {
+			r.cells = append(r.cells, campaign.Job{Kernel: hpcc.DGEMM, MemoryMB: ws, AllocMB: alloc, Scheme: s})
 		}
-		om := m.runWorkingSet(alloc, ws, migrate.OpenMosix)
-		am := m.runWorkingSet(alloc, ws, migrate.AMPoM)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(ws),
-			fmtSec(om.Total.Seconds()), fmtSec(am.Total.Seconds()),
-			fmt.Sprintf("%.2f", am.Total.Seconds()/om.Total.Seconds()),
-		})
+		p.rows = append(p.rows, r)
 	}
-	return t
+	return p
 }
 
-// runWorkingSet executes one §5.6 variant run through the campaign engine.
-func (m *Matrix) runWorkingSet(alloc, ws int64, scheme migrate.Scheme) *migrate.Result {
-	return m.mustRun(campaign.Job{Kernel: hpcc.DGEMM, MemoryMB: ws, AllocMB: alloc, Scheme: scheme})
-}
-
-// Figure11 reproduces the AMPoM analysis overhead: time spent determining
+// figure11 reproduces the AMPoM analysis overhead: time spent determining
 // the dependent zone as a percentage of execution time.
-func (m *Matrix) Figure11() *Table {
-	t := &Table{
+func (m *Matrix) figure11() plan {
+	return m.ampomGridPlan(&Table{
 		Title:   "Figure 11: Overheads of AMPoM",
 		Caption: "dependent-zone analysis time as % of total execution time",
 		Header:  []string{"kernel", "size (MB)", "overhead (%)"},
-	}
-	fe := netmodel.FastEthernet()
-	for _, k := range sortKernels() {
-		for _, mb := range m.sortedSizes(k) {
-			am := m.run(k, mb, migrate.AMPoM, fe)
-			t.Rows = append(t.Rows, []string{
-				k.String(), fmt.Sprint(mb), fmt.Sprintf("%.3f", am.OverheadPct),
-			})
-		}
-	}
-	return t
+	}, func(am *migrate.Result) []string {
+		return []string{fmt.Sprintf("%.3f", am.OverheadPct)}
+	})
 }
 
-// AllFigures renders every table and figure in paper order. The experiment
-// matrix is prewarmed through the campaign worker pool first, so rendering
-// only reads warm cache; per-job seeds make the output byte-identical for
-// any worker count.
-func (m *Matrix) AllFigures() []*Table {
-	if err := m.PrewarmFigures(); err != nil {
-		panic(err)
-	}
-	return []*Table{
-		m.Table1(), m.Figure4(), m.Figure5(), m.Figure6(), m.Figure7(),
-		m.Figure8(), m.Figure9(), m.Figure10(), m.Figure11(),
-	}
+// ampomGridPlan is gridPlan over the AMPoM runs alone, the cells Figures 8
+// and 11 read.
+func (m *Matrix) ampomGridPlan(t *Table, cols func(am *migrate.Result) []string) plan {
+	return m.gridPlan(t, []migrate.Scheme{migrate.AMPoM}, func(rs []*migrate.Result) []string { return cols(rs[0]) })
 }

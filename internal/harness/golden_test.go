@@ -3,6 +3,9 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"ampom/internal/campaign"
+	"ampom/internal/migrate"
 )
 
 // These tests lock in the campaign determinism guarantee: the rendered
@@ -10,14 +13,10 @@ import (
 // runs of the same configuration.
 
 // renderAll renders every figure and ablation into one byte stream.
-func renderAll(m *Matrix) string {
+func renderAll(t *testing.T, m *Matrix) string {
 	var b strings.Builder
-	for _, t := range m.AllFigures() {
-		b.WriteString(t.Render())
-		b.WriteString("\n")
-	}
-	for _, t := range m.AllAblations() {
-		b.WriteString(t.Render())
+	for _, tab := range renderTables(t, m, append(catalogueNames(false), catalogueNames(true)...)...) {
+		b.WriteString(tab.Render())
 		b.WriteString("\n")
 	}
 	return b.String()
@@ -28,20 +27,20 @@ func goldenCfg(workers int) Config {
 }
 
 func TestTable1DeterministicAcrossWorkers(t *testing.T) {
-	seq := NewMatrix(goldenCfg(1)).Table1().Render()
-	par := NewMatrix(goldenCfg(8)).Table1().Render()
+	seq := render(t, NewMatrix(goldenCfg(1)), "table1").Render()
+	par := render(t, NewMatrix(goldenCfg(8)), "table1").Render()
 	if seq != par {
 		t.Fatalf("Table1 differs between 1 and 8 workers:\n%s\n---\n%s", seq, par)
 	}
 }
 
 func TestFigure4DeterministicAcrossWorkers(t *testing.T) {
-	seq := NewMatrix(goldenCfg(1)).Figure4().Render()
-	par := NewMatrix(goldenCfg(8)).Figure4().Render()
+	seq := render(t, NewMatrix(goldenCfg(1)), "fig4").Render()
+	par := render(t, NewMatrix(goldenCfg(8)), "fig4").Render()
 	if seq != par {
 		t.Fatalf("Figure4 differs between 1 and 8 workers:\n%s\n---\n%s", seq, par)
 	}
-	rep := NewMatrix(goldenCfg(8)).Figure4().Render()
+	rep := render(t, NewMatrix(goldenCfg(8)), "fig4").Render()
 	if par != rep {
 		t.Fatal("Figure4 differs between repeated runs of the same config")
 	}
@@ -53,12 +52,12 @@ func TestCampaignByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign comparison in -short mode")
 	}
-	seq := renderAll(NewMatrix(goldenCfg(1)))
-	par := renderAll(NewMatrix(goldenCfg(8)))
+	seq := renderAll(t, NewMatrix(goldenCfg(1)))
+	par := renderAll(t, NewMatrix(goldenCfg(8)))
 	if seq != par {
 		t.Fatal("campaign output differs between sequential and parallel execution")
 	}
-	rep := renderAll(NewMatrix(goldenCfg(8)))
+	rep := renderAll(t, NewMatrix(goldenCfg(8)))
 	if par != rep {
 		t.Fatal("campaign output differs between repeated parallel runs")
 	}
@@ -69,8 +68,8 @@ func TestCampaignByteIdentical(t *testing.T) {
 func TestSeedChangesOutput(t *testing.T) {
 	// Figure 7's fault-request counts on RandomAccess are the most
 	// seed-sensitive artefact (its reference stream is the stochastic one).
-	a := NewMatrix(Config{Scale: 16, Seed: 7}).Figure7().Render()
-	b := NewMatrix(Config{Scale: 16, Seed: 8}).Figure7().Render()
+	a := render(t, NewMatrix(Config{Scale: 16, Seed: 7}), "fig7").Render()
+	b := render(t, NewMatrix(Config{Scale: 16, Seed: 8}), "fig7").Render()
 	if a == b {
 		t.Fatal("changing the campaign seed left Figure 7 unchanged")
 	}
@@ -95,55 +94,55 @@ func TestCampaignJobsDeduplicated(t *testing.T) {
 	}
 }
 
-// TestPrewarmSharesCellsWithFigures: after a prewarm, rendering the figures
-// must not execute a single extra simulation.
+// TestPrewarmSharesCellsWithFigures: one batch over every artefact runs
+// exactly the CampaignJobs cells, and rendering the figures and ablations
+// again afterwards must not execute a single extra simulation.
 func TestPrewarmSharesCellsWithFigures(t *testing.T) {
 	m := NewMatrix(goldenCfg(4))
-	if err := m.Prewarm(); err != nil {
-		t.Fatal(err)
-	}
+	renderTables(t, m, append(catalogueNames(false), catalogueNames(true)...)...)
 	executed := m.Engine().Executed()
 	if executed != len(m.CampaignJobs()) {
-		t.Fatalf("prewarm executed %d jobs for a %d-job matrix", executed, len(m.CampaignJobs()))
+		t.Fatalf("rendering everything executed %d jobs for a %d-job matrix", executed, len(m.CampaignJobs()))
 	}
-	for _, tab := range m.AllFigures() {
+	for _, tab := range renderTables(t, m, catalogueNames(false)...) {
 		if len(tab.Rows) == 0 {
 			t.Fatalf("figure %q empty", tab.Title)
 		}
 	}
-	for _, tab := range m.AllAblations() {
+	for _, tab := range renderTables(t, m, catalogueNames(true)...) {
 		if len(tab.Rows) == 0 {
 			t.Fatalf("ablation %q empty", tab.Title)
 		}
 	}
 	if post := m.Engine().Executed(); post != executed {
-		t.Fatalf("rendering after prewarm executed %d extra simulations", post-executed)
+		t.Fatalf("rendering after the full batch executed %d extra simulations", post-executed)
 	}
 }
 
-// TestPrewarmFigureCoversRendering: prewarming one named figure must leave
-// nothing for its rendering path to simulate, and unknown names are no-ops.
+// TestPrewarmFigureCoversRendering: rendering one named figure runs just
+// its own cells, once each, leaving nothing for a second rendering to
+// simulate; simulation-free artefacts execute nothing, and an unknown
+// name is an error that runs nothing.
 func TestPrewarmFigureCoversRendering(t *testing.T) {
 	m := NewMatrix(goldenCfg(4))
-	if err := m.PrewarmFigure("fig7"); err != nil {
-		t.Fatal(err)
-	}
+	render(t, m, "fig7")
 	warm := m.Engine().Executed()
 	if warm == 0 {
-		t.Fatal("PrewarmFigure(fig7) executed nothing")
+		t.Fatal("rendering fig7 executed nothing")
 	}
-	_ = m.Figure7()
+	if want := len(campaign.Dedupe(m.figure7().cells())); warm != want {
+		t.Fatalf("rendering fig7 executed %d jobs, want its %d cells", warm, want)
+	}
+	render(t, m, "fig7")
 	if got := m.Engine().Executed(); got != warm {
-		t.Fatalf("rendering Figure 7 after its prewarm executed %d extra jobs", got-warm)
+		t.Fatalf("rendering Figure 7 a second time executed %d extra jobs", got-warm)
 	}
-	if err := m.PrewarmFigure("table1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.PrewarmFigure("nonsense"); err != nil {
-		t.Fatal(err)
+	render(t, m, "table1")
+	if _, err := m.Render("nonsense"); err == nil {
+		t.Fatal("rendering an unknown artefact did not fail")
 	}
 	if got := m.Engine().Executed(); got != warm {
-		t.Fatal("simulation-free prewarms must not execute jobs")
+		t.Fatal("simulation-free renders must not execute jobs")
 	}
 }
 
@@ -151,16 +150,35 @@ func TestPrewarmFigureCoversRendering(t *testing.T) {
 // Figures 5–7 and the scheme ablation must map to one fingerprint.
 func TestSharedBaselineComputedOnce(t *testing.T) {
 	m := NewMatrix(goldenCfg(1))
-	_ = m.Figure5()
+	render(t, m, "fig5")
 	after5 := m.Engine().Executed()
-	_ = m.Figure6() // same cells as Figure 5
+	render(t, m, "fig6") // same cells as Figure 5
 	if got := m.Engine().Executed(); got != after5 {
 		t.Fatalf("Figure 6 executed %d extra jobs after Figure 5", got-after5)
 	}
 	// The scheme ablation's three paper schemes on DGEMM@575/16 coincide
 	// with Figure 5 cells; only the two extra baselines may run.
-	_ = m.AblationSchemes()
+	render(t, m, "ablation-schemes")
 	if got := m.Engine().Executed(); got != after5+2 {
 		t.Fatalf("scheme ablation executed %d extra jobs, want 2", got-after5)
+	}
+}
+
+// TestRenderSkipsArtefactWithFailedCell: an artefact one of whose cells
+// has no result is returned with an error naming that cell, not a table.
+func TestRenderSkipsArtefactWithFailedCell(t *testing.T) {
+	m := NewMatrix(goldenCfg(1))
+	p := m.figure7()
+	cells := p.cells()
+	results := map[string]*migrate.Result{}
+	for _, j := range cells[1:] {
+		results[j.Fingerprint()] = &migrate.Result{}
+	}
+	r := p.render(results)
+	if r.Table != nil || r.Err == nil || !strings.Contains(r.Err.Error(), cells[0].String()) {
+		t.Fatalf("render with a failed cell = %+v, want an error naming %v", r, cells[0])
+	}
+	if r := m.table1().render(nil); r.Err != nil || len(r.Table.Rows) != 18 {
+		t.Fatalf("a cell-free artefact must render without results: %+v", r)
 	}
 }

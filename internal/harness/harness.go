@@ -9,12 +9,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"ampom/internal/campaign"
 	"ampom/internal/hpcc"
-	"ampom/internal/migrate"
-	"ampom/internal/netmodel"
 )
 
 // Config scopes an experiment campaign.
@@ -29,7 +26,7 @@ type Config struct {
 	// 1 runs strictly sequentially. Per-job seeds are derived from the job
 	// key, so every setting renders byte-identical tables.
 	Workers int
-	// Progress, when set, receives a sample after every job of a Prewarm
+	// Progress, when set, receives a sample after every job of a Render
 	// batch completes.
 	Progress func(campaign.Progress)
 }
@@ -46,17 +43,11 @@ func (c Config) normalised() Config {
 
 // Matrix renders the paper's tables and figures from campaign results. All
 // experiment execution — memoisation, worker pool, seed derivation — lives
-// in the campaign engine; the Matrix only enumerates jobs and formats rows.
+// in the campaign engine; the Matrix lays out each artefact's cells (see
+// the catalogue) and formats rows.
 type Matrix struct {
 	cfg Config
 	eng *campaign.Engine
-
-	// warmMu guards the prewarm bookkeeping: a batch that completed cleanly
-	// is not re-submitted, so progress callbacks never replay over a
-	// fully-cached matrix.
-	warmMu        sync.Mutex
-	figuresWarm   bool
-	ablationsWarm bool
 }
 
 // NewMatrix returns a matrix backed by a fresh campaign engine.
@@ -86,22 +77,6 @@ func (m *Matrix) entries(k hpcc.Kernel) []hpcc.Entry {
 		out[i] = hpcc.Scaled(e, m.cfg.Scale)
 	}
 	return out
-}
-
-// run executes (and memoises, via the campaign engine) one experiment.
-func (m *Matrix) run(k hpcc.Kernel, mb int64, scheme migrate.Scheme, net netmodel.Profile) *migrate.Result {
-	return m.mustRun(campaign.Job{Kernel: k, MemoryMB: mb, Scheme: scheme, Network: net})
-}
-
-// mustRun executes one campaign job, panicking on failure — the rendering
-// paths have no way to represent a missing cell. Batch execution with error
-// aggregation is Prewarm.
-func (m *Matrix) mustRun(job campaign.Job) *migrate.Result {
-	r, err := m.eng.Run(job)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return r
 }
 
 // Table is a rendered experiment artefact: a title, a caption tying it to
@@ -163,9 +138,6 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// sortKernels returns the kernels in the paper's presentation order.
-func sortKernels() []hpcc.Kernel { return hpcc.Kernels() }
 
 // fmtSec formats seconds with ms precision.
 func fmtSec(sec float64) string { return fmt.Sprintf("%.3f", sec) }

@@ -5,12 +5,49 @@ import (
 	"strings"
 	"testing"
 
+	"ampom/internal/campaign"
 	"ampom/internal/hpcc"
 	"ampom/internal/netmodel"
 )
 
 // testMatrix runs at 1/16 scale so the whole suite stays fast.
 func testMatrix() *Matrix { return NewMatrix(Config{Scale: 16, Seed: 7}) }
+
+// renderTables renders the named artefacts as one batch, failing t on any
+// error.
+func renderTables(t testing.TB, m *Matrix, names ...string) []*Table {
+	t.Helper()
+	out, err := m.Render(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabs := make([]*Table, len(out))
+	for i, r := range out {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", names[i], r.Err)
+		}
+		tabs[i] = r.Table
+	}
+	return tabs
+}
+
+// render renders one artefact.
+func render(t testing.TB, m *Matrix, name string) *Table {
+	t.Helper()
+	return renderTables(t, m, name)[0]
+}
+
+// catalogueNames returns the names of the catalogue's figures, or of its
+// ablations.
+func catalogueNames(ablation bool) []string {
+	var names []string
+	for _, a := range Artefacts() {
+		if a.Ablation == ablation {
+			names = append(names, a.Name)
+		}
+	}
+	return names
+}
 
 func cell(t *Table, row int, col string) string {
 	for i, h := range t.Header {
@@ -32,7 +69,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tab := testMatrix().Table1()
+	tab := render(t, testMatrix(), "table1")
 	if len(tab.Rows) != 18 {
 		t.Fatalf("rows = %d, want 18 (Table 1)", len(tab.Rows))
 	}
@@ -42,7 +79,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure4Quadrants(t *testing.T) {
-	tab := testMatrix().Figure4()
+	tab := render(t, testMatrix(), "fig4")
 	got := map[string]string{}
 	for i := range tab.Rows {
 		got[tab.Rows[i][0]] = cell(tab, i, "quadrant")
@@ -63,7 +100,7 @@ func TestFigure4Quadrants(t *testing.T) {
 
 func TestFigure5FreezeShapes(t *testing.T) {
 	m := testMatrix()
-	tab := m.Figure5()
+	tab := render(t, m, "fig5")
 	for i := range tab.Rows {
 		am := parseF(t, cell(tab, i, "AMPoM"))
 		om := parseF(t, cell(tab, i, "openMosix"))
@@ -86,7 +123,7 @@ func TestFigure5FreezeShapes(t *testing.T) {
 }
 
 func TestFigure6Shapes(t *testing.T) {
-	tab := testMatrix().Figure6()
+	tab := render(t, testMatrix(), "fig6")
 	for i := range tab.Rows {
 		amRel := parseF(t, cell(tab, i, "AMPoM vs oM"))
 		npRel := parseF(t, cell(tab, i, "NoPref vs oM"))
@@ -103,7 +140,7 @@ func TestFigure6Shapes(t *testing.T) {
 }
 
 func TestFigure7Prevention(t *testing.T) {
-	tab := testMatrix().Figure7()
+	tab := render(t, testMatrix(), "fig7")
 	for i := range tab.Rows {
 		am := parseF(t, cell(tab, i, "AMPoM"))
 		np := parseF(t, cell(tab, i, "NoPrefetch"))
@@ -115,7 +152,7 @@ func TestFigure7Prevention(t *testing.T) {
 
 func TestFigure8Ordering(t *testing.T) {
 	m := testMatrix()
-	tab := m.Figure8()
+	tab := render(t, m, "fig8")
 	// At the largest size, STREAM prefetches most aggressively and
 	// RandomAccess least (Figure 8's ordering).
 	last := map[string]float64{}
@@ -131,7 +168,7 @@ func TestFigure8Ordering(t *testing.T) {
 }
 
 func TestFigure9Shapes(t *testing.T) {
-	tab := testMatrix().Figure9()
+	tab := render(t, testMatrix(), "fig9")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -151,7 +188,7 @@ func TestFigure9Shapes(t *testing.T) {
 }
 
 func TestFigure10Shapes(t *testing.T) {
-	tab := testMatrix().Figure10()
+	tab := render(t, testMatrix(), "fig10")
 	// The AMPoM/openMosix ratio grows towards 1 as the working set grows.
 	var prev float64 = -1
 	for i := range tab.Rows {
@@ -168,7 +205,7 @@ func TestFigure10Shapes(t *testing.T) {
 }
 
 func TestFigure11Overheads(t *testing.T) {
-	tab := testMatrix().Figure11()
+	tab := render(t, testMatrix(), "fig11")
 	for i := range tab.Rows {
 		ov := parseF(t, cell(tab, i, "overhead (%)"))
 		if ov < 0 || ov > 0.6 {
@@ -178,7 +215,7 @@ func TestFigure11Overheads(t *testing.T) {
 }
 
 func TestAblationBaseline(t *testing.T) {
-	tab := testMatrix().AblationBaseline()
+	tab := render(t, testMatrix(), "ablation-baseline")
 	// Baseline off ⇒ more fault requests than the default.
 	off := parseF(t, cell(tab, 0, "fault requests"))
 	def := parseF(t, cell(tab, 2, "fault requests"))
@@ -188,7 +225,7 @@ func TestAblationBaseline(t *testing.T) {
 }
 
 func TestAblationDMax(t *testing.T) {
-	tab := testMatrix().AblationDMax()
+	tab := render(t, testMatrix(), "ablation-dmax")
 	// Narrowing the stride search must never help: fault requests with
 	// dmax = 1 are at least those with dmax = 4. (The batch-install
 	// dynamics often degenerate STREAM's fault stream to stride-1 runs, so
@@ -207,7 +244,7 @@ func TestAblationDMax(t *testing.T) {
 }
 
 func TestAblationCapMonotone(t *testing.T) {
-	tab := testMatrix().AblationCap()
+	tab := render(t, testMatrix(), "ablation-cap")
 	// A tighter cap means more fault requests.
 	prev := -1.0
 	for i := len(tab.Rows) - 1; i >= 0; i-- { // descending cap order
@@ -237,7 +274,7 @@ func TestRenderAndCSV(t *testing.T) {
 
 func TestAllFiguresComplete(t *testing.T) {
 	m := testMatrix()
-	figs := m.AllFigures()
+	figs := renderTables(t, m, catalogueNames(false)...)
 	if len(figs) != 9 {
 		t.Fatalf("figures = %d, want 9", len(figs))
 	}
@@ -253,11 +290,16 @@ func TestAllFiguresComplete(t *testing.T) {
 
 func TestMatrixMemoisation(t *testing.T) {
 	m := testMatrix()
-	a := m.run(hpcc.STREAM, 10, 2, fe())
-	b := m.run(hpcc.STREAM, 10, 2, fe())
+	job := campaign.Job{Kernel: hpcc.STREAM, MemoryMB: 10, Scheme: 2, Network: netmodel.FastEthernet()}
+	a, err := m.Engine().Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Engine().Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Fatal("matrix did not memoise")
 	}
 }
-
-func fe() netmodel.Profile { return netmodel.FastEthernet() }

@@ -111,7 +111,7 @@ func (k MixKind) CoverTrace(pages int64, seed uint64) trace.Factory {
 		pages = 1
 	}
 	if k == MixRandom {
-		return trace.Permuted(0, pages, 0, false, seed)
+		return trace.BlockPermuted(0, pages, 1, 0, false, seed)
 	}
 	return k.Trace(pages, seed)
 }

@@ -120,30 +120,12 @@ func Repeat(n int, part Factory) Factory {
 	return Concat(parts...)
 }
 
-// Permuted returns a factory touching every page of [start, start+count)
-// exactly once in a deterministic pseudo-random order — a page-level
-// bit-reversal-style scatter.
-func Permuted(start memory.PageNum, count int64, compute simtime.Duration, write bool, seed uint64) Factory {
-	return func() Source {
-		src := prng.New(seed)
-		perm := src.Perm(int(count))
-		i := 0
-		return FuncSource(func() (Ref, bool) {
-			if i >= len(perm) {
-				return Ref{}, false
-			}
-			p := start + memory.PageNum(perm[i])
-			i++
-			return Ref{Page: p, Compute: compute, Write: write}, true
-		})
-	}
-}
-
 // BlockPermuted returns a factory touching every page of
 // [start, start+count) exactly once, visiting fixed-size blocks in a
 // deterministic pseudo-random order but pages within a block sequentially.
 // This is the page-level shape of cache-blocked permutations such as an
 // FFT's bit-reversal transpose: globally scattered, locally sequential.
+// With blockPages 1 it is a page-level random permutation.
 func BlockPermuted(start memory.PageNum, count, blockPages int64, compute simtime.Duration, write bool, seed uint64) Factory {
 	if blockPages < 1 {
 		blockPages = 1

@@ -150,31 +150,10 @@ func TestRepeat(t *testing.T) {
 	}
 }
 
-func TestPermutedCoversExactlyOnce(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int64(nRaw%100) + 1
-		refs := drain(Permuted(50, n, 0, false, seed))
-		if int64(len(refs)) != n {
-			return false
-		}
-		seen := make(map[memory.PageNum]bool)
-		for _, r := range refs {
-			if r.Page < 50 || r.Page >= memory.PageNum(50+n) || seen[r.Page] {
-				return false
-			}
-			seen[r.Page] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestBlockPermutedCoversExactlyOnce checks random block sizes, and block
+// size 1 (a page-level permutation) explicitly.
 func TestBlockPermutedCoversExactlyOnce(t *testing.T) {
-	f := func(seed uint64, nRaw, bRaw uint8) bool {
-		n := int64(nRaw%200) + 1
-		block := int64(bRaw%16) + 1
+	covers := func(seed uint64, n, block int64) bool {
 		refs := drain(BlockPermuted(10, n, block, 0, false, seed))
 		if int64(len(refs)) != n {
 			return false
@@ -188,7 +167,16 @@ func TestBlockPermutedCoversExactlyOnce(t *testing.T) {
 		}
 		return true
 	}
+	f := func(seed uint64, nRaw, bRaw uint8) bool {
+		return covers(seed, int64(nRaw%200)+1, int64(bRaw%16)+1)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	pages := func(seed uint64, nRaw uint8) bool {
+		return covers(seed, int64(nRaw%100)+1, 1)
+	}
+	if err := quick.Check(pages, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -32,7 +32,7 @@ func FuzzCompose(f *testing.F) {
 		parts := []Factory{
 			Strided(st, count, int64(stride), compute, false),
 			RandomUniform(st, span, count, compute, true, seed),
-			Permuted(st, count, compute, false, seed),
+			BlockPermuted(st, count, 1, compute, false, seed),
 			BlockPermuted(st, count, 1+int64(span%8), compute, false, seed),
 		}
 		composite := Concat(
@@ -81,9 +81,9 @@ func FuzzCompose(f *testing.F) {
 			}
 		}
 
-		// Permuted covers [st, st+count) exactly once.
+		// A page-level permutation covers [st, st+count) exactly once.
 		seen := make(map[memory.PageNum]int)
-		for _, r := range Collect(Permuted(st, count, compute, false, seed)(), 0) {
+		for _, r := range Collect(BlockPermuted(st, count, 1, compute, false, seed)(), 0) {
 			seen[r.Page]++
 		}
 		if int64(len(seen)) != count {

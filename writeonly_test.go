@@ -26,7 +26,9 @@ var writeOnlyAllowlist = map[string]string{}
 // struct field declared by a package under internal/ must be read by some
 // non-test Go file in the repo, perfbench included. A write is the
 // left-hand side of an assignment, the operand of ++ or --, or a
-// composite-literal key; every other use of the field is a read.
+// composite-literal key; storing into an element, x.f[k] = v or x.f[k]++,
+// is a write of f. Every other use of the field is a read, taking its
+// address (&x.f) included: code reads through such pointers too.
 //
 // Two rules exempt the exported fields of an exported type, because code
 // outside the repo reads them: the type is reachable through exported
@@ -51,6 +53,25 @@ func TestNoWriteOnlyState(t *testing.T) {
 	sort.Strings(unread)
 	for _, u := range unread {
 		t.Errorf("field is never read by production code (delete it and its writes): %s", u)
+	}
+}
+
+// TestNoTestOnlyFields keeps test-only hooks out of production structs: a
+// field of boolean, numeric, string, func, pointer or interface type that
+// production code reads must also be set by some non-test Go file, by
+// assignment, ++ or --, a composite literal, or taking its address (&x.f).
+// One that only tests set is a switch or hook production code never
+// turns. The exemptions of TestNoWriteOnlyState apply.
+func TestNoTestOnlyFields(t *testing.T) {
+	var unset []string
+	for key, f := range scanRepo(t).fields {
+		if f.hook && f.used && !f.set {
+			unset = append(unset, f.pos+": "+key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("field is read by production code but set only by tests (delete the hook, or move it into a test): %s", u)
 	}
 }
 
@@ -107,6 +128,8 @@ type stateScan struct {
 	// fields and vars are the checked declarations, keyed
 	// "importpath.Type.field" and "importpath.name". A field is used when
 	// production code reads it, a variable when production code assigns it.
+	// A field is set when production code assigns it, counts it, keys it
+	// in a composite literal or takes its address.
 	fields, vars map[string]*declUse
 	// methods are the checked exported methods, keyed
 	// "importpath.Type.Method"; one is used when production code outside
@@ -119,6 +142,9 @@ type stateScan struct {
 type declUse struct {
 	key, pos string
 	used     bool
+	// hook and set are for fields only: hook marks the types
+	// TestNoTestOnlyFields checks, set whether production code sets it.
+	hook, set bool
 }
 
 func (s *stateScan) visit(p string, d fs.DirEntry, err error) error {
@@ -193,24 +219,45 @@ func (s *stateScan) check() error {
 	fields := map[*types.Var]*declUse{}
 	vars := map[*types.Var]*declUse{}
 	writes := map[ast.Expr]bool{}
+	// write records an assigned or counted expression and, through any
+	// index expressions, the field or variable it stores into.
+	write := func(e ast.Expr) {
+		for {
+			e = ast.Unparen(e)
+			writes[e] = true
+			s.markSet(fields, e)
+			ix, ok := e.(*ast.IndexExpr)
+			if !ok {
+				return
+			}
+			e = ix.X
+		}
+	}
 	for _, p := range paths {
 		for _, f := range s.files[p] {
 			if strings.HasPrefix(p, "ampom/internal/") {
 				s.declaredFields(p, f, exempt, fields)
 				s.declaredVars(p, f, vars)
 			}
+		}
+	}
+	for _, p := range paths {
+		for _, f := range s.files[p] {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.AssignStmt:
 					for _, l := range x.Lhs {
-						writes[ast.Unparen(l)] = true
+						write(l)
 					}
 				case *ast.IncDecStmt:
-					writes[ast.Unparen(x.X)] = true
+					write(x.X)
 				case *ast.UnaryExpr:
 					if x.Op == token.AND {
 						s.markVar(vars, ast.Unparen(x.X))
+						s.markSet(fields, ast.Unparen(x.X))
 					}
+				case *ast.CompositeLit:
+					s.markLiteral(fields, x)
 				}
 				return true
 			})
@@ -242,6 +289,52 @@ func (s *stateScan) markVar(vars map[*types.Var]*declUse, e ast.Expr) {
 	if id, ok := e.(*ast.Ident); ok {
 		if v, ok := s.info.Uses[id].(*types.Var); ok && vars[v] != nil {
 			vars[v].used = true
+		}
+	}
+}
+
+// markSet marks the checked field that the selector e names as set.
+func (s *stateScan) markSet(fields map[*types.Var]*declUse, e ast.Expr) {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if selection, ok := s.info.Selections[sel]; ok && selection.Kind() == types.FieldVal {
+		if u, ok := fields[selection.Obj().(*types.Var).Origin()]; ok {
+			u.set = true
+		}
+	}
+}
+
+// markLiteral marks the checked fields a struct composite literal sets,
+// keyed or positionally.
+func (s *stateScan) markLiteral(fields map[*types.Var]*declUse, lit *ast.CompositeLit) {
+	tv, ok := s.info.Types[lit]
+	if !ok {
+		return
+	}
+	t := tv.Type.Underlying()
+	if p, ok := t.(*types.Pointer); ok { // &T{...} elided in a []*T literal
+		t = p.Elem().Underlying()
+	}
+	st, ok := t.(*types.Struct)
+	if !ok {
+		return
+	}
+	for i, elt := range lit.Elts {
+		v := (*types.Var)(nil)
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				v, _ = s.info.Uses[id].(*types.Var)
+			}
+		} else if i < st.NumFields() {
+			v = st.Field(i)
+		}
+		if v == nil {
+			continue
+		}
+		if u, ok := fields[v.Origin()]; ok {
+			u.set = true
 		}
 	}
 }
@@ -359,14 +452,27 @@ func (s *stateScan) declaredFields(pkg string, f *ast.File, exempt map[*types.Na
 					continue
 				}
 				fields[v] = &declUse{
-					key: pkg + "." + ts.Name.Name + "." + id.Name,
-					pos: s.fset.Position(id.Pos()).String(),
+					key:  pkg + "." + ts.Name.Name + "." + id.Name,
+					pos:  s.fset.Position(id.Pos()).String(),
+					hook: hookType(v.Type()),
 				}
 			}
 			return true
 		})
 		return false
 	})
+}
+
+// hookType reports whether a field of type t is one TestNoTestOnlyFields
+// checks: a boolean, numeric, string, func, pointer or interface.
+func hookType(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Info()&(types.IsBoolean|types.IsNumeric|types.IsString) != 0
+	case *types.Signature, *types.Pointer, *types.Interface:
+		return true
+	}
+	return false
 }
 
 // declaredVars records the package-level variables f declares whose type
