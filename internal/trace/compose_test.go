@@ -150,33 +150,39 @@ func TestRepeat(t *testing.T) {
 	}
 }
 
-// TestBlockPermutedCoversExactlyOnce checks random block sizes, and block
-// size 1 (a page-level permutation) explicitly.
-func TestBlockPermutedCoversExactlyOnce(t *testing.T) {
-	covers := func(seed uint64, n, block int64) bool {
-		refs := drain(BlockPermuted(10, n, block, 0, false, seed))
-		if int64(len(refs)) != n {
+// coversOnce reports whether a block permutation of n pages from page 10
+// touches each page exactly once and nothing else.
+func coversOnce(seed uint64, n, block int64) bool {
+	refs := drain(BlockPermuted(10, n, block, 0, false, seed))
+	if int64(len(refs)) != n {
+		return false
+	}
+	seen := make(map[memory.PageNum]bool)
+	for _, r := range refs {
+		if r.Page < 10 || r.Page >= memory.PageNum(10+n) || seen[r.Page] {
 			return false
 		}
-		seen := make(map[memory.PageNum]bool)
-		for _, r := range refs {
-			if r.Page < 10 || r.Page >= memory.PageNum(10+n) || seen[r.Page] {
-				return false
-			}
-			seen[r.Page] = true
-		}
-		return true
+		seen[r.Page] = true
 	}
-	f := func(seed uint64, nRaw, bRaw uint8) bool {
-		return covers(seed, int64(nRaw%200)+1, int64(bRaw%16)+1)
+	return true
+}
+
+// TestPermutedCoversExactlyOnce checks the page-level permutation: one-page
+// blocks.
+func TestPermutedCoversExactlyOnce(t *testing.T) {
+	f := func(seed uint64, nRaw uint8) bool {
+		return coversOnce(seed, int64(nRaw%100)+1, 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	pages := func(seed uint64, nRaw uint8) bool {
-		return covers(seed, int64(nRaw%100)+1, 1)
+}
+
+func TestBlockPermutedCoversExactlyOnce(t *testing.T) {
+	f := func(seed uint64, nRaw, bRaw uint8) bool {
+		return coversOnce(seed, int64(nRaw%200)+1, int64(bRaw%16)+1)
 	}
-	if err := quick.Check(pages, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
