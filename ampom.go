@@ -206,6 +206,10 @@ func Catalogue() []Entry { return hpcc.Catalogue() }
 // Kernels lists the four modelled HPCC kernels.
 func Kernels() []Kernel { return hpcc.Kernels() }
 
+// ParseKernel resolves a kernel name, ignoring case: DGEMM, STREAM,
+// RandomAccess (also "ra" or "gups") or FFT.
+func ParseKernel(name string) (Kernel, error) { return hpcc.ParseKernel(name) }
+
 // BuildWorkload materialises a kernel run. MemoryMB must be set; seed makes
 // stochastic kernels reproducible.
 func BuildWorkload(e Entry, seed uint64) (*Workload, error) { return hpcc.Build(e, seed) }

@@ -34,23 +34,22 @@ func main() {
 	cf := cli.AddCampaignFlags(flag.CommandLine)
 	flag.Parse()
 
-	var k ampom.Kernel
-	switch strings.ToLower(*kernel) {
-	case "dgemm":
-		k = ampom.DGEMM
-	case "stream":
-		k = ampom.STREAM
-	case "randomaccess", "ra", "gups":
-		k = ampom.RandomAccess
-	case "fft":
-		k = ampom.FFT
-	default:
-		fatal("unknown kernel %q", *kernel)
+	k, err := ampom.ParseKernel(*kernel)
+	if err != nil {
+		cli.Usage("%v", err)
 	}
 
-	net := ampom.FastEthernet()
-	if strings.HasPrefix(strings.ToLower(*network), "broad") {
+	var net ampom.NetworkProfile
+	switch strings.ToLower(*network) {
+	case "fast":
+		net = ampom.FastEthernet()
+	case "broadband":
 		net = ampom.Broadband()
+	default:
+		cli.Usage("unknown network %q (want fast or broadband)", *network)
+	}
+	if !(*load >= 0 && *load <= 0.95) {
+		cli.Usage("-load %g outside [0, 0.95]", *load)
 	}
 
 	eng := ampom.NewCampaignEngine(ampom.CampaignOptions{Workers: cf.Workers, BaseSeed: cf.Seed})
@@ -73,7 +72,7 @@ func main() {
 	case "all5":
 		schemes = ampom.AllSchemes()
 	default:
-		fatal("unknown scheme %q (want ampom, openmosix, noprefetch, all, all5)", *scheme)
+		cli.Usage("unknown scheme %q (want ampom, openmosix, noprefetch, all, all5)", *scheme)
 	}
 
 	batch := make([]ampom.CampaignJob, len(schemes))
@@ -156,8 +155,4 @@ func printComparison(results []*ampom.Result) {
 		})
 	}
 	fmt.Print(t.Render())
-}
-
-func fatal(format string, args ...any) {
-	cli.Usage(format, args...)
 }

@@ -37,3 +37,19 @@ func TestSmokeNegativeWorkersIsUsageError(t *testing.T) {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
 }
+
+func TestSmokeLoadOutOfRangeIsUsageError(t *testing.T) {
+	for _, load := range []string{"-2", "3", "NaN"} {
+		_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-kernel", "STREAM", "-mb", "8", "-load", load)
+		if !strings.Contains(stderr, "outside [0, 0.95]") {
+			t.Fatalf("-load %s: unexpected stderr:\n%s", load, stderr)
+		}
+	}
+}
+
+func TestSmokeUnknownNetworkIsUsageError(t *testing.T) {
+	_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-kernel", "STREAM", "-mb", "8", "-network", "bogus")
+	if !strings.Contains(stderr, "unknown network") {
+		t.Fatalf("unexpected stderr:\n%s", stderr)
+	}
+}

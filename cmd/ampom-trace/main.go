@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"ampom"
 	"ampom/internal/cli"
@@ -25,18 +24,9 @@ func main() {
 	seed := cli.AddSeedFlag(flag.CommandLine)
 	flag.Parse()
 
-	var k ampom.Kernel
-	switch strings.ToLower(*kernel) {
-	case "dgemm":
-		k = ampom.DGEMM
-	case "stream":
-		k = ampom.STREAM
-	case "randomaccess", "ra", "gups":
-		k = ampom.RandomAccess
-	case "fft":
-		k = ampom.FFT
-	default:
-		cli.Usage("unknown kernel %q", *kernel)
+	k, err := ampom.ParseKernel(*kernel)
+	if err != nil {
+		cli.Usage("%v", err)
 	}
 
 	// Build/run failures are runtime failures (exit 1), not usage errors —

@@ -17,6 +17,13 @@ func TestSmokeTraceStream(t *testing.T) {
 	}
 }
 
+func TestSmokeKernelAliasIgnoresCase(t *testing.T) {
+	out := clitest.Run(t, "-kernel", "GUPS", "-mb", "8", "-windows", "1")
+	if !strings.Contains(out, "RandomAccess") {
+		t.Fatalf("-kernel GUPS did not select RandomAccess:\n%s", out)
+	}
+}
+
 func TestSmokeUnknownKernelIsUsageError(t *testing.T) {
 	_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-kernel", "bogus")
 	if !strings.Contains(stderr, "unknown kernel") {

@@ -95,9 +95,12 @@ func (p plan) render(results map[string]*migrate.Result) Rendered {
 // once; per-job seeds make the tables byte-identical for any worker
 // count. A batch with failed cells still completes: err aggregates the
 // failures, and each artefact that reads a failed cell comes back with
-// Err set instead of a table. An unknown name is an error, and nothing
-// runs.
+// Err set instead of a table. An unknown name or a negative scale is an
+// error, and nothing runs.
 func (m *Matrix) Render(names ...string) ([]Rendered, error) {
+	if m.cfg.Scale < 1 {
+		return nil, fmt.Errorf("harness: scale %d must be >= 1 (0 means paper scale)", m.cfg.Scale)
+	}
 	plans := make([]plan, len(names))
 	var cells []campaign.Job
 	for i, name := range names {
@@ -133,8 +136,12 @@ func lookup(name string) (Artefact, bool) {
 // CampaignJobs enumerates every cell of the catalogue, deduplicated in
 // catalogue order: cells shared between artefacts (the openMosix baseline
 // of Figures 5, 6 and 9, the AMPoM runs of Figures 5–8 and 11, the
-// default-configuration points of the ablation sweeps) appear once.
+// default-configuration points of the ablation sweeps) appear once. A
+// matrix with a negative scale has no cells; Render reports the error.
 func (m *Matrix) CampaignJobs() []campaign.Job {
+	if m.cfg.Scale < 1 {
+		return nil
+	}
 	var jobs []campaign.Job
 	for _, a := range catalogue {
 		jobs = append(jobs, a.build(m).cells()...)

@@ -182,3 +182,21 @@ func TestRenderSkipsArtefactWithFailedCell(t *testing.T) {
 		t.Fatalf("a cell-free artefact must render without results: %+v", r)
 	}
 }
+
+// TestNegativeScaleIsRenderError: a negative scale is an error the caller
+// sees, with nothing run and no cells enumerated; zero keeps meaning
+// paper scale.
+func TestNegativeScaleIsRenderError(t *testing.T) {
+	m := NewMatrix(Config{Scale: -4, Workers: 1})
+	out, err := m.Render("table1")
+	if err == nil || out != nil || !strings.Contains(err.Error(), "scale -4") {
+		t.Fatalf("Render at scale -4 = %v, %v; want a scale error", out, err)
+	}
+	if jobs := m.CampaignJobs(); jobs != nil || m.Engine().Executed() != 0 {
+		t.Fatalf("scale -4 enumerated %d cells and executed %d jobs, want none", len(jobs), m.Engine().Executed())
+	}
+	out, err = NewMatrix(Config{Workers: 1}).Render("table1")
+	if err != nil || !strings.Contains(out[0].Table.Caption, "scale 1/1") {
+		t.Fatalf("Render at scale 0 = %+v, %v; want the paper-scale Table 1", out, err)
+	}
+}

@@ -12,13 +12,15 @@ import (
 
 	"ampom/internal/campaign"
 	"ampom/internal/hpcc"
+	"ampom/internal/texttable"
 )
 
 // Config scopes an experiment campaign.
 type Config struct {
-	// Scale divides every Table 1 footprint (1 = paper scale, 16 = laptop
-	// smoke scale). Freeze times and totals shrink accordingly, but every
-	// qualitative shape survives scaling.
+	// Scale divides every Table 1 footprint (1 or 0 = paper scale, 16 =
+	// laptop smoke scale; a negative scale is an error Render reports).
+	// Freeze times and totals shrink accordingly, but every qualitative
+	// shape survives scaling.
 	Scale int64
 	// Seed drives all stochastic components.
 	Seed uint64
@@ -32,7 +34,7 @@ type Config struct {
 }
 
 func (c Config) normalised() Config {
-	if c.Scale < 1 {
+	if c.Scale == 0 {
 		c.Scale = 1
 	}
 	if c.Seed == 0 {
@@ -95,35 +97,7 @@ func (t *Table) Render() string {
 	if t.Caption != "" {
 		fmt.Fprintf(&b, "%s\n", t.Caption)
 	}
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteString("\n")
-	}
-	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i, w := range widths {
-		sep[i] = strings.Repeat("-", w)
-	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
-	}
+	texttable.Write(&b, t.Header, t.Rows)
 	return b.String()
 }
 

@@ -19,6 +19,7 @@ package hpcc
 
 import (
 	"fmt"
+	"strings"
 
 	"ampom/internal/memory"
 	"ampom/internal/simtime"
@@ -53,6 +54,22 @@ func (k Kernel) String() string {
 	default:
 		return fmt.Sprintf("Kernel(%d)", uint8(k))
 	}
+}
+
+// ParseKernel resolves a kernel name, ignoring case: DGEMM, STREAM,
+// RandomAccess (also "ra" or "gups", the HPCC GUPS benchmark) or FFT.
+func ParseKernel(name string) (Kernel, error) {
+	switch strings.ToLower(name) {
+	case "dgemm":
+		return DGEMM, nil
+	case "stream":
+		return STREAM, nil
+	case "randomaccess", "ra", "gups":
+		return RandomAccess, nil
+	case "fft":
+		return FFT, nil
+	}
+	return 0, fmt.Errorf("unknown kernel %q (want DGEMM, STREAM, RandomAccess or FFT)", name)
 }
 
 // Entry is one row of the paper's Table 1: a kernel run at a configured

@@ -1,6 +1,7 @@
 package hpcc
 
 import (
+	"strings"
 	"testing"
 
 	"ampom/internal/memory"
@@ -266,6 +267,31 @@ func TestBaseTimeMonotonicInSize(t *testing.T) {
 			if b <= a {
 				t.Fatalf("%v base time not monotonic: %v then %v", k, a, b)
 			}
+		}
+	}
+}
+
+func TestParseKernel(t *testing.T) {
+	for name, want := range map[string]Kernel{
+		"DGEMM": DGEMM, "dgemm": DGEMM, "DGemm": DGEMM,
+		"STREAM": STREAM, "stream": STREAM, "Stream": STREAM,
+		"RandomAccess": RandomAccess, "randomaccess": RandomAccess, "RANDOMACCESS": RandomAccess,
+		"ra": RandomAccess, "RA": RandomAccess, "gups": RandomAccess, "GUPS": RandomAccess,
+		"FFT": FFT, "fft": FFT, "Fft": FFT,
+	} {
+		got, err := ParseKernel(name)
+		if err != nil || got != want {
+			t.Errorf("ParseKernel(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, k := range Kernels() {
+		if got, err := ParseKernel(k.String()); err != nil || got != k {
+			t.Errorf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"", "bogus", "dgemm2", "random access"} {
+		if _, err := ParseKernel(name); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+			t.Errorf("ParseKernel(%q): got error %v, want an unknown-kernel error", name, err)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // At most one fault is in progress at a time — the process cannot fault
 // again until the current fault resumes it — so the fault's page, demand
 // and zone live on the executor, and every event it schedules runs one of
-// four callbacks built once in newExecutor.
+// four callbacks built once in start.
 type executor struct {
 	node *cluster.Node
 	src  trace.Source
@@ -39,15 +39,13 @@ type executor struct {
 	lastSampleBusy simtime.Duration
 	util           float64
 
-	// Census.
-	faults       int64
-	hardFaults   int64
-	waitFaults   int64
-	softFaults   int64
-	analyses     int64
-	analysisTime simtime.Duration
-	scoreSum     float64
-	nSum         float64
+	// The run's result, whose fault census and analysis time the fault
+	// path writes as faults happen, and the analysis sums behind its
+	// MeanScore and MeanN.
+	res      *Result
+	analyses int64
+	scoreSum float64
+	nSum     float64
 
 	// The fault in progress: the faulting page, the page demanded from the
 	// origin (paging.NoDemand if none), and the dependent zone, which is
@@ -58,42 +56,18 @@ type executor struct {
 	demand   memory.PageNum
 	zone     []memory.PageNum
 
-	// The scheduled callbacks, built once: fault, faultSend, step and the
-	// completion that calls done.
+	// The scheduled callbacks, built once by start: fault, faultSend,
+	// step and the completion.
 	faultFn, faultSendFn, stepFn, finishFn func()
-
-	done func(endAt simtime.Time)
-}
-
-type execConfig struct {
-	node  *cluster.Node
-	src   trace.Source
-	as    *memory.AddressSpace
-	pager *paging.Pager
-	pre   *core.Prefetcher
-	est   func() core.Estimates
-}
-
-func newExecutor(c execConfig) *executor {
-	e := &executor{
-		node:  c.node,
-		src:   c.src,
-		as:    c.as,
-		pager: c.pager,
-		pre:   c.pre,
-		est:   c.est,
-		util:  1,
-	}
-	e.faultFn = e.fault
-	e.faultSendFn = e.faultSend
-	e.stepFn = e.step
-	e.finishFn = func() { e.done(e.node.Eng.Now()) }
-	return e
 }
 
 // start begins execution at the current instant; done fires at completion.
 func (e *executor) start(done func(endAt simtime.Time)) {
-	e.done = done
+	e.faultFn = e.fault
+	e.faultSendFn = e.faultSend
+	e.stepFn = e.step
+	e.finishFn = func() { done(e.node.Eng.Now()) }
+	e.util = 1
 	e.lastSampleAt = e.node.Eng.Now()
 	e.step()
 }
@@ -160,7 +134,7 @@ func (e *executor) fault() {
 	if e.pager == nil {
 		panic(fmt.Sprintf("migrate: fault on page %d under a scheme with no remote paging", page))
 	}
-	e.faults++
+	e.res.Faults++
 
 	// "if pages prefetched last time have arrived then copy these pages to
 	// the migrant's address space" — install arrivals first.
@@ -182,7 +156,7 @@ func (e *executor) fault() {
 		e.pre.RecordFault(page, e.node.Eng.Now(), ci)
 		a := e.pre.Analyze(e.est())
 		ac := e.node.Scale(core.AnalysisCost(e.pre.Config(), a))
-		e.analysisTime += ac
+		e.res.AnalysisTime += ac
 		e.analyses++
 		e.scoreSum += a.Score
 		e.nSum += float64(a.N)
@@ -212,18 +186,18 @@ func (e *executor) faultSend() {
 	switch e.as.State(page) {
 	case memory.StateResident:
 		// Installed by this fault's arrival sweep: a soft (minor) fault.
-		e.softFaults++
+		e.res.SoftFaults++
 		e.step()
 	case memory.StateArrived:
 		// Arrived while the handler ran; install and continue.
-		e.softFaults++
+		e.res.SoftFaults++
 		cost := e.pager.InstallArrived()
 		e.node.Eng.Schedule(cost, e.stepFn)
 	case memory.StateInFlight:
 		if demand == page {
-			e.hardFaults++
+			e.res.HardFaults++
 		} else {
-			e.waitFaults++
+			e.res.WaitFaults++
 		}
 		e.pager.Wait(page, e.stepFn)
 	default:

@@ -23,14 +23,15 @@ func TestExecutorRejectsSecondPendingFault(t *testing.T) {
 	for pg := range memory.PageNum(layout.Pages()) {
 		as.SetState(pg, memory.StateRemote)
 	}
-	e := newExecutor(execConfig{
+	e := &executor{
 		node: cluster.NewNode(eng, "dest", 1),
 		src:  trace.Sequential(0, layout.Pages(), simtime.Microsecond, false)(),
 		as:   as,
-	})
-	e.step()
+		res:  &Result{},
+	}
+	e.start(func(simtime.Time) {})
 	if !e.faulting || e.page != 0 {
-		t.Fatalf("first step left faulting=%v on page %d, want a pending fault on page 0", e.faulting, e.page)
+		t.Fatalf("start left faulting=%v on page %d, want a pending fault on page 0", e.faulting, e.page)
 	}
 	defer func() {
 		if recover() == nil {

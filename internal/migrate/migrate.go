@@ -1,11 +1,13 @@
 // Package migrate orchestrates whole migration experiments: it builds a
 // two-node cluster (origin and destination joined by a modelled link),
-// runs a workload's pre-migration phase, freezes and transfers the process
-// under one of the paper's three schemes, then executes the post-migration
-// reference stream with remote paging and (for AMPoM) adaptive
-// prefetching, collecting every statistic the evaluation figures report.
+// runs a workload's pre-migration phase, then runs the one pipeline every
+// scheme shares: freeze, ship a payload, and page in whatever did not
+// travel, with (for AMPoM) adaptive prefetching, collecting every
+// statistic the evaluation figures report. Run decides everything a
+// scheme changes in one switch; the FFA-with-file-server and precopy
+// baselines are variants of the same pipeline.
 //
-// The three schemes (paper Figure 2):
+// The paper's three evaluated schemes (Figure 2):
 //
 //   - OpenMosix: all dirty pages transferred during the freeze; no remote
 //     page faults afterwards.
@@ -193,192 +195,142 @@ func Run(cfg RunConfig) (*Result, error) {
 	dest.Handle(ctl)
 
 	as := memory.NewAddressSpace(w.Layout)
+	src := w.Source()
 
+	// The kernel allocates and initialises its memory at the origin; the
+	// paper triggers migration right after. Initialisation dirties the
+	// whole address space, so every page is dirty at migration time.
 	res := &Result{
 		Workload: w.Name,
 		Kernel:   w.Entry.Kernel,
 		MemoryMB: w.Entry.MemoryMB,
 		Scheme:   cfg.Scheme,
 		Network:  net.Name,
+		Init:     w.InitCompute,
 	}
 
-	// --- Pre-migration phase ----------------------------------------------
-	// The kernel allocates and initialises its memory at the origin; the
-	// paper triggers migration right after. Initialisation dirties the
-	// whole address space, so every page is dirty at migration time.
-	initTime := w.InitCompute
-	res.Init = initTime
-
+	// --- Everything a scheme changes ------------------------------------
+	// Every scheme is one pipeline (paper Figure 2): freeze, ship a
+	// payload, then page in whatever did not travel. The schemes differ in
+	// the payload, in the MPT entries the destination installs before the
+	// migrant resumes, in the node serving the remaining pages (none, the
+	// origin's deputy, or a file server gated on the origin's flush), and
+	// in whether AMPoM's prefetcher runs.
+	threePages := int64(3*cluster.PageFrameBytes + cluster.RegisterBytes)
 	var (
-		exec       *executor
+		payload  int64          // bytes shipped during the freeze
+		mpt      int64          // MPT entries shipped and installed
+		server   *cluster.Node  // serves the pages that did not travel; nil if none
+		pageLink *netmodel.Link // migrant <-> server
+		flush    *netmodel.Link // origin -> server flush gating the server; nil if ungated
+		prefetch bool           // AMPoM's prefetcher and its paired daemons run
+	)
+	switch cfg.Scheme {
+	case OpenMosix:
+		// Every (dirty) page moves in one bulk stream. openMosix still
+		// leaves a deputy for syscalls, but it serves no pages.
+		payload = as.Pages()*cluster.PageFrameBytes + cluster.RegisterBytes
+	case Precopy:
+		// The rounds execute the front of the stream at the origin; the
+		// freeze ships the residue they leave and the destination
+		// continues with the rest, fully resident.
+		ws := &windowedStream{src: src, node: origin}
+		payload = ws.precopy(net, w.Layout.Pages(), res)
+		src = ws
+	case NoPrefetch:
+		// §5.1's FFA variant: every other page is demand-fetched from the
+		// origin, one fault at a time.
+		payload, server, pageLink = threePages, origin, link
+	case AMPoM:
+		mpt = w.Layout.Pages()
+		payload, server, pageLink, prefetch = threePages+mpt*memory.PTEntrySize, origin, link, true
+	case FFAFileServer:
+		// The origin flushes every dirty page to a file server, which
+		// serves the migrant's faults once the flush has landed.
+		server = cluster.NewNode(eng, "fileserver", 1.0)
+		server.Handle(ctl)
+		flush = netmodel.NewLink(eng, net, origin.NIC, server.NIC)
+		pageLink = netmodel.NewLink(eng, net, dest.NIC, server.NIC)
+		pageLink.SetBackgroundLoad(cfg.BackgroundLoad)
+		payload = threePages
+	default:
+		return nil, fmt.Errorf("migrate: unknown scheme %v", cfg.Scheme)
+	}
+	res.BytesToDest += payload
+
+	exec := &executor{node: dest, src: src, as: as, res: res}
+	var (
 		destDaemon *infod.Daemon
 		origDaemon *infod.Daemon
-		pager      *paging.Pager
-		deputy     *paging.Deputy
 		resumeAt   simtime.Time
-		execEndAt  simtime.Time
 		finished   bool
 	)
+	migrationStart := simtime.Time(res.Init + res.Precopy)
 
-	finish := func(end simtime.Time) {
-		execEndAt = end
-		finished = true
-		if destDaemon != nil {
-			destDaemon.Stop()
-		}
-		if origDaemon != nil {
-			origDaemon.Stop()
-		}
+	// ship is every freeze-time bulk transfer: the fixed migration cost,
+	// then bytes leave the origin on l and done runs where they land.
+	ship := func(l *netmodel.Link, bytes int64, done func()) {
+		eng.Schedule(cluster.MigrationBase, func() {
+			l.Send(origin.NIC, netmodel.Message{Size: bytes, Payload: freezeDone{done}})
+		})
 	}
-
 	// resume starts the migrant executing at the destination node.
 	resume := func() {
 		resumeAt = eng.Now()
-		res.Freeze = resumeAt.Sub(simtime.Time(initTime + res.Precopy))
-		exec.start(finish)
-	}
-
-	// --- Pre-copy phase (Precopy scheme only) -----------------------------
-	// The V-system baseline copies the address space while the process
-	// keeps executing at the origin; pages dirtied during a round are
-	// retransmitted in the next, and the final residue moves during the
-	// freeze. The rounds consume the front of the reference stream — those
-	// references execute at the origin and are not replayed at the
-	// destination.
-	var precopyStream *windowedStream
-	var precopyResidueBytes int64
-	if cfg.Scheme == Precopy {
-		precopyStream = &windowedStream{src: w.Source(), node: origin}
-		allBytes := w.Layout.Pages()*cluster.PageFrameBytes + cluster.RegisterBytes
-		round := net.TransferTime(allBytes)
-		res.BytesToDest += allBytes
-		residue := int64(0)
-		for i := 0; i < 3; i++ {
-			res.Precopy += round
-			dirtied, ended := precopyStream.consume(round)
-			residue = dirtied
-			if ended || dirtied == 0 {
-				break
+		res.Freeze = resumeAt.Sub(migrationStart)
+		exec.start(func(end simtime.Time) {
+			res.Exec = end.Sub(resumeAt)
+			res.Total = simtime.Duration(end)
+			finished = true
+			if prefetch {
+				destDaemon.Stop()
+				origDaemon.Stop()
 			}
-			bytes := dirtied * cluster.PageFrameBytes
-			next := net.TransferTime(bytes)
-			if i == 2 || next >= round {
-				break // not converging; stop-and-copy the rest
-			}
-			res.BytesToDest += bytes
-			round = next
-		}
-		precopyResidueBytes = residue*cluster.PageFrameBytes + cluster.RegisterBytes
-		res.BytesToDest += precopyResidueBytes
-	}
-
-	// --- Freeze and transfer, per scheme ----------------------------------
-	migrationStart := simtime.Time(initTime + res.Precopy)
-	var fsFlushDone func(simtime.Time) // set by the FFA wiring below
-	eng.At(migrationStart, func() {
-		switch cfg.Scheme {
-		case OpenMosix:
-			// Ship every (dirty) page in one bulk stream; no deputy needed
-			// for paging afterwards (openMosix still leaves a deputy for
-			// syscalls, but it serves no pages).
-			bytes := as.Pages()*cluster.PageFrameBytes + cluster.RegisterBytes
-			res.BytesToDest += bytes
-			eng.Schedule(cluster.MigrationBase, func() {
-				link.Send(origin.NIC, netmodel.Message{Size: bytes, Payload: freezeDone{resume}})
-			})
-
-		case Precopy:
-			// Only the residue dirtied during the last pre-copy round moves
-			// during the freeze.
-			eng.Schedule(cluster.MigrationBase, func() {
-				link.Send(origin.NIC, netmodel.Message{Size: precopyResidueBytes, Payload: freezeDone{resume}})
-			})
-
-		case NoPrefetch, AMPoM, FFAFileServer:
-			bytes := int64(3*cluster.PageFrameBytes + cluster.RegisterBytes)
-			var mptInstall simtime.Duration
-			if cfg.Scheme == AMPoM {
-				bytes += w.Layout.Pages() * memory.PTEntrySize
-				mptInstall = dest.Scale(cluster.MPTEntryCPU * simtime.Duration(w.Layout.Pages()))
-			}
-			res.BytesToDest += bytes
-			eng.Schedule(cluster.MigrationBase, func() {
-				link.Send(origin.NIC, netmodel.Message{Size: bytes, Payload: freezeDone{func() {
-					eng.Schedule(mptInstall, resume)
-				}}})
-			})
-		}
-	})
-
-	// --- Post-migration machinery ------------------------------------------
-	switch cfg.Scheme {
-	case OpenMosix:
-		// All pages arrive during the freeze; the address space stays fully
-		// resident and the executor never faults.
-		exec = newExecutor(execConfig{
-			node: dest, src: w.Source(), as: as,
 		})
+	}
+	arrive := resume
+	if server != nil {
+		// A paging migrant resumes once the destination has installed the
+		// MPT entries that travelled, if any.
+		install := dest.Scale(cluster.MPTEntryCPU * simtime.Duration(mpt))
+		arrive = func() { eng.Schedule(install, resume) }
+	}
+	eng.At(migrationStart, func() { ship(link, payload, arrive) })
 
-	case Precopy:
-		// The precopy rounds already executed the stream's prefix at the
-		// origin; the destination continues from there, fully resident.
-		exec = newExecutor(execConfig{
-			node: dest, src: precopyStream.rest(), as: as,
-		})
-
-	case FFAFileServer:
-		// Three pages travel with the freeze; the origin flushes all dirty
-		// pages to a file server, which serves the migrant's faults — but
-		// only once the flush has landed (paper Figure 2, middle).
-		fs := cluster.NewNode(eng, "fileserver", 1.0)
-		fs.Handle(ctl)
-		linkOF := netmodel.NewLink(eng, net, origin.NIC, fs.NIC)
-		linkMF := netmodel.NewLink(eng, net, dest.NIC, fs.NIC)
-		linkMF.SetBackgroundLoad(cfg.BackgroundLoad)
-
+	// --- Remote paging after resume ---------------------------------------
+	var (
+		pager  *paging.Pager
+		deputy *paging.Deputy
+	)
+	if server != nil {
 		tables, err := freezeInstall(as, w.Layout)
 		if err != nil {
 			return nil, err
 		}
-		deputy = paging.NewDeputy(fs, linkMF, tables)
+		deputy = paging.NewDeputy(server, pageLink, tables)
+		pager = paging.NewPager(dest, pageLink, as)
+		exec.pager = pager
+	}
+	if flush != nil {
+		// The server serves nothing until the flush, which leaves the
+		// origin in parallel with the freeze, has landed.
 		deputy.SetAvailableAfter(simtime.Never)
-		fsFlushDone = func(at simtime.Time) { deputy.SetAvailableAfter(at) }
-		pager = paging.NewPager(dest, linkMF, as)
-		exec = newExecutor(execConfig{node: dest, src: w.Source(), as: as, pager: pager})
-
-		// The flush leaves the origin in parallel with the freeze.
-		flushBytes := as.CountInState(memory.StateRemote) * cluster.PageFrameBytes
+		bytes := as.CountInState(memory.StateRemote) * cluster.PageFrameBytes
 		eng.At(migrationStart, func() {
-			eng.Schedule(cluster.MigrationBase, func() {
-				linkOF.Send(origin.NIC, netmodel.Message{Size: flushBytes, Payload: freezeDone{func() {
-					fsFlushDone(eng.Now())
-				}}})
-			})
+			ship(flush, bytes, func() { deputy.SetAvailableAfter(eng.Now()) })
 		})
-
-	case NoPrefetch, AMPoM:
-		tables, err := freezeInstall(as, w.Layout)
+	}
+	if prefetch {
+		pre, err := core.New(cfg.AMPoM, w.Layout.Pages())
 		if err != nil {
 			return nil, err
 		}
-		deputy = paging.NewDeputy(origin, link, tables)
-		pager = paging.NewPager(dest, link, as)
-
-		ec := execConfig{node: dest, src: w.Source(), as: as, pager: pager}
-		if cfg.Scheme == AMPoM {
-			pre, err := core.New(cfg.AMPoM, w.Layout.Pages())
-			if err != nil {
-				return nil, err
-			}
-			destDaemon = infod.New(simtime.Second, dest, link, cfg.Seed^0xd41d)
-			origDaemon = infod.New(simtime.Second, origin, link, cfg.Seed^0x8c1f)
-			infod.Pair(destDaemon, origDaemon)
-			destDaemon.Start()
-			origDaemon.Start()
-			ec.pre = pre
-			ec.est = destDaemon.Estimates
-		}
-		exec = newExecutor(ec)
+		destDaemon = infod.New(simtime.Second, dest, link, cfg.Seed^0xd41d)
+		origDaemon = infod.New(simtime.Second, origin, link, cfg.Seed^0x8c1f)
+		infod.Pair(destDaemon, origDaemon)
+		destDaemon.Start()
+		origDaemon.Start()
+		exec.pre, exec.est = pre, destDaemon.Estimates
 	}
 
 	// --- Run to completion --------------------------------------------------
@@ -390,13 +342,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 
 	// --- Collect ------------------------------------------------------------
-	res.Exec = execEndAt.Sub(resumeAt)
-	res.Total = simtime.Duration(execEndAt)
-	res.Faults = exec.faults
-	res.HardFaults = exec.hardFaults
-	res.WaitFaults = exec.waitFaults
-	res.SoftFaults = exec.softFaults
-	res.AnalysisTime = exec.analysisTime
 	if exec.analyses > 0 {
 		res.MeanScore = exec.scoreSum / float64(exec.analyses)
 		res.MeanN = exec.nSum / float64(exec.analyses)
@@ -416,16 +361,14 @@ func Run(cfg RunConfig) (*Result, error) {
 		if res.HardFaults > 0 {
 			res.PrefetchPerRequest = float64(st.PrefetchRequested) / float64(res.HardFaults)
 		}
-	}
-	if destDaemon != nil {
-		res.FinalRTTEst = destDaemon.RTT()
-	}
-	if deputy != nil && pager != nil {
 		// Every page the deputy sent must have arrived at the migrant.
-		if deputy.Stats.DemandServed+deputy.Stats.PrefetchServed != pager.Stats.PagesArrived {
+		if deputy.Stats.DemandServed+deputy.Stats.PrefetchServed != st.PagesArrived {
 			return nil, fmt.Errorf("migrate: page conservation violated: deputy sent %d+%d, migrant got %d",
-				deputy.Stats.DemandServed, deputy.Stats.PrefetchServed, pager.Stats.PagesArrived)
+				deputy.Stats.DemandServed, deputy.Stats.PrefetchServed, st.PagesArrived)
 		}
+	}
+	if prefetch {
+		res.FinalRTTEst = destDaemon.RTT()
 	}
 	res.Events = eng.Processed
 	return res, nil
@@ -452,8 +395,8 @@ func freezeInstall(as *memory.AddressSpace, layout memory.Layout) (*memory.Table
 }
 
 // windowedStream executes a reference stream in wall-clock windows (the
-// pre-copy rounds): consume() runs exactly `budget` of compute, splitting a
-// reference that spans the window boundary, and rest() yields whatever has
+// pre-copy rounds): consume runs exactly `budget` of compute, splitting a
+// reference that spans the window boundary, and Next yields whatever has
 // not executed yet for the destination executor to continue with.
 type windowedStream struct {
 	src     trace.Source
@@ -461,6 +404,33 @@ type windowedStream struct {
 	pending trace.Ref // partially computed reference, Compute = remainder
 	hasPend bool
 	done    bool
+}
+
+// precopy runs the pre-copy rounds of a pages-page address space over
+// net: each round retransmits the pages the previous one dirtied, until
+// the rounds stop converging or three have run. It adds the rounds' time
+// and bytes to res and returns the bytes the freeze must still ship.
+func (ws *windowedStream) precopy(net netmodel.Profile, pages int64, res *Result) int64 {
+	allBytes := pages*cluster.PageFrameBytes + cluster.RegisterBytes
+	round := net.TransferTime(allBytes)
+	res.BytesToDest += allBytes
+	residue := int64(0)
+	for i := 0; i < 3; i++ {
+		res.Precopy += round
+		dirtied, ended := ws.consume(round)
+		residue = dirtied
+		if ended || dirtied == 0 {
+			break
+		}
+		bytes := dirtied * cluster.PageFrameBytes
+		next := net.TransferTime(bytes)
+		if i == 2 || next >= round {
+			break // not converging; stop-and-copy the rest
+		}
+		res.BytesToDest += bytes
+		round = next
+	}
+	return residue*cluster.PageFrameBytes + cluster.RegisterBytes
 }
 
 // consume runs budget worth of compute and returns the distinct pages
@@ -500,23 +470,20 @@ func (ws *windowedStream) consume(budget simtime.Duration) (dirtied int64, ended
 	return int64(len(written)), false
 }
 
-// rest returns the unexecuted tail of the stream. References are already
-// scaled to the origin node's CPU; the destination executor re-scales, so
-// hand back reference-CPU durations by inverting the scale.
-func (ws *windowedStream) rest() trace.Source {
-	first := true
-	return trace.FuncSource(func() (trace.Ref, bool) {
-		if first {
-			first = false
-			if ws.hasPend {
-				ref := ws.pending
-				ref.Compute = simtime.Duration(float64(ref.Compute) * ws.node.CPUScale)
-				return ref, true
-			}
-		}
-		if ws.done {
-			return trace.Ref{}, false
-		}
-		return ws.src.Next()
-	})
+// Next yields the unexecuted tail of the stream: first the reference split
+// at the last window boundary, then the untouched rest. References are
+// scaled to the origin node's CPU as they execute there; the destination
+// executor re-scales, so the split reference goes back in reference-CPU
+// time by inverting the scale.
+func (ws *windowedStream) Next() (trace.Ref, bool) {
+	if ws.hasPend {
+		ws.hasPend = false
+		ref := ws.pending
+		ref.Compute = simtime.Duration(float64(ref.Compute) * ws.node.CPUScale)
+		return ref, true
+	}
+	if ws.done {
+		return trace.Ref{}, false
+	}
+	return ws.src.Next()
 }

@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"strings"
 	"testing"
 
 	"ampom/internal/hpcc"
@@ -48,6 +49,13 @@ func TestSchemeString(t *testing.T) {
 func TestNilWorkloadRejected(t *testing.T) {
 	if _, err := Run(RunConfig{}); err == nil {
 		t.Fatal("nil workload accepted")
+	}
+}
+
+func TestUnknownSchemeRejected(t *testing.T) {
+	w := smallWorkload(t, hpcc.STREAM, 32)
+	if _, err := Run(RunConfig{Workload: w, Scheme: Scheme(99)}); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Fatalf("unknown scheme: got error %v, want an unknown-scheme error", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"ampom/internal/sched"
 	"ampom/internal/sim"
 	"ampom/internal/simtime"
+	"ampom/internal/texttable"
 )
 
 // SchemeStats summarises one policy's run of a scenario.
@@ -165,35 +166,7 @@ func (r *Report) Render() string {
 		rows = append(rows, row)
 	}
 
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteString("\n")
-	}
-	line(header)
-	sep := make([]string, len(header))
-	for i, w := range widths {
-		sep[i] = strings.Repeat("-", w)
-	}
-	line(sep)
-	for _, row := range rows {
-		line(row)
-	}
+	texttable.Write(&b, header, rows)
 	// Per-tier link utilisation, a switched-fabric artefact (the legacy
 	// star table is byte-stable without it).
 	for _, st := range r.Schemes {

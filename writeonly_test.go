@@ -57,11 +57,17 @@ func TestNoWriteOnlyState(t *testing.T) {
 }
 
 // TestNoTestOnlyFields keeps test-only hooks out of production structs: a
-// field of boolean, numeric, string, func, pointer or interface type that
-// production code reads must also be set by some non-test Go file, by
-// assignment, ++ or --, a composite literal, or taking its address (&x.f).
-// One that only tests set is a switch or hook production code never
-// turns. The exemptions of TestNoWriteOnlyState apply.
+// field of boolean, numeric, string, func, pointer, interface, slice or
+// map type that production code reads must also be set by some non-test
+// Go file, by assignment, ++ or --, a store into an element (x.f[k] = v),
+// a composite literal, or taking its address (&x.f). One that only tests
+// set is a switch, hook or fixture production code never fills. The
+// exemptions of TestNoWriteOnlyState apply.
+//
+// Struct- and array-valued fields are left out: production code uses
+// many through their zero value (a sync.Mutex, a sync.WaitGroup) or fills
+// them through writes to their sub-fields or elements (paging.Pager's
+// Stats, sim.Engine's queue), none of which sets the field itself.
 func TestNoTestOnlyFields(t *testing.T) {
 	var unset []string
 	for key, f := range scanRepo(t).fields {
@@ -464,12 +470,13 @@ func (s *stateScan) declaredFields(pkg string, f *ast.File, exempt map[*types.Na
 }
 
 // hookType reports whether a field of type t is one TestNoTestOnlyFields
-// checks: a boolean, numeric, string, func, pointer or interface.
+// checks: a boolean, numeric, string, func, pointer, interface, slice or
+// map.
 func hookType(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Basic:
 		return u.Info()&(types.IsBoolean|types.IsNumeric|types.IsString) != 0
-	case *types.Signature, *types.Pointer, *types.Interface:
+	case *types.Signature, *types.Pointer, *types.Interface, *types.Slice, *types.Map:
 		return true
 	}
 	return false
