@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,6 +29,34 @@ func TestSpecRoundTripPresets(t *testing.T) {
 		}
 		if dec.Fingerprint() != spec.Fingerprint() {
 			t.Fatalf("%s: round trip changed the fingerprint", spec.Name)
+		}
+	}
+}
+
+// TestSpecRoundTripReports: a spec run from its file form runs exactly as
+// the spec itself — for every preset, shrunk, the report JSON of
+// Run(DecodeSpec(EncodeSpec(s))) is byte-identical to Run(s)'s.
+func TestSpecRoundTripReports(t *testing.T) {
+	for _, s := range Presets() {
+		s.Nodes, s.Procs, s.NodeMemMB = 64, 128, 0
+		enc, err := EncodeSpec(s)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", s.Name, err)
+		}
+		back, err := DecodeSpec(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", s.Name, err)
+		}
+		want, err := MustRun(s, 9).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MustRun(back, 9).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the decoded spec's report differs from the spec's", s.Name)
 		}
 	}
 }
@@ -282,6 +312,46 @@ func TestDiffReportsFindsDivergence(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("seed divergence not reported:\n%s", strings.Join(diffs, "\n"))
+	}
+}
+
+// TestDiffSpecOneLinePerField: -diff names each diverging spec field on a
+// line of its own, by its wire name.
+func TestDiffSpecOneLinePerField(t *testing.T) {
+	a := small()
+	b := a
+	b.Nodes, b.Arrival = 5, ArrivalPoisson
+	b.Mix = []MixWeight{{Kind: MixRandom, Weight: 2}}
+	b.Fabric = FabricSpec{Topology: fabric.KindTwoTier, RackSize: 2}
+	var docs [2][]byte
+	for i, s := range []Spec{a, b.Canonical()} {
+		js, err := (&Report{Spec: s, Seed: 7}).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = js
+	}
+	diffs, err := DiffReportsData(docs[0], docs[1], DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"report[0]: spec.nodes: 4 != 5",
+		"report[0]: spec.arrival: batch != poisson",
+		"report[0]: spec.mix: [{sequential 1}] != [{random 2}]",
+	} {
+		if !slices.Contains(diffs, want) {
+			t.Errorf("missing %q", want)
+		}
+	}
+	fabricLines := 0
+	for _, d := range diffs {
+		if strings.HasPrefix(d, "report[0]: spec.fabric: ") {
+			fabricLines++
+		}
+	}
+	if fabricLines != 1 || len(diffs) != 4 {
+		t.Errorf("want the three lines above and one spec.fabric line, got:\n%s", strings.Join(diffs, "\n"))
 	}
 }
 

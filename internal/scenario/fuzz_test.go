@@ -13,8 +13,9 @@ import (
 // FuzzSpecRoundTrip locks the codec's two contracts: malformed input never
 // panics (it errors), and any document that decodes round-trips exactly —
 // decode→encode→decode is the identity and the encoding is stable. The
-// seed corpus is the built-in presets (the switched-fabric ones included)
-// plus minimal documents exercising the fabric block and churn kinds.
+// seed corpus is the built-in presets (the switched-fabric ones included),
+// minimal documents exercising the fabric block and churn kinds, and the
+// edge documents of the spec-codec golden.
 func FuzzSpecRoundTrip(f *testing.F) {
 	for _, spec := range Presets() {
 		enc, err := EncodeSpec(spec)
@@ -40,6 +41,10 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	// Evacuate without a crash, and failure churn on the star, must reject.
 	f.Add([]byte(`{"version": 1, "evacuate": true}`))
 	f.Add([]byte(`{"version": 1, "churn": [{"at": "2s", "kind": "node-crash", "node": 1}]}`))
+	// The codec golden's edge documents.
+	for _, doc := range specEdgeDocs {
+		f.Add([]byte(doc))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s1, err := DecodeSpec(data)
