@@ -73,6 +73,15 @@ func (k Kind) String() string {
 	}
 }
 
+// MarshalText renders the kind as its name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a topology name as ParseKind does.
+func (k *Kind) UnmarshalText(text []byte) (err error) {
+	*k, err = ParseKind(string(text))
+	return err
+}
+
 // Kinds lists the built-in topologies in declaration order.
 func Kinds() []Kind { return []Kind{KindStar, KindTwoTier, KindFlat} }
 

@@ -29,12 +29,12 @@ import (
 // Profile describes a link's characteristics.
 type Profile struct {
 	// Name describes the profile in reports.
-	Name string
+	Name string `json:"name,omitempty"`
 	// LatencyOneWay is the one-way propagation delay.
-	LatencyOneWay simtime.Duration
+	LatencyOneWay simtime.Duration `json:"latency_one_way"`
 	// BandwidthBps is the effective data bandwidth in bytes per second
 	// (after protocol overheads).
-	BandwidthBps float64
+	BandwidthBps float64 `json:"bandwidth_bps,omitempty"`
 }
 
 // FastEthernet matches the paper's testbed: the HKU Gideon 300 cluster's

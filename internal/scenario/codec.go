@@ -2,18 +2,23 @@
 // Report, so scenarios and their outcomes are shareable on-disk artefacts
 // (the ROADMAP's "Scenario I/O" item).
 //
-// The codec is strict and total: unknown fields are rejected (a typo never
-// silently runs the default), omitted fields take the Canonical defaults,
-// and the version field gates format evolution. Decoding always returns a
-// canonical, validated Spec, so decode→encode→decode is the identity — the
-// property FuzzSpecRoundTrip locks in. Every encoder is a pure function of
-// its value: equal reports render byte-identical JSON and CSV whatever
-// worker pool produced them.
+// The spec format is the json tags on Spec and its parts (FabricSpec,
+// MixWeight, ChurnEvent, netmodel.Profile), so each key is written once.
+// Enums travel as their String() names and durations as Go duration
+// strings ("250ms"), through the types' own text methods, so files are
+// hand-editable. The codec is strict and total: unknown fields are
+// rejected (a typo never silently runs the default), omitted fields take
+// the Canonical defaults, and the version field gates format evolution.
+// Decoding always returns a canonical, validated Spec, so
+// decode→encode→decode is the identity — the property FuzzSpecRoundTrip
+// locks in. Every encoder is a pure function of its value: equal reports
+// render byte-identical JSON and CSV whatever worker pool produced them.
 package scenario
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -21,285 +26,116 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
-
-	"ampom/internal/fabric"
-	"ampom/internal/netmodel"
-	"ampom/internal/simtime"
 )
 
 // SpecVersion is the on-disk spec format version this codec reads and
 // writes.
 const SpecVersion = 1
 
-// specJSON is the on-disk shape of a Spec. Enums travel as their String()
-// names and durations as Go duration strings ("250ms"), so files are
-// hand-editable.
-type specJSON struct {
-	Version          int          `json:"version"`
-	Name             string       `json:"name,omitempty"`
-	Nodes            int          `json:"nodes,omitempty"`
-	Procs            int          `json:"procs,omitempty"`
-	SlowFrac         float64      `json:"slow_frac,omitempty"`
-	FastFrac         float64      `json:"fast_frac,omitempty"`
-	SlowScale        float64      `json:"slow_scale,omitempty"`
-	FastScale        float64      `json:"fast_scale,omitempty"`
-	Arrival          string       `json:"arrival,omitempty"`
-	MeanInterarrival string       `json:"mean_interarrival,omitempty"`
-	Placement        string       `json:"placement,omitempty"`
-	Skew             float64      `json:"skew,omitempty"`
-	MeanCompute      string       `json:"mean_compute,omitempty"`
-	MeanFootprintMB  int64        `json:"mean_footprint_mb,omitempty"`
-	NodeMemMB        int64        `json:"node_mem_mb,omitempty"`
-	Mix              []mixJSON    `json:"mix,omitempty"`
-	Policies         []string     `json:"policies,omitempty"`
-	LoadVectorLen    int          `json:"load_vector_len,omitempty"`
-	Evacuate         bool         `json:"evacuate,omitempty"`
-	Network          *networkJSON `json:"network,omitempty"`
-	Fabric           *fabricJSON  `json:"fabric,omitempty"`
-	BackgroundLoad   float64      `json:"background_load,omitempty"`
-	BalancePeriod    string       `json:"balance_period,omitempty"`
-	CostThreshold    float64      `json:"cost_threshold,omitempty"`
-	Quantum          string       `json:"quantum,omitempty"`
-	MaxSimTime       string       `json:"max_sim_time,omitempty"`
-	Churn            []churnJSON  `json:"churn,omitempty"`
+// specDoc is the on-disk shape of a Spec: the format version, then the
+// spec's own fields.
+type specDoc struct {
+	Version int `json:"version"`
+	Spec
 }
 
-type mixJSON struct {
-	Kind   string `json:"kind"`
-	Weight int    `json:"weight"`
-}
-
-type networkJSON struct {
-	Name          string  `json:"name,omitempty"`
-	LatencyOneWay string  `json:"latency_one_way,omitempty"`
-	BandwidthBps  float64 `json:"bandwidth_bps,omitempty"`
-}
-
-// fabricJSON is the on-disk shape of the Fabric block. The legacy star
-// default is encoded by omitting the block entirely, so pre-fabric spec
-// documents decode (and re-encode) unchanged.
-type fabricJSON struct {
-	Topology     string  `json:"topology"`
-	RackSize     int     `json:"rack_size,omitempty"`
-	Oversub      float64 `json:"oversubscription,omitempty"`
-	GossipFanout int     `json:"gossip_fanout,omitempty"`
-	GossipPeriod string  `json:"gossip_period,omitempty"`
-	GossipWindow int     `json:"gossip_window,omitempty"`
-}
-
-type churnJSON struct {
-	At     string  `json:"at"`
-	Kind   string  `json:"kind"`
-	Node   int     `json:"node"`
-	Factor float64 `json:"factor,omitempty"`
-	Procs  int     `json:"procs,omitempty"`
-}
-
-// fmtDur renders a duration in the Go notation time.ParseDuration reads
-// back exactly.
-func fmtDur(d simtime.Duration) string { return d.String() }
-
-// parseDur reads a Go duration string; empty means "use the default".
-func parseDur(field, s string) (simtime.Duration, error) {
-	if s == "" {
+// parseName resolves a dense enum (values 0 through n-1) by its String()
+// name. The empty name is the zero value where the field has a default
+// (emptyOK) and an error otherwise.
+func parseName[T interface {
+	~uint8
+	fmt.Stringer
+}](what string, text []byte, n int, emptyOK bool) (T, error) {
+	if emptyOK && len(text) == 0 {
 		return 0, nil
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: field %s: %w", field, err)
+	for v := T(0); int(v) < n; v++ {
+		if v.String() == string(text) {
+			return v, nil
+		}
 	}
-	return simtime.FromStd(d), nil
+	return 0, fmt.Errorf("unknown %s %q", what, text)
 }
 
-// parseMixKind resolves a mix name.
-func parseMixKind(s string) (MixKind, error) {
-	for _, k := range []MixKind{MixSequential, MixBlocked, MixRandom, MixSmallWS} {
-		if s == k.String() {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown mix kind %q", s)
+// MarshalText renders the mix as its name.
+func (k MixKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a mix name.
+func (k *MixKind) UnmarshalText(text []byte) (err error) {
+	*k, err = parseName[MixKind]("mix kind", text, int(MixSmallWS)+1, false)
+	return err
 }
 
-// parseArrival resolves an arrival-model name; empty means the default.
-func parseArrival(s string) (ArrivalModel, error) {
-	switch s {
-	case "", ArrivalBatch.String():
-		return ArrivalBatch, nil
-	case ArrivalPoisson.String():
-		return ArrivalPoisson, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown arrival model %q", s)
+// MarshalText renders the model as its name.
+func (a ArrivalModel) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText reads a model name; empty means batch.
+func (a *ArrivalModel) UnmarshalText(text []byte) (err error) {
+	*a, err = parseName[ArrivalModel]("arrival model", text, int(ArrivalPoisson)+1, true)
+	return err
 }
 
-// parsePlacement resolves a placement name; empty means the default.
-func parsePlacement(s string) (Placement, error) {
-	switch s {
-	case "", PlaceSkewed.String():
-		return PlaceSkewed, nil
-	case PlaceRoundRobin.String():
-		return PlaceRoundRobin, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown placement %q", s)
+// MarshalText renders the placement as its name.
+func (p Placement) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText reads a placement name; empty means skewed.
+func (p *Placement) UnmarshalText(text []byte) (err error) {
+	*p, err = parseName[Placement]("placement", text, int(PlaceRoundRobin)+1, true)
+	return err
 }
 
-// parseChurnKind resolves a churn-kind name against the registry, so any
-// kind String() renders is guaranteed to parse back.
-func parseChurnKind(s string) (ChurnKind, error) {
-	for i, name := range churnKindNames {
-		if s == name {
-			return ChurnKind(i), nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown churn kind %q", s)
+// MarshalText renders the kind as its name.
+func (k ChurnKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a churn-kind name from the churnKindNames registry.
+func (k *ChurnKind) UnmarshalText(text []byte) (err error) {
+	*k, err = parseName[ChurnKind]("churn kind", text, len(churnKindNames), false)
+	return err
 }
 
-// toJSON converts a canonical Spec into its on-disk shape.
-func (s Spec) toJSON() specJSON {
-	out := specJSON{
-		Version:          SpecVersion,
-		Name:             s.Name,
-		Nodes:            s.Nodes,
-		Procs:            s.Procs,
-		SlowFrac:         s.SlowFrac,
-		FastFrac:         s.FastFrac,
-		SlowScale:        s.SlowScale,
-		FastScale:        s.FastScale,
-		Arrival:          s.Arrival.String(),
-		MeanInterarrival: fmtDur(s.MeanInterarrival),
-		Placement:        s.Placement.String(),
-		Skew:             s.Skew,
-		MeanCompute:      fmtDur(s.MeanCompute),
-		MeanFootprintMB:  s.MeanFootprintMB,
-		NodeMemMB:        s.NodeMemMB,
-		Policies:         s.Policies,
-		LoadVectorLen:    s.LoadVectorLen,
-		Evacuate:         s.Evacuate,
-		BackgroundLoad:   s.BackgroundLoad,
-		BalancePeriod:    fmtDur(s.BalancePeriod),
-		CostThreshold:    s.CostThreshold,
-		Quantum:          fmtDur(s.Quantum),
-		MaxSimTime:       fmtDur(s.MaxSimTime),
+// unsetKind is the kind a mix entry or churn event holds while it decodes;
+// no registered kind has this value.
+const unsetKind = 0xff
+
+// decodeKinded decodes a mix entry or churn event into v, whose kind field
+// is *kind. The kind has no default: a document naming none is rejected,
+// as one naming an unknown kind is.
+func decodeKinded[T any, K ~uint8](data []byte, v *T, kind *K, what string) error {
+	*kind = unsetKind
+	if err := decodeStrict(data, v); err != nil {
+		return err
 	}
-	for _, m := range s.Mix {
-		out.Mix = append(out.Mix, mixJSON{Kind: m.Kind.String(), Weight: m.Weight})
+	if *kind == unsetKind {
+		return fmt.Errorf("%s without a kind", what)
 	}
-	out.Network = &networkJSON{
-		Name:          s.Network.Name,
-		LatencyOneWay: fmtDur(s.Network.LatencyOneWay),
-		BandwidthBps:  s.Network.BandwidthBps,
-	}
-	if f := s.Fabric.Canonical(); !f.IsDefault() {
-		out.Fabric = &fabricJSON{
-			Topology:     f.Topology.String(),
-			RackSize:     f.RackSize,
-			Oversub:      f.Oversub,
-			GossipFanout: f.GossipFanout,
-			GossipPeriod: fmtDur(f.GossipPeriod),
-			GossipWindow: f.GossipWindow,
-		}
-	}
-	for _, c := range s.Churn {
-		out.Churn = append(out.Churn, churnJSON{
-			At: fmtDur(c.At), Kind: c.Kind.String(), Node: c.Node,
-			Factor: c.Factor, Procs: c.Procs,
-		})
-	}
-	return out
+	return nil
 }
 
-// fromJSON converts the on-disk shape back into a Spec (not yet canonical).
-func (sj specJSON) fromJSON() (Spec, error) {
-	s := Spec{
-		Name:            sj.Name,
-		Nodes:           sj.Nodes,
-		Procs:           sj.Procs,
-		SlowFrac:        sj.SlowFrac,
-		FastFrac:        sj.FastFrac,
-		SlowScale:       sj.SlowScale,
-		FastScale:       sj.FastScale,
-		Skew:            sj.Skew,
-		MeanFootprintMB: sj.MeanFootprintMB,
-		NodeMemMB:       sj.NodeMemMB,
-		Policies:        sj.Policies,
-		LoadVectorLen:   sj.LoadVectorLen,
-		Evacuate:        sj.Evacuate,
-		BackgroundLoad:  sj.BackgroundLoad,
-		CostThreshold:   sj.CostThreshold,
+// UnmarshalJSON decodes a mix entry, which must name its kind.
+func (m *MixWeight) UnmarshalJSON(data []byte) error {
+	type entry MixWeight // the fields without this method
+	return decodeKinded(data, (*entry)(m), &m.Kind, "mix entry")
+}
+
+// UnmarshalJSON decodes a churn event, which must name its kind.
+func (c *ChurnEvent) UnmarshalJSON(data []byte) error {
+	type event ChurnEvent // the fields without this method
+	return decodeKinded(data, (*event)(c), &c.Kind, "churn event")
+}
+
+// decodeStrict decodes the JSON document in data into v, rejecting unknown
+// fields and trailing data. The values that decode themselves (mix entries,
+// churn events) use it too, so the rejection holds at every depth.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	var err error
-	if s.Arrival, err = parseArrival(sj.Arrival); err != nil {
-		return Spec{}, err
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return errors.New("trailing data after the document")
 	}
-	if s.Placement, err = parsePlacement(sj.Placement); err != nil {
-		return Spec{}, err
-	}
-	if s.MeanInterarrival, err = parseDur("mean_interarrival", sj.MeanInterarrival); err != nil {
-		return Spec{}, err
-	}
-	if s.MeanCompute, err = parseDur("mean_compute", sj.MeanCompute); err != nil {
-		return Spec{}, err
-	}
-	if s.BalancePeriod, err = parseDur("balance_period", sj.BalancePeriod); err != nil {
-		return Spec{}, err
-	}
-	if s.Quantum, err = parseDur("quantum", sj.Quantum); err != nil {
-		return Spec{}, err
-	}
-	if s.MaxSimTime, err = parseDur("max_sim_time", sj.MaxSimTime); err != nil {
-		return Spec{}, err
-	}
-	for _, m := range sj.Mix {
-		k, err := parseMixKind(m.Kind)
-		if err != nil {
-			return Spec{}, err
-		}
-		s.Mix = append(s.Mix, MixWeight{Kind: k, Weight: m.Weight})
-	}
-	if sj.Network != nil {
-		lat, err := parseDur("network.latency_one_way", sj.Network.LatencyOneWay)
-		if err != nil {
-			return Spec{}, err
-		}
-		s.Network = netmodel.Profile{
-			Name:          sj.Network.Name,
-			LatencyOneWay: lat,
-			BandwidthBps:  sj.Network.BandwidthBps,
-		}
-	}
-	if sj.Fabric != nil {
-		kind, err := fabric.ParseKind(sj.Fabric.Topology)
-		if err != nil {
-			return Spec{}, fmt.Errorf("scenario: %w", err)
-		}
-		period, err := parseDur("fabric.gossip_period", sj.Fabric.GossipPeriod)
-		if err != nil {
-			return Spec{}, err
-		}
-		s.Fabric = FabricSpec{
-			Topology:     kind,
-			RackSize:     sj.Fabric.RackSize,
-			Oversub:      sj.Fabric.Oversub,
-			GossipFanout: sj.Fabric.GossipFanout,
-			GossipPeriod: period,
-			GossipWindow: sj.Fabric.GossipWindow,
-		}
-	}
-	for i, c := range sj.Churn {
-		k, err := parseChurnKind(c.Kind)
-		if err != nil {
-			return Spec{}, fmt.Errorf("scenario: churn[%d]: %w", i, err)
-		}
-		at, err := parseDur(fmt.Sprintf("churn[%d].at", i), c.At)
-		if err != nil {
-			return Spec{}, err
-		}
-		s.Churn = append(s.Churn, ChurnEvent{
-			At: at, Kind: k, Node: c.Node, Factor: c.Factor, Procs: c.Procs,
-		})
-	}
-	return s, nil
+	return nil
 }
 
 // EncodeSpec renders the canonical form of s as versioned, indented JSON.
@@ -310,7 +146,7 @@ func EncodeSpec(s Spec) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	b, err := json.MarshalIndent(s.toJSON(), "", "  ")
+	b, err := json.MarshalIndent(specDoc{Version: SpecVersion, Spec: s}, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("scenario: encoding spec: %w", err)
 	}
@@ -321,23 +157,14 @@ func EncodeSpec(s Spec) ([]byte, error) {
 // omitted fields take the Canonical defaults, and the result is validated.
 // The returned Spec is canonical, so DecodeSpec∘EncodeSpec is the identity.
 func DecodeSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var sj specJSON
-	if err := dec.Decode(&sj); err != nil {
+	var doc specDoc
+	if err := decodeStrict(data, &doc); err != nil {
 		return Spec{}, fmt.Errorf("scenario: decoding spec: %w", err)
 	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return Spec{}, fmt.Errorf("scenario: trailing data after spec document")
+	if doc.Version != SpecVersion {
+		return Spec{}, fmt.Errorf("scenario: unsupported spec version %d (want %d)", doc.Version, SpecVersion)
 	}
-	if sj.Version != SpecVersion {
-		return Spec{}, fmt.Errorf("scenario: unsupported spec version %d (want %d)", sj.Version, SpecVersion)
-	}
-	s, err := sj.fromJSON()
-	if err != nil {
-		return Spec{}, err
-	}
-	s = s.Canonical()
+	s := doc.Spec.Canonical()
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
@@ -371,7 +198,7 @@ const ReportVersion = 1
 // reportJSON is the on-disk shape of a Report.
 type reportJSON struct {
 	Version  int          `json:"version"`
-	Spec     specJSON     `json:"spec"`
+	Spec     specDoc      `json:"spec"`
 	Seed     uint64       `json:"seed"`
 	Procs    int          `json:"procs"`
 	Policies []schemeJSON `json:"policies"`
@@ -448,7 +275,7 @@ func schemeToJSON(st SchemeStats) schemeJSON {
 func (r *Report) toReportJSON() reportJSON {
 	out := reportJSON{
 		Version: ReportVersion,
-		Spec:    r.Spec.Canonical().toJSON(),
+		Spec:    specDoc{Version: SpecVersion, Spec: r.Spec.Canonical()},
 		Seed:    r.Seed,
 		Procs:   r.Procs,
 	}

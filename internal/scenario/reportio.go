@@ -15,9 +15,7 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"maps"
 	"math"
 	"os"
@@ -65,11 +63,7 @@ func schemeFromJSON(sj schemeJSON) SchemeStats {
 // this process never registered, and the artefact must still decode.
 // decodeReportDocs has already gated the format version.
 func (rj reportJSON) fromReportJSON() (*Report, error) {
-	spec, err := rj.Spec.fromJSON()
-	if err != nil {
-		return nil, err
-	}
-	spec = spec.Canonical()
+	spec := rj.Spec.Spec.Canonical()
 	if err := spec.validateShape(); err != nil {
 		return nil, err
 	}
@@ -85,22 +79,17 @@ func (rj reportJSON) fromReportJSON() (*Report, error) {
 // (batch runs). Unknown fields are rejected, as for specs.
 func decodeReportDocs(data []byte) ([]reportJSON, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var docs []reportJSON
 	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := dec.Decode(&docs); err != nil {
+		if err := decodeStrict(data, &docs); err != nil {
 			return nil, fmt.Errorf("scenario: decoding report array: %w", err)
 		}
 	} else {
 		var one reportJSON
-		if err := dec.Decode(&one); err != nil {
+		if err := decodeStrict(data, &one); err != nil {
 			return nil, fmt.Errorf("scenario: decoding report: %w", err)
 		}
 		docs = []reportJSON{one}
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, fmt.Errorf("scenario: trailing data after report document")
 	}
 	for _, d := range docs {
 		if d.Version != ReportVersion {
@@ -279,6 +268,10 @@ func diffStructs(prefix string, a, b any, c *diffCollector, floatCols bool) {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	t := va.Type()
 	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Anonymous { // the spec's fields inside its document
+			diffStructs(prefix, va.Field(i).Interface(), vb.Field(i).Interface(), c, floatCols)
+			continue
+		}
 		col := jsonFieldName(t.Field(i))
 		if floatCols && t.Field(i).Type.Kind() == reflect.Float64 {
 			fa, fb := va.Field(i).Float(), vb.Field(i).Float()

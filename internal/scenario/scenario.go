@@ -118,8 +118,8 @@ func (k MixKind) CoverTrace(pages int64, seed uint64) trace.Factory {
 
 // MixWeight is one entry of a scenario's workload mix.
 type MixWeight struct {
-	Kind   MixKind
-	Weight int
+	Kind   MixKind `json:"kind"`
+	Weight int     `json:"weight"`
 }
 
 // ArrivalModel selects how processes enter the cluster.
@@ -179,24 +179,24 @@ func (p Placement) String() string {
 // queues and replace the paired daemons with decentralised gossip.
 type FabricSpec struct {
 	// Topology selects the interconnect shape. Default: the star.
-	Topology fabric.Kind
+	Topology fabric.Kind `json:"topology"`
 	// RackSize is the number of nodes under one leaf switch (two-tier
 	// only; default 16).
-	RackSize int
+	RackSize int `json:"rack_size,omitempty"`
 	// Oversub is the core oversubscription ratio (two-tier only;
 	// default 4): a rack's uplink carries RackSize/Oversub node-links'
 	// worth of bandwidth.
-	Oversub float64
+	Oversub float64 `json:"oversubscription,omitempty"`
 	// GossipFanout is how many random peers each node's daemon pushes its
 	// load vector to per period (switched topologies; default 2).
-	GossipFanout int
+	GossipFanout int `json:"gossip_fanout,omitempty"`
 	// GossipPeriod is the gossip push period (switched topologies;
 	// default 2 s, the paired daemons' historical update period).
-	GossipPeriod simtime.Duration
+	GossipPeriod simtime.Duration `json:"gossip_period"`
 	// GossipWindow is l, the bounded number of load-vector entries (own
 	// sample included) one gossip push or pull response carries — the
 	// openMosix windowed dissemination (switched topologies; default 32).
-	GossipWindow int
+	GossipWindow int `json:"gossip_window,omitempty"`
 }
 
 // Canonical resolves the fabric block's defaults. The star zeroes every
@@ -309,9 +309,9 @@ const (
 )
 
 // churnKindNames is the single churn-kind registry: String, the JSON
-// codec's parser, validation's known-kind check and the CLI listing all
-// derive from it, so a kind added here cannot round-trip as unknown
-// anywhere else. Index == kind value.
+// codec's UnmarshalText, validation's known-kind check and the CLI
+// listing all derive from it, so a kind added here cannot round-trip as
+// unknown anywhere else. Index == kind value.
 var churnKindNames = [...]string{
 	ChurnSlowNode:    "slow-node",
 	ChurnBurst:       "burst",
@@ -349,98 +349,102 @@ func (k ChurnKind) failure() bool {
 
 // ChurnEvent is one scheduled disturbance.
 type ChurnEvent struct {
-	At     simtime.Duration
-	Kind   ChurnKind
-	Node   int     // target node (ChurnNetLoad: -1 means every spoke; ChurnLinkDown/Up: -(r+1) means rack r's uplink)
-	Factor float64 // ChurnSlowNode: CPU multiplier; ChurnNetLoad: load fraction; ChurnBalloon: footprint multiplier
-	Procs  int     // ChurnBurst: how many processes arrive
+	At     simtime.Duration `json:"at"`
+	Kind   ChurnKind        `json:"kind"`
+	Node   int              `json:"node"`             // target node (ChurnNetLoad: -1 means every spoke; ChurnLinkDown/Up: -(r+1) means rack r's uplink)
+	Factor float64          `json:"factor,omitempty"` // ChurnSlowNode: CPU multiplier; ChurnNetLoad: load fraction; ChurnBalloon: footprint multiplier
+	Procs  int              `json:"procs,omitempty"`  // ChurnBurst: how many processes arrive
 }
 
 // Spec declares one cluster scenario. Zero fields take defaults; Canonical
 // resolves them, and Fingerprint (the campaign cache/seed key) is computed
-// from the canonical form.
+// from the canonical form. The json tags are the on-disk spec format
+// (codec.go); the key order on disk is the field order here.
 type Spec struct {
 	// Name labels the scenario in reports and fingerprints.
-	Name string
+	Name string `json:"name,omitempty"`
 	// Nodes is the cluster size. Default 8.
-	Nodes int
+	Nodes int `json:"nodes,omitempty"`
 	// Procs is the number of processes injected (before bursts).
 	// Default 4×Nodes.
-	Procs int
+	Procs int `json:"procs,omitempty"`
 
 	// CPU heterogeneity: SlowFrac of the nodes run at SlowScale and
 	// FastFrac at FastScale relative to the reference CPU; the rest run at
 	// 1.0. Defaults: no heterogeneity (fracs 0), SlowScale 0.5,
 	// FastScale 2.
-	SlowFrac, FastFrac   float64
-	SlowScale, FastScale float64
+	SlowFrac  float64 `json:"slow_frac,omitempty"`
+	FastFrac  float64 `json:"fast_frac,omitempty"`
+	SlowScale float64 `json:"slow_scale,omitempty"`
+	FastScale float64 `json:"fast_scale,omitempty"`
 
 	// Arrival is the arrival model; MeanInterarrival spaces Poisson
 	// arrivals (default 250 ms).
-	Arrival          ArrivalModel
-	MeanInterarrival simtime.Duration
+	Arrival          ArrivalModel     `json:"arrival"`
+	MeanInterarrival simtime.Duration `json:"mean_interarrival"`
 	// Placement and Skew drive initial placement. Skew defaults to 0.8;
 	// a negative value means explicitly uniform placement (the legitimate
 	// 0 is not expressible directly because zero means "use the default").
-	Placement Placement
-	Skew      float64
+	Placement Placement `json:"placement"`
+	Skew      float64   `json:"skew,omitempty"`
 
 	// MeanCompute is the mean per-process service demand at the reference
 	// CPU (default 10 s). MeanFootprintMB is the mean process footprint
 	// (default 128 MB).
-	MeanCompute     simtime.Duration
-	MeanFootprintMB int64
+	MeanCompute     simtime.Duration `json:"mean_compute"`
+	MeanFootprintMB int64            `json:"mean_footprint_mb,omitempty"`
 	// NodeMemMB is each node's physical memory — what the memory-ushering
 	// policy balances against. Default: four balanced shares of the mean
 	// footprint (4 × ⌈Procs/Nodes⌉ × MeanFootprintMB).
-	NodeMemMB int64
+	NodeMemMB int64 `json:"node_mem_mb,omitempty"`
 	// Mix weights the per-process reference shapes. Default: all
 	// sequential.
-	Mix []MixWeight
+	Mix []MixWeight `json:"mix,omitempty"`
 
 	// Policies names the balancer policies the scenario runs under, by
 	// registry name. Empty means every registered policy. The canonical
 	// form is sorted, deduplicated and always contains the no-migration
 	// baseline the slowdown ratios divide by.
-	Policies []string
-
-	// Network is the per-node link profile of the interconnect (zero
-	// value: Fast Ethernet). BackgroundLoad is the initial fraction of
-	// node-link bandwidth consumed by competing traffic.
-	Network        netmodel.Profile
-	BackgroundLoad float64
-
-	// Fabric selects the interconnect topology (star, two-tier, flat) and
-	// the gossip dissemination parameters of the switched topologies. The
-	// zero value is the legacy star with paired daemons.
-	Fabric FabricSpec
+	Policies []string `json:"policies,omitempty"`
 	// LoadVectorLen lifts the sampling policies' sample size l (the
 	// number of peer entries one balancing decision inspects) out of the
 	// built-in constants. Zero keeps each policy's default (load-vector 3,
 	// queue-gossip 8); values of Nodes-1 or more mean full knowledge.
-	LoadVectorLen int
+	LoadVectorLen int `json:"load_vector_len,omitempty"`
 	// Evacuate turns a ChurnNodeCrash into a drain: the crashing node's
 	// runnable residents are migrated to the least-loaded reachable nodes
 	// before its connectivity dies, with fail-back to the (crashed) source
 	// when a freeze-time payload cannot be delivered — juju's
 	// model-migration semantics. Without it a crash costs the residents
 	// their progress until the node recovers.
-	Evacuate bool
+	Evacuate bool `json:"evacuate,omitempty"`
+
+	// Network is the per-node link profile of the interconnect (zero
+	// value: Fast Ethernet).
+	Network netmodel.Profile `json:"network"`
+	// Fabric selects the interconnect topology (star, two-tier, flat) and
+	// the gossip dissemination parameters of the switched topologies. The
+	// zero value is the legacy star with paired daemons, which encodes as
+	// no block at all.
+	Fabric FabricSpec `json:"fabric,omitzero"`
+	// BackgroundLoad is the initial fraction of node-link bandwidth
+	// consumed by competing traffic.
+	BackgroundLoad float64 `json:"background_load,omitempty"`
 
 	// BalancePeriod is the load balancer's decision interval (default 1 s);
 	// CostThreshold its safety factor (default 1.25).
-	BalancePeriod simtime.Duration
-	CostThreshold float64
+	BalancePeriod simtime.Duration `json:"balance_period"`
+	CostThreshold float64          `json:"cost_threshold,omitempty"`
 
 	// Quantum is the processor-sharing quantum (default 50 ms).
-	Quantum simtime.Duration
+	Quantum simtime.Duration `json:"quantum"`
 	// MaxSimTime bounds the virtual-time horizon; processes still running
 	// at the horizon are reported as unfinished. Default: generous —
 	// 4 × Procs × MeanCompute + a minute.
-	MaxSimTime simtime.Duration
+	MaxSimTime simtime.Duration `json:"max_sim_time"`
 
 	// Churn is the scripted disturbance sequence.
-	Churn []ChurnEvent
+	Churn []ChurnEvent `json:"churn,omitempty"`
 }
 
 // Canonical resolves every zero "use the default" field, so two Specs that

@@ -67,6 +67,21 @@ func (d Duration) Milliseconds() float64 { return float64(d) / float64(Milliseco
 // String formats the duration using the standard library notation.
 func (d Duration) String() string { return time.Duration(d).String() }
 
+// MarshalText renders the duration in the Go notation ("250ms") that
+// UnmarshalText reads back exactly.
+func (d Duration) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+// UnmarshalText reads a Go duration string; the empty string is zero.
+func (d *Duration) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		*d = 0
+		return nil
+	}
+	std, err := time.ParseDuration(string(text))
+	*d = FromStd(std)
+	return err
+}
+
 // FromSeconds converts a floating-point number of seconds to a Duration,
 // rounding to the nearest nanosecond.
 func FromSeconds(s float64) Duration {
