@@ -51,6 +51,12 @@ func main() {
 	if !(*load >= 0 && *load <= 0.95) {
 		cli.Usage("-load %g outside [0, 0.95]", *load)
 	}
+	if *mb <= 0 {
+		cli.Usage("-mb %d: want a positive footprint", *mb)
+	}
+	if *alloc < 0 || (*alloc != 0 && *alloc < *mb) {
+		cli.Usage("-alloc %d: want 0 (off) or at least -mb %d", *alloc, *mb)
+	}
 
 	eng := ampom.NewCampaignEngine(ampom.CampaignOptions{Workers: cf.Workers, BaseSeed: cf.Seed})
 

@@ -53,3 +53,21 @@ func TestSmokeUnknownNetworkIsUsageError(t *testing.T) {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
 }
+
+func TestSmokeNonPositiveFootprintIsUsageError(t *testing.T) {
+	for _, mb := range []string{"0", "-5"} {
+		_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-kernel", "STREAM", "-mb", mb)
+		if !strings.Contains(stderr, "want a positive footprint") {
+			t.Fatalf("-mb %s: unexpected stderr:\n%s", mb, stderr)
+		}
+	}
+}
+
+func TestSmokeAllocBelowFootprintIsUsageError(t *testing.T) {
+	for _, alloc := range []string{"-1", "2"} {
+		_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-kernel", "STREAM", "-mb", "4", "-alloc", alloc)
+		if !strings.Contains(stderr, "at least -mb 4") {
+			t.Fatalf("-alloc %s: unexpected stderr:\n%s", alloc, stderr)
+		}
+	}
+}

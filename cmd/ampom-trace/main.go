@@ -28,6 +28,12 @@ func main() {
 	if err != nil {
 		cli.Usage("%v", err)
 	}
+	if *mb <= 0 {
+		cli.Usage("-mb %d: want a positive footprint", *mb)
+	}
+	if *windows < 0 {
+		cli.Usage("-windows %d: want a non-negative window count", *windows)
+	}
 
 	// Build/run failures are runtime failures (exit 1), not usage errors —
 	// the ampom-bench convention.

@@ -30,3 +30,17 @@ func TestSmokeUnknownKernelIsUsageError(t *testing.T) {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
 }
+
+func TestSmokeNonPositiveFootprintIsUsageError(t *testing.T) {
+	_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-mb", "0")
+	if !strings.Contains(stderr, "want a positive footprint") {
+		t.Fatalf("unexpected stderr:\n%s", stderr)
+	}
+}
+
+func TestSmokeNegativeWindowsIsUsageError(t *testing.T) {
+	_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-mb", "8", "-windows", "-3")
+	if !strings.Contains(stderr, "want a non-negative window count") {
+		t.Fatalf("unexpected stderr:\n%s", stderr)
+	}
+}
