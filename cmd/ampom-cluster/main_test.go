@@ -283,6 +283,32 @@ func TestDiffReports(t *testing.T) {
 	}
 }
 
+// TestDiffRejectsUnsupportedSpecVersion: a saved report whose embedded
+// spec is in a format version this build does not read is a runtime error
+// naming the version, not a divergence to list.
+func TestDiffRejectsUnsupportedSpecVersion(t *testing.T) {
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a.json")
+	b := filepath.Join(dir, "b.json")
+	clitest.Run(t, "-scenario", "web-churn", "-nodes", "4", "-procs", "8", "-j", "1", "-o", a)
+	data, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := "\"spec\": {\n    \"version\": 1,"
+	if !strings.Contains(string(data), marker) {
+		t.Fatalf("report has no spec version line:\n%s", data)
+	}
+	edited := strings.Replace(string(data), marker, "\"spec\": {\n    \"version\": 99,", 1)
+	if err := os.WriteFile(b, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr := clitest.RunExpect(t, cli.CodeFail, "-diff", a, b)
+	if !strings.Contains(stderr, "unsupported spec version 99") || strings.Contains(stderr, "divergence") || out != "" {
+		t.Fatalf("want an unsupported-spec-version error and no divergences; stdout:\n%s\nstderr:\n%s", out, stderr)
+	}
+}
+
 // TestDiffTolerance locks the -diff-eps / -summary modes: a generous
 // relative epsilon lets the float columns of two different-seed runs gate
 // as equal only when counts also agree, a per-column epsilon loosens just

@@ -161,14 +161,23 @@ func DecodeSpec(data []byte) (Spec, error) {
 	if err := decodeStrict(data, &doc); err != nil {
 		return Spec{}, fmt.Errorf("scenario: decoding spec: %w", err)
 	}
-	if doc.Version != SpecVersion {
-		return Spec{}, fmt.Errorf("scenario: unsupported spec version %d (want %d)", doc.Version, SpecVersion)
+	if err := checkSpecVersion(doc.Version); err != nil {
+		return Spec{}, err
 	}
 	s := doc.Spec.Canonical()
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
+}
+
+// checkSpecVersion rejects a spec document, standalone or inside a report,
+// written in a format version this codec does not read.
+func checkSpecVersion(v int) error {
+	if v != SpecVersion {
+		return fmt.Errorf("scenario: unsupported spec version %d (want %d)", v, SpecVersion)
+	}
+	return nil
 }
 
 // LoadSpec reads a spec file written by SaveSpec (or by hand).

@@ -61,7 +61,7 @@ func schemeFromJSON(sj schemeJSON) SchemeStats {
 // fromReportJSON rebuilds a Report from its on-disk shape. The spec is
 // shape-validated only: a report may record a run under a custom policy
 // this process never registered, and the artefact must still decode.
-// decodeReportDocs has already gated the format version.
+// decodeReportDocs has already gated the report and spec format versions.
 func (rj reportJSON) fromReportJSON() (*Report, error) {
 	spec := rj.Spec.Spec.Canonical()
 	if err := spec.validateShape(); err != nil {
@@ -76,7 +76,8 @@ func (rj reportJSON) fromReportJSON() (*Report, error) {
 
 // decodeReportDocs parses a report artefact into its on-disk rows: either
 // one report object (ampom-cluster -o on a single scenario) or an array
-// (batch runs). Unknown fields are rejected, as for specs.
+// (batch runs). Unknown fields are rejected, as for specs, and so is a
+// report or embedded spec in a format version this codec does not read.
 func decodeReportDocs(data []byte) ([]reportJSON, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	var docs []reportJSON
@@ -94,6 +95,9 @@ func decodeReportDocs(data []byte) ([]reportJSON, error) {
 	for _, d := range docs {
 		if d.Version != ReportVersion {
 			return nil, fmt.Errorf("scenario: unsupported report version %d (want %d)", d.Version, ReportVersion)
+		}
+		if err := checkSpecVersion(d.Spec.Version); err != nil {
+			return nil, err
 		}
 	}
 	return docs, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ampom/internal/fabric"
@@ -202,4 +203,42 @@ func TestRealRunRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTripOnce(t, "real run", rep, data)
+}
+
+// TestReportSpecVersionChecked: a report whose embedded spec carries a
+// format version this codec does not read is rejected — by DecodeReports
+// and by the diff, in object and array form — with the error DecodeSpec
+// gives for the same version, rather than decoded or compared field by
+// field as a divergence.
+func TestReportSpecVersionChecked(t *testing.T) {
+	rep := randReport(rand.New(rand.NewSource(3)), 0)
+	good, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := []byte("\"spec\": {\n    \"version\": 1,")
+	if !bytes.Contains(good, marker) {
+		t.Fatalf("report JSON has no spec version line:\n%s", good)
+	}
+	bad := bytes.Replace(good, marker, []byte("\"spec\": {\n    \"version\": 99,"), 1)
+	spec, err := EncodeSpec(rep.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, specErr := DecodeSpec(bytes.Replace(spec, []byte(`"version": 1,`), []byte(`"version": 99,`), 1))
+	if specErr == nil {
+		t.Fatal("DecodeSpec accepted spec version 99")
+	}
+	array := append(append([]byte("["), bad...), ']')
+	for _, doc := range [][]byte{bad, array} {
+		if _, err := DecodeReports(doc); err == nil || err.Error() != specErr.Error() {
+			t.Errorf("DecodeReports: got error %v, want %q", err, specErr)
+		}
+		if diffs, err := DiffReportsData(good, doc, DiffOptions{}); err == nil || !strings.HasSuffix(err.Error(), specErr.Error()) {
+			t.Errorf("DiffReportsData: got %v, error %v; want the error %q", diffs, err, specErr)
+		}
+	}
+	if _, err := DecodeReports(good); err != nil {
+		t.Fatalf("the unedited report no longer decodes: %v", err)
+	}
 }
