@@ -3,13 +3,13 @@
 # engine, the binary smoke tests, the campaign-service smoke (HTTP
 # submit, dedup and store-hit paths), a vet and test pass over the
 # perfbench benchmark module, a short fuzz pass over the AMPoM
-# prefetcher, the trace combinators, the scenario spec codec, whole
+# prefetcher, the trace program cursor, the scenario spec codec, whole
 # failure scripts, the event queue, the gossip cell table and the remote
 # paging protocol, one bench-balance iteration so policy-dispatch
 # overhead is tracked, one bench-analyze iteration of the per-fault AMPoM
-# analysis, the scenario's prefetch census and a remote-paging round
-# trip, and one bench-fabric iteration asserting the 512-, 4096- and
-# 16384-node presets' event budgets.
+# analysis, the scenario's prefetch census, a remote-paging round trip
+# and the paper-scale workload builds, and one bench-fabric iteration
+# asserting the 512-, 4096- and 16384-node presets' event budgets.
 
 GO ?= go
 
@@ -53,8 +53,12 @@ clusterd-smoke:
 perfbench-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Short fuzz passes over the AMPoM per-fault analysis, the trace
-# combinator algebra, the scenario spec JSON codec, whole failure-script
+# Short fuzz passes over the AMPoM per-fault analysis, the trace program
+# cursor (random nested programs, Tiles with a shorter last tile and
+# Interleaves of composites among them, must yield exactly the stream of
+# the frozen closure combinators they replaced, replay it exactly after a
+# reset, stay exhausted once drained, and resume after a pushed
+# reference), the scenario spec JSON codec, whole failure-script
 # scenarios checked against the live-view rebuild, the event queue's
 # differential model against container/heap, the gossip daemon's flat
 # cell table against the frozen map-based heard set, and random request
@@ -87,11 +91,13 @@ bench-balance:
 
 # BenchmarkAnalyze runs one fault's AMPoM analysis per fault pattern
 # (sequential, strided, random), BenchmarkPrefetchCensus one migrant's
-# prefetch census per workload mix and BenchmarkPagingRoundTrip one demand
-# request with prefetch pages from send to install, so the cost and
-# allocations of the analysis and remote-paging paths are tracked per PR.
+# prefetch census per workload mix, BenchmarkPagingRoundTrip one demand
+# request with prefetch pages from send to install and BenchmarkBuild one
+# build of the largest DGEMM and FFT workloads at paper scale, so the cost
+# and allocations of the analysis, remote-paging and workload-build paths
+# are tracked per PR.
 bench-analyze:
-	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus|PagingRoundTrip)$$' -benchmem -benchtime 1x ./internal/core ./internal/scenario ./internal/paging
+	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus|PagingRoundTrip|Build)$$' -benchmem -benchtime 1x ./internal/core ./internal/scenario ./internal/paging ./internal/hpcc
 
 # BenchmarkFabric{512,512Failures,4096,16384,16384Shards} run the rack-farm
 # (512n/2048p, failure-free and under the crash/evacuation/link-flap

@@ -33,6 +33,7 @@ import (
 	"ampom/internal/scenario"
 	"ampom/internal/sched"
 	"ampom/internal/simtime"
+	"ampom/internal/trace"
 )
 
 // Core aliases: virtual time and the AMPoM algorithm.
@@ -466,8 +467,9 @@ func LiveProgramFor(mix ScenarioMix, pages, passes int, seed uint64) []LiveOp {
 		passes = 1
 	}
 	var ops []LiveOp
+	var src trace.Cursor
 	for pass := 0; pass < passes; pass++ {
-		src := mix.CoverTrace(int64(pages), seed+uint64(pass))()
+		src.Reset(mix.CoverProgram(int64(pages), seed+uint64(pass)))
 		for {
 			ref, ok := src.Next()
 			if !ok {

@@ -52,7 +52,7 @@ func main() {
 	pre, err := ampom.NewPrefetcher(ampom.DefaultPrefetcherConfig(), w.Layout.Pages())
 	cli.Check(err)
 	est := ampom.Estimates{RTT: 20_000_000, PageTransfer: 400_000} // 20 ms / 0.4 ms
-	src := w.Source()
+	src := w.Source.Open()
 	seen := map[ampom.PageNum]bool{}
 	var t ampom.Time
 	printed := 0

@@ -148,9 +148,9 @@ type Workload struct {
 	Entry Entry
 	// Layout is the process address-space layout.
 	Layout memory.Layout
-	// Source produces the post-migration page reference stream. Factories
-	// are replayable; each simulation run draws a fresh stream.
-	Source trace.Factory
+	// Source is the post-migration page reference stream's program. It
+	// is immutable; each simulation run walks it with its own cursor.
+	Source trace.Program
 	// Refs is the analytic reference count of the stream.
 	Refs int64
 	// BaseCompute is the pure CPU time of the post-migration phase (the
@@ -247,7 +247,7 @@ func BuildWorkingSet(allocMB, wsMB int64, seed uint64) (*Workload, error) {
 // and FFT's blocked-stage reuse, narrow enough that STREAM's whole-array
 // revisits and RandomAccess's chance collisions score low.
 func Locality(w *Workload) (spatial, temporal float64) {
-	refs := trace.Collect(w.Source(), 0)
+	refs := trace.Collect(w.Source.Open(), 0)
 	ps := trace.Pages(refs)
 	heap := w.Layout.Region(memory.RegionHeap)
 	spatial = trace.SlidingSpatialScore(ps, 20, 4)

@@ -83,7 +83,7 @@ func TestRefCountsMatchAnalytic(t *testing.T) {
 	for _, k := range Kernels() {
 		e := Scaled(CatalogueFor(k)[0], 16) // ~7 MB
 		w := MustBuild(e, 3)
-		if got := int64(len(trace.Collect(w.Source(), 0))); got != w.Refs {
+		if got := int64(len(trace.Collect(w.Source.Open(), 0))); got != w.Refs {
 			t.Fatalf("%v: drained %d refs, advertised %d", k, got, w.Refs)
 		}
 	}
@@ -95,7 +95,7 @@ func TestComputeBudget(t *testing.T) {
 	for _, k := range Kernels() {
 		e := Scaled(CatalogueFor(k)[0], 16)
 		w := MustBuild(e, 3)
-		src := w.Source()
+		src := w.Source.Open()
 		var total int64
 		for {
 			r, ok := src.Next()
@@ -117,7 +117,7 @@ func TestStreamsStayInHeap(t *testing.T) {
 		e := Scaled(CatalogueFor(k)[0], 16)
 		w := MustBuild(e, 3)
 		heap := w.Layout.Region(memory.RegionHeap)
-		src := w.Source()
+		src := w.Source.Open()
 		for {
 			r, ok := src.Next()
 			if !ok {
@@ -138,7 +138,7 @@ func TestWorkingSetCoverage(t *testing.T) {
 		w := MustBuild(e, 3)
 		heap := w.Layout.Region(memory.RegionHeap)
 		touched := map[memory.PageNum]bool{}
-		src := w.Source()
+		src := w.Source.Open()
 		for {
 			r, ok := src.Next()
 			if !ok {
@@ -160,7 +160,7 @@ func TestDeterministicStreams(t *testing.T) {
 	e := Scaled(Largest(RandomAccess), 32)
 	a := MustBuild(e, 9)
 	b := MustBuild(e, 9)
-	sa, sb := a.Source(), b.Source()
+	sa, sb := a.Source.Open(), b.Source.Open()
 	for i := 0; ; i++ {
 		ra, oka := sa.Next()
 		rb, okb := sb.Next()
@@ -186,7 +186,7 @@ func TestBuildWorkingSet(t *testing.T) {
 	}
 	heap := w.Layout.Region(memory.RegionHeap)
 	maxTouched := memory.PageNum(0)
-	src := w.Source()
+	src := w.Source.Open()
 	for {
 		r, ok := src.Next()
 		if !ok {

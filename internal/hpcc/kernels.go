@@ -7,10 +7,11 @@ import (
 )
 
 // This file builds the page-level reference streams of the four kernels.
-// Each builder returns a replayable factory plus the analytic reference
+// Each builder returns the stream's program plus the analytic reference
 // count; compute time per reference is the kernel's calibrated base time
 // spread over its references, so the stream's total compute equals
-// baseTime() exactly (up to rounding).
+// baseTime() exactly (up to rounding). Each builder sizes its program's
+// node slice up front, so building a workload allocates it once.
 
 // perRef divides a compute budget over n references.
 func perRef(total simtime.Duration, n int64) simtime.Duration {
@@ -34,7 +35,7 @@ const dgemmPasses = 64
 // it — so fresh-page demand clusters, and compute happens on resident
 // panels between bursts. wsPages caps the touched heap pages for the §5.6
 // working-set variant (pass heap.Count for the standard kernel).
-func buildDGEMM(heap memory.Region, wsPages int64, base simtime.Duration) (trace.Factory, int64) {
+func buildDGEMM(heap memory.Region, wsPages int64, base simtime.Duration) (trace.Program, int64) {
 	third := wsPages / 3
 	if third < 1 {
 		third = 1
@@ -52,7 +53,9 @@ func buildDGEMM(heap memory.Region, wsPages int64, base simtime.Duration) (trace
 	refs := passes*third + 2*third // A re-read per pass + B, C once each
 	cp := perRef(base, refs)
 
-	parts := make([]trace.Factory, 0, passes)
+	var b trace.Builder
+	b.Grow(int(4 * passes)) // per pass: its Concat and three sweeps
+	var parts [dgemmPasses]trace.Node
 	for j := int64(0); j < passes; j++ {
 		bc := chunk
 		if j == passes-1 {
@@ -61,13 +64,13 @@ func buildDGEMM(heap memory.Region, wsPages int64, base simtime.Duration) (trace
 		// Panel copies touch the fresh B and C chunks at memory speed (1 %
 		// of the pass compute); the A re-read carries the block products.
 		passCompute := cp * simtime.Duration(third+2*bc)
-		parts = append(parts, trace.Concat(
+		parts[j] = b.Concat(
 			trace.Sequential(bStart+memory.PageNum(j*chunk), bc, perRef(passCompute/100, bc), false),
 			trace.Sequential(cStart+memory.PageNum(j*chunk), bc, perRef(passCompute/100, bc), true),
 			trace.Sequential(aStart, third, perRef(passCompute*98/100, third), false),
-		))
+		)
 	}
-	return trace.Concat(parts...), refs
+	return b.Program(b.Concat(parts[:passes]...)), refs
 }
 
 // streamIterations is the number of whole benchmark iterations modelled.
@@ -80,7 +83,7 @@ const streamIterations = 4
 // Copy c←a, Scale b←c, Add c←a+b, Triad a←b+s·c. Lock-step array sweeps
 // become round-robin interleavings of sequential page streams, which is
 // exactly the stride-2/stride-3 fault pattern AMPoM's window sees.
-func buildSTREAM(heap memory.Region, base simtime.Duration) (trace.Factory, int64) {
+func buildSTREAM(heap memory.Region, base simtime.Duration) (trace.Program, int64) {
 	third := heap.Count / 3
 	if third < 1 {
 		third = 1
@@ -93,31 +96,33 @@ func buildSTREAM(heap memory.Region, base simtime.Duration) (trace.Factory, int6
 	refs := refsPerIter * streamIterations
 	cp := perRef(base, refs)
 
-	iteration := trace.Concat(
+	var bld trace.Builder
+	bld.Grow(15) // the iteration's Concat, four Interleaves and ten sweeps
+	iteration := bld.Concat(
 		// Copy: c[i] = a[i]
-		trace.Interleave(
+		bld.Interleave(
 			trace.Sequential(a, third, cp, false),
 			trace.Sequential(c, third, cp, true),
 		),
 		// Scale: b[i] = s·c[i]
-		trace.Interleave(
+		bld.Interleave(
 			trace.Sequential(c, third, cp, false),
 			trace.Sequential(b, third, cp, true),
 		),
 		// Add: c[i] = a[i] + b[i]
-		trace.Interleave(
+		bld.Interleave(
 			trace.Sequential(a, third, cp, false),
 			trace.Sequential(b, third, cp, false),
 			trace.Sequential(c, third, cp, true),
 		),
 		// Triad: a[i] = b[i] + s·c[i]
-		trace.Interleave(
+		bld.Interleave(
 			trace.Sequential(b, third, cp, false),
 			trace.Sequential(c, third, cp, false),
 			trace.Sequential(a, third, cp, true),
 		),
 	)
-	return trace.Repeat(streamIterations, iteration), refs
+	return bld.Program(bld.Repeat(streamIterations, iteration)), refs
 }
 
 // touchesPerPage is the modelled RandomAccess fetch-in density: random
@@ -135,7 +140,7 @@ const touchesPerPage = 6
 // buildRandomAccess models GUPS: the fetch-in slice of the random update
 // stream, the fault-free bulk of the updates, then the harness's
 // sequential verification sweep.
-func buildRandomAccess(heap memory.Region, base simtime.Duration, seed uint64) (trace.Factory, int64) {
+func buildRandomAccess(heap memory.Region, base simtime.Duration, seed uint64) (trace.Program, int64) {
 	touches := heap.Count * touchesPerPage
 	sweep := heap.Count
 	refs := touches + 1 + sweep
@@ -145,13 +150,15 @@ func buildRandomAccess(heap memory.Region, base simtime.Duration, seed uint64) (
 	cpT := perRef(base*1/100, touches)
 	bulk := base * 84 / 100
 	cpS := perRef(base*15/100, sweep)
-	return trace.Concat(
+	var b trace.Builder
+	b.Grow(3)
+	return b.Program(b.Concat(
 		trace.RandomUniform(heap.Start, heap.Count, touches, cpT, true, seed^0x9a0d),
 		// Fault-free bulk of the updates: the table is (almost) fully
 		// local, so this is pure compute pinned on a resident page.
 		trace.Sequential(heap.Start, 1, bulk, true),
 		trace.Sequential(heap.Start, sweep, cpS, false),
-	), refs
+	)), refs
 }
 
 // fftPasses is the number of modelled butterfly pass groups.
@@ -171,24 +178,16 @@ const fftStageIters = 2
 // buildFFT models a large out-of-place FFT over data D and work W halves of
 // the heap: a blocked bit-reversal scatter (the lower spatial locality
 // phase), then fftPasses blocked sweeps alternating the D→W and W→D
-// directions, each block run through fftStageIters fused stages.
-func buildFFT(heap memory.Region, base simtime.Duration, seed uint64) (trace.Factory, int64) {
+// directions, each block run through fftStageIters fused stages. Each pass
+// is one Tile over the half's fftBlock-page blocks, so the program has a
+// fixed handful of nodes however large the heap.
+func buildFFT(heap memory.Region, base simtime.Duration, seed uint64) (trace.Program, int64) {
 	half := heap.Count / 2
 	if half < 1 {
 		half = 1
 	}
 	d := heap.Start
 	w := heap.Start + memory.PageNum(half)
-
-	nBlocks := (half + fftBlock - 1) / fftBlock
-	blockAt := func(base memory.PageNum, i int64) (memory.PageNum, int64) {
-		start := base + memory.PageNum(i*fftBlock)
-		count := int64(fftBlock)
-		if rem := half - i*fftBlock; rem < count {
-			count = rem
-		}
-		return start, count
-	}
 
 	// Refs: scatter (half) + passes × stageIters × (src block + dst block).
 	refs := half + int64(fftPasses)*fftStageIters*2*half
@@ -197,7 +196,9 @@ func buildFFT(heap memory.Region, base simtime.Duration, seed uint64) (trace.Fac
 	cpScatter := perRef(base*3/100, half)
 	cpPass := perRef(base*97/100, refs-half)
 
-	parts := []trace.Factory{
+	var b trace.Builder
+	b.Grow(1 + fftPasses*5) // the scatter, and per pass a Tile, its Repeat, a Concat and two sweeps
+	parts := [1 + fftPasses]trace.Node{
 		trace.BlockPermuted(d, half, fftBlock, cpScatter, true, seed^0x0ff7),
 	}
 	for p := 0; p < fftPasses; p++ {
@@ -205,14 +206,12 @@ func buildFFT(heap memory.Region, base simtime.Duration, seed uint64) (trace.Fac
 		if p%2 == 1 {
 			src, dst = w, d
 		}
-		for i := int64(0); i < nBlocks; i++ {
-			sStart, sCount := blockAt(src, i)
-			dStart, dCount := blockAt(dst, i)
-			parts = append(parts, trace.Repeat(fftStageIters, trace.Concat(
-				trace.Sequential(sStart, sCount, cpPass, false),
-				trace.Sequential(dStart, dCount, cpPass, true),
-			)))
-		}
+		// Each tile shifts the block sweeps to its block and clips them to
+		// the last block's remainder.
+		parts[1+p] = b.Tile(half, fftBlock, b.Repeat(fftStageIters, b.Concat(
+			trace.Sequential(src, fftBlock, cpPass, false),
+			trace.Sequential(dst, fftBlock, cpPass, true),
+		)))
 	}
-	return trace.Concat(parts...), refs
+	return b.Program(b.Concat(parts[:]...)), refs
 }

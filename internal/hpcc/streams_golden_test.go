@@ -17,7 +17,7 @@ import (
 // The stream golden pins every workload's page-reference stream: for each
 // Table 1 entry at scales 1/8 and 1/64, the §5.6 working-set DGEMM at the
 // sizes Figure 10 uses at those scales, and each scenario mix's Trace and
-// CoverTrace at three sizes and three seeds, it records the reference count
+// CoverProgram at three sizes and three seeds, it records the reference count
 // and a SHA-256 over every (Page, Compute, Write). Any change to how a
 // stream is built or walked that moves one reference shows up here.
 
@@ -61,7 +61,7 @@ func streamsGolden(t *testing.T) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			line(fmt.Sprintf("scale1/%d %s", div, w.Name), w.Source())
+			line(fmt.Sprintf("scale1/%d %s", div, w.Name), w.Source.Open())
 		}
 		alloc := Scaled(Largest(DGEMM), div).MemoryMB
 		for _, frac := range []int64{5, 4, 3, 2, 1} {
@@ -69,14 +69,14 @@ func streamsGolden(t *testing.T) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			line(fmt.Sprintf("scale1/%d %s", div, w.Name), w.Source())
+			line(fmt.Sprintf("scale1/%d %s", div, w.Name), w.Source.Open())
 		}
 	}
 	for _, mix := range []scenario.MixKind{scenario.MixSequential, scenario.MixBlocked, scenario.MixRandom, scenario.MixSmallWS} {
 		for _, pages := range []int64{1, 777, 40_000} {
 			for _, seed := range []uint64{1, 9001, 0xdeadbeef} {
 				line(fmt.Sprintf("mix %s trace pages=%d seed=%d", mix, pages, seed), mix.Trace(pages, seed)())
-				line(fmt.Sprintf("mix %s cover pages=%d seed=%d", mix, pages, seed), mix.CoverTrace(pages, seed)())
+				line(fmt.Sprintf("mix %s cover pages=%d seed=%d", mix, pages, seed), mix.CoverProgram(pages, seed).Open())
 			}
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // four callbacks built once in start.
 type executor struct {
 	node *cluster.Node
-	src  trace.Source
+	src  *trace.Cursor
 	as   *memory.AddressSpace
 
 	// Remote paging machinery; nil for openMosix (never faults).

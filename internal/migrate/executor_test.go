@@ -25,7 +25,7 @@ func TestExecutorRejectsSecondPendingFault(t *testing.T) {
 	}
 	e := &executor{
 		node: cluster.NewNode(eng, "dest", 1),
-		src:  trace.Sequential(0, layout.Pages(), simtime.Microsecond, false)(),
+		src:  trace.Sequential(0, layout.Pages(), simtime.Microsecond, false).Program().Open(),
 		as:   as,
 		res:  &Result{},
 	}

@@ -195,7 +195,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	dest.Handle(ctl)
 
 	as := memory.NewAddressSpace(w.Layout)
-	src := w.Source()
+	src := w.Source.Open()
 
 	// The kernel allocates and initialises its memory at the origin; the
 	// paper triggers migration right after. Initialisation dirties the
@@ -236,7 +236,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		// continues with the rest, fully resident.
 		ws := &windowedStream{src: src, node: origin}
 		payload = ws.precopy(net, w.Layout.Pages(), res)
-		src = ws
 	case NoPrefetch:
 		// §5.1's FFA variant: every other page is demand-fetched from the
 		// origin, one fault at a time.
@@ -396,20 +395,24 @@ func freezeInstall(as *memory.AddressSpace, layout memory.Layout) (*memory.Table
 
 // windowedStream executes a reference stream in wall-clock windows (the
 // pre-copy rounds): consume runs exactly `budget` of compute, splitting a
-// reference that spans the window boundary, and Next yields whatever has
-// not executed yet for the destination executor to continue with.
+// reference that spans the window boundary.
 type windowedStream struct {
-	src     trace.Source
+	src     *trace.Cursor
 	node    *cluster.Node
 	pending trace.Ref // partially computed reference, Compute = remainder
 	hasPend bool
-	done    bool
 }
 
 // precopy runs the pre-copy rounds of a pages-page address space over
 // net: each round retransmits the pages the previous one dirtied, until
 // the rounds stop converging or three have run. It adds the rounds' time
-// and bytes to res and returns the bytes the freeze must still ship.
+// and bytes to res and returns the bytes the freeze must still ship. It
+// leaves src at whatever has not executed yet, for the destination
+// executor to continue with: first the reference split at the last window
+// boundary, then the untouched rest. References are scaled to the origin
+// node's CPU as they execute there; the destination executor re-scales, so
+// the split reference goes back in reference-CPU time by inverting the
+// scale.
 func (ws *windowedStream) precopy(net netmodel.Profile, pages int64, res *Result) int64 {
 	allBytes := pages*cluster.PageFrameBytes + cluster.RegisterBytes
 	round := net.TransferTime(allBytes)
@@ -430,6 +433,11 @@ func (ws *windowedStream) precopy(net netmodel.Profile, pages int64, res *Result
 		res.BytesToDest += bytes
 		round = next
 	}
+	if ws.hasPend {
+		ref := ws.pending
+		ref.Compute = simtime.Duration(float64(ref.Compute) * ws.node.CPUScale)
+		ws.src.Push(ref)
+	}
 	return residue*cluster.PageFrameBytes + cluster.RegisterBytes
 }
 
@@ -448,7 +456,6 @@ func (ws *windowedStream) consume(budget simtime.Duration) (dirtied int64, ended
 			var ok bool
 			ref, ok = ws.src.Next()
 			if !ok {
-				ws.done = true
 				return int64(len(written)), true
 			}
 			ref.Compute = ws.node.Scale(ref.Compute)
@@ -468,22 +475,4 @@ func (ws *windowedStream) consume(budget simtime.Duration) (dirtied int64, ended
 		}
 	}
 	return int64(len(written)), false
-}
-
-// Next yields the unexecuted tail of the stream: first the reference split
-// at the last window boundary, then the untouched rest. References are
-// scaled to the origin node's CPU as they execute there; the destination
-// executor re-scales, so the split reference goes back in reference-CPU
-// time by inverting the scale.
-func (ws *windowedStream) Next() (trace.Ref, bool) {
-	if ws.hasPend {
-		ws.hasPend = false
-		ref := ws.pending
-		ref.Compute = simtime.Duration(float64(ref.Compute) * ws.node.CPUScale)
-		return ref, true
-	}
-	if ws.done {
-		return trace.Ref{}, false
-	}
-	return ws.src.Next()
 }

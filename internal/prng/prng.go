@@ -105,8 +105,16 @@ func (s *Source) Float64() float64 {
 }
 
 // Perm returns a pseudo-random permutation of [0, n) as a slice.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
+func (s *Source) Perm(n int) []int { return s.PermInto(nil, n) }
+
+// PermInto is Perm into buf, which it grows only when its capacity is
+// below n: it draws the same permutation Perm would from the same state,
+// by the same inside-out Fisher–Yates shuffle, and returns buf[:n].
+func (s *Source) PermInto(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	p := buf[:n]
 	for i := range p {
 		j := s.Intn(i + 1)
 		p[i] = p[j]

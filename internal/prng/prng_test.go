@@ -144,6 +144,28 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesPerm: a permutation drawn into a reused buffer, still
+// holding an earlier and larger permutation, equals the one Perm draws from
+// the same state, and reuses the buffer instead of allocating.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	buf := New(1).Perm(100)
+	for _, n := range []int{100, 37, 1, 0, 64, 100} {
+		want := New(uint64(n)).Perm(n)
+		got := New(uint64(n)).PermInto(buf, n)
+		if len(got) != n || &got[:1][0] != &buf[:1][0] {
+			t.Fatalf("n=%d: PermInto returned len %d, not the reused buffer", n, len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: PermInto %v, Perm %v", n, got, want)
+			}
+		}
+	}
+	if got := New(3).PermInto(nil, 5); len(got) != 5 {
+		t.Fatalf("PermInto(nil, 5) has length %d", len(got))
+	}
+}
+
 func TestExpFloat64Mean(t *testing.T) {
 	s := New(31)
 	const n = 200000

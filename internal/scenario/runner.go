@@ -15,6 +15,7 @@ import (
 	"ampom/internal/sched"
 	"ampom/internal/sim"
 	"ampom/internal/simtime"
+	"ampom/internal/trace"
 )
 
 // procTemplate is one pre-drawn process. Templates are drawn once per
@@ -240,10 +241,13 @@ type clusterSim struct {
 	// censusArrived are its per-page bit sets (first touched, prefetched),
 	// sized at the first census to maxFootprintMB, the largest footprint
 	// of the simulation (a balloon past it drops them, and the next census
-	// sizes them again), and cleared per census. One set suffices:
-	// restore, the census's only caller, runs on the global engine.
+	// sizes them again), and cleared per census. censusCursor walks each
+	// migrant's trace program, reset per census; its block-order buffer is
+	// sized with the bit sets. One set suffices: restore, the census's only
+	// caller, runs on the global engine.
 	census                    *core.Prefetcher
 	censusSeen, censusArrived pageBits
+	censusCursor              trace.Cursor
 	maxFootprintMB            int64
 
 	st SchemeStats
@@ -765,12 +769,16 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 	}
 	if c.censusSeen == nil {
 		// A working set never exceeds its footprint; wsPages covers a
-		// census run outside a simulation.
-		words := (max(footprintPages(c.maxFootprintMB), wsPages) + 63) / 64
+		// census run outside a simulation. The cursor's block order is
+		// sized for the blocked mix over the same largest set.
+		pages := max(footprintPages(c.maxFootprintMB), wsPages)
+		words := (pages + 63) / 64
 		c.censusSeen, c.censusArrived = make(pageBits, words), make(pageBits, words)
+		c.censusCursor.Grow(int((pages + blockedMixBlock - 1) / blockedMixBlock))
 	}
 	pre := c.census
-	src := p.t.mix.Trace(wsPages, p.t.traceSeed)()
+	src := &c.censusCursor
+	src.Reset(p.t.mix.Program(wsPages, p.t.traceSeed))
 	words := (wsPages + 63) / 64
 	seen, arrived := c.censusSeen[:words], c.censusArrived[:words]
 	clear(seen)

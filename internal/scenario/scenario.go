@@ -83,37 +83,48 @@ func (k MixKind) WorkingSetFrac() float64 {
 	}
 }
 
-// Trace returns the page-reference factory a migrant of this mix replays
-// over a working set of wsPages. The live-cluster example uses the same
-// factory to build real byte-page programs, so the simulated and emulated
-// worlds replay one shape.
-func (k MixKind) Trace(wsPages int64, seed uint64) trace.Factory {
+// blockedMixBlock is the block length, in pages, of the blocked mix's
+// block-permuted sweep.
+const blockedMixBlock = 16
+
+// Program returns the page-reference program a migrant of this mix replays
+// over a working set of wsPages.
+func (k MixKind) Program(wsPages int64, seed uint64) trace.Program {
 	if wsPages < 1 {
 		wsPages = 1
 	}
 	switch k {
 	case MixBlocked:
-		return trace.BlockPermuted(0, wsPages, 16, 0, false, seed)
+		return trace.BlockPermuted(0, wsPages, blockedMixBlock, 0, false, seed).Program()
 	case MixRandom:
-		return trace.RandomUniform(0, wsPages, wsPages, 0, false, seed)
+		return trace.RandomUniform(0, wsPages, wsPages, 0, false, seed).Program()
 	default: // sequential and small-ws sweep their (differently sized) sets
-		return trace.Sequential(0, wsPages, 0, false)
+		return trace.Sequential(0, wsPages, 0, false).Program()
 	}
 }
 
-// CoverTrace is Trace with a full-coverage guarantee: every page of the
+// Trace returns a function opening a cursor at the start of the mix's
+// program over a working set of wsPages: each call replays the same
+// stream.
+func (k MixKind) Trace(wsPages int64, seed uint64) func() *trace.Cursor {
+	return k.Program(wsPages, seed).Open
+}
+
+// CoverProgram is Program with a full-coverage guarantee: every page of the
 // span is touched at least once per pass. The random mix becomes a random
 // permutation — the same scattered shape, but total. Live-emulation
 // programs use this so a migrated run's final memory checksum is
-// comparable against a never-migrated baseline.
-func (k MixKind) CoverTrace(pages int64, seed uint64) trace.Factory {
+// comparable against a never-migrated baseline, and the live-cluster
+// example builds its real byte-page programs from it, so the simulated and
+// emulated worlds replay one shape.
+func (k MixKind) CoverProgram(pages int64, seed uint64) trace.Program {
 	if pages < 1 {
 		pages = 1
 	}
 	if k == MixRandom {
-		return trace.BlockPermuted(0, pages, 1, 0, false, seed)
+		return trace.BlockPermuted(0, pages, 1, 0, false, seed).Program()
 	}
-	return k.Trace(pages, seed)
+	return k.Program(pages, seed)
 }
 
 // MixWeight is one entry of a scenario's workload mix.

@@ -7,94 +7,188 @@ import (
 	"ampom/internal/simtime"
 )
 
-// FuzzCompose builds workload compositions from arbitrary parameters —
-// strided and random primitives combined through Concat, Interleave, Repeat
-// and Limit — and checks the combinator contracts every workload model
-// relies on: factories replay identically, Count agrees with a full drain,
-// exhausted sources stay exhausted, Limit truncates exactly, and permuted
-// sweeps cover each page exactly once. Run with `go test -fuzz FuzzCompose`;
+// fuzzProgram grows a random nested program from fuzz bytes and renders it
+// twice: as a program through a Builder, and as the oracle composition
+// that yields the same stream, with every Tile expanded into a Concat of
+// its tiles' bodies, each shifted and clipped to its tile.
+type fuzzProgram struct {
+	shape []byte
+	start memory.PageNum
+	seed  uint64
+}
+
+// next consumes one shape byte (0 once the shape runs out).
+func (g *fuzzProgram) next() int64 {
+	if len(g.shape) == 0 {
+		return 0
+	}
+	v := g.shape[0]
+	g.shape = g.shape[1:]
+	return int64(v)
+}
+
+// spec is one node of a generated program.
+type spec struct {
+	op           op
+	start        memory.PageNum
+	count, arg   int64
+	write        bool
+	seed         uint64
+	total, block int64 // Tile
+	kids         []spec
+}
+
+// gen draws a node; below depth 3 it may be a composite.
+func (g *fuzzProgram) gen(depth int) spec {
+	kinds := int64(7)
+	if depth >= 3 {
+		kinds = 3
+	}
+	s := spec{op: opStrided + op(g.next()%kinds), write: g.next()%2 == 1}
+	g.seed = g.seed*6364136223846793005 + 1442695040888963407
+	switch s.op {
+	case opStrided:
+		s.start, s.count, s.arg = g.start+memory.PageNum(g.next()), g.next()%40, g.next()%9-4
+	case opRandom:
+		s.start, s.count, s.arg, s.seed = g.start+memory.PageNum(g.next()), g.next()%40, g.next()%64+1, g.seed
+	case opBlocked:
+		s.start, s.count, s.arg, s.seed = g.start+memory.PageNum(g.next()), g.next()%70, g.next()%8, g.seed
+	case opConcat, opInterleave:
+		s.kids = make([]spec, g.next()%4)
+	case opRepeat:
+		s.count, s.kids = g.next()%4, make([]spec, 1)
+	case opTile:
+		s.total, s.block, s.kids = g.next()%80, g.next()%20, make([]spec, 1)
+	}
+	for i := range s.kids {
+		s.kids[i] = g.gen(depth + 1)
+	}
+	return s
+}
+
+// node builds s with b.
+func (s spec) node(b *Builder) Node {
+	kids := make([]Node, len(s.kids))
+	for i, k := range s.kids {
+		kids[i] = k.node(b)
+	}
+	switch s.op {
+	case opStrided:
+		return Strided(s.start, s.count, s.arg, simtime.Microsecond, s.write)
+	case opRandom:
+		return RandomUniform(s.start, s.arg, s.count, simtime.Microsecond, s.write, s.seed)
+	case opBlocked:
+		return BlockPermuted(s.start, s.count, s.arg, simtime.Microsecond, s.write, s.seed)
+	case opConcat:
+		return b.Concat(kids...)
+	case opInterleave:
+		return b.Interleave(kids...)
+	case opRepeat:
+		return b.Repeat(int(s.count), kids[0])
+	default:
+		return b.Tile(s.total, s.block, kids[0])
+	}
+}
+
+// oracle renders s as the oracle composition, inside a tile at shift of
+// length clip (0 outside any tile).
+func (s spec) oracle(shift memory.PageNum, clip int64) oracleFactory {
+	switch s.op {
+	case opStrided:
+		return oracleStrided(s.start+shift, clipTo(s.count, clip), s.arg, simtime.Microsecond, s.write)
+	case opRandom:
+		return oracleRandomUniform(s.start+shift, clipTo(s.arg, clip), s.count, simtime.Microsecond, s.write, s.seed)
+	case opBlocked:
+		return oracleBlockPermuted(s.start+shift, clipTo(s.count, clip), s.arg, simtime.Microsecond, s.write, s.seed)
+	case opRepeat:
+		return oracleRepeat(int(s.count), s.kids[0].oracle(shift, clip))
+	case opTile:
+		block, total := max(s.block, 1), clipTo(s.total, clip)
+		var tiles []oracleFactory
+		for off := int64(0); off < total; off += block {
+			tiles = append(tiles, s.kids[0].oracle(shift+memory.PageNum(off), min(block, total-off)))
+		}
+		return oracleConcat(tiles...)
+	}
+	kids := make([]oracleFactory, len(s.kids))
+	for i, k := range s.kids {
+		kids[i] = k.oracle(shift, clip)
+	}
+	if s.op == opInterleave {
+		return oracleInterleave(kids...)
+	}
+	return oracleConcat(kids...)
+}
+
+// fuzzCap bounds how much of a generated stream is compared; nested
+// repeats and tiles can make it long.
+const fuzzCap = 1 << 14
+
+// FuzzCompose grows random nested programs — sweeps with any stride, random
+// and block-permuted leaves, Concat, Interleave of composites, Repeat, and
+// Tile with a shorter last tile, nested up to three deep — and checks the
+// cursor against the frozen closure combinators: it yields exactly the
+// oracle's stream, a reset part-way through replays it exactly, an
+// exhausted cursor stays exhausted, and a pushed reference comes next with
+// the stream resuming after it. Run with `go test -fuzz FuzzCompose`;
 // `make ci` gives it a 10 s smoke.
 func FuzzCompose(f *testing.F) {
-	f.Add(int64(0), uint16(16), int8(1), uint16(8), uint64(1), uint16(10))
-	f.Add(int64(100), uint16(64), int8(-3), uint16(32), uint64(7), uint16(5))
-	f.Add(int64(5), uint16(1), int8(0), uint16(1), uint64(42), uint16(0))
-	f.Add(int64(1<<20), uint16(128), int8(16), uint16(100), uint64(99), uint16(1000))
+	f.Add([]byte{3, 0, 3, 0, 0, 16, 1, 1, 1, 5, 8, 20, 2, 0, 9, 33, 3}, int64(0), uint64(1))
+	f.Add([]byte{6, 1, 50, 16, 5, 0, 2, 3, 0, 0, 16, 1, 0, 1, 100, 16, 1}, int64(100), uint64(7))
+	f.Add([]byte{4, 0, 3, 0, 4, 0, 7, 1, 1, 1, 2, 5, 9, 30, 0, 0, 0, 2, 1, 9, 9}, int64(5), uint64(42))
+	f.Add([]byte{6, 0, 77, 13, 6, 1, 40, 7, 3, 0, 2, 0, 2, 0, 20, 3, 2, 1, 0, 64, 1}, int64(1<<20), uint64(99))
 
-	f.Fuzz(func(t *testing.T, start int64, count16 uint16, stride int8, span16 uint16, seed uint64, limit16 uint16) {
-		// Clamp to simulator-plausible shapes; the interesting surface is
-		// the combinator algebra, not giant allocations.
-		count := int64(count16%512) + 1
-		span := int64(span16%512) + 1
-		limit := int64(limit16 % 1024)
-		st := memory.PageNum(start % (1 << 40))
-		compute := simtime.Microsecond
+	f.Fuzz(func(t *testing.T, shape []byte, start int64, seed uint64) {
+		g := &fuzzProgram{shape: shape, start: memory.PageNum(start % (1 << 40)), seed: seed}
+		s := g.gen(0)
+		var b Builder
+		p := b.Program(s.node(&b))
+		want := oracleCollect(s.oracle(0, 0), fuzzCap)
 
-		parts := []Factory{
-			Strided(st, count, int64(stride), compute, false),
-			RandomUniform(st, span, count, compute, true, seed),
-			BlockPermuted(st, count, 1, compute, false, seed),
-			BlockPermuted(st, count, 1+int64(span%8), compute, false, seed),
+		c := p.Open()
+		got := Collect(c, fuzzCap)
+		if len(got) != len(want) {
+			t.Fatalf("cursor yielded %d refs, oracle %d", len(got), len(want))
 		}
-		composite := Concat(
-			Interleave(parts...),
-			Repeat(2, Sequential(st, count, compute, false)),
-			Limit(limit, RandomUniform(st, span, count, compute, false, seed^1)),
-		)
-
-		// Replay determinism: two sources from one factory emit identical
-		// streams.
-		a := Collect(composite(), 0)
-		b := Collect(composite(), 0)
-		if len(a) != len(b) {
-			t.Fatalf("replay lengths differ: %d vs %d", len(a), len(b))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cursor diverges from the oracle at ref %d: %+v vs %+v", i, got[i], want[i])
+			}
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("replay diverges at ref %d: %+v vs %+v", i, a[i], b[i])
+		if len(want) < fuzzCap {
+			for i := 0; i < 3; i++ {
+				if _, ok := c.Next(); ok {
+					t.Fatal("cursor yielded a reference after exhaustion")
+				}
 			}
 		}
 
-		// Count agrees with a full drain, and the total adds up: the four
-		// interleaved parts emit 4×count, the repeat 2×count, the limited
-		// tail min(limit, count).
-		if got := Count(composite); got != int64(len(a)) {
-			t.Fatalf("Count %d != drained %d", got, len(a))
+		// A reset part-way through replays the stream from its start.
+		at := len(want) / 2
+		c.Reset(p)
+		collectN(c, at)
+		c.Reset(p)
+		again := Collect(c, fuzzCap)
+		if len(again) != len(want) {
+			t.Fatalf("reset cursor yielded %d refs, oracle %d", len(again), len(want))
 		}
-		tail := limit
-		if count < tail {
-			tail = count
-		}
-		if want := 4*count + 2*count + tail; int64(len(a)) != want {
-			t.Fatalf("composite emitted %d refs, want %d", len(a), want)
-		}
-
-		// Exhausted sources stay exhausted.
-		src := composite()
-		for {
-			if _, ok := src.Next(); !ok {
-				break
-			}
-		}
-		for i := 0; i < 3; i++ {
-			if _, ok := src.Next(); ok {
-				t.Fatal("source emitted after exhaustion")
+		for i, r := range again {
+			if r != want[i] {
+				t.Fatalf("reset cursor diverges at ref %d: %+v vs %+v", i, r, want[i])
 			}
 		}
 
-		// A page-level permutation covers [st, st+count) exactly once.
-		seen := make(map[memory.PageNum]int)
-		for _, r := range Collect(BlockPermuted(st, count, 1, compute, false, seed)(), 0) {
-			seen[r.Page]++
+		// A pushed reference comes next, then the stream resumes.
+		c.Reset(p)
+		collectN(c, at)
+		pushed := Ref{Page: -1, Compute: 3, Write: true}
+		c.Push(pushed)
+		if r, ok := c.Next(); !ok || r != pushed {
+			t.Fatalf("after a push Next gave %+v, %v", r, ok)
 		}
-		if int64(len(seen)) != count {
-			t.Fatalf("permutation covered %d of %d pages", len(seen), count)
-		}
-		for pg, n := range seen {
-			if n != 1 {
-				t.Fatalf("page %d visited %d times", pg, n)
-			}
-			if pg < st || pg >= st+memory.PageNum(count) {
-				t.Fatalf("page %d outside [%d, %d)", pg, st, st+memory.PageNum(count))
+		for i, r := range Collect(c, fuzzCap-at) {
+			if r != want[at+i] {
+				t.Fatalf("stream after a push diverges at ref %d: %+v vs %+v", at+i, r, want[at+i])
 			}
 		}
 	})

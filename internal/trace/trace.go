@@ -3,6 +3,12 @@
 // mathematics of the paper: stride detection and the spatial locality score
 // of §3.2 (a variant of Weinberg et al.'s score), plus a page-level temporal
 // reuse score used to reproduce the locality quadrants of Figure 4.
+//
+// A workload's stream is described by a Program: an immutable value built
+// once from sweeps, random and block-permuted leaves and the Concat,
+// Interleave, Repeat and Tile composites. A Cursor walks a program and
+// holds all of the walk's state, so one program replays any number of
+// times and a reset cursor replays it without allocating.
 package trace
 
 import (
@@ -19,24 +25,9 @@ type Ref struct {
 	Write   bool
 }
 
-// Source produces a finite stream of references. Implementations need not
-// be safe for concurrent use; a simulation drives one source from one
-// goroutine.
-type Source interface {
-	// Next returns the next reference. ok is false when the stream is
-	// exhausted, after which Next must keep returning ok == false.
-	Next() (ref Ref, ok bool)
-}
-
-// FuncSource adapts a closure to the Source interface.
-type FuncSource func() (Ref, bool)
-
-// Next implements Source.
-func (f FuncSource) Next() (Ref, bool) { return f() }
-
 // Collect drains src into a slice, up to max references (max <= 0 means no
 // limit). Intended for tests and offline analysis; simulations stream.
-func Collect(src Source, max int) []Ref {
+func Collect(src *Cursor, max int) []Ref {
 	var out []Ref
 	for {
 		if max > 0 && len(out) >= max {
