@@ -206,8 +206,8 @@ func buildFFT(heap memory.Region, base simtime.Duration, seed uint64) (trace.Pro
 		if p%2 == 1 {
 			src, dst = w, d
 		}
-		// Each tile shifts the block sweeps to its block and clips them to
-		// the last block's remainder.
+		// Each tile shifts the block sweeps to its block; the last tile,
+		// shorter when fftBlock does not divide half, clips them to it.
 		parts[1+p] = b.Tile(half, fftBlock, b.Repeat(fftStageIters, b.Concat(
 			trace.Sequential(src, fftBlock, cpPass, false),
 			trace.Sequential(dst, fftBlock, cpPass, true),

@@ -179,8 +179,8 @@ type sweep struct {
 
 // frame is one composite the cursor is inside.
 type frame struct {
-	// node is the composite's index in the program's nodes, or rootNode for the
-	// program's root.
+	// node is the composite's index in the program's nodes, or rootNode
+	// for the program's root.
 	node int32
 	// i counts the children entered (Concat), repetitions run (Repeat),
 	// tiles run (Tile) or turns taken (Interleave).
