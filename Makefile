@@ -62,8 +62,11 @@ perfbench-smoke:
 # scenarios checked against the live-view rebuild, the event queue's
 # differential model against container/heap, the gossip daemon's flat
 # cell table against the frozen map-based heard set, and random request
-# sequences between the migrant's pager and the deputy (the full corpora
-# live in the build cache; run with a longer -fuzztime to dig).
+# sequences between the migrant's pager and the deputy, checked against
+# two table invariants: no page the migrant holds is still in the
+# origin's stored set, and the pages still stored, served and removed as
+# stale add up to the address space (the full corpora live in the build
+# cache; run with a longer -fuzztime to dig).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrefetcherFault -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCompose -fuzztime 10s ./internal/trace

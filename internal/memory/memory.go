@@ -1,9 +1,15 @@
 // Package memory models a migrating process's address space at page
 // granularity: code/heap/stack regions, the residency state machine used
-// by the remote-paging machinery, and the two page tables of the paper's
-// design — the master page table (MPT) carried by the migrant and the
-// home page table (HPT) kept by the deputy at the origin node (paper
-// §2.2).
+// by the remote-paging machinery, and PageSet, a one-bit-per-page set.
+//
+// The paper's §2.2 keeps two page tables, and neither is a separate
+// structure here. The master page table (MPT) the migrant carries says
+// where each page's data is; its content is the migrant's AddressSpace
+// residency, and its cost is PTEntrySize bytes per page on the wire at
+// the freeze plus cluster.MPTEntryCPU per entry to install it. The home
+// page table (HPT) records which pages the origin still stores; it is the
+// deputy's stored PageSet (package paging), from which serving a page
+// deletes it.
 package memory
 
 import "fmt"
@@ -148,8 +154,6 @@ func (s PageState) String() string {
 type AddressSpace struct {
 	layout Layout
 	state  []PageState
-
-	counts [4]int64 // population per state
 }
 
 // NewAddressSpace returns an address space with every page resident (the
@@ -163,7 +167,6 @@ func NewAddressSpace(layout Layout) *AddressSpace {
 	for i := range as.state {
 		as.state[i] = StateResident
 	}
-	as.counts[StateResident] = n
 	return as
 }
 
@@ -176,20 +179,11 @@ func (as *AddressSpace) State(p PageNum) PageState {
 	return as.state[p]
 }
 
-// SetState transitions page p to state s, keeping population counts.
+// SetState transitions page p to state s.
 func (as *AddressSpace) SetState(p PageNum, s PageState) {
 	as.check(p)
-	old := as.state[p]
-	if old == s {
-		return
-	}
-	as.counts[old]--
-	as.counts[s]++
 	as.state[p] = s
 }
-
-// CountInState returns how many pages are in state s.
-func (as *AddressSpace) CountInState(s PageState) int64 { return as.counts[s] }
 
 // EvictAllToRemote flips every page to StateRemote, modelling the state of
 // the migrant right after a lightweight migration (only explicitly
@@ -198,8 +192,6 @@ func (as *AddressSpace) EvictAllToRemote() {
 	for i := range as.state {
 		as.state[i] = StateRemote
 	}
-	as.counts = [4]int64{}
-	as.counts[StateRemote] = as.layout.Pages()
 }
 
 func (as *AddressSpace) check(p PageNum) {

@@ -300,13 +300,11 @@ func Run(cfg RunConfig) (*Result, error) {
 	var (
 		pager  *paging.Pager
 		deputy *paging.Deputy
+		stored memory.PageSet // the pages server stores, each served once
 	)
 	if server != nil {
-		tables, err := freezeInstall(as, w.Layout)
-		if err != nil {
-			return nil, err
-		}
-		deputy = paging.NewDeputy(server, pageLink, tables)
+		stored = freezeInstall(as, w.Layout)
+		deputy = paging.NewDeputy(server, pageLink, stored)
 		pager = paging.NewPager(dest, pageLink, as)
 		exec.pager = pager
 	}
@@ -314,7 +312,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		// The server serves nothing until the flush, which leaves the
 		// origin in parallel with the freeze, has landed.
 		deputy.SetAvailableAfter(simtime.Never)
-		bytes := as.CountInState(memory.StateRemote) * cluster.PageFrameBytes
+		bytes := stored.Len() * cluster.PageFrameBytes
 		eng.At(migrationStart, func() {
 			ship(flush, bytes, func() { deputy.SetAvailableAfter(eng.Now()) })
 		})
@@ -376,9 +374,13 @@ func Run(cfg RunConfig) (*Result, error) {
 // freezeInstall evicts the whole address space to the origin, then
 // installs at the migrant the three "currently accessed" pages that travel
 // with the freeze: the first pages of the code, heap and stack regions.
-// It returns the page tables the deputy serves the remaining pages from.
-func freezeInstall(as *memory.AddressSpace, layout memory.Layout) (*memory.TablePair, error) {
-	tables := memory.NewTablePair(layout.Pages())
+// It returns the pages the origin still stores, which the deputy serves:
+// every page but those three.
+func freezeInstall(as *memory.AddressSpace, layout memory.Layout) memory.PageSet {
+	stored := memory.NewPageSet(layout.Pages())
+	for p := memory.PageNum(0); p < memory.PageNum(layout.Pages()); p++ {
+		stored.Add(p)
+	}
 	as.EvictAllToRemote()
 	for _, p := range []memory.PageNum{
 		layout.Region(memory.RegionCode).Start,
@@ -386,11 +388,9 @@ func freezeInstall(as *memory.AddressSpace, layout memory.Layout) (*memory.Table
 		layout.Region(memory.RegionStack).Start,
 	} {
 		as.SetState(p, memory.StateResident)
-		if err := tables.TransferToMigrant(p); err != nil {
-			return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
-		}
+		stored.Remove(p)
 	}
-	return tables, nil
+	return stored
 }
 
 // windowedStream executes a reference stream in wall-clock windows (the
@@ -401,6 +401,7 @@ type windowedStream struct {
 	node    *cluster.Node
 	pending trace.Ref // partially computed reference, Compute = remainder
 	hasPend bool
+	written memory.PageSet // pages written in the current window
 }
 
 // precopy runs the pre-copy rounds of a pages-page address space over
@@ -416,6 +417,7 @@ type windowedStream struct {
 func (ws *windowedStream) precopy(net netmodel.Profile, pages int64, res *Result) int64 {
 	allBytes := pages*cluster.PageFrameBytes + cluster.RegisterBytes
 	round := net.TransferTime(allBytes)
+	ws.written = memory.NewPageSet(pages)
 	res.BytesToDest += allBytes
 	residue := int64(0)
 	for i := 0; i < 3; i++ {
@@ -445,7 +447,7 @@ func (ws *windowedStream) precopy(net netmodel.Profile, pages int64, res *Result
 // written in the window (the dirty set the next pre-copy round must
 // retransmit) and whether the stream ended inside the window.
 func (ws *windowedStream) consume(budget simtime.Duration) (dirtied int64, ended bool) {
-	written := make(map[memory.PageNum]bool)
+	clear(ws.written)
 	var used simtime.Duration
 	for used < budget {
 		var ref trace.Ref
@@ -456,7 +458,7 @@ func (ws *windowedStream) consume(budget simtime.Duration) (dirtied int64, ended
 			var ok bool
 			ref, ok = ws.src.Next()
 			if !ok {
-				return int64(len(written)), true
+				return dirtied, true
 			}
 			ref.Compute = ws.node.Scale(ref.Compute)
 		}
@@ -467,12 +469,12 @@ func (ws *windowedStream) consume(budget simtime.Duration) (dirtied int64, ended
 			ref.Compute -= budget - used
 			ws.pending = ref
 			ws.hasPend = true
-			return int64(len(written)), false
+			return dirtied, false
 		}
 		used += ref.Compute
-		if ref.Write {
-			written[ref.Page] = true
+		if ref.Write && ws.written.Add(ref.Page) {
+			dirtied++
 		}
 	}
-	return int64(len(written)), false
+	return dirtied, false
 }

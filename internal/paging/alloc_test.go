@@ -57,8 +57,7 @@ func (rt *roundTrip) run() {
 
 // reset returns page p to the origin, as at migration time.
 func (rt *roundTrip) reset(p memory.PageNum) {
-	rt.r.tables.MPT.Set(p, memory.LocOrigin)
-	rt.r.tables.HPT.Set(p, memory.LocOrigin)
+	rt.r.deputy.stored.Add(p)
 	rt.r.as.SetState(p, memory.StateRemote)
 }
 

@@ -13,7 +13,9 @@ const fuzzPages = 64
 
 // FuzzPagingProtocol drives the pager and the deputy with random request
 // sequences and checks the protocol's conservation laws once the engine
-// has drained. gate is the instant, in units of 10 µs, until which the
+// has drained, among them the two table invariants: no page the migrant
+// holds is still stored at the origin, and the pages still stored, served
+// and taken out as stale add up to fuzzPages. gate is the instant, in units of 10 µs, until which the
 // deputy parks requests (0: never gated); it is released at that instant,
 // as the file server is when its flush lands. ops is read four bytes at a
 // time: a delay before the operation in units of 20 µs, its kind, and two
@@ -23,8 +25,8 @@ const fuzzPages = 64
 //     pages a+s, a+2s, … (b&15 of them, stride s = (b>>4)%3+1) when a is
 //     remote; only a wait when a is already in flight;
 //   - kind 1, a prefetch-only request for pages a … a+(b&31);
-//   - kind 2, page a moves to the migrant behind the pager's back, so a
-//     later request for it is stale and the deputy must skip it;
+//   - kind 2, page a leaves the origin's stored set behind the pager's
+//     back, so a later request for it is stale and the deputy must skip it;
 //   - kind 3, the process installs every arrived page.
 //
 // Pages wrap modulo fuzzPages, so sets overlap each other and pages that
@@ -47,10 +49,11 @@ func FuzzPagingProtocol(f *testing.F) {
 		}
 
 		var (
-			stale     [fuzzPages]bool // moved at the origin behind the pager's back
-			requested [fuzzPages]bool // sent in a request
-			waiting   = NoDemand
-			zone      []memory.PageNum
+			stale        [fuzzPages]bool // moved at the origin behind the pager's back
+			staleRemoved int64           // pages taken out of the stored set that way
+			requested    [fuzzPages]bool // sent in a request
+			waiting      = NoDemand
+			zone         []memory.PageNum
 		)
 		page := func(b byte) memory.PageNum { return memory.PageNum(int(b) % fuzzPages) }
 		resume := func() { waiting = NoDemand }
@@ -108,11 +111,9 @@ func FuzzPagingProtocol(f *testing.F) {
 					request(NoDemand)
 				case 2:
 					p := page(a)
-					if r.as.State(p) == memory.StateRemote && r.tables.MPT.Loc(p) == memory.LocOrigin {
-						if err := r.tables.TransferToMigrant(p); err != nil {
-							t.Fatal(err)
-						}
+					if r.as.State(p) == memory.StateRemote && r.deputy.stored.Remove(p) {
 						stale[p] = true
+						staleRemoved++
 					}
 				case 3:
 					r.pager.InstallArrived()
@@ -128,9 +129,8 @@ func FuzzPagingProtocol(f *testing.F) {
 		if want := st.PagesArrived * (memory.PageSize + ReplyOverhead); st.BytesReceived != want {
 			t.Fatalf("received %d bytes for %d pages, want %d", st.BytesReceived, st.PagesArrived, want)
 		}
-		if err := r.tables.CheckConsistent(); err != nil {
-			t.Fatal(err)
-		}
+		r.checkOneCopy(t)
+		r.checkConservation(t, staleRemoved)
 		if int64(len(*got)) != st.PagesArrived || r.deputy.replies.n != 0 {
 			t.Fatalf("%d replies delivered, %d pages arrived, %d left in the reply FIFO", len(*got), st.PagesArrived, r.deputy.replies.n)
 		}

@@ -9,8 +9,16 @@
 // prefetch. The deputy replies with one PageReply message per page —
 // demand page first — so replies stream back-to-back down the link and the
 // round-trip latency is paid once per batch (the pipelining effect of
-// §5.4). Serving a page deletes it at the origin and updates the HPT; the
-// migrant flips its MPT entry when the page arrives.
+// §5.4).
+//
+// Tables: §2.2's home page table (HPT) is the deputy's stored set, the
+// pages the origin still holds. Serving a page deletes the origin copy by
+// taking it out of that set, so a page is served at most once and a
+// request for a page already gone is skipped. The master page table (MPT)
+// is the migrant's memory.AddressSpace residency, which the pager moves
+// from remote through in flight and arrived to resident; the freeze
+// prices its shipping and install (memory.PTEntrySize,
+// cluster.MPTEntryCPU).
 //
 // Records: a round trip allocates nothing once the pools have grown to the
 // largest number of requests in flight at once.
@@ -39,8 +47,6 @@
 package paging
 
 import (
-	"fmt"
-
 	"ampom/internal/cluster"
 	"ampom/internal/memory"
 	"ampom/internal/netmodel"
@@ -134,7 +140,8 @@ type DeputyStats struct {
 
 // Deputy is the origin-side stub process: after migration it "only answers
 // remote paging requests and executes system calls on behalf of the
-// migrant" (§2.2). It owns the HPT side of the table pair.
+// migrant" (§2.2). It owns the HPT: stored, the pages the origin still
+// holds.
 //
 // A Deputy also models the *file server* of Roush's original Freeze Free
 // Algorithm: with SetAvailableAfter, page service is gated until the
@@ -142,7 +149,7 @@ type DeputyStats struct {
 type Deputy struct {
 	node   *cluster.Node
 	link   *netmodel.Link
-	tables *memory.TablePair
+	stored memory.PageSet
 
 	availableAfter simtime.Time
 	gated          []*serveJob // parked until the backing store is ready
@@ -176,10 +183,11 @@ func (d *Deputy) SetAvailableAfter(t simtime.Time) {
 	d.gated = d.gated[:0]
 }
 
-// NewDeputy installs a deputy on node serving pages across link from the
-// table pair. It registers itself as a payload handler.
-func NewDeputy(node *cluster.Node, link *netmodel.Link, tables *memory.TablePair) *Deputy {
-	d := &Deputy{node: node, link: link, tables: tables}
+// NewDeputy installs a deputy on node serving pages across link from
+// stored, which it owns from then on. It registers itself as a payload
+// handler.
+func NewDeputy(node *cluster.Node, link *netmodel.Link, stored memory.PageSet) *Deputy {
+	d := &Deputy{node: node, link: link, stored: stored}
 	node.Handle(d.handle)
 	return d
 }
@@ -232,13 +240,10 @@ func (d *Deputy) schedule(j *serveJob) {
 // j to the pool.
 func (d *Deputy) serve(j *serveJob) {
 	for _, p := range j.pages {
-		if d.tables.HPT.Loc(p) == memory.LocUnmapped {
+		if !d.stored.Remove(p) {
 			// Already transferred (or never stored) — a benign race when a
 			// demand fault and an in-flight prefetch cross on the wire.
 			continue
-		}
-		if err := d.tables.TransferToMigrant(p); err != nil {
-			panic(fmt.Sprintf("paging: deputy serving page %d: %v", p, err))
 		}
 		if p == j.demand {
 			d.Stats.DemandServed++

@@ -18,7 +18,6 @@ type rig struct {
 	dest   *cluster.Node
 	link   *netmodel.Link
 	as     *memory.AddressSpace
-	tables *memory.TablePair
 	deputy *Deputy
 	pager  *Pager
 }
@@ -38,11 +37,48 @@ func newRigOn(t testing.TB, pages int64, prof netmodel.Profile) *rig {
 	layout := memory.MustLayout(1, pages-2, 1)
 	as := memory.NewAddressSpace(layout)
 	as.EvictAllToRemote()
-	tables := memory.NewTablePair(pages)
+	stored := memory.NewPageSet(pages)
+	for p := memory.PageNum(0); p < memory.PageNum(pages); p++ {
+		stored.Add(p)
+	}
 	return &rig{
-		eng: eng, origin: origin, dest: dest, link: link, as: as, tables: tables,
-		deputy: NewDeputy(origin, link, tables),
+		eng: eng, origin: origin, dest: dest, link: link, as: as,
+		deputy: NewDeputy(origin, link, stored),
 		pager:  NewPager(dest, link, as),
+	}
+}
+
+// inState counts the migrant's pages in state s.
+func (r *rig) inState(s memory.PageState) int64 {
+	n := int64(0)
+	for p := memory.PageNum(0); p < memory.PageNum(r.as.Pages()); p++ {
+		if r.as.State(p) == s {
+			n++
+		}
+	}
+	return n
+}
+
+// checkOneCopy fails if a page the migrant holds (arrived or resident) is
+// still in the origin's stored set: serving a page must delete the origin
+// copy.
+func (r *rig) checkOneCopy(t testing.TB) {
+	t.Helper()
+	for p := memory.PageNum(0); p < memory.PageNum(r.as.Pages()); p++ {
+		if st := r.as.State(p); (st == memory.StateArrived || st == memory.StateResident) && r.deputy.stored.Has(p) {
+			t.Fatalf("page %d is %v at the migrant and still stored at the origin", p, st)
+		}
+	}
+}
+
+// checkConservation fails unless every page of the rig is either still
+// stored at the origin, served by the deputy, or one of the stale pages
+// taken out of the stored set behind the pager's back.
+func (r *rig) checkConservation(t testing.TB, stale int64) {
+	t.Helper()
+	stored, served := r.deputy.stored.Len(), r.deputy.Stats.DemandServed+r.deputy.Stats.PrefetchServed
+	if stored+served+stale != r.as.Pages() {
+		t.Fatalf("%d pages stored + %d served + %d stale != %d pages", stored, served, stale, r.as.Pages())
 	}
 }
 
@@ -75,12 +111,11 @@ func TestDemandFetch(t *testing.T) {
 		t.Fatalf("page state = %v after demand fetch", r.as.State(7))
 	}
 	// Ownership moved (paper §2.2): origin copy deleted.
-	if r.tables.HPT.Loc(7) != memory.LocUnmapped || r.tables.MPT.Loc(7) != memory.LocMigrant {
-		t.Fatal("tables not updated on transfer")
+	if r.deputy.stored.Has(7) {
+		t.Fatal("origin still stores page 7 after serving it")
 	}
-	if err := r.tables.CheckConsistent(); err != nil {
-		t.Fatal(err)
-	}
+	r.checkOneCopy(t)
+	r.checkConservation(t, 0)
 	if r.pager.Stats.DemandRequested != 1 || r.deputy.Stats.DemandServed != 1 {
 		t.Fatalf("stats: %+v / %+v", r.pager.Stats, r.deputy.Stats)
 	}
@@ -212,10 +247,8 @@ func TestDemandForLocalPagePanics(t *testing.T) {
 func TestDeputySkipsAlreadyTransferred(t *testing.T) {
 	r := newRig(t, 64)
 	// Simulate a stale request: page 8 already migrated.
-	if err := r.tables.TransferToMigrant(8); err != nil {
-		t.Fatal(err)
-	}
-	r.as.SetState(8, memory.StateRemote) // migrant side believes it's remote
+	r.deputy.stored.Remove(8)
+	// The migrant side still believes page 8 is remote.
 	r.pager.Request(NoDemand, []memory.PageNum{8})
 	// The reply never comes; the pager would wait forever on a demand, but
 	// a prefetch just stays in flight. The deputy received the request but
@@ -230,10 +263,11 @@ func TestDeputySkipsAlreadyTransferred(t *testing.T) {
 	if r.pager.Stats.PagesArrived != 0 {
 		t.Fatal("phantom page arrived")
 	}
+	r.checkConservation(t, 1)
 }
 
 // TestBulkTransferConservation: requesting every page in batches moves each
-// page exactly once and preserves table consistency throughout.
+// page exactly once and leaves the origin storing nothing.
 func TestBulkTransferConservation(t *testing.T) {
 	const pages = 256
 	r := newRig(t, pages)
@@ -253,23 +287,20 @@ func TestBulkTransferConservation(t *testing.T) {
 		t.Fatalf("served = %d", got)
 	}
 	r.pager.InstallArrived()
-	if r.as.CountInState(memory.StateResident) != pages {
-		t.Fatalf("resident = %d", r.as.CountInState(memory.StateResident))
+	if n := r.inState(memory.StateResident); n != pages {
+		t.Fatalf("resident = %d", n)
 	}
-	if err := r.tables.CheckConsistent(); err != nil {
-		t.Fatal(err)
+	if n := r.deputy.stored.Len(); n != 0 {
+		t.Fatalf("origin still stores %d pages", n)
 	}
-	for p := memory.PageNum(0); p < memory.PageNum(pages); p++ {
-		if l := r.tables.HPT.Loc(p); l != memory.LocUnmapped {
-			t.Fatalf("origin still stores page %d (hpt=%v)", p, l)
-		}
-	}
+	r.checkOneCopy(t)
+	r.checkConservation(t, 0)
 }
 
 func TestOutstanding(t *testing.T) {
 	r := newRig(t, 64)
 	r.pager.Request(NoDemand, []memory.PageNum{1, 2, 3})
-	inFlight := func() int64 { return r.pager.as.CountInState(memory.StateInFlight) }
+	inFlight := func() int64 { return r.inState(memory.StateInFlight) }
 	if inFlight() != 3 {
 		t.Fatalf("outstanding = %d", inFlight())
 	}
@@ -384,7 +415,6 @@ func TestServiceOutOfOrder(t *testing.T) {
 	if r.deputy.Stats.DemandServed != 1 || r.deputy.Stats.PrefetchServed != 100 || r.pager.Stats.PagesArrived != 101 {
 		t.Fatalf("deputy %+v, arrived %d; want 1 demand + 100 prefetch", r.deputy.Stats, r.pager.Stats.PagesArrived)
 	}
-	if err := r.tables.CheckConsistent(); err != nil {
-		t.Fatal(err)
-	}
+	r.checkOneCopy(t)
+	r.checkConservation(t, 0)
 }

@@ -246,7 +246,7 @@ type clusterSim struct {
 	// sized with the bit sets. One set suffices: restore, the census's only
 	// caller, runs on the global engine.
 	census                    *core.Prefetcher
-	censusSeen, censusArrived pageBits
+	censusSeen, censusArrived memory.PageSet
 	censusCursor              trace.Cursor
 	maxFootprintMB            int64
 
@@ -772,8 +772,7 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 		// census run outside a simulation. The cursor's block order is
 		// sized for the blocked mix over the same largest set.
 		pages := max(footprintPages(c.maxFootprintMB), wsPages)
-		words := (pages + 63) / 64
-		c.censusSeen, c.censusArrived = make(pageBits, words), make(pageBits, words)
+		c.censusSeen, c.censusArrived = memory.NewPageSet(pages), memory.NewPageSet(pages)
 		c.censusCursor.Grow(int((pages + blockedMixBlock - 1) / blockedMixBlock))
 	}
 	pre := c.census
@@ -790,13 +789,12 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 		if !ok {
 			break
 		}
-		if ref.Page < 0 || int64(ref.Page) >= wsPages || seen.has(ref.Page) {
+		if ref.Page < 0 || int64(ref.Page) >= wsPages || !seen.Add(ref.Page) {
 			continue
 		}
-		seen.set(ref.Page)
 		sampled++
 		t = t.Add(est.PageTransfer)
-		if arrived.has(ref.Page) {
+		if arrived.Has(ref.Page) {
 			continue // prevented: the zone fetch beat the touch
 		}
 		sampleHard++
@@ -805,8 +803,7 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 		a := pre.Analyze(est) // a.Zone is reused by the next Analyze: consume it now
 		n := 0
 		for _, pg := range a.Zone {
-			if pg >= 0 && int64(pg) < wsPages && !arrived.has(pg) {
-				arrived.set(pg)
+			if pg >= 0 && int64(pg) < wsPages && arrived.Add(pg) {
 				n++
 			}
 		}
@@ -824,13 +821,6 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 	}
 	return hard, wsPages - hard
 }
-
-// pageBits is a set of pages, one bit per page.
-type pageBits []uint64
-
-func (b pageBits) has(pg memory.PageNum) bool { return b[pg>>6]&(1<<(pg&63)) != 0 }
-
-func (b pageBits) set(pg memory.PageNum) { b[pg>>6] |= 1 << (pg & 63) }
 
 // Run executes the scenario under the spec's policy set from the single
 // seed and assembles the cluster-level report. It is a pure function of its
