@@ -13,7 +13,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-analyze bench-fabric bench-json profile
+.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-analyze bench-fabric bench-json bench-ab profile
 
 ci: fmt-check vet build test race examples-smoke clusterd-smoke perfbench-smoke fuzz-smoke bench-balance bench-analyze bench-fabric
 
@@ -124,6 +124,23 @@ bench-json:
 	$(GO) test -run '^$$' -bench '^BenchmarkFabric(512|512Failures|4096|16384|16384Shards)$$' -benchtime 1x -count 3 -timeout 60m . \
 		| $(GO) run ./cmd/ampom-benchjson -o BENCH_fabric.json
 	@cat BENCH_fabric.json
+
+# bench-ab judges a change against a parent revision on this host: it
+# alternates PAIRS runs of the repository benchmark (perfbench/run.sh) on
+# WORKLOAD at SEED, for the run length BENCHMARK.json declares, between
+# BASE, exported to a temporary directory, and the working tree, each side
+# first in half the pairs, then prints every metric's quartiles and win
+# count with the verdict: a gain needs at least 9 of 10 pairs won and a
+# median gap larger than the parent's interquartile range. See
+# scripts/bench-ab.sh and cmd/ampom-benchab.
+#
+#   make bench-ab BASE=HEAD~1 WORKLOAD=mega-farm-sharded PAIRS=10 SEED=9001
+BASE ?= HEAD
+WORKLOAD ?= mega-farm-sharded
+PAIRS ?= 10
+SEED ?= 9001
+bench-ab:
+	bash scripts/bench-ab.sh '$(BASE)' '$(WORKLOAD)' '$(PAIRS)' '$(SEED)'
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

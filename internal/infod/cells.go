@@ -6,17 +6,19 @@ import (
 	"ampom/internal/simtime"
 )
 
-// cell is one heard origin's state, flat and pointer-free: the origin's
-// latest entry (load, memory, queue, stamp), the per-origin staleness
-// EWMA, and the recency-ring slot of the origin's latest refresh. Every
-// cell has an age sample: merge records one as it inserts the cell.
+// cell is one heard origin's state, flat and pointer-free, in 40 bytes:
+// the origin's latest entry (load, stamp, queue, memory), the per-origin
+// staleness EWMA, and the recency-ring slot of the origin's latest
+// refresh. Queue and memory are held in 32 bits, as the wire carries them
+// (see narrow). Every cell has an age sample: merge records one as it
+// inserts the cell.
 type cell struct {
 	load   float64
-	mem    int64
 	stamp  simtime.Time
 	ageEst simtime.Duration
-	queue  int
 	origin int32
+	queue  int32
+	mem    int32
 	// slot is the cell's recency-ring slot plus one; 0 once the ring head
 	// has overwritten it, or before the first refresh.
 	slot int32
@@ -25,9 +27,14 @@ type cell struct {
 // entry returns the cell's reader-side load entry.
 func (c *cell) entry() GossipEntry {
 	return GossipEntry{
-		Sample: LoadSample{Load: c.load, Queue: c.queue, UsedMemMB: c.mem},
+		Sample: LoadSample{Load: c.load, Queue: int(c.queue), UsedMemMB: int64(c.mem)},
 		Stamp:  c.stamp,
 	}
+}
+
+// wire returns the cell's entry as it goes out in a window.
+func (c *cell) wire() gossipEntryWire {
+	return gossipEntryWire{Load: c.load, Stamp: c.stamp, Origin: c.origin, Queue: c.queue, MemMB: c.mem}
 }
 
 // cellTable is a daemon's heard set: the cells of every origin it holds,
@@ -43,10 +50,10 @@ func (c *cell) entry() GossipEntry {
 //   - index is keyed in place: each slot holds origin<<32 | handle+1 (0
 //     marks an empty slot), so a probe compares origins inside the index
 //     and never loads a cell, hit, miss or collision. Slots are found by
-//     linear probing from a Fibonacci hash of the origin. The index
-//     doubles, rehashing its own keys, before its load passes 3/4, and
-//     deletion shifts the rest of the probe run back, so there are no
-//     tombstones.
+//     linear probing from a Fibonacci hash of the origin. reserve sizes
+//     the index once for an expected heard set; past that, it doubles,
+//     rehashing its own keys, before its load passes 3/4. Deletion
+//     shifts the rest of the probe run back, so there are no tombstones.
 type cellTable struct {
 	chunks []*[chunkLen]cell
 	n      int
@@ -134,12 +141,24 @@ func (t *cellTable) place(k uint64) {
 	t.index[i] = k
 }
 
-// grow doubles the index and re-places every key.
-func (t *cellTable) grow() {
-	size := 2 * len(t.index)
-	if size < minIndex {
-		size = minIndex
+// reserve sizes the index of an empty table for cells origins: the
+// smallest power of two, at least minIndex, that holds them below the 3/4
+// load grow keeps. Nothing reads the index in slot order, so its size
+// never changes what a daemon reads, only when it allocates.
+func (t *cellTable) reserve(cells int) {
+	size := minIndex
+	for 3*size < 4*cells {
+		size *= 2
 	}
+	t.resize(size)
+}
+
+// grow doubles the index and re-places every key.
+func (t *cellTable) grow() { t.resize(max(2*len(t.index), minIndex)) }
+
+// resize replaces the index with size (a power of two) slots and
+// re-places every key.
+func (t *cellTable) resize(size int) {
 	old := t.index
 	t.index = make([]uint64, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))

@@ -96,13 +96,10 @@ const fuzzAgeUnit = MaxAge
 // on arrival and one below 16 is stamped in the future.
 func scriptEntry(origin int, ageByte byte, now simtime.Time) gossipEntryWire {
 	age := simtime.Duration(int64(ageByte)-16) * fuzzAgeUnit / 64
-	return gossipEntryWire{
-		Origin: origin,
-		Entry: GossipEntry{
-			Sample: LoadSample{Load: float64(origin), Queue: int(ageByte), UsedMemMB: int64(origin) * 3},
-			Stamp:  now.Add(-age),
-		},
-	}
+	return wireOf(origin, GossipEntry{
+		Sample: LoadSample{Load: float64(origin), Queue: int(ageByte), UsedMemMB: int64(origin) * 3},
+		Stamp:  now.Add(-age),
+	})
 }
 
 // FuzzGossipTable drives a daemon's heard set through a script of merged
@@ -111,8 +108,12 @@ func scriptEntry(origin int, ageByte byte, now simtime.Time) gossipEntryWire {
 // AgeRTT for every origin, MeanRTT, KnownCount, the composed window and
 // the Fresh set. Ages reach past MaxAge and the clock jumps by up to four
 // MaxAges, so both the compose ring-walk reclaim and the amortised sweep
-// fire, and heard sets of up to 512 origins grow the index through
-// several doublings.
+// fire.
+//
+// The reserve input picks the table the script starts from: zero an
+// empty one, whose index heard sets of up to 512 origins grow through
+// several doublings, and otherwise one reserved for reserve%1024 origins,
+// as NewGossip reserves it, which a script grows only past that.
 //
 // Script ops, each led by one byte op:
 //   - op%4 == 0 merges a window of op/4%16+1 explicit entries, three bytes
@@ -134,8 +135,8 @@ func FuzzGossipTable(f *testing.F) {
 		run(32, 0, 16).run(31, 128, 50).advance(4).run(1, 200, 16).
 		run(64, 64, 16).compose().advance(12).run(64, 160, 20).compose().
 		advance(20).compose().run(64, 0, 16).advance(40).compose().run(64, 100, 0)
-	f.Add(uint16(300), uint8(0), []byte(grow))
-	f.Add(uint16(300), uint8(8), []byte(grow))
+	f.Add(uint16(300), uint8(0), uint16(0), []byte(grow))
+	f.Add(uint16(300), uint8(8), uint16(0), []byte(grow))
 
 	// Index wraparound: three origins whose home is the last slot of the
 	// 64-slot index and one whose home is slot 0 fill slots 63, 0, 1 and 2.
@@ -158,9 +159,15 @@ func FuzzGossipTable(f *testing.F) {
 		advance(4).compose().
 		merge([2]int{last[1], 16}, [2]int{first[0], 16}, [2]int{last[2], 16}, [2]int{last[0], 16}).
 		advance(40).compose()
-	f.Add(uint16(last[2]+2), uint8(8), []byte(seed))
+	f.Add(uint16(last[2]+2), uint8(8), uint16(0), []byte(seed))
 
-	f.Fuzz(func(t *testing.T, nOrigins uint16, windowLen uint8, script []byte) {
+	// The grow script over a table reserved as NewGossip reserves it for
+	// 300 nodes (299 origins, 512 slots, never grown), and over one
+	// reserved for 40 origins, which the script grows from 64 slots.
+	f.Add(uint16(300), uint8(0), uint16(299), []byte(grow))
+	f.Add(uint16(300), uint8(8), uint16(40), []byte(grow))
+
+	f.Fuzz(func(t *testing.T, nOrigins uint16, windowLen uint8, reserve uint16, script []byte) {
 		if len(script) > 128 {
 			script = script[:128]
 		}
@@ -173,6 +180,10 @@ func FuzzGossipTable(f *testing.F) {
 		}
 		id := n - 1
 		eng, g := tableGossip(cfg, id, n)
+		g.cells = cellTable{}
+		if reserve != 0 {
+			g.cells.reserve(int(reserve) % 1024)
+		}
 		ref := newRefGossip(cfg, id, n)
 		now := simtime.Time(4 * fuzzAgeUnit)
 		eng.AdvanceTo(now)
@@ -219,7 +230,6 @@ func FuzzGossipTable(f *testing.F) {
 						t.Fatalf("window[%d] = %+v, reference %+v", i, got[i], want[i])
 					}
 				}
-				g.adopt(m) // the next compose reuses the buffer
 			case 3:
 				now = now.Add(simtime.Duration(op/4) * fuzzAgeUnit / 16)
 				eng.AdvanceTo(now)
@@ -285,8 +295,8 @@ func TestMergeSteadyStateAllocFree(t *testing.T) {
 		eng.AdvanceTo(now)
 		for i := range window.Entries {
 			window.Entries[i] = gossipEntryWire{
-				Origin: ((r+i/group)%3)*group + i%group,
-				Entry:  GossipEntry{Stamp: now},
+				Origin: int32(((r+i/group)%3)*group + i%group),
+				Stamp:  now,
 			}
 		}
 		g.merge(window)
@@ -314,4 +324,52 @@ func TestMergeSteadyStateAllocFree(t *testing.T) {
 			chunks, len(g.cells.chunks), index, len(g.cells.index))
 	}
 	checkTable(t, g)
+}
+
+// TestReservedIndexNeverGrows: a daemon built by NewGossip holds the heard
+// set its config implies — mega-farm's 540 origins, rack-farm's 511 (all
+// its peers) — in the index NewGossip reserved, and grows the index only
+// once the heard set passes 3/4 of it.
+func TestReservedIndexNeverGrows(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		cfg          GossipConfig
+		n            int
+		heard, slots int
+	}{
+		{"mega-farm", GossipConfig{Period: 4 * simtime.Second, Fanout: 2, WindowLen: 32}, 4096, 540, 1024},
+		{"rack-farm", GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 32}, 512, 511, 1024},
+	} {
+		eng, g := tableGossip(tc.cfg, 0, tc.n)
+		if got := expectedHeard(tc.cfg, tc.n); got != tc.heard {
+			t.Fatalf("%s: expected heard set %d, want %d", tc.name, got, tc.heard)
+		}
+		if len(g.cells.index) != tc.slots {
+			t.Fatalf("%s: NewGossip reserved %d index slots, want %d", tc.name, len(g.cells.index), tc.slots)
+		}
+		index := &g.cells.index[0]
+		// mergeTo merges fresh origins 1..k, one window at a time.
+		mergeTo := func(k int) {
+			for o := 1; o <= k; {
+				m := &gossipMsg{}
+				for ; o <= k && len(m.Entries) < tc.cfg.WindowLen; o++ {
+					m.Entries = append(m.Entries, gossipEntryWire{Origin: int32(o), Stamp: eng.Now()})
+				}
+				m.receivers.Store(1)
+				g.merge(m)
+			}
+		}
+		mergeTo(tc.heard)
+		if g.cells.len() != tc.heard || &g.cells.index[0] != index {
+			t.Fatalf("%s: holding %d origins regrew the index to %d slots", tc.name, g.cells.len(), len(g.cells.index))
+		}
+		checkTable(t, g)
+		if full := 3 * tc.slots / 4; full < tc.n-1 {
+			mergeTo(full + 1)
+			if len(g.cells.index) != 2*tc.slots {
+				t.Fatalf("%s: %d origins left the index at %d slots, want it grown to %d", tc.name, full+1, len(g.cells.index), 2*tc.slots)
+			}
+			checkTable(t, g)
+		}
+	}
 }

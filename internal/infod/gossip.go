@@ -9,33 +9,53 @@
 // hop count, balancer policies on a large fabric see staleness that grows
 // with topology distance — the MOSIX information-dissemination behaviour
 // the related farm literature describes, rather than the paper's two-node
-// pairing.
-//
-// Storage is compact: a daemon keeps only the origins it has actually
-// heard from (a flat cell table — dense pointer-free cells behind an
-// open-addressed index keyed in place by origin, see cellTable), never a
-// dense length-n vector, so the whole gossip plane is O(n·l·retention)
-// resident rather than O(n²). A recency ring of cell handles orders the
-// cells by last refresh. Each cell records its slot. A refresh clears the
-// cell's previous slot and writes its handle at the ring head, whose
-// previous occupant falls off the ring; removing a cell clears its slot
-// and relabels the slot of the cell swap-removal moves. So every non-empty
-// slot names the live cell last refreshed there, and the window composer
-// reads cells straight off the ring, with no index lookup. Alongside the periodic pushes, each daemon runs slower
+// pairing. Alongside the periodic pushes, each daemon runs slower
 // anti-entropy pull rounds: it asks one random peer for that peer's
 // current window, which heals partitions and brings late joiners up to
 // date even when pushes alone would starve them.
 //
-// Windows are recycled. A daemon composes each outgoing window into a
-// buffer off its own short free list, and the buffer is shared by every
-// copy sent. Its receiver count is set at send time; each receiver
-// decrements it atomically once its merge has read the entries, and the
-// last one adopts the buffer onto its own daemon's free list. Only the
-// daemon that owns a free list ever touches it, so under the sharded
-// engine a list never crosses shards; the count is the one cross-shard
-// word. A copy lost on the way (a down link, a dropped message) leaves
-// the count above zero, and the buffer goes to the garbage collector
-// instead.
+// Storage is compact and sized once. A daemon keeps only the origins it
+// has actually heard from (a flat cell table — dense pointer-free 40-byte
+// cells behind an open-addressed index keyed in place by origin, see
+// cellTable), never a dense length-n vector, so the whole gossip plane is
+// O(n·l·retention) resident rather than O(n²). NewGossip reserves the
+// index for the heard set the config implies,
+// min(n-1, l·(Fanout + 1/PullEvery)·MaxAge/Period) origins, so in steady
+// state it never grows; a daemon that hears more still grows it. Nothing
+// reads the index in slot order — reads walk cell handles — so its size
+// cannot change a result. Cells and wire entries hold queue length and
+// memory in 32 bits, and a sample that does not fit panics rather than
+// being truncated (see narrow).
+//
+// A recency ring of cell handles orders the cells by last refresh. Each
+// cell records its slot. A refresh clears the cell's previous slot and
+// writes its handle at the ring head, whose previous occupant falls off
+// the ring; removing a cell clears its slot and relabels the slot of the
+// cell swap-removal moves. So every non-empty slot names the live cell
+// last refreshed there, and the window composer reads cells straight off
+// the ring, with no index lookup.
+//
+// Deferred steps are pooled. Push's and pull's sends, and the merge or
+// pull answer a delivery schedules, each run from an action record off the
+// daemon's own pool, with its callback built once per record, and a pull
+// request is the daemon's one immutable gossipPullMsg. A record is taken
+// and returned on its own daemon's engine, so under the sharded engine no
+// pool crosses a shard.
+//
+// Windows are recycled by the daemon that composed them. The buffer of one
+// outgoing window is shared by every copy sent, and its receiver count is
+// set at send time; each receiver decrements it atomically once its merge
+// has read the entries. The composer keeps its last few buffers and
+// composes into one whose count is back at zero, or into a new one. A
+// buffer never changes hands, so no list crosses shards, the count is the
+// one cross-shard word, and a daemon holds only the few buffers it has in
+// flight at once. (A buffer passed on to its last receiver would drift
+// between daemons, and one that gave away more than it took in would keep
+// allocating.) A copy lost on the way (a down link, a dropped message)
+// leaves the count above zero; the buffer is never reused, and leaves the
+// kept set once keptWindows newer ones replace it.
+//
+// A gossip round allocates nothing once the pools are warm.
 package infod
 
 import (
@@ -81,34 +101,71 @@ type GossipEntry struct {
 	Stamp simtime.Time
 }
 
-// gossipEntryWire is one entry on the wire. Every composed entry is a
-// known one, so the wire carries no presence flag.
+// gossipEntryWire is one entry on the wire, in 32 bytes: the origin and
+// its sample's queue length and memory travel in 32 bits, as the cell
+// holds them. Every composed entry is a known one, so the wire carries no
+// presence flag.
 type gossipEntryWire struct {
-	Origin int
-	Entry  GossipEntry
+	Load   float64
+	Stamp  simtime.Time
+	Origin int32
+	Queue  int32
+	MemMB  int32
+}
+
+// narrow returns v in 32 bits, and panics when it does not fit: a sample
+// is never truncated. scenario.Spec.Validate bounds every node's resident
+// memory, and with it its queue length, below math.MaxInt32, so the panic
+// marks a program bug, never a user input.
+func narrow(v int64, what string) int32 {
+	if v != int64(int32(v)) {
+		panic(fmt.Sprintf("infod: %s %d does not fit in 32 bits", what, v))
+	}
+	return int32(v)
 }
 
 // gossipMsg is one composed window, sent as a load-vector push or a pull
 // response (the receiver merges both identically). Every copy of a send
 // shares one gossipMsg; receivers counts the copies whose merge is still
-// to run, and the merge that takes it to zero adopts the buffer.
+// to run, and the composer reuses the buffer once it is zero.
 type gossipMsg struct {
 	Entries   []gossipEntryWire
 	receivers atomic.Int32
 }
 
 // gossipPullMsg is one anti-entropy pull request: the receiver replies to
-// From with its own current window.
+// From with its own current window. Each daemon builds its one request
+// when it is made and sends that same pointer on every pull; it is never
+// written again, so any shard may read it.
 type gossipPullMsg struct {
 	From int
+}
+
+// action is one deferred daemon step, pooled per daemon:
+//
+//   - a send (send set): push's copy of a window to one peer, or pull's
+//     request, handed to the daemon's send hook for peer;
+//   - a delivery: the merge of a received window, or the answer to a
+//     received pull request, whichever msg.Payload is.
+//
+// Its run callback is built once, when the record is made, and the record
+// goes back to its daemon's pool as run starts. Push and pull take their
+// records on the sending daemon's engine, handle takes its on the
+// receiving daemon's, and each runs where it was scheduled, so under the
+// sharded engine no pool ever crosses a shard.
+type action struct {
+	send bool
+	peer int
+	msg  netmodel.Message
+	run  func()
 }
 
 const (
 	// sweepFloor is the minimum heard-set size before expiry sweeps
 	// trigger.
 	sweepFloor = 64
-	// freeWindows caps a daemon's free list of window buffers.
-	freeWindows = 4
+	// keptWindows caps the window buffers a daemon keeps for reuse.
+	keptWindows = 4
 )
 
 // Gossip is one node's gossip dissemination daemon.
@@ -130,15 +187,18 @@ type Gossip struct {
 	// walks the ring newest-first and reads each cell directly. sweepAt is
 	// the heard-set size that triggers the next amortised expiry sweep.
 	// rttSum is the sum of 2×ageEst over every cell, kept in step by
-	// recordAge and drop. free holds the window buffers this daemon has
-	// adopted, which compose reuses.
+	// recordAge and drop. windows holds the window buffers this daemon
+	// composed last, oldest first, which compose reuses.
 	self    GossipEntry
 	cells   cellTable
 	ring    []int32
 	ringN   int64
 	sweepAt int
 	rttSum  simtime.Duration
-	free    []*gossipMsg
+	windows []*gossipMsg
+
+	pullMsg *gossipPullMsg // this daemon's one pull request
+	actions []*action      // this daemon's idle action records
 
 	peerScratch []int
 }
@@ -147,11 +207,13 @@ type Gossip struct {
 // send routes one message to a peer (the fabric's topology path); seed
 // drives the daemon's jitter and peer-selection stream. The daemon
 // registers its message handler on the node; call Start to begin pushing.
-// It panics unless every cfg field is positive.
+// It panics unless every cfg field is positive, or when n does not fit in
+// 32 bits.
 func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float64, send func(dst int, m netmodel.Message), seed uint64) *Gossip {
 	if cfg.Period <= 0 || cfg.Fanout <= 0 || cfg.WindowLen <= 0 {
 		panic(fmt.Sprintf("infod: non-positive gossip config %+v", cfg))
 	}
+	narrow(int64(n), "cluster size")
 	ringCap := 4 * cfg.WindowLen
 	if ringCap < sweepFloor {
 		ringCap = sweepFloor
@@ -164,10 +226,24 @@ func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float6
 		send:      send,
 		ring:      make([]int32, ringCap),
 		sweepAt:   sweepFloor,
-		free:      make([]*gossipMsg, 0, freeWindows),
+		windows:   make([]*gossipMsg, 0, keptWindows),
+		pullMsg:   &gossipPullMsg{From: id},
 	}
+	g.cells.reserve(expectedHeard(cfg, n))
 	node.Handle(g.handle)
 	return g
+}
+
+// expectedHeard is the heard set a daemon of an n-node cluster is sized
+// for: each period it merges Fanout pushes and 1/PullEvery of a pull
+// answer, each carrying up to WindowLen origins, and an origin it heard
+// stays held for MaxAge, so it holds at most
+// WindowLen·(Fanout + 1/PullEvery)·MaxAge/Period origins, and never more
+// than its n-1 peers. It is a size, not a limit: a daemon that hears more
+// grows its index.
+func expectedHeard(cfg GossipConfig, n int) int {
+	perPeriod := float64(cfg.WindowLen) * (float64(cfg.Fanout) + 1.0/PullEvery)
+	return int(min(float64(n-1), perPeriod*float64(MaxAge)/float64(cfg.Period)))
 }
 
 // SetProbe installs the local load probe sampled at every push round.
@@ -198,7 +274,7 @@ func (g *Gossip) Stop() {
 func expired(stamp, now simtime.Time) bool { return now.Sub(stamp) > MaxAge }
 
 // compose re-probes the daemon's own sample and assembles the bounded
-// outgoing window into a buffer off the free list: the fresh self entry
+// outgoing window into a reused buffer: the fresh self entry
 // plus the most recently refreshed live entries off the recency ring, up
 // to WindowLen total. Empty ring slots (a cell refreshed again later, or
 // reclaimed) are skipped; expired cells encountered on the walk are
@@ -209,7 +285,14 @@ func (g *Gossip) compose(now simtime.Time) *gossipMsg {
 		g.self.Sample = g.probe()
 	}
 	m := g.window()
-	out := append(m.Entries[:0], gossipEntryWire{Origin: g.id, Entry: g.self})
+	s := g.self.Sample
+	out := append(m.Entries[:0], gossipEntryWire{
+		Load:   s.Load,
+		Stamp:  now,
+		Origin: int32(g.id),
+		Queue:  narrow(int64(s.Queue), "queue length"),
+		MemMB:  narrow(s.UsedMemMB, "resident memory MB"),
+	})
 	span := int64(len(g.ring))
 	if g.ringN < span {
 		span = g.ringN
@@ -225,27 +308,64 @@ func (g *Gossip) compose(now simtime.Time) *gossipMsg {
 			g.drop(h)
 			continue
 		}
-		out = append(out, gossipEntryWire{Origin: int(c.origin), Entry: c.entry()})
+		out = append(out, c.wire())
 	}
 	m.Entries = out
 	return m
 }
 
-// window takes a buffer off the free list, or allocates one.
+// window returns a kept buffer every copy of which has been merged, or
+// allocates one and keeps it in place of the oldest once keptWindows are
+// kept. The atomic load that reads zero orders this daemon's writes after
+// every receiver's reads.
 func (g *Gossip) window() *gossipMsg {
-	if k := len(g.free); k > 0 {
-		m := g.free[k-1]
-		g.free = g.free[:k-1]
-		return m
+	for _, m := range g.windows {
+		if m.receivers.Load() == 0 {
+			return m
+		}
 	}
-	return &gossipMsg{Entries: make([]gossipEntryWire, 0, g.cfg.WindowLen)}
+	m := &gossipMsg{Entries: make([]gossipEntryWire, 0, g.cfg.WindowLen)}
+	if len(g.windows) == keptWindows {
+		g.windows = append(g.windows[:0], g.windows[1:]...)
+	}
+	g.windows = append(g.windows, m)
+	return m
 }
 
-// adopt puts a window buffer no one else holds on the free list, or leaves
-// it to the garbage collector when the list is full.
-func (g *Gossip) adopt(m *gossipMsg) {
-	if len(g.free) < freeWindows {
-		g.free = append(g.free, m)
+// action takes an idle action record off the pool, or builds one and its
+// run callback.
+func (g *Gossip) action() *action {
+	if k := len(g.actions); k > 0 {
+		a := g.actions[k-1]
+		g.actions = g.actions[:k-1]
+		return a
+	}
+	a := &action{}
+	a.run = func() { g.act(a) }
+	return a
+}
+
+// deferSend schedules one send of msg to peer after a scheduling delay.
+func (g *Gossip) deferSend(peer int, msg netmodel.Message) {
+	a := g.action()
+	a.send, a.peer, a.msg = true, peer, msg
+	g.eng.Schedule(g.schedDelay(), a.run)
+}
+
+// act runs a, returning it to the pool first.
+func (g *Gossip) act(a *action) {
+	send, peer, msg := a.send, a.peer, a.msg
+	a.msg = netmodel.Message{}
+	g.actions = append(g.actions, a)
+	if send {
+		g.send(peer, msg)
+		return
+	}
+	switch p := msg.Payload.(type) {
+	case *gossipMsg:
+		g.merge(p)
+	case *gossipPullMsg:
+		g.servePull(p.From)
 	}
 }
 
@@ -283,17 +403,13 @@ func (g *Gossip) pickPeers(k int) []int {
 func (g *Gossip) push() {
 	m := g.compose(g.eng.Now())
 	if g.n <= 1 {
-		g.adopt(m)
 		return
 	}
 	peers := g.pickPeers(g.cfg.Fanout)
 	m.receivers.Store(int32(len(peers)))
-	size := MsgBytes + EntryBytes*int64(len(m.Entries))
+	msg := netmodel.Message{Size: MsgBytes + EntryBytes*int64(len(m.Entries)), Payload: m}
 	for _, dst := range peers {
-		dst := dst
-		g.eng.Schedule(g.schedDelay(), func() {
-			g.send(dst, netmodel.Message{Size: size, Payload: m})
-		})
+		g.deferSend(dst, msg)
 	}
 }
 
@@ -306,23 +422,18 @@ func (g *Gossip) pull() {
 	if g.n <= 1 {
 		return
 	}
-	dst := g.pickPeers(1)[0]
-	msg := gossipPullMsg{From: g.id}
-	g.eng.Schedule(g.schedDelay(), func() {
-		g.send(dst, netmodel.Message{Size: MsgBytes, Payload: msg})
-	})
+	g.deferSend(g.pickPeers(1)[0], netmodel.Message{Size: MsgBytes, Payload: g.pullMsg})
 }
 
 // handle consumes gossip traffic delivered to this node; merges and pull
 // responses run after this side's scheduling delay (the daemon has to be
 // woken and run).
 func (g *Gossip) handle(payload any) bool {
-	switch m := payload.(type) {
-	case *gossipMsg:
-		g.eng.Schedule(g.schedDelay(), func() { g.merge(m) })
-		return true
-	case gossipPullMsg:
-		g.eng.Schedule(g.schedDelay(), func() { g.servePull(m.From) })
+	switch payload.(type) {
+	case *gossipMsg, *gossipPullMsg:
+		a := g.action()
+		a.send, a.msg = false, netmodel.Message{Payload: payload}
+		g.eng.Schedule(g.schedDelay(), a.run)
 		return true
 	}
 	return false
@@ -343,31 +454,28 @@ func (g *Gossip) servePull(dst int) {
 // move to the head of the recency ring, and every accepted entry
 // contributes an age sample to the per-origin staleness estimate. Entries
 // already past MaxAge on arrival are not resurrected. Once the entries are
-// read, the merge releases its copy of the window, adopting the buffer if
-// it was the last one out.
+// read, the merge releases its copy of the window to the composer.
 func (g *Gossip) merge(m *gossipMsg) {
 	now := g.eng.Now()
-	for _, w := range m.Entries {
-		o := w.Origin
-		if o == g.id || o < 0 || o >= g.n || expired(w.Entry.Stamp, now) {
+	for i := range m.Entries {
+		w := &m.Entries[i]
+		o := int(w.Origin)
+		if o == g.id || o < 0 || o >= g.n || expired(w.Stamp, now) {
 			continue
 		}
 		h := g.cells.find(o)
 		added := h < 0
 		if added {
 			h = g.cells.insert(o)
-		} else if w.Entry.Stamp <= g.cells.at(h).stamp {
+		} else if w.Stamp <= g.cells.at(h).stamp {
 			continue
 		}
 		c := g.cells.at(h)
-		s := w.Entry.Sample
-		c.load, c.queue, c.mem, c.stamp = s.Load, s.Queue, s.UsedMemMB, w.Entry.Stamp
+		c.load, c.queue, c.mem, c.stamp = w.Load, w.Queue, w.MemMB, w.Stamp
 		g.refresh(h, c)
-		g.recordAge(c, now.Sub(w.Entry.Stamp), added)
+		g.recordAge(c, now.Sub(w.Stamp), added)
 	}
-	if m.receivers.Add(-1) == 0 {
-		g.adopt(m)
-	}
+	m.receivers.Add(-1)
 	g.maybeSweep(now)
 }
 

@@ -1,6 +1,7 @@
 package infod
 
 import (
+	"math"
 	"testing"
 
 	"ampom/internal/cluster"
@@ -184,7 +185,7 @@ func TestGossipPushDistinctPeers(t *testing.T) {
 			if !ok {
 				return true
 			}
-			stamp := g.Entries[0].Entry.Stamp
+			stamp := g.Entries[0].Stamp
 			if simtime.Duration(stamp)%period != 0 {
 				return true // a pull response
 			}
@@ -360,6 +361,33 @@ func TestGossipDeterministicPeers(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("entry %d differs between identical runs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestMisfitSamplePanics: a sample whose queue length or memory does not
+// fit the 32 bits a cell and a wire entry hold panics where it enters
+// them — as the window carrying it is composed — and is never truncated:
+// the peer that would have merged it never holds the origin.
+func TestMisfitSamplePanics(t *testing.T) {
+	for _, bad := range []LoadSample{
+		{Queue: math.MaxInt32 + 1},
+		{UsedMemMB: math.MaxInt32 + 1},
+		{UsedMemMB: math.MinInt32 - 1},
+	} {
+		cfg := GossipConfig{Period: simtime.Second, Fanout: 1, WindowLen: 32}
+		eng, daemons := gossipMesh(t, 2, cfg, simtime.Millisecond, nil)
+		daemons[0].SetProbe(func() LoadSample { return bad })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("sample %+v went out without a panic", bad)
+				}
+			}()
+			eng.Run(simtime.Time(3 * cfg.Period))
+		}()
+		if e, ok := daemons[1].Entry(0); ok {
+			t.Fatalf("sample %+v reached the peer as %+v", bad, e)
 		}
 	}
 }

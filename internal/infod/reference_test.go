@@ -44,6 +44,25 @@ func newRefGossip(cfg GossipConfig, id, n int) *refGossip {
 	}
 }
 
+// wireOf and entryOf convert between the reference's entries and the
+// wire's narrowed form.
+func wireOf(origin int, e GossipEntry) gossipEntryWire {
+	return gossipEntryWire{
+		Load:   e.Sample.Load,
+		Stamp:  e.Stamp,
+		Origin: int32(origin),
+		Queue:  int32(e.Sample.Queue),
+		MemMB:  int32(e.Sample.UsedMemMB),
+	}
+}
+
+func entryOf(w gossipEntryWire) GossipEntry {
+	return GossipEntry{
+		Sample: LoadSample{Load: w.Load, Queue: int(w.Queue), UsedMemMB: int64(w.MemMB)},
+		Stamp:  w.Stamp,
+	}
+}
+
 func (g *refGossip) expired(stamp, now simtime.Time) bool {
 	return MaxAge > 0 && now.Sub(stamp) > MaxAge
 }
@@ -56,7 +75,7 @@ func (g *refGossip) compose(now simtime.Time) []gossipEntryWire {
 		max = m
 	}
 	out := make([]gossipEntryWire, 0, max)
-	out = append(out, gossipEntryWire{Origin: g.id, Entry: g.self})
+	out = append(out, wireOf(g.id, g.self))
 	span := int64(len(g.ring))
 	if g.ringN < span {
 		span = g.ringN
@@ -72,29 +91,29 @@ func (g *refGossip) compose(now simtime.Time) []gossipEntryWire {
 			delete(g.cells, o)
 			continue
 		}
-		out = append(out, gossipEntryWire{Origin: o, Entry: c.entry})
+		out = append(out, wireOf(o, c.entry))
 	}
 	return out
 }
 
 func (g *refGossip) merge(m *gossipMsg, now simtime.Time) {
 	for _, w := range m.Entries {
-		o := w.Origin
+		o := int(w.Origin)
 		if o == g.id || o < 0 || o >= g.n {
 			continue
 		}
-		if g.expired(w.Entry.Stamp, now) {
+		if g.expired(w.Stamp, now) {
 			continue
 		}
 		c, ok := g.cells[o]
-		if ok && w.Entry.Stamp <= c.entry.Stamp {
+		if ok && w.Stamp <= c.entry.Stamp {
 			continue
 		}
 		if !ok {
 			c = &refCell{}
 			g.cells[o] = c
 		}
-		e := w.Entry
+		e := entryOf(w)
 		c.entry = e
 		c.ringPos = g.ringN
 		g.ring[g.ringN%int64(len(g.ring))] = int32(o)

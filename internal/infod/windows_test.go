@@ -13,21 +13,79 @@ import (
 )
 
 // TestCompactLayouts guards the flat layouts the heard set and the wire
-// are sized for: a field that regrows a cell past 48 bytes or a wire entry
-// past 40 fails here.
+// are sized for: a field that regrows a cell past 40 bytes or a wire entry
+// past 32 fails here.
 func TestCompactLayouts(t *testing.T) {
-	if s := unsafe.Sizeof(cell{}); s > 48 {
-		t.Fatalf("cell is %d bytes, want ≤ 48", s)
+	if s := unsafe.Sizeof(cell{}); s > 40 {
+		t.Fatalf("cell is %d bytes, want ≤ 40", s)
 	}
-	if s := unsafe.Sizeof(gossipEntryWire{}); s > 40 {
-		t.Fatalf("gossipEntryWire is %d bytes, want ≤ 40", s)
+	if s := unsafe.Sizeof(gossipEntryWire{}); s > 32 {
+		t.Fatalf("gossipEntryWire is %d bytes, want ≤ 32", s)
+	}
+}
+
+// TestGossipRoundAllocFree pins the pooled deferred actions end to end:
+// three started daemons on one engine gossip through the engine itself,
+// push → send → handle → merge and pull → send → handle → servePull →
+// send → handle → merge, each send delivered straight to the peer's node.
+// Once the action pools and kept windows are warm, a whole pull period of
+// rounds allocates nothing.
+func TestGossipRoundAllocFree(t *testing.T) {
+	eng := sim.New()
+	cfg := GossipConfig{Period: simtime.Second, Fanout: 2, WindowLen: 32}
+	nodes := make([]*cluster.Node, 3)
+	for i := range nodes {
+		nodes[i] = cluster.NewNode(eng, "g", 1)
+	}
+	windows, pulls := 0, 0
+	g := make([]*Gossip, len(nodes))
+	for i := range g {
+		send := func(dst int, m netmodel.Message) {
+			switch m.Payload.(type) {
+			case *gossipMsg:
+				windows++
+			case *gossipPullMsg:
+				pulls++
+			}
+			nodes[dst].Deliver(m.Payload)
+		}
+		g[i] = NewGossip(cfg, nodes[i], i, len(nodes), 11.36e6, send, uint64(i+1))
+		g[i].SetProbe(func() LoadSample { return LoadSample{Load: float64(i), Queue: i, UsedMemMB: int64(i)} })
+		g[i].Start()
+	}
+	// Rounds run from half a period past one pull tick to half a period
+	// past the next, so each holds PullEvery push ticks and one pull tick
+	// per daemon, and every deferred step they start.
+	pullPeriod := PullEvery * cfg.Period
+	eng.Run(simtime.Time(cfg.Period / 2))
+	round := func() { eng.Run(eng.Now().Add(pullPeriod)) }
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	windows, pulls = 0, 0
+	const rounds = 20
+	if a := testing.AllocsPerRun(rounds, round); a != 0 {
+		t.Fatalf("a warm gossip round allocates %v times", a)
+	}
+	// AllocsPerRun makes one warm-up call before the measured runs. Each
+	// daemon sends PullEvery pushes of Fanout copies, one pull request and
+	// one pull answer per round.
+	n := (rounds + 1) * len(g)
+	if wantWindows := n * (PullEvery*cfg.Fanout + 1); pulls != n || windows != wantWindows {
+		t.Fatalf("%d rounds sent %d windows and %d pull requests, want %d and %d", rounds+1, windows, pulls, wantWindows, n)
+	}
+	for i, d := range g {
+		if d.cells.len() != 2 {
+			t.Fatalf("daemon %d holds %d cells, want both peers", i, d.cells.len())
+		}
+		checkTable(t, d)
 	}
 }
 
 // TestComposeSteadyStateAllocFree pins what recycled windows buy: three
 // daemons on one clock take turns composing a window that the other two
-// merge, the last merger adopting the buffer, and once every free list is
-// warm a whole compose → merge → merge → adopt cycle allocates nothing.
+// merge, and once every daemon has a window of its own a whole
+// compose → merge → merge cycle allocates nothing.
 func TestComposeSteadyStateAllocFree(t *testing.T) {
 	eng := sim.New()
 	cfg := GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 32}
@@ -129,10 +187,11 @@ func TestWindowRecyclingSurvivesLostCopy(t *testing.T) {
 
 // TestWindowMergesConcurrently drives the cross-shard case under the race
 // detector: both copies of a window merge on their own goroutines, as
-// daemons on two shards do, and each receiver composes straight after its
-// merge. The last merger adopts the buffer and its compose overwrites it
-// at once, so an adoption that could run before the other receiver has
-// read the entries is a reported race.
+// daemons on two shards do, while the composer composes its next window on
+// a third. The composer keeps only the window being merged, so whenever
+// both merges finish first it reuses the very buffer they read, and a
+// reuse that could overwrite the entries before a receiver has read them
+// is a reported race.
 func TestWindowMergesConcurrently(t *testing.T) {
 	cfg := GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 8}
 	engs := make([]*sim.Engine, 3)
@@ -140,26 +199,38 @@ func TestWindowMergesConcurrently(t *testing.T) {
 	for i := range g {
 		engs[i], g[i] = tableGossip(cfg, i, 3)
 	}
+	m := g[0].compose(engs[0].Now())
+	reused := 0
 	for r := 1; r <= 200; r++ {
 		for _, e := range engs {
 			e.AdvanceTo(simtime.Time(r) * simtime.Time(simtime.Second))
 		}
-		m := g[0].compose(engs[0].Now())
 		m.receivers.Store(2)
+		g[0].windows = append(g[0].windows[:0], m)
+		var next *gossipMsg
 		var wg sync.WaitGroup
+		wg.Add(3)
 		for _, d := range g[1:] {
-			wg.Add(1)
 			go func(d *Gossip) {
 				defer wg.Done()
 				d.merge(m)
-				d.adopt(d.compose(d.eng.Now()))
 			}(d)
 		}
+		go func() {
+			defer wg.Done()
+			next = g[0].compose(engs[0].Now())
+		}()
 		wg.Wait()
+		if next == m {
+			reused++
+		}
+		m = next
 	}
+	last := engs[0].Now().Add(-simtime.Second)
 	for _, d := range g[1:] {
-		if e, ok := d.Entry(0); !ok || e.Stamp != engs[0].Now() {
-			t.Fatalf("daemon %d holds origin 0 as %+v,%v, want the last window's stamp", d.id, e, ok)
+		if e, ok := d.Entry(0); !ok || e.Stamp != last {
+			t.Fatalf("daemon %d holds origin 0 as %+v,%v, want the last merged window's stamp %v", d.id, e, ok, last)
 		}
 	}
+	t.Logf("composer reused the window being merged in %d of 200 rounds", reused)
 }

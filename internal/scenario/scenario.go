@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -671,6 +672,24 @@ func (s Spec) validateShape() error {
 		default:
 			return fmt.Errorf("scenario: churn[%d] unknown kind %v", i, c.Kind)
 		}
+	}
+	// The gossip plane carries a node's resident memory, and its queue
+	// length, in 32 bits. Bound both by every process, bursts included,
+	// landing on one node at the largest drawn footprint (under 1.5× the
+	// mean), grown by every balloon factor above 1. Every footprint is at
+	// least 1 MB, so the queue length is below the memory bound.
+	procs, growth := float64(s.Procs), 1.0
+	for _, c := range s.Churn {
+		switch {
+		case c.Kind == ChurnBurst:
+			procs += float64(c.Procs)
+		case c.Kind == ChurnBalloon && c.Factor > 1:
+			growth *= c.Factor
+		}
+	}
+	if mem := procs * 1.5 * float64(s.MeanFootprintMB) * growth; !(mem <= math.MaxInt32) {
+		return fmt.Errorf("scenario: one node's resident memory could reach %.4g MB (%g processes × 1.5 × %d MB mean footprint × %g balloon growth), above the %d MB the gossip plane carries",
+			mem, procs, s.MeanFootprintMB, growth, math.MaxInt32)
 	}
 	if s.Evacuate {
 		crash := false

@@ -400,6 +400,41 @@ func TestBalloonValidation(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsNodeMemory: a spec whose per-node resident memory
+// could pass the 32 bits the gossip plane carries is rejected — every
+// process on one node at 1.5× the mean footprint, bursts included, grown
+// by each balloon factor above 1 — and one just inside the bound is not.
+func TestValidateBoundsNodeMemory(t *testing.T) {
+	at := func(procs int, fp int64, churn ...ChurnEvent) Spec {
+		s := small()
+		s.Procs, s.MeanFootprintMB, s.NodeMemMB, s.Churn = procs, fp, 1<<20, churn
+		return s
+	}
+	// 1024 processes × 1.5 × 1398101 MB is 2147483136 MB, inside MaxInt32.
+	const procs, fp = 1024, 1398101
+	burst := ChurnEvent{At: simtime.Second, Kind: ChurnBurst, Node: 0, Procs: 1}
+	for _, s := range []Spec{
+		at(procs, fp),
+		at(procs, fp, ChurnEvent{At: simtime.Second, Kind: ChurnBalloon, Node: 0, Factor: 0.5}),
+	} {
+		if err := s.Validate(); err != nil {
+			t.Fatalf("spec inside the bound rejected: %v", err)
+		}
+	}
+	for i, s := range []Spec{
+		at(procs, fp+1),
+		at(procs-1, fp, burst, burst),
+		at(procs, fp, ChurnEvent{At: simtime.Second, Kind: ChurnBalloon, Node: 0, Factor: 1.001}),
+		at(procs/2, fp, ChurnEvent{At: simtime.Second, Kind: ChurnBalloon, Node: 1, Factor: 1.5},
+			ChurnEvent{At: 2 * simtime.Second, Kind: ChurnBalloon, Node: 1, Factor: 1.5}),
+		at(2, math.MaxInt64/4),
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("spec %d past the 32-bit memory bound accepted", i)
+		}
+	}
+}
+
 func TestLoadVectorLenFromSpec(t *testing.T) {
 	// The sample size l is behaviour-bearing and fingerprinted: a 1-entry
 	// vector decides with far less knowledge than the built-in default.
