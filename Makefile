@@ -145,12 +145,20 @@ bench-ab:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# profile runs the rack-farm preset (trimmed to the CI policy trio) under
-# the CPU and heap profilers, so a perf investigation starts from
-# `go tool pprof cpu.prof` instead of guesswork. Swap -scenario/-shards to
-# profile other presets or the sharded window machinery.
+# profile runs a preset under the CPU and heap profilers, so a perf
+# investigation starts from `go tool pprof cpu.prof` instead of guesswork.
+# SCENARIO picks the preset, POLICIES the comma-separated policy set (empty
+# runs the preset's own set) and SHARDS the event-engine shard count; the
+# defaults profile the rack-farm preset under the CI policy trio,
+# sequentially. Profile the star path or the sharded window machinery with
+#
+#   make profile SCENARIO=hpc-farm POLICIES=
+#   make profile SCENARIO=mega-farm SHARDS=2
+SCENARIO ?= rack-farm
+POLICIES ?= no-migration,AMPoM,queue-gossip
+SHARDS ?= 1
 profile:
-	$(GO) run ./cmd/ampom-cluster -scenario rack-farm \
-		-policies no-migration,AMPoM,queue-gossip \
+	$(GO) run ./cmd/ampom-cluster -scenario '$(SCENARIO)' \
+		-policies '$(POLICIES)' -shards '$(SHARDS)' \
 		-cpuprofile cpu.prof -memprofile mem.prof > /dev/null
 	@echo "wrote cpu.prof and mem.prof; inspect with: $(GO) tool pprof cpu.prof"

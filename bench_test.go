@@ -283,8 +283,8 @@ func BenchmarkCampaign(b *testing.B) {
 }
 
 // BenchmarkScenario runs the 64-node / 256-process preset through the
-// cluster scenario engine end to end (all three balancing policies, star
-// interconnect, infod daemons, prefetch census), so the perf trajectory
+// cluster scenario engine end to end (every registered balancing policy,
+// star interconnect, infod daemons, prefetch census), so the perf trajectory
 // captures cluster-scale numbers alongside the single-migration campaign.
 func BenchmarkScenario(b *testing.B) {
 	spec, err := ScenarioPreset("hpc-farm")

@@ -11,9 +11,11 @@
 // pages from the prefetch pivots of outstanding strided streams (§3.4).
 //
 // The implementation is allocation-free once warmed up: the window is a small
-// ring, every working list is a reused buffer, and the stride search runs in
-// O(l·dmax) — the WindowLen·DMax probes AnalysisCost charges — mirroring the
-// cheap in-kernel analysis the paper reports (<0.6 % of runtime, Fig. 11).
+// ring, every working list is a reused buffer, and each slot's stride is kept
+// in the window, set by the fault that completes it in at most dmax probes,
+// so the per-fault stride work stays within the WindowLen·DMax probes
+// AnalysisCost charges — mirroring the cheap in-kernel analysis the paper
+// reports (<0.6 % of runtime, Fig. 11).
 package core
 
 import (
@@ -160,6 +162,12 @@ type entry struct {
 	page memory.PageNum
 	t    simtime.Time // T_i: access (fault) time
 	cpu  float64      // C_i: CPU utilisation when recorded
+	// stride is the slot's minimum forward distance d (1 ≤ d ≤ DMax) to a
+	// later slot holding page+1, or 0 while there is none. RecordFault sets
+	// it when that slot is appended; faults append in order, so the first
+	// setting is the minimum, and neither eviction nor a collapsed repeat
+	// changes a forward distance.
+	stride int
 }
 
 // Prefetcher is the per-process AMPoM state: the lookback window and the
@@ -174,8 +182,8 @@ type Prefetcher struct {
 	maxPage memory.PageNum // one past the last valid page
 
 	// Per-analysis scratch, reused so that Analyze allocates nothing once
-	// the zone buffer has grown to the largest zone: the window pages, each
-	// slot's stride, the score's page-sorted link list and per-stride
+	// the zone buffer has grown to the largest zone: the window pages and
+	// their strides, the score's page-sorted link list and per-stride
 	// counts, the zone's stream runs, and the buffers behind
 	// Analysis.Pivots and Analysis.Zone.
 	pages    []memory.PageNum
@@ -206,7 +214,7 @@ func New(cfg Config, totalPages int64) (*Prefetcher, error) {
 		win:      make([]entry, l),
 		maxPage:  memory.PageNum(totalPages),
 		pages:    make([]memory.PageNum, 0, l),
-		strides:  make([]int, l),
+		strides:  make([]int, 0, l),
 		links:    make([]pageStride, 0, l),
 		counts:   make([]int64, cfg.DMax+1),
 		runs:     make([]pageRun, 0, l),
@@ -261,7 +269,9 @@ func (p *Prefetcher) at(i int) *entry {
 // to the lookback window. When the window is full the oldest entry is
 // discarded (§3.1). Consecutive repeated references to the same page are
 // temporal locality and collapse into a single reference (§3.1); the entry's
-// time and utilisation are refreshed so the paging rate stays current.
+// time and utilisation are refreshed so the paging rate stays current. An
+// appended fault completes the stride of every one of the previous DMax
+// entries that holds page−1 and has none yet.
 func (p *Prefetcher) RecordFault(page memory.PageNum, now simtime.Time, cpu float64) {
 	if cpu < 0 {
 		cpu = 0
@@ -282,7 +292,20 @@ func (p *Prefetcher) RecordFault(page memory.PageNum, now simtime.Time, cpu floa
 		p.head = (p.head + 1) % len(p.win)
 		p.count--
 	}
-	*p.at(p.count) = entry{page: page, t: now, cpu: cpu}
+	j := p.head + p.count
+	if j >= len(p.win) {
+		j -= len(p.win)
+	}
+	p.win[j] = entry{page: page, t: now, cpu: cpu}
+	for d := 1; d <= min(p.count, p.cfg.DMax); d++ {
+		if j == 0 {
+			j = len(p.win)
+		}
+		j--
+		if e := &p.win[j]; e.stride == 0 && e.page+1 == page {
+			e.stride = d
+		}
+	}
 	p.count++
 }
 
@@ -304,25 +327,21 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 		return a
 	}
 
-	// Gather the window pages and the CPU sum, oldest first, walking the
-	// ring as its two contiguous segments; then the strides, shared by the
-	// score and the pivot search.
-	w := p.pages[:0]
+	// Gather the window pages, their strides (shared by the score and the
+	// pivot search) and the CPU sum, oldest first, walking the ring as its
+	// two contiguous segments.
+	w, strides := p.pages[:0], p.strides[:0]
 	var cpuSum float64
 	tail := min(p.head+p.count, len(p.win))
 	for _, e := range p.win[p.head:tail] {
-		w = append(w, e.page)
+		w, strides = append(w, e.page), append(strides, e.stride)
 		cpuSum += e.cpu
 	}
 	for _, e := range p.win[:p.count-(tail-p.head)] {
-		w = append(w, e.page)
+		w, strides = append(w, e.page), append(strides, e.stride)
 		cpuSum += e.cpu
 	}
-	p.pages = w
-	strides := p.strides[:len(w)]
-	for i := range w {
-		strides[i] = p.strideOf(w, i)
-	}
+	p.pages, p.strides = w, strides
 
 	// --- Spatial locality score S (Eq. 1) ---------------------------------
 	a.Score = p.score(w, strides)
@@ -379,21 +398,6 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 	return a
 }
 
-// strideOf returns the stride of the page at window position i: the minimum
-// forward distance d (1 ≤ d ≤ DMax) to a later reference to page w[i]+1, or
-// 0 when none exists within DMax. Only the next DMax slots are scanned: a
-// first reference to w[i]+1 beyond them is no stride at all.
-func (p *Prefetcher) strideOf(w []memory.PageNum, i int) int {
-	want := w[i] + 1
-	end := min(i+p.cfg.DMax, len(w)-1)
-	for j := i + 1; j <= end; j++ {
-		if w[j] == want {
-			return j - i
-		}
-	}
-	return 0
-}
-
 // pageStride is one (page, stride) link of the score: page's minimum
 // forward distance d to page+1. With at most l = 20 links a flat sorted
 // list beats a map.
@@ -410,7 +414,7 @@ type pageStride struct {
 // the page whose minimum forward distance to its successor page is d and
 // that successor page itself, matching the paper's worked examples (e.g.
 // {1,99,2,45,3,78,4} ⇒ stride_2 = 4 for pages {1,2,3,4}). strides[i] is
-// strideOf(w, i).
+// the stride kept in window slot i.
 //
 // The participations are the distinct (page, d) and (page+1, d) endpoints
 // of the links, one link per page value. Two links never share a first

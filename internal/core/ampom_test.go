@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ampom/internal/memory"
+	"ampom/internal/prng"
 	"ampom/internal/simtime"
 	"ampom/internal/trace"
 )
@@ -326,6 +327,65 @@ func TestPrefetchedAccounting(t *testing.T) {
 	}
 	if p.Faults() != 2 {
 		t.Fatalf("faults = %d", p.Faults())
+	}
+}
+
+// TestKeptStridesMatchReference: after every RecordFault, every window
+// slot's kept stride equals refStrideOf over the window's pages — the
+// stride a scan of the window finds. The streams cover
+// sequential and strided readers, interleaved streams, random pages, many
+// ring wraps, the eviction of slots whose stride was already set, and a
+// repeated page followed by its successor.
+func TestKeptStridesMatchReference(t *testing.T) {
+	src := prng.New(11)
+	random := make([]int64, 300)
+	for i := range random {
+		random[i] = int64(src.Intn(24)) // small range: many accidental strides
+	}
+	var seq, strided, interleave []int64
+	for i := range int64(100) {
+		seq = append(seq, 1000+i)
+		strided = append(strided, []int64{13, 27, 7, 8, 14, 8, 3, 15, 4, 5}[i%10]+32*(i/10))
+		interleave = append(interleave, 500+(i%4)*3+i/4)
+	}
+	cases := []struct {
+		name       string
+		cfg        Config
+		stream     []int64
+		strideFree bool // no slot may ever hold a stride
+	}{
+		{"sequential", DefaultConfig(), seq, false},
+		{"strided", DefaultConfig(), strided, false},
+		{"interleaved at dmax", Config{WindowLen: 8, DMax: 4}, interleave, false},
+		{"interleaved past dmax", Config{WindowLen: 8, DMax: 3}, interleave, true},
+		{"random", DefaultConfig(), random, false},
+		{"random small window", Config{WindowLen: 3, DMax: 2}, random, false},
+		// 11 sets 10's stride; three faults later, 12 evicts 10 from the
+		// four-slot window and completes 11 at distance 3.
+		{"evict a set stride", Config{WindowLen: 4, DMax: 3}, []int64{10, 11, 40, 41, 12, 60, 61, 62}, false},
+		// The repeats of 7 collapse; 8 then completes 7 at distance 1, and
+		// the earlier 7 three slots back at distance 3.
+		{"repeat then successor", Config{WindowLen: 6, DMax: 4}, []int64{7, 3, 7, 7, 7, 8, 8, 9}, false},
+	}
+	for _, c := range cases {
+		p := MustNew(c.cfg, 1<<20)
+		set := 0 // faults after which some slot holds a stride
+		for i, pg := range c.stream {
+			p.RecordFault(memory.PageNum(pg), simtime.Time(i)*simtime.Time(simtime.Millisecond), 1)
+			if pos, kept, ref := strideMismatch(p); pos >= 0 {
+				t.Fatalf("%s: after fault %d (page %d) slot %d of %v keeps stride %d, reference %d",
+					c.name, i, pg, pos, window(p), kept, ref)
+			}
+			for k := range p.WindowLen() {
+				if p.at(k).stride != 0 {
+					set++
+					break
+				}
+			}
+		}
+		if (set == 0) != c.strideFree {
+			t.Fatalf("%s: a slot held a stride after %d of %d faults", c.name, set, len(c.stream))
+		}
 	}
 }
 

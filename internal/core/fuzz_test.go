@@ -15,7 +15,8 @@ import (
 // zone respects the cap and the address-space bounds, and the zone never
 // contains duplicates. On every fault it also checks the allocation-free
 // analysis against refAnalyze, the frozen original: Score, NReal, N,
-// Streams, Pivots and Zone must be identical.
+// Streams, Pivots and Zone must be identical; and every window slot's kept
+// stride against refStrideOf.
 //
 // At fault number resetAt (if the stream is that long) the prefetcher is
 // Reset to an address space of resetPages+1 pages, and from there on a
@@ -52,6 +53,16 @@ func FuzzPrefetcherFault(f *testing.F) {
 	// Two links completing on the same page (10→11 at strides 3 and 1)
 	// yield one pivot, not two.
 	f.Add(uint8(8), uint8(4), uint16(16), false, never, never, []byte{0, 10, 0, 50, 0, 10, 0, 11})
+	// A slot whose stride is already set (10→11) is evicted from a
+	// four-slot window by the fault that completes its successor (11→12).
+	f.Add(uint8(4), uint8(3), uint16(16), false, never, never, []byte{
+		0, 10, 0, 11, 0, 40, 0, 41, 0, 12, 0, 60, 0, 61, 0, 62,
+	})
+	// A repeated page collapses, then its successor completes both the
+	// collapsed slot (distance 1) and the earlier copy three slots back.
+	f.Add(uint8(6), uint8(4), uint16(16), true, never, never, []byte{
+		0, 7, 0, 3, 0, 7, 0, 7, 0, 7, 0, 8, 0, 8, 0, 9,
+	})
 
 	f.Fuzz(func(t *testing.T, windowLen, dmax uint8, cap16 uint16, disableBaseline bool, resetAt, resetPages uint16, stream []byte) {
 		if len(stream) > 512 {
@@ -92,6 +103,9 @@ func FuzzPrefetcherFault(f *testing.F) {
 			cpu := float64(stream[i+1]) / 255
 			p.RecordFault(page, now, cpu)
 			faults++
+			if pos, kept, ref := strideMismatch(p); pos >= 0 {
+				t.Fatalf("slot %d of window %v keeps stride %d, reference %d", pos, window(p), kept, ref)
+			}
 
 			a := p.Analyze(est)
 			p.NotePrefetched(len(a.Zone))

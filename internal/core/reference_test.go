@@ -14,6 +14,19 @@ func window(p *Prefetcher) []memory.PageNum {
 	return out
 }
 
+// strideMismatch returns the first window position whose kept stride
+// differs from refStrideOf over the window's pages, and that stride and
+// the reference's; pos is -1 when every slot agrees.
+func strideMismatch(p *Prefetcher) (pos, kept, ref int) {
+	w := window(p)
+	for i := range w {
+		if kept, ref := p.at(i).stride, refStrideOf(p.cfg, w, i); kept != ref {
+			return i, kept, ref
+		}
+	}
+	return -1, 0, 0
+}
+
 // refAnalyze is a frozen copy of the original, straightforward AMPoM
 // analysis: an unbounded stride scan run once by the score and again by the
 // pivot search, per-call slices, and a map deduplicating the dependent zone.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"reflect"
 	"testing"
 
 	"ampom/internal/cluster"
@@ -313,4 +314,61 @@ func TestShardedBuildRejectsLookaheadMismatch(t *testing.T) {
 			})
 		}()
 	}
+}
+
+// TestStarHubMatchesIsolatedPairs: a star hub running one head daemon per
+// spoke routes every exchange to its own pair, so with k = 1, 8 and 63
+// spokes each head and spoke daemon ends with exactly the RTT estimate of
+// an isolated pair built with the same link profile and seeds — and the
+// hub's handler chain is as long as a spoke's, whatever k is.
+func TestStarHubMatchesIsolatedPairs(t *testing.T) {
+	cfg := Config{Kind: KindStar, Network: netmodel.FastEthernet(), BackgroundLoad: 0.5, Seed: 9001}
+	const run = simtime.Time(40 * simtime.Second)
+	hubHandlers := -1
+	for _, k := range []int{1, 8, 63} {
+		eng := sim.New()
+		nodes := make([]*cluster.Node, k+1)
+		for i := range nodes {
+			nodes[i] = cluster.NewNode(eng, "n", 1)
+		}
+		s := buildStar(eng, nodes, cfg)
+		if hub, spoke := handlerCount(nodes[0]), handlerCount(nodes[1]); hub != spoke || hubHandlers >= 0 && hub != hubHandlers {
+			t.Fatalf("k=%d: the hub tries %d handlers (%d at k=1), a spoke %d", k, hub, hubHandlers, spoke)
+		}
+		hubHandlers = handlerCount(nodes[0])
+		eng.Run(run)
+
+		drng := prngForDaemons(cfg.Seed)
+		for i := 1; i <= k; i++ {
+			peng := sim.New()
+			a, b := cluster.NewNode(peng, "head", 1), cluster.NewNode(peng, "spoke", 1)
+			link := netmodel.NewLink(peng, cfg.Network, a.NIC, b.NIC)
+			link.SetBackgroundLoad(cfg.BackgroundLoad)
+			head := infod.New(2*simtime.Second, a, link, drng.Uint64())
+			spoke := infod.New(2*simtime.Second, b, link, drng.Uint64())
+			infod.Pair(head, spoke)
+			a.Handle(infod.Route)
+			b.Handle(infod.Route)
+			prior := head.RTT()
+			head.Start()
+			spoke.Start()
+			peng.Run(run)
+			if head.RTT() == prior {
+				t.Fatalf("k=%d spoke %d: no ack sampled in the isolated pair", k, i)
+			}
+			if got, want := s.head[i].RTT(), head.RTT(); got != want {
+				t.Fatalf("k=%d: head daemon %d RTT %v, isolated pair %v", k, i, got, want)
+			}
+			if got, want := s.spoke[i].RTT(), spoke.RTT(); got != want {
+				t.Fatalf("k=%d: spoke daemon %d RTT %v, isolated pair %v", k, i, got, want)
+			}
+		}
+	}
+}
+
+// handlerCount reads the length of n's handler chain, the most handlers
+// one delivery to n can try. The chain is unexported and nothing but this
+// test needs its length, so the test reads it by reflection.
+func handlerCount(n *cluster.Node) int {
+	return reflect.ValueOf(n).Elem().FieldByName("handlers").Len()
 }

@@ -50,6 +50,9 @@ func buildStar(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *star {
 			s.deliver(i, node, env)
 			return true
 		})
+		// One daemon router per node, however many spoke daemons the
+		// hub runs.
+		node.Handle(infod.Route)
 	}
 
 	// Daemon jitter seeds come from a stream derived from the scenario

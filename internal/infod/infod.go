@@ -16,6 +16,8 @@
 package infod
 
 import (
+	"fmt"
+
 	"ampom/internal/cluster"
 	"ampom/internal/core"
 	"ampom/internal/netmodel"
@@ -28,7 +30,8 @@ import (
 // arrival is the RTT sample. One record carries both legs, and its send
 // callback is built once, when the record is made, so an exchange
 // allocates nothing: the sender takes the record from its free list and
-// puts it back when the ack lands.
+// puts it back when the ack lands. The current leg's receiver is always
+// from's peer, which is how Route finds it.
 type exchange struct {
 	sentAt simtime.Time // when the update was composed
 	from   *Daemon      // the daemon sending the current leg
@@ -55,7 +58,9 @@ type Daemon struct {
 }
 
 // New creates a daemon on node, talking across link, that broadcasts a
-// load update every period. Seed drives the scheduling-delay jitter.
+// load update every period. Seed drives the scheduling-delay jitter. The
+// daemon registers no handler of its own: whoever wires daemons registers
+// Route once on every node that runs one, whatever their number.
 func New(period simtime.Duration, node *cluster.Node, link *netmodel.Link, seed uint64) *Daemon {
 	d := &Daemon{
 		estimator: newEstimator(node, link.Profile().BandwidthBps, seed),
@@ -65,15 +70,13 @@ func New(period simtime.Duration, node *cluster.Node, link *netmodel.Link, seed 
 	// Until the first ack arrives the daemon assumes two scheduling delays
 	// plus the wire — a sensible prior for a freshly joined node.
 	d.rttEst = 2*SchedDelay + link.RTT()
-	node.Handle(d.handle)
 	return d
 }
 
-// Pair binds two daemons as the endpoints of one monitored link: each then
-// handles only traffic originating from the other and leaves everything else
-// to the next handler on its node, which is what lets a hub node run one
-// daemon per spoke in a star-topology cluster without the daemons stealing
-// each other's acks. Every daemon is paired before it starts.
+// Pair binds two daemons as the endpoints of one monitored link: each is the
+// receiver of every exchange leg the other sends, so a hub node running one
+// daemon per spoke in a star-topology cluster hands each update and ack to
+// its spoke's daemon directly. Every daemon is paired before it starts.
 func Pair(a, b *Daemon) {
 	a.peer = b
 	b.peer = a
@@ -113,11 +116,19 @@ func (d *Daemon) sendUpdate() {
 	d.eng.Schedule(d.schedDelay(), x.send)
 }
 
-// handle consumes daemon messages delivered to this node.
-func (d *Daemon) handle(payload any) bool {
+// Route is the node handler for paired-daemon traffic. An exchange names
+// its receiver, the sender's peer, so one Route on a node serves every
+// daemon the node runs: it hands the exchange straight to that daemon and
+// leaves every other payload to the next handler. An exchange from an
+// unpaired daemon has no receiver and panics.
+func Route(payload any) bool {
 	x, ok := payload.(*exchange)
-	if !ok || x.from != d.peer {
-		return false // another spoke's exchange — its own daemon takes it
+	if !ok {
+		return false
+	}
+	d := x.from.peer
+	if d == nil {
+		panic(fmt.Sprintf("infod: exchange from an unpaired daemon on node %q", x.from.node.Name))
 	}
 	if !x.ack {
 		// Ack after this side's scheduling delay.

@@ -1,6 +1,7 @@
 package infod
 
 import (
+	"fmt"
 	"testing"
 
 	"ampom/internal/cluster"
@@ -16,10 +17,19 @@ func rig() (*sim.Engine, *Daemon, *Daemon, *netmodel.Link) {
 	a := cluster.NewNode(eng, "a", 1)
 	b := cluster.NewNode(eng, "b", 1)
 	link := netmodel.NewLink(eng, netmodel.FastEthernet(), a.NIC, b.NIC)
+	da, db := pairOn(a, b, link)
+	return eng, da, db, link
+}
+
+// pairOn pairs a daemon on a (seed 1) with one on b (seed 2) across link,
+// updating once a second, and registers Route on both nodes.
+func pairOn(a, b *cluster.Node, link *netmodel.Link) (*Daemon, *Daemon) {
 	da := New(simtime.Second, a, link, 1)
 	db := New(simtime.Second, b, link, 2)
 	Pair(da, db)
-	return eng, da, db, link
+	a.Handle(Route)
+	b.Handle(Route)
+	return da, db
 }
 
 func TestInitialRTTPrior(t *testing.T) {
@@ -67,9 +77,7 @@ func TestRTTInflatesUnderLoad(t *testing.T) {
 		a := cluster.NewNode(eng, "a", 1)
 		b := cluster.NewNode(eng, "b", 1)
 		link := netmodel.NewLink(eng, netmodel.FastEthernet(), a.NIC, b.NIC)
-		da := New(simtime.Second, a, link, 1)
-		db := New(simtime.Second, b, link, 2)
-		Pair(da, db)
+		da, db := pairOn(a, b, link)
 		a.Handle(func(p any) bool { _, ok := p.(string); return ok })
 		b.Handle(func(p any) bool { _, ok := p.(string); return ok })
 		da.Start()
@@ -207,9 +215,11 @@ func TestHubDaemonsAckOnlyTheirPeers(t *testing.T) {
 		return false
 	}
 	hub.Handle(spy)
+	hub.Handle(Route)
 	for i := 0; i < spokes; i++ {
 		node := cluster.NewNode(eng, "spoke", 1)
 		node.Handle(spy)
+		node.Handle(Route)
 		link := netmodel.NewLink(eng, p, hub.NIC, node.NIC)
 		h := New(simtime.Second, hub, link, uint64(2*i+1))
 		s := New(simtime.Second, node, link, uint64(2*i+2))
@@ -247,5 +257,27 @@ func TestHubDaemonsAckOnlyTheirPeers(t *testing.T) {
 				t.Fatalf("daemon %d holds a record last sent by %p, want its peer %p", i, x.from, d.peer)
 			}
 		}
+	}
+}
+
+// TestUnpairedExchangePanics: an update from a daemon that was never
+// paired has no receiver, and Route says so by name instead of
+// dereferencing the missing peer.
+func TestUnpairedExchangePanics(t *testing.T) {
+	eng := sim.New()
+	a := cluster.NewNode(eng, "a", 1)
+	b := cluster.NewNode(eng, "b", 1)
+	link := netmodel.NewLink(eng, netmodel.FastEthernet(), a.NIC, b.NIC)
+	da := New(simtime.Second, a, link, 1)
+	a.Handle(Route)
+	b.Handle(Route)
+	da.Start()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		eng.Run(simtime.Time(3 * simtime.Second))
+		return nil
+	}()
+	if msg, want := fmt.Sprint(got), `infod: exchange from an unpaired daemon on node "a"`; msg != want {
+		t.Fatalf("delivering an unpaired daemon's update panicked with %q, want %q", msg, want)
 	}
 }

@@ -325,6 +325,8 @@ func Run(cfg RunConfig) (*Result, error) {
 		destDaemon = infod.New(simtime.Second, dest, link, cfg.Seed^0xd41d)
 		origDaemon = infod.New(simtime.Second, origin, link, cfg.Seed^0x8c1f)
 		infod.Pair(destDaemon, origDaemon)
+		dest.Handle(infod.Route)
+		origin.Handle(infod.Route)
 		destDaemon.Start()
 		origDaemon.Start()
 		exec.pre, exec.est = pre, destDaemon.Estimates
