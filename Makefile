@@ -3,12 +3,13 @@
 # engine, the binary smoke tests, the campaign-service smoke (HTTP
 # submit, dedup and store-hit paths), a vet and test pass over the
 # perfbench benchmark module, a short fuzz pass over the AMPoM
-# prefetcher, the trace program cursor, the scenario spec codec, whole
-# failure scripts, the event queue, the gossip cell table and the remote
-# paging protocol, one bench-balance iteration so policy-dispatch
-# overhead is tracked, one bench-analyze iteration of the per-fault AMPoM
-# analysis, the scenario's prefetch census, a remote-paging round trip
-# and the paper-scale workload builds, and one bench-fabric iteration
+# prefetcher, the trace program cursor and codec, the scenario spec
+# codec, whole failure scripts, the event queue, the gossip cell table and
+# the remote paging protocol, one bench-balance iteration so
+# policy-dispatch overhead is tracked, a bench-analyze pass over the
+# per-fault AMPoM analysis, the scenario's prefetch census, a
+# remote-paging round trip (200 ms each) and the paper-scale workload
+# builds (one iteration), and one bench-fabric iteration
 # asserting the 512-, 4096- and 16384-node presets' event budgets.
 
 GO ?= go
@@ -57,8 +58,11 @@ perfbench-smoke:
 # cursor (random nested programs, Tiles with a shorter last tile and
 # Interleaves of composites among them, must yield exactly the stream of
 # the frozen closure combinators they replaced, replay it exactly after a
-# reset, stay exhausted once drained, and resume after a pushed
-# reference), the scenario spec JSON codec, whole failure-script
+# reset, stay exhausted once drained, resume after a pushed reference, and
+# yield the same stream after a trip through their binary encoding), the
+# program decoder (arbitrary bytes must never panic it, and whatever it
+# accepts must encode back to the same bytes), the scenario spec JSON
+# codec, whole failure-script
 # scenarios checked against the live-view rebuild, the event queue's
 # differential model against container/heap, the gossip daemon's flat
 # cell table against the frozen map-based heard set, and random request
@@ -70,6 +74,7 @@ perfbench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrefetcherFault -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCompose -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzProgramDecode -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzFailureScript -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzQueueVsHeap -fuzztime 10s ./internal/eventq
@@ -98,9 +103,12 @@ bench-balance:
 # request with prefetch pages from send to install and BenchmarkBuild one
 # build of the largest DGEMM and FFT workloads at paper scale, so the cost
 # and allocations of the analysis, remote-paging and workload-build paths
-# are tracked per PR.
+# are tracked per PR. The first three take microseconds per operation, so
+# they run for 200 ms each: one operation reads timer and host noise
+# (7470 ns, then 4320 ns, on one binary).
 bench-analyze:
-	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus|PagingRoundTrip|Build)$$' -benchmem -benchtime 1x ./internal/core ./internal/scenario ./internal/paging ./internal/hpcc
+	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus|PagingRoundTrip)$$' -benchmem -benchtime 200ms ./internal/core ./internal/scenario ./internal/paging
+	$(GO) test -run '^$$' -bench '^BenchmarkBuild$$' -benchmem -benchtime 1x ./internal/hpcc
 
 # BenchmarkFabric{512,512Failures,4096,16384,16384Shards} run the rack-farm
 # (512n/2048p, failure-free and under the crash/evacuation/link-flap

@@ -456,29 +456,13 @@ func DiffScenarioReportFilesOpts(pathA, pathB string, opts ScenarioDiffOptions) 
 	return scenario.DiffReportFiles(pathA, pathB, opts)
 }
 
-// LiveProgramFor drains the scenario mix's page-reference trace into a live
-// emulation program over the given footprint: the simulated scenarios and
-// the real-TCP livecluster example replay one access shape. The trace spans
-// the whole footprint (the mix's working-set fraction is a simulation-side
-// concern): a live program must eventually touch every page so the final
-// memory-checksum comparison against a never-migrated run is meaningful.
-func LiveProgramFor(mix ScenarioMix, pages, passes int, seed uint64) []LiveOp {
-	if passes < 1 {
-		passes = 1
-	}
-	var ops []LiveOp
-	var src trace.Cursor
-	for pass := 0; pass < passes; pass++ {
-		src.Reset(mix.CoverProgram(int64(pages), seed+uint64(pass)))
-		for {
-			ref, ok := src.Next()
-			if !ok {
-				break
-			}
-			ops = append(ops, LiveOp{Page: int(ref.Page), Write: pass == 0, Val: byte(int(ref.Page) + pass)})
-		}
-	}
-	return ops
+// LiveProgramFor returns the scenario mix's page-reference program over
+// the given footprint, repeated passes times: the simulated scenarios and
+// the real-TCP livecluster example replay one access shape. Each pass
+// touches every page of the footprint once, in the same order (the mix's
+// working-set fraction is a simulation-side concern).
+func LiveProgramFor(mix ScenarioMix, pages, passes int, seed uint64) LiveProgram {
+	return mix.CoverProgram(int64(pages), seed).Repeat(max(passes, 1))
 }
 
 // Live emulation aliases: real TCP nodes moving real byte pages.
@@ -487,8 +471,8 @@ type (
 	LiveNode = emu.Node
 	// LiveProc is a process hosted on a LiveNode.
 	LiveProc = emu.Proc
-	// LiveOp is one instruction of a live process's program.
-	LiveOp = emu.Op
+	// LiveProgram is the page-reference program a live process runs.
+	LiveProgram = trace.Program
 	// LiveMigrateOptions configures a live migration.
 	LiveMigrateOptions = emu.MigrateOptions
 )
@@ -496,8 +480,9 @@ type (
 // ListenLiveNode starts a live emulation node on addr.
 func ListenLiveNode(name, addr string) (*LiveNode, error) { return emu.Listen(name, addr) }
 
-// SpawnLiveProc creates a process with real byte pages on a live node.
-func SpawnLiveProc(n *LiveNode, pid, pages int, program []LiveOp, seed uint64) *LiveProc {
+// SpawnLiveProc creates a process with real byte pages on a live node,
+// running program.
+func SpawnLiveProc(n *LiveNode, pid, pages int, program LiveProgram, seed uint64) *LiveProc {
 	return emu.Spawn(n, pid, pages, program, seed)
 }
 
@@ -505,12 +490,4 @@ func SpawnLiveProc(n *LiveNode, pid, pages int, program []LiveOp, seed uint64) *
 // migrant finishes, returning its final memory checksum.
 func MigrateLive(p *LiveProc, destAddr string, opts LiveMigrateOptions) (uint64, error) {
 	return emu.Migrate(p, destAddr, opts)
-}
-
-// SequentialLiveProgram builds a multi-pass sequential page program.
-func SequentialLiveProgram(pages, passes int) []LiveOp { return emu.SequentialProgram(pages, passes) }
-
-// StridedLiveProgram builds a strided page program.
-func StridedLiveProgram(pages, count, stride int) []LiveOp {
-	return emu.StridedProgram(pages, count, stride)
 }

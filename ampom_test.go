@@ -294,3 +294,38 @@ func TestFacadeCampaignWorkers(t *testing.T) {
 		t.Fatal("Table 1 differs across worker counts")
 	}
 }
+
+// TestFacadeLiveMigration: under every mix, a live migration mid-way
+// through the first pass or inside the second pass of LiveProgramFor's
+// program, with and without prefetch, ends with the memory of a
+// never-migrated run.
+func TestFacadeLiveMigration(t *testing.T) {
+	const pages, passes, seed = 48, 2, 7
+	node := func() *LiveNode {
+		n, err := ListenLiveNode("n", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	solo, origin, dest := node(), node(), node()
+	pid := 0
+	for _, mix := range []ScenarioMix{MixSequential, MixBlocked, MixRandom, MixSmallWS} {
+		program := LiveProgramFor(mix, pages, passes, seed)
+		pid++
+		want := SpawnLiveProc(solo, pid, pages, program, seed).RunLocal()
+		for _, at := range []int{pages / 2, pages + pages/3} {
+			for _, prefetch := range []bool{false, true} {
+				pid++
+				p := SpawnLiveProc(origin, pid, pages, program, seed)
+				p.Step(at)
+				got, err := MigrateLive(p, dest.Addr(), LiveMigrateOptions{Prefetch: prefetch})
+				if err != nil || got != want {
+					t.Errorf("%v migrated at reference %d (prefetch %v): checksum %x, %v; never migrated %x",
+						mix, at, prefetch, got, err, want)
+				}
+			}
+		}
+	}
+}

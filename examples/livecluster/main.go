@@ -64,8 +64,8 @@ func main() {
 	// simulates for this mix — the live run is one scenario process made
 	// flesh.
 	program := ampom.LiveProgramFor(mix, *pages, *passes, 7)
-	fmt.Printf("replaying the %v scenario mix: %d refs over %d pages (%d MiB)\n",
-		mix, len(program), *pages, *pages*4096>>20)
+	fmt.Printf("replaying the %v scenario mix: %d passes over %d pages (%d MiB)\n",
+		mix, *passes, *pages, *pages*4096>>20)
 
 	// Baseline: the same program without migration.
 	solo, err := ampom.ListenLiveNode("solo", "127.0.0.1:0")
@@ -83,7 +83,7 @@ func main() {
 	fmt.Printf("origin node %s, destination node %s\n", origin.Addr(), dest.Addr())
 
 	proc := ampom.SpawnLiveProc(origin, 1, *pages, program, 7)
-	proc.Step(len(program) / (2 * *passes)) // run half a pass at the origin first
+	proc.Step(*pages / 2) // every mix touches each page once a pass: run half a pass at the origin first
 
 	fmt.Printf("migrating pid 1 mid-execution...\n")
 	sum, err := ampom.MigrateLive(proc, dest.Addr(), ampom.LiveMigrateOptions{Prefetch: true})

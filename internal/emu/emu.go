@@ -6,10 +6,20 @@
 // AMPoM prefetcher (internal/core) deciding the dependent zone from
 // measured round-trip times.
 //
+// A process runs a trace.Program, the workload description the simulator
+// walks too. Its code stays where the program is: the freeze carries the
+// program value and the index of the next reference, not a listing of the
+// references left, and the destination replays a fresh cursor to that
+// index.
+//
 // The discrete-event simulator (internal/migrate) is what reproduces the
 // paper's numbers; this package demonstrates the protocol end to end
 // outside simulated time, and its tests verify that migration preserves
-// memory contents bit-for-bit.
+// memory contents bit-for-bit. Its prefetch estimates are cruder than the
+// simulator's: every fault records a CPU utilisation of 1 where the
+// simulator's executor samples C_i (§3.2), and the page transfer time is
+// guessed as a quarter of the measured round trip where the simulator
+// derives it from the link's rate.
 package emu
 
 import (
@@ -19,85 +29,58 @@ import (
 	"sync"
 
 	"ampom/internal/core"
+	"ampom/internal/trace"
 )
 
 // PageSize is the emulated page size in bytes.
 const PageSize = 4096
+
+// maxPages is the largest footprint a node accepts from a migration, 4 GiB
+// of emulated memory: the migrant's page table is allocated from the
+// footprint before any page arrives.
+const maxPages = 1 << 20
 
 // msgType discriminates wire messages.
 type msgType uint8
 
 const (
 	msgMigrate  msgType = iota + 1 // origin → destination: freeze payload
-	msgResume                      // origin → destination: start executing
 	msgPageReq                     // migrant → origin deputy
 	msgPageResp                    // origin deputy → migrant
 	msgPing                        // RTT probe
 	msgPong
-	msgDone // destination → origin: process finished (checksum piggybacked)
+	msgDone // destination → origin: migrant finished (checksum) or failed (error)
 )
 
 // wire is the single message envelope exchanged between nodes.
 type wire struct {
 	Type msgType
 
-	// Migration payload.
-	PID        int
-	TotalPages int
-	ProgramPos int
-	Carried    map[int][]byte // the three freeze-time pages
-	Program    []Op
-	Seed       uint64
-
-	// Resume payload.
+	// Migration payload: the PCB (pid, footprint, program, reference
+	// index, seed and read-fold checksum), the three carried pages, and
+	// where and how the migrant pages the rest in.
+	PID         int
+	TotalPages  int
+	Program     trace.Program
+	Pos         int
+	Seed        uint64
+	Carried     map[int][]byte
 	OriginAddr  string
 	Prefetch    bool
 	PrefetchCfg core.Config
 
 	// Paging payload.
-	Pages  []int  // requested page numbers (demand first)
-	Page   int    // served page number
-	Data   []byte // served page data
-	Demand bool
+	Pages []int  // requested page numbers (demand first)
+	Page  int    // served page number
+	Data  []byte // served page data
 
 	// Ping payload.
 	Token uint64
 
-	// Done payload.
+	// Done payload; the migration payload's Checksum is the read-fold
+	// state.
 	Checksum uint64
-}
-
-// Op is one instruction of an emulated process's program: touch page Page;
-// if Write, mutate it with Val, otherwise fold it into the running
-// checksum.
-type Op struct {
-	Page  int
-	Write bool
-	Val   byte
-}
-
-// SequentialProgram returns a program sweeping all pages in order `passes`
-// times, writing on the first pass.
-func SequentialProgram(pages, passes int) []Op {
-	var ops []Op
-	for p := 0; p < passes; p++ {
-		for i := 0; i < pages; i++ {
-			ops = append(ops, Op{Page: i, Write: p == 0, Val: byte(i + p)})
-		}
-	}
-	return ops
-}
-
-// StridedProgram returns a program touching pages with the given stride
-// pattern, wrapping around the footprint.
-func StridedProgram(pages, count, stride int) []Op {
-	var ops []Op
-	p := 0
-	for i := 0; i < count; i++ {
-		ops = append(ops, Op{Page: p, Write: i%3 == 0, Val: byte(i)})
-		p = (p + stride) % pages
-	}
-	return ops
+	Err      string
 }
 
 // Node is one emulated cluster machine: a TCP listener hosting processes
@@ -168,20 +151,19 @@ func (n *Node) serve(conn net.Conn) {
 				return
 			}
 		case msgMigrate:
-			n.acceptMigration(&m)
-			if enc.Encode(&wire{Type: msgDone, PID: m.PID}) != nil {
-				return
+			// One migration per connection: the reply ends it.
+			done := wire{Type: msgDone, PID: m.PID}
+			if sum, err := n.acceptMigration(&m); err != nil {
+				done.Err = err.Error()
+			} else {
+				done.Checksum = sum
 			}
-		case msgResume:
-			if err := n.resume(&m); err != nil {
-				return
-			}
+			enc.Encode(&done)
+			return
 		case msgPageReq:
 			if err := n.servePages(enc, &m); err != nil {
 				return
 			}
-		case msgDone:
-			n.finishDeputy(m.PID, m.Checksum)
 		default:
 			return
 		}
@@ -198,12 +180,12 @@ func (n *Node) servePages(enc *gob.Encoder, m *wire) error {
 	if proc == nil {
 		return fmt.Errorf("emu: page request for unknown pid %d", m.PID)
 	}
-	for i, p := range m.Pages {
+	for _, p := range m.Pages {
 		data := proc.takePage(p)
 		if data == nil {
 			continue // already transferred: benign cross-on-the-wire race
 		}
-		resp := wire{Type: msgPageResp, PID: m.PID, Page: p, Data: data, Demand: i == 0 && m.Demand}
+		resp := wire{Type: msgPageResp, PID: m.PID, Page: p, Data: data}
 		if err := enc.Encode(&resp); err != nil {
 			return err
 		}
@@ -212,53 +194,47 @@ func (n *Node) servePages(enc *gob.Encoder, m *wire) error {
 	return enc.Encode(&wire{Type: msgPageResp, PID: m.PID, Page: -1})
 }
 
-// acceptMigration installs an inbound migrant; it stays frozen until the
-// origin's resume message arrives.
-func (n *Node) acceptMigration(m *wire) {
+// acceptMigration installs an inbound migrant from its freeze payload and
+// runs it to the end of its program, paging from the origin; it returns
+// the migrant's final memory checksum. The payload comes from outside the
+// process, so a malformed one is refused before anything is installed.
+func (n *Node) acceptMigration(m *wire) (uint64, error) {
+	if m.TotalPages <= 0 || m.TotalPages > maxPages {
+		return 0, fmt.Errorf("emu: migrant pid %d has %d pages", m.PID, m.TotalPages)
+	}
 	p := &Proc{
 		node:       n,
 		pid:        m.PID,
 		totalPages: m.TotalPages,
-		pages:      make([][]byte, m.TotalPages),
-		program:    m.Program,
-		pos:        m.ProgramPos,
+		prog:       m.Program,
 		seed:       m.Seed,
 		checksum:   m.Checksum,
+		pages:      make([][]byte, m.TotalPages),
 	}
-	for pageNum, data := range m.Carried {
-		p.pages[pageNum] = data
+	// Replay a fresh cursor to the reference the origin froze at.
+	p.cur.Reset(p.prog)
+	for ; p.pos < m.Pos; p.pos++ {
+		if _, ok := p.cur.Next(); !ok {
+			return 0, fmt.Errorf("emu: migrant pid %d froze at reference %d of a %d-reference program", m.PID, m.Pos, p.pos)
+		}
+	}
+	if m.Prefetch {
+		pre, err := core.New(m.PrefetchCfg, int64(p.totalPages))
+		if err != nil {
+			return 0, err
+		}
+		p.pre = pre
+	}
+	for page, data := range m.Carried {
+		if page < 0 || page >= m.TotalPages || len(data) != PageSize {
+			return 0, fmt.Errorf("emu: migrant pid %d carries %d bytes as page %d of %d", m.PID, len(data), page, m.TotalPages)
+		}
+		p.pages[page] = data
 	}
 	n.mu.Lock()
 	n.procs[m.PID] = p
 	n.mu.Unlock()
-}
-
-// resume starts a previously installed migrant's executor.
-func (n *Node) resume(m *wire) error {
-	p := n.Proc(m.PID)
-	if p == nil {
-		return fmt.Errorf("emu: resume of unknown pid %d", m.PID)
-	}
-	p.originAddr = m.OriginAddr
-	if m.Prefetch {
-		pre, err := core.New(m.PrefetchCfg, int64(p.totalPages))
-		if err != nil {
-			return err
-		}
-		p.pre = pre
-	}
-	go p.runMigrant()
-	return nil
-}
-
-// finishDeputy releases deputy state once the migrant reports completion.
-func (n *Node) finishDeputy(pid int, checksum uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if p := n.procs[pid]; p != nil {
-		p.remoteChecksum = checksum
-		close(p.deputyDone)
-	}
+	return p.runMigrant(m.OriginAddr)
 }
 
 // Proc returns the hosted process with the given pid, if any.

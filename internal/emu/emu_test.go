@@ -1,9 +1,15 @@
 package emu
 
 import (
+	"bytes"
+	"encoding/gob"
+	"net"
+	"strings"
 	"testing"
 
 	"ampom/internal/core"
+	"ampom/internal/memory"
+	"ampom/internal/trace"
 )
 
 // twoNodes starts an origin and a destination on the loopback.
@@ -24,9 +30,27 @@ func twoNodes(t *testing.T) (*Node, *Node) {
 	return origin, dest
 }
 
+// sequential sweeps pages [0, pages) in order, passes times.
+func sequential(pages, passes int) trace.Program {
+	var b trace.Builder
+	return b.Program(b.Repeat(passes, trace.Sequential(0, int64(pages), 0, false)))
+}
+
+// strided sweeps pages [0, pages) at the given stride, one residue class
+// after another, passes times; every other class writes.
+func strided(pages, stride, passes int) trace.Program {
+	var b trace.Builder
+	sweeps := make([]trace.Node, stride)
+	for off := range sweeps {
+		count := int64((pages - off + stride - 1) / stride)
+		sweeps[off] = trace.Strided(memory.PageNum(off), count, int64(stride), 0, off%2 == 0)
+	}
+	return b.Program(b.Repeat(passes, b.Concat(sweeps...)))
+}
+
 // baseline runs the same program without migration and returns the final
 // memory checksum.
-func baseline(t *testing.T, pages int, program []Op, seed uint64) uint64 {
+func baseline(t *testing.T, pages int, program trace.Program, seed uint64) uint64 {
 	t.Helper()
 	node, err := Listen("solo", "127.0.0.1:0")
 	if err != nil {
@@ -39,7 +63,7 @@ func baseline(t *testing.T, pages int, program []Op, seed uint64) uint64 {
 
 func TestMigrationPreservesMemorySequential(t *testing.T) {
 	const pages = 128
-	program := SequentialProgram(pages, 3)
+	program := sequential(pages, 3)
 	want := baseline(t, pages, program, 7)
 
 	origin, dest := twoNodes(t)
@@ -55,7 +79,7 @@ func TestMigrationPreservesMemorySequential(t *testing.T) {
 
 func TestMigrationPreservesMemoryNoPrefetch(t *testing.T) {
 	const pages = 64
-	program := SequentialProgram(pages, 2)
+	program := sequential(pages, 2)
 	want := baseline(t, pages, program, 9)
 
 	origin, dest := twoNodes(t)
@@ -71,7 +95,7 @@ func TestMigrationPreservesMemoryNoPrefetch(t *testing.T) {
 
 func TestMigrationPreservesMemoryStrided(t *testing.T) {
 	const pages = 96
-	program := StridedProgram(pages, 500, 7)
+	program := strided(pages, 7, 5)
 	want := baseline(t, pages, program, 13)
 
 	origin, dest := twoNodes(t)
@@ -87,7 +111,7 @@ func TestMigrationPreservesMemoryStrided(t *testing.T) {
 
 func TestMidExecutionMigration(t *testing.T) {
 	const pages = 64
-	program := SequentialProgram(pages, 4)
+	program := sequential(pages, 4)
 	want := baseline(t, pages, program, 21)
 
 	origin, dest := twoNodes(t)
@@ -104,7 +128,7 @@ func TestMidExecutionMigration(t *testing.T) {
 
 func TestPrefetchBatchesRequests(t *testing.T) {
 	const pages = 256
-	program := SequentialProgram(pages, 1)
+	program := sequential(pages, 1)
 
 	origin, dest := twoNodes(t)
 	pNo := Spawn(origin, 1, pages, program, 3)
@@ -130,12 +154,18 @@ func TestPrefetchBatchesRequests(t *testing.T) {
 func TestOnlyTouchedPagesMove(t *testing.T) {
 	const pages = 200
 	// Touch only the first quarter (small working set, §5.6).
-	program := SequentialProgram(pages/4, 2)
+	program := sequential(pages/4, 2)
+	want := baseline(t, pages, program, 5)
 
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 5)
-	if _, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true}); err != nil {
+	got, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The memory is split between the migrant and its deputy.
+	if got != want {
+		t.Fatalf("checksum %x != baseline %x", got, want)
 	}
 	migrant := dest.Proc(1)
 	moved := migrant.LocalPages()
@@ -154,7 +184,7 @@ func TestOnlyTouchedPagesMove(t *testing.T) {
 
 func TestBytesFetchedAccounting(t *testing.T) {
 	const pages = 64
-	program := SequentialProgram(pages, 1)
+	program := sequential(pages, 1)
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 2)
 	if _, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true}); err != nil {
@@ -169,7 +199,7 @@ func TestBytesFetchedAccounting(t *testing.T) {
 
 func TestCustomPrefetcherConfig(t *testing.T) {
 	const pages = 128
-	program := SequentialProgram(pages, 1)
+	program := sequential(pages, 1)
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 4)
 	cfg := core.Config{WindowLen: 10, DMax: 2, MaxPrefetch: 4, BaselineScore: -1}
@@ -184,7 +214,7 @@ func TestCustomPrefetcherConfig(t *testing.T) {
 }
 
 func TestSpawnAndRunLocalDeterministic(t *testing.T) {
-	program := StridedProgram(32, 200, 5)
+	program := strided(32, 5, 6)
 	a := baseline(t, 32, program, 77)
 	b := baseline(t, 32, program, 77)
 	if a != b {
@@ -210,16 +240,132 @@ func TestNodeAccessors(t *testing.T) {
 	}
 }
 
-func TestProgramBuilders(t *testing.T) {
-	seq := SequentialProgram(10, 2)
-	if len(seq) != 20 || seq[0].Page != 0 || !seq[0].Write || seq[10].Write {
-		t.Fatalf("sequential program wrong: %+v", seq[:3])
-	}
-	str := StridedProgram(10, 5, 3)
-	want := []int{0, 3, 6, 9, 2}
-	for i, op := range str {
-		if op.Page != want[i] {
-			t.Fatalf("strided pages = %v", str)
+// TestFreezeSizeIndependentOfProgramLength: the freeze carries the
+// program, not a listing of its references, so a run 100 times longer
+// freezes into a message of the same size, within 1 KiB of the 12 729 B
+// that three carried pages and the PCB took without any program.
+func TestFreezeSizeIndependentOfProgramLength(t *testing.T) {
+	const pages = 1024
+	origin, _ := twoNodes(t)
+	var sizes []int
+	for i, passes := range []int{2, 200} {
+		p := Spawn(origin, i+1, pages, sequential(pages, passes), 3)
+		p.Step(pages / 2) // so the current page is a third carried page
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p.freeze(MigrateOptions{Prefetch: true})); err != nil {
+			t.Fatal(err)
 		}
+		sizes = append(sizes, buf.Len())
+	}
+	if sizes[0] != sizes[1] || sizes[0] > 12729+1024 {
+		t.Fatalf("freeze of %d and %d references: %d and %d B", 2*pages, 200*pages, sizes[0], sizes[1])
+	}
+}
+
+// sendRaw sends m to addr as one gob message and returns the reply.
+func sendRaw(t *testing.T, addr string, m *wire) wire {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := gob.NewEncoder(conn).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	var reply wire
+	if err := gob.NewDecoder(conn).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	return reply
+}
+
+// TestMalformedMigrationFailsItsConnection: a malformed freeze payload is
+// refused with an error reply on its own connection, and the node goes on
+// to complete a valid migration.
+func TestMalformedMigrationFailsItsConnection(t *testing.T) {
+	origin, dest := twoNodes(t)
+	page := func() []byte { return make([]byte, PageSize) }
+	for _, tc := range []struct {
+		name, want string
+		m          wire
+	}{
+		{"carried page past the footprint", "carries", wire{TotalPages: 4, Carried: map[int][]byte{99: page()}}},
+		{"negative carried page", "carries", wire{TotalPages: 4, Carried: map[int][]byte{-1: page()}}},
+		{"short carried page", "carries", wire{TotalPages: 4, Carried: map[int][]byte{1: make([]byte, 10)}}},
+		{"no pages", "0 pages", wire{}},
+		{"negative footprint", "-3 pages", wire{TotalPages: -3}},
+		{"huge footprint", "pages", wire{TotalPages: 1 << 60}},
+		{"position past the program", "froze at reference 9", wire{TotalPages: 4, Program: sequential(4, 1), Pos: 9}},
+		{"bad prefetch config", "", wire{TotalPages: 4, Prefetch: true, PrefetchCfg: core.Config{WindowLen: -1}}},
+		{"unreachable origin", "migrant pager", wire{TotalPages: 4, OriginAddr: "127.0.0.1:0"}},
+		{"reference past the footprint", "page 4 of 4", wire{
+			TotalPages: 4, Program: sequential(5, 1), OriginAddr: origin.Addr(),
+			Carried: map[int][]byte{0: page(), 1: page(), 2: page(), 3: page()},
+		}},
+	} {
+		tc.m.Type, tc.m.PID = msgMigrate, 5
+		reply := sendRaw(t, dest.Addr(), &tc.m)
+		if reply.Type != msgDone || reply.Err == "" || !strings.Contains(reply.Err, tc.want) {
+			t.Errorf("%s: reply %v %q, want an error mentioning %q", tc.name, reply.Type, reply.Err, tc.want)
+		}
+	}
+
+	const pages = 32
+	want := baseline(t, pages, sequential(pages, 2), 11)
+	p := Spawn(origin, 1, pages, sequential(pages, 2), 11)
+	got, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	if err != nil || got != want {
+		t.Fatalf("migration after malformed messages: checksum %x, %v; want %x", got, err, want)
+	}
+}
+
+// TestBadServedPageFailsMigration: a page the origin serves out of range
+// or short fails the migrant's fault, and the migrant reports the error.
+func TestBadServedPageFailsMigration(t *testing.T) {
+	_, dest := twoNodes(t)
+	for _, resp := range []wire{
+		{Type: msgPageResp, Page: 99, Data: make([]byte, PageSize)},
+		{Type: msgPageResp, Page: 1, Data: make([]byte, 10)},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		// A fake origin: it answers the migrant's RTT probe, then its page
+		// request with resp.
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+			var m wire
+			for dec.Decode(&m) == nil {
+				if m.Type == msgPing {
+					enc.Encode(&wire{Type: msgPong, Token: m.Token})
+				} else {
+					enc.Encode(&resp)
+				}
+			}
+		}()
+		reply := sendRaw(t, dest.Addr(), &wire{
+			Type: msgMigrate, PID: 7, TotalPages: 4, Program: sequential(4, 1), OriginAddr: ln.Addr().String(),
+		})
+		if !strings.Contains(reply.Err, "served") {
+			t.Fatalf("reply error %q, want a refused served page", reply.Err)
+		}
+	}
+}
+
+// TestMigrantErrorReachesMigrate: a migrant that fails reports the error
+// back to Migrate, which returns it.
+func TestMigrantErrorReachesMigrate(t *testing.T) {
+	origin, dest := twoNodes(t)
+	p := Spawn(origin, 1, 8, sequential(9, 1), 1) // references page 8 of 8
+	if _, err := Migrate(p, dest.Addr(), MigrateOptions{}); err == nil || !strings.Contains(err.Error(), "page 8 of 8") {
+		t.Fatalf("Migrate returned %v, want the migrant's out-of-range reference", err)
 	}
 }

@@ -1,7 +1,9 @@
 package emu
 
 import (
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -11,34 +13,31 @@ import (
 	"ampom/internal/core"
 	"ampom/internal/memory"
 	"ampom/internal/simtime"
+	"ampom/internal/trace"
 )
 
-// Proc is an emulated process: a program counter over a list of page
-// operations and a set of real byte pages, some of which may still live at
-// the origin node after a migration.
+// Proc is an emulated process: a cursor walking a trace program, the
+// count of references it has executed, and a set of real byte pages, some
+// of which may still live at the origin node after a migration.
 type Proc struct {
 	node       *Node
 	pid        int
 	totalPages int
-	program    []Op
-	pos        int
+	prog       trace.Program
+	cur        trace.Cursor
+	pos        int // references executed
 	seed       uint64
 
 	mu    sync.Mutex
 	pages [][]byte // nil entry = page not stored on this node
 
 	// Migrant-side paging state.
-	originAddr string
-	conn       net.Conn
-	enc        *gob.Encoder
-	dec        *gob.Decoder
-	pre        *core.Prefetcher
-	rtt        time.Duration
-	checksum   uint64
-
-	// Deputy-side completion signal.
-	deputyDone     chan struct{}
-	remoteChecksum uint64
+	conn     net.Conn
+	enc      *gob.Encoder
+	dec      *gob.Decoder
+	pre      *core.Prefetcher
+	rtt      time.Duration
+	checksum uint64
 
 	Stats Stats
 }
@@ -51,19 +50,19 @@ type Stats struct {
 	BytesFetched  int64
 }
 
-// Spawn creates a process on node with every page local and initialised to
-// a deterministic pattern derived from seed.
-func Spawn(node *Node, pid int, totalPages int, program []Op, seed uint64) *Proc {
+// Spawn creates a process on node that runs prog, with every page local
+// and initialised to a deterministic pattern derived from seed.
+func Spawn(node *Node, pid int, totalPages int, prog trace.Program, seed uint64) *Proc {
 	p := &Proc{
 		node:       node,
 		pid:        pid,
 		totalPages: totalPages,
-		program:    program,
+		prog:       prog,
 		pages:      make([][]byte, totalPages),
 		seed:       seed,
-		deputyDone: make(chan struct{}),
-		checksum:   fnvSeed(seed),
+		checksum:   fnvOf(seed, nil),
 	}
+	p.cur.Reset(prog)
 	for i := range p.pages {
 		p.pages[i] = initialPage(i, seed)
 	}
@@ -86,13 +85,13 @@ func initialPage(i int, seed uint64) []byte {
 	return data
 }
 
-func fnvSeed(seed uint64) uint64 {
+// fnvOf hashes the little-endian bytes of v followed by data.
+func fnvOf(v uint64, data []byte) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	for i := range b {
-		b[i] = byte(seed >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	h.Write(b[:])
+	h.Write(data)
 	return h.Sum64()
 }
 
@@ -115,69 +114,75 @@ func (p *Proc) hasPage(page int) bool {
 	return p.pages[page] != nil
 }
 
-// apply executes one op against local memory; the page must be local.
-func (p *Proc) apply(op Op) {
+// apply executes ref, the process's next reference, against local memory;
+// the page must be local. The reference writes when ref.Write is set and
+// on every third reference besides, so every program both reads and
+// writes; a write mutates the page with a value of the page and the
+// reference's index.
+func (p *Proc) apply(ref trace.Ref) {
+	i := p.pos
+	p.pos++
 	p.mu.Lock()
-	data := p.pages[op.Page]
+	data := p.pages[ref.Page]
 	p.mu.Unlock()
 	if data == nil {
-		panic(fmt.Sprintf("emu: op on non-local page %d", op.Page))
+		panic(fmt.Sprintf("emu: reference to non-local page %d", ref.Page))
 	}
-	if op.Write {
+	if ref.Write || i%3 == 0 {
+		val := byte(int(ref.Page) + i)
 		for j := 0; j < len(data); j += 64 {
-			data[j] ^= op.Val
+			data[j] ^= val
 		}
 		return
 	}
 	// Reads fold the page into the running checksum so read ordering and
 	// page contents both matter for the integrity comparison.
-	h := fnv.New64a()
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(p.checksum >> (8 * i))
-	}
-	h.Write(b[:])
-	h.Write(data[:128])
-	p.checksum = h.Sum64()
+	p.checksum = fnvOf(p.checksum, data[:128])
 }
 
-// RunLocal executes the remaining program entirely locally and returns the
-// final memory checksum. It is the never-migrated baseline.
+// RunLocal executes the rest of the program entirely locally and returns
+// the final memory checksum. It is the never-migrated baseline.
 func (p *Proc) RunLocal() uint64 {
-	for ; p.pos < len(p.program); p.pos++ {
-		p.apply(p.program[p.pos])
+	for p.step() {
 	}
 	return p.MemoryChecksum()
 }
 
-// Step executes up to k ops locally (pre-migration phase).
+// Step executes up to k references locally (pre-migration phase).
 func (p *Proc) Step(k int) {
-	for i := 0; i < k && p.pos < len(p.program); i++ {
-		p.apply(p.program[p.pos])
-		p.pos++
+	for i := 0; i < k && p.step(); i++ {
 	}
 }
 
-// MemoryChecksum hashes all locally stored pages plus the read-fold state.
-// After a completed run that touched every page, memory is fully local and
-// the checksum is comparable across migrated and non-migrated executions.
-func (p *Proc) MemoryChecksum() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(p.checksum >> (8 * i))
+// step executes the next reference locally, reporting false once the
+// program is done.
+func (p *Proc) step() bool {
+	ref, ok := p.cur.Next()
+	if ok {
+		p.apply(ref)
 	}
-	h.Write(b[:])
+	return ok
+}
+
+// MemoryChecksum hashes the read-fold state and every locally stored
+// page. After a completed run that touched every page, memory is fully
+// local and the checksum is comparable across migrated and non-migrated
+// executions; Migrate adds the pages its deputy still stores.
+func (p *Proc) MemoryChecksum() uint64 { return fnvOf(p.checksum, nil) ^ p.pagesChecksum() }
+
+// pagesChecksum combines the hashes of the locally stored pages, each
+// keyed by its page number, by XOR: the pages of a memory split between a
+// migrant and its deputy combine the same way in any order.
+func (p *Proc) pagesChecksum() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, data := range p.pages {
+	var sum uint64
+	for i, data := range p.pages {
 		if data != nil {
-			h.Write(data)
-		} else {
-			h.Write([]byte{0xff, 0x00})
+			sum ^= fnvOf(uint64(i), data)
 		}
 	}
-	return h.Sum64()
+	return sum
 }
 
 // MigrateOptions configures a live migration.
@@ -189,92 +194,94 @@ type MigrateOptions struct {
 	Config core.Config
 }
 
-// Migrate freezes the process, ships the freeze payload (PCB, program
-// counter, the three currently relevant pages, and implicitly the MPT — the
-// page-presence map travels as the carried-page keys plus TotalPages), and
-// resumes it on the destination node, which demand-pages the rest from this
-// node. It blocks until the migrant finishes its program and returns the
-// migrant's final memory checksum.
+// Migrate freezes the process, ships the freeze payload (PCB and program
+// position, the three currently relevant pages, and implicitly the MPT —
+// the page-presence map travels as the carried-page keys plus TotalPages),
+// and resumes it on the destination node, which demand-pages the rest from
+// this node. It blocks until the migrant finishes its program and returns
+// the final memory checksum of the process, whose pages the migrant and
+// this deputy share, or the error the migrant failed with.
 func Migrate(p *Proc, destAddr string, opts MigrateOptions) (uint64, error) {
-	// Freeze: capture the three "currently accessed" pages — the current
-	// op's page plus the first and last pages standing in for code and
-	// stack.
+	if opts.Prefetch {
+		// Validate before freezing so a bad config fails the migration
+		// with the process still whole here.
+		if _, err := core.New(opts.Config, int64(p.totalPages)); err != nil {
+			return 0, err
+		}
+	}
+	conn, err := net.Dial("tcp", destAddr)
+	if err != nil {
+		return 0, fmt.Errorf("emu: migrate dial: %w", err)
+	}
+	defer conn.Close()
+	if err := gob.NewEncoder(conn).Encode(p.freeze(opts)); err != nil {
+		return 0, fmt.Errorf("emu: migrate send: %w", err)
+	}
+	var done wire
+	if err := gob.NewDecoder(conn).Decode(&done); err != nil {
+		return 0, fmt.Errorf("emu: migrate: %w", err)
+	}
+	if done.Err != "" {
+		return 0, errors.New(done.Err)
+	}
+	return done.Checksum ^ p.pagesChecksum(), nil
+}
+
+// freeze takes the three currently accessed pages out of the process —
+// the next reference's page plus the first and last pages standing in for
+// code and stack — and returns the freeze payload carrying them. The
+// origin instance becomes the deputy: the payload points the migrant back
+// here for remote paging.
+func (p *Proc) freeze(opts MigrateOptions) *wire {
 	carried := map[int][]byte{}
 	carry := func(page int) {
 		if data := p.takePage(page); data != nil {
 			carried[page] = data
 		}
 	}
-	if p.pos < len(p.program) {
-		carry(p.program[p.pos].Page)
+	if ref, ok := p.cur.Next(); ok {
+		p.cur.Push(ref)
+		carry(int(ref.Page))
 	}
 	carry(0)
 	carry(p.totalPages - 1)
-
-	conn, err := net.Dial("tcp", destAddr)
-	if err != nil {
-		return 0, fmt.Errorf("emu: migrate dial: %w", err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&wire{
+	return &wire{
 		Type: msgMigrate, PID: p.pid, TotalPages: p.totalPages,
-		ProgramPos: p.pos, Carried: carried, Program: p.program, Seed: p.seed,
-		Checksum: p.checksum, // the read-fold state travels with the PCB
-	}); err != nil {
-		return 0, fmt.Errorf("emu: migrate send: %w", err)
+		Program: p.prog, Pos: p.pos, Seed: p.seed, Carried: carried,
+		Checksum:   p.checksum, // the read-fold state travels with the PCB
+		OriginAddr: p.node.Addr(), Prefetch: opts.Prefetch, PrefetchCfg: opts.Config,
 	}
-	var ack wire
-	if err := dec.Decode(&ack); err != nil {
-		return 0, fmt.Errorf("emu: migrate ack: %w", err)
-	}
-
-	// The origin instance becomes the deputy; tell the destination to
-	// resume the migrant, pointing it back here for remote paging.
-	cfg := opts.Config
-	if opts.Prefetch {
-		// Validate eagerly so a bad config fails the migration, not the
-		// remote executor.
-		if _, err := core.New(cfg, int64(p.totalPages)); err != nil {
-			return 0, err
-		}
-	}
-	if err := enc.Encode(&wire{
-		Type: msgResume, PID: p.pid,
-		OriginAddr: p.node.Addr(), Prefetch: opts.Prefetch, PrefetchCfg: cfg,
-	}); err != nil {
-		return 0, fmt.Errorf("emu: resume send: %w", err)
-	}
-
-	<-p.deputyDone
-	return p.remoteChecksum, nil
 }
 
-// runMigrant executes the remaining program at the destination, paging
-// missing pages from the origin, then reports completion to the deputy.
-func (p *Proc) runMigrant() {
-	if err := p.dialOrigin(); err != nil {
-		panic(fmt.Sprintf("emu: migrant pager: %v", err))
+// runMigrant executes the rest of the program at the destination, paging
+// missing pages from the origin at originAddr, and returns the final
+// memory checksum.
+func (p *Proc) runMigrant(originAddr string) (uint64, error) {
+	if err := p.dialOrigin(originAddr); err != nil {
+		return 0, fmt.Errorf("emu: migrant pager: %w", err)
 	}
 	defer p.conn.Close()
-
-	for ; p.pos < len(p.program); p.pos++ {
-		op := p.program[p.pos]
-		if !p.hasPage(op.Page) {
-			if err := p.fault(op.Page); err != nil {
-				panic(fmt.Sprintf("emu: fault on page %d: %v", op.Page, err))
+	for {
+		ref, ok := p.cur.Next()
+		if !ok {
+			return p.MemoryChecksum(), nil
+		}
+		page := int(ref.Page)
+		if ref.Page < 0 || ref.Page >= memory.PageNum(p.totalPages) {
+			return 0, fmt.Errorf("emu: reference %d is to page %d of %d", p.pos, ref.Page, p.totalPages)
+		}
+		if !p.hasPage(page) {
+			if err := p.fault(page); err != nil {
+				return 0, fmt.Errorf("emu: fault on page %d: %w", page, err)
 			}
 		}
-		p.apply(op)
+		p.apply(ref)
 	}
-	sum := p.MemoryChecksum()
-	_ = p.enc.Encode(&wire{Type: msgDone, PID: p.pid, Checksum: sum})
 }
 
 // dialOrigin opens the paging connection and measures the initial RTT.
-func (p *Proc) dialOrigin() error {
-	conn, err := net.Dial("tcp", p.originAddr)
+func (p *Proc) dialOrigin(addr string) error {
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
@@ -314,7 +321,7 @@ func (p *Proc) fault(page int) error {
 		}
 	}
 	p.Stats.FaultRequests++
-	if err := p.enc.Encode(&wire{Type: msgPageReq, PID: p.pid, Pages: req, Demand: true}); err != nil {
+	if err := p.enc.Encode(&wire{Type: msgPageReq, PID: p.pid, Pages: req}); err != nil {
 		return err
 	}
 	prefetched := 0
@@ -328,6 +335,9 @@ func (p *Proc) fault(page int) error {
 		}
 		if resp.Page < 0 {
 			break // batch terminator
+		}
+		if resp.Page >= p.totalPages || len(resp.Data) != PageSize {
+			return fmt.Errorf("emu: served %d bytes as page %d of %d", len(resp.Data), resp.Page, p.totalPages)
 		}
 		p.mu.Lock()
 		p.pages[resp.Page] = resp.Data

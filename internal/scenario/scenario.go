@@ -112,12 +112,11 @@ func (k MixKind) Trace(wsPages int64, seed uint64) func() *trace.Cursor {
 }
 
 // CoverProgram is Program with a full-coverage guarantee: every page of the
-// span is touched at least once per pass. The random mix becomes a random
-// permutation — the same scattered shape, but total. Live-emulation
-// programs use this so a migrated run's final memory checksum is
-// comparable against a never-migrated baseline, and the live-cluster
-// example builds its real byte-page programs from it, so the simulated and
-// emulated worlds replay one shape.
+// span is touched exactly once. The random mix becomes a random
+// permutation — the same scattered shape, but total. The facade's
+// LiveProgramFor repeats it once per pass, and the live emulator
+// (internal/emu) runs that program over real byte pages, so the simulated
+// and emulated worlds replay one shape.
 func (k MixKind) CoverProgram(pages int64, seed uint64) trace.Program {
 	if pages < 1 {
 		pages = 1

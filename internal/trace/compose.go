@@ -161,6 +161,12 @@ type Program struct {
 	root  Node
 }
 
+// Repeat returns the program that runs p n times back to back.
+func (p Program) Repeat(n int) Program {
+	b := Builder{nodes: slices.Clip(p.nodes)}
+	return b.Program(b.Repeat(n, p.root))
+}
+
 // Open returns a new cursor at the start of the program.
 func (p Program) Open() *Cursor {
 	c := new(Cursor)

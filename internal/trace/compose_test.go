@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -299,15 +300,21 @@ func TestInterleaveUneven(t *testing.T) {
 	}
 }
 
+// TestRepeat: a Repeat node and Program.Repeat run their part back to
+// back, and repeating a program leaves the program itself unchanged.
 func TestRepeat(t *testing.T) {
 	var b Builder
 	p := b.Program(b.Repeat(3, Sequential(5, 2, 0, false)))
-	got := Pages(drain(p))
+	var cb Builder
+	concat := cb.Program(cb.Concat(Sequential(5, 1, 0, false), Sequential(6, 1, 0, false)))
 	want := []memory.PageNum{5, 6, 5, 6, 5, 6}
-	for i := range want {
-		if got[i] != want[i] {
+	for _, p := range []Program{p, Sequential(5, 2, 0, false).Program().Repeat(3), concat.Repeat(3)} {
+		if got := Pages(drain(p)); !slices.Equal(got, want) {
 			t.Fatalf("repeat = %v", got)
 		}
+	}
+	if got := Pages(drain(concat)); !slices.Equal(got, want[:2]) {
+		t.Fatalf("repeating a program changed it: %v", got)
 	}
 }
 

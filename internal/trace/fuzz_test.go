@@ -129,9 +129,10 @@ const fuzzCap = 1 << 14
 // Tile with a shorter last tile, nested up to three deep — and checks the
 // cursor against the frozen closure combinators: it yields exactly the
 // oracle's stream, a reset part-way through replays it exactly, an
-// exhausted cursor stays exhausted, and a pushed reference comes next with
-// the stream resuming after it. Run with `go test -fuzz FuzzCompose`;
-// `make ci` gives it a 10 s smoke.
+// exhausted cursor stays exhausted, a pushed reference comes next with
+// the stream resuming after it, and the program's binary encoding decodes
+// to a program yielding the same stream. Run with
+// `go test -fuzz FuzzCompose`; `make ci` gives it a 10 s smoke.
 func FuzzCompose(f *testing.F) {
 	f.Add([]byte{3, 0, 3, 0, 0, 16, 1, 1, 1, 5, 8, 20, 2, 0, 9, 33, 3}, int64(0), uint64(1))
 	f.Add([]byte{6, 1, 50, 16, 5, 0, 2, 3, 0, 0, 16, 1, 0, 1, 100, 16, 1}, int64(100), uint64(7))
@@ -190,6 +191,60 @@ func FuzzCompose(f *testing.F) {
 			if r != want[at+i] {
 				t.Fatalf("stream after a push diverges at ref %d: %+v vs %+v", at+i, r, want[at+i])
 			}
+		}
+
+		// The decoded encoding yields the same stream.
+		data, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded Program
+		if err := decoded.UnmarshalBinary(data); err != nil {
+			t.Fatalf("decoding an encoded program: %v", err)
+		}
+		got = Collect(decoded.Open(), fuzzCap)
+		if len(got) != len(want) {
+			t.Fatalf("decoded program yielded %d refs, oracle %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("decoded program diverges at ref %d: %+v vs %+v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// FuzzProgramDecode feeds arbitrary bytes to Program.UnmarshalBinary, which
+// must never panic, and checks that whatever it accepts encodes back to
+// the same bytes. The seeds are the encodings of FuzzCompose's seed
+// programs. Run with `go test -fuzz FuzzProgramDecode`; `make ci` gives it
+// a 10 s smoke.
+func FuzzProgramDecode(f *testing.F) {
+	for _, shape := range [][]byte{
+		{3, 0, 3, 0, 0, 16, 1, 1, 1, 5, 8, 20, 2, 0, 9, 33, 3},
+		{6, 1, 50, 16, 5, 0, 2, 3, 0, 0, 16, 1, 0, 1, 100, 16, 1},
+		{4, 0, 3, 0, 4, 0, 7, 1, 1, 1, 2, 5, 9, 30, 0, 0, 0, 2, 1, 9, 9},
+	} {
+		s := (&fuzzProgram{shape: shape, seed: 1}).gen(0)
+		var b Builder
+		data, err := b.Program(s.node(&b)).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Program
+		if p.UnmarshalBinary(data) != nil {
+			return
+		}
+		again, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(data) {
+			t.Fatalf("re-encoding gave %x, decoded from %x", again, data)
 		}
 	})
 }
