@@ -10,7 +10,8 @@
 # per-fault AMPoM analysis, the scenario's prefetch census, a
 # remote-paging round trip (200 ms each) and the paper-scale workload
 # builds (one iteration), and one bench-fabric iteration
-# asserting the 512-, 4096- and 16384-node presets' event budgets.
+# asserting the 512-, 4096- and 16384-node presets' event budgets and the
+# 4096-node preset's byte budget.
 
 GO ?= go
 
@@ -119,7 +120,9 @@ bench-analyze:
 # events-per-simulated-second exceeds the fixed budgets — the scale-out
 # regression gates the incremental cluster view, the bounded partial-view
 # gossip plane, the conservative shard scheduler and the failure plane are
-# held to.
+# held to. BenchmarkFabric4096 also FAILS if one mega-farm run allocates
+# more than its fixed byte budget (about 1.15× the measured bytes), so
+# the gossip plane's storage cannot grow back unnoticed.
 bench-fabric:
 	$(GO) test -run '^$$' -bench '^BenchmarkFabric(512|512Failures|4096|16384|16384Shards)$$' -benchtime 1x -timeout 30m .
 

@@ -475,6 +475,8 @@ type (
 	LiveProgram = trace.Program
 	// LiveMigrateOptions configures a live migration.
 	LiveMigrateOptions = emu.MigrateOptions
+	// LiveStats counts a live migrant's paging activity.
+	LiveStats = emu.Stats
 )
 
 // ListenLiveNode starts a live emulation node on addr.
@@ -487,7 +489,8 @@ func SpawnLiveProc(n *LiveNode, pid, pages int, program LiveProgram, seed uint64
 }
 
 // MigrateLive performs a live migration over TCP and blocks until the
-// migrant finishes, returning its final memory checksum.
-func MigrateLive(p *LiveProc, destAddr string, opts LiveMigrateOptions) (uint64, error) {
+// migrant finishes, returning its final memory checksum and paging
+// statistics. Neither node holds the process afterwards.
+func MigrateLive(p *LiveProc, destAddr string, opts LiveMigrateOptions) (uint64, LiveStats, error) {
 	return emu.Migrate(p, destAddr, opts)
 }

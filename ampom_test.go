@@ -320,7 +320,7 @@ func TestFacadeLiveMigration(t *testing.T) {
 				pid++
 				p := SpawnLiveProc(origin, pid, pages, program, seed)
 				p.Step(at)
-				got, err := MigrateLive(p, dest.Addr(), LiveMigrateOptions{Prefetch: prefetch})
+				got, _, err := MigrateLive(p, dest.Addr(), LiveMigrateOptions{Prefetch: prefetch})
 				if err != nil || got != want {
 					t.Errorf("%v migrated at reference %d (prefetch %v): checksum %x, %v; never migrated %x",
 						mix, at, prefetch, got, err, want)

@@ -11,6 +11,7 @@ package ampom
 import (
 	"context"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -362,6 +363,15 @@ const fabric512EventBudget = 6_500
 // gossip cadence).
 const fabric4096EventBudget = 27_000
 
+// fabric4096ByteBudget caps the bytes one mega-farm run of
+// BenchmarkFabric4096 allocates, most of them the gossip plane's heard
+// sets and windows: measured 330.7 MB once samples were interned per
+// origin and the cell index packed into 4-byte keys (450.7 MB before), so
+// the gate sits at about 1.15× that. A field that regrows the cells, the
+// wire entries or the index, or a per-send allocation coming back, trips
+// it.
+const fabric4096ByteBudget = 380_000_000
+
 // assertEventBudget fails the benchmark if any policy row of rep exceeds
 // budget events per simulated second, and reports per-policy rates on the
 // final iteration.
@@ -483,10 +493,16 @@ func BenchmarkFabric4096(b *testing.B) {
 	spec.Policies = []string{PolicyNoMigration, PolicyAMPoM, PolicyQueueGossip}
 	spec = spec.Canonical()
 	b.ReportAllocs()
+	var before, after runtime.MemStats
 	for i := 0; i < b.N; i++ {
+		runtime.ReadMemStats(&before)
 		rep, err := RunScenario(spec, 42)
 		if err != nil {
 			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > fabric4096ByteBudget {
+			b.Fatalf("one run allocated %d bytes, above the %d budget", bytes, fabric4096ByteBudget)
 		}
 		assertEventBudget(b, rep, fabric4096EventBudget, i == b.N-1)
 		if i == b.N-1 {

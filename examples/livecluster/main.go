@@ -86,11 +86,9 @@ func main() {
 	proc.Step(*pages / 2) // every mix touches each page once a pass: run half a pass at the origin first
 
 	fmt.Printf("migrating pid 1 mid-execution...\n")
-	sum, err := ampom.MigrateLive(proc, dest.Addr(), ampom.LiveMigrateOptions{Prefetch: true})
+	sum, st, err := ampom.MigrateLive(proc, dest.Addr(), ampom.LiveMigrateOptions{Prefetch: true})
 	cli.Check(err)
 
-	migrant := dest.Proc(1)
-	st := migrant.Stats
 	fmt.Printf("\nmigrant finished. memory checksum %016x\n", sum)
 	fmt.Printf("baseline (never migrated)        %016x\n", baseline)
 	if sum != baseline {
@@ -103,5 +101,5 @@ func main() {
 		st.PrefetchPages, float64(st.PrefetchPages)/float64(st.FaultRequests))
 	fmt.Printf("bytes fetched   %d\n", st.BytesFetched)
 	fmt.Printf("pages at dest   %d, left at origin %d\n",
-		migrant.LocalPages(), proc.LocalPages())
+		st.ResidentPages, proc.LocalPages())
 }

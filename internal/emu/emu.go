@@ -80,6 +80,7 @@ type wire struct {
 	// Done payload; the migration payload's Checksum is the read-fold
 	// state.
 	Checksum uint64
+	Stats    Stats
 	Err      string
 }
 
@@ -153,10 +154,10 @@ func (n *Node) serve(conn net.Conn) {
 		case msgMigrate:
 			// One migration per connection: the reply ends it.
 			done := wire{Type: msgDone, PID: m.PID}
-			if sum, err := n.acceptMigration(&m); err != nil {
+			if sum, st, err := n.acceptMigration(&m); err != nil {
 				done.Err = err.Error()
 			} else {
-				done.Checksum = sum
+				done.Checksum, done.Stats = sum, st
 			}
 			enc.Encode(&done)
 			return
@@ -196,11 +197,32 @@ func (n *Node) servePages(enc *gob.Encoder, m *wire) error {
 
 // acceptMigration installs an inbound migrant from its freeze payload and
 // runs it to the end of its program, paging from the origin; it returns
-// the migrant's final memory checksum. The payload comes from outside the
-// process, so a malformed one is refused before anything is installed.
-func (n *Node) acceptMigration(m *wire) (uint64, error) {
+// the migrant's final memory checksum and paging statistics, and releases
+// the migrant. The payload comes from outside the process, so a malformed
+// one is refused before anything is installed.
+func (n *Node) acceptMigration(m *wire) (uint64, Stats, error) {
+	p, err := n.installMigrant(m)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	defer n.release(p)
+	sum, err := p.runMigrant(m.OriginAddr)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	st := p.Stats
+	st.ResidentPages = int64(p.LocalPages())
+	return sum, st, nil
+}
+
+// installMigrant checks a freeze payload, builds the migrant it carries
+// and installs it on the node.
+func (n *Node) installMigrant(m *wire) (*Proc, error) {
 	if m.TotalPages <= 0 || m.TotalPages > maxPages {
-		return 0, fmt.Errorf("emu: migrant pid %d has %d pages", m.PID, m.TotalPages)
+		return nil, fmt.Errorf("emu: migrant pid %d has %d pages", m.PID, m.TotalPages)
+	}
+	if err := m.Program.CheckPages(int64(m.TotalPages)); err != nil {
+		return nil, fmt.Errorf("emu: migrant pid %d: %w", m.PID, err)
 	}
 	p := &Proc{
 		node:       n,
@@ -215,26 +237,36 @@ func (n *Node) acceptMigration(m *wire) (uint64, error) {
 	p.cur.Reset(p.prog)
 	for ; p.pos < m.Pos; p.pos++ {
 		if _, ok := p.cur.Next(); !ok {
-			return 0, fmt.Errorf("emu: migrant pid %d froze at reference %d of a %d-reference program", m.PID, m.Pos, p.pos)
+			return nil, fmt.Errorf("emu: migrant pid %d froze at reference %d of a %d-reference program", m.PID, m.Pos, p.pos)
 		}
 	}
 	if m.Prefetch {
 		pre, err := core.New(m.PrefetchCfg, int64(p.totalPages))
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		p.pre = pre
 	}
 	for page, data := range m.Carried {
 		if page < 0 || page >= m.TotalPages || len(data) != PageSize {
-			return 0, fmt.Errorf("emu: migrant pid %d carries %d bytes as page %d of %d", m.PID, len(data), page, m.TotalPages)
+			return nil, fmt.Errorf("emu: migrant pid %d carries %d bytes as page %d of %d", m.PID, len(data), page, m.TotalPages)
 		}
 		p.pages[page] = data
 	}
 	n.mu.Lock()
 	n.procs[m.PID] = p
 	n.mu.Unlock()
-	return p.runMigrant(m.OriginAddr)
+	return p, nil
+}
+
+// release drops p from the node, unless another process has taken its
+// pid since.
+func (n *Node) release(p *Proc) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.procs[p.pid] == p {
+		delete(n.procs, p.pid)
+	}
 }
 
 // Proc returns the hosted process with the given pid, if any.

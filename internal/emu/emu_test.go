@@ -48,6 +48,13 @@ func strided(pages, stride, passes int) trace.Program {
 	return b.Program(b.Repeat(passes, b.Concat(sweeps...)))
 }
 
+// tiled sweeps each block-page tile of [0, pages) in order: its leaf
+// lies inside [0, block), and later tiles shift it up.
+func tiled(pages, block int) trace.Program {
+	var b trace.Builder
+	return b.Program(b.Tile(int64(pages), int64(block), trace.Sequential(0, int64(block), 0, false)))
+}
+
 // baseline runs the same program without migration and returns the final
 // memory checksum.
 func baseline(t *testing.T, pages int, program trace.Program, seed uint64) uint64 {
@@ -68,7 +75,7 @@ func TestMigrationPreservesMemorySequential(t *testing.T) {
 
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 7)
-	got, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	got, _, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +91,7 @@ func TestMigrationPreservesMemoryNoPrefetch(t *testing.T) {
 
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 9)
-	got, err := Migrate(p, dest.Addr(), MigrateOptions{})
+	got, _, err := Migrate(p, dest.Addr(), MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +107,7 @@ func TestMigrationPreservesMemoryStrided(t *testing.T) {
 
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 13)
-	got, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	got, _, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +124,7 @@ func TestMidExecutionMigration(t *testing.T) {
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 21)
 	p.Step(pages + pages/2) // run 1.5 passes locally, then migrate
-	got, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	got, _, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +139,18 @@ func TestPrefetchBatchesRequests(t *testing.T) {
 
 	origin, dest := twoNodes(t)
 	pNo := Spawn(origin, 1, pages, program, 3)
-	if _, err := Migrate(pNo, dest.Addr(), MigrateOptions{}); err != nil {
+	_, no, err := Migrate(pNo, dest.Addr(), MigrateOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	noPrefetchReqs := dest.Proc(1).Stats.FaultRequests
+	noPrefetchReqs := no.FaultRequests
 
 	origin2, dest2 := twoNodes(t)
 	pYes := Spawn(origin2, 2, pages, program, 3)
-	if _, err := Migrate(pYes, dest2.Addr(), MigrateOptions{Prefetch: true}); err != nil {
+	_, st, err := Migrate(pYes, dest2.Addr(), MigrateOptions{Prefetch: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := dest2.Proc(2).Stats
 	if st.FaultRequests >= noPrefetchReqs {
 		t.Fatalf("prefetch requests %d not below demand-only %d", st.FaultRequests, noPrefetchReqs)
 	}
@@ -159,7 +167,7 @@ func TestOnlyTouchedPagesMove(t *testing.T) {
 
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 5)
-	got, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	got, st, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +175,7 @@ func TestOnlyTouchedPagesMove(t *testing.T) {
 	if got != want {
 		t.Fatalf("checksum %x != baseline %x", got, want)
 	}
-	migrant := dest.Proc(1)
-	moved := migrant.LocalPages()
+	moved := int(st.ResidentPages)
 	if moved >= pages*3/4 {
 		t.Fatalf("moved %d of %d pages for a quarter-size working set", moved, pages)
 	}
@@ -187,10 +194,10 @@ func TestBytesFetchedAccounting(t *testing.T) {
 	program := sequential(pages, 1)
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 2)
-	if _, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true}); err != nil {
+	_, st, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := dest.Proc(1).Stats
 	fetched := st.DemandPages + st.PrefetchPages
 	if st.BytesFetched != fetched*PageSize {
 		t.Fatalf("bytes %d != %d pages × %d", st.BytesFetched, fetched, PageSize)
@@ -203,10 +210,10 @@ func TestCustomPrefetcherConfig(t *testing.T) {
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, pages, program, 4)
 	cfg := core.Config{WindowLen: 10, DMax: 2, MaxPrefetch: 4, BaselineScore: -1}
-	if _, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true, Config: cfg}); err != nil {
+	_, st, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true, Config: cfg})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := dest.Proc(1).Stats
 	perReq := float64(st.PrefetchPages) / float64(st.FaultRequests)
 	if perReq > 4 {
 		t.Fatalf("prefetched %.1f pages/request despite cap 4", perReq)
@@ -297,10 +304,16 @@ func TestMalformedMigrationFailsItsConnection(t *testing.T) {
 		{"negative footprint", "-3 pages", wire{TotalPages: -3}},
 		{"huge footprint", "pages", wire{TotalPages: 1 << 60}},
 		{"position past the program", "froze at reference 9", wire{TotalPages: 4, Program: sequential(4, 1), Pos: 9}},
+		{"block order past the footprint", "page 4 of 4", wire{TotalPages: 4, Program: trace.BlockPermuted(0, 1<<62, 1, 0, false, 1).Program()}},
+		{"block order of 2^33 pages", "page 4 of 4", wire{TotalPages: 4, Program: trace.BlockPermuted(0, 1<<33, 1, 0, false, 1).Program()}},
 		{"bad prefetch config", "", wire{TotalPages: 4, Prefetch: true, PrefetchCfg: core.Config{WindowLen: -1}}},
 		{"unreachable origin", "migrant pager", wire{TotalPages: 4, OriginAddr: "127.0.0.1:0"}},
 		{"reference past the footprint", "page 4 of 4", wire{
 			TotalPages: 4, Program: sequential(5, 1), OriginAddr: origin.Addr(),
+			Carried: map[int][]byte{0: page(), 1: page(), 2: page(), 3: page()},
+		}},
+		{"tile shifted past the footprint", "reference 4 is to page 4 of 4", wire{
+			TotalPages: 4, Program: tiled(8, 4), OriginAddr: origin.Addr(),
 			Carried: map[int][]byte{0: page(), 1: page(), 2: page(), 3: page()},
 		}},
 	} {
@@ -314,7 +327,7 @@ func TestMalformedMigrationFailsItsConnection(t *testing.T) {
 	const pages = 32
 	want := baseline(t, pages, sequential(pages, 2), 11)
 	p := Spawn(origin, 1, pages, sequential(pages, 2), 11)
-	got, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	got, _, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
 	if err != nil || got != want {
 		t.Fatalf("migration after malformed messages: checksum %x, %v; want %x", got, err, want)
 	}
@@ -365,7 +378,41 @@ func TestBadServedPageFailsMigration(t *testing.T) {
 func TestMigrantErrorReachesMigrate(t *testing.T) {
 	origin, dest := twoNodes(t)
 	p := Spawn(origin, 1, 8, sequential(9, 1), 1) // references page 8 of 8
-	if _, err := Migrate(p, dest.Addr(), MigrateOptions{}); err == nil || !strings.Contains(err.Error(), "page 8 of 8") {
+	if _, _, err := Migrate(p, dest.Addr(), MigrateOptions{}); err == nil || !strings.Contains(err.Error(), "page 8 of 8") {
 		t.Fatalf("Migrate returned %v, want the migrant's out-of-range reference", err)
+	}
+}
+
+// TestMigrationReleasesProcesses: once Migrate returns, neither node holds
+// the process, whether the migrant finished or failed: the destination
+// dropped the migrant when its run ended, the origin the deputy when the
+// migration ended. The deputy's pages stay readable through the caller's
+// Proc.
+func TestMigrationReleasesProcesses(t *testing.T) {
+	origin, dest := twoNodes(t)
+	held := func(n *Node) int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.procs)
+	}
+	const pages = 64
+	p := Spawn(origin, 1, pages, sequential(pages/2, 2), 3)
+	p.Step(pages / 4)
+	_, st, err := Migrate(p, dest.Addr(), MigrateOptions{Prefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, d := held(origin), held(dest); o != 0 || d != 0 {
+		t.Fatalf("after a migration the origin holds %d processes and the destination %d", o, d)
+	}
+	if int(st.ResidentPages)+p.LocalPages() != pages {
+		t.Fatalf("%d pages at the destination + %d at the deputy != %d", st.ResidentPages, p.LocalPages(), pages)
+	}
+	failed := Spawn(origin, 2, 8, tiled(16, 8), 1)
+	if _, _, err := Migrate(failed, dest.Addr(), MigrateOptions{}); err == nil {
+		t.Fatal("a migrant referencing past its footprint finished")
+	}
+	if o, d := held(origin), held(dest); o != 0 || d != 0 {
+		t.Fatalf("after a failed migration the origin holds %d processes and the destination %d", o, d)
 	}
 }

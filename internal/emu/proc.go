@@ -48,6 +48,7 @@ type Stats struct {
 	DemandPages   int64
 	PrefetchPages int64
 	BytesFetched  int64
+	ResidentPages int64 // pages the migrant held when its run ended
 }
 
 // Spawn creates a process on node that runs prog, with every page local
@@ -200,31 +201,37 @@ type MigrateOptions struct {
 // and resumes it on the destination node, which demand-pages the rest from
 // this node. It blocks until the migrant finishes its program and returns
 // the final memory checksum of the process, whose pages the migrant and
-// this deputy share, or the error the migrant failed with.
-func Migrate(p *Proc, destAddr string, opts MigrateOptions) (uint64, error) {
+// this deputy share, and the migrant's paging statistics, or the error the
+// migrant failed with. Once the process is frozen, neither node keeps it:
+// the destination releases the migrant when its run ends, and this node
+// the deputy when the migration ends, whatever its outcome; p still
+// reports the pages the deputy held.
+func Migrate(p *Proc, destAddr string, opts MigrateOptions) (uint64, Stats, error) {
 	if opts.Prefetch {
 		// Validate before freezing so a bad config fails the migration
 		// with the process still whole here.
 		if _, err := core.New(opts.Config, int64(p.totalPages)); err != nil {
-			return 0, err
+			return 0, Stats{}, err
 		}
 	}
 	conn, err := net.Dial("tcp", destAddr)
 	if err != nil {
-		return 0, fmt.Errorf("emu: migrate dial: %w", err)
+		return 0, Stats{}, fmt.Errorf("emu: migrate dial: %w", err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(p.freeze(opts)); err != nil {
-		return 0, fmt.Errorf("emu: migrate send: %w", err)
+	freeze := p.freeze(opts)
+	defer p.node.release(p)
+	if err := gob.NewEncoder(conn).Encode(freeze); err != nil {
+		return 0, Stats{}, fmt.Errorf("emu: migrate send: %w", err)
 	}
 	var done wire
 	if err := gob.NewDecoder(conn).Decode(&done); err != nil {
-		return 0, fmt.Errorf("emu: migrate: %w", err)
+		return 0, Stats{}, fmt.Errorf("emu: migrate: %w", err)
 	}
 	if done.Err != "" {
-		return 0, errors.New(done.Err)
+		return 0, Stats{}, errors.New(done.Err)
 	}
-	return done.Checksum ^ p.pagesChecksum(), nil
+	return done.Checksum ^ p.pagesChecksum(), done.Stats, nil
 }
 
 // freeze takes the three currently accessed pages out of the process —

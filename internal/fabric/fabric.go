@@ -245,19 +245,13 @@ type Interconnect interface {
 	TierStats() []TierStats
 }
 
-// envelope wraps a routed payload: the node pair it travels between and
-// the original message. Switch vertices (and the star hub) forward it;
-// the destination node unwraps it and dispatches the inner payload.
-//
-// rank is the sharded-build injection tie-break: assigned once at the
-// originating Send in that send's order within its scheduling phase, it
-// rides every hop, so two envelopes marching through the fabric on
-// identical timetables (same instant, same sizes, same link profiles)
-// stage their deliveries in origination order — the order one sequential
-// engine's insertion sequence gives them. Zero on unsharded builds.
+// envelope wraps a payload the star routes: its destination node and
+// the original message. The hub forwards it; the destination node
+// unwraps it and dispatches the inner payload. The star routes only
+// migrations this way, so it allocates one per send; the switched
+// fabrics route in reused transit records instead.
 type envelope struct {
 	dst   int
-	rank  uint64
 	inner netmodel.Message
 }
 

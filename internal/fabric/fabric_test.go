@@ -372,3 +372,51 @@ func TestStarHubMatchesIsolatedPairs(t *testing.T) {
 func handlerCount(n *cluster.Node) int {
 	return reflect.ValueOf(n).Elem().FieldByName("handlers").Len()
 }
+
+// TestSendAllocFree: once the links' rings and the uplinks' core-hop
+// records are warm, routing a message allocates nothing, within a rack
+// and across the core, on the sequential build and on the sharded one,
+// where the core hop crosses shards through the group's barrier.
+func TestSendAllocFree(t *testing.T) {
+	shardOf := []int{0, 0, 0, 0, 1, 1, 1, 1}
+	for _, sharded := range []bool{false, true} {
+		global := sim.New()
+		cfg := Config{
+			Kind: KindTwoTier, RackSize: 4, Oversub: 4, GossipFanout: 2, GossipPeriod: 3600 * simtime.Second,
+			GossipWindow: 32, Network: netmodel.FastEthernet(), Seed: 1,
+		}
+		engOf := func(int) *sim.Engine { return global }
+		run := global.Run
+		if sharded {
+			shards := []*sim.Engine{sim.New(), sim.New()}
+			group := sim.NewShardGroup(global, shards, cfg.Network.LatencyOneWay, false)
+			cfg.Sharding = &Sharding{ShardOf: shardOf, Engines: shards, Group: group}
+			engOf = func(i int) *sim.Engine { return shards[shardOf[i]] }
+			run = group.Run
+		}
+		nodes := make([]*cluster.Node, len(shardOf))
+		got := 0
+		for i := range nodes {
+			nodes[i] = cluster.NewNode(engOf(i), "n", 1)
+			nodes[i].Handle(func(p any) bool { got++; return true })
+		}
+		ic := Build(global, nodes, cfg)
+		for _, pair := range [][2]int{{0, 1}, {0, 5}} {
+			send := func() {
+				ic.Send(pair[0], pair[1], netmodel.Message{Size: 1000, Payload: "probe"})
+				run(global.Now().Add(simtime.Second))
+			}
+			for i := 0; i < 4; i++ {
+				send()
+			}
+			got = 0
+			if a := testing.AllocsPerRun(20, send); a != 0 {
+				t.Errorf("sharded %v: a warm send %d→%d allocates %v times", sharded, pair[0], pair[1], a)
+			}
+			// AllocsPerRun makes one warm-up call before the measured runs.
+			if got != 21 {
+				t.Errorf("sharded %v: %d→%d delivered %d of 21 sends", sharded, pair[0], pair[1], got)
+			}
+		}
+	}
+}

@@ -51,6 +51,16 @@ type switched struct {
 	linkDown  []bool  // failed links refuse new traffic at the switch
 	edgeLink  []int   // edgeLink[node] is the node's uplink into the fabric
 
+	// Transit records: linkEng[li] is link li's engine, linkFrom[li] the
+	// vertex at its first end, and transits[2*li] and transits[2*li+1]
+	// the records of its two directions, first end first. slack is how
+	// far a record's arrival must lie behind its sender's clock before
+	// the sender reuses it (see transitRing).
+	linkEng  []*sim.Engine
+	linkFrom []int
+	transits []transitRing
+	slack    simtime.Duration
+
 	// Routing state: the tree is regular enough that the next hop is
 	// computed, not tabulated — a nextHop[vertex][dstNode] table costs
 	// O(vertices·nodes) memory (2.2 GB at 16k nodes) for what three
@@ -63,11 +73,11 @@ type switched struct {
 	shard       *Sharding
 	shardOfRack []int
 
-	// Envelope rank counters (sharded builds): mergeRank serves Sends made
-	// while the group executes a coincident instant single-threaded (the
-	// global phase — migrations), preserving their initiation order;
-	// shardRank[i] serves Sends made inside shard i's window, where only
-	// that shard's worker touches its slot.
+	// Rank counters (sharded builds): mergeRank serves Sends made while
+	// the group executes a coincident instant single-threaded (the global
+	// phase — migrations), preserving their initiation order; shardRank[i]
+	// serves Sends made inside shard i's window, where only that shard's
+	// worker touches its slot.
 	mergeRank uint64
 	shardRank []uint64
 
@@ -142,11 +152,11 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 		}
 		nic := netmodel.NewNIC(nil)
 		nic.SetHandler(func(m netmodel.Message) {
-			env, ok := m.Payload.(*envelope)
+			t, ok := m.Payload.(*transit)
 			if !ok {
-				panic(fmt.Sprintf("fabric: switch %s received non-envelope payload %T", name, m.Payload))
+				panic(fmt.Sprintf("fabric: switch %s received non-transit payload %T", name, m.Payload))
 			}
-			s.forward(v, env)
+			s.forward(v, t)
 		})
 		s.nicOf[v] = nic
 	}
@@ -162,6 +172,9 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 		s.linkTier = append(s.linkTier, tier)
 		s.linkBytes = append(s.linkBytes, 0)
 		s.linkDown = append(s.linkDown, false)
+		s.linkEng = append(s.linkEng, le)
+		s.linkFrom = append(s.linkFrom, a)
+		s.transits = append(s.transits, transitRing{}, transitRing{})
 		s.tiers[tier].Links++
 		s.tiers[tier].CapacityBps += profile.BandwidthBps
 		return len(s.links) - 1
@@ -195,18 +208,19 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 		s.wireSharding(cfg)
 	}
 
-	// Node-side delivery: unwrap envelopes arriving at their destination.
+	// Node-side delivery: a message reaching its destination dispatches
+	// the payload its sender handed the fabric.
 	for i, node := range nodes {
 		i, node := i, node
 		node.Handle(func(payload any) bool {
-			env, ok := payload.(*envelope)
+			t, ok := payload.(*transit)
 			if !ok {
 				return false
 			}
-			if env.dst != i {
-				panic(fmt.Sprintf("fabric: payload for node %d delivered to node %d", env.dst, i))
+			if t.to != i {
+				panic(fmt.Sprintf("fabric: payload for node %d delivered to node %d", t.to, i))
 			}
-			node.Deliver(env.inner.Payload)
+			node.Deliver(t.inner.Payload)
 			return true
 		})
 	}
@@ -219,10 +233,11 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 		WindowLen: cfg.GossipWindow,
 	}
 	grng := prngForGossip(cfg.Seed)
+	store := infod.NewSampleStore(n)
 	s.gossip = make([]*infod.Gossip, n)
 	for i, node := range nodes {
 		i := i
-		s.gossip[i] = infod.NewGossip(gcfg, node, i, n, cfg.Network.BandwidthBps,
+		s.gossip[i] = infod.NewGossip(gcfg, store, node, i, cfg.Network.BandwidthBps,
 			func(dst int, m netmodel.Message) { s.Send(i, dst, m) }, grng.Uint64())
 		s.gossip[i].Start()
 	}
@@ -245,6 +260,7 @@ func (s *switched) wireSharding(cfg Config) {
 		panic(fmt.Sprintf("fabric: lookahead %v != shard window %v", lk, sh.Group.Lookahead()))
 	}
 	s.shardRank = make([]uint64, len(sh.Engines))
+	s.slack = sh.Group.Lookahead()
 	spineNIC := s.nicOf[s.spine]
 	// The core never runs events of its own under sharding, and its links'
 	// senders live on different engines — it keeps no counters so that no
@@ -257,15 +273,18 @@ func (s *switched) wireSharding(cfg Config) {
 			if to != spineNIC {
 				return false // core→leaf: the uplink already runs on the rack's shard
 			}
-			env, ok := m.Payload.(*envelope)
+			t, ok := m.Payload.(*transit)
 			if !ok {
-				panic(fmt.Sprintf("fabric: core received non-envelope payload %T", m.Payload))
+				panic(fmt.Sprintf("fabric: core received non-transit payload %T", m.Payload))
 			}
 			// The core hop, on the engine owning the destination rack's
 			// links. The standard delivery bookkeeping stays dropped in the
 			// same-shard case too — one behaviour for the silent core, and
 			// one event per hop exactly like the sequential schedule.
-			sh.Group.Stage(sr, s.shardOfRack[s.rackOf[env.dst]], at, env.rank, func() { s.forward(s.spine, env) })
+			if t.run == nil {
+				t.run = func() { s.forward(s.spine, t) }
+			}
+			sh.Group.Stage(sr, s.shardOfRack[s.rackOf[t.to]], at, t.rank, t.run)
 			return true
 		})
 	}
@@ -277,14 +296,14 @@ func (s *switched) wireSharding(cfg Config) {
 			if to != nodeNIC || sh.GlobalPayload == nil {
 				return false
 			}
-			env, ok := m.Payload.(*envelope)
-			if !ok || !sh.GlobalPayload(env.inner.Payload) {
+			t, ok := m.Payload.(*transit)
+			if !ok || !sh.GlobalPayload(t.inner.Payload) {
 				return false
 			}
 			// Final hop of a global payload (a migration): the restore path
 			// mutates both endpoints' daemons, so the delivery — the NIC's
 			// RX counters and its handlers — runs in the global phase.
-			sh.Group.Stage(si, sim.GlobalShard, at, env.rank, func() { nodeNIC.Receive(m) })
+			sh.Group.Stage(si, sim.GlobalShard, at, t.rank, func() { nodeNIC.Receive(m) })
 			return true
 		})
 	}
@@ -294,27 +313,27 @@ func (s *switched) wireSharding(cfg Config) {
 func (s *switched) Kind() Kind { return s.kind }
 
 // Send routes m from node src to node dst along the tree path, one
-// store-and-forward hop at a time. On sharded builds the envelope is
-// ranked at this origination point: Sends from the group's single-threaded
-// coincident-instant phase draw a shared counter (their initiation order),
-// Sends from inside a shard's window draw that shard's counter under the
-// shard's own high bits — each counter has exactly one writer.
+// store-and-forward hop at a time. On sharded builds m is ranked at this
+// origination point: Sends from the group's single-threaded
+// coincident-instant phase draw a shared counter (their initiation
+// order), Sends from inside a shard's window draw that shard's counter
+// under the shard's own high bits — each counter has exactly one writer.
 func (s *switched) Send(src, dst int, m netmodel.Message) {
 	if src == dst {
 		panic(fmt.Sprintf("fabric: send from node %d to itself", src))
 	}
-	env := &envelope{dst: dst, inner: m}
+	t := transit{to: dst, inner: m}
 	if s.shard != nil {
 		if s.shard.Group.InMerge() {
 			s.mergeRank++
-			env.rank = s.mergeRank
+			t.rank = s.mergeRank
 		} else {
 			si := s.shard.ShardOf[src]
 			s.shardRank[si]++
-			env.rank = 1<<63 | uint64(si)<<40 | s.shardRank[si]
+			t.rank = 1<<63 | uint64(si)<<40 | s.shardRank[si]
 		}
 	}
-	s.forward(src, env)
+	s.forward(src, &t)
 }
 
 // hop returns the link carrying traffic for destination node dst onward
@@ -337,21 +356,92 @@ func (s *switched) hop(v, dst int) int {
 	}
 }
 
-// forward ships an envelope one hop onward from vertex v. A down link
-// drops the envelope at the switch: nothing new is serialised onto a
-// failed hop (messages already on the wire when the link failed keep
-// flowing — the per-hop granularity of store-and-forward). Dropped
-// migration payloads are not lost processes: the runner re-verifies every
-// in-flight migration against DestReachable at each topology transition
-// and fails unroutable migrants back to their sources, so by the time a
-// hop eats a freeze-time payload its process has already reverted.
-func (s *switched) forward(v int, env *envelope) {
-	li := s.hop(v, env.dst)
+// forward ships the message t carries one hop onward from vertex v, in
+// a record of the next link's direction. A down link drops it at the
+// switch: nothing new is serialised onto a failed hop (messages already
+// on the wire when the link failed keep flowing — the per-hop granularity
+// of store-and-forward). Dropped migration payloads are not lost
+// processes: the runner re-verifies every in-flight migration against
+// DestReachable at each topology transition and fails unroutable migrants
+// back to their sources, so by the time a hop eats a freeze-time payload
+// its process has already reverted.
+func (s *switched) forward(v int, t *transit) {
+	li := s.hop(v, t.to)
 	if s.linkDown[li] {
 		return
 	}
-	s.linkBytes[li] += env.inner.Size
-	s.links[li].Send(s.nicOf[v], netmodel.Message{Size: env.inner.Size, Payload: env})
+	s.linkBytes[li] += t.inner.Size
+	dir := 2 * li
+	if v != s.linkFrom[li] {
+		dir++
+	}
+	next := s.transits[dir].take(s.linkEng[li].Now(), s.slack)
+	next.to, next.rank, next.inner = t.to, t.rank, t.inner
+	next.at = s.links[li].Send(s.nicOf[v], netmodel.Message{Size: t.inner.Size, Payload: next})
+}
+
+// transit is a routed message on one link: the destination node, the
+// origination rank, the message its sender handed the fabric, and the
+// instant it reaches the link's far end. The link carries a pointer to
+// the record as its payload, so routing allocates nothing once each link
+// direction's records are warm.
+//
+// The rank is the sharded build's injection tie-break: assigned once at
+// the originating Send, it rides every hop, so two messages marching
+// through the fabric on identical timetables (same instant, same sizes,
+// same link profiles) stage their deliveries in origination order — the
+// order one sequential engine's insertion sequence gives them. Zero on
+// unsharded builds. run forwards the record from the core when a sharded
+// build stages its core hop; it is built the first time that happens.
+type transit struct {
+	to    int
+	rank  uint64
+	inner netmodel.Message
+	at    simtime.Time
+	run   func()
+}
+
+// transitRing is one link direction's transit records, oldest first,
+// held by value so that checking and refilling a record touch one place.
+// A direction delivers in FIFO order, so its oldest record is the first
+// whose message the far end has handled. Its sender reuses that record
+// once its arrival lies more than slack behind the sender's clock: by
+// then the far end has forwarded or delivered the message and no longer
+// reads the record. Slack is zero on sequential builds. On sharded builds
+// it is the lookahead, because a core hop or a global payload's delivery
+// runs on another engine: a window spans at most one lookahead past the
+// earliest pending event, so a record that much older than the sender's
+// clock was handled in an earlier window, before a barrier. The records
+// never leave the link's shard.
+//
+// A message in flight points into the ring. Growing the ring copies the
+// records into a larger array and leaves the old one to the messages
+// still reading it; the copies drop their run callbacks, which point at
+// the old records.
+type transitRing struct {
+	recs    []transit // len a power of two
+	head, n int
+}
+
+// take releases the records whose messages the far end has certainly
+// handled by instant now and returns the next free one for a message its
+// direction sends then.
+func (q *transitRing) take(now simtime.Time, slack simtime.Duration) *transit {
+	for q.n > 0 && q.recs[q.head].at.Add(slack) < now {
+		q.head = (q.head + 1) & (len(q.recs) - 1)
+		q.n--
+	}
+	if q.n == len(q.recs) {
+		grown := make([]transit, max(4, 2*len(q.recs)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.recs[(q.head+i)&(len(q.recs)-1)]
+			grown[i].run = nil
+		}
+		q.recs, q.head = grown, 0
+	}
+	t := &q.recs[(q.head+q.n)&(len(q.recs)-1)]
+	q.n++
+	return t
 }
 
 // ClusterBandwidth is the tightest gossip-daemon bandwidth estimate — the

@@ -15,7 +15,19 @@ import (
 func tableGossip(cfg GossipConfig, id, n int) (*sim.Engine, *Gossip) {
 	eng := sim.New()
 	node := cluster.NewNode(eng, "g", 1)
-	return eng, NewGossip(cfg, node, id, n, 11.36e6, func(int, netmodel.Message) {}, 1)
+	return eng, NewGossip(cfg, NewSampleStore(n), node, id, 11.36e6, func(int, netmodel.Message) {}, 1)
+}
+
+// tablePlane builds n unstarted daemons, as tableGossip does, sharing
+// one sample store, each on its own engine.
+func tablePlane(cfg GossipConfig, n int) ([]*sim.Engine, []*Gossip) {
+	store := NewSampleStore(n)
+	engs, g := make([]*sim.Engine, n), make([]*Gossip, n)
+	for i := range g {
+		engs[i] = sim.New()
+		g[i] = NewGossip(cfg, store, cluster.NewNode(engs[i], "g", 1), i, 11.36e6, func(int, netmodel.Message) {}, 1)
+	}
+	return engs, g
 }
 
 // checkTable asserts the heard set's invariants. The cell table: every
@@ -91,15 +103,29 @@ func (s gossipScript) advance(k int) gossipScript { return append(s, byte(4*k+3)
 // fuzzAgeUnit scales the script's ages and clock steps: MaxAge.
 const fuzzAgeUnit = MaxAge
 
-// scriptEntry decodes one window entry. Its age is (ageByte-16)/64 of
-// fuzzAgeUnit, so an age byte past 80 is already past MaxAge
-// on arrival and one below 16 is stamped in the future.
-func scriptEntry(origin int, ageByte byte, now simtime.Time) gossipEntryWire {
+// scriptRingLen is the ring a script's origins start with: short, so
+// scripts wrap it and grow it.
+const scriptRingLen = 4
+
+// scriptEntry decodes one window entry of g's script and composes its
+// sample in the origin's ring of g's store, as that origin's daemon
+// would: its age is (ageByte-16)/64 of fuzzAgeUnit, so an age byte past
+// 80 is already past MaxAge on arrival and one below 16 is stamped in the
+// future. An entry of g's own origin, which merge skips, composes
+// nothing. It returns the wire entry and the sample it names.
+func scriptEntry(g *Gossip, origin int, ageByte byte, now simtime.Time) (gossipEntryWire, LoadSample) {
 	age := simtime.Duration(int64(ageByte)-16) * fuzzAgeUnit / 64
-	return wireOf(origin, GossipEntry{
-		Sample: LoadSample{Load: float64(origin), Queue: int(ageByte), UsedMemMB: int64(origin) * 3},
-		Stamp:  now.Add(-age),
-	})
+	w := gossipEntryWire{Stamp: now.Add(-age), Origin: int32(origin)}
+	s := LoadSample{Load: float64(origin), Queue: int(ageByte), UsedMemMB: int64(origin) * 3}
+	if origin == g.id {
+		return w, s
+	}
+	r := &g.store.rings[origin]
+	if r.slots == nil {
+		r = g.store.open(origin, scriptRingLen)
+	}
+	w.Seq = r.put(sample{load: s.Load, stamp: w.Stamp, queue: int32(s.Queue), mem: int32(s.UsedMemMB)}, now)
+	return w, s
 }
 
 // FuzzGossipTable drives a daemon's heard set through a script of merged
@@ -108,7 +134,10 @@ func scriptEntry(origin int, ageByte byte, now simtime.Time) gossipEntryWire {
 // AgeRTT for every origin, MeanRTT, KnownCount, the composed window and
 // the Fresh set. Ages reach past MaxAge and the clock jumps by up to four
 // MaxAges, so both the compose ring-walk reclaim and the amortised sweep
-// fire.
+// fire. Each window entry's origin composes its sample into its own
+// scriptRingLen-slot ring first, so origins that repeat within MaxAge
+// grow their rings and origins that repeat after it wrap them; Entry and
+// Fresh read the samples back out of those rings.
 //
 // The reserve input picks the table the script starts from: zero an
 // empty one, whose index heard sets of up to 512 origins grow through
@@ -167,6 +196,21 @@ func FuzzGossipTable(f *testing.F) {
 	f.Add(uint16(300), uint8(0), uint16(299), []byte(grow))
 	f.Add(uint16(300), uint8(8), uint16(40), []byte(grow))
 
+	// Sample rings. Origin 5 composes six live samples in one window, so
+	// its 4-slot ring grows to 8 and keeps the first, the newest, which
+	// the daemon holds. Two MaxAges later all six have expired, and six
+	// more wrap the ring over them without growing it; origin 9 grows its
+	// ring to 16 in two windows.
+	var six, nine [][2]int
+	for i := 0; i < 6; i++ {
+		six = append(six, [2]int{5, 16 + i})
+		nine = append(nine, [2]int{9, 16 + i}, [2]int{9, 20 - i})
+	}
+	rings := gossipScript{}.
+		merge(six...).compose().advance(2).merge(nine[:6]...).
+		advance(32).merge(six...).compose().merge(nine[6:]...).advance(4).compose()
+	f.Add(uint16(16), uint8(8), uint16(0), []byte(rings))
+
 	f.Fuzz(func(t *testing.T, nOrigins uint16, windowLen uint8, reserve uint16, script []byte) {
 		if len(script) > 128 {
 			script = script[:128]
@@ -199,26 +243,28 @@ func FuzzGossipTable(f *testing.F) {
 					k = len(script) / 3
 				}
 				m := &gossipMsg{Entries: make([]gossipEntryWire, k)}
+				vals := make([]LoadSample, k)
 				for i := range m.Entries {
 					b := script[3*i : 3*i+3]
-					m.Entries[i] = scriptEntry((int(b[0])<<8|int(b[1]))%n, b[2], now)
+					m.Entries[i], vals[i] = scriptEntry(g, (int(b[0])<<8|int(b[1]))%n, b[2], now)
 				}
 				script = script[3*k:]
 				g.merge(m)
-				ref.merge(m, now)
+				ref.merge(m, vals, now)
 			case 1:
 				if len(script) < 2 {
 					script = nil
 					break
 				}
 				m := &gossipMsg{Entries: make([]gossipEntryWire, op/4+1)}
+				vals := make([]LoadSample, len(m.Entries))
 				start := int(script[0]) * n / 256
 				for i := range m.Entries {
-					m.Entries[i] = scriptEntry((start+i)%n, script[1]+byte(i), now)
+					m.Entries[i], vals[i] = scriptEntry(g, (start+i)%n, script[1]+byte(i), now)
 				}
 				script = script[2:]
 				g.merge(m)
-				ref.merge(m, now)
+				ref.merge(m, vals, now)
 			case 2:
 				m := g.compose(now)
 				got, want := m.Entries, ref.compose(now)
@@ -372,4 +418,126 @@ func TestReservedIndexNeverGrows(t *testing.T) {
 			checkTable(t, g)
 		}
 	}
+}
+
+// TestPullBurstGrowsSampleRing: daemon 0 answers a pull request every
+// half second for 20 s, well within MaxAge, while it merges daemon 2's
+// pushes, and daemon 1 merges every answer. Daemon 0 composes more live
+// samples than its ring starts with, so the ring grows instead of
+// overwriting one; every sample it composed within MaxAge still reads
+// back as composed, and daemon 1's Fresh, which reads both origins'
+// rings, matches the reference model after every merge. Two MaxAges
+// later the ring wraps over its expired samples without growing again.
+func TestPullBurstGrowsSampleRing(t *testing.T) {
+	cfg := GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 8}
+	engs, g := tablePlane(cfg, 3)
+	ref := newRefGossip(cfg, 1, 3)
+	type key struct {
+		origin int32
+		seq    uint32
+	}
+	vals := map[key]LoadSample{}
+	stamps := map[uint32]simtime.Time{}
+	k := 0
+	for i, d := range g {
+		i, d := i, d
+		d.SetProbe(func() LoadSample {
+			k++
+			s := LoadSample{Load: float64(k), Queue: k, UsedMemMB: int64(i + 2*k)}
+			vals[key{int32(i), d.own.last + 1}] = s
+			if i == 0 {
+				stamps[d.own.last+1] = d.eng.Now()
+			}
+			return s
+		})
+	}
+	now := simtime.Time(0)
+	g[0].send = func(dst int, m netmodel.Message) {
+		w := m.Payload.(*gossipMsg)
+		in := make([]LoadSample, len(w.Entries))
+		for i, e := range w.Entries {
+			in[i] = vals[key{e.Origin, e.Seq}]
+		}
+		g[dst].merge(w)
+		ref.merge(w, in, now)
+	}
+	advance := func(d simtime.Duration) {
+		now = now.Add(d)
+		for _, e := range engs {
+			e.AdvanceTo(now)
+		}
+	}
+	check := func() {
+		t.Helper()
+		fresh := map[int]GossipEntry{}
+		g[1].Fresh(func(o int, e GossipEntry) { fresh[o] = e })
+		n := 0
+		ref.fresh(now, func(o int, e GossipEntry) {
+			n++
+			if fresh[o] != e {
+				t.Fatalf("at %v Fresh(%d) = %+v, reference %+v", now, o, fresh[o], e)
+			}
+		})
+		if n != len(fresh) || n == 0 {
+			t.Fatalf("at %v Fresh visits %d origins, reference %d", now, len(fresh), n)
+		}
+		for seq, at := range stamps {
+			if !expired(at, now) {
+				s := g[0].own.at(seq)
+				if s.entry() != (GossipEntry{Sample: vals[key{0, seq}], Stamp: at}) {
+					t.Fatalf("at %v daemon 0's live sample %d reads %+v", now, seq, s.entry())
+				}
+			}
+		}
+	}
+
+	start := len(g[0].own.slots)
+	for i := 1; i <= 40; i++ {
+		advance(simtime.Second / 2)
+		if i%4 == 0 {
+			m := g[2].compose(now)
+			m.receivers.Store(1)
+			g[0].merge(m)
+		}
+		g[0].servePull(1)
+		check()
+	}
+	grown := len(g[0].own.slots)
+	if start != ringLen(cfg) || grown <= start {
+		t.Fatalf("daemon 0's ring went from %d slots (ringLen %d) to %d over %d live samples", start, ringLen(cfg), grown, g[0].own.last)
+	}
+	advance(2 * MaxAge)
+	for i := 0; i < 2*grown; i++ {
+		advance(simtime.Second)
+		g[0].servePull(1)
+		check()
+	}
+	if got := len(g[0].own.slots); got != grown {
+		t.Fatalf("daemon 0's ring grew from %d to %d slots with one live sample a second", grown, got)
+	}
+}
+
+// TestRewrittenSampleReadPanics: a daemon whose clock lags its origin's,
+// which the engines never allow, would read a sample the origin has
+// rewritten after it expired; the ring's sequence check panics rather
+// than return the wrong sample.
+func TestRewrittenSampleReadPanics(t *testing.T) {
+	cfg := GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 8}
+	engs, g := tablePlane(cfg, 2)
+	m := g[0].compose(0)
+	m.receivers.Store(1)
+	g[1].merge(m)
+	engs[0].AdvanceTo(simtime.Time(MaxAge + simtime.Second))
+	for i := 0; i < ringLen(cfg); i++ {
+		g[0].compose(engs[0].Now())
+	}
+	if len(g[0].own.slots) != ringLen(cfg) {
+		t.Fatalf("ring grew to %d slots over an expired sample", len(g[0].own.slots))
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("reading a rewritten sample did not panic")
+		}
+	}()
+	g[1].Entry(0)
 }

@@ -14,18 +14,26 @@
 // current window, which heals partitions and brings late joiners up to
 // date even when pushes alone would starve them.
 //
-// Storage is compact and sized once. A daemon keeps only the origins it
-// has actually heard from (a flat cell table — dense pointer-free 40-byte
-// cells behind an open-addressed index keyed in place by origin, see
-// cellTable), never a dense length-n vector, so the whole gossip plane is
-// O(n·l·retention) resident rather than O(n²). NewGossip reserves the
-// index for the heard set the config implies,
+// Storage is compact and sized once. Samples are interned: each origin
+// appends every sample it composes (load, queue, memory, stamp and a
+// sequence number) to its own small ring in the plane's SampleStore, and
+// cells and wire entries name a sample by origin and sequence number
+// next to its stamp. merge, compose, the sweeps and every expiry check
+// work from the stamp alone; only Fresh and Entry read another origin's
+// ring, and they run on the sequential engine or in the global phase,
+// with every shard paused at one instant, so the rings need no atomics
+// (see sampleRing). A daemon keeps only the origins it has actually heard
+// from (a flat cell table — dense pointer-free 32-byte cells behind an
+// open-addressed index of 4-byte keys, see cellTable), never a dense
+// length-n vector, so the whole gossip plane is O(n·l·retention)
+// resident rather than O(n²). NewGossip reserves the index for the heard
+// set the config implies,
 // min(n-1, l·(Fanout + 1/PullEvery)·MaxAge/Period) origins, so in steady
 // state it never grows; a daemon that hears more still grows it. Nothing
 // reads the index in slot order — reads walk cell handles — so its size
-// cannot change a result. Cells and wire entries hold queue length and
-// memory in 32 bits, and a sample that does not fit panics rather than
-// being truncated (see narrow).
+// cannot change a result. Rings hold queue length and memory in 32 bits,
+// and a sample that does not fit panics rather than being truncated (see
+// narrow).
 //
 // A recency ring of cell handles orders the cells by last refresh. Each
 // cell records its slot. A refresh clears the cell's previous slot and
@@ -101,17 +109,20 @@ type GossipEntry struct {
 	Stamp simtime.Time
 }
 
-// gossipEntryWire is one entry on the wire, in 32 bytes: the origin and
-// its sample's queue length and memory travel in 32 bits, as the cell
-// holds them. Every composed entry is a known one, so the wire carries no
-// presence flag.
+// gossipEntryWire is one entry on the wire, in 16 bytes: the stamp of
+// the origin's sample and its sequence number in the origin's ring, which
+// holds the values. The modelled wire size, EntryBytes, is what a real
+// entry with its values would take. Every composed entry is a known one,
+// so the wire carries no presence flag.
 type gossipEntryWire struct {
-	Load   float64
 	Stamp  simtime.Time
 	Origin int32
-	Queue  int32
-	MemMB  int32
+	Seq    uint32
 }
+
+// MaxGossipNodes is the largest cluster a gossip plane serves: the cell
+// index packs an origin and a handle into 16 bits each.
+const MaxGossipNodes = 1 << 16
 
 // narrow returns v in 32 bits, and panics when it does not fit: a sample
 // is never truncated. scenario.Spec.Validate bounds every node's resident
@@ -180,8 +191,8 @@ type Gossip struct {
 	ticker     *sim.Ticker
 	pullTicker *sim.Ticker
 
-	// self is the daemon's own latest sample; cells holds only origins
-	// actually heard from. ring is a circular buffer of cell handles+1 (0
+	// store holds every origin's sample ring, and own is this daemon's;
+	// cells holds only origins actually heard from. ring is a circular buffer of cell handles+1 (0
 	// marks an empty slot) in refresh order, ringN total appends; a cell
 	// and the ring slot it records name each other, so the window composer
 	// walks the ring newest-first and reads each cell directly. sweepAt is
@@ -189,7 +200,8 @@ type Gossip struct {
 	// rttSum is the sum of 2×ageEst over every cell, kept in step by
 	// recordAge and drop. windows holds the window buffers this daemon
 	// composed last, oldest first, which compose reuses.
-	self    GossipEntry
+	store   *SampleStore
+	own     *sampleRing
 	cells   cellTable
 	ring    []int32
 	ringN   int64
@@ -203,17 +215,22 @@ type Gossip struct {
 	peerScratch []int
 }
 
-// NewGossip creates the gossip daemon of node id in an n-node cluster.
-// send routes one message to a peer (the fabric's topology path); seed
-// drives the daemon's jitter and peer-selection stream. The daemon
-// registers its message handler on the node; call Start to begin pushing.
-// It panics unless every cfg field is positive, or when n does not fit in
-// 32 bits.
-func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float64, send func(dst int, m netmodel.Message), seed uint64) *Gossip {
+// NewGossip creates the gossip daemon of node id in the cluster whose
+// gossip plane shares store, one ring per node, and opens the daemon's
+// sample ring there. send routes one message to a peer (the fabric's
+// topology path); seed drives the daemon's jitter and peer-selection
+// stream. The daemon registers its message handler on the node; call
+// Start to begin pushing. It panics unless every cfg field is positive,
+// when the cluster has more than MaxGossipNodes nodes, or when node id
+// has a daemon already.
+func NewGossip(cfg GossipConfig, store *SampleStore, node *cluster.Node, id int, nominalBw float64, send func(dst int, m netmodel.Message), seed uint64) *Gossip {
 	if cfg.Period <= 0 || cfg.Fanout <= 0 || cfg.WindowLen <= 0 {
 		panic(fmt.Sprintf("infod: non-positive gossip config %+v", cfg))
 	}
-	narrow(int64(n), "cluster size")
+	n := len(store.rings)
+	if n > MaxGossipNodes {
+		panic(fmt.Sprintf("infod: %d-node gossip plane, above %d", n, MaxGossipNodes))
+	}
 	ringCap := 4 * cfg.WindowLen
 	if ringCap < sweepFloor {
 		ringCap = sweepFloor
@@ -224,6 +241,8 @@ func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float6
 		id:        id,
 		n:         n,
 		send:      send,
+		store:     store,
+		own:       store.open(id, ringLen(cfg)),
 		ring:      make([]int32, ringCap),
 		sweepAt:   sweepFloor,
 		windows:   make([]*gossipMsg, 0, keptWindows),
@@ -273,26 +292,25 @@ func (g *Gossip) Stop() {
 // expired reports whether a stamp has aged out under MaxAge.
 func expired(stamp, now simtime.Time) bool { return now.Sub(stamp) > MaxAge }
 
-// compose re-probes the daemon's own sample and assembles the bounded
-// outgoing window into a reused buffer: the fresh self entry
-// plus the most recently refreshed live entries off the recency ring, up
-// to WindowLen total. Empty ring slots (a cell refreshed again later, or
-// reclaimed) are skipped; expired cells encountered on the walk are
-// reclaimed.
+// compose re-probes the daemon's own sample, appends it to the daemon's
+// sample ring and assembles the bounded outgoing window into a reused
+// buffer: the fresh self entry plus the most recently refreshed live
+// entries off the recency ring, up to WindowLen total. Empty ring slots
+// (a cell refreshed again later, or reclaimed) are skipped; expired cells
+// encountered on the walk are reclaimed.
 func (g *Gossip) compose(now simtime.Time) *gossipMsg {
-	g.self = GossipEntry{Stamp: now}
+	var s LoadSample
 	if g.probe != nil {
-		g.self.Sample = g.probe()
+		s = g.probe()
 	}
+	seq := g.own.put(sample{
+		load:  s.Load,
+		stamp: now,
+		queue: narrow(int64(s.Queue), "queue length"),
+		mem:   narrow(s.UsedMemMB, "resident memory MB"),
+	}, now)
 	m := g.window()
-	s := g.self.Sample
-	out := append(m.Entries[:0], gossipEntryWire{
-		Load:   s.Load,
-		Stamp:  now,
-		Origin: int32(g.id),
-		Queue:  narrow(int64(s.Queue), "queue length"),
-		MemMB:  narrow(s.UsedMemMB, "resident memory MB"),
-	})
+	out := append(m.Entries[:0], gossipEntryWire{Stamp: now, Origin: int32(g.id), Seq: seq})
 	span := int64(len(g.ring))
 	if g.ringN < span {
 		span = g.ringN
@@ -471,7 +489,7 @@ func (g *Gossip) merge(m *gossipMsg) {
 			continue
 		}
 		c := g.cells.at(h)
-		c.load, c.queue, c.mem, c.stamp = w.Load, w.Queue, w.MemMB, w.Stamp
+		c.stamp, c.seq = w.Stamp, w.Seq
 		g.refresh(h, c)
 		g.recordAge(c, now.Sub(w.Stamp), added)
 	}
@@ -551,12 +569,17 @@ func (g *Gossip) recordAge(c *cell, age simtime.Duration, added bool) {
 }
 
 // Entry returns this daemon's current view of origin's load state, and
-// whether it holds one; its own entry is always held. An entry past MaxAge
-// reads as not held — local readers see the same expiry the wire applies,
-// never unbounded staleness.
+// whether it holds one; its own entry, its latest composed sample (zero
+// before the first), is always held. An entry past MaxAge reads as not
+// held — local readers see the same expiry the wire applies, never
+// unbounded staleness. It reads origin's sample ring, so under the
+// sharded engine it may run only in the global phase.
 func (g *Gossip) Entry(origin int) (GossipEntry, bool) {
 	if origin == g.id {
-		return g.self, true
+		if g.own.last == 0 {
+			return GossipEntry{}, true
+		}
+		return g.own.at(g.own.last).entry(), true
 	}
 	h := g.cells.find(origin)
 	if h < 0 {
@@ -566,14 +589,21 @@ func (g *Gossip) Entry(origin int) (GossipEntry, bool) {
 	if expired(c.stamp, g.eng.Now()) {
 		return GossipEntry{}, false
 	}
-	return c.entry(), true
+	return g.sampleOf(c), true
+}
+
+// sampleOf reads the sample c names out of its origin's ring.
+func (g *Gossip) sampleOf(c *cell) GossipEntry {
+	return g.store.rings[c.origin].at(c.seq).entry()
 }
 
 // Fresh calls f for every live (non-expired) entry this daemon currently
 // holds, own entry excluded. Callbacks run in cell-table handle order,
 // which is deterministic but shuffled by every removal, so callers must
 // apply f per origin without cross-origin dependence (the incremental
-// gossip view writes one row per callback, which is order-free).
+// gossip view writes one row per callback, which is order-free). Each
+// entry's values come from its origin's sample ring, so under the sharded
+// engine Fresh may run only in the global phase.
 func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
 	now := g.eng.Now()
 	for h := 0; h < g.cells.len(); h++ {
@@ -581,7 +611,7 @@ func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
 		if expired(c.stamp, now) {
 			continue
 		}
-		f(int(c.origin), c.entry())
+		f(int(c.origin), g.sampleOf(c))
 	}
 }
 

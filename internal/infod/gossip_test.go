@@ -22,6 +22,7 @@ func gossipLine(t *testing.T, n int, fanout int, hopDelay simtime.Duration) (*si
 		nodes[i] = cluster.NewNode(eng, "g", 1)
 	}
 	daemons := make([]*Gossip, n)
+	store := NewSampleStore(n)
 	cfg := GossipConfig{Period: simtime.Second, Fanout: fanout, WindowLen: 32}
 	for i := range daemons {
 		i := i
@@ -32,7 +33,7 @@ func gossipLine(t *testing.T, n int, fanout int, hopDelay simtime.Duration) (*si
 			}
 			eng.Schedule(simtime.Duration(hops)*hopDelay, func() { nodes[dst].Deliver(m.Payload) })
 		}
-		daemons[i] = NewGossip(cfg, nodes[i], i, n, 11.36e6, send, uint64(1000+i))
+		daemons[i] = NewGossip(cfg, store, nodes[i], i, 11.36e6, send, uint64(1000+i))
 		daemons[i].SetProbe(func() LoadSample {
 			return LoadSample{Load: float64(i), Queue: 2 * i, UsedMemMB: int64(i)}
 		})
@@ -85,7 +86,7 @@ func TestGossipEstimatesAndBandwidth(t *testing.T) {
 		t.Fatalf("degenerate estimates %+v", est)
 	}
 	// Unheard origins fall back to the prior, never zero.
-	fresh := NewGossip(GossipConfig{Period: simtime.Second, Fanout: 2, WindowLen: 32}, cluster.NewNode(eng, "x", 1), 0, 4, 11.36e6,
+	fresh := NewGossip(GossipConfig{Period: simtime.Second, Fanout: 2, WindowLen: 32}, NewSampleStore(4), cluster.NewNode(eng, "x", 1), 0, 11.36e6,
 		func(int, netmodel.Message) {}, 1)
 	if est := fresh.Estimates(3); est.RTT <= 0 || est.PageTransfer <= 0 {
 		t.Fatalf("fresh daemon estimates degenerate: %+v", est)
@@ -124,6 +125,7 @@ func gossipMesh(t *testing.T, n int, cfg GossipConfig, delay simtime.Duration,
 		nodes[i] = cluster.NewNode(eng, "g", 1)
 	}
 	daemons := make([]*Gossip, n)
+	store := NewSampleStore(n)
 	for i := range daemons {
 		i := i
 		send := func(dst int, m netmodel.Message) {
@@ -132,7 +134,7 @@ func gossipMesh(t *testing.T, n int, cfg GossipConfig, delay simtime.Duration,
 			}
 			eng.Schedule(delay, func() { nodes[dst].Deliver(m.Payload) })
 		}
-		daemons[i] = NewGossip(cfg, nodes[i], i, n, 11.36e6, send, uint64(1000+i))
+		daemons[i] = NewGossip(cfg, store, nodes[i], i, 11.36e6, send, uint64(1000+i))
 		daemons[i].SetProbe(func() LoadSample {
 			return LoadSample{Load: float64(i), Queue: 2 * i, UsedMemMB: int64(i)}
 		})
@@ -158,7 +160,24 @@ func TestNewGossipRejectsNonPositive(t *testing.T) {
 					t.Errorf("NewGossip(%+v) did not panic", cfg)
 				}
 			}()
-			NewGossip(cfg, cluster.NewNode(sim.New(), "x", 1), 0, 2, 11.36e6, func(int, netmodel.Message) {}, 1)
+			NewGossip(cfg, NewSampleStore(2), cluster.NewNode(sim.New(), "x", 1), 0, 11.36e6, func(int, netmodel.Message) {}, 1)
+		}()
+	}
+}
+
+// TestNewGossipRejectsOversizedPlane: the cell index packs an origin into
+// 16 bits, so a plane of MaxGossipNodes nodes takes a daemon and one more
+// node does not.
+func TestNewGossipRejectsOversizedPlane(t *testing.T) {
+	cfg := GossipConfig{Period: simtime.Second, Fanout: 2, WindowLen: 32}
+	for _, n := range []int{MaxGossipNodes, MaxGossipNodes + 1} {
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != (n > MaxGossipNodes) {
+					t.Errorf("NewGossip in a %d-node plane: recovered %v", n, r)
+				}
+			}()
+			NewGossip(cfg, NewSampleStore(n), cluster.NewNode(sim.New(), "x", 1), n-1, 11.36e6, func(int, netmodel.Message) {}, 1)
 		}()
 	}
 }

@@ -3,9 +3,11 @@ package infod
 import "ampom/internal/simtime"
 
 // refCell is a frozen copy of the original map-held cell, with its own
-// have-an-age-sample flag.
+// have-an-age-sample flag, plus the sequence number the wire names its
+// sample by.
 type refCell struct {
 	entry   GossipEntry
+	seq     uint32
 	ageEst  simtime.Duration
 	haveAge bool
 	ringPos int64
@@ -17,11 +19,14 @@ type refCell struct {
 // amortised expiry sweep, Entry, AgeRTT, MeanRTT, KnownCount and Fresh.
 // It is the differential oracle for the flat cell table: FuzzGossipTable
 // checks that a daemon and this reference agree on every read after every
-// step. Keep it as it is; it pins the model, not the implementation.
+// step. It holds every sample by value, where a daemon interns them in
+// its origins' rings, and numbers its own samples as a daemon does. Keep
+// it as it is; it pins the model, not the implementation.
 type refGossip struct {
 	cfg     GossipConfig
 	id, n   int
 	self    GossipEntry
+	selfSeq uint32
 	cells   map[int]*refCell
 	ring    []int32
 	ringN   int64
@@ -44,25 +49,6 @@ func newRefGossip(cfg GossipConfig, id, n int) *refGossip {
 	}
 }
 
-// wireOf and entryOf convert between the reference's entries and the
-// wire's narrowed form.
-func wireOf(origin int, e GossipEntry) gossipEntryWire {
-	return gossipEntryWire{
-		Load:   e.Sample.Load,
-		Stamp:  e.Stamp,
-		Origin: int32(origin),
-		Queue:  int32(e.Sample.Queue),
-		MemMB:  int32(e.Sample.UsedMemMB),
-	}
-}
-
-func entryOf(w gossipEntryWire) GossipEntry {
-	return GossipEntry{
-		Sample: LoadSample{Load: w.Load, Queue: int(w.Queue), UsedMemMB: int64(w.MemMB)},
-		Stamp:  w.Stamp,
-	}
-}
-
 func (g *refGossip) expired(stamp, now simtime.Time) bool {
 	return MaxAge > 0 && now.Sub(stamp) > MaxAge
 }
@@ -70,12 +56,13 @@ func (g *refGossip) expired(stamp, now simtime.Time) bool {
 // compose is Gossip.compose with no load probe installed.
 func (g *refGossip) compose(now simtime.Time) []gossipEntryWire {
 	g.self = GossipEntry{Stamp: now}
+	g.selfSeq++
 	max := g.cfg.WindowLen
 	if m := len(g.cells) + 1; m < max {
 		max = m
 	}
 	out := make([]gossipEntryWire, 0, max)
-	out = append(out, wireOf(g.id, g.self))
+	out = append(out, gossipEntryWire{Stamp: now, Origin: int32(g.id), Seq: g.selfSeq})
 	span := int64(len(g.ring))
 	if g.ringN < span {
 		span = g.ringN
@@ -91,13 +78,14 @@ func (g *refGossip) compose(now simtime.Time) []gossipEntryWire {
 			delete(g.cells, o)
 			continue
 		}
-		out = append(out, wireOf(o, c.entry))
+		out = append(out, gossipEntryWire{Stamp: c.entry.Stamp, Origin: int32(o), Seq: c.seq})
 	}
 	return out
 }
 
-func (g *refGossip) merge(m *gossipMsg, now simtime.Time) {
-	for _, w := range m.Entries {
+// merge folds in window m, whose i-th entry names the sample vals[i].
+func (g *refGossip) merge(m *gossipMsg, vals []LoadSample, now simtime.Time) {
+	for i, w := range m.Entries {
 		o := int(w.Origin)
 		if o == g.id || o < 0 || o >= g.n {
 			continue
@@ -113,8 +101,8 @@ func (g *refGossip) merge(m *gossipMsg, now simtime.Time) {
 			c = &refCell{}
 			g.cells[o] = c
 		}
-		e := entryOf(w)
-		c.entry = e
+		e := GossipEntry{Sample: vals[i], Stamp: w.Stamp}
+		c.entry, c.seq = e, w.Seq
 		c.ringPos = g.ringN
 		g.ring[g.ringN%int64(len(g.ring))] = int32(o)
 		g.ringN++

@@ -12,15 +12,23 @@ import (
 	"ampom/internal/simtime"
 )
 
-// TestCompactLayouts guards the flat layouts the heard set and the wire
-// are sized for: a field that regrows a cell past 40 bytes or a wire entry
-// past 32 fails here.
+// TestCompactLayouts guards the flat layouts the heard set, the wire and
+// the sample rings are sized for: a field that regrows a cell past 32
+// bytes (a 64-cell chunk past the 2048-byte size class), a wire entry
+// past 16, an index key past 4 or a ring sample past 32 fails here.
 func TestCompactLayouts(t *testing.T) {
-	if s := unsafe.Sizeof(cell{}); s > 40 {
-		t.Fatalf("cell is %d bytes, want ≤ 40", s)
+	if s := unsafe.Sizeof(cell{}); s > 32 {
+		t.Fatalf("cell is %d bytes, want ≤ 32", s)
 	}
-	if s := unsafe.Sizeof(gossipEntryWire{}); s > 32 {
-		t.Fatalf("gossipEntryWire is %d bytes, want ≤ 32", s)
+	if s := unsafe.Sizeof(gossipEntryWire{}); s > 16 {
+		t.Fatalf("gossipEntryWire is %d bytes, want ≤ 16", s)
+	}
+	var ct cellTable
+	if s := unsafe.Sizeof(ct.index[0]); s != 4 {
+		t.Fatalf("index slot is %d bytes, want 4", s)
+	}
+	if s := unsafe.Sizeof(sample{}); s > 32 {
+		t.Fatalf("ring sample is %d bytes, want ≤ 32", s)
 	}
 }
 
@@ -39,6 +47,7 @@ func TestGossipRoundAllocFree(t *testing.T) {
 	}
 	windows, pulls := 0, 0
 	g := make([]*Gossip, len(nodes))
+	store := NewSampleStore(len(nodes))
 	for i := range g {
 		send := func(dst int, m netmodel.Message) {
 			switch m.Payload.(type) {
@@ -49,7 +58,7 @@ func TestGossipRoundAllocFree(t *testing.T) {
 			}
 			nodes[dst].Deliver(m.Payload)
 		}
-		g[i] = NewGossip(cfg, nodes[i], i, len(nodes), 11.36e6, send, uint64(i+1))
+		g[i] = NewGossip(cfg, store, nodes[i], i, 11.36e6, send, uint64(i+1))
 		g[i].SetProbe(func() LoadSample { return LoadSample{Load: float64(i), Queue: i, UsedMemMB: int64(i)} })
 		g[i].Start()
 	}
@@ -90,8 +99,9 @@ func TestComposeSteadyStateAllocFree(t *testing.T) {
 	eng := sim.New()
 	cfg := GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 32}
 	var g [3]*Gossip
+	store := NewSampleStore(len(g))
 	for i := range g {
-		g[i] = NewGossip(cfg, cluster.NewNode(eng, "g", 1), i, len(g), 11.36e6,
+		g[i] = NewGossip(cfg, store, cluster.NewNode(eng, "g", 1), i, 11.36e6,
 			func(int, netmodel.Message) {}, uint64(i+1))
 		g[i].SetProbe(func() LoadSample { return LoadSample{Load: float64(i), Queue: i, UsedMemMB: int64(i)} })
 	}
@@ -194,11 +204,7 @@ func TestWindowRecyclingSurvivesLostCopy(t *testing.T) {
 // is a reported race.
 func TestWindowMergesConcurrently(t *testing.T) {
 	cfg := GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 8}
-	engs := make([]*sim.Engine, 3)
-	g := make([]*Gossip, 3)
-	for i := range g {
-		engs[i], g[i] = tableGossip(cfg, i, 3)
-	}
+	engs, g := tablePlane(cfg, 3)
 	m := g[0].compose(engs[0].Now())
 	reused := 0
 	for r := 1; r <= 200; r++ {

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"ampom/internal/fabric"
+	"ampom/internal/infod"
 	"ampom/internal/memory"
 	"ampom/internal/netmodel"
 	"ampom/internal/prng"
@@ -496,6 +497,9 @@ func (s Spec) Canonical() Spec {
 		s.Mix = []MixWeight{{Kind: MixSequential, Weight: 1}}
 	}
 	s.Policies = canonicalPolicies(s.Policies)
+	if len(s.Churn) == 0 {
+		s.Churn = nil // an empty script is no script, which the codec omits
+	}
 	if s.Network.BandwidthBps == 0 {
 		s.Network = netmodel.FastEthernet()
 	}
@@ -591,6 +595,9 @@ func (s Spec) validateShape() error {
 	}
 	if err := s.Fabric.Validate(); err != nil {
 		return err
+	}
+	if s.Fabric.Canonical().Topology != fabric.KindStar && s.Nodes > infod.MaxGossipNodes {
+		return fmt.Errorf("scenario: %d nodes on a %s fabric, above the gossip plane's %d", s.Nodes, s.Fabric.Topology, infod.MaxGossipNodes)
 	}
 	if s.LoadVectorLen < 0 || s.LoadVectorLen > 4096 {
 		return fmt.Errorf("scenario: load-vector sample size %d out of [0,4096]", s.LoadVectorLen)

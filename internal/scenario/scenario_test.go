@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ampom/internal/fabric"
+	"ampom/internal/infod"
 	"ampom/internal/sched"
 	"ampom/internal/simtime"
 )
@@ -432,6 +433,29 @@ func TestValidateBoundsNodeMemory(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("spec %d past the 32-bit memory bound accepted", i)
 		}
+	}
+}
+
+// TestValidateBoundsGossipPlane: a switched fabric runs one gossip daemon
+// per node, and the plane serves at most infod.MaxGossipNodes of them, so
+// a two-tier spec one node past it is rejected; the star runs no gossip
+// and takes it.
+func TestValidateBoundsGossipPlane(t *testing.T) {
+	s := small()
+	s.Nodes = infod.MaxGossipNodes + 1
+	s.Procs = s.Nodes
+	s.Fabric = FabricSpec{Topology: fabric.KindTwoTier}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "gossip plane") {
+		t.Fatalf("%d-node two-tier spec: Validate = %v, want the gossip-plane bound", s.Nodes, err)
+	}
+	s.Nodes--
+	if err := s.Validate(); err != nil {
+		t.Fatalf("%d-node two-tier spec rejected: %v", s.Nodes, err)
+	}
+	s.Nodes++
+	s.Fabric = FabricSpec{Topology: fabric.KindStar}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("%d-node star spec rejected: %v", s.Nodes, err)
 	}
 }
 

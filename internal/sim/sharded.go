@@ -9,8 +9,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -140,7 +141,7 @@ func (g *ShardGroup) Lookahead() simtime.Duration { return g.lookahead }
 // way the sequential engine would have ordered the staging callbacks
 // themselves — by the instant each callback was scheduled — then by
 // rank, an origination order the caller threads through causal chains
-// that march in lockstep (the fabric stamps it on each envelope), then
+// that march in lockstep (the fabric stamps it on each routed message), then
 // by (src, staging order).
 func (g *ShardGroup) Stage(src, dst int, at simtime.Time, rank uint64, fn func()) {
 	sh := g.Shards[src]
@@ -178,22 +179,7 @@ func (g *ShardGroup) flush() {
 	// destination queue orders by (At, PushedAt) anyway, so this injection
 	// order only breaks exact scheduling-instant ties — the documented
 	// contract.
-	sort.SliceStable(g.pending, func(i, j int) bool {
-		a, b := g.pending[i], g.pending[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.stagedAt != b.stagedAt {
-			return a.stagedAt < b.stagedAt
-		}
-		if a.parentAt != b.parentAt {
-			return a.parentAt < b.parentAt
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.src < b.src
-	})
+	slices.SortStableFunc(g.pending, compareStaged)
 	for _, ev := range g.pending {
 		if ev.dst == GlobalShard {
 			g.Global.AtPushed(ev.at, ev.stagedAt, ev.fn)
@@ -201,6 +187,22 @@ func (g *ShardGroup) flush() {
 			g.Shards[ev.dst].AtPushed(ev.at, ev.stagedAt, ev.fn)
 		}
 	}
+}
+
+// compareStaged orders staged events by (at, stagedAt, parentAt, rank,
+// src).
+func compareStaged(a, b stagedEvent) int {
+	switch {
+	case a.at != b.at:
+		return cmp.Compare(a.at, b.at)
+	case a.stagedAt != b.stagedAt:
+		return cmp.Compare(a.stagedAt, b.stagedAt)
+	case a.parentAt != b.parentAt:
+		return cmp.Compare(a.parentAt, b.parentAt)
+	case a.rank != b.rank:
+		return cmp.Compare(a.rank, b.rank)
+	}
+	return cmp.Compare(a.src, b.src)
 }
 
 // Run executes the group until every queue drains, the global engine's

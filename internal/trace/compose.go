@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"slices"
 
 	"ampom/internal/memory"
@@ -165,6 +166,80 @@ type Program struct {
 func (p Program) Repeat(n int) Program {
 	b := Builder{nodes: slices.Clip(p.nodes)}
 	return b.Program(b.Repeat(n, p.root))
+}
+
+// CheckPages reports an error when a leaf of p references a page outside
+// [0, pages) in its first tile, where no Tile shifts it, naming the first
+// such page. Leaves a walk never reaches are checked too. Later tiles
+// shift a leaf further, so a walker still checks each reference against
+// its footprint; this check comes first because a cursor sizes a
+// block-permuted leaf's block order from its count, so one that leaves
+// the footprint could demand any amount of memory before its first
+// reference.
+func (p Program) CheckPages(pages int64) error {
+	type item struct {
+		i    int32
+		clip int64
+	}
+	stack := []item{{rootNode, 0}}
+	for len(stack) > 0 {
+		it := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := &p.root
+		if it.i != rootNode {
+			n = &p.nodes[it.i]
+		}
+		switch n.op {
+		case opConcat, opInterleave:
+			for k := int32(0); k < int32(n.count); k++ {
+				stack = append(stack, item{n.kids + k, it.clip})
+			}
+		case opRepeat:
+			stack = append(stack, item{n.kids, it.clip})
+		case opTile:
+			stack = append(stack, item{n.kids, min(n.arg, clipTo(n.count, it.clip))})
+		}
+		if page, out := n.outside(it.clip, pages); out {
+			return fmt.Errorf("trace: leaf %d references page %d of %d", it.i, page, pages)
+		}
+	}
+	return nil
+}
+
+// outside returns the first page outside [0, pages) that leaf n reaches
+// unshifted, clipped to clip, and whether it reaches one; a composite
+// reaches none itself. A random leaf reaches every page of its span.
+func (n *Node) outside(clip, pages int64) (int64, bool) {
+	start := int64(n.start)
+	var count, span int64
+	switch n.op {
+	case opStrided:
+		count = clipTo(n.count, clip)
+	case opRandom:
+		count, span = n.count, clipTo(n.arg, clip)
+	case opBlocked:
+		count = clipTo(n.count, clip)
+		span = count
+	default:
+		return 0, false
+	}
+	switch {
+	case count == 0:
+		return 0, false
+	case start < 0 || start >= pages:
+		return start, true
+	case span > pages-start:
+		return pages, true
+	}
+	// A sweep steps by its stride: find its first step past either end.
+	switch steps, stride := count-1, n.arg; {
+	case n.op != opStrided:
+	case stride > 0 && steps > (pages-1-start)/stride:
+		return start + stride*((pages-1-start)/stride+1), true
+	case stride < 0 && steps > start/-stride:
+		return start + stride*(start/-stride+1), true
+	}
+	return 0, false
 }
 
 // Open returns a new cursor at the start of the program.

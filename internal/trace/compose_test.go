@@ -2,6 +2,7 @@ package trace
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -463,5 +464,45 @@ func TestCollectMax(t *testing.T) {
 	refs := Collect(Sequential(0, 100, 0, false).Program().Open(), 10)
 	if len(refs) != 10 {
 		t.Fatalf("collect max = %d", len(refs))
+	}
+}
+
+// TestCheckPages: a leaf that references a page outside the footprint in
+// its first tile fails the check, which names the first such page; leaves
+// inside it pass, clipped as their Tiles clip them, and so does a leaf
+// only a later tile shifts out, which the walker catches instead.
+func TestCheckPages(t *testing.T) {
+	const pages = 4
+	var b Builder
+	tiled := b.Program(b.Tile(16, 2, Sequential(0, 3, 0, false)))
+	var b2 Builder
+	shifted := b2.Program(b2.Tile(8, 4, Sequential(0, 4, 0, false)))
+	var b3 Builder
+	nested := b3.Program(b3.Repeat(2, b3.Concat(Sequential(0, 4, 0, false), b3.Interleave(
+		RandomUniform(0, 4, 9, 0, false, 1), BlockPermuted(1, 9, 2, 0, false, 1)))))
+	for _, tc := range []struct {
+		name string
+		p    Program
+		want string // the page the error names, "" when the check passes
+	}{
+		{"empty", Program{}, ""},
+		{"sweep", Sequential(0, 4, 0, false).Program(), ""},
+		{"descending sweep", Strided(3, 4, -1, 0, false).Program(), ""},
+		{"no references", Sequential(9, 0, 0, false).Program(), ""},
+		{"random span", RandomUniform(1, 3, 99, 0, false, 1).Program(), ""},
+		{"clipped by its tile", tiled, ""},
+		{"shifted out by a later tile", shifted, ""},
+		{"sweep past the end", Sequential(0, 5, 0, false).Program(), "page 4 of 4"},
+		{"stride past the end", Strided(1, 3, 2, 0, false).Program(), "page 5 of 4"},
+		{"stride below page 0", Strided(3, 3, -2, 0, false).Program(), "page -1 of 4"},
+		{"start past the end", Sequential(4, 1, 0, false).Program(), "page 4 of 4"},
+		{"random span past the end", RandomUniform(2, 3, 1, 0, false, 1).Program(), "page 4 of 4"},
+		{"block order of 2^62 pages", BlockPermuted(0, 1<<62, 1, 0, false, 1).Program(), "page 4 of 4"},
+		{"inside composites", nested, "page 4 of 4"},
+	} {
+		err := tc.p.CheckPages(pages)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: CheckPages = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
