@@ -5,8 +5,9 @@
 # perfbench benchmark module, a short fuzz pass over the AMPoM
 # prefetcher, the trace program cursor and codec, the scenario spec
 # codec, whole failure scripts, the event queue, the gossip cell table and
-# the remote paging protocol, one bench-balance iteration so
-# policy-dispatch overhead is tracked, a bench-analyze pass over the
+# the remote paging protocol, one iteration of each bench-balance sweep
+# (star and two-tier) so policy-dispatch overhead and per-policy
+# migrations are tracked, a bench-analyze pass over the
 # per-fault AMPoM analysis, the scenario's prefetch census, a
 # remote-paging round trip (200 ms each) and the paper-scale workload
 # builds (one iteration), and one bench-fabric iteration
@@ -92,11 +93,13 @@ bench-campaign:
 bench-scenario:
 	$(GO) test -run '^$$' -bench '^BenchmarkScenario$$' -benchtime 2x .
 
-# BenchmarkPolicySweep runs the 64-node preset under every registered
+# BenchmarkPolicySweep runs the 64-node star preset under every registered
 # balancer policy, so the dynamic-dispatch overhead of the open policy
-# registry is tracked per PR.
+# registry is tracked per PR; BenchmarkPolicySweepSwitched runs the
+# 512-node two-tier rack-farm preset under every policy, so the per-policy
+# migration counts cover the switched fabrics' gossip-view hand-offs too.
 bench-balance:
-	$(GO) test -run '^$$' -bench '^BenchmarkPolicySweep$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkPolicySweep(Switched)?$$' -benchtime 1x .
 
 # BenchmarkAnalyze runs one fault's AMPoM analysis per fault pattern
 # (sequential, strided, random), BenchmarkPrefetchCensus one migrant's

@@ -264,8 +264,12 @@ type (
 	// both the policy's decision (BalancerView.Clears) and the migration a
 	// scenario charges.
 	Mechanism = sched.Mechanism
-	// BalancerView is the cluster state a policy decides on.
+	// BalancerView is the cluster state a policy decides on; read its
+	// rows with Node, Len and LeastLoaded.
 	BalancerView = sched.View
+	// BalancerRowSlice serves a BalancerView's rows from a slice, for
+	// views built by hand.
+	BalancerRowSlice = sched.RowSlice
 	// BalancerNodeView is one node of a BalancerView.
 	BalancerNodeView = sched.NodeView
 	// BalancerProcView is the migration candidate a policy is asked about.

@@ -344,6 +344,39 @@ func BenchmarkPolicySweep(b *testing.B) {
 	}
 }
 
+// BenchmarkPolicySweepSwitched runs the 512-node two-tier rack-farm
+// preset under every registered balancer policy (`make bench-balance`),
+// so the per-policy migration counts cover hand-offs of the per-source
+// gossip views on a switched fabric as well as the star's ground-truth
+// hand-offs BenchmarkPolicySweep covers.
+func BenchmarkPolicySweepSwitched(b *testing.B) {
+	spec, err := ScenarioPreset("rack-farm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := BalancerPolicyNames()
+	spec.Policies = names
+	spec = spec.Canonical()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := RunScenario(spec, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Schemes) != len(names) {
+			b.Fatalf("report has %d rows, want %d", len(rep.Schemes), len(names))
+		}
+		if i == b.N-1 {
+			for _, st := range rep.Schemes {
+				if st.Policy == PolicyNoMigration {
+					continue
+				}
+				b.ReportMetric(float64(st.Migrations), st.Policy+"_migrations")
+			}
+		}
+	}
+}
+
 // fabric512EventBudget caps the rack-farm preset's event rate: the 512-node
 // two-tier scenario must stay under this many engine events per simulated
 // second, per policy. The gossip plane is the scaling hazard the budget

@@ -111,12 +111,13 @@ const scriptRingLen = 4
 // sample in the origin's ring of g's store, as that origin's daemon
 // would: its age is (ageByte-16)/64 of fuzzAgeUnit, so an age byte past
 // 80 is already past MaxAge on arrival and one below 16 is stamped in the
-// future. An entry of g's own origin, which merge skips, composes
-// nothing. It returns the wire entry and the sample it names.
+// future. Loads repeat every five origins, so LeastLoaded meets ties. An
+// entry of g's own origin, which merge skips, composes nothing. It
+// returns the wire entry and the sample it names.
 func scriptEntry(g *Gossip, origin int, ageByte byte, now simtime.Time) (gossipEntryWire, LoadSample) {
 	age := simtime.Duration(int64(ageByte)-16) * fuzzAgeUnit / 64
 	w := gossipEntryWire{Stamp: now.Add(-age), Origin: int32(origin)}
-	s := LoadSample{Load: float64(origin), Queue: int(ageByte), UsedMemMB: int64(origin) * 3}
+	s := LoadSample{Load: float64(origin % 5), Queue: int(ageByte), UsedMemMB: int64(origin) * 3}
 	if origin == g.id {
 		return w, s
 	}
@@ -131,8 +132,9 @@ func scriptEntry(g *Gossip, origin int, ageByte byte, now simtime.Time) (gossipE
 // FuzzGossipTable drives a daemon's heard set through a script of merged
 // windows, window compositions and clock advances, and after every step
 // checks each read against the frozen map-based reference: Entry and
-// AgeRTT for every origin, MeanRTT, KnownCount, the composed window and
-// the Fresh set. Ages reach past MaxAge and the clock jumps by up to four
+// AgeRTT for every origin, MeanRTT, KnownCount, the composed window, the
+// Fresh set and LeastLoaded, whose memo a merge or a clock advance must
+// void. Ages reach past MaxAge and the clock jumps by up to four
 // MaxAges, so both the compose ring-walk reclaim and the amortised sweep
 // fire. Each window entry's origin composes its sample into its own
 // scriptRingLen-slot ring first, so origins that repeat within MaxAge
@@ -316,6 +318,15 @@ func FuzzGossipTable(f *testing.F) {
 			})
 			if len(fresh) != nRef {
 				t.Fatalf("Fresh visits %d origins, reference %d", len(fresh), nRef)
+			}
+			wantO, wantL := -1, 0.0
+			ref.fresh(now, func(o int, e GossipEntry) {
+				if l := e.Sample.Load; wantO < 0 || l < wantL || (l == wantL && o < wantO) {
+					wantO, wantL = o, l
+				}
+			})
+			if o, l, ok := g.LeastLoaded(); ok != (wantO >= 0) || (ok && (o != wantO || l != wantL)) {
+				t.Fatalf("LeastLoaded = %d,%v,%v, reference %d,%v", o, l, ok, wantO, wantL)
 			}
 		}
 	})

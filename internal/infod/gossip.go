@@ -212,7 +212,22 @@ type Gossip struct {
 	pullMsg *gossipPullMsg // this daemon's one pull request
 	actions []*action      // this daemon's idle action records
 
+	// least memoises LeastLoaded: its answer holds while the clock reads
+	// least.at and no merge has refreshed a cell since (ringN equals
+	// least.ringN).
+	least leastMemo
+
 	peerScratch []int
+}
+
+// leastMemo is one LeastLoaded answer and the daemon state it holds for:
+// the instant and the refresh count. ringN starts at -1, which no daemon
+// state matches.
+type leastMemo struct {
+	at     simtime.Time
+	ringN  int64
+	load   float64
+	origin int32 // -1: no live entry
 }
 
 // NewGossip creates the gossip daemon of node id in the cluster whose
@@ -247,6 +262,7 @@ func NewGossip(cfg GossipConfig, store *SampleStore, node *cluster.Node, id int,
 		sweepAt:   sweepFloor,
 		windows:   make([]*gossipMsg, 0, keptWindows),
 		pullMsg:   &gossipPullMsg{From: id},
+		least:     leastMemo{ringN: -1},
 	}
 	g.cells.reserve(expectedHeard(cfg, n))
 	node.Handle(g.handle)
@@ -600,8 +616,8 @@ func (g *Gossip) sampleOf(c *cell) GossipEntry {
 // Fresh calls f for every live (non-expired) entry this daemon currently
 // holds, own entry excluded. Callbacks run in cell-table handle order,
 // which is deterministic but shuffled by every removal, so callers must
-// apply f per origin without cross-origin dependence (the incremental
-// gossip view writes one row per callback, which is order-free). Each
+// apply f per origin without cross-origin dependence (LeastLoaded breaks
+// load ties by origin, so its answer is order-free). Each
 // entry's values come from its origin's sample ring, so under the sharded
 // engine Fresh may run only in the global phase.
 func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
@@ -613,6 +629,26 @@ func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
 		}
 		f(int(c.origin), g.sampleOf(c))
 	}
+}
+
+// LeastLoaded returns the live entry with the lowest load, own entry
+// excluded, lowest origin on ties, and whether there is one. The answer
+// is memoised until the daemon's clock moves or a merge refreshes a cell:
+// every change to a live cell's sample passes through refresh, which
+// counts in ringN, and the expiry that removes a cell from the live set
+// moves only with the clock. It scans with Fresh, so under the sharded
+// engine it may run only in the global phase.
+func (g *Gossip) LeastLoaded() (origin int, load float64, ok bool) {
+	m := &g.least
+	if now := g.eng.Now(); m.at != now || m.ringN != g.ringN {
+		m.at, m.ringN, m.origin, m.load = now, g.ringN, -1, 0
+		g.Fresh(func(o int, e GossipEntry) {
+			if l := e.Sample.Load; m.origin < 0 || l < m.load || (l == m.load && int32(o) < m.origin) {
+				m.origin, m.load = int32(o), l
+			}
+		})
+	}
+	return int(m.origin), m.load, m.origin >= 0
 }
 
 // KnownCount reports how many origins currently read as live entries.

@@ -61,6 +61,45 @@ func TestGossipMergesNewestWins(t *testing.T) {
 	}
 }
 
+// TestLeastLoadedFollowsMergesAndClock pins LeastLoaded's memo: an
+// answer read at one instant must not survive a merge at that same
+// instant, nor a clock advance that expires the entry it names.
+func TestLeastLoadedFollowsMergesAndClock(t *testing.T) {
+	eng, g := tableGossip(GossipConfig{Period: 2 * simtime.Second, Fanout: 2, WindowLen: 8}, 0, 8)
+	now := simtime.Time(4 * MaxAge)
+	eng.AdvanceTo(now)
+	// merge folds in a window of (origin, age byte) entries; scriptEntry
+	// gives origin o the load o%5.
+	merge := func(pairs ...[2]int) {
+		m := &gossipMsg{Entries: make([]gossipEntryWire, len(pairs))}
+		for i, p := range pairs {
+			m.Entries[i], _ = scriptEntry(g, p[0], byte(p[1]), now)
+		}
+		g.merge(m)
+	}
+	want := func(origin int, load float64, when string) {
+		t.Helper()
+		if o, l, ok := g.LeastLoaded(); !ok || o != origin || l != load {
+			t.Fatalf("%s: LeastLoaded = %d,%v,%v, want %d,%v", when, o, l, ok, origin, load)
+		}
+	}
+	if o, _, ok := g.LeastLoaded(); ok {
+		t.Fatalf("empty table: LeastLoaded names origin %d", o)
+	}
+	merge([2]int{4, 16}, [2]int{3, 16})
+	want(3, 3, "merge after an empty read at one instant")
+	// Origin 2 arrives half a MaxAge old, at the same instant.
+	merge([2]int{2, 48})
+	want(2, 2, "merge after a read at one instant")
+	// A load tie goes to the lower origin: 7 ties 2 and loses.
+	merge([2]int{7, 16})
+	want(2, 2, "tie")
+	// Six tenths of a MaxAge later origin 2 has expired; 7 is next.
+	now = now.Add(MaxAge * 6 / 10)
+	eng.AdvanceTo(now)
+	want(7, 2, "clock advance")
+}
+
 func TestGossipStalenessGrowsWithDistance(t *testing.T) {
 	// With a strongly distance-proportional hop delay, the far end of the
 	// line must accumulate a larger staleness estimate for origin 0 than

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"math"
-	"sort"
 
 	"ampom/internal/cluster"
 	"ampom/internal/fabric"
@@ -27,23 +26,10 @@ type balancer struct {
 	eng     *sim.Engine
 	migrate func(p *proc, src, dst int)
 
-	// viewScratch and gvScratch are the reusable row buffers handed to
-	// policies: the ground-truth copy, fully re-copied from the canonical
-	// rows at every balanceOnce, and the per-source gossip view,
-	// maintained incrementally — gvScratch is a persistent template of
-	// Unknown rows into which each hand-off writes only the source's exact
-	// row plus the rows its daemon actually knows (gvWritten records them,
-	// and the next hand-off restores exactly those back to the template),
-	// so a hand-off costs O(known set), not O(nodes). Policies do not
-	// retain a view past ShouldMigrate (the sched.BalancerPolicy
-	// contract); because nothing handed out survives a round boundary
-	// unrewritten, a policy that breaks the contract and scribbles on a
-	// retained slice still cannot corrupt the next round — the canonical
-	// rows live in lv and are never handed out. candScratch is the
-	// per-source candidate buffer.
-	viewScratch []sched.NodeView
-	gvScratch   []sched.NodeView
-	gvWritten   []int
+	// sources holds each node's gossip rows on a switched fabric, built
+	// at the first hand-off; a source's View points at its entry.
+	// candScratch is the per-source candidate buffer.
+	sources     []gossipRows
 	candScratch []*proc
 }
 
@@ -86,39 +72,88 @@ func (b *balancer) round() {
 // view assembles the ground-truth picture of the cluster: per-node
 // resident counts (frozen migrants count towards their destination),
 // CPU-scaled loads, resident memory, and the monitoring plane's
-// conservative bandwidth estimate. The rows come from the live
-// view — only nodes dirtied since the last round are re-derived — and are
-// copied into the hand-off scratch, so the canonical rows stay private and
-// a policy that wrongly retains or mutates a handed view cannot corrupt
-// the next round. On the legacy star this is exactly what policies decide
-// with; on switched fabrics it only orders the source scan, and decisions
-// see gossipView instead.
+// conservative bandwidth estimate. It refreshes the live view — only
+// nodes dirtied since the last refresh are re-derived — and hands its rows
+// out directly (liveView is a sched.Rows); rows are read by value, so a
+// policy cannot change them. On the legacy star this is exactly what
+// policies decide with; on switched fabrics it only orders the source
+// scan, and decisions see gossipView instead.
 func (b *balancer) view() sched.View {
 	b.lv.refresh()
-	if b.viewScratch == nil {
-		b.viewScratch = make([]sched.NodeView, len(b.nodes))
-	}
-	copy(b.viewScratch, b.lv.rows)
-	v := sched.View{
-		Nodes:         b.viewScratch,
+	return sched.View{
+		Rows:          b.lv,
 		BandwidthBps:  b.ic.ClusterBandwidth(),
 		CostThreshold: b.spec.CostThreshold,
 		Rand:          b.rand,
 		SampleLen:     b.spec.LoadVectorLen,
 	}
-	// Seed LeastLoaded from the live view's sorted order instead of letting
-	// the first call rescan all rows: the order is (load desc, index asc),
-	// so the min-load class is the suffix and its first element is exactly
-	// the scan's answer — the lowest index at minimum load. Binary search
-	// finds the suffix start in O(log n).
-	if n := len(b.lv.order); n > 0 {
-		minLoad := b.viewScratch[b.lv.order[n-1]].Load
-		p := sort.Search(n, func(i int) bool {
-			return b.viewScratch[b.lv.order[i]].Load <= minLoad
-		})
-		v.SetLeastLoaded(b.lv.order[p])
+}
+
+// gossipView is base with its rows replaced by what the source node's
+// gossip daemon actually knows (see gossipRows). On the star, which runs
+// no gossip, it is base.
+func (b *balancer) gossipView(src int, base sched.View) sched.View {
+	if b.sources == nil {
+		if b.ic.Gossip(src) == nil {
+			return base
+		}
+		b.sources = make([]gossipRows, len(b.nodes))
+		for i := range b.sources {
+			b.sources[i] = gossipRows{b: b, g: b.ic.Gossip(i), src: i}
+		}
 	}
-	return v
+	base.Rows = &b.sources[src]
+	return base
+}
+
+// gossipRows serves node src's gossip view as sched.Rows: the node's own
+// row is exact (a node always knows itself), every node its daemon holds
+// a live entry for reads that aged entry, and everything else is the
+// Unknown template. Staleness therefore grows with topology distance, and
+// so do the policies' mistakes. Every row is read from the live view and
+// the daemon when a policy asks for it, InfoAge at the decision instant,
+// so a hand-off copies nothing.
+type gossipRows struct {
+	b   *balancer
+	g   *infod.Gossip
+	src int
+}
+
+// Len returns the cluster size.
+func (r *gossipRows) Len() int { return len(r.b.nodes) }
+
+// Row returns node i as src's daemon knows it.
+func (r *gossipRows) Row(i int) sched.NodeView {
+	b := r.b
+	if i == r.src {
+		return b.lv.rows[i]
+	}
+	e, ok := r.g.Entry(i)
+	if !ok {
+		return b.unknownRow(i)
+	}
+	return sched.NodeView{
+		Procs:      e.Sample.Queue,
+		CPUScale:   b.lv.rows[i].CPUScale,
+		Load:       e.Sample.Load,
+		UsedMemMB:  e.Sample.UsedMemMB,
+		CapacityMB: b.spec.NodeMemMB,
+		QueueLen:   e.Sample.Queue,
+		InfoAge:    b.eng.Now().Sub(e.Stamp),
+	}
+}
+
+// LeastLoaded combines the source's own row with the least loaded live
+// entry its daemon holds, which the daemon memoises until its clock moves
+// or a merge lands. Every other row is the infinite-load Unknown
+// template, so this is a scan's answer: the lowest index at minimum load.
+func (r *gossipRows) LeastLoaded() int {
+	own := r.b.lv.rows[r.src].Load
+	o, l, ok := r.g.LeastLoaded()
+	if !ok || own < l || (own == l && r.src < o) {
+		return r.src
+	}
+	return o
 }
 
 // unknownRow is the gossip view's template row for a node the deciding
@@ -135,87 +170,13 @@ func (b *balancer) unknownRow(i int) sched.NodeView {
 	}
 }
 
-// rescaled follows a CPU scale change on node i: a template (Unknown) row
-// in the gossip-view scratch carries the live scale, while written rows
-// are restored from the live nodes at the next hand-off anyway.
-func (b *balancer) rescaled(i int) {
-	if b.gvScratch != nil && b.gvScratch[i].Unknown {
-		b.gvScratch[i].CPUScale = b.nodes[i].CPUScale
-	}
-}
-
-// gossipView rewrites the ground-truth view into what the source node's
-// gossip daemon actually knows: every row the daemon holds a live entry
-// for comes from that aged entry, the node's own row stays exact (a node
-// always knows itself), and everything else is the Unknown template.
-// Staleness therefore grows with topology distance, and so do the
-// policies' mistakes.
-//
-// The view is maintained incrementally, mirroring the live ground-truth
-// view: the scratch rows idle in the Unknown-template state, each call
-// first restores the rows the previous call wrote (recorded in gvWritten)
-// and then writes only the current daemon's known set — O(entries the
-// daemon holds), not O(nodes), per hand-off. InfoAge is derived lazily at
-// the decision instant from the entry's stamp, never stored. The write
-// order inside Fresh is the daemon's cell-table order, but each callback
-// touches only its own origin's row, so the resulting view is
-// order-independent.
-func (b *balancer) gossipView(src int, base sched.View) sched.View {
-	g := b.ic.Gossip(src)
-	if g == nil {
-		return base
-	}
-	if b.gvScratch == nil {
-		b.gvScratch = make([]sched.NodeView, len(base.Nodes))
-		for i := range b.gvScratch {
-			b.gvScratch[i] = b.unknownRow(i)
-		}
-		b.gvWritten = make([]int, 0, len(base.Nodes))
-	}
-	for _, i := range b.gvWritten {
-		b.gvScratch[i] = b.unknownRow(i)
-	}
-	b.gvWritten = b.gvWritten[:0]
-
-	v := base
-	v.Nodes = b.gvScratch
-	now := b.eng.Now()
-	b.gvScratch[src] = base.Nodes[src]
-	b.gvWritten = append(b.gvWritten, src)
-	// Seed LeastLoaded while writing: every unwritten row is the
-	// infinite-load Unknown template, so the argmin over written rows —
-	// lowest index on load ties, matching the scan's order — is the scan's
-	// answer, and the O(nodes) pass per hand-off disappears.
-	bestO, bestL := src, base.Nodes[src].Load
-	g.Fresh(func(o int, e infod.GossipEntry) {
-		if o == src {
-			return
-		}
-		b.gvScratch[o] = sched.NodeView{
-			Procs:      e.Sample.Queue,
-			CPUScale:   base.Nodes[o].CPUScale,
-			Load:       e.Sample.Load,
-			UsedMemMB:  e.Sample.UsedMemMB,
-			CapacityMB: b.spec.NodeMemMB,
-			QueueLen:   e.Sample.Queue,
-			InfoAge:    now.Sub(e.Stamp),
-		}
-		b.gvWritten = append(b.gvWritten, o)
-		if l := e.Sample.Load; l < bestL || (l == bestL && o < bestO) {
-			bestO, bestL = o, l
-		}
-	})
-	v.SetLeastLoaded(bestO)
-	return v
-}
-
 // balanceOnce offers the policy candidates — most loaded nodes first,
 // longest remaining demand first — and executes the first migration it
 // accepts, reporting whether one happened. base is the ground-truth view
 // of this pass; on switched fabrics each source's candidates are judged
 // against that source's gossip view instead. The source order is the live
-// view's maintained descending-load sequence, and sources with no runnable
-// candidates skip the per-source view build entirely.
+// view's maintained descending-load sequence; a source with no runnable
+// candidates gets no view.
 func (b *balancer) balanceOnce(base sched.View) bool {
 	for _, src := range b.lv.order {
 		cands := b.candidatesOn(src)

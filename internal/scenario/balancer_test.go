@@ -9,8 +9,7 @@ import (
 )
 
 // leastCheckingPolicy observes every hand-off of its embedded policy: the
-// view's seeded LeastLoaded must equal a fresh scan of the rows handed
-// over. Name, Mechanism and the decision itself come from the embedded
+// view's LeastLoaded must equal a scan of the rows it serves. Name, Mechanism and the decision itself come from the embedded
 // policy, so the run is the embedded policy's run.
 type leastCheckingPolicy struct {
 	sched.BalancerPolicy
@@ -20,18 +19,27 @@ type leastCheckingPolicy struct {
 
 func (p *leastCheckingPolicy) ShouldMigrate(v sched.View, pv sched.ProcView) (int, bool) {
 	p.handoffs++
-	if got, scan := v.LeastLoaded(), (sched.View{Nodes: v.Nodes}).LeastLoaded(); got != scan {
-		p.t.Fatalf("%s hand-off %d for node %d: seeded LeastLoaded %d, scan of the handed rows %d",
+	if got, scan := v.LeastLoaded(), readRows(v).LeastLoaded(); got != scan {
+		p.t.Fatalf("%s hand-off %d for node %d: LeastLoaded %d, scan of the served rows %d",
 			p.Name(), p.handoffs, pv.Node, got, scan)
 	}
 	return p.BalancerPolicy.ShouldMigrate(v, pv)
 }
 
-// TestSeededLeastLoadedMatchesScan checks the LeastLoaded answer the
-// balancer seeds at every hand-off against a scan of the rows it hands
-// over: the ground-truth view on the star (seeded from the live view's
-// sorted order) and the per-source gossip views on the two-tier fabric
-// (seeded by argmin over the rows the hand-off writes), under every
+// readRows reads every row v serves, through Node, into a RowSlice.
+func readRows(v sched.View) sched.RowSlice {
+	rows := make(sched.RowSlice, v.Len())
+	for i := range rows {
+		rows[i] = v.Node(i)
+	}
+	return rows
+}
+
+// TestSeededLeastLoadedMatchesScan checks the LeastLoaded answer of every
+// hand-off's view against a RowSlice scan of the rows it serves: the
+// ground-truth view on the star (read off the live view's sorted order)
+// and the per-source gossip views on the two-tier fabric (the source's
+// own row against its daemon's memoised least loaded entry), under every
 // registered policy. The checking wrapper only observes, so each run must
 // equal the unwrapped policy's run.
 func TestSeededLeastLoadedMatchesScan(t *testing.T) {

@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ampom/internal/fabric"
+	"ampom/internal/infod"
 	"ampom/internal/sched"
 	"ampom/internal/simtime"
 )
@@ -29,13 +31,77 @@ func gossipViewSpec() Spec {
 	}.Canonical()
 }
 
-// TestGossipViewIncrementalMatchesRebuild is the consumer-side tentpole
-// property: at every balance round, for every source node, the
-// incrementally maintained gossip view (template + restore + known-set
-// writes) is row-for-row identical to a from-scratch rebuild straight from
-// the daemon's entries — self row exact, known rows aged at the decision
-// instant, everything else the Unknown template with the cluster capacity
-// and the live CPU scale.
+// gossipRebuild builds src's gossip view from scratch, straight from the
+// daemon's entries and a rebuild of the ground truth: the self row exact,
+// known rows aged at the current instant, everything else the Unknown
+// template with the cluster capacity and the live CPU scale.
+func gossipRebuild(c *clusterSim, truth []sched.NodeView, src int) sched.RowSlice {
+	g := c.ic.Gossip(src)
+	now := c.eng.Now()
+	want := make(sched.RowSlice, len(truth))
+	for i := range want {
+		if i == src {
+			want[i] = truth[i]
+			continue
+		}
+		e, ok := g.Entry(i)
+		if !ok {
+			want[i] = sched.NodeView{
+				CPUScale:   c.nodes[i].CPUScale,
+				Load:       math.Inf(1),
+				CapacityMB: c.spec.NodeMemMB,
+				Unknown:    true,
+			}
+			continue
+		}
+		want[i] = sched.NodeView{
+			Procs:      e.Sample.Queue,
+			CPUScale:   c.nodes[i].CPUScale,
+			Load:       e.Sample.Load,
+			UsedMemMB:  e.Sample.UsedMemMB,
+			CapacityMB: c.spec.NodeMemMB,
+			QueueLen:   e.Sample.Queue,
+			InfoAge:    now.Sub(e.Stamp),
+		}
+	}
+	return want
+}
+
+// checkGossipViews checks every source's gossip view, as the balancer
+// hands it out now, against gossipRebuild: every row read through Node,
+// and LeastLoaded against a RowSlice scan of the rebuild. It returns the
+// rebuilds.
+func checkGossipViews(t *testing.T, c *clusterSim) []sched.RowSlice {
+	t.Helper()
+	truth, _ := rebuildRows(c)
+	base := c.bal.view()
+	out := make([]sched.RowSlice, len(truth))
+	for src := range truth {
+		want := gossipRebuild(c, truth, src)
+		got := c.bal.gossipView(src, base)
+		if got.Len() != len(want) {
+			t.Fatalf("src %d at %v: view serves %d rows, want %d", src, c.eng.Now(), got.Len(), len(want))
+		}
+		for i := range want {
+			if row := got.Node(i); row != want[i] {
+				t.Fatalf("src %d row %d at %v: served %+v, rebuild %+v", src, i, c.eng.Now(), row, want[i])
+			}
+		}
+		if g, w := got.LeastLoaded(), want.LeastLoaded(); g != w {
+			t.Fatalf("src %d at %v: LeastLoaded %d, scan of the rebuild %d", src, c.eng.Now(), g, w)
+		}
+		out[src] = want
+	}
+	return out
+}
+
+// TestGossipViewIncrementalMatchesRebuild is the consumer-side property of
+// the on-demand gossip view: at every balance hand-off, for every source
+// node, each row the view serves is identical to a from-scratch rebuild
+// straight from the daemon's entries — self row exact, known rows aged at
+// the decision instant, everything else the Unknown template with the
+// cluster capacity and the live CPU scale — and its LeastLoaded equals a
+// scan of that rebuild.
 func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 	spec := gossipViewSpec()
 	if err := spec.Validate(); err != nil {
@@ -48,50 +114,17 @@ func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 	const seed = 5
 	scales, tmpl := buildWorkload(spec, seed)
 	c := buildClusterSim(spec, scales, tmpl, pol, seed, 1)
+	if c.ic.Gossip(0) == nil {
+		t.Fatal("switched fabric without a gossip daemon")
+	}
 	rounds := 0
 	sawKnown, sawUnknownWithCap := false, false
-	startChecking(t, c, func(base sched.View) {
+	startChecking(t, c, func(sched.View) {
 		rounds++
-		now := c.eng.Now()
-		for src := 0; src < spec.Nodes; src++ {
-			g := c.ic.Gossip(src)
-			if g == nil {
-				t.Fatal("switched fabric without a gossip daemon")
-			}
-			want := make([]sched.NodeView, spec.Nodes)
-			for i := range want {
-				if i == src {
-					want[i] = base.Nodes[i]
-					continue
-				}
-				e, ok := g.Entry(i)
-				if !ok {
-					want[i] = sched.NodeView{
-						CPUScale:   c.nodes[i].CPUScale,
-						Load:       math.Inf(1),
-						CapacityMB: spec.NodeMemMB,
-						Unknown:    true,
-					}
-					sawUnknownWithCap = sawUnknownWithCap || want[i].CapacityMB > 0
-					continue
-				}
-				want[i] = sched.NodeView{
-					Procs:      e.Sample.Queue,
-					CPUScale:   base.Nodes[i].CPUScale,
-					Load:       e.Sample.Load,
-					UsedMemMB:  e.Sample.UsedMemMB,
-					CapacityMB: spec.NodeMemMB,
-					QueueLen:   e.Sample.Queue,
-					InfoAge:    now.Sub(e.Stamp),
-				}
-				sawKnown = true
-			}
-			got := c.bal.gossipView(src, base)
-			for i := range want {
-				if got.Nodes[i] != want[i] {
-					t.Fatalf("src %d row %d at %v: incremental %+v, rebuild %+v",
-						src, i, now, got.Nodes[i], want[i])
-				}
+		for _, want := range checkGossipViews(t, c) {
+			for _, row := range want {
+				sawKnown = sawKnown || !row.Unknown
+				sawUnknownWithCap = sawUnknownWithCap || (row.Unknown && row.CapacityMB > 0)
 			}
 		}
 	})
@@ -105,6 +138,74 @@ func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 	if !sawUnknownWithCap {
 		t.Fatal("no Unknown row with cluster capacity appeared — partial views were never exercised")
 	}
+}
+
+// TestGossipViewLeastLoadedFollowsMergesAndClock pins the daemon's
+// LeastLoaded memo from the consumer side. The run is stepped one event
+// instant at a time, and every source's view is read twice at each
+// instant: once with the clock just moved there, before any of its events
+// run, and once after all of them. Between the two reads at one instant
+// merges land; between an instant's second read and the next instant's
+// first only the clock moves, which expires entries: nodes 0 and 1 crash
+// once every load is zero, when load ties make node 0 (or 1) the least
+// loaded entry of every daemon that holds it, and a MaxAge later those
+// entries, which nothing refreshes, expire.
+// Both reads must match a from-scratch rebuild, and the test demands that
+// each kind of step actually changes some daemon's least loaded entry, so
+// the memo is exercised across both.
+func TestGossipViewLeastLoadedFollowsMergesAndClock(t *testing.T) {
+	spec := gossipViewSpec()
+	const crashAt = 40 * simtime.Second
+	spec.Churn = append(spec.Churn,
+		ChurnEvent{At: crashAt, Kind: ChurnNodeCrash, Node: 0},
+		ChurnEvent{At: crashAt, Kind: ChurnNodeCrash, Node: 1})
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("invalid spec: %v", err)
+	}
+	pol, _ := sched.Lookup(sched.NameAMPoM)
+	const seed = 5
+	scales, tmpl := buildWorkload(spec, seed)
+	c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
+	if c.horizon <= simtime.Time(crashAt+2*infod.MaxAge) {
+		t.Fatalf("horizon %v ends before the stepped span", c.horizon)
+	}
+	// least is each daemon's least loaded entry in a rebuild, -1 for none.
+	least := func(want []sched.RowSlice) []int {
+		out := make([]int, len(want))
+		for src, rows := range want {
+			out[src] = -1
+			for i, row := range rows {
+				if i != src && !row.Unknown && (out[src] < 0 || row.Load < rows[out[src]].Load) {
+					out[src] = i
+				}
+			}
+		}
+		return out
+	}
+	var last []int
+	byMerge, byClock := 0, 0
+	for {
+		at, ok := c.eng.NextAt()
+		if !ok || at > simtime.Time(crashAt+2*infod.MaxAge) {
+			break
+		}
+		moved := at > c.eng.Now()
+		c.eng.AdvanceTo(at)
+		first := least(checkGossipViews(t, c))
+		if moved && last != nil && !reflect.DeepEqual(first, last) {
+			byClock++
+		}
+		c.eng.At(at, c.eng.Stop)
+		c.eng.Run(at)
+		last = least(checkGossipViews(t, c))
+		if !reflect.DeepEqual(first, last) {
+			byMerge++
+		}
+	}
+	if byMerge == 0 || byClock == 0 {
+		t.Fatalf("least loaded entries changed %d times across merges at one instant and %d times across clock moves; both must happen", byMerge, byClock)
+	}
+	t.Logf("least loaded entries changed %d times across merges, %d across clock moves", byMerge, byClock)
 }
 
 // TestFabricGossipWindowSpec pins the window knob's spec plumbing: it is

@@ -193,6 +193,26 @@ func (lv *liveView) refresh() {
 	}
 }
 
+// Len returns the node count. Len, Row and LeastLoaded serve the rows as
+// sched.Rows: the balancer's ground-truth view, which it refreshes before
+// every hand-off.
+func (lv *liveView) Len() int { return len(lv.rows) }
+
+// Row returns node i's row.
+func (lv *liveView) Row(i int) sched.NodeView { return lv.rows[i] }
+
+// LeastLoaded reads the answer off the load order instead of scanning the
+// rows: the order is (load desc, index asc), so the min-load class is its
+// suffix, and the suffix's first element is exactly the scan's answer —
+// the lowest index at minimum load. Binary search finds the suffix start
+// in O(log n).
+func (lv *liveView) LeastLoaded() int {
+	n := len(lv.order)
+	minLoad := lv.rows[lv.order[n-1]].Load
+	p := sort.Search(n, func(i int) bool { return lv.rows[lv.order[i]].Load <= minLoad })
+	return lv.order[p]
+}
+
 // before is the source-order key: descending load, ascending node index on
 // ties — a strict total order, so the sorted sequence is unique and equal
 // to what the stable full sort produced.

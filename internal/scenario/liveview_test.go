@@ -155,7 +155,7 @@ func churnSpec(seed uint64) Spec {
 // startChecking starts c the way start does, but with a balance ticker the
 // test installs itself: every balanceOnce's ground-truth view goes to
 // check right after the incremental refresh, before any policy sees it,
-// and its seeded LeastLoaded must equal a fresh scan of its rows.
+// and its LeastLoaded must equal a RowSlice scan of the rows it serves.
 func startChecking(t *testing.T, c *clusterSim, check func(base sched.View)) {
 	t.Helper()
 	c.scheduleTick(simtime.Time(c.spec.Quantum))
@@ -165,8 +165,8 @@ func startChecking(t *testing.T, c *clusterSim, check func(base sched.View)) {
 	sim.NewTicker(c.eng, c.spec.BalancePeriod, func() {
 		for range c.bal.nodes {
 			base := c.bal.view()
-			if got, scan := base.LeastLoaded(), (sched.View{Nodes: base.Nodes}).LeastLoaded(); got != scan {
-				t.Fatalf("base view at %v: seeded LeastLoaded %d, scan %d", c.eng.Now(), got, scan)
+			if got, scan := base.LeastLoaded(), readRows(base).LeastLoaded(); got != scan {
+				t.Fatalf("base view at %v: LeastLoaded %d, scan %d", c.eng.Now(), got, scan)
 			}
 			check(base)
 			if !c.bal.balanceOnce(base) {
@@ -199,11 +199,14 @@ func TestLiveViewMatchesRebuild(t *testing.T) {
 				rounds++
 				verifyAggregates(t, c, spec.Fabric.Topology.String()+"/"+pol.Name())
 				verifyDerived(t, c, spec.Fabric.Topology.String()+"/"+pol.Name())
-				// The handed view must be a faithful copy of the canonical rows.
-				for i := range base.Nodes {
-					if base.Nodes[i] != c.lv.rows[i] {
+				// The handed view must serve exactly the canonical rows.
+				if base.Len() != len(c.lv.rows) {
+					t.Fatalf("%s: handed view serves %d rows, canonical %d", pol.Name(), base.Len(), len(c.lv.rows))
+				}
+				for i := range c.lv.rows {
+					if got := base.Node(i); got != c.lv.rows[i] {
 						t.Fatalf("%s: handed row %d %+v diverges from canonical %+v",
-							pol.Name(), i, base.Nodes[i], c.lv.rows[i])
+							pol.Name(), i, got, c.lv.rows[i])
 					}
 				}
 			})
@@ -264,33 +267,45 @@ func stepVerifying(t *testing.T, c *clusterSim, name string) bool {
 	return false
 }
 
-// retainingPolicy wilfully breaks the sched.BalancerPolicy view contract:
-// it keeps the Nodes slice it was handed and scribbles over every row it
-// retained before delegating the next decision. The driver's
-// copy-on-hand-off must confine the damage to the round the scribble
-// happened in. Name and Mechanism come from the embedded policy.
+// keptViews is how many recent views retainingPolicy keeps.
+const keptViews = 16
+
+// retainingPolicy keeps the last keptViews Views it was handed and, before
+// each decision, reads every row of every view it kept.
+// Nothing handed out is a shared slice any more — rows are served by value
+// — so a kept view is harmless by construction, and this locks that in:
+// reading stale views must leave the next round's hand-off, and the whole
+// run, exactly as they would be. Name and Mechanism come from the
+// embedded policy.
 type retainingPolicy struct {
 	sched.BalancerPolicy
-	retained []sched.NodeView
+	kept  []sched.View
+	reads int
 }
 
 func (r *retainingPolicy) ShouldMigrate(v sched.View, p sched.ProcView) (int, bool) {
-	if r.retained != nil {
-		for i := range r.retained {
-			r.retained[i] = sched.NodeView{Procs: 1 << 20, Load: math.Inf(1), UsedMemMB: 1 << 40}
+	for _, old := range r.kept {
+		for i := 0; i < old.Len(); i++ {
+			_ = old.Node(i)
+			r.reads++
 		}
+		_ = old.LeastLoaded()
 	}
-	r.retained = v.Nodes
+	if len(r.kept) == keptViews {
+		r.kept = append(r.kept[:0], r.kept[1:]...)
+	}
+	r.kept = append(r.kept, v)
 	return r.BalancerPolicy.ShouldMigrate(v, p)
 }
 
-// TestRetainingPolicyCannotCorruptNextRound locks the hand-off contract's
-// enforcement: every balance round re-derives the rows a policy sees, so a
-// policy that retains and corrupts a previous round's slice never poisons
-// a later round's view. The checking ticker (which verifies the handed
-// rows against a from-scratch rebuild at every balanceOnce) is the
-// invariant check; it runs against both hand-off paths — the star's
-// ground-truth copy and the switched fabrics' per-source gossip rewrite.
+// TestRetainingPolicyCannotCorruptNextRound locks the hand-off contract: a
+// policy that keeps the views it was handed and reads them in later
+// rounds never changes a later round's view. The checking ticker (which
+// verifies the handed rows against a from-scratch rebuild at every
+// balanceOnce) is the invariant check; it runs against both hand-off
+// paths — the star's ground-truth rows and the switched fabrics'
+// per-source gossip rows — and the retaining run must equal the plain
+// policy's run.
 func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 	for _, topo := range []fabric.Kind{fabric.KindStar, fabric.KindTwoTier} {
 		spec := Spec{
@@ -303,24 +318,27 @@ func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 			Fabric:          FabricSpec{Topology: topo, RackSize: 4},
 		}.Canonical()
 		scales, tmpl := buildWorkload(spec, 7)
-		evil := &retainingPolicy{BalancerPolicy: sched.AMPoMPolicy}
-		c := buildClusterSim(spec, scales, tmpl, evil, 7, 1)
+		keeper := &retainingPolicy{BalancerPolicy: sched.AMPoMPolicy}
+		c := buildClusterSim(spec, scales, tmpl, keeper, 7, 1)
 		rounds := 0
 		startChecking(t, c, func(base sched.View) {
 			rounds++
-			// The previous round's scribble must not have leaked into this
-			// round's hand-off.
+			// Reading kept views must not have leaked into this round's
+			// hand-off.
 			rows, _ := rebuildRows(c)
-			for i := range base.Nodes {
-				if base.Nodes[i] != rows[i] {
+			for i := range rows {
+				if got := base.Node(i); got != rows[i] {
 					t.Fatalf("%v round %d: handed row %d %+v poisoned (want %+v)",
-						topo, rounds, i, base.Nodes[i], rows[i])
+						topo, rounds, i, got, rows[i])
 				}
 			}
 		})
-		c.run()
-		if rounds < 2 {
-			t.Fatalf("%v: only %d balance rounds — retention was never exercised", topo, rounds)
+		st := c.run()
+		if rounds < 2 || keeper.reads == 0 {
+			t.Fatalf("%v: %d balance rounds, %d reads of kept views — retention was never exercised", topo, rounds, keeper.reads)
+		}
+		if want := newClusterSimShards(spec, scales, tmpl, sched.AMPoMPolicy, 7, 1).run(); !reflect.DeepEqual(st, want) {
+			t.Fatalf("%v: retaining run %+v, plain run %+v", topo, st, want)
 		}
 	}
 }
@@ -349,18 +367,21 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 	const src = 2
 	base := c.bal.view()
 	v := c.bal.gossipView(src, base)
-	if &v.Nodes[0] == &base.Nodes[0] {
-		t.Fatal("gossip view aliases the ground-truth hand-off buffer")
+	if v.Rows == base.Rows {
+		t.Fatal("gossip view serves the ground-truth rows")
 	}
-	if v.Nodes[src] != base.Nodes[src] {
-		t.Fatalf("source row %+v diverges from ground truth %+v", v.Nodes[src], base.Nodes[src])
+	if v.Len() != spec.Nodes {
+		t.Fatalf("gossip view serves %d rows for %d nodes", v.Len(), spec.Nodes)
 	}
-	for i := range v.Nodes {
+	if v.Node(src) != base.Node(src) {
+		t.Fatalf("source row %+v diverges from ground truth %+v", v.Node(src), base.Node(src))
+	}
+	for i := 0; i < v.Len(); i++ {
 		if i == src {
 			continue
 		}
-		if !v.Nodes[i].Unknown || !math.IsInf(v.Nodes[i].Load, 1) {
-			t.Fatalf("pre-gossip row %d not Unknown/+Inf: %+v", i, v.Nodes[i])
+		if row := v.Node(i); !row.Unknown || !math.IsInf(row.Load, 1) {
+			t.Fatalf("pre-gossip row %d not Unknown/+Inf: %+v", i, row)
 		}
 	}
 
@@ -371,8 +392,9 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 	g := c.ic.Gossip(src)
 	now := c.eng.Now()
 	known := 0
-	for i := range v.Nodes {
-		if i == src || v.Nodes[i].Unknown {
+	for i := 0; i < v.Len(); i++ {
+		row := v.Node(i)
+		if i == src || row.Unknown {
 			continue
 		}
 		known++
@@ -380,15 +402,15 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 		if !ok {
 			t.Fatalf("row %d known in the view but not in the daemon", i)
 		}
-		if v.Nodes[i].Procs != e.Sample.Queue || v.Nodes[i].UsedMemMB != e.Sample.UsedMemMB ||
-			v.Nodes[i].Load != e.Sample.Load || v.Nodes[i].QueueLen != e.Sample.Queue {
-			t.Fatalf("row %d %+v does not carry the daemon entry %+v", i, v.Nodes[i], e.Sample)
+		if row.Procs != e.Sample.Queue || row.UsedMemMB != e.Sample.UsedMemMB ||
+			row.Load != e.Sample.Load || row.QueueLen != e.Sample.Queue {
+			t.Fatalf("row %d %+v does not carry the daemon entry %+v", i, row, e.Sample)
 		}
-		if want := now.Sub(e.Stamp); v.Nodes[i].InfoAge != want {
-			t.Fatalf("row %d InfoAge %v, want staleness %v", i, v.Nodes[i].InfoAge, want)
+		if want := now.Sub(e.Stamp); row.InfoAge != want {
+			t.Fatalf("row %d InfoAge %v, want staleness %v", i, row.InfoAge, want)
 		}
-		if v.Nodes[i].InfoAge <= 0 {
-			t.Fatalf("row %d InfoAge %v not positive — stamps are not aging", i, v.Nodes[i].InfoAge)
+		if row.InfoAge <= 0 {
+			t.Fatalf("row %d InfoAge %v not positive — stamps are not aging", i, row.InfoAge)
 		}
 	}
 	if known == 0 {

@@ -405,7 +405,6 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 			c.eng.Schedule(ev.At, func() {
 				c.nodes[ev.Node].CPUScale *= ev.Factor
 				c.lv.touch(ev.Node)
-				c.bal.rescaled(ev.Node)
 			})
 		case ChurnNetLoad:
 			c.eng.Schedule(ev.At, func() { c.ic.SetBackgroundLoad(ev.Node, ev.Factor) })

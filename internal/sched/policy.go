@@ -22,6 +22,11 @@
 // arrives through the View, including the PRNG stream probabilistic
 // policies draw from. That makes one registered instance safe to share
 // across the campaign engine's concurrent scenario workers.
+//
+// A View serves its rows on demand through the Rows interface: the
+// scenario balancer hands a policy the live ground-truth rows, or the
+// deciding node's own gossip table, without copying either, and a
+// hand-built view wraps a slice in RowSlice.
 package sched
 
 import (
@@ -74,19 +79,48 @@ type ProcView struct {
 	WorkingSetFrac float64
 }
 
-// View is everything a policy sees at one decision point. It is rebuilt by
-// the driving simulator before every decision, so policies stay stateless.
+// Rows serves the rows of a View: Row(i) is node i as the deciding node
+// sees it, for 0 <= i < Len(). LeastLoaded returns what a scan of the rows
+// would, the lowest index at minimum load; a driver that keeps its rows
+// ordered, or memoised, answers it without the scan.
+//
+// A driver's Rows read its own state when called, so a View shows the
+// cluster as it is at the read, not a copy taken at the hand-off. Policies
+// read rows only through the View.
+type Rows interface {
+	Len() int
+	Row(i int) NodeView
+	LeastLoaded() int
+}
+
+// RowSlice is a Rows over rows held in a slice, for hand-built views.
+type RowSlice []NodeView
+
+// Len returns the number of rows.
+func (s RowSlice) Len() int { return len(s) }
+
+// Row returns row i.
+func (s RowSlice) Row(i int) NodeView { return s[i] }
+
+// LeastLoaded scans the rows for the least loaded node, lowest index on
+// ties.
+func (s RowSlice) LeastLoaded() int {
+	best := 0
+	for i := range s {
+		if s[i].Load < s[best].Load {
+			best = i
+		}
+	}
+	return best
+}
+
+// View is everything a policy sees at one decision point. The driving
+// simulator hands one to every decision, so policies stay stateless.
 type View struct {
-	// Nodes holds every node's current state, indexed by node id.
-	//
-	// The slice is on loan for the duration of one ShouldMigrate call: the
-	// drivers reuse its backing storage between hand-offs (and, with the
-	// incremental scenario view, refresh only the rows that changed), so a
-	// policy must neither retain Nodes past the call nor mutate its rows.
-	// Drivers defend the *next* round by rewriting or re-copying every row
-	// they hand out, but a policy that breaks the contract still corrupts
-	// its own remaining decisions of the current round.
-	Nodes []NodeView
+	// Rows serves every node's current state, indexed by node id; read it
+	// through Node, Len and LeastLoaded. Rows are values: a policy cannot
+	// change what the driver or any later decision sees.
+	Rows Rows
 	// BandwidthBps is the monitoring daemons' conservative estimate of the
 	// interconnect bandwidth available to a migration.
 	BandwidthBps float64
@@ -101,17 +135,17 @@ type View struct {
 	// policy's built-in default. Scenario runs populate it from
 	// Spec.LoadVectorLen.
 	SampleLen int
-
-	// least is the driver-set LeastLoaded answer plus one; the zero value
-	// every hand-built view has scans instead.
-	least int
 }
 
-// SetLeastLoaded records node i as the view's LeastLoaded answer, so
-// policies that consult it once per candidate skip the O(nodes) scan. A
-// driver sets it at each hand-off to what the scan would return over the
-// rows it hands out: the lowest index at minimum load.
-func (v *View) SetLeastLoaded(i int) { v.least = i + 1 }
+// Node returns node i's row.
+func (v View) Node(i int) NodeView { return v.Rows.Row(i) }
+
+// Len returns the number of nodes in the view.
+func (v View) Len() int { return v.Rows.Len() }
+
+// LeastLoaded returns the index of the least loaded node (lowest index on
+// ties).
+func (v View) LeastLoaded() int { return v.Rows.LeastLoaded() }
 
 // BalancerPolicy decides when and where the load balancer migrates. The
 // three methods are the whole contract: a name (the registry key and report
@@ -125,9 +159,7 @@ type BalancerPolicy interface {
 	Mechanism() Mechanism
 	// ShouldMigrate decides whether proc should move, returning the
 	// destination node. The driver offers candidates from the most loaded
-	// nodes first, longest remaining demand first. The view's Nodes slice
-	// is on loan for this call only — policies must not retain or mutate
-	// it (see View.Nodes).
+	// nodes first, longest remaining demand first.
 	ShouldMigrate(view View, proc ProcView) (dest int, ok bool)
 }
 
@@ -160,29 +192,19 @@ const BaselineName = NameNoMigration
 // offers the policy each balancing round, longest remaining demand first.
 const MaxCandidates = 4
 
-// LeastLoaded returns the index of the least loaded node (lowest index on
-// ties).
-func (v View) LeastLoaded() int {
-	if v.least > 0 {
-		return v.least - 1
-	}
-	best := 0
-	for i, n := range v.Nodes {
-		if n.Load < v.Nodes[best].Load {
-			best = i
-		}
-	}
-	return best
-}
-
 // Clears applies the cost-benefit rule of Harchol-Balter & Downey (the
 // paper's [10]): proc migrates to dest only when its estimated completion
 // staying put (processor sharing on its node) beats migrating (m's
 // estimated freeze and remote-paging stalls, then sharing on dest) by the
 // view's safety factor.
 func (v View) Clears(p ProcView, dest int, m Mechanism) bool {
+	return v.clears(p, v.Node(p.Node), v.Node(dest), m)
+}
+
+// clears is Clears over the source and destination rows the caller has
+// read already.
+func (v View) clears(p ProcView, src, dst NodeView, m Mechanism) bool {
 	freeze, extra := m.Estimate(p.FootprintMB, p.WorkingSetFrac, v.BandwidthBps)
-	src, dst := v.Nodes[p.Node], v.Nodes[dest]
 	stay := float64(p.Remaining) * float64(src.Procs) / src.CPUScale
 	move := float64(freeze+extra) + float64(p.Remaining)*float64(dst.Procs+1)/dst.CPUScale
 	return stay >= v.CostThreshold*move
@@ -214,7 +236,11 @@ func (p classic) Mechanism() Mechanism { return p.mech }
 
 func (p classic) ShouldMigrate(v View, proc ProcView) (int, bool) {
 	dest := v.LeastLoaded()
-	if dest == proc.Node || v.Nodes[proc.Node].Load <= v.Nodes[dest].Load || !v.Clears(proc, dest, p.mech) {
+	if dest == proc.Node {
+		return 0, false
+	}
+	src, dst := v.Node(proc.Node), v.Node(dest)
+	if src.Load <= dst.Load || !v.clears(proc, src, dst, p.mech) {
 		return 0, false
 	}
 	return dest, true
@@ -236,16 +262,17 @@ func (loadVector) Name() string { return NameLoadVector }
 func (loadVector) Mechanism() Mechanism { return Lightweight }
 
 func (p loadVector) ShouldMigrate(v View, proc ProcView) (int, bool) {
-	n := len(v.Nodes)
+	n := v.Len()
 	l := p.vectorLen
 	if v.SampleLen > 0 {
 		l = v.SampleLen
 	}
 	dest, know := -1, false
+	var dst NodeView
 	if v.Rand == nil || l >= n-1 {
 		// Full knowledge degenerates to the classic target.
 		if d := v.LeastLoaded(); d != proc.Node {
-			dest, know = d, true
+			dest, know, dst = d, true, v.Node(d)
 		}
 	} else {
 		// Draw the l peers whose loads reached this node's vector. Peers can
@@ -253,16 +280,22 @@ func (p loadVector) ShouldMigrate(v View, proc ProcView) (int, bool) {
 		// run because the stream is seeded from (scenario seed, policy name).
 		for i := 0; i < l; i++ {
 			c := v.Rand.Intn(n)
-			if c == proc.Node || v.Nodes[c].Unknown {
+			if c == proc.Node {
 				continue
 			}
-			if !know || v.Nodes[c].Load < v.Nodes[dest].Load ||
-				(v.Nodes[c].Load == v.Nodes[dest].Load && c < dest) {
-				dest, know = c, true
+			row := v.Node(c)
+			if row.Unknown {
+				continue
+			}
+			if !know || row.Load < dst.Load || (row.Load == dst.Load && c < dest) {
+				dest, know, dst = c, true, row
 			}
 		}
 	}
-	if !know || v.Nodes[proc.Node].Load <= v.Nodes[dest].Load || !v.Clears(proc, dest, p.Mechanism()) {
+	if !know {
+		return 0, false
+	}
+	if src := v.Node(proc.Node); src.Load <= dst.Load || !v.clears(proc, src, dst, p.Mechanism()) {
 		return 0, false
 	}
 	return dest, true
@@ -285,17 +318,21 @@ func (memUsher) Name() string { return NameMemUsher }
 func (memUsher) Mechanism() Mechanism { return Lightweight }
 
 func (p memUsher) ShouldMigrate(v View, proc ProcView) (int, bool) {
-	src := v.Nodes[proc.Node]
+	src := v.Node(proc.Node)
 	if src.CapacityMB <= 0 ||
 		float64(src.UsedMemMB) < p.highWater*float64(src.CapacityMB) {
 		return 0, false
 	}
 	best, bestFree := -1, int64(0)
-	for i, n := range v.Nodes {
+	for i, nodes := 0, v.Len(); i < nodes; i++ {
+		if i == proc.Node {
+			continue
+		}
 		// Unknown rows carry the cluster-configured capacity but no usage
 		// sample — ushering onto a node whose pressure is unknown could be
 		// exactly the paging disaster the policy exists to avoid.
-		if i == proc.Node || n.Unknown || n.CapacityMB <= 0 {
+		n := v.Node(i)
+		if n.Unknown || n.CapacityMB <= 0 {
 			continue
 		}
 		if float64(n.UsedMemMB+proc.FootprintMB) > p.lowWater*float64(n.CapacityMB) {
@@ -329,28 +366,32 @@ func (queueGossip) Name() string { return NameQueueGossip }
 func (queueGossip) Mechanism() Mechanism { return Lightweight }
 
 func (p queueGossip) ShouldMigrate(v View, proc ProcView) (int, bool) {
-	n := len(v.Nodes)
+	n := v.Len()
 	l := p.sample
 	if v.SampleLen > 0 {
 		l = v.SampleLen
 	}
-	scaledQ := func(c int, extra int) float64 {
-		return float64(v.Nodes[c].QueueLen+extra) / v.Nodes[c].CPUScale
+	scaledQ := func(r NodeView, extra int) float64 {
+		return float64(r.QueueLen+extra) / r.CPUScale
 	}
 	dest, know := -1, false
+	var dst NodeView
 	consider := func(c int) {
-		if c == proc.Node || v.Nodes[c].Unknown {
+		if c == proc.Node {
 			return
 		}
-		if !know || scaledQ(c, 0) < scaledQ(dest, 0) ||
-			(scaledQ(c, 0) == scaledQ(dest, 0) &&
-				(v.Nodes[c].InfoAge < v.Nodes[dest].InfoAge ||
-					(v.Nodes[c].InfoAge == v.Nodes[dest].InfoAge && c < dest))) {
-			dest, know = c, true
+		row := v.Node(c)
+		if row.Unknown {
+			return
+		}
+		if !know || scaledQ(row, 0) < scaledQ(dst, 0) ||
+			(scaledQ(row, 0) == scaledQ(dst, 0) &&
+				(row.InfoAge < dst.InfoAge || (row.InfoAge == dst.InfoAge && c < dest))) {
+			dest, know, dst = c, true, row
 		}
 	}
 	if v.Rand == nil || l >= n-1 {
-		for c := range v.Nodes {
+		for c := 0; c < n; c++ {
 			consider(c)
 		}
 	} else {
@@ -359,7 +400,10 @@ func (p queueGossip) ShouldMigrate(v View, proc ProcView) (int, bool) {
 		}
 	}
 	// The gap must survive the candidate joining the destination queue.
-	if !know || scaledQ(proc.Node, 0) <= scaledQ(dest, 1) || !v.Clears(proc, dest, p.Mechanism()) {
+	if !know {
+		return 0, false
+	}
+	if src := v.Node(proc.Node); scaledQ(src, 0) <= scaledQ(dst, 1) || !v.clears(proc, src, dst, p.Mechanism()) {
 		return 0, false
 	}
 	return dest, true

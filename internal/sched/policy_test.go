@@ -51,18 +51,18 @@ func TestByNames(t *testing.T) {
 	}
 }
 
-// view builds a small test cluster view.
+// view builds a small test cluster view over a RowSlice.
 func view(loads []int) View {
-	v := View{
-		Nodes:         make([]NodeView, len(loads)),
-		BandwidthBps:  11.36e6,
-		CostThreshold: 1.25,
-	}
+	rows := make(RowSlice, len(loads))
 	for i, n := range loads {
-		v.Nodes[i] = NodeView{Procs: n, CPUScale: 1, Load: float64(n), QueueLen: n, CapacityMB: 1024}
+		rows[i] = NodeView{Procs: n, CPUScale: 1, Load: float64(n), QueueLen: n, CapacityMB: 1024}
 	}
-	return v
+	return View{Rows: rows, BandwidthBps: 11.36e6, CostThreshold: 1.25}
 }
+
+// rowsOf returns the RowSlice behind a view built by view, for tests that
+// edit rows in place.
+func rowsOf(v View) RowSlice { return v.Rows.(RowSlice) }
 
 func TestCostModelsOrdered(t *testing.T) {
 	omF, omE := OpenMosixPolicy.Mechanism().Estimate(192, 0.5, 11.36e6)
@@ -112,7 +112,7 @@ func TestLoadVectorSeesOnlyASample(t *testing.T) {
 			continue
 		}
 		migrated++
-		if dest <= 0 || dest >= len(v.Nodes) {
+		if dest <= 0 || dest >= v.Len() {
 			t.Fatalf("destination %d out of range", dest)
 		}
 	}
@@ -143,7 +143,7 @@ func TestQueueGossipTargetsShortQueues(t *testing.T) {
 			continue
 		}
 		migrated++
-		if dest <= 0 || dest >= len(v.Nodes) {
+		if dest <= 0 || dest >= v.Len() {
 			t.Fatalf("destination %d out of range", dest)
 		}
 	}
@@ -161,22 +161,22 @@ func TestQueueGossipSkipsUnknownAndPrefersFresh(t *testing.T) {
 	p := ProcView{Node: 0, Remaining: 30 * simtime.Second, FootprintMB: 64, WorkingSetFrac: 0.5}
 	// Unknown rows are never targeted, even with the shortest queue.
 	v := view([]int{12, 0, 4})
-	v.Nodes[1].Unknown = true
+	rowsOf(v)[1].Unknown = true
 	dest, ok := QueueGossipPolicy.ShouldMigrate(v, p)
 	if !ok || dest != 2 {
 		t.Fatalf("chose (%d, %v) with node 1 unknown, want node 2", dest, ok)
 	}
 	// Everything unknown: hold.
 	all := view([]int{12, 0, 0})
-	all.Nodes[1].Unknown = true
-	all.Nodes[2].Unknown = true
+	rowsOf(all)[1].Unknown = true
+	rowsOf(all)[2].Unknown = true
 	if _, ok := QueueGossipPolicy.ShouldMigrate(all, p); ok {
 		t.Fatal("migrated with every peer unknown")
 	}
 	// Equal queues: the fresher entry wins.
 	tie := view([]int{12, 1, 1})
-	tie.Nodes[1].InfoAge = 8 * simtime.Second
-	tie.Nodes[2].InfoAge = simtime.Second
+	rowsOf(tie)[1].InfoAge = 8 * simtime.Second
+	rowsOf(tie)[2].InfoAge = simtime.Second
 	dest, ok = QueueGossipPolicy.ShouldMigrate(tie, p)
 	if !ok || dest != 2 {
 		t.Fatalf("chose (%d, %v) on an age tie-break, want the fresher node 2", dest, ok)
@@ -193,7 +193,7 @@ func TestSampleLenOverridesBuiltins(t *testing.T) {
 		want, wantOK := pol.ShouldMigrate(v, p)
 		sampled := v
 		sampled.Rand = prng.New(11)
-		sampled.SampleLen = len(v.Nodes)
+		sampled.SampleLen = v.Len()
 		got, gotOK := pol.ShouldMigrate(sampled, p)
 		if got != want || gotOK != wantOK {
 			t.Fatalf("%s: SampleLen=n gave (%d, %v), full knowledge gives (%d, %v)",
@@ -212,7 +212,7 @@ func TestSampleLenOverridesBuiltins(t *testing.T) {
 			held = true
 			continue
 		}
-		if dest <= 0 || dest >= len(one.Nodes) {
+		if dest <= 0 || dest >= one.Len() {
 			t.Fatalf("destination %d out of range", dest)
 		}
 	}
@@ -229,16 +229,16 @@ func TestMemUsherMovesOnPressureOnly(t *testing.T) {
 		t.Fatal("ushered without memory pressure")
 	}
 	// Source past the high-water mark: usher to the freest node with room.
-	v.Nodes[0].UsedMemMB = 1000
-	v.Nodes[1].UsedMemMB = 500
-	v.Nodes[2].UsedMemMB = 100
+	rowsOf(v)[0].UsedMemMB = 1000
+	rowsOf(v)[1].UsedMemMB = 500
+	rowsOf(v)[2].UsedMemMB = 100
 	dest, ok := MemUsherPolicy.ShouldMigrate(v, p)
 	if !ok || dest != 2 {
 		t.Fatalf("usher chose (%d, %v), want node 2", dest, ok)
 	}
 	// No destination under the low-water mark: hold.
-	v.Nodes[1].UsedMemMB = 900
-	v.Nodes[2].UsedMemMB = 900
+	rowsOf(v)[1].UsedMemMB = 900
+	rowsOf(v)[2].UsedMemMB = 900
 	if _, ok := MemUsherPolicy.ShouldMigrate(v, p); ok {
 		t.Fatal("ushered onto an already-pressured destination")
 	}
@@ -252,16 +252,16 @@ func TestMemUsherMovesOnPressureOnly(t *testing.T) {
 func TestMemUsherSkipsUnknownRows(t *testing.T) {
 	v := view([]int{4, 4, 4})
 	p := ProcView{Node: 0, Remaining: 10 * simtime.Second, FootprintMB: 128, WorkingSetFrac: 0.5}
-	v.Nodes[0].UsedMemMB = 1000
+	rowsOf(v)[0].UsedMemMB = 1000
 	// Node 1: unknown, apparently empty. Node 2: known, partly full.
-	v.Nodes[1] = NodeView{CPUScale: 1, Load: math.Inf(1), CapacityMB: 1024, Unknown: true}
-	v.Nodes[2].UsedMemMB = 300
+	rowsOf(v)[1] = NodeView{CPUScale: 1, Load: math.Inf(1), CapacityMB: 1024, Unknown: true}
+	rowsOf(v)[2].UsedMemMB = 300
 	dest, ok := MemUsherPolicy.ShouldMigrate(v, p)
 	if !ok || dest != 2 {
 		t.Fatalf("usher chose (%d, %v), want the known node 2 over the unknown 1", dest, ok)
 	}
 	// Every destination unknown: hold, whatever the pressure.
-	v.Nodes[2] = NodeView{CPUScale: 1, Load: math.Inf(1), CapacityMB: 1024, Unknown: true}
+	rowsOf(v)[2] = NodeView{CPUScale: 1, Load: math.Inf(1), CapacityMB: 1024, Unknown: true}
 	if _, ok := MemUsherPolicy.ShouldMigrate(v, p); ok {
 		t.Fatal("ushered onto a node whose memory pressure is unknown")
 	}
@@ -289,5 +289,91 @@ func TestViewHelpersDeterministic(t *testing.T) {
 	v := view([]int{3, 5, 5, 1, 1})
 	if v.LeastLoaded() != 3 {
 		t.Fatalf("least loaded = %d, want 3 (lowest index on ties)", v.LeastLoaded())
+	}
+}
+
+// countingRows serves a RowSlice's rows and counts every read. Its
+// LeastLoaded answers from a precomputed index, as a driver that keeps
+// its rows ordered does, rather than by scanning.
+type countingRows struct {
+	rows  RowSlice
+	least int
+	reads int
+}
+
+func (c *countingRows) Len() int { c.reads++; return len(c.rows) }
+
+func (c *countingRows) Row(i int) NodeView { c.reads++; return c.rows[i] }
+
+func (c *countingRows) LeastLoaded() int { c.reads++; return c.least }
+
+// TestPoliciesReadOnlyThroughRows checks that every built-in policy
+// decides the same on a RowSlice view and on the same rows served by a
+// counting Rows, and draws exactly as many values from the decision
+// stream on both: policies read rows only through the View, never by
+// asserting a concrete Rows. Views are random, with Unknown rows, load
+// ties, mixed CPU scales, memory pressure and entry ages, over full and
+// sampled knowledge.
+func TestPoliciesReadOnlyThroughRows(t *testing.T) {
+	rng := prng.New(17)
+	decisions, moved := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(14)
+		rows := make(RowSlice, n)
+		for i := range rows {
+			procs := rng.Intn(6)
+			scale := []float64{0.5, 1, 2}[rng.Intn(3)]
+			rows[i] = NodeView{
+				Procs:      procs,
+				CPUScale:   scale,
+				Load:       float64(procs) / scale,
+				UsedMemMB:  int64(rng.Intn(1100)),
+				CapacityMB: 1024,
+				QueueLen:   procs,
+				InfoAge:    simtime.Duration(rng.Intn(3)) * simtime.Second,
+			}
+			if i > 0 && rng.Intn(4) == 0 {
+				rows[i] = NodeView{CPUScale: scale, Load: math.Inf(1), CapacityMB: 1024, Unknown: true}
+			}
+		}
+		p := ProcView{
+			Node:           rng.Intn(n),
+			Remaining:      simtime.Duration(1+rng.Intn(60)) * simtime.Second,
+			FootprintMB:    int64(16 + rng.Intn(256)),
+			WorkingSetFrac: 0.5,
+		}
+		seed := rng.Uint64()
+		sampleLen := []int{0, 1, n}[rng.Intn(3)]
+		for _, name := range Names() {
+			pol, _ := Lookup(name)
+			for _, withRand := range []bool{false, true} {
+				plain := View{Rows: rows, BandwidthBps: 11.36e6, CostThreshold: 1.25, SampleLen: sampleLen}
+				counted := &countingRows{rows: rows, least: rows.LeastLoaded()}
+				served := plain
+				served.Rows = counted
+				if withRand {
+					plain.Rand, served.Rand = prng.New(seed), prng.New(seed)
+				}
+				wantDest, wantOK := pol.ShouldMigrate(plain, p)
+				gotDest, gotOK := pol.ShouldMigrate(served, p)
+				decisions++
+				if gotDest != wantDest || gotOK != wantOK {
+					t.Fatalf("trial %d %s: counting Rows decided (%d, %v), RowSlice (%d, %v)",
+						trial, name, gotDest, gotOK, wantDest, wantOK)
+				}
+				if withRand && plain.Rand.Uint64() != served.Rand.Uint64() {
+					t.Fatalf("trial %d %s: the two views drew different numbers of values", trial, name)
+				}
+				if name != NameNoMigration && counted.reads == 0 {
+					t.Fatalf("trial %d %s: decided without reading a row", trial, name)
+				}
+				if wantOK {
+					moved++
+				}
+			}
+		}
+	}
+	if moved == 0 || moved == decisions {
+		t.Fatalf("%d of %d decisions migrated: the views never exercise both outcomes", moved, decisions)
 	}
 }

@@ -16,9 +16,8 @@ import (
 // surfaceAllowlist names internal exports that production code does not
 // reference but that stay exported on purpose, each with its reason.
 var surfaceAllowlist = map[string]string{
-	"ampom/internal/memory.MustLayout":  "panicking Layout constructor the package's own tests and the hpcc tests build fixtures with",
-	"ampom/internal/infod.Gossip.Entry": "one origin's entry in a daemon's view, which the infod, fabric and scenario tests inspect",
-	"ampom/internal/infod.Gossip.Stop":  "counterpart of Start; the gossip tests stop the plane to watch entries age out",
+	"ampom/internal/memory.MustLayout": "panicking Layout constructor the package's own tests and the hpcc tests build fixtures with",
+	"ampom/internal/infod.Gossip.Stop": "counterpart of Start; the gossip tests stop the plane to watch entries age out",
 }
 
 // TestNoDeadInternalSurface keeps dead surface from growing back: every
