@@ -398,12 +398,13 @@ const fabric4096EventBudget = 27_000
 
 // fabric4096ByteBudget caps the bytes one mega-farm run of
 // BenchmarkFabric4096 allocates, most of them the gossip plane's heard
-// sets and windows: measured 330.7 MB once samples were interned per
-// origin and the cell index packed into 4-byte keys (450.7 MB before), so
-// the gate sits at about 1.15× that. A field that regrows the cells, the
-// wire entries or the index, or a per-send allocation coming back, trips
-// it.
-const fabric4096ByteBudget = 380_000_000
+// sets and windows: measured 153.0 MB once the run's three policy
+// simulations shared one gossip plane, sized by the first and
+// re-initialised in place by the others (330.2 MB when each built its
+// own), so the gate sits at about 1.15× that. A field that regrows the
+// cells, the wire entries or the index, a per-send allocation coming
+// back, or a simulation building its own plane again trips it.
+const fabric4096ByteBudget = 175_000_000
 
 // assertEventBudget fails the benchmark if any policy row of rep exceeds
 // budget events per simulated second, and reports per-policy rates on the

@@ -261,14 +261,35 @@ type envelope struct {
 // fabric's routing handlers). A switched fabric panics on a non-positive
 // field its topology uses.
 func Build(eng *sim.Engine, nodes []*cluster.Node, cfg Config) Interconnect {
+	return BuildReusing(eng, nodes, cfg, nil)
+}
+
+// BuildReusing is Build over plane, the gossip plane (see Plane) of an
+// earlier switched fabric with the same node count and gossip fields
+// whose run has ended: it re-initialises those daemons in place
+// (infod.Gossip.Reinit) instead of building new ones, so the new fabric
+// behaves exactly as Build's and the plane's storage is not allocated
+// again. The plane then belongs to the new fabric. A nil plane builds a
+// new one; the star ignores it.
+func BuildReusing(eng *sim.Engine, nodes []*cluster.Node, cfg Config, plane []*infod.Gossip) Interconnect {
 	switch cfg.Kind {
 	case KindTwoTier, KindFlat:
 		if cfg.GossipFanout <= 0 || cfg.GossipPeriod <= 0 || cfg.GossipWindow <= 0 ||
 			cfg.Kind == KindTwoTier && (cfg.RackSize <= 0 || cfg.Oversub <= 0) {
 			panic(fmt.Sprintf("fabric: non-positive %s shape or gossip field in %+v", cfg.Kind, cfg))
 		}
-		return buildSwitched(eng, nodes, cfg)
+		return buildSwitched(eng, nodes, cfg, plane)
 	default:
 		return buildStar(eng, nodes, cfg)
 	}
+}
+
+// Plane returns ic's gossip plane, its daemons indexed by node, for
+// BuildReusing to hand to a later fabric once ic's run has ended; nil on
+// the star.
+func Plane(ic Interconnect) []*infod.Gossip {
+	if s, ok := ic.(*switched); ok {
+		return s.gossip
+	}
+	return nil
 }

@@ -86,8 +86,9 @@ type switched struct {
 }
 
 // buildSwitched wires the two-tier or flat fabric over nodes and starts
-// the gossip plane. cfg has defaults resolved.
-func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched {
+// the gossip plane, re-initialising plane's daemons when plane is not
+// nil. cfg has defaults resolved.
+func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config, plane []*infod.Gossip) *switched {
 	n := len(nodes)
 	s := &switched{
 		kind:     cfg.Kind,
@@ -233,12 +234,22 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *switched
 		WindowLen: cfg.GossipWindow,
 	}
 	grng := prngForGossip(cfg.Seed)
-	store := infod.NewSampleStore(n)
-	s.gossip = make([]*infod.Gossip, n)
+	var store *infod.SampleStore
+	if plane == nil {
+		store = infod.NewSampleStore(n)
+		plane = make([]*infod.Gossip, n)
+	} else if len(plane) != n {
+		panic(fmt.Sprintf("fabric: reused gossip plane has %d daemons, cluster has %d nodes", len(plane), n))
+	}
+	s.gossip = plane
 	for i, node := range nodes {
 		i := i
-		s.gossip[i] = infod.NewGossip(gcfg, store, node, i, cfg.Network.BandwidthBps,
-			func(dst int, m netmodel.Message) { s.Send(i, dst, m) }, grng.Uint64())
+		send := func(dst int, m netmodel.Message) { s.Send(i, dst, m) }
+		if store != nil {
+			s.gossip[i] = infod.NewGossip(gcfg, store, node, i, cfg.Network.BandwidthBps, send, grng.Uint64())
+		} else {
+			s.gossip[i].Reinit(gcfg, node, i, cfg.Network.BandwidthBps, send, grng.Uint64())
+		}
 		s.gossip[i].Start()
 	}
 	return s

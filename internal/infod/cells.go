@@ -72,13 +72,24 @@ func (r *sampleRing) put(s sample, now simtime.Time) uint32 {
 	if seq == 0 {
 		panic("infod: sample sequence numbers exhausted")
 	}
-	if old := &r.slots[seq&r.mask()]; old.seq != 0 && !expired(old.stamp, now) {
+	old := &r.slots[seq&r.mask()]
+	if old.seq >= seq {
+		// Sequence numbers only rise, so this sample outlived a clear.
+		panic(fmt.Sprintf("infod: sample %d sits where sample %d goes: the ring was not emptied", old.seq, seq))
+	}
+	if old.seq != 0 && !expired(old.stamp, now) {
 		r.grow()
 	}
 	s.seq = seq
 	r.slots[seq&r.mask()] = s
 	r.last = seq
 	return seq
+}
+
+// clear empties the ring, keeping its size.
+func (r *sampleRing) clear() {
+	clear(r.slots)
+	r.last = 0
 }
 
 // mask is len(slots)-1.
@@ -257,6 +268,12 @@ func (t *cellTable) reserve(cells int) {
 		size *= 2
 	}
 	t.resize(size)
+}
+
+// clear empties the table, keeping its cell chunks and its index size.
+func (t *cellTable) clear() {
+	clear(t.index)
+	t.n = 0
 }
 
 // grow doubles the index and re-places every key.

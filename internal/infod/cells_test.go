@@ -97,8 +97,12 @@ func (s gossipScript) run(k, start, age int) gossipScript {
 
 func (s gossipScript) compose() gossipScript { return append(s, 2) }
 
-// advance moves the clock by k/16 of fuzzAgeUnit (k < 64).
+// advance moves the clock by k/16 of fuzzAgeUnit (0 < k < 64).
 func (s gossipScript) advance(k int) gossipScript { return append(s, byte(4*k+3)) }
+
+// reinit re-initialises the daemon for a second run. It copies s, so
+// seeds that go on differently from one script share no bytes.
+func (s gossipScript) reinit() gossipScript { return append(s[:len(s):len(s)], 3) }
 
 // fuzzAgeUnit scales the script's ages and clock steps: MaxAge.
 const fuzzAgeUnit = MaxAge
@@ -141,6 +145,13 @@ func scriptEntry(g *Gossip, origin int, ageByte byte, now simtime.Time) (gossipE
 // grow their rings and origins that repeat after it wrap them; Entry and
 // Fresh read the samples back out of those rings.
 //
+// A re-initialise step starts a second run: the daemon is re-initialised
+// on a new engine (Reinit), every other origin's ring is emptied as its
+// own daemon's Reinit would empty it, the clock goes back to the
+// script's start, and the rest of the script is checked against a new
+// reference, so a daemon re-initialised after one script and driven by a
+// second must read as a new daemon driven by the second does.
+//
 // The reserve input picks the table the script starts from: zero an
 // empty one, whose index heard sets of up to 512 origins grow through
 // several doublings, and otherwise one reserved for reserve%1024 origins,
@@ -153,7 +164,8 @@ func scriptEntry(g *Gossip, origin int, ageByte byte, now simtime.Time) (gossipE
 //     start (the run begins at origin start*n/256) and the first age byte,
 //     which rises by 1 per entry;
 //   - op%4 == 2 composes the outgoing window;
-//   - op%4 == 3 advances the clock by (op/4)/16 of fuzzAgeUnit.
+//   - op == 3 re-initialises the daemon;
+//   - any other op%4 == 3 advances the clock by (op/4)/16 of fuzzAgeUnit.
 //
 // Runs keep scripts short: the fuzzer's minimiser is quadratic in input
 // length.
@@ -213,6 +225,17 @@ func FuzzGossipTable(f *testing.F) {
 		advance(32).merge(six...).compose().merge(nine[6:]...).advance(4).compose()
 	f.Add(uint16(16), uint8(8), uint16(0), []byte(rings))
 
+	// Re-initialised daemons. The grow script's heard set grows the index
+	// of an unreserved table to 512 slots and leaves cells in eight
+	// chunks; after re-initialising, the script runs again over the kept
+	// chunks and index. The rings script re-runs over rings it grew.
+	// After a short script, the second run starts while the first's
+	// cells would still be live.
+	f.Add(uint16(300), uint8(8), uint16(0), []byte(grow.reinit().compose().run(64, 0, 16).compose()))
+	f.Add(uint16(300), uint8(0), uint16(0), []byte(append(grow.reinit(), grow...)))
+	f.Add(uint16(16), uint8(8), uint16(0), []byte(append(rings.reinit(), rings...)))
+	f.Add(uint16(40), uint8(4), uint16(39), []byte(gossipScript{}.run(16, 0, 16).compose().reinit().run(8, 128, 16).compose()))
+
 	f.Fuzz(func(t *testing.T, nOrigins uint16, windowLen uint8, reserve uint16, script []byte) {
 		if len(script) > 128 {
 			script = script[:128]
@@ -231,7 +254,8 @@ func FuzzGossipTable(f *testing.F) {
 			g.cells.reserve(int(reserve) % 1024)
 		}
 		ref := newRefGossip(cfg, id, n)
-		now := simtime.Time(4 * fuzzAgeUnit)
+		start := simtime.Time(4 * fuzzAgeUnit)
+		now := start
 		eng.AdvanceTo(now)
 		fresh := map[int]GossipEntry{}
 
@@ -279,6 +303,19 @@ func FuzzGossipTable(f *testing.F) {
 					}
 				}
 			case 3:
+				if op == 3 {
+					eng = sim.New()
+					g.Reinit(cfg, cluster.NewNode(eng, "g", 1), id, 11.36e6, func(int, netmodel.Message) {}, 1)
+					for o := range g.store.rings {
+						if o != id {
+							g.store.rings[o].clear()
+						}
+					}
+					ref = newRefGossip(cfg, id, n)
+					now = start
+					eng.AdvanceTo(now)
+					break
+				}
 				now = now.Add(simtime.Duration(op/4) * fuzzAgeUnit / 16)
 				eng.AdvanceTo(now)
 			}

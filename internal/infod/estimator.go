@@ -61,11 +61,12 @@ type estimator struct {
 	haveBw    bool
 }
 
-func newEstimator(node *cluster.Node, nominalBw float64, seed uint64) estimator {
+// newEstimator returns node's estimator, drawing from rng.
+func newEstimator(node *cluster.Node, nominalBw float64, rng *prng.Source) estimator {
 	return estimator{
 		eng:       node.Eng,
 		node:      node,
-		rng:       prng.New(seed),
+		rng:       rng,
 		nominalBw: nominalBw,
 		lastAt:    node.Eng.Now(),
 	}

@@ -14,15 +14,17 @@
 // current window, which heals partitions and brings late joiners up to
 // date even when pushes alone would starve them.
 //
-// Storage is compact and sized once. Samples are interned: each origin
-// appends every sample it composes (load, queue, memory, stamp and a
-// sequence number) to its own small ring in the plane's SampleStore, and
-// cells and wire entries name a sample by origin and sequence number
-// next to its stamp. merge, compose, the sweeps and every expiry check
-// work from the stamp alone; only Fresh and Entry read another origin's
-// ring, and they run on the sequential engine or in the global phase,
-// with every shard paused at one instant, so the rings need no atomics
-// (see sampleRing). A daemon keeps only the origins it has actually heard
+// Storage is compact, sized once per job and reused: a scenario job's
+// policy simulations share one plane, and each run after the first
+// re-initialises every daemon in place (Reinit) instead of building the
+// plane again. Samples are interned: each origin appends every sample it
+// composes (load, queue, memory, stamp and a sequence number) to its own
+// small ring in the plane's SampleStore, and cells and wire entries name
+// a sample by origin and sequence number next to its stamp. merge,
+// compose, the sweeps and every expiry check work from the stamp alone;
+// only Fresh and Entry read another origin's ring, and they run on the
+// sequential engine or in the global phase, with every shard paused at
+// one instant, so the rings need no atomics (see sampleRing). A daemon keeps only the origins it has actually heard
 // from (a flat cell table — dense pointer-free 32-byte cells behind an
 // open-addressed index of 4-byte keys, see cellTable), never a dense
 // length-n vector, so the whole gossip plane is O(n·l·retention)
@@ -73,6 +75,7 @@ import (
 	"ampom/internal/cluster"
 	"ampom/internal/core"
 	"ampom/internal/netmodel"
+	"ampom/internal/prng"
 	"ampom/internal/sim"
 	"ampom/internal/simtime"
 )
@@ -251,22 +254,61 @@ func NewGossip(cfg GossipConfig, store *SampleStore, node *cluster.Node, id int,
 		ringCap = sweepFloor
 	}
 	g := &Gossip{
-		estimator: newEstimator(node, nominalBw, seed),
-		cfg:       cfg,
-		id:        id,
-		n:         n,
-		send:      send,
-		store:     store,
-		own:       store.open(id, ringLen(cfg)),
-		ring:      make([]int32, ringCap),
-		sweepAt:   sweepFloor,
-		windows:   make([]*gossipMsg, 0, keptWindows),
-		pullMsg:   &gossipPullMsg{From: id},
-		least:     leastMemo{ringN: -1},
+		cfg:     cfg,
+		id:      id,
+		n:       n,
+		store:   store,
+		own:     store.open(id, ringLen(cfg)),
+		ring:    make([]int32, ringCap),
+		windows: make([]*gossipMsg, 0, keptWindows),
+		pullMsg: &gossipPullMsg{From: id},
 	}
 	g.cells.reserve(expectedHeard(cfg, n))
-	node.Handle(g.handle)
+	g.bind(node, nominalBw, send, prng.New(seed))
 	return g
+}
+
+// Reinit puts a daemon whose run has ended back in the state
+// NewGossip(cfg, its store, node, id, nominalBw, send, seed) gives a new
+// one, keeping its storage: the heard set empties but keeps its cell
+// chunks and its index, whatever size the index grew to (reads never
+// walk index slots, so its size never changes a result), and its sample
+// ring empties at its size. Every kept window's receiver count goes back
+// to zero: copies still in flight when the daemon's last run stopped
+// died with that run's engine. Each daemon empties only its own ring, so
+// every daemon of the plane is re-initialised before any of them starts
+// again. It panics unless cfg and id are the ones the daemon was made
+// with.
+func (g *Gossip) Reinit(cfg GossipConfig, node *cluster.Node, id int, nominalBw float64, send func(dst int, m netmodel.Message), seed uint64) {
+	if cfg != g.cfg || id != g.id {
+		panic(fmt.Sprintf("infod: daemon %d %+v re-initialised as daemon %d %+v", g.id, g.cfg, id, cfg))
+	}
+	g.empty()
+	g.rng.Reseed(seed)
+	g.bind(node, nominalBw, send, g.rng)
+}
+
+// empty empties the daemon's sample ring, heard set and recency ring and
+// frees its kept windows, keeping all of their storage.
+func (g *Gossip) empty() {
+	g.own.clear()
+	g.cells.clear()
+	clear(g.ring)
+	for _, m := range g.windows {
+		m.receivers.Store(0)
+	}
+}
+
+// bind attaches the daemon to one run: node, its engine and NIC, the send
+// path and the random stream rng, with the handler registered on node,
+// and resets everything a run counts from zero.
+func (g *Gossip) bind(node *cluster.Node, nominalBw float64, send func(dst int, m netmodel.Message), rng *prng.Source) {
+	g.estimator = newEstimator(node, nominalBw, rng)
+	g.send = send
+	g.probe, g.ticker, g.pullTicker = nil, nil, nil
+	g.ringN, g.sweepAt, g.rttSum = 0, sweepFloor, 0
+	g.least = leastMemo{ringN: -1}
+	node.Handle(g.handle)
 }
 
 // expectedHeard is the heard set a daemon of an n-node cluster is sized

@@ -21,6 +21,7 @@ import (
 	"ampom/internal/cluster"
 	"ampom/internal/core"
 	"ampom/internal/netmodel"
+	"ampom/internal/prng"
 	"ampom/internal/sim"
 	"ampom/internal/simtime"
 )
@@ -63,7 +64,7 @@ type Daemon struct {
 // Route once on every node that runs one, whatever their number.
 func New(period simtime.Duration, node *cluster.Node, link *netmodel.Link, seed uint64) *Daemon {
 	d := &Daemon{
-		estimator: newEstimator(node, link.Profile().BandwidthBps, seed),
+		estimator: newEstimator(node, link.Profile().BandwidthBps, prng.New(seed)),
 		period:    period,
 		link:      link,
 	}

@@ -9,6 +9,7 @@ import (
 	"ampom/internal/prng"
 	"ampom/internal/sched"
 	"ampom/internal/sim"
+	"ampom/internal/simtime"
 )
 
 // balancer is the central balance round, run on the global engine every
@@ -31,6 +32,12 @@ type balancer struct {
 	// candScratch is the per-source candidate buffer.
 	sources     []gossipRows
 	candScratch []*proc
+
+	// refusedAt[i] is, on a switched fabric, the instant at which node
+	// i's last hand-off refused every candidate without drawing from rand,
+	// until a migration at that instant moves a process off or onto node
+	// i; -1 otherwise (see balanceOnce).
+	refusedAt []simtime.Time
 }
 
 // newBalancer builds c's balancer for pol. Each policy draws decisions from
@@ -100,6 +107,10 @@ func (b *balancer) gossipView(src int, base sched.View) sched.View {
 		b.sources = make([]gossipRows, len(b.nodes))
 		for i := range b.sources {
 			b.sources[i] = gossipRows{b: b, g: b.ic.Gossip(i), src: i}
+		}
+		b.refusedAt = make([]simtime.Time, len(b.nodes))
+		for i := range b.refusedAt {
+			b.refusedAt[i] = -1
 		}
 	}
 	base.Rows = &b.sources[src]
@@ -177,13 +188,27 @@ func (b *balancer) unknownRow(i int) sched.NodeView {
 // against that source's gossip view instead. The source order is the live
 // view's maintained descending-load sequence; a source with no runnable
 // candidates gets no view.
+//
+// On a switched fabric a source whose hand-off refused every candidate
+// without drawing from rand is not asked again at the same instant until
+// a migration moves a process off or onto it: within one instant its
+// gossip view changes only through its own live row, and its candidates
+// only through its runnable list, so the policy would see the same view
+// and the same candidates and refuse them again. The star's rows are the
+// ground truth that every migration changes, so there every pass asks
+// every source.
 func (b *balancer) balanceOnce(base sched.View) bool {
+	now := b.eng.Now()
 	for _, src := range b.lv.order {
+		if b.refusedAt != nil && b.refusedAt[src] == now {
+			continue
+		}
 		cands := b.candidatesOn(src)
 		if len(cands) == 0 {
 			continue
 		}
 		v := b.gossipView(src, base)
+		drawn := *b.rand
 		for _, p := range cands {
 			pv := sched.ProcView{
 				ID:             p.t.id,
@@ -197,7 +222,13 @@ func (b *balancer) balanceOnce(base sched.View) bool {
 				continue
 			}
 			b.migrate(p, src, dest)
+			if b.refusedAt != nil {
+				b.refusedAt[dest] = -1
+			}
 			return true
+		}
+		if b.refusedAt != nil && *b.rand == drawn {
+			b.refusedAt[src] = now
 		}
 	}
 	return false

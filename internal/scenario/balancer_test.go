@@ -6,6 +6,8 @@ import (
 
 	"ampom/internal/fabric"
 	"ampom/internal/sched"
+	"ampom/internal/sim"
+	"ampom/internal/simtime"
 )
 
 // leastCheckingPolicy observes every hand-off of its embedded policy: the
@@ -55,11 +57,11 @@ func TestSeededLeastLoadedMatchesScan(t *testing.T) {
 				continue // never balances, so no hand-off happens
 			}
 			chk := &leastCheckingPolicy{BalancerPolicy: pol, t: t}
-			got := newClusterSimShards(spec, scales, tmpl, chk, seed, 1).run()
+			got := newClusterSimShards(spec, scales, tmpl, chk, seed, 1, nil).run()
 			if chk.handoffs == 0 {
 				t.Fatalf("%v/%s: no hand-off happened — the property was never checked", topo, name)
 			}
-			if want := newClusterSimShards(spec, scales, tmpl, pol, seed, 1).run(); !reflect.DeepEqual(got, want) {
+			if want := newClusterSimShards(spec, scales, tmpl, pol, seed, 1, nil).run(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v/%s: checked run %+v, plain run %+v", topo, name, got, want)
 			}
 		}
@@ -70,7 +72,11 @@ func TestSeededLeastLoadedMatchesScan(t *testing.T) {
 // policy's row is a function of the spec and seed alone, whatever other
 // policies share the run. One star preset and the shrunk failure preset
 // run under the full registry and under {no-migration, queue-gossip}, and
-// every row the two reports share must be identical.
+// every row the two reports share must be identical. A shrunk mega-farm
+// runs under the full registry and under {no-migration, P} for every
+// other policy P, at one shard and at two: the simulations of a switched
+// job share one gossip plane, so each row must not depend on which runs
+// used the plane before it.
 func TestPolicySetIndependence(t *testing.T) {
 	star, err := Preset("hpc-farm")
 	if err != nil {
@@ -104,6 +110,172 @@ func TestPolicySetIndependence(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: %s row depends on the policy set:\nalone %+v\nfull  %+v", spec.Name, got.Policy, got, want)
 			}
+		}
+	}
+
+	mega, err := Preset("mega-farm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mega.Nodes, mega.Procs, mega.NodeMemMB = 256, 0, 0
+	for _, shards := range []int{1, 2} {
+		mega.Policies = nil
+		full, err := RunShards(mega, seed, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Schemes) != len(sched.Names()) {
+			t.Fatalf("mega-farm/%d shards: %d rows, want %d", shards, len(full.Schemes), len(sched.Names()))
+		}
+		for _, row := range full.Schemes {
+			if row.Policy == sched.NameNoMigration {
+				continue
+			}
+			mega.Policies = []string{sched.NameNoMigration, row.Policy}
+			pair, err := RunShards(mega, seed, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range pair.Schemes {
+				want, _ := full.Scheme(got.Policy)
+				if got, want := withoutWallTime(got), withoutWallTime(want); !reflect.DeepEqual(got, want) {
+					t.Fatalf("mega-farm/%d shards: %s row depends on the policy set:\nwith %s %+v\nfull %+v",
+						shards, got.Policy, row.Policy, got, want)
+				}
+			}
+		}
+	}
+}
+
+// withoutWallTime drops the one field of a row that is not a function of
+// the spec and seed: the wall time each shard spent busy.
+func withoutWallTime(st SchemeStats) SchemeStats {
+	if st.Sharding != nil {
+		sh := *st.Sharding
+		sh.Group.ShardBusy = nil
+		st.Sharding = &sh
+	}
+	return st
+}
+
+// reaskCounter wraps a policy and counts its hand-offs as the balancer
+// makes them. A hand-off offers a source's candidates in a fixed order,
+// so within one round, until a migration moves a process off or onto the
+// source, the source's first candidate coming back marks a new hand-off
+// to that source. reasks counts the new hand-offs whose source's previous
+// hand-off refused every candidate without drawing from Rand.
+type reaskCounter struct {
+	sched.BalancerPolicy
+	eng    *sim.Engine
+	calls  int
+	reasks int
+	state  map[int]*handoffState // by source, for the round at .at
+}
+
+// handoffState is one source's current hand-off: the round's instant,
+// the first candidate it offered, and whether any of its calls drew from
+// Rand.
+type handoffState struct {
+	at    simtime.Time
+	first int
+	drew  bool
+}
+
+func (p *reaskCounter) ShouldMigrate(v sched.View, pv sched.ProcView) (int, bool) {
+	p.calls++
+	now := p.eng.Now()
+	h := p.state[pv.Node]
+	switch {
+	case h == nil || h.at != now:
+		h = &handoffState{at: now, first: pv.ID}
+		p.state[pv.Node] = h
+	case pv.ID == h.first:
+		if !h.drew {
+			p.reasks++
+		}
+		h.drew = false
+	}
+	before := *v.Rand
+	dest, ok := p.BalancerPolicy.ShouldMigrate(v, pv)
+	h.drew = h.drew || *v.Rand != before
+	if ok && dest != pv.Node {
+		// The migration changes both endpoints' rows and candidates:
+		// their next hand-offs start afresh.
+		delete(p.state, pv.Node)
+		delete(p.state, dest)
+	}
+	return dest, ok
+}
+
+// TestRefusingSourceNotReasked checks the balance round's skip rule with a
+// counting policy. On a switched fabric no source is handed the policy
+// again at the same instant after a hand-off that refused every
+// candidate without drawing from Rand, unless a migration moved a process
+// off or onto it since; and the rule is exact: a run with the rule turned
+// off (the gossip rows built ahead of the first round, so the balancer
+// never allocates its refusal marks) re-asks such sources and ends in the
+// identical row. On the star, whose ground-truth rows every migration
+// changes, such sources are asked again. The counter only observes, so
+// every counted run must equal the plain run.
+func TestRefusingSourceNotReasked(t *testing.T) {
+	failures, err := Preset("rack-farm-failures")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failures.Nodes, failures.Procs, failures.NodeMemMB = 128, 0, 0
+	star, err := Preset("hpc-farm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{gossipViewSpec(), failures.Canonical(), star} {
+		const seed = 5
+		switched := spec.Fabric.Topology != fabric.KindStar
+		scales, tmpl := buildWorkload(spec, seed)
+		// counted runs pol under the counter, with the skip rule on or off.
+		counted := func(pol sched.BalancerPolicy, rule bool) (SchemeStats, *reaskCounter) {
+			cnt := &reaskCounter{BalancerPolicy: pol, state: map[int]*handoffState{}}
+			c := buildClusterSim(spec, scales, tmpl, cnt, seed, 1, nil)
+			cnt.eng = c.eng
+			if !rule {
+				c.bal.sources = make([]gossipRows, len(c.nodes))
+				for i := range c.bal.sources {
+					c.bal.sources[i] = gossipRows{b: &c.bal, g: c.ic.Gossip(i), src: i}
+				}
+			}
+			c.start()
+			return c.run(), cnt
+		}
+		reasks, offReasks := 0, 0
+		for _, name := range sched.Names() {
+			pol, _ := sched.Lookup(name)
+			if pol.Mechanism() == sched.EvacuationOnly {
+				continue
+			}
+			got, cnt := counted(pol, true)
+			if cnt.calls == 0 {
+				t.Fatalf("%s/%s: the policy was never asked", spec.Name, name)
+			}
+			if want := newClusterSimShards(spec, scales, tmpl, pol, seed, 1, nil).run(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: counted run %+v, plain run %+v", spec.Name, name, got, want)
+			}
+			reasks += cnt.reasks
+			if !switched {
+				continue
+			}
+			off, offCnt := counted(pol, false)
+			if !reflect.DeepEqual(off, got) {
+				t.Fatalf("%s/%s: the skip rule changed the run:\nwith    %+v\nwithout %+v", spec.Name, name, got, off)
+			}
+			t.Logf("%s/%s: %d calls with the rule, %d without, %d of them re-asking a source refused without a draw",
+				spec.Name, name, cnt.calls, offCnt.calls, offCnt.reasks)
+			offReasks += offCnt.reasks
+		}
+		if switched && (reasks != 0 || offReasks == 0) {
+			t.Fatalf("%s: %d hand-offs re-asked a source whose last hand-off refused without drawing, %d with the rule off (want 0 and some)",
+				spec.Name, reasks, offReasks)
+		}
+		if !switched && reasks == 0 {
+			t.Fatalf("%s: the star never re-asked a refusing source, so the count shows nothing", spec.Name)
 		}
 	}
 }

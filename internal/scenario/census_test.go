@@ -150,7 +150,7 @@ func TestCensusStateAllocFree(t *testing.T) {
 func TestCensusCoversBalloonedFootprint(t *testing.T) {
 	spec := Spec{Name: "balloon-census", Nodes: 2, Procs: 4, Skew: 1, MeanFootprintMB: 16}.Canonical()
 	scales, tmpl := buildWorkload(spec, 3)
-	c := buildClusterSim(spec, scales, tmpl, sched.AMPoMPolicy, 3, 1)
+	c := buildClusterSim(spec, scales, tmpl, sched.AMPoMPolicy, 3, 1, nil)
 	c.eng.Run(0) // the batch arrives
 	est := core.Estimates{RTT: 2 * simtime.Millisecond, PageTransfer: 40 * simtime.Microsecond}
 	p := c.procs[0]

@@ -95,7 +95,7 @@ func FuzzFailureScript(f *testing.F) {
 		}
 		scales, tmpl := buildWorkload(spec, seed)
 		for _, pol := range []sched.BalancerPolicy{sched.AMPoMPolicy, sched.OpenMosixPolicy, sched.NoMigrationPolicy} {
-			c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
+			c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1, nil)
 			stepVerifying(t, c, pol.Name())
 			st := c.run()
 			verifyAggregates(t, c, pol.Name()+" end")
@@ -109,7 +109,7 @@ func FuzzFailureScript(f *testing.F) {
 				t.Fatalf("%s: Unfinished = %d, but %d processes never completed", pol.Name(), st.Unfinished, left)
 			}
 			for _, shards := range []int{2, (spec.Nodes + 1) / 2} {
-				sh := newClusterSimShards(spec, scales, tmpl, pol, seed, shards).run()
+				sh := newClusterSimShards(spec, scales, tmpl, pol, seed, shards, nil).run()
 				sh.Sharding = nil
 				if !reflect.DeepEqual(sh, st) {
 					t.Fatalf("%s at %d shards:\n%+v\nsequential:\n%+v", pol.Name(), shards, sh, st)

@@ -113,7 +113,7 @@ func TestGossipViewIncrementalMatchesRebuild(t *testing.T) {
 	}
 	const seed = 5
 	scales, tmpl := buildWorkload(spec, seed)
-	c := buildClusterSim(spec, scales, tmpl, pol, seed, 1)
+	c := buildClusterSim(spec, scales, tmpl, pol, seed, 1, nil)
 	if c.ic.Gossip(0) == nil {
 		t.Fatal("switched fabric without a gossip daemon")
 	}
@@ -165,7 +165,7 @@ func TestGossipViewLeastLoadedFollowsMergesAndClock(t *testing.T) {
 	pol, _ := sched.Lookup(sched.NameAMPoM)
 	const seed = 5
 	scales, tmpl := buildWorkload(spec, seed)
-	c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
+	c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1, nil)
 	if c.horizon <= simtime.Time(crashAt+2*infod.MaxAge) {
 		t.Fatalf("horizon %v ends before the stepped span", c.horizon)
 	}

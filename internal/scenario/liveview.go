@@ -63,6 +63,9 @@ type liveView struct {
 	// dirty set.
 	rows  []sched.NodeView
 	order []int
+	// least memoises LeastLoaded until the next refresh that re-derives a
+	// row; -1 when there is no answer yet.
+	least int
 
 	// The dirty set is split per shard so that concurrent shard phases of a
 	// sharded run never share an append target: touch(i) records i on the
@@ -96,6 +99,7 @@ func newLiveView(nodes []*cluster.Node, capMB int64, shardOf []int, shards int) 
 		dirty:      make([]bool, n),
 		dirtyBy:    make([][]int, shards),
 		shardOf:    shardOf,
+		least:      -1,
 	}
 	lv.dirtyBy[0] = make([]int, 0, n)
 	for i := range lv.rows {
@@ -185,6 +189,7 @@ func (lv *liveView) refresh() {
 		}
 	}
 	lv.repairOrder()
+	lv.least = -1
 	for s, list := range lv.dirtyBy {
 		for _, i := range list {
 			lv.dirty[i] = false
@@ -205,12 +210,16 @@ func (lv *liveView) Row(i int) sched.NodeView { return lv.rows[i] }
 // rows: the order is (load desc, index asc), so the min-load class is its
 // suffix, and the suffix's first element is exactly the scan's answer —
 // the lowest index at minimum load. Binary search finds the suffix start
-// in O(log n).
+// in O(log n), once per refresh that re-derives a row: rows and order
+// change nowhere else.
 func (lv *liveView) LeastLoaded() int {
-	n := len(lv.order)
-	minLoad := lv.rows[lv.order[n-1]].Load
-	p := sort.Search(n, func(i int) bool { return lv.rows[lv.order[i]].Load <= minLoad })
-	return lv.order[p]
+	if lv.least < 0 {
+		n := len(lv.order)
+		minLoad := lv.rows[lv.order[n-1]].Load
+		p := sort.Search(n, func(i int) bool { return lv.rows[lv.order[i]].Load <= minLoad })
+		lv.least = lv.order[p]
+	}
+	return lv.least
 }
 
 // before is the source-order key: descending load, ascending node index on

@@ -193,7 +193,7 @@ func TestLiveViewMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range pols {
-			c := buildClusterSim(spec, scales, tmpl, pol, seed, 1)
+			c := buildClusterSim(spec, scales, tmpl, pol, seed, 1, nil)
 			rounds := 0
 			startChecking(t, c, func(base sched.View) {
 				rounds++
@@ -215,7 +215,7 @@ func TestLiveViewMatchesRebuild(t *testing.T) {
 				t.Fatalf("seed %d: %s ran no balance rounds — the property was never checked", seed, pol.Name())
 			}
 			// The checking ticker must drive the same simulation start does.
-			if want := newClusterSimShards(spec, scales, tmpl, pol, seed, 1).run(); !reflect.DeepEqual(st, want) {
+			if want := newClusterSimShards(spec, scales, tmpl, pol, seed, 1, nil).run(); !reflect.DeepEqual(st, want) {
 				t.Fatalf("seed %d: %s: checked run %+v, plain run %+v", seed, pol.Name(), st, want)
 			}
 		}
@@ -244,7 +244,7 @@ func TestLiveViewMatchesRebuildBetweenEvents(t *testing.T) {
 	} {
 		scales, tmpl := buildWorkload(in.spec, in.seed)
 		pol, _ := sched.Lookup(sched.NameAMPoM)
-		c := newClusterSimShards(in.spec, scales, tmpl, pol, in.seed, 1)
+		c := newClusterSimShards(in.spec, scales, tmpl, pol, in.seed, 1, nil)
 		if !stepVerifying(t, c, in.name) {
 			t.Fatalf("%s: scenario never completed inside the horizon", in.name)
 		}
@@ -319,7 +319,7 @@ func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 		}.Canonical()
 		scales, tmpl := buildWorkload(spec, 7)
 		keeper := &retainingPolicy{BalancerPolicy: sched.AMPoMPolicy}
-		c := buildClusterSim(spec, scales, tmpl, keeper, 7, 1)
+		c := buildClusterSim(spec, scales, tmpl, keeper, 7, 1, nil)
 		rounds := 0
 		startChecking(t, c, func(base sched.View) {
 			rounds++
@@ -337,7 +337,7 @@ func TestRetainingPolicyCannotCorruptNextRound(t *testing.T) {
 		if rounds < 2 || keeper.reads == 0 {
 			t.Fatalf("%v: %d balance rounds, %d reads of kept views — retention was never exercised", topo, rounds, keeper.reads)
 		}
-		if want := newClusterSimShards(spec, scales, tmpl, sched.AMPoMPolicy, 7, 1).run(); !reflect.DeepEqual(st, want) {
+		if want := newClusterSimShards(spec, scales, tmpl, sched.AMPoMPolicy, 7, 1, nil).run(); !reflect.DeepEqual(st, want) {
 			t.Fatalf("%v: retaining run %+v, plain run %+v", topo, st, want)
 		}
 	}
@@ -360,7 +360,7 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 	}.Canonical()
 	scales, tmpl := buildWorkload(spec, 11)
 	pol, _ := sched.Lookup(sched.NameQueueGossip)
-	c := newClusterSimShards(spec, scales, tmpl, pol, 11, 1)
+	c := newClusterSimShards(spec, scales, tmpl, pol, 11, 1, nil)
 
 	// Before any gossip lands every non-source row is Unknown.
 	c.eng.Run(simtime.Time(10 * simtime.Millisecond))
@@ -472,7 +472,7 @@ func TestTransitionRejectsIllegalEdges(t *testing.T) {
 	for from := procPending; from <= procDone; from++ {
 		for to := procPending; to <= procDone; to++ {
 			for flip := 0; flip < 2; flip++ {
-				c := newClusterSimShards(spec, scales, tmpl, sched.AMPoMPolicy, 1, 1)
+				c := newClusterSimShards(spec, scales, tmpl, sched.AMPoMPolicy, 1, 1, nil)
 				p := c.procs[0]
 				home := p.node
 				for _, s := range reach[from] {

@@ -46,8 +46,8 @@ func TestWrappedPolicyChargesLikeItsInner(t *testing.T) {
 	}
 	scales, tmpl := buildWorkload(spec, 11)
 	for _, inner := range []sched.BalancerPolicy{sched.OpenMosixPolicy, sched.AMPoMPolicy} {
-		want := newClusterSimShards(spec, scales, tmpl, inner, 11, 1).run()
-		got := newClusterSimShards(spec, scales, tmpl, renamed{inner, "wrapped." + inner.Name()}, 11, 1).run()
+		want := newClusterSimShards(spec, scales, tmpl, inner, 11, 1, nil).run()
+		got := newClusterSimShards(spec, scales, tmpl, renamed{inner, "wrapped." + inner.Name()}, 11, 1, nil).run()
 		if want.Evacuations == 0 || want.Migrations <= want.Evacuations {
 			t.Fatalf("%s: %d migrations, %d evacuations: the spec must exercise both", inner.Name(), want.Migrations, want.Evacuations)
 		}

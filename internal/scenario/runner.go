@@ -285,8 +285,8 @@ func shardWorkers() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // newClusterSimShards wires the cluster (buildClusterSim) and schedules
 // its first quantum and balance round (start).
-func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64, shards int) *clusterSim {
-	c := buildClusterSim(spec, scales, tmpl, pol, seed, shards)
+func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64, shards int, plane []*infod.Gossip) *clusterSim {
+	c := buildClusterSim(spec, scales, tmpl, pol, seed, shards, plane)
 	c.start()
 	return c
 }
@@ -297,7 +297,10 @@ func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol s
 // rack band's nodes, links and gossip daemons live on a shard engine and
 // the run advances through conservative lookahead windows; the global
 // engine keeps everything cross-shard (ticks, balancing, migrations).
-func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64, shards int) *clusterSim {
+// On a switched fabric, plane is the gossip plane of an earlier run of the
+// same job, whose run has ended, for the fabric to re-initialise instead
+// of building a new one (fabric.BuildReusing); nil builds a new plane.
+func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64, shards int, plane []*infod.Gossip) *clusterSim {
 	c := &clusterSim{
 		spec:    spec,
 		mech:    pol.Mechanism(),
@@ -353,7 +356,7 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 			GlobalPayload: func(p any) bool { _, ok := p.(migMsg); return ok },
 		}
 	}
-	c.ic = fabric.Build(c.eng, c.nodes, fabric.Config{
+	c.ic = fabric.BuildReusing(c.eng, c.nodes, fabric.Config{
 		Kind:           f.Topology,
 		RackSize:       f.RackSize,
 		Oversub:        f.Oversub,
@@ -364,7 +367,7 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 		BackgroundLoad: spec.BackgroundLoad,
 		Seed:           seed,
 		Sharding:       shcfg,
-	})
+	}, plane)
 	c.bal = newBalancer(c, pol, seed)
 	for i := 0; i < spec.Nodes; i++ {
 		if g := c.ic.Gossip(i); g != nil {
@@ -871,8 +874,14 @@ func RunShardsHook(spec Spec, seed uint64, shards int, hook func(PolicyProgress)
 	}
 	scales, tmpl := buildWorkload(spec, seed)
 	rep := &Report{Spec: spec, Seed: seed, Procs: len(tmpl)}
+	// The policy simulations run one after another and share one gossip
+	// plane: each hands the plane its fabric built or re-initialised to
+	// the next, so a switched job sizes its plane's storage once.
+	var plane []*infod.Gossip
 	for i, pol := range pols {
-		st := newClusterSimShards(spec, scales, tmpl, pol, seed, shards).run()
+		c := newClusterSimShards(spec, scales, tmpl, pol, seed, shards, plane)
+		st := c.run()
+		plane = fabric.Plane(c.ic)
 		rep.Schemes = append(rep.Schemes, st)
 		if hook != nil {
 			hook(PolicyProgress{Policy: pol.Name(), Done: i + 1, Total: len(pols)})

@@ -23,7 +23,7 @@ func tickSpec(seed uint64) Spec {
 // every rack band in order and then closes the quantum. It is the
 // reference the split tick is compared against.
 func fusedSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched.BalancerPolicy, seed uint64) *clusterSim {
-	c := buildClusterSim(spec, scales, tmpl, pol, seed, 1)
+	c := buildClusterSim(spec, scales, tmpl, pol, seed, 1, nil)
 	c.split = false
 	c.start()
 	return c
@@ -58,7 +58,7 @@ func TestBandTickMatchesMonolithic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range pols {
-			dec := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
+			dec := newClusterSimShards(spec, scales, tmpl, pol, seed, 1, nil)
 			ref := fusedSim(spec, scales, tmpl, pol, seed)
 			name := pol.Name()
 			if !dec.split {
@@ -126,7 +126,7 @@ func TestBandTickMatchesMonolithicStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range pols {
-			c := newClusterSimShards(spec, scales, tmpl, pol, 2, 1)
+			c := newClusterSimShards(spec, scales, tmpl, pol, 2, 1, nil)
 			if !c.split {
 				t.Fatalf("%s/%s: two-tier sim with %d bands did not split its tick", spec.Name, pol.Name(), c.bands)
 			}
@@ -167,7 +167,7 @@ func TestNoMigrationFabricIndependent(t *testing.T) {
 			spec := base
 			spec.Fabric = FabricSpec{Topology: k, RackSize: 4}
 			spec = spec.Canonical()
-			c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1)
+			c := newClusterSimShards(spec, scales, tmpl, pol, seed, 1, nil)
 			if c.split != (k == fabric.KindTwoTier) {
 				t.Fatalf("seed %d/%v: split=%v", seed, k, c.split)
 			}
