@@ -9,8 +9,9 @@
 # (star and two-tier) so policy-dispatch overhead and per-policy
 # migrations are tracked, a bench-analyze pass over the
 # per-fault AMPoM analysis, the scenario's prefetch census, a
-# remote-paging round trip (200 ms each) and the paper-scale workload
-# builds (one iteration), and one bench-fabric iteration
+# remote-paging round trip, the event queue's pop plus push (200 ms
+# each) and the paper-scale workload builds (one iteration), and one
+# bench-fabric iteration
 # asserting the 512-, 4096- and 16384-node presets' event budgets and the
 # 4096-node preset's byte budget.
 
@@ -104,14 +105,17 @@ bench-balance:
 # BenchmarkAnalyze runs one fault's AMPoM analysis per fault pattern
 # (sequential, strided, random), BenchmarkPrefetchCensus one migrant's
 # prefetch census per workload mix, BenchmarkPagingRoundTrip one demand
-# request with prefetch pages from send to install and BenchmarkBuild one
-# build of the largest DGEMM and FFT workloads at paper scale, so the cost
-# and allocations of the analysis, remote-paging and workload-build paths
-# are tracked per PR. The first three take microseconds per operation, so
-# they run for 200 ms each: one operation reads timer and host noise
-# (7470 ns, then 4320 ns, on one binary).
+# request with prefetch pages from send to install, BenchmarkQueue one
+# event-queue pop plus push at the star presets' pending depth (256) and
+# mega-farm's (16384), every tenth event re-armed like a ticker, and
+# BenchmarkBuild one build of the largest DGEMM and FFT workloads at paper
+# scale, so the cost and allocations of the analysis, remote-paging,
+# event-queue and workload-build paths are tracked per PR. The first four
+# take micro- or nanoseconds per operation, so they run for 200 ms each:
+# one operation reads timer and host noise (7470 ns, then 4320 ns, on one
+# binary).
 bench-analyze:
-	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus|PagingRoundTrip)$$' -benchmem -benchtime 200ms ./internal/core ./internal/scenario ./internal/paging
+	$(GO) test -run '^$$' -bench '^Benchmark(Analyze|PrefetchCensus|PagingRoundTrip|Queue)$$' -benchmem -benchtime 200ms ./internal/core ./internal/scenario ./internal/paging ./internal/eventq
 	$(GO) test -run '^$$' -bench '^BenchmarkBuild$$' -benchmem -benchtime 1x ./internal/hpcc
 
 # BenchmarkFabric{512,512Failures,4096,16384,16384Shards} run the rack-farm

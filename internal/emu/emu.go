@@ -29,11 +29,9 @@ import (
 	"sync"
 
 	"ampom/internal/core"
+	"ampom/internal/memory"
 	"ampom/internal/trace"
 )
-
-// PageSize is the emulated page size in bytes.
-const PageSize = 4096
 
 // maxPages is the largest footprint a node accepts from a migration, 4 GiB
 // of emulated memory: the migrant's page table is allocated from the
@@ -248,7 +246,7 @@ func (n *Node) installMigrant(m *wire) (*Proc, error) {
 		p.pre = pre
 	}
 	for page, data := range m.Carried {
-		if page < 0 || page >= m.TotalPages || len(data) != PageSize {
+		if page < 0 || page >= m.TotalPages || len(data) != memory.PageSize {
 			return nil, fmt.Errorf("emu: migrant pid %d carries %d bytes as page %d of %d", m.PID, len(data), page, m.TotalPages)
 		}
 		p.pages[page] = data

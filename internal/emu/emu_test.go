@@ -199,8 +199,8 @@ func TestBytesFetchedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetched := st.DemandPages + st.PrefetchPages
-	if st.BytesFetched != fetched*PageSize {
-		t.Fatalf("bytes %d != %d pages × %d", st.BytesFetched, fetched, PageSize)
+	if st.BytesFetched != fetched*memory.PageSize {
+		t.Fatalf("bytes %d != %d pages × %d", st.BytesFetched, fetched, memory.PageSize)
 	}
 }
 
@@ -292,7 +292,7 @@ func sendRaw(t *testing.T, addr string, m *wire) wire {
 // to complete a valid migration.
 func TestMalformedMigrationFailsItsConnection(t *testing.T) {
 	origin, dest := twoNodes(t)
-	page := func() []byte { return make([]byte, PageSize) }
+	page := func() []byte { return make([]byte, memory.PageSize) }
 	for _, tc := range []struct {
 		name, want string
 		m          wire
@@ -338,7 +338,7 @@ func TestMalformedMigrationFailsItsConnection(t *testing.T) {
 func TestBadServedPageFailsMigration(t *testing.T) {
 	_, dest := twoNodes(t)
 	for _, resp := range []wire{
-		{Type: msgPageResp, Page: 99, Data: make([]byte, PageSize)},
+		{Type: msgPageResp, Page: 99, Data: make([]byte, memory.PageSize)},
 		{Type: msgPageResp, Page: 1, Data: make([]byte, 10)},
 	} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

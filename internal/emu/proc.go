@@ -75,7 +75,7 @@ func Spawn(node *Node, pid int, totalPages int, prog trace.Program, seed uint64)
 
 // initialPage builds page i's initial contents.
 func initialPage(i int, seed uint64) []byte {
-	data := make([]byte, PageSize)
+	data := make([]byte, memory.PageSize)
 	x := seed ^ uint64(i)*0x9e3779b97f4a7c15
 	for j := range data {
 		x ^= x << 13
@@ -343,7 +343,7 @@ func (p *Proc) fault(page int) error {
 		if resp.Page < 0 {
 			break // batch terminator
 		}
-		if resp.Page >= p.totalPages || len(resp.Data) != PageSize {
+		if resp.Page >= p.totalPages || len(resp.Data) != memory.PageSize {
 			return fmt.Errorf("emu: served %d bytes as page %d of %d", len(resp.Data), resp.Page, p.totalPages)
 		}
 		p.mu.Lock()

@@ -9,7 +9,7 @@ import (
 )
 
 // seqOf returns an event's insertion sequence number.
-func seqOf(e Event) uint64 { return e.key >> slotBits }
+func seqOf(e Event) uint64 { return e.seq }
 
 func TestPopOrder(t *testing.T) {
 	var q Queue
@@ -62,13 +62,13 @@ func TestPeek(t *testing.T) {
 func TestCancel(t *testing.T) {
 	var q Queue
 	q.Push(1, 0, func() {})
-	b := q.PushHandle(2, 0, func() {})
+	b := q.Push(2, 0, func() {})
 	q.Push(3, 0, func() {})
-	if !q.Cancel(b) {
-		t.Fatal("cancel of pending event returned false")
+	if !q.Remove(b) {
+		t.Fatal("remove of pending event returned false")
 	}
-	if q.Cancel(b) {
-		t.Fatal("second cancel returned true")
+	if q.Remove(b) {
+		t.Fatal("second remove returned true")
 	}
 	if got := q.Pop(); got.At != 1 {
 		t.Fatalf("pop.At = %v, want 1", got.At)
@@ -76,92 +76,94 @@ func TestCancel(t *testing.T) {
 	if got := q.Pop(); got.At != 3 {
 		t.Fatalf("pop.At = %v, want 3", got.At)
 	}
-	if q.Cancel(Handle{}) {
-		t.Fatal("cancel of the zero handle returned true")
-	}
 }
 
-// TestHandleStates pins the handle's life: a pending event's handle
-// cancels it once; a popped event's handle, a cancelled event's handle
-// and a handle whose slot a newer handle reuses are all refused, and
-// none of the refused cancels touches a pending event.
-func TestHandleStates(t *testing.T) {
+// TestRemoveStates pins a sequence number's life: a pending event's
+// number removes it once; a popped event's number, a removed event's
+// number and a number no push returned are all refused, none of the
+// refused removes touches a pending event, and later pushes never take a
+// number back.
+func TestRemoveStates(t *testing.T) {
 	var q Queue
-	fired := q.PushHandle(1, 0, func() {})
-	cancelled := q.PushHandle(2, 0, func() {})
-	pending := q.PushHandle(3, 0, func() {})
+	fired := q.Push(1, 0, func() {})
+	removed := q.Push(2, 0, func() {})
+	pending := q.Push(3, 0, func() {})
 
 	got := q.Pop()
-	if got.At != 1 || got.Fn == nil {
-		t.Fatalf("pop = (at=%v fn set=%v), want the first event with its callback", got.At, got.Fn != nil)
+	if got.At != 1 || got.Fn == nil || seqOf(got) != fired {
+		t.Fatalf("pop = (at=%v seq=%d fn set=%v), want the first event (seq %d) with its callback", got.At, seqOf(got), got.Fn != nil, fired)
 	}
-	if q.Cancel(fired) {
-		t.Fatal("handle of a popped event cancelled something")
+	if q.Remove(fired) {
+		t.Fatal("number of a popped event removed something")
 	}
-	if !q.Cancel(cancelled) {
-		t.Fatal("handle of a pending event was refused")
+	if !q.Remove(removed) {
+		t.Fatal("number of a pending event was refused")
 	}
-	if q.Cancel(cancelled) {
-		t.Fatal("handle of a cancelled event cancelled something")
+	if q.Remove(removed) {
+		t.Fatal("number of a removed event removed something")
+	}
+	if q.Remove(pending + 1) {
+		t.Fatal("a number no push returned removed something")
 	}
 
-	// Both released slots are reused; the stale handles must not reach
-	// the events now occupying them.
-	reuse1 := q.PushHandle(4, 0, func() {})
-	reuse2 := q.PushHandle(5, 0, func() {})
-	if reuse1.slot != cancelled.slot && reuse1.slot != fired.slot {
-		t.Fatalf("new handle took fresh slot %d; want a released one (%d or %d)", reuse1.slot, fired.slot, cancelled.slot)
+	// Later pushes take fresh numbers; the stale ones must not reach them.
+	later1 := q.Push(4, 0, func() {})
+	later2 := q.Push(5, 0, func() {})
+	for _, n := range []uint64{later1, later2} {
+		if n == fired || n == removed || n == pending {
+			t.Fatalf("push reused sequence number %d", n)
+		}
 	}
-	if q.Cancel(fired) || q.Cancel(cancelled) {
-		t.Fatal("a stale handle cancelled the event reusing its slot")
+	if q.Remove(fired) || q.Remove(removed) {
+		t.Fatal("a stale number removed a later event")
 	}
 	if q.Len() != 3 {
 		t.Fatalf("len = %d, want 3", q.Len())
 	}
-	for _, h := range []Handle{reuse2, pending, reuse1} {
-		if !q.Cancel(h) {
-			t.Fatalf("live handle %+v refused", h)
+	for _, n := range []uint64{later2, pending, later1} {
+		if !q.Remove(n) {
+			t.Fatalf("pending number %d refused", n)
 		}
 	}
 	if q.Len() != 0 {
-		t.Fatalf("len = %d after cancelling every live handle, want 0", q.Len())
+		t.Fatalf("len = %d after removing every pending event, want 0", q.Len())
 	}
 }
 
 func TestCancelHead(t *testing.T) {
 	var q Queue
-	head := q.PushHandle(1, 0, func() {})
+	head := q.Push(1, 0, func() {})
 	q.Push(2, 0, func() {})
 	q.Push(3, 0, func() {})
-	q.Cancel(head)
+	q.Remove(head)
 	if got := q.Pop(); got.At != 2 {
-		t.Fatalf("after cancelling head, pop.At = %v, want 2", got.At)
+		t.Fatalf("after removing head, pop.At = %v, want 2", got.At)
 	}
 }
 
 func TestCancelLast(t *testing.T) {
 	var q Queue
 	q.Push(1, 0, func() {})
-	last := q.PushHandle(2, 0, func() {})
-	q.Cancel(last)
+	last := q.Push(2, 0, func() {})
+	q.Remove(last)
 	if q.Len() != 1 {
 		t.Fatalf("len = %d, want 1", q.Len())
 	}
 }
 
-// TestPopZeroesVacatedSlot: the record a pop or cancel vacates holds no
+// TestPopZeroesVacatedSlot: the record a pop or remove vacates holds no
 // closure, so the callback can be collected.
 func TestPopZeroesVacatedSlot(t *testing.T) {
 	var q Queue
 	q.Push(1, 0, func() {})
-	h := q.PushHandle(2, 0, func() {})
+	n := q.Push(2, 0, func() {})
 	q.Pop()
 	if q.heap[:2][1].Fn != nil {
 		t.Fatal("pop left a closure in the vacated slot")
 	}
-	q.Cancel(h)
+	q.Remove(n)
 	if q.heap[:1][0].Fn != nil {
-		t.Fatal("cancel left a closure in the vacated slot")
+		t.Fatal("remove left a closure in the vacated slot")
 	}
 }
 
@@ -182,8 +184,8 @@ func TestLen(t *testing.T) {
 }
 
 // TestQueueSteadyStateAllocFree: once the slice has grown, a Pop plus a
-// Push at a steady depth allocates nothing, and neither does cancelling
-// and re-pushing a handle entry.
+// Push at a steady depth allocates nothing, and neither does removing an
+// event and pushing it again, as a stopped and restarted ticker does.
 func TestQueueSteadyStateAllocFree(t *testing.T) {
 	var q Queue
 	nop := func() {}
@@ -191,7 +193,7 @@ func TestQueueSteadyStateAllocFree(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		q.Push(simtime.Time(i*7919%depth), 0, nop)
 	}
-	h := q.PushHandle(far, 0, nop)
+	n := q.Push(far, 0, nop)
 	if a := testing.AllocsPerRun(1000, func() {
 		e := q.Pop()
 		q.Push(e.At+depth, e.At, nop)
@@ -199,12 +201,12 @@ func TestQueueSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state pop+push allocates %v times per run", a)
 	}
 	if a := testing.AllocsPerRun(1000, func() {
-		if !q.Cancel(h) {
-			t.Fatal("live handle refused")
+		if !q.Remove(n) {
+			t.Fatal("pending number refused")
 		}
-		h = q.PushHandle(far, 0, nop)
+		n = q.Push(far, 0, nop)
 	}); a != 0 {
-		t.Fatalf("steady-state cancel+handle push allocates %v times per run", a)
+		t.Fatalf("steady-state remove+push allocates %v times per run", a)
 	}
 	if q.Len() != depth+1 {
 		t.Fatalf("len = %d, want %d", q.Len(), depth+1)
@@ -238,19 +240,19 @@ func TestPopsSortedProperty(t *testing.T) {
 	}
 }
 
-// TestCancelRandomProperty: cancelling an arbitrary subset leaves exactly
+// TestCancelRandomProperty: removing an arbitrary subset leaves exactly
 // the survivors, still sorted.
 func TestCancelRandomProperty(t *testing.T) {
 	f := func(raw []uint16, mask uint64) bool {
 		var q Queue
-		var handles []Handle
+		var seqs []uint64
 		for _, r := range raw {
-			handles = append(handles, q.PushHandle(simtime.Time(r), 0, func() {}))
+			seqs = append(seqs, q.Push(simtime.Time(r), 0, func() {}))
 		}
 		var survivors []simtime.Time
-		for i, h := range handles {
+		for i, n := range seqs {
 			if mask&(1<<(uint(i)%64)) != 0 && i%3 == 0 {
-				q.Cancel(h)
+				q.Remove(n)
 			} else {
 				survivors = append(survivors, simtime.Time(raw[i]))
 			}

@@ -49,42 +49,41 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// FuzzQueueVsHeap drives an interleaved Push/Pop/Cancel schedule against
+// FuzzQueueVsHeap drives an interleaved Push/Pop/Remove schedule against
 // both the queue and the container/heap reference and fails on any
-// divergence in lengths, pop order or cancel outcomes. The byte stream is
+// divergence in lengths, pop order or remove outcomes. The byte stream is
 // consumed three bytes per operation: opcode, then two operands (firing
 // time and scheduling instant for pushes — deliberately unordered, the
-// queue is a plain priority set — or a push selector for cancels). Odd
-// pushes take a handle and even ones do not; cancelling through a plain
-// push's zero Handle must be refused, and so must a stale handle: one
-// whose event was popped or cancelled, even after a newer handle reuses
-// its slot.
+// queue is a plain priority set — or a push selector for removes). Every
+// remove passes the sequence number the selected push returned, which
+// must be refused once that event was popped or removed, and also passes
+// the number the next push will take, which names no event yet and must
+// be refused too.
 func FuzzQueueVsHeap(f *testing.F) {
 	// Pops interleaved with pushes.
 	f.Add([]byte{0, 5, 0, 0, 3, 0, 2, 0, 0, 0, 1, 0, 2, 0, 0, 2, 0, 0})
-	// Cancel of the last heap element: push 1 (handle) sits at the tail.
+	// Remove of the last heap element: push 1 sits at the tail.
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 3, 0, 1, 2, 0, 0})
-	// Cancel of the head while later, larger elements must sift down.
+	// Remove of the head while later, larger elements must sift down.
 	f.Add([]byte{0, 9, 0, 0, 1, 0, 0, 8, 0, 0, 7, 0, 3, 0, 1, 2, 0, 0, 2, 0, 0})
-	// Cancels through a plain push's zero Handle, before and after its
-	// pop: all refused.
-	f.Add([]byte{0, 4, 0, 3, 0, 0, 3, 0, 0, 0, 2, 0, 2, 0, 0, 3, 0, 0})
-	// Stale after pop: push 1 (handle) fires first, then its handle is
-	// used.
+	// A remove before any push names no event, and a popped push's
+	// number, before and after a later push, names none either: all
+	// refused.
+	f.Add([]byte{3, 0, 0, 0, 4, 0, 2, 0, 0, 3, 0, 0, 0, 2, 0, 3, 0, 0})
+	// Stale after pop: push 1 fires first, then its number is used.
 	f.Add([]byte{0, 9, 0, 1, 1, 0, 2, 0, 0, 3, 0, 1, 3, 0, 1})
-	// Stale after cancel: push 1 (handle) is cancelled twice.
+	// Stale after remove: push 1 is removed twice.
 	f.Add([]byte{0, 9, 0, 1, 5, 0, 0, 7, 0, 3, 0, 1, 3, 0, 1, 2, 0, 0})
-	// Stale after reuse: push 1 (handle) is cancelled, push 3 (handle)
-	// takes its slot, then push 1's handle must not reach push 3.
+	// Numbers are never reused: push 1 is removed, two pushes follow,
+	// and push 1's number must not reach either of them.
 	f.Add([]byte{0, 9, 0, 1, 5, 0, 3, 0, 1, 0, 8, 0, 1, 6, 0, 3, 0, 1, 2, 0, 0, 3, 0, 3, 2, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
-			q       Queue
-			ref     refHeap
-			handles []Handle    // every push's handle, zero for plain pushes
-			refs    []*refEvent // the reference twin of each push
-			seq     uint64
+			q    Queue
+			ref  refHeap
+			refs []*refEvent // the reference twin of each push
+			seq  uint64
 		)
 		for len(data) >= 3 {
 			op, a, b := data[0], data[1], data[2]
@@ -95,13 +94,9 @@ func FuzzQueueVsHeap(f *testing.F) {
 				pushedAt := simtime.Time(b % 16) // coarse, to force At+PushedAt ties
 				r := &refEvent{at: at, pushedAt: pushedAt, seq: seq}
 				seq++
-				var h Handle
-				if len(refs)%2 == 1 {
-					h = q.PushHandle(at, pushedAt, func() {})
-				} else {
-					q.Push(at, pushedAt, func() {})
+				if n := q.Push(at, pushedAt, func() {}); n != r.seq {
+					t.Fatalf("push %d returned sequence number %d", r.seq, n)
 				}
-				handles = append(handles, h)
 				heap.Push(&ref, r)
 				refs = append(refs, r)
 			case 2: // pop
@@ -114,23 +109,23 @@ func FuzzQueueVsHeap(f *testing.F) {
 					t.Fatalf("pop: queue (at=%v pushedAt=%v seq=%d), reference (at=%v pushedAt=%v seq=%d)",
 						got.At, got.PushedAt, seqOf(got), want.at, want.pushedAt, want.seq)
 				}
-			case 3: // cancel an arbitrary past push (possibly already gone)
-				if len(handles) == 0 {
-					if q.Cancel(Handle{}) {
-						t.Fatal("Cancel of the zero Handle returned true")
-					}
+			case 3: // remove an arbitrary past push (possibly already gone)
+				if q.Remove(seq) {
+					t.Fatalf("Remove of never-pushed number %d returned true", seq)
+				}
+				if len(refs) == 0 {
 					continue
 				}
-				i := (int(a)<<8 | int(b)) % len(handles)
+				i := (int(a)<<8 | int(b)) % len(refs)
 				r := refs[i]
-				got := q.Cancel(handles[i])
-				want := i%2 == 1 && r.index >= 0
+				got := q.Remove(r.seq)
+				want := r.index >= 0
 				if want {
 					heap.Remove(&ref, r.index)
 					r.index = -1
 				}
 				if got != want {
-					t.Fatalf("cancel push %d: queue=%v, reference=%v", i, got, want)
+					t.Fatalf("remove push %d: queue=%v, reference=%v", i, got, want)
 				}
 			}
 			if q.Len() != len(ref) {

@@ -253,7 +253,7 @@ func (f FabricSpec) Validate() error {
 		if f.RackSize < 2 {
 			return fmt.Errorf("scenario: fabric rack size %d below 2", f.RackSize)
 		}
-		if f.Oversub <= 0 || f.Oversub > 64 {
+		if !(f.Oversub > 0 && f.Oversub <= 64) {
 			return fmt.Errorf("scenario: fabric oversubscription %g out of (0,64]", f.Oversub)
 		}
 	case fabric.KindFlat:
@@ -570,11 +570,15 @@ func (s Spec) validateShape() error {
 	if !(s.SlowFrac >= 0 && s.FastFrac >= 0 && s.SlowFrac+s.FastFrac <= 1) {
 		return fmt.Errorf("scenario: node-tier fractions slow=%g fast=%g out of range (want non-negative, slow+fast <= 1)", s.SlowFrac, s.FastFrac)
 	}
-	if s.SlowScale <= 0 || s.FastScale <= 0 {
-		return fmt.Errorf("scenario: non-positive CPU scale")
+	// The float checks below keep the same positive form, and finite
+	// rejects ±Inf: a NaN or infinite scale, skew, threshold or factor
+	// otherwise reaches the model, which indexes with it, orders link
+	// deliveries by it or fails to encode the report.
+	if !(s.SlowScale > 0 && finite(s.SlowScale) && s.FastScale > 0 && finite(s.FastScale)) {
+		return fmt.Errorf("scenario: CPU scales slow=%g fast=%g must be positive and finite", s.SlowScale, s.FastScale)
 	}
-	if s.Skew > 1 {
-		return fmt.Errorf("scenario: skew %g above 1", s.Skew)
+	if !(s.Skew <= 1) {
+		return fmt.Errorf("scenario: skew %g out of range (want at most 1)", s.Skew)
 	}
 	if s.MeanCompute <= 0 || s.MeanInterarrival <= 0 || s.BalancePeriod <= 0 ||
 		s.Quantum <= 0 || s.MaxSimTime <= 0 {
@@ -587,11 +591,17 @@ func (s Spec) validateShape() error {
 	if s.NodeMemMB <= 0 {
 		return fmt.Errorf("scenario: non-positive node memory %d MB", s.NodeMemMB)
 	}
-	if s.CostThreshold <= 0 {
-		return fmt.Errorf("scenario: non-positive cost threshold %g", s.CostThreshold)
+	if !(s.CostThreshold > 0 && finite(s.CostThreshold)) {
+		return fmt.Errorf("scenario: cost threshold %g must be positive and finite", s.CostThreshold)
 	}
-	if s.BackgroundLoad < 0 || s.BackgroundLoad > 0.95 {
+	if !(s.BackgroundLoad >= 0 && s.BackgroundLoad <= 0.95) {
 		return fmt.Errorf("scenario: background load %g out of [0,0.95]", s.BackgroundLoad)
+	}
+	if s.Network.LatencyOneWay < 0 {
+		return fmt.Errorf("scenario: negative network latency %v", s.Network.LatencyOneWay)
+	}
+	if !(s.Network.BandwidthBps > 0 && finite(s.Network.BandwidthBps)) {
+		return fmt.Errorf("scenario: network bandwidth %g B/s must be positive and finite", s.Network.BandwidthBps)
 	}
 	if err := s.Fabric.Validate(); err != nil {
 		return err
@@ -619,6 +629,9 @@ func (s Spec) validateShape() error {
 		if c.At < 0 {
 			return fmt.Errorf("scenario: churn[%d] at negative time", i)
 		}
+		if !finite(c.Factor) {
+			return fmt.Errorf("scenario: churn[%d] factor %g not finite", i, c.Factor)
+		}
 		switch c.Kind {
 		case ChurnSlowNode:
 			if c.Node < 0 || c.Node >= s.Nodes {
@@ -637,7 +650,8 @@ func (s Spec) validateShape() error {
 		case ChurnNetLoad:
 			// On the star, node 0 is the hub and has no link of its own;
 			// switched fabrics give every node an edge link.
-			if c.Node >= s.Nodes || (c.Node == 0 && s.Fabric.IsDefault()) {
+			// Any node below −1 would run as −1 but fingerprint apart.
+			if c.Node < -1 || c.Node >= s.Nodes || (c.Node == 0 && s.Fabric.IsDefault()) {
 				return fmt.Errorf("scenario: churn[%d] net-load targets node %d of %d (0 is the hub; use -1 for all spokes)", i, c.Node, s.Nodes)
 			}
 			if c.Factor < 0 || c.Factor > 0.95 {
@@ -708,6 +722,9 @@ func (s Spec) validateShape() error {
 	}
 	return nil
 }
+
+// finite reports whether x is a real number: false for NaN and ±Inf.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 
 // HasFailures reports whether the spec schedules failure-plane churn
 // (node crashes/recoveries, link transitions) — the condition under which

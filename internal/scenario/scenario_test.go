@@ -7,6 +7,7 @@ import (
 
 	"ampom/internal/fabric"
 	"ampom/internal/infod"
+	"ampom/internal/netmodel"
 	"ampom/internal/sched"
 	"ampom/internal/simtime"
 )
@@ -119,6 +120,32 @@ func TestValidateRejects(t *testing.T) {
 		{Churn: []ChurnEvent{{Kind: ChurnSlowNode, Node: 99, Factor: 0.5}}},
 		{Churn: []ChurnEvent{{Kind: ChurnBurst, Node: 0, Procs: 0}}},
 		{Churn: []ChurnEvent{{Kind: ChurnNetLoad, Node: 0, Factor: 0.5}}},
+		// A net-load node below −1 runs as −1 but fingerprints apart.
+		{Churn: []ChurnEvent{{Kind: ChurnNetLoad, Node: -5, Factor: 0.5}}},
+		// Network profiles: negative latency panics the link FIFO, and
+		// the bandwidth must be positive and finite.
+		{Network: netmodel.Profile{LatencyOneWay: -5 * simtime.Millisecond, BandwidthBps: 12.5e6}},
+		{Network: netmodel.Profile{BandwidthBps: -1e6}},
+		{Network: netmodel.Profile{BandwidthBps: math.NaN()}},
+		{Network: netmodel.Profile{BandwidthBps: math.Inf(1)}},
+		// NaN and ±Inf floats, each of which panics a run or leaves its
+		// report unencodable.
+		{SlowScale: math.NaN()},
+		{SlowScale: math.Inf(1)},
+		{FastScale: math.NaN()},
+		{FastScale: math.Inf(1)},
+		{Skew: math.NaN()},
+		{CostThreshold: math.NaN()},
+		{CostThreshold: math.Inf(1)},
+		{BackgroundLoad: math.NaN()},
+		{Nodes: 32, Fabric: FabricSpec{Topology: fabric.KindTwoTier, Oversub: math.NaN()}},
+		{Churn: []ChurnEvent{{Kind: ChurnSlowNode, Node: 1, Factor: math.NaN()}}},
+		{Churn: []ChurnEvent{{Kind: ChurnSlowNode, Node: 1, Factor: math.Inf(1)}}},
+		{Churn: []ChurnEvent{{Kind: ChurnNetLoad, Node: -1, Factor: math.NaN()}}},
+		{Churn: []ChurnEvent{{Kind: ChurnBalloon, Node: 1, Factor: math.NaN()}}},
+		{Churn: []ChurnEvent{{Kind: ChurnBurst, Node: 1, Procs: 2, Factor: math.Inf(-1)}}},
+		{Nodes: 32, Fabric: FabricSpec{Topology: fabric.KindTwoTier},
+			Churn: []ChurnEvent{{Kind: ChurnNodeCrash, Node: 1, Factor: math.NaN()}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

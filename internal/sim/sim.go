@@ -73,7 +73,7 @@ func (e *Engine) Interrupted() bool { return e.stopped }
 // Schedule runs fn after delay d. A negative delay is treated as zero
 // (fire as soon as possible, after already-pending events at the current
 // instant). A scheduled event cannot be cancelled; a Ticker can be
-// stopped.
+// stopped, which removes its pending tick by sequence number.
 func (e *Engine) Schedule(d simtime.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -158,12 +158,12 @@ func (e *Engine) step() {
 func (e *Engine) RunAll() simtime.Time { return e.Run(simtime.Never) }
 
 // Ticker repeatedly invokes a callback at a fixed virtual period until
-// stopped. It is the only holder of a cancellation handle: each period
-// re-arms the same fire closure, so a running ticker allocates nothing.
+// stopped; it is the one event owner that cancels. Each period re-arms
+// the same fire closure, so a running ticker allocates nothing.
 type Ticker struct {
 	eng    *Engine
 	period simtime.Duration
-	next   eventq.Handle
+	next   uint64 // sequence number of the pending tick
 	fire   func()
 }
 
@@ -185,9 +185,9 @@ func NewTicker(eng *Engine, period simtime.Duration, fn func()) *Ticker {
 // arm schedules the next tick one period from now, as Schedule would.
 func (t *Ticker) arm() {
 	now := t.eng.now
-	t.next = t.eng.queue.PushHandle(now.Add(t.period), now, t.fire)
+	t.next = t.eng.queue.Push(now.Add(t.period), now, t.fire)
 }
 
 // Stop cancels future ticks. The pending tick leaves the queue at once, so
 // a drained run ends at the last tick that fired.
-func (t *Ticker) Stop() { t.eng.queue.Cancel(t.next) }
+func (t *Ticker) Stop() { t.eng.queue.Remove(t.next) }

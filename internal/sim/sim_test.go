@@ -146,7 +146,7 @@ func TestCancel(t *testing.T) {
 	if end != simtime.Time(2500*simtime.Millisecond) {
 		t.Fatalf("end = %v, want 2.5s", end)
 	}
-	tk.Stop() // a second Stop holds a stale handle and is a no-op
+	tk.Stop() // a second Stop holds a stale sequence number and is a no-op
 }
 
 func TestReentrantRunPanics(t *testing.T) {
