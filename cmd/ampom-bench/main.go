@@ -10,6 +10,7 @@
 //	ampom-bench -ablations             # the ablation studies as well
 //	ampom-bench -j 8 -progress         # 8 workers, progress/ETA on stderr
 //	ampom-bench -j 1                   # strictly sequential runs
+//	ampom-bench -figure fig5 -cpuprofile cpu.prof -memprofile mem.prof  # pprof the run
 //
 // The requested artefacts' cells are fanned out across a worker pool as
 // one batch; per-job seeds are derived from the job key, so any -j value
@@ -42,6 +43,7 @@ func main() {
 	ablations := flag.Bool("ablations", false, "also run the ablation studies")
 	progress := flag.Bool("progress", false, "report campaign progress and ETA on stderr")
 	cf := cli.AddCampaignFlags(flag.CommandLine)
+	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *scale < 1 {
@@ -69,6 +71,7 @@ func main() {
 		}
 	}
 
+	prof.Start()
 	// Every failure is reported, not just the first. A partial failure
 	// does not abort the run: the healthy artefacts still print, and the
 	// exit code reports the damage.
@@ -94,5 +97,8 @@ func main() {
 			fmt.Print(r.Table.Render())
 		}
 	}
+	// cli.Exit never returns, so the profiles are flushed explicitly rather
+	// than deferred.
+	prof.Write()
 	cli.Exit(exitCode)
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -40,6 +42,23 @@ func TestSmokeNonPositiveSizesAreUsageErrors(t *testing.T) {
 		_, stderr := clitest.RunExpect(t, cli.CodeUsage, args...)
 		if !strings.Contains(stderr, "must be >= ") {
 			t.Fatalf("%v: unexpected stderr:\n%s", args, stderr)
+		}
+	}
+}
+
+// TestSmokeProfileFlags runs one small figure under both profilers and
+// checks both pprof files land where asked and are not empty.
+func TestSmokeProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	clitest.Run(t, "-figure", "table1", "-scale", "64", "-cpuprofile", cpu, "-memprofile", mem)
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("profile not written: %v", err)
+		}
+		if st.Size() == 0 {
+			t.Fatalf("%s is empty", p)
 		}
 	}
 }

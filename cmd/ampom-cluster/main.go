@@ -38,8 +38,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -63,11 +61,10 @@ func main() {
 	procs := flag.Int("procs", 0, "override the preset's process count")
 	shards := flag.Int("shards", 1, "event-engine shards per scenario run (two-tier fabrics; clamped to the rack count; reports are byte-identical at any value)")
 	storeDir := flag.String("store", "", "persistent result store directory: reports land there on completion and identical re-runs are served from disk")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the local run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	server := flag.String("server", "", "submit to a running ampom-clusterd at this URL instead of simulating locally (same flags, same output bytes)")
 	apiKey := flag.String("api-key", "", "tenant API key for -server submissions")
 	cf := cli.AddCampaignFlags(flag.CommandLine)
+	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *diffMode {
@@ -177,10 +174,10 @@ func main() {
 	if *shards < 1 {
 		cli.Usage("-shards %d: want a positive shard count", *shards)
 	}
-	if *server != "" && (*cpuProfile != "" || *memProfile != "") {
+	if *server != "" && (prof.CPU != "" || prof.Mem != "") {
 		cli.Usage("-cpuprofile/-memprofile profile local runs; with -server the simulation happens in the remote process")
 	}
-	startCPUProfile(*cpuProfile)
+	prof.Start()
 
 	// An interrupt (SIGINT/SIGTERM) drains gracefully in both modes: local
 	// batches stop dispatching new scenarios while in-flight runs finish;
@@ -240,44 +237,8 @@ func main() {
 	}
 	// cli.Exit never returns, so the profiles are flushed explicitly rather
 	// than deferred.
-	writeProfiles(*cpuProfile, *memProfile)
+	prof.Write()
 	cli.Exit(exitCode)
-}
-
-// startCPUProfile begins CPU profiling into path; empty means disabled.
-// The flame graph it yields is where the next perf investigation starts —
-// `make profile` wires a representative preset through it.
-func startCPUProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		cli.Fail("%v", err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		cli.Fail("-cpuprofile: %v", err)
-	}
-}
-
-// writeProfiles stops the CPU profile and captures the heap profile, in
-// that order, right before exit.
-func writeProfiles(cpuPath, memPath string) {
-	if cpuPath != "" {
-		pprof.StopCPUProfile()
-	}
-	if memPath == "" {
-		return
-	}
-	f, err := os.Create(memPath)
-	if err != nil {
-		cli.Fail("%v", err)
-	}
-	defer f.Close()
-	runtime.GC() // settle the heap so the profile shows live allocations
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		cli.Fail("-memprofile: %v", err)
-	}
 }
 
 // runRemote is the -server client mode: each spec is submitted to the

@@ -53,12 +53,6 @@ func (n *Node) dispatch(m netmodel.Message) {
 	panic(fmt.Sprintf("cluster: node %q received unhandled payload %T", n.Name, m.Payload))
 }
 
-// Deliver routes an already-received payload through the node's handler
-// chain. The fabric routing layer uses it to dispatch the inner payload of
-// an envelope after the NIC accounting of the final hop has happened;
-// unhandled payloads panic exactly as NIC-delivered ones do.
-func (n *Node) Deliver(payload any) { n.dispatch(netmodel.Message{Payload: payload}) }
-
 // Scale converts reference-CPU compute time to this node's wall time.
 func (n *Node) Scale(d simtime.Duration) simtime.Duration { return ScaleCPU(d, n.CPUScale) }
 

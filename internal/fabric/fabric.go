@@ -17,6 +17,13 @@
 //   - Flat: a full-bisection single-switch fabric — every pair of nodes
 //     two hops apart with no shared bottleneck beyond the endpoints.
 //
+// Every route's final hop carries the sender's netmodel.Message itself,
+// so a delivery runs the destination's handler chain once and its
+// handlers see exactly what was sent. Only hops short of the destination
+// carry routing state: a switched fabric's transit records, which switches
+// consume, and the envelope a spoke-to-spoke payload takes to the star's
+// hub, whose relay handler is the one fabric handler on any node.
+//
 // Switched topologies replace the paired hub-spoke infod exchange with
 // decentralised gossip (infod.Gossip): each node pushes a bounded window —
 // the l freshest entries of its load vector — to a few distinct random
@@ -197,12 +204,10 @@ type TierStats struct {
 // it owns the links (and switches), routes payloads between nodes, and
 // runs the monitoring plane the balancer's network estimates come from.
 type Interconnect interface {
-	// Kind reports the topology.
-	Kind() Kind
 	// Send routes m from node src to node dst along the topology path.
 	// Delivery is network-paced per hop (store-and-forward through the
-	// netmodel queues); the payload is dispatched to dst's handler chain
-	// when the final hop lands.
+	// netmodel queues); dst's NIC receives m itself when the final hop
+	// lands.
 	Send(src, dst int, m netmodel.Message)
 	// ClusterBandwidth is the monitoring plane's conservative estimate of
 	// the bandwidth available to a migration whose endpoints are not yet
@@ -245,11 +250,12 @@ type Interconnect interface {
 	TierStats() []TierStats
 }
 
-// envelope wraps a payload the star routes: its destination node and
-// the original message. The hub forwards it; the destination node
-// unwraps it and dispatches the inner payload. The star routes only
-// migrations this way, so it allocates one per send; the switched
-// fabrics route in reused transit records instead.
+// envelope carries a spoke-to-spoke payload on its first leg, to the
+// star's hub: its destination node and the sender's message, which the
+// hub relays onward bare. A final hop, on every fabric, carries the
+// sender's message itself, so a node's handlers receive exactly what was
+// sent. Only migrations travel spoke to spoke, so the star allocates one
+// envelope per migration.
 type envelope struct {
 	dst   int
 	inner netmodel.Message

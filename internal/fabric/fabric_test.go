@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -70,9 +71,6 @@ func TestTwoTierShape(t *testing.T) {
 	if tiers[1].CapacityBps != wantCap {
 		t.Fatalf("core capacity %g, want %g (oversubscription 2)", tiers[1].CapacityBps, wantCap)
 	}
-	if ic.Kind() != KindTwoTier {
-		t.Fatalf("kind = %v", ic.Kind())
-	}
 	for i := 0; i < 10; i++ {
 		if ic.Gossip(i) == nil {
 			t.Fatalf("node %d has no gossip daemon", i)
@@ -95,9 +93,6 @@ func TestStarHasNoGossip(t *testing.T) {
 	eng := sim.New()
 	nodes, _, _ := testCluster(eng, 4)
 	ic := Build(eng, nodes, Config{Kind: KindStar, Network: netmodel.FastEthernet(), Seed: 1})
-	if ic.Kind() != KindStar {
-		t.Fatalf("kind = %v", ic.Kind())
-	}
 	if ic.Gossip(1) != nil {
 		t.Fatal("star reports a gossip daemon")
 	}
@@ -108,45 +103,91 @@ func TestStarHasNoGossip(t *testing.T) {
 
 // TestRoutingDelivers locks hop-by-hop delivery and latency accounting:
 // same-rack pairs cross two links, cross-rack pairs four, and every
-// payload lands exactly at its destination.
+// payload lands exactly at its destination. Each node's first handler is
+// registered before the fabric is built and accepts every payload but the
+// envelope a star hub relays, so it would swallow any other routing
+// record the fabric handed a node: it must receive the sent value itself,
+// and nothing else, on every topology and on the sharded build, whose
+// global payloads' final hop runs in the global phase.
 func TestRoutingDelivers(t *testing.T) {
+	type probe struct{ id int }
 	for _, tc := range []struct {
 		kind     Kind
 		src, dst int
 		hops     int
+		sharded  bool
 	}{
-		{KindTwoTier, 0, 1, 2}, // same rack: node→leaf→node
-		{KindTwoTier, 0, 5, 4}, // cross rack: node→leaf→core→leaf→node
-		{KindFlat, 0, 5, 2},    // flat: node→switch→node
-		{KindStar, 1, 5, 2},    // star: spoke→hub→spoke
-		{KindStar, 0, 3, 1},    // hub send: one spoke
+		{KindTwoTier, 0, 1, 2, false}, // same rack: node→leaf→node
+		{KindTwoTier, 0, 5, 4, false}, // cross rack: node→leaf→core→leaf→node
+		{KindFlat, 0, 5, 2, false},    // flat: node→switch→node
+		{KindStar, 1, 5, 2, false},    // star: spoke→hub→spoke
+		{KindStar, 0, 3, 1, false},    // hub→spoke
+		{KindStar, 3, 0, 1, false},    // spoke→hub
+		{KindTwoTier, 0, 1, 2, true},  // same rack, one shard
+		{KindTwoTier, 5, 0, 4, true},  // cross rack, across shards
 	} {
-		eng := sim.New()
-		nodes, got, at := testCluster(eng, 8)
-		ic := Build(eng, nodes, Config{
-			Kind: tc.kind, RackSize: 4, Oversub: 4, GossipFanout: 2, GossipPeriod: 2 * simtime.Second,
-			GossipWindow: 32, Network: netmodel.FastEthernet(), Seed: 1,
-		})
-		start := eng.Now()
-		ic.Send(tc.src, tc.dst, netmodel.Message{Size: 1000, Payload: "probe"})
-		eng.Run(simtime.Time(simtime.Second)) // before any daemon tick
+		for _, global := range []bool{false, true} {
+			if global && !tc.sharded {
+				continue
+			}
+			name := fmt.Sprintf("%v %d→%d sharded=%v global=%v", tc.kind, tc.src, tc.dst, tc.sharded, global)
+			eng := sim.New()
+			cfg := Config{
+				Kind: tc.kind, RackSize: 4, Oversub: 4, GossipFanout: 2, GossipPeriod: 2 * simtime.Second,
+				GossipWindow: 32, Network: netmodel.FastEthernet(), Seed: 1,
+			}
+			engOf := func(int) *sim.Engine { return eng }
+			run := eng.Run
+			if tc.sharded {
+				shardOf := []int{0, 0, 0, 0, 1, 1, 1, 1}
+				shards := []*sim.Engine{sim.New(), sim.New()}
+				group := sim.NewShardGroup(eng, shards, cfg.Network.LatencyOneWay, false)
+				cfg.Sharding = &Sharding{ShardOf: shardOf, Engines: shards, Group: group}
+				if global {
+					cfg.Sharding.GlobalPayload = func(p any) bool { _, ok := p.(*probe); return ok }
+				}
+				engOf = func(i int) *sim.Engine { return shards[shardOf[i]] }
+				run = group.Run
+			}
+			nodes := make([]*cluster.Node, 8)
+			seen := make([][]any, len(nodes))
+			var at simtime.Time
+			for i := range nodes {
+				nodes[i] = cluster.NewNode(engOf(i), "n", 1)
+				i := i
+				nodes[i].Handle(func(p any) bool {
+					if _, ok := p.(*envelope); ok && i == 0 && tc.kind == KindStar {
+						return false
+					}
+					seen[i] = append(seen[i], p)
+					at = nodes[i].Eng.Now()
+					if global {
+						at = eng.Now()
+					}
+					return true
+				})
+			}
+			ic := Build(eng, nodes, cfg)
+			sent := &probe{id: tc.dst}
+			ic.Send(tc.src, tc.dst, netmodel.Message{Size: 1000, Payload: sent})
+			run(simtime.Time(simtime.Second)) // before any daemon tick
 
-		for i, n := range got {
-			want := 0
-			if i == tc.dst {
-				want = 1
+			for i, ps := range seen {
+				want := 0
+				if i == tc.dst {
+					want = 1
+				}
+				if len(ps) != want || want == 1 && ps[0] != sent {
+					t.Fatalf("%s: node %d received %#v, want %d of the sent %p", name, i, ps, want, sent)
+				}
 			}
-			if n != want {
-				t.Fatalf("%v %d→%d: node %d saw %d payloads, want %d", tc.kind, tc.src, tc.dst, i, n, want)
+			// Each hop pays one propagation latency plus serialisation; the
+			// hop count is visible in the total propagation delay.
+			lat := netmodel.FastEthernet().LatencyOneWay
+			ser := netmodel.FastEthernet().TransferTime(1000)
+			if want := simtime.Time(simtime.Duration(tc.hops) * (lat + ser)); at != want {
+				t.Fatalf("%s: delivered at %v, want %v (%d hops)", name, at, want, tc.hops)
 			}
-		}
-		// Each hop pays one propagation latency plus serialisation; the
-		// hop count is visible in the total propagation delay.
-		lat := netmodel.FastEthernet().LatencyOneWay
-		ser := netmodel.FastEthernet().TransferTime(1000)
-		want := simtime.Duration(tc.hops) * (lat + ser)
-		if got := at[tc.dst].Sub(start); got != want {
-			t.Fatalf("%v %d→%d: delivery took %v, want %v (%d hops)", tc.kind, tc.src, tc.dst, got, want, tc.hops)
 		}
 	}
 }
@@ -320,7 +361,7 @@ func TestShardedBuildRejectsLookaheadMismatch(t *testing.T) {
 // spoke routes every exchange to its own pair, so with k = 1, 8 and 63
 // spokes each head and spoke daemon ends with exactly the RTT estimate of
 // an isolated pair built with the same link profile and seeds — and the
-// hub's handler chain is as long as a spoke's, whatever k is.
+// hub's handler chain is a spoke's plus the relay, whatever k is.
 func TestStarHubMatchesIsolatedPairs(t *testing.T) {
 	cfg := Config{Kind: KindStar, Network: netmodel.FastEthernet(), BackgroundLoad: 0.5, Seed: 9001}
 	const run = simtime.Time(40 * simtime.Second)
@@ -332,7 +373,7 @@ func TestStarHubMatchesIsolatedPairs(t *testing.T) {
 			nodes[i] = cluster.NewNode(eng, "n", 1)
 		}
 		s := buildStar(eng, nodes, cfg)
-		if hub, spoke := handlerCount(nodes[0]), handlerCount(nodes[1]); hub != spoke || hubHandlers >= 0 && hub != hubHandlers {
+		if hub, spoke := handlerCount(nodes[0]), handlerCount(nodes[1]); hub != spoke+1 || hubHandlers >= 0 && hub != hubHandlers {
 			t.Fatalf("k=%d: the hub tries %d handlers (%d at k=1), a spoke %d", k, hub, hubHandlers, spoke)
 		}
 		hubHandlers = handlerCount(nodes[0])

@@ -7,8 +7,6 @@
 package fabric
 
 import (
-	"fmt"
-
 	"ampom/internal/cluster"
 	"ampom/internal/core"
 	"ampom/internal/infod"
@@ -40,20 +38,19 @@ func buildStar(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *star {
 		nominal: cfg.Network.BandwidthBps,
 	}
 
-	for i, node := range nodes {
-		i, node := i, node
-		node.Handle(func(payload any) bool {
-			env, ok := payload.(*envelope)
-			if !ok {
-				return false
-			}
-			s.deliver(i, node, env)
-			return true
-		})
-		// One daemon router per node, however many spoke daemons the
-		// hub runs.
+	// One daemon router per node, however many spoke daemons the hub
+	// runs; the hub then relays spoke-to-spoke payloads (relay), tried
+	// after its daemons' far more frequent exchanges.
+	for _, node := range nodes {
 		node.Handle(infod.Route)
 	}
+	nodes[0].Handle(func(payload any) bool {
+		env, ok := payload.(*envelope)
+		if ok {
+			s.relay(env)
+		}
+		return ok
+	})
 
 	// Daemon jitter seeds come from a stream derived from the scenario
 	// seed, so every policy observes identical daemon behaviour.
@@ -70,35 +67,26 @@ func buildStar(eng *sim.Engine, nodes []*cluster.Node, cfg Config) *star {
 	return s
 }
 
-// Kind reports the topology.
-func (s *star) Kind() Kind { return KindStar }
-
-// Send ships a payload across the star: the origin spoke to the hub,
-// relayed onward to the destination spoke (deliver handles the relay).
+// Send ships a payload across the star: a hop to or from the hub carries
+// m itself; a spoke-to-spoke payload reaches the hub in an envelope naming
+// its destination, and the hub relays m onward (relay).
 func (s *star) Send(src, dst int, m netmodel.Message) {
-	env := &envelope{dst: dst, inner: m}
-	wire := netmodel.Message{Size: m.Size, Payload: env}
 	s.carried += m.Size
-	if src == 0 {
-		s.links[dst].Send(s.nodes[0].NIC, wire)
-	} else {
-		s.links[src].Send(s.nodes[src].NIC, wire)
+	switch {
+	case src == 0:
+		s.links[dst].Send(s.nodes[0].NIC, m)
+	case dst == 0:
+		s.links[src].Send(s.nodes[src].NIC, m)
+	default:
+		s.links[src].Send(s.nodes[src].NIC, netmodel.Message{Size: m.Size, Payload: &envelope{dst: dst, inner: m}})
 	}
 }
 
-// deliver consumes a routed payload arriving at node i: the hub relays
-// spoke-to-spoke transfers onward; the destination dispatches the inner
-// payload to its handler chain.
-func (s *star) deliver(i int, node *cluster.Node, env *envelope) {
-	if i == 0 && env.dst != 0 {
-		s.carried += env.inner.Size
-		s.links[env.dst].Send(s.nodes[0].NIC, netmodel.Message{Size: env.inner.Size, Payload: env})
-		return
-	}
-	if env.dst != i {
-		panic(fmt.Sprintf("fabric: payload for node %d delivered to node %d", env.dst, i))
-	}
-	node.Deliver(env.inner.Payload)
+// relay forwards a spoke-to-spoke payload from the hub to its destination
+// spoke, which receives the sender's message itself.
+func (s *star) relay(env *envelope) {
+	s.carried += env.inner.Size
+	s.links[env.dst].Send(s.nodes[0].NIC, env.inner)
 }
 
 // ClusterBandwidth is the tightest spoke-daemon bandwidth estimate — the

@@ -209,23 +209,6 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config, plane []*
 		s.wireSharding(cfg)
 	}
 
-	// Node-side delivery: a message reaching its destination dispatches
-	// the payload its sender handed the fabric.
-	for i, node := range nodes {
-		i, node := i, node
-		node.Handle(func(payload any) bool {
-			t, ok := payload.(*transit)
-			if !ok {
-				return false
-			}
-			if t.to != i {
-				panic(fmt.Sprintf("fabric: payload for node %d delivered to node %d", t.to, i))
-			}
-			node.Deliver(t.inner.Payload)
-			return true
-		})
-	}
-
 	// The gossip plane: one daemon per node, pushing its bounded window
 	// (and answering anti-entropy pulls) through the fabric.
 	gcfg := infod.GossipConfig{
@@ -255,16 +238,18 @@ func buildSwitched(eng *sim.Engine, nodes []*cluster.Node, cfg Config, plane []*
 	return s
 }
 
-// wireSharding installs the cross-shard routing on a sharded two-tier
-// fabric. A shard owns its racks' edge links and uplinks, so the only
-// deliveries that may land on foreign state are (a) arrivals at the core,
-// whose onward hop belongs to the destination rack's shard, and (b) final
-// node-side deliveries of global payloads, whose handlers mutate state the
-// coordinator owns. Both are staged through the group's barriers; the
-// conservative lookahead (one edge latency, which every delivery pays on
-// top of a positive serialisation delay) guarantees staged instants land
-// strictly beyond the window they were staged in — so the group's window
-// must be exactly that latency, or conservative execution is unsound.
+// wireSharding prepares a sharded two-tier fabric for cross-shard
+// routing, which forward performs. A shard owns its racks' edge links and
+// uplinks, so the only deliveries that may land on foreign state are (a)
+// arrivals at the core, whose onward hop belongs to the destination rack's
+// shard, and (b) final node-side deliveries of global payloads, whose
+// handlers mutate state the coordinator owns. forward reserves those hops
+// (netmodel.Link.Reserve) and stages their deliveries through the group's
+// barriers; the conservative lookahead (one edge latency, which every
+// delivery pays on top of a positive serialisation delay) guarantees
+// staged instants land strictly beyond the window they were staged in —
+// so the group's window must be exactly that latency, or conservative
+// execution is unsound.
 func (s *switched) wireSharding(cfg Config) {
 	sh := s.shard
 	if lk := cfg.Network.LatencyOneWay; lk != sh.Group.Lookahead() {
@@ -272,56 +257,11 @@ func (s *switched) wireSharding(cfg Config) {
 	}
 	s.shardRank = make([]uint64, len(sh.Engines))
 	s.slack = sh.Group.Lookahead()
-	spineNIC := s.nicOf[s.spine]
 	// The core never runs events of its own under sharding, and its links'
 	// senders live on different engines — it keeps no counters so that no
 	// NIC has concurrent writers. Nothing in the model reads them.
-	spineNIC.Quiet = true
-	for r := range s.uplink {
-		sr := s.shardOfRack[r]
-		l := s.links[s.uplink[r]]
-		l.SetDeliveryRouter(func(to *netmodel.NIC, m netmodel.Message, at simtime.Time) bool {
-			if to != spineNIC {
-				return false // core→leaf: the uplink already runs on the rack's shard
-			}
-			t, ok := m.Payload.(*transit)
-			if !ok {
-				panic(fmt.Sprintf("fabric: core received non-transit payload %T", m.Payload))
-			}
-			// The core hop, on the engine owning the destination rack's
-			// links. The standard delivery bookkeeping stays dropped in the
-			// same-shard case too — one behaviour for the silent core, and
-			// one event per hop exactly like the sequential schedule.
-			if t.run == nil {
-				t.run = func() { s.forward(s.spine, t) }
-			}
-			sh.Group.Stage(sr, s.shardOfRack[s.rackOf[t.to]], at, t.rank, t.run)
-			return true
-		})
-	}
-	for i := range s.nodes {
-		si := sh.ShardOf[i]
-		nodeNIC := s.nicOf[i]
-		l := s.links[s.edgeLink[i]]
-		l.SetDeliveryRouter(func(to *netmodel.NIC, m netmodel.Message, at simtime.Time) bool {
-			if to != nodeNIC || sh.GlobalPayload == nil {
-				return false
-			}
-			t, ok := m.Payload.(*transit)
-			if !ok || !sh.GlobalPayload(t.inner.Payload) {
-				return false
-			}
-			// Final hop of a global payload (a migration): the restore path
-			// mutates both endpoints' daemons, so the delivery — the NIC's
-			// RX counters and its handlers — runs in the global phase.
-			sh.Group.Stage(si, sim.GlobalShard, at, t.rank, func() { nodeNIC.Receive(m) })
-			return true
-		})
-	}
+	s.nicOf[s.spine].Quiet = true
 }
-
-// Kind reports the topology.
-func (s *switched) Kind() Kind { return s.kind }
 
 // Send routes m from node src to node dst along the tree path, one
 // store-and-forward hop at a time. On sharded builds m is ranked at this
@@ -367,35 +307,65 @@ func (s *switched) hop(v, dst int) int {
 	}
 }
 
-// forward ships the message t carries one hop onward from vertex v, in
-// a record of the next link's direction. A down link drops it at the
-// switch: nothing new is serialised onto a failed hop (messages already
-// on the wire when the link failed keep flowing — the per-hop granularity
-// of store-and-forward). Dropped migration payloads are not lost
-// processes: the runner re-verifies every in-flight migration against
-// DestReachable at each topology transition and fails unroutable migrants
-// back to their sources, so by the time a hop eats a freeze-time payload
-// its process has already reverted.
+// forward ships the message t carries one hop onward from vertex v. The
+// final hop, onto the destination's edge link, carries the sender's
+// message itself; any other hop carries it in a record of the next link's
+// direction. A down link drops it at the switch: nothing new is serialised
+// onto a failed hop (messages already on the wire when the link failed
+// keep flowing — the per-hop granularity of store-and-forward). Dropped
+// migration payloads are not lost processes: the runner re-verifies every
+// in-flight migration against DestReachable at each topology transition
+// and fails unroutable migrants back to their sources, so by the time a
+// hop eats a freeze-time payload its process has already reverted.
+//
+// On sharded builds two hops are reserved on their link and staged
+// through the group in t's rank instead of scheduled on the link's
+// engine: a leaf's hop into the core, whose onward hop runs on the
+// destination rack's shard, and a global payload's final hop, whose
+// delivery runs in the global phase. The same-shard core hop is staged
+// too — one behaviour for the silent core, and one event per hop exactly
+// like the sequential schedule.
 func (s *switched) forward(v int, t *transit) {
 	li := s.hop(v, t.to)
 	if s.linkDown[li] {
 		return
 	}
 	s.linkBytes[li] += t.inner.Size
+	l, from := s.links[li], s.nicOf[v]
+	sh := s.shard
+	if li == s.edgeLink[t.to] {
+		if sh == nil || sh.GlobalPayload == nil || !sh.GlobalPayload(t.inner.Payload) {
+			l.Send(from, t.inner)
+			return
+		}
+		nic, m := s.nicOf[t.to], t.inner
+		at := l.Reserve(from, m)
+		sh.Group.Stage(sh.ShardOf[t.to], sim.GlobalShard, at, t.rank, func() { nic.Receive(m) })
+		return
+	}
 	dir := 2 * li
 	if v != s.linkFrom[li] {
 		dir++
 	}
 	next := s.transits[dir].take(s.linkEng[li].Now(), s.slack)
 	next.to, next.rank, next.inner = t.to, t.rank, t.inner
-	next.at = s.links[li].Send(s.nicOf[v], netmodel.Message{Size: t.inner.Size, Payload: next})
+	m := netmodel.Message{Size: t.inner.Size, Payload: next}
+	if sh == nil || v == s.spine || s.linkTier[li] != tierCore {
+		next.at = l.Send(from, m)
+		return
+	}
+	next.at = l.Reserve(from, m)
+	if next.run == nil {
+		next.run = func() { s.forward(s.spine, next) }
+	}
+	sh.Group.Stage(s.shardOfRack[v-len(s.nodes)], s.shardOfRack[s.rackOf[t.to]], next.at, next.rank, next.run)
 }
 
-// transit is a routed message on one link: the destination node, the
-// origination rank, the message its sender handed the fabric, and the
-// instant it reaches the link's far end. The link carries a pointer to
-// the record as its payload, so routing allocates nothing once each link
-// direction's records are warm.
+// transit is a routed message on one link short of its final hop: the
+// destination node, the origination rank, the message its sender handed
+// the fabric, and the instant it reaches the link's far end. The link
+// carries a pointer to the record as its payload, so routing allocates
+// nothing once each link direction's records are warm.
 //
 // The rank is the sharded build's injection tie-break: assigned once at
 // the originating Send, it rides every hop, so two messages marching
@@ -417,13 +387,12 @@ type transit struct {
 // A direction delivers in FIFO order, so its oldest record is the first
 // whose message the far end has handled. Its sender reuses that record
 // once its arrival lies more than slack behind the sender's clock: by
-// then the far end has forwarded or delivered the message and no longer
-// reads the record. Slack is zero on sequential builds. On sharded builds
-// it is the lookahead, because a core hop or a global payload's delivery
-// runs on another engine: a window spans at most one lookahead past the
-// earliest pending event, so a record that much older than the sender's
-// clock was handled in an earlier window, before a barrier. The records
-// never leave the link's shard.
+// then the far end has forwarded the message and no longer reads the
+// record. Slack is zero on sequential builds. On sharded builds it is the
+// lookahead, because a staged core hop runs on another engine: a window
+// spans at most one lookahead past the earliest pending event, so a record
+// that much older than the sender's clock was handled in an earlier
+// window, before a barrier. The records never leave the link's shard.
 //
 // A message in flight points into the ring. Growing the ring copies the
 // records into a larger array and leaves the old one to the messages

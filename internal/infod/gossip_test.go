@@ -31,7 +31,7 @@ func gossipLine(t *testing.T, n int, fanout int, hopDelay simtime.Duration) (*si
 			if hops < 0 {
 				hops = -hops
 			}
-			eng.Schedule(simtime.Duration(hops)*hopDelay, func() { nodes[dst].Deliver(m.Payload) })
+			eng.Schedule(simtime.Duration(hops)*hopDelay, func() { daemons[dst].handle(m.Payload) })
 		}
 		daemons[i] = NewGossip(cfg, store, nodes[i], i, 11.36e6, send, uint64(1000+i))
 		daemons[i].SetProbe(func() LoadSample {
@@ -171,7 +171,7 @@ func gossipMesh(t *testing.T, n int, cfg GossipConfig, delay simtime.Duration,
 			if intercept != nil && !intercept(i, dst, m) {
 				return
 			}
-			eng.Schedule(delay, func() { nodes[dst].Deliver(m.Payload) })
+			eng.Schedule(delay, func() { daemons[dst].handle(m.Payload) })
 		}
 		daemons[i] = NewGossip(cfg, store, nodes[i], i, 11.36e6, send, uint64(1000+i))
 		daemons[i].SetProbe(func() LoadSample {

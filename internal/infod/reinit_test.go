@@ -35,7 +35,7 @@ func meshRun(plane []*Gossip, n int, seed uint64, until simtime.Time) []*Gossip 
 	for i := range plane {
 		send := func(dst int, m netmodel.Message) {
 			d := simtime.Duration(1+max(dst-i, i-dst)) * simtime.Millisecond
-			eng.Schedule(d, func() { nodes[dst].Deliver(m.Payload) })
+			eng.Schedule(d, func() { plane[dst].handle(m.Payload) })
 		}
 		if store != nil {
 			plane[i] = NewGossip(meshCfg, store, nodes[i], i, 11.36e6, send, seed+uint64(i))

@@ -56,7 +56,7 @@ func TestGossipRoundAllocFree(t *testing.T) {
 			case *gossipPullMsg:
 				pulls++
 			}
-			nodes[dst].Deliver(m.Payload)
+			g[dst].handle(m.Payload)
 		}
 		g[i] = NewGossip(cfg, store, nodes[i], i, 11.36e6, send, uint64(i+1))
 		g[i].SetProbe(func() LoadSample { return LoadSample{Load: float64(i), Queue: i, UsedMemMB: int64(i)} })

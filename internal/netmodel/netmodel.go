@@ -16,7 +16,10 @@
 // order, and every delivery event runs the one callback the pipe built at
 // link creation, which pops the front. Sending a message therefore
 // allocates nothing once the ring has grown to the direction's in-flight
-// high-water mark.
+// high-water mark. Link.Reserve takes a message's place in a direction's
+// serialisation without queueing or scheduling it: its caller delivers it
+// with NIC.Receive at the returned instant, on whichever engine owns the
+// receiver — how a sharded fabric stages a hop on another shard.
 package netmodel
 
 import (
@@ -116,9 +119,9 @@ func NewNIC(handler Handler) *NIC {
 func (n *NIC) SetHandler(h Handler) { n.handler = h }
 
 // Receive records and dispatches an arriving message: it updates the RX
-// counters, then runs the handler. A link calls it for every delivery it
-// schedules itself; a DeliveryRouter that claims a delivery calls it from
-// the callback it schedules instead.
+// counters, then runs the handler. A link calls it for every message it
+// sends; a caller that reserved a message's transmission (Link.Reserve)
+// calls it at the returned instant instead.
 func (n *NIC) Receive(m Message) {
 	if !n.Quiet {
 		n.Counters.RxBytes += m.Size
@@ -140,10 +143,6 @@ type Link struct {
 	// traffic, reducing effective serialisation rate. Used to model a busy
 	// network in adaptation experiments.
 	backgroundLoad float64
-
-	// router, when set, is offered every delivery before it is scheduled
-	// on the link's engine. See SetDeliveryRouter.
-	router DeliveryRouter
 }
 
 // pipe is one direction of a link. Its deliveries are scheduled on the
@@ -158,12 +157,12 @@ type pipe struct {
 	busyUntil simtime.Time
 
 	// ring holds the in-flight messages the link delivers itself (not the
-	// ones a router claimed), oldest at head; its length is a power of two.
+	// reserved ones), oldest at head; its length is a power of two.
 	ring    []inFlight
 	head, n int
 
 	// deliver pops the front message and hands it to to. It is built once
-	// in NewLink and scheduled for every unclaimed message.
+	// in NewLink and scheduled for every sent message.
 	deliver func()
 }
 
@@ -186,14 +185,6 @@ func (p *pipe) push(m Message, at simtime.Time) {
 	p.ring[(p.head+p.n)&(len(p.ring)-1)] = inFlight{m: m, at: at}
 	p.n++
 }
-
-// DeliveryRouter intercepts a delivery of m to NIC to at instant at.
-// Returning true claims the delivery: the link neither queues nor
-// schedules it, and the router must arrange for to.Receive(m) to run at
-// at, or substitute its own dispatch. A sharded fabric uses this to land
-// deliveries on the engine that owns the receiver's state instead of the
-// engine the sender ran on.
-type DeliveryRouter func(to *NIC, m Message, at simtime.Time) bool
 
 // NewLink connects two NICs with the given profile.
 func NewLink(eng *sim.Engine, profile Profile, a, b *NIC) *Link {
@@ -247,6 +238,26 @@ func (l *Link) effectiveBandwidth() float64 {
 // scheduled arrival instant. Sending from a NIC not attached to the link
 // panics — it indicates a mis-wired model.
 func (l *Link) Send(from *NIC, m Message) simtime.Time {
+	p, arrival := l.reserve(from, m)
+	p.push(m, arrival)
+	l.eng.At(arrival, p.deliver)
+	return arrival
+}
+
+// Reserve transmits m from the NIC from as Send does — it takes its place
+// in the direction's FIFO serialisation and counts its TX bytes — but
+// schedules no delivery: the caller must arrange for the peer's Receive(m)
+// to run at the returned arrival instant. A sharded fabric uses it to run
+// a delivery on the engine that owns the receiver's state instead of the
+// link's.
+func (l *Link) Reserve(from *NIC, m Message) simtime.Time {
+	_, arrival := l.reserve(from, m)
+	return arrival
+}
+
+// reserve serialises m onto from's direction and counts its TX bytes,
+// returning the direction and m's arrival instant.
+func (l *Link) reserve(from *NIC, m Message) (*pipe, simtime.Time) {
 	var p *pipe
 	switch from {
 	case l.ba.to:
@@ -263,23 +274,11 @@ func (l *Link) Send(from *NIC, m Message) simtime.Time {
 	}
 	ser := simtime.FromSeconds(float64(m.Size) / l.effectiveBandwidth())
 	p.busyUntil = start.Add(ser)
-	arrival := p.busyUntil.Add(l.profile.LatencyOneWay)
-
 	if !from.Quiet {
 		from.Counters.TxBytes += m.Size
 	}
-	if l.router != nil && l.router(p.to, m, arrival) {
-		return arrival
-	}
-	p.push(m, arrival)
-	l.eng.At(arrival, p.deliver)
-	return arrival
+	return p, p.busyUntil.Add(l.profile.LatencyOneWay)
 }
-
-// SetDeliveryRouter installs (or, with nil, removes) a delivery router on
-// the link. With no router every delivery is scheduled on the link's own
-// engine, which is the sequential behaviour.
-func (l *Link) SetDeliveryRouter(r DeliveryRouter) { l.router = r }
 
 // RTT returns the wire round-trip time for a minimal message pair under the
 // current profile (twice the propagation latency; serialisation of tiny

@@ -233,73 +233,55 @@ func TestArrivalMonotonicProperty(t *testing.T) {
 	}
 }
 
-// TestDeliveryRouterClaimsScheduling: a router claims some deliveries of
-// one direction and declines others; the declined ones still arrive in
-// send order through the link's own ring, and a claimed one arrives only
-// when the router calls Receive.
-func TestDeliveryRouterClaimsScheduling(t *testing.T) {
+// TestReserveSharesSerialisation: sends and reservations interleaved on
+// one direction serialise FIFO together and both count TX bytes; the link
+// delivers only the sent messages, and a reserved one arrives only when
+// its caller runs Receive at the instant Reserve returned.
+func TestReserveSharesSerialisation(t *testing.T) {
 	p := Profile{BandwidthBps: 1e6, LatencyOneWay: 10 * simtime.Millisecond}
 	eng, l, a, b, _ := testLink(p)
-	var got []int
-	b.SetHandler(func(m Message) { got = append(got, m.Payload.(int)) })
-	a.SetHandler(func(m Message) { got = append(got, m.Payload.(int)) })
-	type claim struct {
-		m  Message
-		at simtime.Time
+	type arrival struct {
+		payload int
+		at      simtime.Time
 	}
-	var claimed []claim
-	l.SetDeliveryRouter(func(to *NIC, m Message, at simtime.Time) bool {
-		if to != b || m.Payload.(int)%2 == 0 {
-			return false
-		}
-		claimed = append(claimed, claim{m, at})
-		return true
-	})
+	var got []arrival
+	b.SetHandler(func(m Message) { got = append(got, arrival{m.Payload.(int), eng.Now()}) })
 
-	// b-ward: odd payloads are claimed, even ones flow through the ring.
-	var arrivals []simtime.Time
+	// Odd payloads are reserved, even ones sent; each takes 1 ms on the
+	// wire, so they leave back to back whichever way they go.
+	var at []simtime.Time
 	for i := 0; i < 6; i++ {
-		arrivals = append(arrivals, l.Send(a, Message{Size: 1000, Payload: i}))
+		m := Message{Size: 1000, Payload: i}
+		if i%2 == 0 {
+			at = append(at, l.Send(a, m))
+			continue
+		}
+		at = append(at, l.Reserve(a, m))
+		eng.At(at[i], func() { b.Receive(m) })
 	}
-	if want := simtime.Time(11 * simtime.Millisecond); arrivals[0] != want {
-		t.Fatalf("arrival = %v, want %v", arrivals[0], want)
-	}
-	eng.RunAll()
-	if !slices.Equal(got, []int{0, 2, 4}) || b.Counters.RxBytes != 3000 {
-		t.Fatalf("declined deliveries = %v (RxBytes %d), want [0 2 4] (3000)", got, b.Counters.RxBytes)
-	}
-	if len(claimed) != 3 {
-		t.Fatalf("claimed %d deliveries, want 3", len(claimed))
-	}
-	for i, c := range claimed {
-		if c.m.Payload.(int) != 2*i+1 || c.at != arrivals[2*i+1] {
-			t.Fatalf("claim %d = %v at %v, want %d at %v", i, c.m.Payload, c.at, 2*i+1, arrivals[2*i+1])
+	for i, x := range at {
+		if want := simtime.Time(simtime.Duration(i+1)*simtime.Millisecond + 10*simtime.Millisecond); x != want {
+			t.Fatalf("message %d arrives at %v, want %v", i, x, want)
 		}
 	}
-	// Receive performs the full bookkeeping the link would have.
-	got = got[:0]
-	for _, c := range claimed {
-		b.Receive(c.m)
+	if a.Counters.TxBytes != 6000 {
+		t.Fatalf("TxBytes = %d, want 6000 (sends and reservations)", a.Counters.TxBytes)
 	}
-	if !slices.Equal(got, []int{1, 3, 5}) || b.Counters.RxBytes != 6000 {
-		t.Fatalf("Receive: delivered %v, RxBytes %d", got, b.Counters.RxBytes)
+	eng.RunAll()
+	want := make([]arrival, 6)
+	for i := range want {
+		want[i] = arrival{i, at[i]}
+	}
+	if !slices.Equal(got, want) || b.Counters.RxBytes != 6000 {
+		t.Fatalf("deliveries = %v (RxBytes %d), want %v (6000)", got, b.Counters.RxBytes, want)
 	}
 
-	// a-ward deliveries are declined by this router and flow normally.
+	// A reservation nobody receives never arrives.
 	got = got[:0]
-	l.Send(b, Message{Size: 1000, Payload: 7})
+	l.Reserve(a, Message{Size: 1000, Payload: 6})
 	eng.RunAll()
-	if !slices.Equal(got, []int{7}) || len(claimed) != 3 {
-		t.Fatalf("declined direction: delivered %v, claimed %d", got, len(claimed))
-	}
-
-	// Removing the router restores sequential behaviour.
-	got = got[:0]
-	l.SetDeliveryRouter(nil)
-	l.Send(a, Message{Size: 1000, Payload: 9})
-	eng.RunAll()
-	if !slices.Equal(got, []int{9}) {
-		t.Fatalf("after router removal: delivered %v", got)
+	if len(got) != 0 || b.Counters.RxBytes != 6000 || a.Counters.TxBytes != 7000 {
+		t.Fatalf("unreceived reservation: delivered %v, RxBytes %d, TxBytes %d", got, b.Counters.RxBytes, a.Counters.TxBytes)
 	}
 }
 

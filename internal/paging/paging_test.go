@@ -342,19 +342,21 @@ func TestDeputyGateInPastIsTransparent(t *testing.T) {
 
 // tapReplies records, for every reply the pager receives, the page at the
 // front of the deputy's reply FIFO and the delivery instant, hands the
-// message on to the node's handlers, and fails unless that page has then
+// message on to the pager's handler, and fails unless that page has then
 // left the in-flight state: a reply must land under its own page number.
 func tapReplies(t testing.TB, r *rig) *[]arrival {
 	var got []arrival
 	r.dest.NIC.SetHandler(func(m netmodel.Message) {
 		f, ok := m.Payload.(*replyFIFO)
 		if !ok || f.n == 0 {
-			r.dest.Deliver(m.Payload)
+			if !r.pager.handle(m.Payload) {
+				t.Fatalf("pager refused payload %T", m.Payload)
+			}
 			return
 		}
 		a := arrival{page: f.ring[f.head], at: r.eng.Now()}
 		got = append(got, a)
-		r.dest.Deliver(m.Payload)
+		r.pager.handle(m.Payload)
 		if st := r.as.State(a.page); st == memory.StateInFlight {
 			t.Fatalf("reply for page %d delivered at %v, but the page is still in flight", a.page, a.at)
 		}

@@ -327,15 +327,6 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 	c.nodes = make([]*cluster.Node, spec.Nodes)
 	for i := range c.nodes {
 		c.nodes[i] = cluster.NewNode(engOf(i), fmt.Sprintf("n%03d", i), scales[i])
-		node := i
-		c.nodes[i].Handle(func(payload any) bool {
-			m, ok := payload.(migMsg)
-			if !ok {
-				return false
-			}
-			c.deliver(node, m)
-			return true
-		})
 	}
 	c.lv = newLiveView(c.nodes, spec.NodeMemMB, c.shardOf, c.shards)
 	c.crashed = make([]bool, spec.Nodes)
@@ -368,6 +359,17 @@ func buildClusterSim(spec Spec, scales []float64, tmpl []procTemplate, pol sched
 		Seed:           seed,
 		Sharding:       shcfg,
 	}, plane)
+	// Migration payloads are handled after the fabric's daemon traffic,
+	// which every node receives far more often.
+	for i, node := range c.nodes {
+		node.Handle(func(payload any) bool {
+			m, ok := payload.(migMsg)
+			if ok {
+				c.deliver(i, m)
+			}
+			return ok
+		})
+	}
 	c.bal = newBalancer(c, pol, seed)
 	for i := 0; i < spec.Nodes; i++ {
 		if g := c.ic.Gossip(i); g != nil {

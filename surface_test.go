@@ -29,8 +29,9 @@ var surfaceAllowlist = map[string]string{
 // same holds for every exported method, selected outside its own body,
 // except a method that satisfies an interface (it may be called through
 // one) and a method of a type reachable from the root facade (code
-// outside the repo calls it). A symbol only tests reach belongs in a
-// _test.go file.
+// outside the repo calls it). Every exported method an internal interface
+// declares must be called through that interface by production code. A
+// symbol only tests reach belongs in a _test.go file.
 func TestNoDeadInternalSurface(t *testing.T) {
 	s := newSurfaceScan()
 	if err := filepath.WalkDir(".", s.visit); err != nil {
@@ -213,18 +214,22 @@ type aser interface{ As(any) bool }
 `
 
 // checkMethods records the exported methods declared under internal/,
-// except those of a facade type or satisfying an interface, and marks the
-// ones production code selects outside their own bodies.
+// except those of a facade type or satisfying an interface, and the
+// exported methods of the interfaces declared there, and marks the ones
+// production code selects outside their own bodies. An interface method
+// is selected only through a value of its interface, so one production
+// code never selects is a requirement no caller uses.
 func (s *stateScan) checkMethods(paths []string, facade map[*types.Named]bool) map[string]*declUse {
 	ifaces := s.interfaces()
 	methods := map[*types.Func]*declUse{}
-	bodies := map[*types.Func]*ast.FuncDecl{}
+	bodies := map[*types.Func]ast.Node{}
 	for _, p := range paths {
 		if !strings.HasPrefix(p, "ampom/internal/") {
 			continue
 		}
 		for _, f := range s.files[p] {
 			for _, d := range f.Decls {
+				s.interfaceMethods(p, d, methods, bodies)
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Recv == nil || !fd.Name.IsExported() {
 					continue
@@ -260,6 +265,36 @@ func (s *stateScan) checkMethods(paths []string, facade map[*types.Named]bool) m
 		out[u.key] = u
 	}
 	return out
+}
+
+// interfaceMethods records the exported methods that the interface types
+// d declares in package p list explicitly, each with its own line as its
+// body.
+func (s *stateScan) interfaceMethods(p string, d ast.Decl, methods map[*types.Func]*declUse, bodies map[*types.Func]ast.Node) {
+	gd, ok := d.(*ast.GenDecl)
+	if !ok || gd.Tok != token.TYPE {
+		return
+	}
+	for _, spec := range gd.Specs {
+		ts := spec.(*ast.TypeSpec)
+		it, ok := ts.Type.(*ast.InterfaceType)
+		if !ok {
+			continue
+		}
+		for _, field := range it.Methods.List {
+			for _, name := range field.Names {
+				if !name.IsExported() {
+					continue
+				}
+				fn := s.info.Defs[name].(*types.Func)
+				methods[fn] = &declUse{
+					key: p + "." + ts.Name.Name + "." + name.Name,
+					pos: s.fset.Position(name.Pos()).String(),
+				}
+				bodies[fn] = field
+			}
+		}
+	}
 }
 
 // interfaces returns every interface a method could be called through:
